@@ -22,7 +22,11 @@ This module compiles a circuit *topology* once into flat stamp programs:
 * :class:`BoundMnaStack` binds one template to a whole *corner set* of
   same-topology circuits at once — its value-slot rebinding carries a
   leading corner dimension, so a candidates×corners evaluation can fill
-  every corner's small-signal system from one structure walk.
+  every corner's small-signal system from one structure walk;
+* :func:`repro.analysis.transient.simulate_transient` steps on a bound DC
+  program too: it refreshes the switch and source slots per timestep and
+  appends inductor and capacitor companion stamps, which is why the
+  template also records the capacitances the DC program leaves open.
 
 Value slots are pure data — ``(opcode, element name, negate)`` triples
 evaluated by :func:`_slot_value` — so a compiled template is picklable.
@@ -79,13 +83,6 @@ from repro.tech.mosfet import dc_current
 
 #: MOSFET DC slot kinds (see ``kindvals`` in :meth:`BoundMna.assemble`).
 _KIND_GM, _KIND_GDS, _KIND_GMB, _KIND_GSUM = 0, 1, 2, 3
-
-try:  # the gufunc behind np.linalg.solve for 1-D right-hand sides
-    from numpy.linalg import _umath_linalg as _ul
-
-    _GUFUNC_SOLVE1 = _ul.solve1
-except (ImportError, AttributeError):  # pragma: no cover - numpy variant
-    _GUFUNC_SOLVE1 = None
 
 #: MOSFET small-signal capacitance slot kinds, in compact-model order.
 _CAP_KINDS = ("cgs", "cgd", "cgb", "cdb", "csb")
@@ -245,6 +242,10 @@ class MnaTemplate:
         # Source injections: value = signed_dc * source_scale.
         r_inj_pos: list[int] = []
         r_inj_slots: list[tuple[int, str | None, bool]] = []
+        # Capacitances the DC program leaves open, in netlist order:
+        # (i, j, element name, kind) — kind -1 for a capacitor, else an
+        # index into _CAP_KINDS.  The transient companion stamps use them.
+        cap_terms: list[tuple[int, int, str, int]] = []
         # MOSFET slots.
         mos_names: list[str] = []
         mos_xe: list[tuple[int, int, int, int]] = []  # (d, g, s, b) ext slots
@@ -313,7 +314,10 @@ class MnaTemplate:
                     xi(element.n1), xi(element.n2), _OP_SW_INV, name, i, j
                 )
             elif isinstance(element, Capacitor):
-                continue  # open in DC
+                # Open in DC.
+                cap_terms.append(
+                    (layout.index(element.n1), layout.index(element.n2), name, -1)
+                )
             elif isinstance(element, CurrentSource):
                 p = layout.index(element.positive)
                 nn = layout.index(element.negative)
@@ -390,7 +394,7 @@ class MnaTemplate:
                 emit_branch_rows(p, nn, k)
                 vc_p.append(xi(element.n1))
                 vc_n.append(xi(element.n2))
-                vc_dc_slots.append((_OP_ZERO, None, False))  # DC short
+                vc_dc_slots.append((_OP_ZERO, name, False))  # DC short
                 r_vc_pos.append(res.append(k))
             elif isinstance(element, Mosfet):
                 d = layout.index(element.drain)
@@ -428,6 +432,10 @@ class MnaTemplate:
                         j_mos_dev.append(dev)
                         j_mos_kind.append(kind)
                         j_mos_sign.append(ks)
+                for kind, (t1, t2) in enumerate(
+                    ((g_, s), (g_, d), (g_, b), (d, b), (s, b))
+                ):
+                    cap_terms.append((t1, t2, name, kind))
             else:
                 raise AnalysisError(
                     f"element type {type(element).__name__} not supported "
@@ -470,6 +478,7 @@ class MnaTemplate:
         self._r_mos_pos = asarray(r_mos_pos, dtype=np.intp)
         self._r_mos_dev = asarray(r_mos_dev, dtype=np.intp)
         self._r_mos_sign = asarray(r_mos_sign, dtype=float)
+        self._cap_terms = tuple(cap_terms)
 
         self._compile_linear(circuit)
 
@@ -786,28 +795,14 @@ class BoundMna:
         return jac, resid
 
     def newton_solve(self, jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """``np.linalg.solve`` minus its per-call wrapper overhead.
+        """The DC Newton step's linear solve.
 
-        The Newton loop solves thousands of small dense systems; numpy's
-        public wrapper spends more time validating/coercing than LAPACK
-        spends solving.  This calls the same underlying gufunc directly and
-        falls back to ``np.linalg.solve`` whenever the fast result is not
-        finite — which covers exact singularity (LAPACK info > 0 fills the
-        result with NaNs instead of raising) by re-raising through the
-        public path, and near-singular overflow by returning the public
-        path's bit-identical inf/NaN result.  Either way the caller sees
-        exactly what ``np.linalg.solve`` would have produced.
+        It is the public ``np.linalg.solve``, so every solve of the stack,
+        the transient's t=0 operating point included, stays visible to
+        tools that wrap ``numpy.linalg.solve``.  Calling its LAPACK gufunc
+        directly would save about 1 µs per 13x13 system.
         """
-        if _GUFUNC_SOLVE1 is None:
-            return np.linalg.solve(jac, rhs)
-        try:
-            with np.errstate(all="ignore"):
-                dx = _GUFUNC_SOLVE1(jac, rhs)
-        except np.linalg.LinAlgError:
-            dx = None
-        if dx is None or not np.isfinite(dx).all():
-            return np.linalg.solve(jac, rhs)
-        return dx
+        return np.linalg.solve(jac, rhs)
 
     # -- small-signal ------------------------------------------------------
 

@@ -18,6 +18,9 @@ from repro.circuit.netlist import Circuit
 from repro.errors import SpecificationError
 from repro.specs.stage import MdacSpec
 
+#: When the settling bench opens its reset switch and steps the DAC [s].
+SETTLING_STEP_TIME = 1.0e-9
+
 
 @dataclass(frozen=True)
 class MdacNetwork:
@@ -86,7 +89,7 @@ def build_settling_bench(
     tech,
     step_voltage: float,
     common_mode: float,
-    step_time: float = 1.0e-9,
+    step_time: float = SETTLING_STEP_TIME,
     switch_r_on: float = 200.0,
 ) -> tuple[Circuit, float]:
     """Closed-loop amplification-phase testbench around a real opamp.

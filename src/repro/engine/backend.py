@@ -32,6 +32,7 @@ from typing import (
 
 from repro.engine.threads import pin_blas_threads
 from repro.errors import SpecificationError
+from repro.obs.metrics import REGISTRY
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -73,6 +74,18 @@ class SerialBackend:
         self.close()
 
 
+def _init_pool_worker() -> None:
+    """Process-pool worker initializer: pin BLAS, start an empty registry.
+
+    Fork-started workers inherit the parent's populated metrics registry,
+    and each spools its cumulative snapshot into the campaign's
+    ``metrics.json``; zeroing it here keeps the parent's counts from being
+    counted again once per worker.
+    """
+    pin_blas_threads()
+    REGISTRY.reset()
+
+
 class _PooledBackend:
     """Shared machinery for ``concurrent.futures``-backed backends.
 
@@ -104,7 +117,7 @@ class _PooledBackend:
             pin_blas_threads()
             kwargs: dict[str, Any] = {"max_workers": self.max_workers}
             if issubclass(self.executor_cls, ProcessPoolExecutor):
-                kwargs["initializer"] = pin_blas_threads
+                kwargs["initializer"] = _init_pool_worker
             self._executor = self.executor_cls(**kwargs)
         return self._executor
 

@@ -65,7 +65,7 @@ from repro.analysis.dcbatch import DC_KERNELS, solve_dc_batch
 from repro.analysis.smallsignal import LinearizedCircuit, linearize
 from repro.analysis.template import BoundMnaStack, TemplateStore, bind_template
 from repro.analysis.transient import simulate_transient
-from repro.blocks.mdac import MdacNetwork, build_settling_bench
+from repro.blocks.mdac import SETTLING_STEP_TIME, MdacNetwork, build_settling_bench
 from repro.blocks.opamp import TwoStageSizing
 from repro.blocks.opamp_library import build_two_stage_miller
 from repro.circuit.builder import CircuitBuilder
@@ -624,16 +624,17 @@ class HybridEvaluator:
             self.tech,
             step_voltage=step,
             common_mode=self.common_mode,
+            step_time=SETTLING_STEP_TIME,
         )
         t_settle = self.mdac.linear_settling_time + self.mdac.slew_time
-        t_stop = 1.0e-9 + t_settle
+        t_stop = SETTLING_STEP_TIME + t_settle
         dt = t_settle / self.transient_points
         try:
             result = simulate_transient(bench, t_stop=t_stop, dt=dt, record=["out"])
         except (ConvergenceError, AnalysisError):
             return 1.0
         v = result.voltage("out")
-        start = float(v[np.searchsorted(result.time, 1.0e-9) - 1])
+        start = float(v[np.searchsorted(result.time, SETTLING_STEP_TIME) - 1])
         final = float(v[-1])
         if ideal == 0:
             return 1.0

@@ -19,9 +19,20 @@ MODES = ("off", "metrics", "trace")
 DETERMINISTIC = ("results.jsonl", "report.txt", "manifest.json")
 
 
-def _run(tmp_path, name, **config_kwargs):
+#: Counters that describe work done: they must not depend on the backend.
+WORK_COUNTERS = (
+    "campaign.scenarios",
+    "scheduler.job_executions",
+    "scheduler.waves",
+    "cache.cold_runs",
+    "cache.retargeted_runs",
+)
+
+
+def _run(tmp_path, name, grid=None, **config_kwargs):
     store = tmp_path / name
-    grid = CampaignGrid(resolutions=(10,), modes=("synthesis",))
+    if grid is None:
+        grid = CampaignGrid(resolutions=(10,), modes=("synthesis",))
     config = FlowConfig(
         budget=60,
         retarget_budget=30,
@@ -99,3 +110,19 @@ class TestBackendDeterminism:
         # folds them in next to its own live registry.
         assert payload["sources"]["spooled"] >= 1
         assert payload["metrics"]["counters"]["scheduler.job_executions"] >= 1
+
+    def test_work_counters_match_serial(self, tmp_path):
+        # Forked pool workers start from an empty registry: their spooled
+        # snapshots hold only their own work, never the parent's again.
+        grid = CampaignGrid(resolutions=(10, 11), modes=("analytic", "synthesis"))
+
+        def work_counters(store):
+            payload = json.loads((store / obs.METRICS_FILENAME).read_text())
+            counters = payload["metrics"]["counters"]
+            return {name: counters.get(name, 0) for name in WORK_COUNTERS}
+
+        serial = work_counters(_run(tmp_path, "serial", grid))
+        assert serial["campaign.scenarios"] == 4
+        for backend in ("process", "thread"):
+            store = _run(tmp_path, backend, grid, backend=backend, max_workers=2)
+            assert work_counters(store) == serial, backend
