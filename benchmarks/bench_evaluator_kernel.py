@@ -1,33 +1,40 @@
-"""Compiled evaluation kernels: legacy vs compiled.
+"""Compiled evaluation kernels: the reference walk vs compiled.
 
 The PR 3 tentpole claim, measured three ways on a standard
 ``synthesize_mdac`` workload (cold anneal, budget 400, fixed seed):
 
 * **full-candidate throughput** — candidates/second through the whole
   equation evaluation (DC Newton + linearization + AC sweep + metrics),
-  legacy walk vs compiled kernel;
+  the reference walk (``tests/synth/evaluator_reference.py``, swapped in
+  for the evaluator) vs the compiled kernel;
 * **equation-metric stage throughput** — the transfer-function stage
   alone (the paper's "formulate the numerical transfer function" step):
   the seed solved it one frequency at a time through per-call
   ``np.linalg.solve``; the kernel solves the whole grid as one stacked
   batch.  This is where the batched-linear-solve tentpole lands its
   biggest factor (>= 3x is asserted here);
-* **result identity** — both kernels must produce bit-identical
+* **result identity** — both sides must produce bit-identical
   synthesis results (the determinism contract that lets the compiled
   kernel be the default).
 
-The legacy variant runs under ``layout_cache_disabled`` so it also pays
+The reference side runs under ``layout_cache_disabled`` so it also pays
 the per-call :class:`~repro.analysis.mna.MnaLayout` derivation the
 pre-kernel evaluator paid.  ``benchmarks/run_all.py`` records the same
 numbers.
 """
 
+import sys
 import time
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro.analysis.ac import ac_system_stack, ac_transfer, solve_ac_stack
+# The reference walks live in the test tree; import them from the repo root.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from repro.analysis.ac import ac_system_stack, solve_ac_stack
 from repro.analysis.mna import layout_cache_disabled
 from repro.engine.persist import sizing_digest
 from repro.enumeration.candidates import PipelineCandidate
@@ -35,6 +42,8 @@ from repro.specs import AdcSpec, plan_stages
 from repro.synth import HybridEvaluator, synthesize_mdac, two_stage_space
 from repro.synth.evaluator import _AC_FREQS
 from repro.tech import CMOS025
+from tests.analysis import ac_reference
+from tests.synth.evaluator_reference import ReferenceEvaluator
 
 
 def _block_spec():
@@ -43,7 +52,7 @@ def _block_spec():
     return plan.mdacs[2]  # the 2-bit stage: fastest standard block
 
 
-def _synthesize(kernel: str, budget: int = 400):
+def _synthesize(budget: int = 400):
     mdac = _block_spec()
     start = time.perf_counter()
     result = synthesize_mdac(
@@ -52,7 +61,6 @@ def _synthesize(kernel: str, budget: int = 400):
         budget=budget,
         seed=1,
         verify_transient=False,
-        kernel=kernel,
     )
     wall = time.perf_counter() - start
     return result, result.equation_evals / wall
@@ -61,9 +69,11 @@ def _synthesize(kernel: str, budget: int = 400):
 @pytest.mark.slow
 def test_kernel_throughput_and_identity(once):
     """Compiled >= 2x legacy on full candidates, with identical results."""
-    with layout_cache_disabled():
-        legacy, legacy_rate = _synthesize("legacy")
-    compiled_run = once(lambda: _synthesize("compiled"))
+    with layout_cache_disabled(), mock.patch(
+        "repro.synth.synthesis.HybridEvaluator", ReferenceEvaluator
+    ):
+        legacy, legacy_rate = _synthesize()
+    compiled_run = once(_synthesize)
     compiled, compiled_rate = compiled_run
 
     print(
@@ -71,7 +81,7 @@ def test_kernel_throughput_and_identity(once):
         f"\ncompiled:    {compiled_rate:7.1f} cand/s"
         f" ({compiled_rate / legacy_rate:.2f}x)"
     )
-    # Bit-identical synthesis outcomes across both kernels.
+    # Bit-identical synthesis outcomes on both sides.
     assert sizing_digest(compiled) == sizing_digest(legacy)
     assert compiled.history == legacy.history
     assert compiled.equation_evals == legacy.equation_evals
@@ -84,14 +94,14 @@ def test_equation_metric_stage_speedup():
     """The batched AC sweep is >= 3x the per-frequency legacy loop."""
     mdac = _block_spec()
     space = two_stage_space(mdac, CMOS025)
-    evaluator = HybridEvaluator(mdac, CMOS025, kernel="compiled")
+    evaluator = HybridEvaluator(mdac, CMOS025)
     rng = np.random.default_rng(1)
     staged = evaluator._stage_equation(space.decode(rng.random(space.dimension)))
     assert staged.lin is not None
     lin = staged.lin
 
     def legacy_stage():
-        return ac_transfer(lin, "out", _AC_FREQS, batched=False)
+        return ac_reference.ac_transfer(lin, "out", _AC_FREQS)
 
     def batched_stage():
         stack = ac_system_stack(lin, _AC_FREQS)

@@ -1,8 +1,11 @@
 """Run the standalone component benchmarks and emit ``bench_components.json``.
 
 Standalone (no pytest): fixed seeds, deterministic workloads, wall-clock
-measurements of the compiled evaluation kernels against the legacy path,
-plus the optimization-service stage (submission latency, coalescing hit
+measurements of the compiled evaluation kernels against the reference
+walks kept as test oracles (``tests/synth/evaluator_reference.py``,
+``tests/analysis/ac_reference.py``, ``tests/behavioral/batch_reference.py``;
+the script puts the repo root on ``sys.path`` to import them), plus the
+optimization-service stage (submission latency, coalescing hit
 rate, sustained jobs/s — see ``benchmarks/bench_service.py``).
 
     PYTHONPATH=src python benchmarks/run_all.py                # full
@@ -10,8 +13,8 @@ rate, sustained jobs/s — see ``benchmarks/bench_service.py``).
     PYTHONPATH=src python benchmarks/run_all.py --check ...    # exit 1 on
                                                                # regression
 
-Stages: ``synthesize_mdac`` / ``equation_metric_stage`` / ``evaluate_batch``
-(compiled kernel vs the legacy walk), ``behavioral`` (vectorized
+Stages: ``synthesize_mdac`` / ``equation_metric_stage`` (compiled kernel
+vs the reference walk), ``behavioral`` (vectorized
 Monte-Carlo vs the scalar walk), ``service``, ``fabric`` (the distributed
 execution fabric against a live HTTP broker and real ``repro-adc worker``
 subprocesses — per-task lease overhead, fleet throughput at 1 vs 2 workers
@@ -23,7 +26,7 @@ lease to be reclaimed; see ``benchmarks/bench_fabric.py``) and ``obs``
 registry counter micro-rate; see ``benchmarks/bench_obs.py``).
 
 ``--check`` is the CI regression guard: it fails the run when the compiled
-kernel is slower than the legacy path on the same workload, when any
+kernel is slower than the reference walk on the same workload, when any
 variant's synthesis result diverges (the bit-identity contract), when the
 behavioral batch kernel is not bit-identical to the scalar walk or misses
 its 5x floor at 256 draws, when the service stage breaks its coalescing
@@ -48,10 +51,14 @@ import sys
 import time
 import traceback
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
-from repro.analysis.ac import ac_system_stack, ac_transfer, solve_ac_stack
+# The reference walks live in the test tree; import them from the repo root.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from repro.analysis.ac import ac_system_stack, solve_ac_stack
 from repro.analysis.mna import layout_cache_disabled
 from repro.behavioral.batch import simulate_draws
 from repro.behavioral.signals import full_scale_sine, pick_coherent_cycles
@@ -63,6 +70,9 @@ from repro.specs import AdcSpec, plan_stages
 from repro.synth import HybridEvaluator, synthesize_mdac, two_stage_space
 from repro.synth.evaluator import _AC_FREQS
 from repro.tech import CMOS025
+from tests.analysis import ac_reference
+from tests.behavioral import batch_reference
+from tests.synth.evaluator_reference import ReferenceEvaluator
 
 
 def _block_spec():
@@ -71,23 +81,21 @@ def _block_spec():
     return plan.mdacs[2]
 
 
-def _time_synthesize(kernel: str, budget: int, seed_baseline: bool = False):
+def _time_synthesize(budget: int, reference: bool = False):
+    """Time one synthesis; ``reference`` runs it on the reference walk."""
     mdac = _block_spec()
 
     def run():
         start = time.perf_counter()
         result = synthesize_mdac(
-            mdac,
-            CMOS025,
-            budget=budget,
-            seed=1,
-            verify_transient=False,
-            kernel=kernel,
+            mdac, CMOS025, budget=budget, seed=1, verify_transient=False
         )
         return result, time.perf_counter() - start
 
-    if seed_baseline:
-        with layout_cache_disabled():
+    if reference:
+        with layout_cache_disabled(), mock.patch(
+            "repro.synth.synthesis.HybridEvaluator", ReferenceEvaluator
+        ):
             run()  # warm module/caches
             result, wall = run()
     else:
@@ -98,8 +106,8 @@ def _time_synthesize(kernel: str, budget: int, seed_baseline: bool = False):
 
 def stage_synthesize(budget: int) -> dict:
     """Full-candidate equation-evaluation throughput per kernel."""
-    legacy, legacy_wall = _time_synthesize("legacy", budget, seed_baseline=True)
-    compiled_, compiled_wall = _time_synthesize("compiled", budget)
+    legacy, legacy_wall = _time_synthesize(budget, reference=True)
+    compiled_, compiled_wall = _time_synthesize(budget)
     identical = (
         sizing_digest(legacy) == sizing_digest(compiled_)
         and legacy.history == compiled_.history
@@ -122,13 +130,13 @@ def stage_equation_metrics(repeats: int) -> dict:
     """The AC/transfer-function stage: per-frequency loop vs batched stack."""
     mdac = _block_spec()
     space = two_stage_space(mdac, CMOS025)
-    evaluator = HybridEvaluator(mdac, CMOS025, kernel="compiled")
+    evaluator = HybridEvaluator(mdac, CMOS025)
     rng = np.random.default_rng(1)
     staged = evaluator._stage_equation(space.decode(rng.random(space.dimension)))
     lin = staged.lin
 
     def legacy_stage():
-        return ac_transfer(lin, "out", _AC_FREQS, batched=False)
+        return ac_reference.ac_transfer(lin, "out", _AC_FREQS)
 
     def batched_stage():
         stack = ac_system_stack(lin, _AC_FREQS)
@@ -153,46 +161,14 @@ def stage_equation_metrics(repeats: int) -> dict:
     }
 
 
-def stage_batch_api(population: int) -> dict:
-    """evaluate_batch population scoring vs sequential evaluate."""
-    mdac = _block_spec()
-    space = two_stage_space(mdac, CMOS025)
-    rng = np.random.default_rng(7)
-    sizings = [space.decode(rng.random(space.dimension)) for _ in range(population)]
-
-    def run(kernel, batch):
-        evaluator = HybridEvaluator(mdac, CMOS025, kernel=kernel)
-        evaluator.evaluate(sizings[0])  # warm caches
-        evaluator2 = HybridEvaluator(mdac, CMOS025, kernel=kernel)
-        start = time.perf_counter()
-        if batch:
-            results = evaluator2.evaluate_batch(sizings)
-        else:
-            results = [evaluator2.evaluate(s) for s in sizings]
-        return results, time.perf_counter() - start
-
-    sequential, seq_wall = run("legacy", batch=False)
-    batched, batch_wall = run("compiled", batch=True)
-    identical = all(
-        a.cost() == b.cost() and a.violations == b.violations
-        for a, b in zip(sequential, batched)
-    )
-    return {
-        "workload": f"population of {population} random candidates",
-        "legacy_sequential_cands_per_s": round(population / seq_wall, 1),
-        "compiled_batch_cands_per_s": round(population / batch_wall, 1),
-        "speedup": round(seq_wall / batch_wall, 2),
-        "identical_results": identical,
-    }
-
-
 def stage_behavioral(draws: int, samples: int) -> dict:
     """Vectorized Monte-Carlo pipeline simulation vs the scalar walk.
 
-    Same seeded mismatch draws and the same coherent stimulus through both
-    behavioral kernels.  ``draw_error_models`` is called once per kernel so
-    each gets identically-seeded fresh generators — the thermal-noise
-    streams, not just the static mismatches, must replay bit-for-bit.
+    Same seeded mismatch draws and the same coherent stimulus through the
+    batch kernel and the scalar walk.  ``draw_error_models`` is called once
+    per side so each gets identically-seeded fresh generators — the
+    thermal-noise streams, not just the static mismatches, must replay
+    bit-for-bit.
     The 256-draw speedup floor in ``--check`` is the PR 7 acceptance bar.
     """
     spec = AdcSpec(resolution_bits=10)
@@ -201,22 +177,18 @@ def stage_behavioral(draws: int, samples: int) -> dict:
     cycles = pick_coherent_cycles(samples)
     stimulus = full_scale_sine(samples, cycles, spec.full_scale)
 
-    def run(kernel):
+    def run(simulate):
         models, rngs = draw_error_models(plan, draws, 101)
-        simulate_draws(  # warm numpy/module caches
-            candidate, spec.full_scale, models[:1], stimulus, rngs=rngs[:1],
-            kernel=kernel,
+        simulate(  # warm numpy/module caches
+            candidate, spec.full_scale, models[:1], stimulus, rngs=rngs[:1]
         )
         models, rngs = draw_error_models(plan, draws, 101)
         start = time.perf_counter()
-        result = simulate_draws(
-            candidate, spec.full_scale, models, stimulus, rngs=rngs,
-            kernel=kernel,
-        )
+        result = simulate(candidate, spec.full_scale, models, stimulus, rngs=rngs)
         return result, time.perf_counter() - start
 
-    legacy, legacy_wall = run("legacy")
-    batch, batch_wall = run("batch")
+    legacy, legacy_wall = run(batch_reference.simulate_draws)
+    batch, batch_wall = run(simulate_draws)
     identical = all(
         np.array_equal(getattr(legacy, field), getattr(batch, field))
         for field in ("stage_codes", "residues", "backend_codes", "codes")
@@ -241,8 +213,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="bench_components.json",
                         help="output JSON path (default: bench_components.json)")
     parser.add_argument("--check", action="store_true",
-                        help="exit nonzero if compiled is slower than legacy "
-                             "or any result diverges")
+                        help="exit nonzero if compiled is slower than the "
+                             "reference walk or any result diverges")
     args = parser.parse_args(argv)
 
     # Pin the BLAS/OpenMP pools exactly like the pooled backends do, and
@@ -252,7 +224,6 @@ def main(argv=None) -> int:
 
     budget = 120 if args.smoke else 400
     repeats = 10 if args.smoke else 30
-    population = 16 if args.smoke else 48
     identical = 6 if args.smoke else 8
     distinct = 8 if args.smoke else 16
     # The 256-draw point is the acceptance workload — smoke only trims the
@@ -282,7 +253,6 @@ def main(argv=None) -> int:
     stage_fns = {
         "synthesize_mdac": lambda: stage_synthesize(budget),
         "equation_metric_stage": lambda: stage_equation_metrics(repeats),
-        "evaluate_batch": lambda: stage_batch_api(population),
         "behavioral": lambda: stage_behavioral(
             behavioral_draws, behavioral_samples
         ),
@@ -350,11 +320,11 @@ def main(argv=None) -> int:
         if not synth["identical_results"]:
             failures.append("synthesize_mdac results diverged across kernels")
         if not eqn["identical_results"]:
-            failures.append("batched AC sweep diverged from the legacy loop")
+            failures.append("batched AC sweep diverged from the reference loop")
         if synth["speedup_full_candidate"] < 1.0:
             failures.append(
-                "regression: compiled kernel slower than legacy on the "
-                f"smoke workload ({synth['speedup_full_candidate']}x)"
+                "regression: compiled kernel slower than the reference walk "
+                f"on the smoke workload ({synth['speedup_full_candidate']}x)"
             )
         if not behavioral["identical_results"]:
             failures.append(

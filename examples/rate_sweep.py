@@ -11,11 +11,10 @@ Run with::
 
     python examples/rate_sweep.py
     python examples/rate_sweep.py --backend process   # pooled evaluation
-    python examples/rate_sweep.py --backend thread
 
 The ``--backend`` choice rides on the same :class:`repro.FlowConfig` every
 flow entry point takes; the campaign shares the chosen backend across the
-whole sweep (one pool, not one per rate point) and serial/thread/process
+whole sweep (one pool, not one per rate point) and serial and process
 produce identical tables.
 """
 

@@ -32,7 +32,6 @@ from repro.engine import (
     FlowConfig,
     ProcessPoolBackend,
     SerialBackend,
-    ThreadPoolBackend,
 )
 from repro.enumeration import PipelineCandidate, enumerate_candidates
 from repro.flow import BlockCache, PersistentBlockCache, optimize_topology
@@ -54,7 +53,6 @@ __all__ = [
     "PipelineCandidate",
     "ProcessPoolBackend",
     "SerialBackend",
-    "ThreadPoolBackend",
     "enumerate_candidates",
     "plan_stages",
     "candidate_power",

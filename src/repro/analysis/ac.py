@@ -48,18 +48,14 @@ def ac_system_tensor(
 ) -> np.ndarray:
     """Stacked systems for a *batch* of linearizations, shape (B, F, n, n).
 
-    The batch axis is a candidate population: every linearization must
-    share the matrix size (same topology).  Each
-    ``out[b]`` is filled exactly like :func:`ac_system_stack` fills its
-    stack — the tensor form only removes the per-batch Python dispatch, so
-    slice ``[b]`` is bit-identical to ``ac_system_stack(linears[b], ...)``.
-    ``out`` (same shape, complex) is reused in place when given.
+    Slice ``[b]`` is :func:`ac_system_stack` of ``linears[b]``; every
+    linearization must share the matrix size (same topology).  ``out``
+    (same shape, complex) is reused in place when given.
     """
-    frequencies_hz = np.asarray(frequencies_hz, dtype=float)
+    # No caller left in the package; kept because e2ebench/layers.py wraps it by name.
     if not linears:
         raise AnalysisError("ac_system_tensor needs at least one linearization")
     n = linears[0].size
-    s = 2j * math.pi * frequencies_hz
     if out is None:
         out = np.empty((len(linears), len(frequencies_hz), n, n), dtype=complex)
     for b, linear in enumerate(linears):
@@ -68,11 +64,7 @@ def ac_system_tensor(
                 "ac_system_tensor requires same-size systems "
                 f"(got {linear.size} and {n})"
             )
-        slab = out[b]
-        slab[:] = linear.g_matrix
-        rows, cols = np.nonzero(linear.c_matrix)
-        if len(rows):
-            slab[:, rows, cols] += s[:, None] * linear.c_matrix[rows, cols][None, :]
+        ac_system_stack(linear, frequencies_hz, out=out[b])
     return out
 
 
@@ -84,7 +76,7 @@ def solve_ac_stack(
     One LAPACK call covers the whole sweep; each slice's solution is
     bit-identical to an individual ``np.linalg.solve``.  On failure the
     sweep is replayed slice-by-slice so the raised :class:`AnalysisError`
-    names the first singular frequency, exactly like the legacy loop.
+    names the first singular frequency, exactly like a per-frequency loop.
     """
     rhs = np.broadcast_to(b_ac, (systems.shape[0], len(b_ac)))[..., None]
     try:
@@ -104,32 +96,19 @@ def solve_ac_stack(
 def ac_response(
     linear: LinearizedCircuit,
     frequencies_hz: np.ndarray,
-    batched: bool = True,
 ) -> np.ndarray:
     """Complex solution vectors over a frequency sweep.
 
     Returns an array of shape ``(len(frequencies), size)`` whose rows are the
     MNA unknowns at each frequency, driven by the circuit's ``ac`` sources.
-
-    ``batched=True`` (default) stacks the sweep into one
-    ``np.linalg.solve`` over ``(F, n, n)`` systems — bit-identical to, and
-    far faster than, the per-frequency loop, which ``batched=False`` keeps
-    for reference/benchmark use.
+    The sweep is one ``np.linalg.solve`` over the ``(F, n, n)`` system
+    stack, bit-identical to solving each frequency on its own.
     """
     frequencies_hz = np.asarray(frequencies_hz, dtype=float)
-    if batched:
-        if len(frequencies_hz) == 0:
-            return np.empty((0, linear.size), dtype=complex)
-        systems = ac_system_stack(linear, frequencies_hz)
-        return solve_ac_stack(systems, linear.b_ac, frequencies_hz)
-    out = np.empty((len(frequencies_hz), linear.size), dtype=complex)
-    for row, frequency in enumerate(frequencies_hz):
-        s = 2j * math.pi * frequency
-        try:
-            out[row] = np.linalg.solve(linear.system_at(s), linear.b_ac)
-        except np.linalg.LinAlgError as exc:
-            raise AnalysisError(f"AC solve failed at {frequency:.3e} Hz") from exc
-    return out
+    if len(frequencies_hz) == 0:
+        return np.empty((0, linear.size), dtype=complex)
+    systems = ac_system_stack(linear, frequencies_hz)
+    return solve_ac_stack(systems, linear.b_ac, frequencies_hz)
 
 
 def ac_transfer(
@@ -137,14 +116,13 @@ def ac_transfer(
     output_net: str,
     frequencies_hz: np.ndarray,
     negative_net: str | None = None,
-    batched: bool = True,
 ) -> np.ndarray:
     """Complex transfer to ``output_net`` (optionally differential) per Hz.
 
     The excitation is whatever ``ac`` magnitudes the circuit's sources carry;
     with a single unit-magnitude source this is the transfer function.
     """
-    response = ac_response(linear, frequencies_hz, batched=batched)
+    response = ac_response(linear, frequencies_hz)
     i = linear.index(output_net)
     if i == GROUND:
         raise AnalysisError("output_net must not be ground")

@@ -1,11 +1,9 @@
 """Vectorized Monte-Carlo pipeline simulation: draws × samples × stages.
 
-The PR 3 pattern applied to the behavioral tier: the scalar per-sample
-walk of :class:`~repro.behavioral.pipeline.BehavioralPipeline` stays as
-the ``legacy`` reference kernel, and :func:`simulate_draws` evaluates the
-whole input record × mismatch-draw matrix as one ``(draws, samples)``
-numpy array program per stage — bit-identical to the scalar walk, which
-is what lets ``FlowConfig.behavioral_kernel`` be a pure speed knob.
+The PR 3 pattern applied to the behavioral tier: :func:`simulate_draws`
+evaluates the whole input record × mismatch-draw matrix as one
+``(draws, samples)`` numpy array program per stage, bit-identical to the
+scalar per-sample walk of :class:`~repro.behavioral.pipeline.BehavioralPipeline`.
 
 Bit-identity holds because every kernel stage replays the scalar
 arithmetic op-for-op on float64 arrays (numpy elementwise double ops are
@@ -14,7 +12,8 @@ noise replays the scalar RNG *stream*: the scalar walk consumes one
 standard normal per noisy stage per sample (sample-major, stage-minor),
 exactly the C-order fill of ``Generator.standard_normal((samples, k))``,
 and ``Generator.normal(0.0, sigma)`` is ``0.0 + sigma * z`` on that same
-stream.  The equivalence is enforced by
+stream.  The equivalence is enforced against the scalar walk kept in
+``tests/behavioral/batch_reference.py`` by
 ``tests/behavioral/test_batch_kernel.py`` and the ``behavioral`` stage of
 ``benchmarks/run_all.py --check``.
 """
@@ -26,16 +25,11 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.behavioral.correction import combine_codes
 from repro.behavioral.nonideal import StageErrorModel
-from repro.behavioral.pipeline import BehavioralPipeline
 from repro.blocks.sah import SampleAndHold
 from repro.blocks.subadc import FlashSubAdc
 from repro.enumeration.candidates import PipelineCandidate
 from repro.errors import SpecificationError
-
-#: Behavioral simulation kernels (mirrors the eval_kernel naming).
-BEHAVIORAL_KERNELS = ("batch", "legacy")
 
 
 @dataclass(frozen=True)
@@ -58,7 +52,6 @@ def simulate_draws(
     error_draws: Sequence[Sequence[StageErrorModel]],
     samples: np.ndarray,
     rngs: Sequence[np.random.Generator] | None = None,
-    kernel: str = "batch",
     sah: SampleAndHold | None = None,
 ) -> BatchResult:
     """Convert ``samples`` under every mismatch draw with one kernel call.
@@ -66,15 +59,10 @@ def simulate_draws(
     ``error_draws`` holds one per-stage error-model tuple per Monte-Carlo
     draw; ``rngs`` supplies one independent generator per draw (required
     whenever any error model carries thermal noise — each draw owns its
-    noise stream so draws are order-independent and replayable).  Both
-    kernels consume the generators identically, so the same seeded
-    generators produce bit-identical traces either way.
+    noise stream so draws are order-independent and replayable).  The
+    generators are consumed exactly as the scalar walk consumes them, so
+    the same seeded generators produce the scalar walk's traces bit for bit.
     """
-    if kernel not in BEHAVIORAL_KERNELS:
-        raise SpecificationError(
-            f"unknown behavioral kernel {kernel!r} "
-            f"(valid: {', '.join(BEHAVIORAL_KERNELS)})"
-        )
     if sah is None:
         sah = SampleAndHold()
     error_draws = [tuple(models) for models in error_draws]
@@ -89,59 +77,7 @@ def simulate_draws(
     if noisy and rngs is None:
         raise SpecificationError("rngs required when any draw carries noise")
     samples = np.asarray(samples, dtype=float)
-    if kernel == "legacy":
-        return _simulate_legacy(candidate, full_scale, error_draws, samples, rngs, sah)
     return _simulate_batch(candidate, full_scale, error_draws, samples, rngs, sah)
-
-
-def _simulate_legacy(
-    candidate: PipelineCandidate,
-    full_scale: float,
-    error_draws: list[tuple[StageErrorModel, ...]],
-    samples: np.ndarray,
-    rngs: Sequence[np.random.Generator] | None,
-    sah: SampleAndHold,
-) -> BatchResult:
-    """The reference kernel: the existing scalar walk, one sample at a time.
-
-    Reuses the scalar building blocks verbatim —
-    :meth:`~repro.blocks.sah.SampleAndHold.sample`,
-    :meth:`~repro.behavioral.pipeline.PipelineStage.convert`, the ideal
-    backend quantizer and :func:`~repro.behavioral.correction.combine_codes`
-    — in exactly the order :meth:`BehavioralPipeline.convert` applies them,
-    so its codes (and RNG consumption) match the pipeline walk bit for bit.
-    """
-    draws, n_samples = len(error_draws), len(samples)
-    n_stages = candidate.stage_count
-    stage_codes = np.zeros((draws, n_samples, n_stages), dtype=np.int64)
-    residues = np.zeros((draws, n_samples))
-    backend_codes = np.zeros((draws, n_samples), dtype=np.int64)
-    codes = np.zeros((draws, n_samples), dtype=np.int64)
-    stage_bits = list(candidate.resolutions)
-    for d, models in enumerate(error_draws):
-        pipeline = BehavioralPipeline(
-            candidate, full_scale, stage_errors=models, sah=sah
-        )
-        stages = pipeline._stages()
-        rng = rngs[d] if rngs is not None else None
-        for s in range(n_samples):
-            v = pipeline.sah.sample(float(samples[s]), rng)
-            sample_codes: list[int] = []
-            for j, stage in enumerate(stages):
-                code, v = stage.convert(v, rng)
-                sample_codes.append(code)
-                stage_codes[d, s, j] = code
-            residues[d, s] = v
-            backend = pipeline._backend_quantize(v)
-            backend_codes[d, s] = backend
-            codes[d, s] = combine_codes(
-                sample_codes,
-                stage_bits,
-                backend,
-                pipeline.backend_bits,
-                pipeline.total_bits,
-            )
-    return BatchResult(stage_codes, residues, backend_codes, codes)
 
 
 def _simulate_batch(
@@ -253,4 +189,4 @@ def _simulate_batch(
     return BatchResult(stage_codes, v, backend_codes, codes)
 
 
-__all__ = ["BEHAVIORAL_KERNELS", "BatchResult", "simulate_draws"]
+__all__ = ["BatchResult", "simulate_draws"]

@@ -5,7 +5,7 @@ through :func:`~repro.flow.topology.optimize_topology` while sharing three
 things across the whole batch that a naive per-spec loop would rebuild per
 scenario:
 
-* **one execution backend** — a process/thread pool spins up once for the
+* **one execution backend** — a process pool spins up once for the
   campaign, not once per grid point;
 * **one synthesis ledger** (:class:`SynthesisLedger`) — an in-memory,
   fingerprint-keyed store of every block any scenario has synthesized, plus
@@ -450,7 +450,6 @@ def _behavioral_record(
         candidate,
         draws=config.behavioral_draws,
         seed=config.behavioral_seed,
-        kernel=config.behavioral_kernel,
     )
     # Walden FoM at the *simulated* effective resolution: same power and
     # rate as the analytic FoM, but 2^ENOB instead of 2^K — the honest
@@ -545,8 +544,8 @@ def _write_campaign_metrics(
     * the runner's own live registry, as a delta over ``baseline`` — the
       snapshot taken when the campaign started — so a long-lived process
       (the job service) attributes to each store only what its campaign
-      did (serial/thread/queue execution, plus everything the campaign
-      layer itself counted);
+      did (serial or queue execution, in-process broker workers, and
+      everything the campaign layer itself counted);
     * spool files under ``<store>/metrics/`` — process-pool workers rewrite
       their cumulative snapshot after every job (the runner's own file is
       excluded: its live registry already covers it);
@@ -772,7 +771,6 @@ def run_campaign(
                                         seed=config.seed,
                                         retarget_seed=config.retarget_seed,
                                         verify_transient=config.verify_transient,
-                                        eval_kernel=config.eval_kernel,
                                         donor_pool=ledger.donors_for(
                                             scenario.spec.tech.name
                                         ),

@@ -5,8 +5,7 @@ JSON-serializable summary of the optimization outcome plus the synthesis
 accounting needed to audit cross-scenario reuse.  Records deliberately
 contain *no wall-clock data*: everything in them is a deterministic function
 of the campaign definition, which is what lets the test suite require
-byte-identical ``results.jsonl`` files from the serial, thread and process
-backends.  Timings live in the separate :class:`repro.campaign.runner.CampaignResult`
+byte-identical ``results.jsonl`` files from every execution backend.  Timings live in the separate :class:`repro.campaign.runner.CampaignResult`
 object (and the runner's ``meta.json``), where nondeterminism is expected.
 """
 

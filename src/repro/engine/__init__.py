@@ -24,7 +24,6 @@ from repro.engine.backend import (
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
-    ThreadPoolBackend,
     create_backend,
     make_backend,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "SerialBackend",
     "SynthesisJob",
     "SynthesisPlan",
-    "ThreadPoolBackend",
     "block_fingerprint",
     "create_backend",
     "execute_plan",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import inspect
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import (
     Any,
     Callable,
@@ -86,36 +86,34 @@ def _init_pool_worker() -> None:
     REGISTRY.reset()
 
 
+# ProcessPoolBackend's base only: e2ebench/layers.py wraps _PooledBackend.map by name.
 class _PooledBackend:
-    """Shared machinery for ``concurrent.futures``-backed backends.
+    """A lazily created ``concurrent.futures`` process pool.
 
-    The pool is created lazily on the first ``map`` and reused across calls
+    The pool is created on the first ``map`` and reused across calls
     (waves of the synthesis scheduler share one pool); single-task maps run
-    inline to skip dispatch latency.  Subclasses set ``name`` and
-    ``executor_cls``.
+    inline to skip dispatch latency.
     """
 
     name: str
-    executor_cls: type
 
     def __init__(self, max_workers: int | None = None):
         """``max_workers=None`` means one worker per CPU."""
         if max_workers is not None and max_workers < 1:
             raise SpecificationError("max_workers must be >= 1")
         self.max_workers = max_workers or os.cpu_count() or 1
-        self._executor = None
+        self._executor: ProcessPoolExecutor | None = None
 
-    def _pool(self):
+    def _pool(self) -> ProcessPoolExecutor:
         if self._executor is None:
             # Pin the solver libraries to one thread per worker before the
             # pool exists: fork-started workers inherit the parent's
             # environment, and the initializer re-pins under spawn (see
             # :mod:`repro.engine.threads`).  User-exported values win.
             pin_blas_threads()
-            kwargs: dict[str, Any] = {"max_workers": self.max_workers}
-            if issubclass(self.executor_cls, ProcessPoolExecutor):
-                kwargs["initializer"] = _init_pool_worker
-            self._executor = self.executor_cls(**kwargs)
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.max_workers, initializer=_init_pool_worker
+            )
         return self._executor
 
     def map(self, fn: Callable[[T], R], tasks: Iterable[T]) -> list[R]:
@@ -147,24 +145,6 @@ class ProcessPoolBackend(_PooledBackend):
     """
 
     name = "process"
-    executor_cls = ProcessPoolExecutor
-
-
-class ThreadPoolBackend(_PooledBackend):
-    """``concurrent.futures.ThreadPoolExecutor``-backed execution.
-
-    Threads share the interpreter, so tasks need not be picklable and
-    dispatch latency is tiny — the right trade for short analytic
-    evaluations and for I/O-heavy work (persistent-cache reads), where the
-    process pool's serialization cost dominates.  CPU-bound synthesis under
-    the GIL still serializes; use ``ProcessPoolBackend`` for that.  Every
-    task function used by the engine is reentrant (per-call
-    ``numpy.random.default_rng`` state, no shared mutables), so threaded
-    maps return the same values as serial ones.
-    """
-
-    name = "thread"
-    executor_cls = ThreadPoolExecutor
 
 
 def _make_queue_backend(max_workers=None, queue_dir=None):
@@ -204,7 +184,6 @@ def _make_broker_backend(
 #: :class:`FlowConfig` field.
 BACKENDS: dict[str, Callable[..., ExecutionBackend]] = {
     "serial": lambda max_workers=None: SerialBackend(),
-    "thread": ThreadPoolBackend,
     "process": ProcessPoolBackend,
     "queue": _make_queue_backend,
     "broker": _make_broker_backend,

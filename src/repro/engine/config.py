@@ -24,8 +24,8 @@ if TYPE_CHECKING:
 class FlowConfig:
     """Execution and synthesis configuration for one flow invocation."""
 
-    #: Execution backend name: 'serial', 'thread' or 'process' (any key of
-    #: :data:`repro.engine.backend.BACKENDS`).
+    #: Execution backend name: 'serial', 'process', 'queue' or 'broker'
+    #: (any key of :data:`repro.engine.backend.BACKENDS`).
     backend: str = "serial"
     #: Worker count for pooled backends (``None`` = one per CPU).
     max_workers: int | None = None
@@ -61,20 +61,10 @@ class FlowConfig:
     retarget_seed: int = 7
     #: Run the nonlinear transient verifier on every synthesized block.
     verify_transient: bool = True
-    #: Equation-evaluation kernel: 'compiled' (parametric MNA templates +
-    #: batched AC solves, the default) or 'legacy' (the reference
-    #: per-element walk).  Bit-identical results either way — this is a
-    #: pure speed knob (see docs/performance.md).
-    eval_kernel: str = "compiled"
     #: Monte-Carlo mismatch draws per behavioral scenario.
     behavioral_draws: int = 32
     #: Seed for the behavioral draw tree (parameter + noise streams).
     behavioral_seed: int = 101
-    #: Behavioral simulation kernel: 'batch' (the vectorized draws x
-    #: samples program, the default) or 'legacy' (the reference scalar
-    #: per-sample walk).  Bit-identical results either way — a pure
-    #: speed knob like ``eval_kernel``.
-    behavioral_kernel: str = "batch"
     #: Telemetry level (see :mod:`repro.obs` and docs/observability.md):
     #: 'off' (no metric export, no traces), 'metrics' (the default —
     #: counters accumulate and campaigns write an aggregated
@@ -100,7 +90,6 @@ class FlowConfig:
             seed=self.seed,
             retarget_seed=self.retarget_seed,
             verify_transient=self.verify_transient,
-            eval_kernel=self.eval_kernel,
         )
         if self.cache_dir is not None:
             return PersistentBlockCache(cache_dir=self.cache_dir, **kwargs)

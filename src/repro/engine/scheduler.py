@@ -129,10 +129,6 @@ class SynthesisJob:
     donor: SynthesisResult | None = None
     retarget_budget: int = 80
     retarget_seed: int = 7
-    #: Equation-evaluation kernel ('compiled'/'legacy').  A pure
-    #: performance knob: results (and therefore block fingerprints) are
-    #: identical across kernels.
-    eval_kernel: str = "compiled"
 
     def queue_payload(self) -> dict[str, Any]:
         """Stable identity for the work-queue/broker ack files.
@@ -169,7 +165,6 @@ def run_synthesis_job(job: SynthesisJob) -> SynthesisResult:
                 budget=job.budget,
                 seed=job.seed,
                 verify_transient=job.verify_transient,
-                kernel=job.eval_kernel,
             )
         else:
             result = retarget_mdac(
@@ -179,7 +174,6 @@ def run_synthesis_job(job: SynthesisJob) -> SynthesisResult:
                 budget=job.retarget_budget,
                 seed=job.retarget_seed,
                 verify_transient=job.verify_transient,
-                kernel=job.eval_kernel,
             )
     metrics.observe(
         "scheduler.job_seconds" if job.donor is None else "scheduler.retarget_seconds",
@@ -324,7 +318,6 @@ def execute_plan(
             budget=cache.budget,
             seed=cache.seed,
             verify_transient=cache.verify_transient,
-            eval_kernel=cache.eval_kernel,
         )
 
     def run_wave(wave: Sequence[int]) -> None:
@@ -389,7 +382,6 @@ def execute_plan(
                     donor=donor,
                     retarget_budget=cache.retarget_budget,
                     retarget_seed=cache.retarget_seed,
-                    eval_kernel=cache.eval_kernel,
                 )
             )
         if jobs:

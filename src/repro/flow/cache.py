@@ -39,11 +39,6 @@ class BlockCache:
     seed: int = 1
     retarget_seed: int = 7
     verify_transient: bool = True
-    #: Equation-evaluation kernel ('compiled'/'legacy') handed to every
-    #: synthesis job.  Results are bit-identical across kernels, so it
-    #: does not enter the content fingerprint — caches filled by one
-    #: kernel serve the other.
-    eval_kernel: str = "compiled"
     results: dict[tuple[int, int], SynthesisResult] = field(default_factory=dict)
     #: How many synthesis calls were cold vs retargeted (for reporting).
     cold_runs: int = 0

@@ -14,7 +14,7 @@ hashes the spec, the mode and the same config digest.  Because the config
 digest covers only *result-relevant* fields (budgets, seeds — the
 behavioral Monte-Carlo seed and draw count included — and verification),
 two requests that differ solely in execution knobs — backend, worker
-count, eval kernel, behavioral kernel — map to the same key and coalesce: the repo-wide
+count, telemetry — map to the same key and coalesce: the repo-wide
 guarantee that results are byte-identical across those knobs is what makes
 that safe.
 
@@ -35,6 +35,7 @@ The :class:`JobStore` persists both halves of a job:
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -81,11 +82,19 @@ CONFIG_FIELDS = (
     "seed",
     "retarget_seed",
     "verify_transient",
-    "eval_kernel",
     "behavioral_draws",
     "behavioral_seed",
-    "behavioral_kernel",
     "telemetry",
+)
+
+#: Config fields that must be JSON integers.
+_INT_CONFIG_FIELDS = (
+    "budget",
+    "retarget_budget",
+    "seed",
+    "retarget_seed",
+    "behavioral_draws",
+    "behavioral_seed",
 )
 
 #: Subdirectory names inside the service store root.
@@ -99,17 +108,58 @@ RESULT_FILENAME = "result.json"
 JOB_ID_LENGTH = 12
 
 
+def _json_type(value: Any) -> str:
+    """How a validation error names the JSON type it got."""
+    if value is None:
+        return "null"
+    for cls, name in (
+        (bool, "a boolean"),
+        (int, "an integer"),
+        (float, "a number"),
+        (str, "a string"),
+        (list, "an array"),
+        (dict, "an object"),
+    ):
+        if isinstance(value, cls):
+            return name
+    return type(value).__name__
+
+
+def _require(value: Any, cls: type, what: str, expected: str) -> Any:
+    """``value`` when it is a ``cls`` (booleans are never integers)."""
+    if isinstance(value, cls) and not (cls is int and isinstance(value, bool)):
+        return value
+    raise SpecificationError(f"{what} must be {expected}, not {_json_type(value)}")
+
+
+def _number(value: Any, what: str) -> float:
+    """``value`` as a float when it is a finite JSON number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SpecificationError(
+            f"{what} must be a number, not {_json_type(value)}"
+        )
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise SpecificationError(f"{what} must be a finite number")
+    return number
+
+
 def build_config(
     config_body: dict | None, cache_dir: str | None = None
 ) -> FlowConfig:
     """Build the job's :class:`FlowConfig` from the request's config dict.
 
-    Unknown fields and unknown backend names fail with a single-line
-    :class:`SpecificationError` naming the valid choices; ``cache_dir`` is
-    the *server's* persistent block-cache directory (clients cannot point
-    the server at host paths).
+    Unknown fields, unknown backend names and values of the wrong JSON
+    type fail with a single-line :class:`SpecificationError`; ``cache_dir``
+    is the *server's* persistent block-cache directory (clients cannot
+    point the server at host paths).
     """
-    body = dict(config_body or {})
+    body = {}
+    if config_body is not None:
+        body = dict(_require(config_body, dict, "config", "an object"))
     unknown = sorted(set(body) - set(CONFIG_FIELDS))
     if unknown:
         raise SpecificationError(
@@ -117,32 +167,28 @@ def build_config(
             f"(valid: {', '.join(CONFIG_FIELDS)})"
         )
     backend = body.get("backend", "serial")
-    if backend not in BACKENDS:
+    if not isinstance(backend, str) or backend not in BACKENDS:
         raise SpecificationError(
             f"unknown execution backend {backend!r} "
             f"(valid: {', '.join(sorted(BACKENDS))})"
         )
-    kernel = body.get("eval_kernel", "compiled")
-    if kernel not in ("compiled", "legacy"):
-        raise SpecificationError(
-            f"unknown eval kernel {kernel!r} (valid: compiled, legacy)"
-        )
-    behavioral_kernel = body.get("behavioral_kernel", "batch")
-    if behavioral_kernel not in ("batch", "legacy"):
-        raise SpecificationError(
-            f"unknown behavioral kernel {behavioral_kernel!r} "
-            "(valid: batch, legacy)"
-        )
     telemetry = body.get("telemetry", "metrics")
-    if telemetry not in TELEMETRY_MODES:
+    if not isinstance(telemetry, str) or telemetry not in TELEMETRY_MODES:
         raise SpecificationError(
             f"unknown telemetry mode {telemetry!r} "
             f"(valid: {', '.join(TELEMETRY_MODES)})"
         )
-    try:
-        return FlowConfig(cache_dir=cache_dir, **body)
-    except TypeError as exc:
-        raise SpecificationError(f"bad config: {exc}") from exc
+    for name in _INT_CONFIG_FIELDS:
+        if name in body:
+            _require(body[name], int, f"config.{name}", "an integer")
+    workers = body.get("max_workers")
+    if workers is not None:
+        _require(workers, int, "config.max_workers", "null or an integer")
+        if workers < 1:
+            raise SpecificationError("config.max_workers must be null or >= 1")
+    if "verify_transient" in body:
+        _require(body["verify_transient"], bool, "config.verify_transient", "a boolean")
+    return FlowConfig(cache_dir=cache_dir, **body)
 
 
 def build_grid(grid_body: dict) -> CampaignGrid:
@@ -165,17 +211,29 @@ def build_grid(grid_body: dict) -> CampaignGrid:
             f"unknown grid field(s) {', '.join(unknown)} (valid: resolutions, "
             "sample_rates_hz, modes, corners, full_scale)"
         )
+
+    def axis(name: str, default: list) -> list:
+        return _require(grid_body.get(name, default), list, f"grid.{name}", "an array")
+
     corners = tuple(
-        (tag, resolve_corner(tag)) for tag in grid_body.get("corners", ["nom"])
+        (tag, resolve_corner(_require(tag, str, "grid.corners entry", "a string")))
+        for tag in axis("corners", ["nom"])
     )
     return CampaignGrid(
-        resolutions=tuple(int(k) for k in grid_body["resolutions"]),
-        sample_rates_hz=tuple(
-            float(r) for r in grid_body.get("sample_rates_hz", [40e6])
+        resolutions=tuple(
+            _require(k, int, "grid.resolutions entry", "an integer")
+            for k in axis("resolutions", [])
         ),
-        modes=tuple(grid_body.get("modes", ["analytic"])),
+        sample_rates_hz=tuple(
+            _number(r, "grid.sample_rates_hz entry")
+            for r in axis("sample_rates_hz", [40e6])
+        ),
+        modes=tuple(
+            _require(m, str, "grid.modes entry", "a string")
+            for m in axis("modes", ["analytic"])
+        ),
         corners=corners,
-        full_scale=float(grid_body.get("full_scale", 2.0)),
+        full_scale=_number(grid_body.get("full_scale", 2.0), "grid.full_scale"),
     )
 
 
@@ -194,11 +252,15 @@ def build_spec(spec_body: dict) -> tuple[AdcSpec, str]:
             f"unknown spec field(s) {', '.join(unknown)} (valid: "
             "resolution_bits, sample_rate_hz, full_scale, corner)"
         )
-    corner = spec_body.get("corner", "nom")
+    corner = _require(spec_body.get("corner", "nom"), str, "spec.corner", "a string")
     spec = AdcSpec(
-        resolution_bits=int(spec_body["resolution_bits"]),
-        sample_rate_hz=float(spec_body.get("sample_rate_hz", 40e6)),
-        full_scale=float(spec_body.get("full_scale", 2.0)),
+        resolution_bits=_require(
+            spec_body["resolution_bits"], int, "spec.resolution_bits", "an integer"
+        ),
+        sample_rate_hz=_number(
+            spec_body.get("sample_rate_hz", 40e6), "spec.sample_rate_hz"
+        ),
+        full_scale=_number(spec_body.get("full_scale", 2.0), "spec.full_scale"),
         tech=resolve_corner(corner),
     )
     return spec, corner
@@ -250,11 +312,8 @@ def parse_request(body: Any) -> JobRequest:
         raise SpecificationError(
             f"unknown job kind {kind!r} (valid: {', '.join(JOB_KINDS)})"
         )
-    try:
-        priority = int(body.get("priority", 0))
-    except (TypeError, ValueError):
-        raise SpecificationError("priority must be an integer") from None
-    client = str(body.get("client", "anon")) or "anon"
+    priority = _require(body.get("priority", 0), int, "priority", "an integer")
+    client = _require(body.get("client", "anon"), str, "client", "a string") or "anon"
     config = build_config(body.get("config"))
 
     total_scenarios = 1

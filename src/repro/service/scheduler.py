@@ -453,7 +453,7 @@ class JobScheduler:
             if self.broker_dir is None:
                 raise SpecificationError(
                     "this server has no task broker; submit with a local "
-                    "backend (serial, thread, process, queue)"
+                    "backend (serial, process, queue)"
                 )
             # Dispatch through the server's own directory broker — the same
             # state the HTTP broker routes serve — so remote workers execute

@@ -317,10 +317,9 @@ def synthesis_task_payload(job: Any) -> dict:
     changing a key or a default orphans every ack already on disk.
     ``"kind"`` doubles as the schema tag.
 
-    Two fields of the raw dataclass cannot enter a content address: the
-    donor's ``wall_seconds`` is nondeterministic (so the donor collapses to
-    its :func:`~repro.engine.persist.sizing_digest`), and the kernel knob
-    is excluded because results are bit-identical across kernels.
+    The donor's ``wall_seconds`` cannot enter a content address because it
+    is nondeterministic, so the donor collapses to its
+    :func:`~repro.engine.persist.sizing_digest`.
     """
     from repro.engine.persist import sizing_digest
 

@@ -17,7 +17,7 @@ package reproduces that flow end to end:
 """
 
 from repro.synth.space import DesignSpace, DesignVariable, two_stage_space
-from repro.synth.evaluator import EVAL_KERNELS, EvalResult, HybridEvaluator
+from repro.synth.evaluator import EvalResult, HybridEvaluator
 from repro.synth.anneal import anneal
 from repro.synth.de import differential_evolution
 from repro.synth.result import SynthesisResult
@@ -27,7 +27,6 @@ from repro.synth.retarget import retarget_mdac
 __all__ = [
     "DesignSpace",
     "DesignVariable",
-    "EVAL_KERNELS",
     "two_stage_space",
     "HybridEvaluator",
     "EvalResult",

@@ -16,22 +16,13 @@ Step 3 costs ~100x step 2, so the optimizer runs on the equation metrics
 and reserves the transient for verification — the hybrid the paper argues
 for.  Benchmarks quantify the trade (bench_ablation_evaluator).
 
-The equation half runs on one of two *kernels*:
-
-* ``"compiled"`` (default) — the testbench topology is compiled once into
-  a parametric MNA stamp template (:mod:`repro.analysis.template`), the DC
-  Newton iterations assemble through vectorized scatters, and the whole AC
-  sweep (DC-gain point + loop grid) solves as a single batched
-  ``np.linalg.solve`` stack.  Results are bit-identical to the legacy
-  path — the template replays the exact legacy stamp order — just ~4-6x
-  faster (``benchmarks/bench_evaluator_kernel.py``).
-* ``"legacy"`` — the seed's per-element stamp walk and per-frequency AC
-  loop, kept as the reference for equivalence tests and benchmarks.
-
-:meth:`HybridEvaluator.evaluate_batch` scores a whole population: DC
-solves run candidate-by-candidate (preserving the warm-start chain, hence
-bit-identical costs), then every candidate's AC sweep joins one stacked
-linear solve.
+The equation half runs on compiled kernels: the testbench topology is
+compiled once into a parametric MNA stamp template
+(:mod:`repro.analysis.template`), the DC Newton iterations assemble through
+vectorized scatters, and the whole AC sweep (DC-gain point + loop grid)
+solves as a single stacked ``np.linalg.solve``.  Results are bit-identical
+to the per-element stamp walk and per-frequency AC loop they replaced,
+which ``tests/synth/evaluator_reference.py`` keeps as the oracle.
 """
 
 from __future__ import annotations
@@ -41,14 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.ac import (
-    ac_system_stack,
-    ac_system_tensor,
-    ac_transfer,
-    solve_ac_stack,
-)
+from repro.analysis.ac import ac_system_stack, solve_ac_stack
 from repro.analysis.dc import DcSolution, solve_dc
-from repro.analysis.smallsignal import LinearizedCircuit, linearize
+from repro.analysis.smallsignal import LinearizedCircuit
 from repro.analysis.template import bind_template
 from repro.analysis.transient import simulate_transient
 from repro.blocks.mdac import SETTLING_STEP_TIME, MdacNetwork, build_settling_bench
@@ -56,7 +42,7 @@ from repro.blocks.opamp import TwoStageSizing
 from repro.blocks.opamp_library import build_two_stage_miller
 from repro.circuit.builder import CircuitBuilder
 from repro.circuit.netlist import Circuit
-from repro.errors import AnalysisError, ConvergenceError, ReproError, SynthesisError
+from repro.errors import AnalysisError, ConvergenceError, ReproError
 from repro.specs.stage import MdacSpec
 from repro.tech.process import Technology
 
@@ -75,9 +61,6 @@ SATURATION_MARGIN = 0.05
 #: Devices that must stay saturated in the two-stage opamp.
 _SIGNAL_DEVICES = ("m1", "m2", "m3", "m4", "m6", "m7", "mtail")
 
-#: Supported equation-evaluation kernels.
-EVAL_KERNELS = ("compiled", "legacy")
-
 #: Frequency used for the DC-gain read-out [Hz].
 _DC_GAIN_FREQ = 1e3
 
@@ -86,85 +69,6 @@ _LOOP_FREQS = np.logspace(3, 11, 241)
 
 #: Merged per-candidate AC grid: DC-gain point followed by the loop grid.
 _AC_FREQS = np.concatenate(([_DC_GAIN_FREQ], _LOOP_FREQS))
-
-#: Candidates per fused AC solve chunk.  Each candidate contributes
-#: ``len(_AC_FREQS)`` (n, n) complex systems (~1-2 MB); chunking keeps the
-#: working set cache-resident instead of materializing one population-sized
-#: tensor, while every chunk still goes through a single ``np.linalg.solve``
-#: (the gufunc applies LAPACK per slice, so chunk size never changes bits).
-_AC_BATCH_CHUNK = 8
-
-
-class _AcScratch:
-    """Grow-once scratch (stack + RHS) for fused batched AC solves."""
-
-    __slots__ = ("stack", "rhs")
-
-    def __init__(self):
-        self.stack: np.ndarray | None = None
-        self.rhs: np.ndarray | None = None
-
-    def buffers(self, rows: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-        if (
-            self.stack is None
-            or self.stack.shape[0] < rows
-            or self.stack.shape[1] != size
-        ):
-            self.stack = np.empty((rows, size, size), dtype=complex)
-            self.rhs = np.empty((rows, size, 1), dtype=complex)
-        return self.stack[:rows], self.rhs[:rows]
-
-
-def _solve_staged_ac(pending: "list[_StagedEvaluation]", scratch: _AcScratch) -> None:
-    """Fused AC solve for a population of staged candidates.
-
-    Fills each entry's ``a_all`` (or marks it failed) exactly like a
-    per-candidate :func:`~repro.analysis.ac.solve_ac_stack` walk would: the
-    chunked ``np.linalg.solve`` applies LAPACK per (n, n) slice, so chunk
-    boundaries and scratch reuse never change a bit of any solution.
-    """
-    n_freq = len(_AC_FREQS)
-    size = pending[0].lin.size
-    for start in range(0, len(pending), _AC_BATCH_CHUNK):
-        part = pending[start : start + _AC_BATCH_CHUNK]
-        rows = len(part) * n_freq
-        stack, rhs = scratch.buffers(rows, size)
-        ac_system_tensor(
-            [s.lin for s in part],
-            _AC_FREQS,
-            out=stack.reshape(len(part), n_freq, size, size),
-        )
-        b0 = part[0].lin.b_ac
-        if all(np.array_equal(s.lin.b_ac, b0) for s in part[1:]):
-            # One excitation for the whole chunk (the sizing loop's case:
-            # b_ac depends only on source ac values): broadcast instead of
-            # materializing per-candidate copies.  Same values either way.
-            rhs = np.broadcast_to(b0, (rows, size))[..., None]
-        else:
-            for i, s in enumerate(part):
-                rhs[i * n_freq : (i + 1) * n_freq, :, 0] = s.lin.b_ac
-        try:
-            solutions = np.linalg.solve(stack, rhs)[..., 0]
-            split = np.split(solutions, len(part))
-        except np.linalg.LinAlgError:
-            # Some candidate's sweep is singular: resolve per candidate so
-            # only that candidate goes infeasible (matching what a
-            # sequential evaluate() would do).
-            split = []
-            for i, s in enumerate(part):
-                block = slice(i * n_freq, (i + 1) * n_freq)
-                try:
-                    split.append(
-                        solve_ac_stack(stack[block], s.lin.b_ac, _AC_FREQS)
-                    )
-                except AnalysisError:
-                    split.append(None)
-        for s, solution in zip(part, split):
-            if solution is None:
-                s.failed = True
-                continue
-            s.a_all = solution[:, s.lin.index("out")].copy()
-
 
 @dataclass
 class EvalResult:
@@ -229,26 +133,18 @@ class HybridEvaluator:
         tech: Technology,
         common_mode: float | None = None,
         transient_points: int = 500,
-        kernel: str = "compiled",
     ):
-        if kernel not in EVAL_KERNELS:
-            raise SynthesisError(
-                f"unknown evaluation kernel {kernel!r} (known: {EVAL_KERNELS})"
-            )
         self.mdac = mdac
         self.tech = tech
         self.network = MdacNetwork.from_spec(mdac)
         self.common_mode = common_mode if common_mode is not None else 0.45 * tech.vdd
         self.transient_points = transient_points
-        self.kernel = kernel
         self._warm_x: np.ndarray | None = None
         #: Counters for the ablation benchmarks.
         self.equation_evals = 0
         self.transient_evals = 0
         #: Scratch buffer for the per-candidate AC system stack.
         self._ac_stack_buf: np.ndarray | None = None
-        #: Grow-once scratch for fused batch AC solves (chunked).
-        self._batch_scratch = _AcScratch()
         #: Bound stamp template, reused (rebound) across candidates.
         self._bound = None
 
@@ -303,22 +199,12 @@ class HybridEvaluator:
         if staged.failed:
             return self._infeasible(sizing)
         try:
-            if self.kernel == "compiled":
-                # One stacked solve covers the DC-gain point and loop grid;
-                # the system stack reuses a per-evaluator scratch buffer.
-                lin = staged.lin
-                stack = ac_system_stack(
-                    lin, _AC_FREQS, out=self._ac_scratch(lin.size)
-                )
-                solution = solve_ac_stack(stack, lin.b_ac, _AC_FREQS)
-                staged.a_all = solution[:, lin.index("out")]
-            else:
-                # The seed's two separate per-frequency sweeps.
-                gain_point = ac_transfer(
-                    staged.lin, "out", np.array([_DC_GAIN_FREQ]), batched=False
-                )
-                loop = ac_transfer(staged.lin, "out", _LOOP_FREQS, batched=False)
-                staged.a_all = np.concatenate((gain_point, loop))
+            # One stacked solve covers the DC-gain point and loop grid; the
+            # system stack reuses a per-evaluator scratch buffer.
+            lin = staged.lin
+            stack = ac_system_stack(lin, _AC_FREQS, out=self._ac_scratch(lin.size))
+            solution = solve_ac_stack(stack, lin.b_ac, _AC_FREQS)
+            staged.a_all = solution[:, lin.index("out")]
         except (AnalysisError, ReproError):
             return self._infeasible(sizing)
         return self._finish(staged, run_transient)
@@ -326,33 +212,16 @@ class HybridEvaluator:
     def evaluate_batch(
         self, sizings: list[TwoStageSizing], run_transient: bool = False
     ) -> list[EvalResult]:
-        """Score a population; bit-identical to sequential :meth:`evaluate`.
-
-        DC solves run candidate-by-candidate in list order (the warm-start
-        chain is order-dependent, and keeping the serial order is what makes
-        the costs bit-identical), then the compiled kernel fuses every
-        surviving candidate's AC sweep into one stacked linear solve.  On
-        the legacy kernel this falls back to a plain sequential loop.
-        """
-        if self.kernel != "compiled":
-            return [self.evaluate(sizing, run_transient) for sizing in sizings]
-
-        staged = [self._stage_equation(sizing) for sizing in sizings]
-        pending = [s for s in staged if s.lin is not None]
-        if pending:
-            _solve_staged_ac(pending, self._batch_scratch)
-
-        return [
-            self._infeasible(s.sizing) if s.failed else self._finish(s, run_transient)
-            for s in staged
-        ]
+        """Score a population in list order: :meth:`evaluate` per sizing."""
+        # No caller left in the package; kept because e2ebench/layers.py wraps it by name.
+        return [self.evaluate(sizing, run_transient) for sizing in sizings]
 
     def _stage_equation(self, sizing: TwoStageSizing) -> "_StagedEvaluation":
         """The order-dependent half: bench build, DC solve, linearization."""
         self.equation_evals += 1
         staged = _StagedEvaluation(sizing=sizing)
         bench = self._ac_bench(sizing)
-        bound = self._bind(bench) if self.kernel == "compiled" else None
+        bound = self._bind(bench)
         try:
             op = self._solve_dc(bench, assembly=bound)
         except (ConvergenceError, ReproError):
@@ -365,10 +234,7 @@ class HybridEvaluator:
         )
         staged.saturation = self._saturation_margin(op)
         try:
-            if bound is not None:
-                staged.lin = bound.linearize(op)
-            else:
-                staged.lin = linearize(bench, op, include_noise=False)
+            staged.lin = bound.linearize(op)
         except (AnalysisError, ReproError):
             staged.failed = True
         return staged

@@ -26,7 +26,6 @@ def retarget_mdac(
     budget: int = 60,
     seed: int = 7,
     verify_transient: bool = True,
-    kernel: str = "compiled",
 ) -> SynthesisResult:
     """Warm-started synthesis of ``new_spec`` from a previously sized block.
 
@@ -59,5 +58,4 @@ def retarget_mdac(
         x0=x0,
         verify_transient=verify_transient,
         retargeted=True,
-        kernel=kernel,
     )

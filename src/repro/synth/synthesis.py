@@ -38,20 +38,15 @@ def synthesize_mdac(
     x0: np.ndarray | None = None,
     verify_transient: bool = True,
     retargeted: bool = False,
-    kernel: str = "compiled",
 ) -> SynthesisResult:
     """Synthesize one MDAC opamp; returns the verified result.
 
     ``optimizer`` is ``"anneal"`` (default, NeoCircuit-style) or ``"de"``.
     ``x0`` (unit coordinates) warm-starts the search — used by retargeting.
-
-    ``kernel`` selects the equation-evaluation kernel (``"compiled"``, the
-    template+batched-solve default, or ``"legacy"``, the reference walk);
-    results are bit-identical across them.
     """
     start = time.perf_counter()
     space = two_stage_space(mdac, tech)
-    evaluator = HybridEvaluator(mdac, tech, kernel=kernel)
+    evaluator = HybridEvaluator(mdac, tech)
 
     def cost_fn(u: np.ndarray) -> float:
         return evaluator.evaluate(space.decode(u)).cost()

@@ -1,4 +1,7 @@
-"""Batched AC solves: one stacked solve, bit-identical to the legacy loop."""
+"""Batched AC solves: one stacked solve, bit-identical to the per-frequency loop.
+
+The loop is the oracle in ``tests/analysis/ac_reference.py``.
+"""
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from repro.errors import AnalysisError
 from repro.specs import AdcSpec, plan_stages
 from repro.synth import HybridEvaluator, two_stage_space
 from repro.tech import CMOS025
+from tests.analysis import ac_reference
 
 
 def _rc_circuit(r: float = 1e3):
@@ -49,8 +53,8 @@ class TestBatchedAc:
     def test_batched_equals_loop_bitwise(self):
         lin = _linear()
         freqs = np.logspace(2, 9, 181)
-        loop = ac_response(lin, freqs, batched=False)
-        batched = ac_response(lin, freqs, batched=True)
+        loop = ac_reference.ac_response(lin, freqs)
+        batched = ac_response(lin, freqs)
         assert np.array_equal(loop, batched)
 
     def test_system_stack_matches_system_at(self):
@@ -70,12 +74,12 @@ class TestBatchedAc:
 
     def test_empty_sweep(self):
         lin = _linear()
-        out = ac_response(lin, np.array([]), batched=True)
+        out = ac_response(lin, np.array([]))
         assert out.shape == (0, lin.size)
 
     def test_singular_system_names_first_bad_frequency(self):
         # A row of zeros makes every frequency singular; the error must
-        # name the first one in sweep order, exactly like the legacy loop.
+        # name the first one in sweep order, exactly like the loop.
         lin = _linear()
         g = lin.g_matrix.copy()
         c = lin.c_matrix.copy()
@@ -91,9 +95,9 @@ class TestBatchedAc:
         )
         freqs = np.array([7.5e3, 1e6])
         with pytest.raises(AnalysisError) as batched_err:
-            ac_response(broken, freqs, batched=True)
+            ac_response(broken, freqs)
         with pytest.raises(AnalysisError) as loop_err:
-            ac_response(broken, freqs, batched=False)
+            ac_reference.ac_response(broken, freqs)
         assert "7.500e+03" in str(batched_err.value)
         assert str(batched_err.value) == str(loop_err.value)
 
@@ -102,7 +106,7 @@ class TestBatchedAc:
         freqs = np.logspace(3, 6, 9)
         stack = ac_system_stack(lin, freqs)
         solutions = solve_ac_stack(stack, lin.b_ac, freqs)
-        reference = ac_response(lin, freqs, batched=False)
+        reference = ac_reference.ac_response(lin, freqs)
         assert np.array_equal(solutions, reference)
 
 
@@ -133,7 +137,7 @@ class TestAcSystemTensor:
         tensor = ac_system_tensor(linears, freqs)
         for b, lin in enumerate(linears):
             solutions = solve_ac_stack(tensor[b], lin.b_ac, freqs)
-            assert np.array_equal(solutions, ac_response(lin, freqs, batched=False))
+            assert np.array_equal(solutions, ac_reference.ac_response(lin, freqs))
 
     def test_opamp_population_slices(self):
         plan = plan_stages(

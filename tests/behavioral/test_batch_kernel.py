@@ -1,17 +1,18 @@
 """Kernel equivalence: the batch program IS the scalar walk, bit for bit.
 
 The PR 3/PR 6 contract applied to the behavioral tier: the vectorized
-``batch`` kernel must reproduce the ``legacy`` scalar walk exactly —
-every stage code, residue, backend code and output word, thermal-noise
-streams included — across random error-model draws, and campaign records
-must come out byte-identical under either kernel.  The kernel is a pure
-speed knob or it is nothing.
+batch kernel must reproduce the scalar walk kept in
+``tests/behavioral/batch_reference.py`` exactly — every stage code,
+residue, backend code and output word, thermal-noise streams included —
+across random error-model draws, and verdicts and campaign records must
+come out byte-identical with the walk swapped in.
 """
 
 import numpy as np
 import pytest
 
-from repro.behavioral.batch import BEHAVIORAL_KERNELS, simulate_draws
+import repro.behavioral.verify
+from repro.behavioral.batch import simulate_draws
 from repro.behavioral.metrics import sndr_db
 from repro.behavioral.pipeline import BehavioralPipeline
 from repro.behavioral.signals import full_scale_sine, pick_coherent_cycles
@@ -27,6 +28,7 @@ from repro.enumeration.candidates import enumerate_candidates
 from repro.errors import SpecificationError
 from repro.specs.adc import AdcSpec
 from repro.specs.stage import plan_stages
+from tests.behavioral import batch_reference
 
 SAMPLES = 512
 FULL_SCALE = 2.0
@@ -44,6 +46,18 @@ def _draws(spec, candidate, draws, seed, mismatch=DEFAULT_MISMATCH):
     return draw_error_models(plan, draws, seed, mismatch)
 
 
+def _swap_in_the_walk(monkeypatch):
+    """Run every behavioral verification on the scalar walk; log its calls."""
+    calls = []
+
+    def walk(*args, **kwargs):
+        calls.append(args[0])
+        return batch_reference.simulate_draws(*args, **kwargs)
+
+    monkeypatch.setattr(repro.behavioral.verify, "simulate_draws", walk)
+    return calls
+
+
 class TestTraceBitIdentity:
     @pytest.mark.parametrize("resolution", (10, 12))
     @pytest.mark.parametrize("seed", (1, 17))
@@ -54,10 +68,10 @@ class TestTraceBitIdentity:
             models, rngs_a = _draws(spec, candidate, 6, seed)
             _, rngs_b = _draws(spec, candidate, 6, seed)
             batch = simulate_draws(
-                candidate, FULL_SCALE, models, stimulus, rngs=rngs_a, kernel="batch"
+                candidate, FULL_SCALE, models, stimulus, rngs=rngs_a
             )
-            legacy = simulate_draws(
-                candidate, FULL_SCALE, models, stimulus, rngs=rngs_b, kernel="legacy"
+            legacy = batch_reference.simulate_draws(
+                candidate, FULL_SCALE, models, stimulus, rngs=rngs_b
             )
             for name in TRACE_FIELDS:
                 a, b = getattr(batch, name), getattr(legacy, name)
@@ -72,21 +86,21 @@ class TestTraceBitIdentity:
         mismatch = MismatchSpec(noise_sigma=0.0)
         models, _ = _draws(spec, candidate, 4, 5, mismatch)
         batch = simulate_draws(candidate, FULL_SCALE, models, stimulus)
-        legacy = simulate_draws(
-            candidate, FULL_SCALE, models, stimulus, kernel="legacy"
+        legacy = batch_reference.simulate_draws(
+            candidate, FULL_SCALE, models, stimulus
         )
         for name in TRACE_FIELDS:
             assert np.array_equal(getattr(batch, name), getattr(legacy, name)), name
 
     def test_legacy_kernel_matches_the_pipeline_walk(self):
-        # The legacy kernel is only a *reference* if it is literally the
+        # The scalar walk is only a *reference* if it is literally the
         # existing scalar pipeline — pin it against convert_array.
         spec = AdcSpec(resolution_bits=10)
         candidate = next(iter(enumerate_candidates(10)))
         _, stimulus = _stimulus()
         models, rngs = _draws(spec, candidate, 3, 9)
-        legacy = simulate_draws(
-            candidate, FULL_SCALE, models, stimulus, rngs=rngs, kernel="legacy"
+        legacy = batch_reference.simulate_draws(
+            candidate, FULL_SCALE, models, stimulus, rngs=rngs
         )
         _, fresh_rngs = _draws(spec, candidate, 3, 9)
         for d, stage_errors in enumerate(models):
@@ -105,31 +119,24 @@ class TestTraceBitIdentity:
         batch = simulate_draws(
             candidate, FULL_SCALE, models, stimulus, rngs=rngs_a
         )
-        legacy = simulate_draws(
-            candidate, FULL_SCALE, models, stimulus, rngs=rngs_b, kernel="legacy"
+        legacy = batch_reference.simulate_draws(
+            candidate, FULL_SCALE, models, stimulus, rngs=rngs_b
         )
         for d in range(4):
             assert sndr_db(batch.codes[d], cycles) == sndr_db(
                 legacy.codes[d], cycles
             )
 
-    def test_verify_candidate_verdicts_identical(self):
+    def test_verify_candidate_verdicts_identical(self, monkeypatch):
         spec = AdcSpec(resolution_bits=10)
         candidate = next(iter(enumerate_candidates(10)))
         batch = verify_candidate(spec, candidate, draws=4, seed=11)
-        legacy = verify_candidate(
-            spec, candidate, draws=4, seed=11, kernel="legacy"
-        )
+        _swap_in_the_walk(monkeypatch)
+        legacy = verify_candidate(spec, candidate, draws=4, seed=11)
         assert batch == legacy
 
 
 class TestKernelValidation:
-    def test_unknown_kernel_is_a_friendly_error(self):
-        candidate = next(iter(enumerate_candidates(10)))
-        with pytest.raises(SpecificationError, match="behavioral kernel"):
-            simulate_draws(candidate, FULL_SCALE, [], [0.0], kernel="vectorized")
-        assert set(BEHAVIORAL_KERNELS) == {"batch", "legacy"}
-
     def test_noise_without_rngs_is_refused(self):
         spec = AdcSpec(resolution_bits=10)
         candidate = next(iter(enumerate_candidates(10)))
@@ -150,20 +157,16 @@ class TestKernelValidation:
 
 
 class TestCampaignRecordsAcrossKernels:
-    def test_stores_byte_identical_under_both_kernels(self, tmp_path):
+    def test_stores_byte_identical_on_the_walk(self, tmp_path, monkeypatch):
         grid = CampaignGrid(
             resolutions=(10, 11), modes=("analytic", "behavioral")
         )
-        stores = {}
-        for kernel in BEHAVIORAL_KERNELS:
-            out = tmp_path / kernel
-            run_campaign(
-                grid,
-                config=FlowConfig(behavioral_draws=4, behavioral_kernel=kernel),
-                store_dir=out,
-            )
-            stores[kernel] = out
+        config = FlowConfig(behavioral_draws=4)
+        run_campaign(grid, config=config, store_dir=tmp_path / "batch")
+        calls = _swap_in_the_walk(monkeypatch)
+        run_campaign(grid, config=config, store_dir=tmp_path / "walk")
+        assert len(calls) == 2  # one walk per behavioral scenario
         for name in ("results.jsonl", "report.txt", "manifest.json"):
-            assert (stores["batch"] / name).read_bytes() == (
-                stores["legacy"] / name
+            assert (tmp_path / "batch" / name).read_bytes() == (
+                tmp_path / "walk" / name
             ).read_bytes(), name

@@ -7,7 +7,7 @@ the mismatch draws are replayed from the checkpointed seed, never
 re-sampled.  Also pinned here: the winner-map coupling (a behavioral
 scenario verifies the synthesis winner from its own grid and therefore
 shards with that tech's synthesis chain) and the manifest identity rules
-(draws and seed are store identity, the kernel is an execution knob).
+(draws and seed are store identity).
 """
 
 import pytest
@@ -16,8 +16,9 @@ from repro.campaign import CampaignGrid, merge_shards, run_campaign
 from repro.campaign.grid import count_shard_units, shard_scenarios
 from repro.campaign.manifest import config_digest
 from repro.engine.config import FlowConfig
+from tests.conftest import fleet_for
 
-BACKENDS = ("serial", "thread", "process", "queue")
+BACKENDS = ("serial", "process", "queue", "broker")
 
 #: Analytic screen + behavioral verification: no synthesis, fast enough to
 #: sweep every backend.
@@ -102,7 +103,10 @@ class TestBehavioralBackendAndShardByteIdentity:
     @pytest.mark.parametrize("backend", BACKENDS[1:])
     def test_backends_match_serial(self, reference, backend, tmp_path):
         out = tmp_path / backend
-        run_campaign(GRID, config=_config(backend), store_dir=out)
+        queue_dir = str(tmp_path / "queue") if backend == "broker" else None
+        config = _config(backend, queue_dir=queue_dir)
+        with fleet_for(config):
+            run_campaign(GRID, config=config, store_dir=out)
         for name in ("results.jsonl", "report.txt"):
             assert (out / name).read_bytes() == (reference / name).read_bytes(), name
 
@@ -180,8 +184,3 @@ class TestManifestIdentity:
         base = config_digest(_config())
         assert config_digest(_config(behavioral_draws=8)) != base
         assert config_digest(_config(behavioral_seed=202)) != base
-
-    def test_kernel_is_an_execution_knob_not_identity(self):
-        assert config_digest(_config(behavioral_kernel="legacy")) == config_digest(
-            _config(behavioral_kernel="batch")
-        )

@@ -11,6 +11,7 @@ from repro.campaign import (
 )
 from repro.engine.config import FlowConfig
 from repro.errors import SpecificationError
+from tests.conftest import fleet_for
 
 
 def _config(**overrides) -> FlowConfig:
@@ -162,19 +163,22 @@ class TestManifestGuards:
             run_campaign(ANALYTIC_GRID, store_dir=store, resume=True, shard=(2, 2))
 
     def test_execution_knobs_do_not_poison_the_manifest(self, tmp_path):
-        # Backend/workers/cache/kernel are execution-only: a campaign
+        # Backend/workers/queue/telemetry are execution-only: a campaign
         # interrupted under one backend may resume under another.
         store = tmp_path / "store"
-        with pytest.raises(_Interrupt):
+        config = FlowConfig(
+            backend="broker", max_workers=2, queue_dir=str(tmp_path / "queue")
+        )
+        with fleet_for(config), pytest.raises(_Interrupt):
             run_campaign(
                 ANALYTIC_GRID,
-                config=FlowConfig(backend="thread", max_workers=2),
+                config=config,
                 store_dir=store,
                 progress=_interrupt_after(1),
             )
         resumed = run_campaign(
             ANALYTIC_GRID,
-            config=FlowConfig(backend="process", max_workers=2, eval_kernel="legacy"),
+            config=FlowConfig(backend="process", max_workers=2, telemetry="off"),
             store_dir=store,
             resume=True,
         )

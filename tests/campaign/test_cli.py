@@ -156,7 +156,7 @@ class TestFriendlyErrors:
         err = capsys.readouterr().err
         assert err.startswith("repro-adc: error:")
         assert "--backend queue" in err
-        assert "process, queue, serial, thread" in err
+        assert "broker, process, queue, serial" in err
 
     def test_out_path_collision_is_a_friendly_error(self, tmp_path, capsys):
         collision = tmp_path / "occupied"
@@ -185,15 +185,29 @@ class TestFriendlyErrors:
 
 
 class TestRemovedKernelFlags:
-    """Every command that took the removed evaluation flags refuses them."""
+    """The flow parsers refuse every removed kernel flag and the thread backend.
 
-    @pytest.mark.parametrize(
-        "command", ["fig1", "fig2", "fig3", "explore", "campaign", "submit"]
-    )
+    ``campaign`` stands for the engine flags every flow command shares;
+    ``submit`` has its own parser.
+    """
+
+    @pytest.mark.parametrize("command", ["campaign", "submit"])
     @pytest.mark.parametrize(
         "flag",
-        [["--dc-kernel", "batched"], ["--speculation", "8"], ["--no-speculation"]],
-        ids=["dc-kernel", "speculation", "no-speculation"],
+        [
+            ["--dc-kernel", "batched"],
+            ["--speculation", "8"],
+            ["--no-speculation"],
+            ["--eval-kernel", "legacy"],
+            ["--behavioral-kernel", "legacy"],
+        ],
+        ids=[
+            "dc-kernel",
+            "speculation",
+            "no-speculation",
+            "eval-kernel",
+            "behavioral-kernel",
+        ],
     )
     def test_removed_flags_fail_with_argparse_error(self, command, flag, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -201,6 +215,17 @@ class TestRemovedKernelFlags:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"repro-adc: error: unrecognized arguments: {' '.join(flag)}" in err
+
+    @pytest.mark.parametrize("command", ["campaign", "submit"])
+    def test_thread_backend_fails_with_argparse_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--backend", "thread"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith(
+            f"repro-adc {command}: error: argument --backend: invalid choice: "
+            "'thread'"
+        )
 
 
 class TestShardUnitGuard:
@@ -296,8 +321,9 @@ class TestHelpEpilog:
         for fragment in (
             "--backend",
             "serial",
-            "thread",
             "process",
+            "queue",
+            "broker",
             "--cache-dir",
             "REPRO_ADC_CACHE",
             "--retarget-budget",

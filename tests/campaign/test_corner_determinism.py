@@ -5,7 +5,7 @@ technology corner, which makes each corner's synthesis chain a
 ledger-independent shard unit.  The contract tested here:
 
 * a multi-corner synthesis campaign produces byte-identical records and
-  reports on every backend (serial/thread/process/queue);
+  reports on every backend (serial/process/queue/broker);
 * running it corner-sharded (one shard per corner unit) and merging
   reproduces the unsharded store byte-for-byte — the sharding PR 4 had to
   forbid for synthesis grids;
@@ -21,8 +21,9 @@ from repro.campaign.runner import SynthesisLedger
 from repro.engine.config import FlowConfig
 from repro.tech import CMOS025
 from repro.tech.process import CMOS025_SLOW
+from tests.conftest import fleet_for
 
-BACKENDS = ("serial", "thread", "process", "queue")
+BACKENDS = ("serial", "process", "queue", "broker")
 
 GRID = CampaignGrid(
     resolutions=(10,),
@@ -41,6 +42,14 @@ def _config(backend="serial", **overrides):
     )
     base.update(overrides)
     return FlowConfig(**base)
+
+
+def _run(backend, store, **kwargs):
+    """One GRID campaign into ``store``; a broker leg gets in-process workers."""
+    queue_dir = f"{store}-queue" if backend == "broker" else None
+    config = _config(backend, queue_dir=queue_dir)
+    with fleet_for(config):
+        return run_campaign(GRID, config=config, store_dir=store, **kwargs)
 
 
 class _Interrupt(Exception):
@@ -109,7 +118,7 @@ class TestCornerShardedByteIdentity:
     @pytest.mark.parametrize("backend", BACKENDS[1:])
     def test_backends_match_serial(self, reference, backend, tmp_path):
         out = tmp_path / backend
-        run_campaign(GRID, config=_config(backend), store_dir=out)
+        _run(backend, out)
         for name in ("results.jsonl", "report.txt"):
             assert (out / name).read_bytes() == (reference / name).read_bytes(), name
 
@@ -120,9 +129,7 @@ class TestCornerShardedByteIdentity:
         shard_dirs = []
         for k in (1, 2):
             directory = tmp_path / f"{backend}-shard{k}"
-            run_campaign(
-                GRID, config=_config(backend), store_dir=directory, shard=(k, 2)
-            )
+            _run(backend, directory, shard=(k, 2))
             shard_dirs.append(directory)
         merged = tmp_path / f"{backend}-merged"
         merge_shards(shard_dirs, out_dir=merged)

@@ -2,19 +2,29 @@
 
 The PR 1 guarantee — parallel runs rank candidates identically to serial —
 lifted to whole campaigns: the JSONL results store and the comparison
-report must compare byte-for-byte across the serial, thread, process and
-work-queue backends, for both analytic and synthesis scenarios.
+report must compare byte-for-byte across the serial, process, work-queue
+and broker backends, for both analytic and synthesis scenarios.
 """
 
 import pytest
 
 from repro.campaign import CampaignGrid, run_campaign
+from repro.engine.config import FlowConfig
+from tests.conftest import fleet_for
 
-BACKENDS = ("serial", "thread", "process", "queue")
+BACKENDS = ("serial", "process", "queue", "broker")
+
+
+def _config(tmp_path, backend, **overrides):
+    queue_dir = str(tmp_path / "broker-queue") if backend == "broker" else None
+    return FlowConfig(
+        backend=backend, max_workers=2, queue_dir=queue_dir, **overrides
+    )
 
 
 def _store_bytes(tmp_path, grid, config):
-    campaign = run_campaign(grid, config=config)
+    with fleet_for(config):
+        campaign = run_campaign(grid, config=config)
     paths = campaign.save(tmp_path / config.backend)
     return (
         paths["results"].read_bytes(),
@@ -26,16 +36,12 @@ def _store_bytes(tmp_path, grid, config):
 class TestAnalyticDeterminism:
     @pytest.fixture(scope="class")
     def stores(self, tmp_path_factory):
-        from repro.engine.config import FlowConfig
-
         tmp_path = tmp_path_factory.mktemp("analytic")
         grid = CampaignGrid(
             resolutions=(10, 11, 12, 13), sample_rates_hz=(20e6, 40e6, 60e6)
         )
         return {
-            name: _store_bytes(
-                tmp_path, grid, FlowConfig(backend=name, max_workers=2)
-            )
+            name: _store_bytes(tmp_path, grid, _config(tmp_path, name))
             for name in BACKENDS
         }
 
@@ -58,17 +64,15 @@ class TestAnalyticDeterminism:
 class TestSynthesisDeterminism:
     @pytest.fixture(scope="class")
     def stores(self, tmp_path_factory):
-        from repro.engine.config import FlowConfig
-
         tmp_path = tmp_path_factory.mktemp("synthesis")
         grid = CampaignGrid(resolutions=(10,), modes=("synthesis",))
         return {
             name: _store_bytes(
                 tmp_path,
                 grid,
-                FlowConfig(
-                    backend=name,
-                    max_workers=2,
+                _config(
+                    tmp_path,
+                    name,
                     budget=60,
                     retarget_budget=30,
                     verify_transient=False,

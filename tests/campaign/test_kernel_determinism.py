@@ -1,15 +1,19 @@
-"""Campaign records must be byte-identical across evaluation kernels.
+"""Campaign records must be byte-identical on the reference evaluator.
 
-The compiled kernel is the default (`FlowConfig.eval_kernel`), so a
-campaign run through it must write exactly the bytes a legacy-kernel run
-writes — and stay byte-identical across execution backends, extending the
-PR 1/PR 2 determinism guarantees to the kernel layer.
+A campaign whose syntheses run on the per-element equation path kept in
+``tests/synth/evaluator_reference.py`` must write exactly the bytes the
+default compiled path writes — on the serial backend and on broker
+workers — extending the PR 1/PR 2 determinism guarantees to the kernel
+layer.
 """
 
 import pytest
 
+import repro.synth.synthesis
 from repro.campaign import CampaignGrid, run_campaign
 from repro.engine.config import FlowConfig
+from tests.conftest import fleet_for
+from tests.synth.evaluator_reference import ReferenceEvaluator
 
 
 def _store_bytes(tmp_path, label, **config_kwargs):
@@ -19,9 +23,10 @@ def _store_bytes(tmp_path, label, **config_kwargs):
         verify_transient=False,
         **config_kwargs,
     )
-    campaign = run_campaign(
-        CampaignGrid(resolutions=(10,), modes=("synthesis",)), config=config
-    )
+    with fleet_for(config):
+        campaign = run_campaign(
+            CampaignGrid(resolutions=(10,), modes=("synthesis",)), config=config
+        )
     paths = campaign.save(tmp_path / label)
     return paths["results"].read_bytes(), paths["report"].read_bytes()
 
@@ -29,31 +34,31 @@ def _store_bytes(tmp_path, label, **config_kwargs):
 @pytest.fixture(scope="module")
 def stores(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("kernel-determinism")
-    return {
-        "legacy-serial": _store_bytes(
-            tmp_path, "legacy-serial", eval_kernel="legacy"
-        ),
-        "compiled-serial": _store_bytes(
-            tmp_path, "compiled-serial", eval_kernel="compiled"
-        ),
-        "compiled-thread": _store_bytes(
+    built = []
+
+    def reference(*args, **kwargs):
+        built.append(ReferenceEvaluator(*args, **kwargs))
+        return built[-1]
+
+    runs = {"compiled-serial": _store_bytes(tmp_path, "compiled-serial")}
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(repro.synth.synthesis, "HybridEvaluator", reference)
+        runs["legacy-serial"] = _store_bytes(tmp_path, "legacy-serial")
+        on_serial = len(built)
+        runs["legacy-broker"] = _store_bytes(
             tmp_path,
-            "compiled-thread",
-            eval_kernel="compiled",
-            backend="thread",
-            max_workers=2,
-        ),
-    }
+            "legacy-broker",
+            backend="broker",
+            queue_dir=str(tmp_path / "queue"),
+        )
+    # Both legs really synthesized on the oracle, the broker one in its workers.
+    assert on_serial and len(built) == 2 * on_serial
+    return runs
 
 
 def test_compiled_matches_legacy_bytes(stores):
     assert stores["compiled-serial"] == stores["legacy-serial"]
 
 
-def test_compiled_thread_matches_legacy_bytes(stores):
-    assert stores["compiled-thread"] == stores["legacy-serial"]
-
-
-def test_default_config_uses_compiled_kernel():
-    config = FlowConfig()
-    assert config.eval_kernel == "compiled"
+def test_compiled_matches_legacy_broker_bytes(stores):
+    assert stores["compiled-serial"] == stores["legacy-broker"]

@@ -3,6 +3,7 @@
 from repro.campaign import CampaignGrid, SynthesisLedger, run_campaign
 from repro.engine.config import FlowConfig
 from repro.flow.topology import optimize_topology
+from tests.conftest import fleet_for
 
 
 def _config(**overrides) -> FlowConfig:
@@ -144,13 +145,15 @@ class TestFeasibilityEscalation:
         # The exact fingerprint layer keeps everything, feasible or not.
         assert any(not result.feasible for result in ledger.memory.values())
 
-    def test_escalation_is_backend_deterministic(self):
+    def test_escalation_is_backend_deterministic(self, tmp_path):
         grid = CampaignGrid(resolutions=(10, 13), modes=("synthesis",))
         serial = run_campaign(grid, config=_config(retarget_budget=2))
-        threaded = run_campaign(
-            grid, config=_config(retarget_budget=2, backend="thread", max_workers=2)
+        config = _config(
+            retarget_budget=2, backend="broker", queue_dir=str(tmp_path / "queue")
         )
-        assert serial.records == threaded.records
+        with fleet_for(config):
+            brokered = run_campaign(grid, config=config)
+        assert serial.records == brokered.records
 
 
 class TestAnalyticCampaign:

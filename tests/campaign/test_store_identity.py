@@ -6,9 +6,10 @@ block cache and completed task acks.  The values below were computed
 before the batched DC kernel and the speculation knob were removed, so a
 change that moves any of them orphans stores already on disk.
 
-The refusals cover what that removal leaves behind: a store written under
-the batched kernel, a service config that still names a removed knob, and
-a persisted service job whose request carries one.
+The refusals cover what that removal, and the later removal of the
+evaluation and behavioral kernel knobs, leave behind: a store written
+under the batched kernel, a service config that still names a removed
+knob, and a persisted service job whose request carries one.
 """
 
 import asyncio
@@ -44,7 +45,12 @@ BATCHED_CONFIG_DIGEST = (
     "c04dc1cc9417e5db34cc660a7c08eff2c5f10c0160c6fdecc7a1f29f640f38af"
 )
 
-REMOVED_CONFIG_FIELDS = ("dc_kernel", "eval_speculation")
+REMOVED_CONFIG_FIELDS = (
+    "behavioral_kernel",
+    "dc_kernel",
+    "eval_kernel",
+    "eval_speculation",
+)
 
 #: The config every ``repro-adc submit`` sent before the knobs went.
 LEGACY_SUBMIT_CONFIG = {
@@ -132,7 +138,13 @@ class TestRemovedKernelStoresAreRefused:
         assert "config digest" in _one_line(exc)
 
     @pytest.mark.parametrize(
-        "body", [{"dc_kernel": "chained"}, {"eval_speculation": 0}]
+        "body",
+        [
+            {"dc_kernel": "chained"},
+            {"eval_speculation": 0},
+            {"eval_kernel": "compiled"},
+            {"behavioral_kernel": "batch"},
+        ],
     )
     def test_service_config_rejects_removed_fields(self, body):
         with pytest.raises(SpecificationError) as exc:
@@ -186,7 +198,7 @@ class TestRemovedKernelStoresAreRefused:
         )
         assert state_after == "failed"
         assert "\n" not in error
-        assert "unknown config field(s) dc_kernel, eval_speculation" in error
+        assert f"unknown config field(s) {', '.join(REMOVED_CONFIG_FIELDS)}" in error
         assert not coalesced
         assert rerun.state == "done"
         assert store.result_ready(key)

@@ -7,6 +7,7 @@ change *which side artifacts* a campaign store grows (``metrics.json``,
 """
 
 import json
+from contextlib import nullcontext
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.campaign import CampaignGrid, run_campaign
 from repro.engine.config import FlowConfig
 from repro.obs import metrics as obs
 from repro.obs.trace import TRACE_DIRNAME, trace_enabled
+from tests.conftest import broker_workers
 
 MODES = ("off", "metrics", "trace")
 DETERMINISTIC = ("results.jsonl", "report.txt", "manifest.json")
@@ -111,9 +113,12 @@ class TestBackendDeterminism:
         assert payload["sources"]["spooled"] >= 1
         assert payload["metrics"]["counters"]["scheduler.job_executions"] >= 1
 
-    def test_work_counters_match_serial(self, tmp_path):
+    @pytest.mark.parametrize("backend", ("process", "queue", "broker"))
+    def test_work_counters_match_serial(self, tmp_path, backend):
         # Forked pool workers start from an empty registry: their spooled
-        # snapshots hold only their own work, never the parent's again.
+        # snapshots hold only their own work, never the parent's again; an
+        # in-process broker worker counts into the runner's own registry,
+        # so its census snapshot is skipped.
         grid = CampaignGrid(resolutions=(10, 11), modes=("analytic", "synthesis"))
 
         def work_counters(store):
@@ -123,6 +128,10 @@ class TestBackendDeterminism:
 
         serial = work_counters(_run(tmp_path, "serial", grid))
         assert serial["campaign.scenarios"] == 4
-        for backend in ("process", "thread", "queue"):
-            store = _run(tmp_path, backend, grid, backend=backend, max_workers=2)
-            assert work_counters(store) == serial, backend
+        queue_dir = str(tmp_path / "queue") if backend == "broker" else None
+        with broker_workers(queue_dir) if backend == "broker" else nullcontext():
+            store = _run(
+                tmp_path, backend, grid,
+                backend=backend, max_workers=2, queue_dir=queue_dir,
+            )
+        assert work_counters(store) == serial

@@ -6,12 +6,20 @@ every ``broker.*``/``service.*`` counter — so without a reset between
 tests one test's counters leak into the next test's assertions (the
 historical failure mode this fixture exists to close: stats accumulated
 across tests depending on execution order).
+
+:func:`broker_workers` gives the broker backend a fleet without worker
+processes, so the determinism suites can run a broker leg in-process.
 """
+
+import contextlib
+import threading
 
 import pytest
 
+from repro.engine.broker import DirectoryBroker
+from repro.engine.worker import WorkerLoop
 from repro.obs import metrics
-from repro.obs.trace import configure_tracing
+from repro.obs.trace import TRACER, configure_tracing
 
 
 @pytest.fixture(autouse=True)
@@ -22,3 +30,48 @@ def _reset_telemetry():
     yield
     metrics.reset_all()
     configure_tracing(None)
+
+
+@contextlib.contextmanager
+def broker_workers(queue_dir, count: int = 2):
+    """Run ``count`` :class:`WorkerLoop` threads on ``DirectoryBroker(queue_dir)``.
+
+    A ``FlowConfig(backend="broker", queue_dir=queue_dir)`` run inside the
+    block executes its tasks on these threads.  On exit the threads stop
+    and join, and ``TRACER.worker`` (which ``WorkerLoop.run`` overwrites)
+    gets its old value back.
+    """
+    previous_worker = TRACER.worker
+    broker = DirectoryBroker(queue_dir)
+    stop = threading.Event()
+    threads = [
+        threading.Thread(
+            target=WorkerLoop(
+                broker, worker_id=f"test-worker-{n}", poll_interval=0.01
+            ).run,
+            args=(stop,),
+            daemon=True,
+        )
+        for n in range(count)
+    ]
+    for thread in threads:
+        thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=120)
+        TRACER.worker = previous_worker
+    assert not any(thread.is_alive() for thread in threads), "a worker hung"
+
+
+def fleet_for(config):
+    """:func:`broker_workers` on ``config.queue_dir`` for a broker config.
+
+    Any other backend gets no workers, so a backend-parametrized test wraps
+    every leg the same way.
+    """
+    if config.backend != "broker":
+        return contextlib.nullcontext()
+    return broker_workers(config.queue_dir)

@@ -9,7 +9,6 @@ from repro.engine.backend import (
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
-    ThreadPoolBackend,
     create_backend,
     make_backend,
 )
@@ -63,34 +62,9 @@ class TestProcessPoolBackend:
         assert isinstance(ProcessPoolBackend(), ExecutionBackend)
 
 
-class TestThreadPoolBackend:
-    def test_map_preserves_order(self):
-        with ThreadPoolBackend(max_workers=2) as backend:
-            assert backend.map(_square, list(range(8))) == [x * x for x in range(8)]
-
-    def test_single_task_runs_inline(self):
-        backend = ThreadPoolBackend(max_workers=2)
-        assert backend.map(_square, [5]) == [25]
-        assert backend._executor is None
-        backend.close()
-
-    def test_unpicklable_tasks_allowed(self):
-        # Unlike the process pool, closures and lambdas are fine.
-        with ThreadPoolBackend(max_workers=2) as backend:
-            offset = 10
-            assert backend.map(lambda x: x + offset, [1, 2, 3]) == [11, 12, 13]
-
-    def test_invalid_workers_rejected(self):
-        with pytest.raises(SpecificationError):
-            ThreadPoolBackend(max_workers=0)
-
-    def test_satisfies_protocol(self):
-        assert isinstance(ThreadPoolBackend(), ExecutionBackend)
-
-
 class TestFactory:
     def test_registry_names(self):
-        assert {"serial", "thread", "process"} <= set(BACKENDS)
+        assert sorted(BACKENDS) == ["broker", "process", "queue", "serial"]
 
     def test_make_backend(self):
         assert isinstance(make_backend("serial"), SerialBackend)
@@ -143,8 +117,8 @@ class TestFlowConfig:
         assert isinstance(persistent, PersistentBlockCache)
 
     def test_knob_set(self):
-        # Sixteen knobs; the DC-kernel, speculation and chunk-size knobs
-        # are gone for good.
+        # Fourteen knobs; the DC-kernel, speculation, chunk-size and
+        # evaluation/behavioral kernel knobs are gone for good.
         assert [f.name for f in dataclasses.fields(FlowConfig)] == [
             "backend",
             "max_workers",
@@ -157,9 +131,7 @@ class TestFlowConfig:
             "seed",
             "retarget_seed",
             "verify_transient",
-            "eval_kernel",
             "behavioral_draws",
             "behavioral_seed",
-            "behavioral_kernel",
             "telemetry",
         ]

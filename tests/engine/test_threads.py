@@ -33,11 +33,11 @@ class TestPinBlasThreads:
         assert pickle.loads(pickle.dumps(pin_blas_threads)) is pin_blas_threads
 
     def test_pool_creation_pins_the_parent(self, monkeypatch):
-        from repro.engine.backend import ThreadPoolBackend
+        from repro.engine.backend import ProcessPoolBackend
 
         for var in THREAD_ENV_VARS:
             monkeypatch.delenv(var, raising=False)
-        backend = ThreadPoolBackend(max_workers=2)
+        backend = ProcessPoolBackend(max_workers=2)
         try:
             backend.map(abs, [-1, 2, -3])
             assert effective_blas_threads() == {

@@ -3,12 +3,16 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.engine.config import FlowConfig
 from repro.errors import SpecificationError
 from repro.flow.topology import optimize_topology
 from repro.service.jobs import (
+    CONFIG_FIELDS,
     JobRecord,
+    JobRequest,
     JobStore,
     RESULT_FILENAME,
     build_config,
@@ -31,8 +35,8 @@ class TestContentKeys:
         explicit = {
             "kind": "campaign",
             "grid": {
-                "resolutions": [10.0, 11.0],
-                "sample_rates_hz": [40e6],
+                "resolutions": [10, 11],
+                "sample_rates_hz": [40_000_000],
                 "modes": ["analytic"],
                 "corners": ["nom"],
                 "full_scale": 2,
@@ -41,15 +45,11 @@ class TestContentKeys:
         assert parse_request(explicit).key == parse_request(CAMPAIGN).key
 
     def test_execution_knobs_do_not_split_the_key(self):
-        # Results are byte-identical across backend/worker/kernel choices
+        # Results are byte-identical across backend/worker/telemetry choices
         # (the repo-wide guarantee), so those knobs must coalesce.
         tweaked = {
             **CAMPAIGN,
-            "config": {
-                "backend": "thread",
-                "max_workers": 4,
-                "eval_kernel": "legacy",
-            },
+            "config": {"backend": "process", "max_workers": 4, "telemetry": "off"},
         }
         assert parse_request(tweaked).key == parse_request(CAMPAIGN).key
 
@@ -118,6 +118,115 @@ class TestValidation:
     def test_build_config_applies_server_cache_dir(self):
         config = build_config({"budget": 123}, cache_dir="/tmp/cache")
         assert config == FlowConfig(budget=123, cache_dir="/tmp/cache")
+
+
+#: Bodies that once crashed ``parse_request`` with a ``TypeError`` or
+#: ``ValueError`` (an HTTP 500), or were silently coerced into a job the
+#: client did not ask for.
+MALFORMED = {
+    "config-not-object": {**CAMPAIGN, "config": "x"},
+    "backend-list": {**CAMPAIGN, "config": {"backend": ["serial"]}},
+    "rates-string": {"grid": {"resolutions": [10], "sample_rates_hz": "x"}},
+    "resolution-bits-string": {"kind": "optimize", "spec": {"resolution_bits": "x"}},
+    "verify-transient-string": {**CAMPAIGN, "config": {"verify_transient": "no"}},
+    "resolutions-string": {"grid": {"resolutions": "10"}},
+    "resolutions-float": {"grid": {"resolutions": [10.7]}},
+    "budget-float": {**CAMPAIGN, "config": {"budget": 400.0}},
+    "seed-boolean": {**CAMPAIGN, "config": {"seed": True}},
+    "max-workers-zero": {**CAMPAIGN, "config": {"max_workers": 0}},
+    "rates-infinite": {"grid": {"resolutions": [10], "sample_rates_hz": [1e999]}},
+    "corner-list": {"grid": {"resolutions": [10], "corners": [["nom"]]}},
+    "mode-list": {"grid": {"resolutions": [10], "modes": ["analytic", ["x"]]}},
+    "full-scale-string": {"grid": {"resolutions": [10], "full_scale": "2"}},
+    "max-workers-boolean": {**CAMPAIGN, "config": {"max_workers": True}},
+    "priority-boolean": {**CAMPAIGN, "priority": True},
+    "priority-infinite": {**CAMPAIGN, "priority": 1e999},
+    "client-number": {**CAMPAIGN, "client": 5},
+    "spec-rate-string": {
+        "kind": "optimize",
+        "spec": {"resolution_bits": 10, "sample_rate_hz": "4e7"},
+    },
+    "spec-corner-list": {
+        "kind": "optimize",
+        "spec": {"resolution_bits": 10, "corner": ["nom"]},
+    },
+}
+
+#: Any JSON value, and a JSON value or a plausible one per known field.
+JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _or_json(*plausible):
+    return st.sampled_from(plausible) | JSON
+
+
+BODIES = st.fixed_dictionaries(
+    {},
+    optional={
+        "kind": _or_json("campaign", "optimize"),
+        "mode": _or_json("analytic", "synthesis"),
+        "priority": _or_json(0, 3),
+        "client": _or_json("alice"),
+        "config": st.dictionaries(
+            st.sampled_from(CONFIG_FIELDS), _or_json(1, 60, "serial"), max_size=4
+        )
+        | JSON,
+        "grid": st.fixed_dictionaries(
+            {},
+            optional={
+                "resolutions": _or_json([10], [10, 11]),
+                "sample_rates_hz": _or_json([40e6], [20e6, 40e6]),
+                "modes": _or_json(["analytic"], ["synthesis"]),
+                "corners": _or_json(["nom"], ["nom", "slow"]),
+                "full_scale": _or_json(2.0, 2),
+            },
+        )
+        | JSON,
+        "spec": st.fixed_dictionaries(
+            {},
+            optional={
+                "resolution_bits": _or_json(10, 12),
+                "sample_rate_hz": _or_json(40e6),
+                "full_scale": _or_json(2.0),
+                "corner": _or_json("nom", "slow"),
+            },
+        )
+        | JSON,
+    },
+)
+
+
+class TestMalformedFields:
+    @pytest.mark.parametrize("body", MALFORMED.values(), ids=list(MALFORMED))
+    def test_one_line_specification_error(self, body):
+        with pytest.raises(SpecificationError) as exc:
+            parse_request(body)
+        assert "\n" not in str(exc.value)
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(body=BODIES)
+    def test_any_json_body_parses_or_is_refused(self, body):
+        # Round-trip through JSON: the server only ever sees JSON values.
+        body = json.loads(json.dumps(body))
+        try:
+            request = parse_request(body)
+        except SpecificationError as exc:
+            assert "\n" not in str(exc)
+        else:
+            assert isinstance(request, JobRequest)
 
 
 class TestRecordsAndStore:

@@ -172,6 +172,26 @@ class TestErrors:
         finally:
             connection.close()
 
+    def test_wrongly_typed_field_is_a_400_not_a_500(self, server):
+        import http.client
+
+        connection = http.client.HTTPConnection(
+            server.service.host, server.service.port, timeout=30
+        )
+        try:
+            connection.request(
+                "POST",
+                "/v1/jobs",
+                body=json.dumps({**CAMPAIGN, "config": "x"}).encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            error = json.loads(response.read())["error"]
+            assert response.status == 400
+            assert error == "config must be an object, not a string"
+        finally:
+            connection.close()
+
     def test_bad_request_fields_surface_as_service_errors(self, client):
         with pytest.raises(ServiceError, match="process, queue, serial"):
             client.submit({**CAMPAIGN, "config": {"backend": "gpu"}})

@@ -1,21 +1,16 @@
-"""Kernel equivalence: compiled and batched paths == legacy, bitwise.
+"""Kernel equivalence: the compiled evaluator == the reference walk, bitwise.
 
-The PR 3 acceptance contract: the compiled kernel is the default, so every
-metric, cost, optimizer trajectory and synthesis outcome it produces must
-be *bit-identical* to the legacy evaluator, and a population scored by
-``evaluate_batch`` must equal the same candidates scored one at a time.
+The PR 3 acceptance contract: every metric, cost, optimizer trajectory and
+synthesis outcome of the compiled evaluator must be *bit-identical* to the
+per-element equation path kept in ``tests/synth/evaluator_reference.py``.
 """
 
 import numpy as np
 import pytest
 
-from repro.analysis.ac import ac_system_stack, solve_ac_stack
-from repro.analysis.dc import solve_dc
-from repro.analysis.smallsignal import LinearizedCircuit, linearize
-from repro.circuit.builder import CircuitBuilder
+import repro.synth.synthesis
 from repro.engine.persist import sizing_digest
 from repro.enumeration.candidates import PipelineCandidate
-from repro.errors import SynthesisError
 from repro.specs import AdcSpec, plan_stages
 from repro.synth import (
     HybridEvaluator,
@@ -24,16 +19,10 @@ from repro.synth import (
     synthesize_mdac,
     two_stage_space,
 )
-from repro.synth.evaluator import (
-    _AC_BATCH_CHUNK,
-    _AC_FREQS,
-    _AcScratch,
-    _StagedEvaluation,
-    _solve_staged_ac,
-)
 from repro.synth.patternsearch import pattern_search
 from repro.tech import CMOS025
 from repro.tech.process import CMOS025_SLOW
+from tests.synth.evaluator_reference import ReferenceEvaluator
 
 CORNERS = {"nom": CMOS025, "slow": CMOS025_SLOW}
 
@@ -48,21 +37,6 @@ def _sizings(tech, count, seed):
     space = two_stage_space(mdac, tech)
     rng = np.random.default_rng(seed)
     return mdac, [space.decode(rng.random(space.dimension)) for _ in range(count)]
-
-
-def _rc_linear(ac: float, r: float):
-    b = CircuitBuilder("rc", tech=CMOS025)
-    b.v("in", "gnd", dc=0.0, ac=ac, name="vin")
-    b.r("in", "out", r, name="r1")
-    b.c("out", "gnd", 1e-12, name="c1")
-    circuit = b.circuit
-    return linearize(circuit, solve_dc(circuit))
-
-
-def _own_sweep(lin):
-    """The transfer :meth:`HybridEvaluator.evaluate` solves for one candidate."""
-    stack = ac_system_stack(lin, _AC_FREQS)
-    return solve_ac_stack(stack, lin.b_ac, _AC_FREQS)[:, lin.index("out")]
 
 
 def _assert_results_equal(a, b):
@@ -81,17 +55,13 @@ def _assert_results_equal(a, b):
 
 
 class TestEvaluatorEquivalence:
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(SynthesisError):
-            HybridEvaluator(_mdac(), CMOS025, kernel="quantum")
-
     def test_compiled_matches_legacy_bitwise(self):
         mdac = _mdac()
         space = two_stage_space(mdac, CMOS025)
         rng = np.random.default_rng(3)
         sizings = [space.decode(rng.random(space.dimension)) for _ in range(12)]
-        legacy = HybridEvaluator(mdac, CMOS025, kernel="legacy")
-        compiled_ = HybridEvaluator(mdac, CMOS025, kernel="compiled")
+        legacy = ReferenceEvaluator(mdac, CMOS025)
+        compiled_ = HybridEvaluator(mdac, CMOS025)
         for sizing in sizings:
             _assert_results_equal(
                 legacy.evaluate(sizing), compiled_.evaluate(sizing)
@@ -103,26 +73,13 @@ class TestEvaluatorEquivalence:
         space = two_stage_space(mdac, CMOS025)
         rng = np.random.default_rng(9)
         sizings = [space.decode(rng.random(space.dimension)) for _ in range(10)]
-        sequential = HybridEvaluator(mdac, CMOS025, kernel="compiled")
-        batched = HybridEvaluator(mdac, CMOS025, kernel="compiled")
+        sequential = HybridEvaluator(mdac, CMOS025)
+        batched = HybridEvaluator(mdac, CMOS025)
         seq_results = [sequential.evaluate(s) for s in sizings]
         batch_results = batched.evaluate_batch(sizings)
         for a, b in zip(seq_results, batch_results):
             _assert_results_equal(a, b)
         assert sequential.equation_evals == batched.equation_evals
-
-    def test_evaluate_batch_legacy_fallback(self):
-        mdac = _mdac()
-        space = two_stage_space(mdac, CMOS025)
-        rng = np.random.default_rng(4)
-        sizings = [space.decode(rng.random(space.dimension)) for _ in range(4)]
-        legacy = HybridEvaluator(mdac, CMOS025, kernel="legacy")
-        reference = HybridEvaluator(mdac, CMOS025, kernel="legacy")
-        for a, b in zip(
-            legacy.evaluate_batch(sizings),
-            [reference.evaluate(s) for s in sizings],
-        ):
-            _assert_results_equal(a, b)
 
     def test_empty_batch(self):
         evaluator = HybridEvaluator(_mdac(), CMOS025)
@@ -131,84 +88,30 @@ class TestEvaluatorEquivalence:
 
 
 class TestCornerEquivalence:
-    """Every corner: the batch path equals the legacy walk, across batches."""
+    """Every corner: the batch path equals the reference walk."""
 
     @pytest.mark.parametrize("corner", sorted(CORNERS))
     def test_batch_matches_legacy_walk(self, corner):
         tech = CORNERS[corner]
         mdac, sizings = _sizings(tech, 6, seed=11)
-        legacy = HybridEvaluator(mdac, tech, kernel="legacy")
-        compiled_ = HybridEvaluator(mdac, tech, kernel="compiled")
+        legacy = ReferenceEvaluator(mdac, tech)
+        compiled_ = HybridEvaluator(mdac, tech)
         reference = [legacy.evaluate(s) for s in sizings]
         for a, b in zip(reference, compiled_.evaluate_batch(sizings)):
             _assert_results_equal(a, b)
         assert legacy.equation_evals == compiled_.equation_evals
 
-    @pytest.mark.parametrize("corner", sorted(CORNERS))
-    def test_split_batches_continue_the_warm_chain(self, corner):
-        # Consecutive batches equal one batch over the whole candidate
-        # stream: the DC warm start carries across calls, and the AC scratch
-        # grown by the larger first batch never leaks into the second.
-        tech = CORNERS[corner]
-        mdac, sizings = _sizings(tech, _AC_BATCH_CHUNK + 5, seed=7)
-        whole = HybridEvaluator(mdac, tech).evaluate_batch(sizings)
-        split = HybridEvaluator(mdac, tech)
-        cut = _AC_BATCH_CHUNK + 2
-        parts = split.evaluate_batch(sizings[:cut]) + split.evaluate_batch(
-            sizings[cut:]
-        )
-        assert len(parts) == len(whole)
-        for a, b in zip(whole, parts):
-            _assert_results_equal(a, b)
-
-
-class TestFusedAcSolve:
-    """The population AC solve equals each candidate's own stacked solve."""
-
-    def test_per_candidate_excitations(self):
-        # Distinct excitation vectors take the per-candidate right-hand-side
-        # path instead of one broadcast excitation.
-        linears = [
-            _rc_linear(ac, r) for ac, r in ((1.0, 1e3), (2.0, 3e3), (0.5, 1e4))
-        ]
-        staged = [_StagedEvaluation(sizing=None, lin=lin) for lin in linears]
-        _solve_staged_ac(staged, _AcScratch())
-        for s, lin in zip(staged, linears):
-            assert not s.failed
-            assert np.array_equal(s.a_all, _own_sweep(lin))
-
-    def test_singular_candidate_fails_alone(self):
-        linears = [_rc_linear(1.0, r) for r in (1e3, 2e3, 5e3)]
-        g = linears[1].g_matrix.copy()
-        c = linears[1].c_matrix.copy()
-        g[0, :] = 0.0
-        c[0, :] = 0.0
-        linears[1] = LinearizedCircuit(
-            layout=linears[1].layout,
-            g_matrix=g,
-            c_matrix=c,
-            b_ac=linears[1].b_ac,
-            op=linears[1].op,
-            noise_sources=[],
-        )
-        staged = [_StagedEvaluation(sizing=None, lin=lin) for lin in linears]
-        _solve_staged_ac(staged, _AcScratch())
-        assert [s.failed for s in staged] == [False, True, False]
-        assert staged[1].a_all is None
-        for i in (0, 2):
-            assert np.array_equal(staged[i].a_all, _own_sweep(linears[i]))
-
 
 class TestOptimizerTrajectories:
-    """Each optimizer walks the same trajectory on either kernel."""
+    """Each optimizer walks the same trajectory on either evaluator."""
 
     @pytest.fixture
     def setup(self):
         mdac = _mdac()
         space = two_stage_space(mdac, CMOS025)
         evaluators = {
-            kernel: HybridEvaluator(mdac, CMOS025, kernel=kernel)
-            for kernel in ("legacy", "compiled")
+            "legacy": ReferenceEvaluator(mdac, CMOS025),
+            "compiled": HybridEvaluator(mdac, CMOS025),
         }
 
         def cost(kernel):
@@ -256,21 +159,27 @@ class TestOptimizerTrajectories:
 
 class TestSynthesisEquivalence:
     @pytest.mark.parametrize("optimizer", ["anneal", "de"])
-    def test_synthesize_identical_across_kernels(self, optimizer):
-        mdac = _mdac()
-        runs = {
-            kernel: synthesize_mdac(
-                mdac,
+    def test_synthesize_identical_across_kernels(self, optimizer, monkeypatch):
+        def run():
+            return synthesize_mdac(
+                _mdac(),
                 CMOS025,
                 budget=60,
                 seed=1,
                 optimizer=optimizer,
                 verify_transient=False,
-                kernel=kernel,
             )
-            for kernel in ("legacy", "compiled")
-        }
-        base, other = runs["legacy"], runs["compiled"]
+
+        other = run()
+        built = []
+
+        def reference(*args, **kwargs):
+            built.append(ReferenceEvaluator(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(repro.synth.synthesis, "HybridEvaluator", reference)
+        base = run()
+        assert len(built) == 1  # the search really ran on the oracle
         assert sizing_digest(other) == sizing_digest(base)
         assert other.history == base.history
         assert other.equation_evals == base.equation_evals
