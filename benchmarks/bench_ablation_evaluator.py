@@ -45,7 +45,8 @@ def test_simulation_every_candidate_is_slower(benchmark):
     space = two_stage_space(mdac, CMOS025)
     evaluator = HybridEvaluator(mdac, CMOS025, transient_points=200)
 
-    def cost_with_transient(u):
+    def cost_with_transient(u, reject=None):
+        # Every candidate runs its transient, so ``reject`` goes unused.
         return evaluator.evaluate(space.decode(u), run_transient=True).cost()
 
     def tiny_sim_only_search():

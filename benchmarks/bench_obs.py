@@ -45,7 +45,7 @@ from repro.tech.process import CMOS025
 
 #: Search budget per cold block (retargets get half): small enough for a
 #: pass of ~0.25 s, while the pattern-search polish keeps its floor of 40.
-_BUDGET = 40
+_BUDGET = 80
 
 
 def _interleaved_walls(fn, modes, configure, repeats: int) -> dict[str, float]:

@@ -730,13 +730,16 @@ class BoundMna:
         xe[:n] = x
         xe[n] = 0.0
 
-        # MOSFET small-signal quantities (same scalar model calls as legacy).
+        # MOSFET small-signal quantities (same scalar model calls as legacy),
+        # on Python floats: the model's + - * /, sqrt and tanh give the same
+        # bits as on np.float64 scalars, at half the cost per device.
         kindvals = self._kindvals
         ids_arr = self._ids
+        xl = xe.tolist()
         for dev, (params, w, l, mult, d, g_, s, b) in enumerate(self._mos_args):
-            xs = xe[s]
+            xs = xl[s]
             ids, gm, gds, gmb = dc_current(
-                params, w, l, xe[g_] - xs, xe[d] - xs, xe[b] - xs
+                params, w, l, xl[g_] - xs, xl[d] - xs, xl[b] - xs
             )
             ids_arr[dev] = ids * mult
             kindvals[_KIND_GM, dev] = gm = gm * mult

@@ -9,6 +9,16 @@ import numpy as np
 
 from repro.errors import SynthesisError
 
+#: ``reject(bound) -> bool``: would any cost ``>= bound`` be turned down?
+Reject = Callable[[float], bool]
+
+#: ``cost_fn(x, reject)``; ``reject`` is None for a point compared with nothing.
+CostFn = Callable[[np.ndarray, Reject | None], float]
+
+#: Relative slack on the acceptance probability a rejection relies on:
+#: ``np.exp`` is not documented as monotone.
+_EXP_SLACK = 1.0 + 1e-9
+
 
 @dataclass
 class AnnealResult:
@@ -26,8 +36,47 @@ class AnnealResult:
     evals_to_converge: int
 
 
+class _Comparison:
+    """One Metropolis comparison of a candidate with the current cost.
+
+    The acceptance test draws a uniform ``u`` exactly when the candidate
+    costs more than the current point.  :meth:`reject` draws that same
+    ``u`` early, once a lower bound already says the candidate costs more,
+    and :meth:`accepts` reuses it, so the random stream never moves.
+    """
+
+    def __init__(self, rng: np.random.Generator, cost: float, temperature: float):
+        self.rng = rng
+        self.cost = cost
+        self.temperature = max(temperature, 1e-12)
+        self.asked = False
+        self.u: float | None = None
+
+    def reject(self, bound: float) -> bool:
+        if self.asked:
+            raise SynthesisError("cost function called reject twice")
+        self.asked = True
+        if not bound > self.cost:
+            return False
+        self.u = self.rng.random()
+        # Every cost >= bound has a delta >= bound - cost, so an
+        # acceptance probability no larger than this one (up to the slack).
+        return self.u >= np.exp(-(bound - self.cost) / self.temperature) * _EXP_SLACK
+
+    def accepts(self, candidate_cost: float) -> bool:
+        delta = candidate_cost - self.cost
+        if self.u is None:
+            return delta <= 0 or self.rng.random() < np.exp(-delta / self.temperature)
+        if delta <= 0:
+            raise SynthesisError(
+                "cost function returned a cost at or below the current one "
+                "after reject drew the acceptance uniform"
+            )
+        return self.u < np.exp(-delta / self.temperature)
+
+
 def anneal(
-    cost_fn: Callable[[np.ndarray], float],
+    cost_fn: CostFn,
     dimension: int,
     budget: int = 400,
     seed: int = 1,
@@ -39,14 +88,22 @@ def anneal(
 ) -> AnnealResult:
     """Metropolis annealing with a geometric temperature/step schedule.
 
-    ``cost_fn`` maps a point in [0,1]^dimension to a scalar cost; lower is
-    better.  ``x0`` warm-starts the search (the retargeting mechanism).
+    ``cost_fn(x, reject)`` maps a point in [0,1]^dimension to a scalar
+    cost; lower is better.  For each candidate, ``reject(bound)`` answers
+    whether any cost ``>= bound`` would be turned down.  A cost function
+    may ask it once, with a lower bound on the cost, and after a ``True``
+    may return ``inf`` instead of finishing the cost: the candidate is
+    turned down either way.  The starting point is compared with nothing
+    and gets ``reject=None``.  Asking twice, or returning a cost at or
+    below the current one after ``reject`` drew the acceptance uniform,
+    would shift the random stream and raises :class:`SynthesisError`.
+    ``x0`` warm-starts the search (the retargeting mechanism).
     """
     if budget < 2:
         raise SynthesisError("budget must be >= 2")
     rng = np.random.default_rng(seed)
     x = rng.random(dimension) if x0 is None else np.clip(np.asarray(x0, float), 0, 1)
-    cost = cost_fn(x)
+    cost = cost_fn(x, None)
     best_x, best_cost = x.copy(), cost
     history = [best_cost]
 
@@ -55,9 +112,9 @@ def anneal(
         temperature = t_start * (t_end / t_start) ** frac
         step = step_start * (step_end / step_start) ** frac
         candidate = np.clip(x + rng.normal(0.0, step, dimension), 0.0, 1.0)
-        candidate_cost = cost_fn(candidate)
-        delta = candidate_cost - cost
-        if delta <= 0 or rng.random() < np.exp(-delta / max(temperature, 1e-12)):
+        comparison = _Comparison(rng, cost, temperature)
+        candidate_cost = cost_fn(candidate, comparison.reject)
+        if comparison.accepts(candidate_cost):
             x, cost = candidate, candidate_cost
             if cost < best_cost:
                 best_x, best_cost = x.copy(), cost

@@ -19,10 +19,16 @@ for.  Benchmarks quantify the trade (bench_ablation_evaluator).
 The equation half runs on compiled kernels: the testbench topology is
 compiled once into a parametric MNA stamp template
 (:mod:`repro.analysis.template`), the DC Newton iterations assemble through
-vectorized scatters, and the whole AC sweep (DC-gain point + loop grid)
-solves as a single stacked ``np.linalg.solve``.  Results are bit-identical
-to the per-element stamp walk and per-frequency AC loop they replaced,
-which ``tests/synth/evaluator_reference.py`` keeps as the oracle.
+vectorized scatters, and the AC read-out solves as two stacked
+``np.linalg.solve`` calls, the 1 kHz DC-gain point and then the 241-point
+loop grid.  Results are bit-identical to the per-element stamp walk and
+per-frequency AC loop they replaced, which
+``tests/synth/evaluator_reference.py`` keeps as the oracle.
+
+Between the two AC solves the power, the saturation margin and the DC gain
+already give a lower bound on the cost.  A search that passes ``reject``
+(see :meth:`HybridEvaluator.evaluate`) learns that bound first, and a
+candidate it would turn down anyway skips the loop sweep.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from repro.circuit.builder import CircuitBuilder
 from repro.circuit.netlist import Circuit
 from repro.errors import AnalysisError, ConvergenceError, ReproError
 from repro.specs.stage import MdacSpec
+from repro.synth.anneal import Reject
 from repro.tech.process import Technology
 
 #: Differential-implementation factor on the measured single-ended current.
@@ -64,11 +71,14 @@ _SIGNAL_DEVICES = ("m1", "m2", "m3", "m4", "m6", "m7", "mtail")
 #: Frequency used for the DC-gain read-out [Hz].
 _DC_GAIN_FREQ = 1e3
 
+#: The DC-gain read-out as a one-point sweep.
+_GAIN_FREQS = np.array([_DC_GAIN_FREQ])
+
 #: Loop-gain sweep grid [Hz] (the legacy ``_loop_margin`` grid).
 _LOOP_FREQS = np.logspace(3, 11, 241)
 
-#: Merged per-candidate AC grid: DC-gain point followed by the loop grid.
-_AC_FREQS = np.concatenate(([_DC_GAIN_FREQ], _LOOP_FREQS))
+#: Cost of a candidate whose DC solve, linearization or AC solve failed.
+FAILED_COST = 1e6
 
 @dataclass
 class EvalResult:
@@ -105,7 +115,7 @@ class EvalResult:
         cannot trade a few percent of constraint violation for power.
         """
         if not self.dc_ok:
-            return 1e6
+            return FAILED_COST
         linear = sum(max(0.0, v) for v in self.violations.values())
         quadratic = sum(max(0.0, v) ** 2 for v in self.violations.values())
         return self.power / power_scale + 50.0 * linear + 500.0 * quadratic
@@ -120,8 +130,6 @@ class _StagedEvaluation:
     power: float = float("inf")
     saturation: float = -1.0
     lin: LinearizedCircuit | None = None
-    #: Amplifier transfer over :data:`_AC_FREQS` (gain point + loop grid).
-    a_all: np.ndarray | None = None
 
 
 class HybridEvaluator:
@@ -140,9 +148,11 @@ class HybridEvaluator:
         self.common_mode = common_mode if common_mode is not None else 0.45 * tech.vdd
         self.transient_points = transient_points
         self._warm_x: np.ndarray | None = None
-        #: Counters for the ablation benchmarks.
+        #: Counters for the ablation benchmarks and the metrics registry.
         self.equation_evals = 0
         self.transient_evals = 0
+        #: Evaluations a ``reject`` callback cut short before the loop sweep.
+        self.rejected_evals = 0
         #: Scratch buffer for the per-candidate AC system stack.
         self._ac_stack_buf: np.ndarray | None = None
         #: Bound stamp template, reused (rebound) across candidates.
@@ -162,13 +172,18 @@ class HybridEvaluator:
         self._bound = bound
         return bound
 
-    def _ac_scratch(self, size: int) -> np.ndarray:
-        """Reusable (n_freq, size, size) complex buffer for the AC stack."""
-        if self._ac_stack_buf is None or self._ac_stack_buf.shape[1] != size:
-            self._ac_stack_buf = np.empty(
-                (len(_AC_FREQS), size, size), dtype=complex
-            )
-        return self._ac_stack_buf
+    def _transfer(self, lin: LinearizedCircuit, freqs: np.ndarray) -> np.ndarray:
+        """Amplifier transfer to ``out`` over ``freqs``: one stacked solve.
+
+        The system stack fills a per-evaluator scratch buffer sized for the
+        loop grid; the one-point gain read-out uses its first slice.
+        """
+        buf = self._ac_stack_buf
+        if buf is None or buf.shape[1] != lin.size:
+            buf = np.empty((len(_LOOP_FREQS), lin.size, lin.size), dtype=complex)
+            self._ac_stack_buf = buf
+        stack = ac_system_stack(lin, freqs, out=buf[: len(freqs)])
+        return solve_ac_stack(stack, lin.b_ac, freqs)[:, lin.index("out")]
 
     # -- testbench -----------------------------------------------------------
 
@@ -192,22 +207,44 @@ class HybridEvaluator:
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(
-        self, sizing: TwoStageSizing, run_transient: bool = False
+        self,
+        sizing: TwoStageSizing,
+        run_transient: bool = False,
+        reject: Reject | None = None,
     ) -> EvalResult:
-        """Hybrid evaluation; set ``run_transient`` for the simulation half."""
+        """Hybrid evaluation; set ``run_transient`` for the simulation half.
+
+        ``reject(bound)`` is asked once, after the DC-gain point and before
+        the loop sweep, whether any cost ``>= bound`` would be turned down.
+        ``bound`` is the cost of the power, the DC-gain and the saturation
+        violations alone, capped at :data:`FAILED_COST`, so it is never
+        above the full :meth:`EvalResult.cost` (at its default power
+        scale): every omitted term is ``>= 0``, IEEE rounding is monotone,
+        and a failed loop sweep costs :data:`FAILED_COST`.  A NaN bound
+        never rejects.  On ``True`` the loop sweep, the loop margins and
+        the transient are skipped: the result carries the power, the
+        saturation margin and the DC gain, and an infinite ``rejected``
+        violation, so ``cost() == inf`` and it is not feasible.  A
+        candidate whose DC or gain point fails never asks.
+        """
         staged = self._stage_equation(sizing)
         if staged.failed:
             return self._infeasible(sizing)
         try:
-            # One stacked solve covers the DC-gain point and loop grid; the
-            # system stack reuses a per-evaluator scratch buffer.
-            lin = staged.lin
-            stack = ac_system_stack(lin, _AC_FREQS, out=self._ac_scratch(lin.size))
-            solution = solve_ac_stack(stack, lin.b_ac, _AC_FREQS)
-            staged.a_all = solution[:, lin.index("out")]
+            gain_point = self._transfer(staged.lin, _GAIN_FREQS)
         except (AnalysisError, ReproError):
             return self._infeasible(sizing)
-        return self._finish(staged, run_transient)
+        early = self._early_result(staged, abs(float(np.real(gain_point[0]))))
+        # min() keeps a NaN cost as the bound (1e6 < nan is False).
+        if reject is not None and reject(min(early.cost(), FAILED_COST)):
+            self.rejected_evals += 1
+            early.violations["rejected"] = math.inf
+            return early
+        try:
+            loop = self._transfer(staged.lin, _LOOP_FREQS)
+        except (AnalysisError, ReproError):
+            return self._infeasible(sizing)
+        return self._finish(early, loop, run_transient)
 
     def evaluate_batch(
         self, sizings: list[TwoStageSizing], run_transient: bool = False
@@ -239,26 +276,44 @@ class HybridEvaluator:
             staged.failed = True
         return staged
 
-    def _finish(
-        self, staged: "_StagedEvaluation", run_transient: bool
+    def _early_result(
+        self, staged: "_StagedEvaluation", dc_gain: float
     ) -> EvalResult:
-        """Metrics + violations from a staged evaluation's AC sweep."""
-        a_all = staged.a_all
-        dc_gain = abs(float(np.real(a_all[0])))
-        loop_unity, pm = self._loop_margin_values(a_all[1:])
-        settling = None
-        if run_transient:
-            settling = self._transient_settling(staged.sizing)
-        violations = self._violations(
-            dc_gain, loop_unity, pm, staged.saturation, settling
-        )
+        """What the DC stage and the gain point decide: the bound's result."""
+        violations = {
+            "dc_gain": (self.mdac.dc_gain_min - dc_gain) / self.mdac.dc_gain_min,
+            "saturation": (SATURATION_MARGIN - staged.saturation)
+            / self.tech.vdd
+            * 10.0,
+        }
         return EvalResult(
             sizing=staged.sizing,
             power=staged.power,
             dc_gain=dc_gain,
+            loop_unity_hz=None,
+            phase_margin=None,
+            saturation_margin=staged.saturation,
+            settling_error=None,
+            dc_ok=True,
+            violations=violations,
+        )
+
+    def _finish(
+        self, early: EvalResult, loop: np.ndarray, run_transient: bool
+    ) -> EvalResult:
+        """Loop margins, transient and full violations after the loop sweep."""
+        loop_unity, pm = self._loop_margin_values(loop)
+        settling = None
+        if run_transient:
+            settling = self._transient_settling(early.sizing)
+        violations = self._violations(early.violations, loop_unity, pm, settling)
+        return EvalResult(
+            sizing=early.sizing,
+            power=early.power,
+            dc_gain=early.dc_gain,
             loop_unity_hz=loop_unity,
             phase_margin=pm,
-            saturation_margin=staged.saturation,
+            saturation_margin=early.saturation_margin,
             settling_error=settling,
             dc_ok=True,
             violations=violations,
@@ -368,14 +423,17 @@ class HybridEvaluator:
 
     def _violations(
         self,
-        dc_gain: float,
+        early: dict[str, float],
         loop_unity: float | None,
         pm: float | None,
-        saturation: float,
         settling: float | None,
     ) -> dict[str, float]:
-        v: dict[str, float] = {}
-        v["dc_gain"] = (self.mdac.dc_gain_min - dc_gain) / self.mdac.dc_gain_min
+        """All violations, in the order :meth:`EvalResult.cost` sums them.
+
+        ``early`` holds the DC-gain and saturation violations of
+        :meth:`_early_result`; the loop and settling entries go around them.
+        """
+        v: dict[str, float] = {"dc_gain": early["dc_gain"]}
         required_bw = self.mdac.closed_loop_bw_hz
         if loop_unity is None:
             v["bandwidth"] = 1.0
@@ -385,7 +443,7 @@ class HybridEvaluator:
             v["phase_margin"] = 1.0
         else:
             v["phase_margin"] = (PHASE_MARGIN_MIN - pm) / PHASE_MARGIN_MIN
-        v["saturation"] = (SATURATION_MARGIN - saturation) / self.tech.vdd * 10.0
+        v["saturation"] = early["saturation"]
         if settling is not None:
             v["settling"] = (settling - self.mdac.settling_error) / self.mdac.settling_error / 10.0
             # The nonlinear transient *is* the settling requirement; when it

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 import numpy as np
+
+from repro.synth.anneal import CostFn
 
 
 def pattern_search(
-    cost_fn: Callable[[np.ndarray], float],
+    cost_fn: CostFn,
     x0: np.ndarray,
     budget: int = 120,
     step: float = 0.08,
@@ -19,10 +19,13 @@ def pattern_search(
 
     Returns ``(best_x, best_cost, evaluations)``.  Deterministic: probes
     +-step along every coordinate, moves to any improvement, shrinks the
-    step when a full sweep fails.
+    step when a full sweep fails.  ``cost_fn(x, reject)`` follows the
+    :func:`~repro.synth.anneal.anneal` protocol; a trial moves only when it
+    costs less than the current point, so ``reject(bound)`` is
+    ``bound >= cost``.
     """
     x = np.clip(np.asarray(x0, dtype=float), 0.0, 1.0)
-    cost = cost_fn(x)
+    cost = cost_fn(x, None)
     evaluations = 1
     current_step = step
     dimension = len(x)
@@ -37,7 +40,7 @@ def pattern_search(
                 trial[i] = np.clip(trial[i] + sign * current_step, 0.0, 1.0)
                 if trial[i] == x[i]:
                     continue
-                trial_cost = cost_fn(trial)
+                trial_cost = cost_fn(trial, lambda bound: bound >= cost)
                 evaluations += 1
                 if trial_cost < cost:
                     x, cost = trial, trial_cost

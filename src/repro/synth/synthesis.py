@@ -14,8 +14,9 @@ import time
 import numpy as np
 
 from repro.errors import SynthesisError
+from repro.obs import metrics
 from repro.specs.stage import MdacSpec
-from repro.synth.anneal import anneal
+from repro.synth.anneal import Reject, anneal
 from repro.synth.de import differential_evolution
 from repro.synth.evaluator import HybridEvaluator
 from repro.synth.patternsearch import pattern_search
@@ -43,13 +44,17 @@ def synthesize_mdac(
 
     ``optimizer`` is ``"anneal"`` (default, NeoCircuit-style) or ``"de"``.
     ``x0`` (unit coordinates) warm-starts the search — used by retargeting.
+    The anneal and the pattern-search polish hand the evaluator their
+    ``reject`` callback, so candidates they would turn down skip the loop
+    sweep; differential evolution compares without one.  The number of
+    such candidates goes to the ``synth.rejected_candidates`` counter.
     """
     start = time.perf_counter()
     space = two_stage_space(mdac, tech)
     evaluator = HybridEvaluator(mdac, tech)
 
-    def cost_fn(u: np.ndarray) -> float:
-        return evaluator.evaluate(space.decode(u)).cost()
+    def cost_fn(u: np.ndarray, reject: Reject | None = None) -> float:
+        return evaluator.evaluate(space.decode(u), reject=reject).cost()
 
     if optimizer == "anneal":
         run = anneal(cost_fn, space.dimension, budget=budget, seed=seed, x0=x0)
@@ -64,6 +69,7 @@ def synthesize_mdac(
     # constraint margin the annealer leaves behind.
     polish_budget = max(40, budget // 4)
     best_x, _, _ = pattern_search(cost_fn, run.best_x, budget=polish_budget)
+    metrics.counter("synth.rejected_candidates", evaluator.rejected_evals)
 
     sizing = space.decode(best_x)
     final = evaluator.evaluate(sizing, run_transient=verify_transient)

@@ -4,7 +4,10 @@ A campaign whose syntheses run on the per-element equation path kept in
 ``tests/synth/evaluator_reference.py`` must write exactly the bytes the
 default compiled path writes — on the serial backend and on broker
 workers — extending the PR 1/PR 2 determinism guarantees to the kernel
-layer.
+layer.  The default path prunes candidates its searches would turn down
+before their loop sweep; the reference evaluator never does, so equal
+bytes also show that pruning moves nothing, and each comparison checks
+that the default path really pruned.
 """
 
 import pytest
@@ -12,7 +15,7 @@ import pytest
 import repro.synth.synthesis
 from repro.campaign import CampaignGrid, run_campaign
 from repro.engine.config import FlowConfig
-from tests.conftest import fleet_for
+from tests.conftest import fleet_for, rejected_candidates
 from tests.synth.evaluator_reference import ReferenceEvaluator
 
 
@@ -40,9 +43,12 @@ def stores(tmp_path_factory):
         built.append(ReferenceEvaluator(*args, **kwargs))
         return built[-1]
 
+    before = rejected_candidates()
     runs = {"compiled-serial": _store_bytes(tmp_path, "compiled-serial")}
+    runs["pruned"] = rejected_candidates() - before
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(repro.synth.synthesis, "HybridEvaluator", reference)
+        before = rejected_candidates()
         runs["legacy-serial"] = _store_bytes(tmp_path, "legacy-serial")
         on_serial = len(built)
         runs["legacy-broker"] = _store_bytes(
@@ -51,6 +57,7 @@ def stores(tmp_path_factory):
             backend="broker",
             queue_dir=str(tmp_path / "queue"),
         )
+        runs["legacy-pruned"] = rejected_candidates() - before
     # Both legs really synthesized on the oracle, the broker one in its workers.
     assert on_serial and len(built) == 2 * on_serial
     return runs
@@ -58,7 +65,9 @@ def stores(tmp_path_factory):
 
 def test_compiled_matches_legacy_bytes(stores):
     assert stores["compiled-serial"] == stores["legacy-serial"]
+    assert stores["pruned"] > 0 and stores["legacy-pruned"] == 0
 
 
 def test_compiled_matches_legacy_broker_bytes(stores):
     assert stores["compiled-serial"] == stores["legacy-broker"]
+    assert stores["pruned"] > 0 and stores["legacy-pruned"] == 0

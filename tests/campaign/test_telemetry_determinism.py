@@ -28,6 +28,7 @@ WORK_COUNTERS = (
     "scheduler.waves",
     "cache.cold_runs",
     "cache.retargeted_runs",
+    "synth.rejected_candidates",
 )
 
 
@@ -128,6 +129,8 @@ class TestBackendDeterminism:
 
         serial = work_counters(_run(tmp_path, "serial", grid))
         assert serial["campaign.scenarios"] == 4
+        # Bit-identity suites cannot see a bound that never fires; this can.
+        assert serial["synth.rejected_candidates"] > 0
         queue_dir = str(tmp_path / "queue") if backend == "broker" else None
         with broker_workers(queue_dir) if backend == "broker" else nullcontext():
             store = _run(

@@ -75,3 +75,8 @@ def fleet_for(config):
     if config.backend != "broker":
         return contextlib.nullcontext()
     return broker_workers(config.queue_dir)
+
+
+def rejected_candidates() -> int:
+    """The registry's ``synth.rejected_candidates`` count so far."""
+    return metrics.REGISTRY.snapshot()["counters"].get("synth.rejected_candidates", 0)

@@ -10,6 +10,10 @@ Everything else (testbench, warm-start chain, margins, transient
 verification, cost) is inherited, so any difference from the compiled
 evaluator comes from the equation path alone.
 
+Its ``evaluate`` takes a ``reject`` callback and ignores it: every
+candidate gets its loop sweep, so a search on the oracle is the unpruned
+search a rejecting one must reproduce.
+
 ``tests/synth/test_kernel_equivalence.py`` and
 ``tests/campaign/test_kernel_determinism.py`` require the compiled path
 to reproduce it bit for bit; the component benches in ``benchmarks/``
@@ -23,8 +27,6 @@ import numpy as np
 from repro.analysis.smallsignal import linearize
 from repro.errors import AnalysisError, ConvergenceError, ReproError
 from repro.synth.evaluator import (
-    _DC_GAIN_FREQ,
-    _LOOP_FREQS,
     DIFFERENTIAL_FACTOR,
     EvalResult,
     HybridEvaluator,
@@ -36,18 +38,12 @@ from tests.analysis.ac_reference import ac_transfer
 class ReferenceEvaluator(HybridEvaluator):
     """The evaluator's equation half on the per-element walks."""
 
-    def evaluate(self, sizing, run_transient: bool = False) -> EvalResult:
-        staged = self._stage_equation(sizing)
-        if staged.failed:
-            return self._infeasible(sizing)
-        try:
-            # The seed's two separate per-frequency sweeps.
-            gain_point = ac_transfer(staged.lin, "out", np.array([_DC_GAIN_FREQ]))
-            loop = ac_transfer(staged.lin, "out", _LOOP_FREQS)
-            staged.a_all = np.concatenate((gain_point, loop))
-        except (AnalysisError, ReproError):
-            return self._infeasible(sizing)
-        return self._finish(staged, run_transient)
+    def evaluate(self, sizing, run_transient: bool = False, reject=None) -> EvalResult:
+        return super().evaluate(sizing, run_transient)
+
+    def _transfer(self, lin, freqs) -> np.ndarray:
+        # The seed's per-frequency sweep, once per grid.
+        return ac_transfer(lin, "out", freqs)
 
     def _stage_equation(self, sizing) -> _StagedEvaluation:
         self.equation_evals += 1

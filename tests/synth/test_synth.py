@@ -1,5 +1,7 @@
 """Synthesis-engine tests: optimizers, space, evaluator, end-to-end sizing."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -25,8 +27,21 @@ def cheap_mdac_spec():
     return plan.mdacs[2]
 
 
-def sphere(x):
+def sphere(x, reject=None):
     return float(np.sum((x - 0.3) ** 2))
+
+
+def pruned_sphere(asked):
+    """``sphere`` that hands its exact cost to ``reject`` and prunes on True."""
+
+    def cost(x, reject=None):
+        value = sphere(x)
+        asked.append(reject)
+        if reject is not None and reject(value):
+            return math.inf
+        return value
+
+    return cost
 
 
 class TestOptimizers:
@@ -60,6 +75,71 @@ class TestOptimizers:
         x, cost, evals = pattern_search(sphere, np.full(4, 0.5), budget=200)
         assert cost < sphere(np.full(4, 0.5))
         assert evals <= 200
+
+
+class TestRejectProtocol:
+    """``cost_fn(x, reject)``: pruning never moves a search."""
+
+    def test_anneal_pruning_keeps_the_trajectory(self):
+        asked = []
+        plain = anneal(sphere, dimension=4, budget=300, seed=3)
+        pruned = anneal(pruned_sphere(asked), dimension=4, budget=300, seed=3)
+        assert pruned.history == plain.history
+        assert np.array_equal(pruned.best_x, plain.best_x)
+        # The start point is compared with nothing; every candidate is.
+        assert asked[0] is None and all(r is not None for r in asked[1:])
+
+    def test_pattern_search_pruning_keeps_the_trajectory(self):
+        plain = pattern_search(sphere, np.full(4, 0.5), budget=200)
+        pruned = pattern_search(pruned_sphere([]), np.full(4, 0.5), budget=200)
+        assert np.array_equal(pruned[0], plain[0])
+        assert pruned[1:] == plain[1:]
+
+    def test_pruning_happens(self):
+        answers = []
+
+        def cost(x, reject=None):
+            value = sphere(x)
+            if reject is not None:
+                answers.append(reject(value))
+            return math.inf if answers and answers[-1] else value
+
+        anneal(cost, dimension=3, budget=100, seed=1)
+        assert any(answers) and not all(answers)
+
+    def test_nan_bound_never_rejects(self):
+        answers = []
+
+        def cost(x, reject=None):
+            if reject is not None:
+                answers.append(reject(math.nan))
+            return sphere(x)
+
+        anneal(cost, dimension=3, budget=30, seed=1)
+        pattern_search(cost, np.full(3, 0.5), budget=30)
+        assert answers and not any(answers)
+
+    def test_anneal_refuses_a_second_reject(self):
+        def cost(x, reject=None):
+            if reject is not None:
+                reject(0.0)
+                reject(0.0)
+            return sphere(x)
+
+        with pytest.raises(SynthesisError, match="reject twice"):
+            anneal(cost, dimension=2, budget=5, seed=1)
+
+    def test_anneal_refuses_a_cost_below_a_drawn_bound(self):
+        # A bound above the current cost draws the acceptance uniform; a
+        # cost at or below the current one would not have drawn it.
+        def cost(x, reject=None):
+            if reject is not None:
+                reject(1e9)
+                return -1.0
+            return sphere(x)
+
+        with pytest.raises(SynthesisError, match="at or below the current one"):
+            anneal(cost, dimension=2, budget=5, seed=1)
 
 
 class TestDesignSpace:
