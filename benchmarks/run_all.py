@@ -3,8 +3,9 @@
 Standalone (no pytest): fixed seeds, deterministic workloads, wall-clock
 measurements of the compiled evaluation kernels against the reference
 walks kept as test oracles (``tests/synth/evaluator_reference.py``,
-``tests/analysis/ac_reference.py``, ``tests/behavioral/batch_reference.py``;
-the script puts the repo root on ``sys.path`` to import them), plus the
+``tests/analysis/ac_reference.py``, ``tests/analysis/transient_reference.py``,
+``tests/behavioral/batch_reference.py``; the script puts the repo root on
+``sys.path`` to import them), plus the
 optimization-service stage (submission latency, coalescing hit
 rate, sustained jobs/s — see ``benchmarks/bench_service.py``).
 
@@ -14,7 +15,8 @@ rate, sustained jobs/s — see ``benchmarks/bench_service.py``).
                                                                # regression
 
 Stages: ``synthesize_mdac`` / ``equation_metric_stage`` (compiled kernel
-vs the reference walk), ``behavioral`` (vectorized
+vs the reference walk), ``transient_step`` (the compiled settling
+transient vs the per-element walk), ``behavioral`` (vectorized
 Monte-Carlo vs the scalar walk), ``service``, ``fabric`` (the distributed
 execution fabric against a live HTTP broker and real ``repro-adc worker``
 subprocesses — per-task lease overhead, fleet throughput at 1 vs 2 workers
@@ -28,6 +30,8 @@ registry counter micro-rate; see ``benchmarks/bench_obs.py``).
 ``--check`` is the CI regression guard: it fails the run when the compiled
 kernel is slower than the reference walk on the same workload, when any
 variant's synthesis result diverges (the bit-identity contract), when the
+compiled transient step is slower than the walk or its waveform bytes
+differ, when the
 behavioral batch kernel is not bit-identical to the scalar walk or misses
 its 5x floor at 256 draws, when the service stage breaks its coalescing
 contract (N identical concurrent submissions must perform exactly one cold
@@ -59,6 +63,9 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from repro.analysis.mna import layout_cache_disabled
+from repro.analysis.transient import simulate_transient
+from repro.blocks.mdac import SETTLING_STEP_TIME, build_settling_bench
+from repro.blocks.opamp_library import build_two_stage_miller
 from repro.behavioral.batch import simulate_draws
 from repro.behavioral.signals import full_scale_sine, pick_coherent_cycles
 from repro.behavioral.verify import draw_error_models
@@ -69,7 +76,7 @@ from repro.specs import AdcSpec, plan_stages
 from repro.synth import HybridEvaluator, synthesize_mdac, two_stage_space
 from repro.synth.evaluator import _GAIN_FREQS, _LOOP_FREQS
 from repro.tech import CMOS025
-from tests.analysis import ac_reference
+from tests.analysis import ac_reference, transient_reference
 from tests.behavioral import batch_reference
 from tests.synth.evaluator_reference import ReferenceEvaluator
 
@@ -159,6 +166,66 @@ def stage_equation_metrics(repeats: int) -> dict:
         "legacy_sweeps_per_s": round(legacy_rate, 1),
         "batched_sweeps_per_s": round(batched_rate, 1),
         "speedup": round(batched_rate / legacy_rate, 2),
+        "identical_results": identical,
+    }
+
+
+def stage_transient_step(repeats: int) -> dict:
+    """The settling transient: compiled step program vs the element walk.
+
+    The settling bench the synthesis loop verifies, for the first MDAC of
+    the 13-bit 4-3-2 plan at one fixed sizing; each side's best of
+    ``repeats`` runs gives its steps/s.
+    """
+    mdac = plan_stages(
+        AdcSpec(resolution_bits=13), PipelineCandidate((4, 3, 2), 13, 7)
+    ).mdacs[0]
+    evaluator = HybridEvaluator(mdac, CMOS025)
+    space = two_stage_space(mdac, CMOS025)
+    sizing = space.decode(np.random.default_rng(1).random(space.dimension))
+    network = evaluator.network
+    bench, _ = build_settling_bench(
+        build_two_stage_miller(CMOS025, sizing),
+        network,
+        CMOS025,
+        step_voltage=-(mdac.output_swing / 4.0) / (network.cs / network.cf),
+        common_mode=evaluator.common_mode,
+    )
+    t_settle = mdac.linear_settling_time + mdac.slew_time
+    kwargs = dict(
+        t_stop=SETTLING_STEP_TIME + t_settle,
+        dt=t_settle / evaluator.transient_points,
+    )
+
+    def run(simulate):
+        result = simulate(bench, **kwargs)  # warm module/caches
+        best = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            simulate(bench, **kwargs)
+            best = min(best, time.perf_counter() - start)
+        return result, best
+
+    walk, walk_wall = run(transient_reference.simulate_transient)
+    compiled, compiled_wall = run(simulate_transient)
+    identical = (
+        compiled.time.tobytes() == walk.time.tobytes()
+        and list(compiled.waveforms) == list(walk.waveforms)
+        and all(
+            compiled.waveforms[net].tobytes() == wave.tobytes()
+            for net, wave in walk.waveforms.items()
+        )
+    )
+    steps = len(walk.time) - 1
+    return {
+        "workload": (
+            f"settling transient of the 13-bit 4-3-2 plan's first MDAC "
+            f"({steps} steps, best of {repeats})"
+        ),
+        "steps": steps,
+        "walk_steps_per_s": round(steps / walk_wall, 1),
+        "compiled_steps_per_s": round(steps / compiled_wall, 1),
+        "speedup": round(walk_wall / compiled_wall, 2),
         "identical_results": identical,
     }
 
@@ -255,6 +322,7 @@ def main(argv=None) -> int:
     stage_fns = {
         "synthesize_mdac": lambda: stage_synthesize(budget),
         "equation_metric_stage": lambda: stage_equation_metrics(repeats),
+        "transient_step": lambda: stage_transient_step(3 if args.smoke else 7),
         "behavioral": lambda: stage_behavioral(
             behavioral_draws, behavioral_samples
         ),
@@ -298,6 +366,7 @@ def main(argv=None) -> int:
 
     synth = report["stages"]["synthesize_mdac"]
     eqn = report["stages"]["equation_metric_stage"]
+    trans = report["stages"]["transient_step"]
     behavioral = report["stages"]["behavioral"]
     service = report["stages"]["service"]
     fabric = report["stages"]["fabric"]
@@ -305,6 +374,7 @@ def main(argv=None) -> int:
     print(
         f"\nfull-candidate speedup: {synth['speedup_full_candidate']}x, "
         f"equation-metric stage: {eqn['speedup']}x, "
+        f"transient step: {trans['speedup']}x, "
         f"behavioral batch: {behavioral['speedup']}x, "
         f"service: {service['coalescing']['submissions']} identical submissions "
         f"-> {service['coalescing']['cold_synthesis_runs']} cold synthesis, "
@@ -323,6 +393,13 @@ def main(argv=None) -> int:
             failures.append("synthesize_mdac results diverged across kernels")
         if not eqn["identical_results"]:
             failures.append("batched AC sweep diverged from the reference loop")
+        if not trans["identical_results"]:
+            failures.append("compiled transient diverged from the element walk")
+        if trans["speedup"] < 1.0:
+            failures.append(
+                "regression: compiled transient step slower than the walk "
+                f"({trans['speedup']}x)"
+            )
         if synth["speedup_full_candidate"] < 1.0:
             failures.append(
                 "regression: compiled kernel slower than the reference walk "

@@ -9,6 +9,7 @@ to ground on every node, relaxed geometrically) and then source stepping
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,6 +202,21 @@ def _assemble(
     return jac, resid
 
 
+def _abs_max(values: list[float]) -> float:
+    """``float(np.max(np.abs(values)))`` of Python floats; 0.0 when empty.
+
+    Python's ``max`` skips a NaN that is not first, where ``np.max``
+    returns NaN.  A sum is NaN only when a NaN or both infinities are
+    present, so one cheap pass routes the rare case to an exact scan and
+    a NaN still fails every ``<`` check it meets.
+    """
+    peak = max(map(abs, values), default=0.0)
+    total = sum(values)
+    if total != total and any(v != v for v in values):
+        return math.nan
+    return peak
+
+
 def _newton(
     layout: MnaLayout,
     x0: np.ndarray,
@@ -212,8 +228,9 @@ def _newton(
     """Run damped Newton; returns (x, iterations, residual_norm).
 
     ``assembly`` (a bound :class:`repro.analysis.template.MnaTemplate`)
-    overrides the per-element stamp walk with the compiled assembler and
-    its fast linear solve; both produce bit-identical results.
+    overrides the per-element stamp walk with the compiled residual and
+    its linear solve, and builds a jacobian only for an iterate that
+    takes a step; both produce bit-identical results.
     """
     x = x0.copy()
     n_nodes = len(layout.nets)
@@ -226,10 +243,12 @@ def _newton(
         if assembly is None:
             jac, resid = _assemble(layout, x, gmin, source_scale)
         else:
-            jac, resid = assembly.assemble(x, gmin, source_scale)
-        residual_norm = float(np.max(np.abs(resid))) if len(resid) else 0.0
+            resid = assembly.residual(x, gmin, source_scale)
+        residual_norm = _abs_max(resid.tolist())
         if residual_norm < _ABS_TOL:
             return x, iteration, residual_norm
+        if assembly is not None:
+            jac = assembly.jacobian(gmin)
         try:
             dx = solve(jac, -resid)
         except np.linalg.LinAlgError:
@@ -242,7 +261,7 @@ def _newton(
                     "(floating node or voltage-source loop?)"
                 ) from exc
         # Limit node-voltage steps to keep the model in a sane region.
-        step = np.max(np.abs(dx[:n_nodes])) if n_nodes else 0.0
+        step = _abs_max(dx[:n_nodes].tolist())
         if step > _VSTEP_LIMIT:
             dx *= _VSTEP_LIMIT / step
         x = x + dx

@@ -13,33 +13,43 @@ This module compiles a circuit *topology* once into flat stamp programs:
 * :class:`MnaTemplate` (cached per :meth:`repro.circuit.netlist.Circuit.topology_key`)
   records every scalar stamp the legacy walk would emit — row/column index
   arrays in exact emission order, plus value *slots* classified by origin
-  (element constants, MOSFET small-signal quantities, source injections);
+  (element constants, MOSFET small-signal quantities, source injections) —
+  and lays the DC residual out as one fused program (see the class);
 * :meth:`MnaTemplate.bind` fills the constant slots from a concrete
-  circuit's element values, producing a :class:`BoundMna` whose
-  :meth:`~BoundMna.assemble` and :meth:`~BoundMna.linearize` rebuild the
-  Newton system / small-signal matrices with a handful of vectorized
-  gathers and two ``np.add.at`` scatters;
+  circuit's element values, producing a :class:`BoundMna`.  Its
+  :meth:`~BoundMna.residual` builds a Newton residual with one gather
+  pair, one affine map, one signed gather and one ``np.bincount``;
+  :meth:`~BoundMna.jacobian`, which Newton calls only for an iterate that
+  takes a step, and :meth:`~BoundMna.linearize` sum their ordered entries
+  with one ``np.bincount`` per matrix;
 * :func:`repro.analysis.transient.simulate_transient` steps on a bound DC
-  program too: it refreshes the switch and source slots per timestep and
-  appends inductor and capacitor companion stamps, which is why the
-  template also records the capacitances the DC program leaves open.
+  program too: it refreshes the switch and source values per timestep and
+  appends inductor and capacitor companions to the same layout, which is
+  why the template also records the capacitances the DC program leaves
+  open.
 
 Value slots are pure data — ``(opcode, element name, negate)`` triples
 evaluated by :func:`_slot_value` — so a compiled template is picklable.
-Templates are cached per process by topology key; :data:`TEMPLATE_STATS`
-counts compiles so benchmarks can check how often a topology recompiles.
+Index arrays live on the template; binding and rebinding only fill
+values.  Templates are cached per process by topology key;
+:data:`TEMPLATE_STATS` counts compiles so benchmarks can check how often a
+topology recompiles.
 
-**Bit-identity contract.**  The compiled assembler reproduces the legacy
-walk's floating-point results *bit for bit*: the scatter arrays list every
+**Bit-identity contract.**  The compiled programs reproduce the legacy
+walk's floating-point results *bit for bit*: the entry arrays list every
 individual ``+=`` in the same order the legacy code performs them
-(``np.add.at`` applies repeated indices sequentially, in order), each slot
-value is computed with the same arithmetic expression shape (negation of
-the extracted value, exactly as the legacy stamps negate), and the MOSFET
-compact model is evaluated by the very same
-:func:`repro.tech.mosfet.dc_current` calls.  ``tests/analysis/test_template.py``
-enforces the equality jacobian-by-jacobian; it is what lets
-:class:`repro.synth.evaluator.HybridEvaluator` default to the compiled
-kernel while keeping campaign records byte-identical to the legacy path.
+(``np.bincount`` adds its weights in input order into +0.0 bins, as a
+zeroed matrix receives the walk's stamps), each value is computed with the
+same arithmetic expression shape (``d - v`` is ``1.0 * d + (-v)``
+exactly, ``g * d + (-0.0)`` is ``g * d``, and negation replays the
+legacy stamps' ``-value``), and the MOSFET compact model is the very same
+:func:`repro.tech.mosfet.device_current` that
+:func:`~repro.tech.mosfet.dc_current` calls, its per-device constants
+bound once per :meth:`~BoundMna.rebind`.
+``tests/analysis/test_template.py`` enforces the equality byte by byte
+against :func:`repro.analysis.dc._assemble`; it is what lets
+:class:`repro.synth.evaluator.HybridEvaluator` run the compiled kernel
+while keeping campaign records byte-identical to the legacy path.
 
 Limitations: :meth:`BoundMna.linearize` does not carry noise sources (use
 :func:`repro.analysis.smallsignal.linearize` for noise analysis), and
@@ -66,9 +76,9 @@ from repro.circuit.elements import (
 from repro.circuit.netlist import Circuit
 from repro.errors import AnalysisError
 from repro.obs.metrics import REGISTRY, CounterView
-from repro.tech.mosfet import dc_current
+from repro.tech.mosfet import device_constants, device_current
 
-#: MOSFET DC slot kinds (see ``kindvals`` in :meth:`BoundMna.assemble`).
+#: MOSFET conductance kinds: offsets within a device's four-value group.
 _KIND_GM, _KIND_GDS, _KIND_GMB, _KIND_GSUM = 0, 1, 2, 3
 
 #: MOSFET small-signal capacitance slot kinds, in compact-model order.
@@ -157,22 +167,15 @@ class _Coo:
         self.const_pos.append(pos)
         self.const_slots.append((op, name, negate))
 
-    def __len__(self) -> int:
-        return len(self.rows)
+    def flat(self, n: int) -> np.ndarray:
+        """Row-major cell index ``row * n + col`` of every entry."""
+        return np.asarray(self.rows, dtype=np.intp) * n + np.asarray(
+            self.cols, dtype=np.intp
+        )
 
 
-class _Rows:
-    """Ordered row-only recorder for residual / RHS vectors."""
-
-    def __init__(self):
-        self.rows: list[int] = []
-
-    def append(self, row: int) -> int:
-        self.rows.append(row)
-        return len(self.rows) - 1
-
-    def __len__(self) -> int:
-        return len(self.rows)
+# Segments of the fused residual buffer ``[xe | ids | inj | cur]``.
+_SEG_XE, _SEG_IDS, _SEG_INJ, _SEG_CUR = 0, 1, 2, 3
 
 
 class MnaTemplate:
@@ -182,6 +185,17 @@ class MnaTemplate:
     circuit; call :meth:`bind` with any same-topology circuit to obtain a
     value-carrying :class:`BoundMna`.  Instances are pure data (index
     arrays plus opcode slot tables) and therefore picklable.
+
+    The DC residual is a *fused layout*.  Every residual entry the legacy
+    walk adds, in its order, is ``sign * buf[src]`` over one buffer
+    ``[xe | ids | inj | cur]``: the ground-extended unknowns (ground at
+    slot ``size``, branch currents read in place), the MOSFET drain
+    currents, one injected current per current source, and the affine
+    currents ``cur = C * (xe[a] - xe[b]) + E`` — one per resistor, switch
+    and VCCS (``C`` the conductance, ``E = -0.0``) and one per voltage
+    source, inductor and VCVS constraint row (``C = 1.0``; ``E`` is minus
+    the source value, or ``-0.0`` for a row whose extra term
+    :class:`FusedResidual` adds).  ``_rr`` names each entry's residual row.
     """
 
     def __init__(self, circuit: Circuit):
@@ -200,33 +214,29 @@ class MnaTemplate:
 
         # -- DC Newton program -------------------------------------------
         jac = _Coo()
-        res = _Rows()
-        # Pair currents: value = coeff * (x_ext[a] - x_ext[b]).
-        pair_a: list[int] = []
-        pair_b: list[int] = []
-        pair_slots: list[tuple[int, str | None, bool]] = []
-        r_pair_pos: list[int] = []
-        r_pair_src: list[int] = []
-        r_pair_sign: list[float] = []
-        # Branch-current references: value = sign * x[k].
-        r_br_pos: list[int] = []
-        r_br_k: list[int] = []
-        r_br_sign: list[float] = []
-        # Voltage constraints: value = (xe[p] - xe[n]) - dc * source_scale.
-        vc_p: list[int] = []
-        vc_n: list[int] = []
-        vc_dc_slots: list[tuple[int, str | None, bool]] = []
-        r_vc_pos: list[int] = []
-        # VCVS constraints: value = (xe[op]-xe[on]) - gain*(xe[cp]-xe[cn]).
-        vg_op: list[int] = []
-        vg_on: list[int] = []
+        # Residual entries in the legacy walk's order: row, sign, and the
+        # (segment, index) of the value they add.
+        r_rows: list[int] = []
+        r_signs: list[float] = []
+        r_srcs: list[tuple[int, int]] = []
+        # Affine currents: cur = C * (xe[a] - xe[b]) + E; C from a slot.
+        aff_a: list[int] = []
+        aff_b: list[int] = []
+        aff_slots: list[tuple[int, str | None, bool]] = []
+        # Voltage-source constraints: E = -(dc * source_scale).
+        vs_aff: list[int] = []
+        vs_slots: list[tuple[int, str | None, bool]] = []
+        # Inductor constraints (a DC short, E = -0.0) and their branch rows.
+        ind_aff: list[int] = []
+        ind_k: list[int] = []
+        ind_names: list[str] = []
+        # VCVS constraints: cur -= gain * (xe[cp] - xe[cn]) per iterate.
+        vg_aff: list[int] = []
         vg_cp: list[int] = []
         vg_cn: list[int] = []
-        vg_gain_slots: list[tuple[int, str | None, bool]] = []
-        r_vg_pos: list[int] = []
-        # Source injections: value = signed_dc * source_scale.
-        r_inj_pos: list[int] = []
-        r_inj_slots: list[tuple[int, str | None, bool]] = []
+        vg_slots: list[tuple[int, str | None, bool]] = []
+        # Current-source injections: dc * source_scale.
+        inj_slots: list[tuple[int, str | None, bool]] = []
         # Capacitances the DC program leaves open, in netlist order:
         # (i, j, element name, kind) — kind -1 for a capacitor, else an
         # index into _CAP_KINDS.  The transient companion stamps use them.
@@ -235,27 +245,29 @@ class MnaTemplate:
         mos_names: list[str] = []
         mos_xe: list[tuple[int, int, int, int]] = []  # (d, g, s, b) ext slots
         j_mos_pos: list[int] = []
-        j_mos_dev: list[int] = []
-        j_mos_kind: list[int] = []
+        j_mos_val: list[int] = []  # dev * 4 + kind
         j_mos_sign: list[float] = []
-        r_mos_pos: list[int] = []
-        r_mos_dev: list[int] = []
-        r_mos_sign: list[float] = []
+
+        def entry(row: int, sign: float, segment: int, index: int) -> None:
+            """``resid[row] += sign * value`` (ground rows dropped)."""
+            if row != GROUND:
+                r_rows.append(row)
+                r_signs.append(sign)
+                r_srcs.append((segment, index))
+
+        def affine(a: int, b: int, op: int, name: str | None = None) -> int:
+            aff_a.append(a)
+            aff_b.append(b)
+            aff_slots.append((op, name, False))
+            return len(aff_a) - 1
 
         def emit_pair_current(
             a: int, b: int, op: int, name: str, node_i: int, node_j: int
         ):
             """cur = coeff*(xe[a]-xe[b]); resid[i] += cur; resid[j] -= cur."""
-            pair_a.append(a)
-            pair_b.append(b)
-            pair_slots.append((op, name, False))
-            src = len(pair_a) - 1
-            for node, sign in ((node_i, +1.0), (node_j, -1.0)):
-                if node == GROUND:
-                    continue
-                r_pair_pos.append(res.append(node))
-                r_pair_src.append(src)
-                r_pair_sign.append(sign)
+            src = affine(a, b, op, name)
+            entry(node_i, +1.0, _SEG_CUR, src)
+            entry(node_j, -1.0, _SEG_CUR, src)
 
         def emit_conductance(i: int, j: int, op: int, name: str):
             """Replay :func:`repro.analysis.mna.stamp_conductance`."""
@@ -267,22 +279,19 @@ class MnaTemplate:
                 jac.append_const(i, j, op, name, negate=True)
                 jac.append_const(j, i, op, name, negate=True)
 
-        def emit_branch_rows(p: int, nn: int, k: int):
-            """Voltage-source-style jac cross terms + resid branch currents."""
+        def emit_branch_jac(p: int, nn: int, k: int):
+            """Voltage-source-style jac cross terms of branch ``k``."""
             if p != GROUND:
                 jac.append_const(p, k, _OP_ONE)
                 jac.append_const(k, p, _OP_ONE)
             if nn != GROUND:
                 jac.append_const(nn, k, _OP_ONE, negate=True)
                 jac.append_const(k, nn, _OP_ONE, negate=True)
-            if p != GROUND:
-                r_br_pos.append(res.append(p))
-                r_br_k.append(k)
-                r_br_sign.append(+1.0)
-            if nn != GROUND:
-                r_br_pos.append(res.append(nn))
-                r_br_k.append(k)
-                r_br_sign.append(-1.0)
+
+        def emit_branch_current(p: int, nn: int, k: int):
+            """resid[p] += x[k]; resid[nn] -= x[k]."""
+            entry(p, +1.0, _SEG_XE, k)
+            entry(nn, -1.0, _SEG_XE, k)
 
         for element in circuit:
             name = element.name
@@ -304,23 +313,20 @@ class MnaTemplate:
                     (layout.index(element.n1), layout.index(element.n2), name, -1)
                 )
             elif isinstance(element, CurrentSource):
-                p = layout.index(element.positive)
-                nn = layout.index(element.negative)
-                if p != GROUND:
-                    r_inj_pos.append(res.append(p))
-                    r_inj_slots.append((_OP_DC, name, False))
-                if nn != GROUND:
-                    r_inj_pos.append(res.append(nn))
-                    r_inj_slots.append((_OP_DC, name, True))
+                src = len(inj_slots)
+                inj_slots.append((_OP_DC, name, False))
+                entry(layout.index(element.positive), +1.0, _SEG_INJ, src)
+                entry(layout.index(element.negative), -1.0, _SEG_INJ, src)
             elif isinstance(element, VoltageSource):
                 p = layout.index(element.positive)
                 nn = layout.index(element.negative)
                 k = layout.branch(name)
-                emit_branch_rows(p, nn, k)
-                vc_p.append(xi(element.positive))
-                vc_n.append(xi(element.negative))
-                vc_dc_slots.append((_OP_DC, name, False))
-                r_vc_pos.append(res.append(k))
+                emit_branch_jac(p, nn, k)
+                emit_branch_current(p, nn, k)
+                src = affine(xi(element.positive), xi(element.negative), _OP_ONE)
+                vs_aff.append(src)
+                vs_slots.append((_OP_DC, name, False))
+                entry(k, +1.0, _SEG_CUR, src)
             elif isinstance(element, Vcvs):
                 op_ = layout.index(element.out_positive)
                 on_ = layout.index(element.out_negative)
@@ -328,30 +334,18 @@ class MnaTemplate:
                 cn = layout.index(element.ctrl_negative)
                 k = layout.branch(name)
                 # stamp_vcvs order: out rows, then the gain row entries.
-                if op_ != GROUND:
-                    jac.append_const(op_, k, _OP_ONE)
-                    jac.append_const(k, op_, _OP_ONE)
-                if on_ != GROUND:
-                    jac.append_const(on_, k, _OP_ONE, negate=True)
-                    jac.append_const(k, on_, _OP_ONE, negate=True)
+                emit_branch_jac(op_, on_, k)
                 if cp != GROUND:
                     jac.append_const(k, cp, _OP_GAIN, name, negate=True)
                 if cn != GROUND:
                     jac.append_const(k, cn, _OP_GAIN, name)
-                if op_ != GROUND:
-                    r_br_pos.append(res.append(op_))
-                    r_br_k.append(k)
-                    r_br_sign.append(+1.0)
-                if on_ != GROUND:
-                    r_br_pos.append(res.append(on_))
-                    r_br_k.append(k)
-                    r_br_sign.append(-1.0)
-                vg_op.append(xi(element.out_positive))
-                vg_on.append(xi(element.out_negative))
+                emit_branch_current(op_, on_, k)
+                src = affine(xi(element.out_positive), xi(element.out_negative), _OP_ONE)
+                vg_aff.append(src)
                 vg_cp.append(xi(element.ctrl_positive))
                 vg_cn.append(xi(element.ctrl_negative))
-                vg_gain_slots.append((_OP_GAIN, name, False))
-                r_vg_pos.append(res.append(k))
+                vg_slots.append((_OP_GAIN, name, False))
+                entry(k, +1.0, _SEG_CUR, src)
             elif isinstance(element, Vccs):
                 op_ = layout.index(element.out_positive)
                 on_ = layout.index(element.out_negative)
@@ -376,11 +370,13 @@ class MnaTemplate:
                 p = layout.index(element.n1)
                 nn = layout.index(element.n2)
                 k = layout.branch(name)
-                emit_branch_rows(p, nn, k)
-                vc_p.append(xi(element.n1))
-                vc_n.append(xi(element.n2))
-                vc_dc_slots.append((_OP_ZERO, name, False))  # DC short
-                r_vc_pos.append(res.append(k))
+                emit_branch_jac(p, nn, k)
+                emit_branch_current(p, nn, k)
+                src = affine(xi(element.n1), xi(element.n2), _OP_ONE)
+                ind_aff.append(src)
+                ind_k.append(k)
+                ind_names.append(name)
+                entry(k, +1.0, _SEG_CUR, src)
             elif isinstance(element, Mosfet):
                 d = layout.index(element.drain)
                 g_ = layout.index(element.gate)
@@ -396,12 +392,8 @@ class MnaTemplate:
                         xi(element.bulk),
                     )
                 )
-                for node, sign in ((d, +1.0), (s, -1.0)):
-                    if node == GROUND:
-                        continue
-                    r_mos_pos.append(res.append(node))
-                    r_mos_dev.append(dev)
-                    r_mos_sign.append(sign)
+                entry(d, +1.0, _SEG_IDS, dev)
+                entry(s, -1.0, _SEG_IDS, dev)
                 for row, sign in ((d, +1.0), (s, -1.0)):
                     if row == GROUND:
                         continue
@@ -414,8 +406,7 @@ class MnaTemplate:
                         if col == GROUND:
                             continue
                         j_mos_pos.append(jac.append(row, col))
-                        j_mos_dev.append(dev)
-                        j_mos_kind.append(kind)
+                        j_mos_val.append(dev * 4 + kind)
                         j_mos_sign.append(ks)
                 for kind, (t1, t2) in enumerate(
                     ((g_, s), (g_, d), (g_, b), (d, b), (s, b))
@@ -428,41 +419,36 @@ class MnaTemplate:
                 )
 
         asarray = np.asarray
-        self._jr = asarray(jac.rows, dtype=np.intp)
-        self._jc = asarray(jac.cols, dtype=np.intp)
+        self._jflat = jac.flat(n)
         self._j_const_pos = asarray(jac.const_pos, dtype=np.intp)
         self._j_const_slots = tuple(jac.const_slots)
-        self._rr = asarray(res.rows, dtype=np.intp)
-        self._pair_a = asarray(pair_a, dtype=np.intp)
-        self._pair_b = asarray(pair_b, dtype=np.intp)
-        self._pair_slots = tuple(pair_slots)
-        self._r_pair_pos = asarray(r_pair_pos, dtype=np.intp)
-        self._r_pair_src = asarray(r_pair_src, dtype=np.intp)
-        self._r_pair_sign = asarray(r_pair_sign, dtype=float)
-        self._r_br_pos = asarray(r_br_pos, dtype=np.intp)
-        self._r_br_k = asarray(r_br_k, dtype=np.intp)
-        self._r_br_sign = asarray(r_br_sign, dtype=float)
-        self._vc_p = asarray(vc_p, dtype=np.intp)
-        self._vc_n = asarray(vc_n, dtype=np.intp)
-        self._vc_dc_slots = tuple(vc_dc_slots)
-        self._r_vc_pos = asarray(r_vc_pos, dtype=np.intp)
-        self._vg_op = asarray(vg_op, dtype=np.intp)
-        self._vg_on = asarray(vg_on, dtype=np.intp)
-        self._vg_cp = asarray(vg_cp, dtype=np.intp)
-        self._vg_cn = asarray(vg_cn, dtype=np.intp)
-        self._vg_gain_slots = tuple(vg_gain_slots)
-        self._r_vg_pos = asarray(r_vg_pos, dtype=np.intp)
-        self._r_inj_pos = asarray(r_inj_pos, dtype=np.intp)
-        self._r_inj_slots = tuple(r_inj_slots)
+        self._j_mos_pos = asarray(j_mos_pos, dtype=np.intp)
+        self._j_mos_val = asarray(j_mos_val, dtype=np.intp)
+        self._j_mos_sign = asarray(j_mos_sign, dtype=float)
+        # Fused residual layout: buffer offsets, then the entry arrays.
         self.mos_names = tuple(mos_names)
         self._mos_xe = mos_xe
-        self._j_mos_pos = asarray(j_mos_pos, dtype=np.intp)
-        self._j_mos_dev = asarray(j_mos_dev, dtype=np.intp)
-        self._j_mos_kind = asarray(j_mos_kind, dtype=np.intp)
-        self._j_mos_sign = asarray(j_mos_sign, dtype=float)
-        self._r_mos_pos = asarray(r_mos_pos, dtype=np.intp)
-        self._r_mos_dev = asarray(r_mos_dev, dtype=np.intp)
-        self._r_mos_sign = asarray(r_mos_sign, dtype=float)
+        self._n_inj = len(inj_slots)
+        self._ids_off = n + 1
+        self._inj_off = self._ids_off + len(mos_names)
+        self._cur_off = self._inj_off + self._n_inj
+        base = (0, self._ids_off, self._inj_off, self._cur_off)
+        self._rr = asarray(r_rows, dtype=np.intp)
+        self._r_sign = asarray(r_signs, dtype=float)
+        self._r_src = asarray([base[seg] + i for seg, i in r_srcs], dtype=np.intp)
+        self._aff_a = asarray(aff_a, dtype=np.intp)
+        self._aff_b = asarray(aff_b, dtype=np.intp)
+        self._aff_slots = tuple(aff_slots)
+        self._vs_aff = asarray(vs_aff, dtype=np.intp)
+        self._vs_slots = tuple(vs_slots)
+        self._ind_aff = asarray(ind_aff, dtype=np.intp)
+        self._ind_k = asarray(ind_k, dtype=np.intp)
+        self._ind_names = tuple(ind_names)
+        self._vg_aff = asarray(vg_aff, dtype=np.intp)
+        self._vg_cp = asarray(vg_cp, dtype=np.intp)
+        self._vg_cn = asarray(vg_cn, dtype=np.intp)
+        self._vg_slots = tuple(vg_slots)
+        self._inj_slots = tuple(inj_slots)
         self._cap_terms = tuple(cap_terms)
 
         self._compile_linear(circuit)
@@ -475,12 +461,10 @@ class MnaTemplate:
         g = _Coo()
         c = _Coo()
         g_mos_pos: list[int] = []
-        g_mos_dev: list[int] = []
-        g_mos_kind: list[int] = []  # _KIND_GM / _KIND_GDS / _KIND_GMB / _KIND_GSUM
+        g_mos_val: list[int] = []  # dev * 4 + _KIND_GM / _KIND_GDS / _KIND_GMB
         g_mos_sign: list[float] = []
         c_mos_pos: list[int] = []
-        c_mos_dev: list[int] = []
-        c_mos_kind: list[int] = []  # index into _CAP_KINDS
+        c_mos_val: list[int] = []  # dev * 5 + index into _CAP_KINDS
         c_mos_sign: list[float] = []
         #: (branch-or-node index, sign, element name, 'branch'|'node') for b_ac.
         b_ac_slots: list[tuple[int, float, str]] = []
@@ -497,8 +481,7 @@ class MnaTemplate:
 
         def emit_mos_g(row: int, col: int, dev: int, kind: int, sign: float):
             g_mos_pos.append(g.append(row, col))
-            g_mos_dev.append(dev)
-            g_mos_kind.append(kind)
+            g_mos_val.append(dev * 4 + kind)
             g_mos_sign.append(sign)
 
         def emit_mos_vccs(op_: int, on_: int, cp: int, cn: int, dev: int, kind: int):
@@ -610,8 +593,7 @@ class MnaTemplate:
                         if row == GROUND or col == GROUND:
                             continue
                         c_mos_pos.append(c.append(row, col))
-                        c_mos_dev.append(dev)
-                        c_mos_kind.append(kind)
+                        c_mos_val.append(dev * len(_CAP_KINDS) + kind)
                         c_mos_sign.append(sign)
             else:
                 raise AnalysisError(
@@ -620,21 +602,18 @@ class MnaTemplate:
                 )
 
         asarray = np.asarray
-        self._gr = asarray(g.rows, dtype=np.intp)
-        self._gc = asarray(g.cols, dtype=np.intp)
+        n = self.size
+        self._gflat = g.flat(n)
         self._g_const_pos = asarray(g.const_pos, dtype=np.intp)
         self._g_const_slots = tuple(g.const_slots)
-        self._cr = asarray(c.rows, dtype=np.intp)
-        self._cc = asarray(c.cols, dtype=np.intp)
+        self._cflat = c.flat(n)
         self._c_const_pos = asarray(c.const_pos, dtype=np.intp)
         self._c_const_slots = tuple(c.const_slots)
         self._g_mos_pos = asarray(g_mos_pos, dtype=np.intp)
-        self._g_mos_dev = asarray(g_mos_dev, dtype=np.intp)
-        self._g_mos_kind = asarray(g_mos_kind, dtype=np.intp)
+        self._g_mos_val = asarray(g_mos_val, dtype=np.intp)
         self._g_mos_sign = asarray(g_mos_sign, dtype=float)
         self._c_mos_pos = asarray(c_mos_pos, dtype=np.intp)
-        self._c_mos_dev = asarray(c_mos_dev, dtype=np.intp)
-        self._c_mos_kind = asarray(c_mos_kind, dtype=np.intp)
+        self._c_mos_val = asarray(c_mos_val, dtype=np.intp)
         self._c_mos_sign = asarray(c_mos_sign, dtype=float)
         self._b_ac_slots = b_ac_slots
 
@@ -650,32 +629,142 @@ class MnaTemplate:
         return BoundMna(self, circuit)
 
 
+def device_eval(
+    mos_args: list[tuple], xl: list[float]
+) -> tuple[list[float], list[float]]:
+    """Drain currents and conductances of every MOSFET at ``xl``.
+
+    ``xl`` is the ground-extended unknown vector as Python floats; the
+    compact model's ``+ - * /``, ``sqrt`` and ``tanh`` give the same bits
+    on them as on ``np.float64`` scalars, at a fraction of the cost.
+    Returns the drain currents and, per device, ``(gm, gds, gmb,
+    gm + gds + gmb)`` flattened, all scaled by the device multiplier.
+    """
+    ids = []
+    cond = []
+    for constants, mult, d, g_, s, b in mos_args:
+        xs = xl[s]
+        i_d, gm, gds, gmb = device_current(
+            constants, xl[g_] - xs, xl[d] - xs, xl[b] - xs
+        )
+        gm *= mult
+        gds *= mult
+        gmb *= mult
+        ids.append(i_d * mult)
+        cond += (gm, gds, gmb, gm + gds + gmb)
+    return ids, cond
+
+
+def assemble_jacobian(
+    template: "MnaTemplate",
+    flat: np.ndarray,
+    values: np.ndarray,
+    cond: list[float],
+) -> np.ndarray:
+    """Write the MOSFET entries into ``values`` and sum them per cell.
+
+    ``flat`` and ``values`` start with the template's DC entries, whose
+    MOSFET slots ``cond`` (from :func:`device_eval`) fills.
+    ``np.bincount`` adds its weights in input order into +0.0 bins, the
+    additions a zeroed matrix receives from the walk's ``+=`` stamps.
+    """
+    t = template
+    n = t.size
+    if cond:
+        values[t._j_mos_pos] = t._j_mos_sign * np.array(cond)[t._j_mos_val]
+    return np.bincount(flat, values, n * n).reshape(n, n)
+
+
+class FusedResidual:
+    """Value buffers and per-iterate kernel of a fused residual layout.
+
+    ``buf`` is ``[xe | ids | inj | cur]`` (see :class:`MnaTemplate`); ``c``
+    and ``e`` hold the affine map's values, ``inj`` the injected currents.
+    One call builds the residual with one gather pair, one affine map,
+    one signed gather and one ``np.bincount`` over ``rows``.  Two terms
+    keep their own two-rounding shapes and run only when present: a
+    VCVS's control term ``cur -= gain * (xe[cp] - xe[cn])`` and an
+    inductor's transient history ``cur = (cur - req * x[k]) + rhs``.
+
+    Every value keeps the walk's IEEE expression: ``d - v`` is
+    ``1.0 * d + (-v)`` exactly, and ``E = -0.0`` leaves ``g * d`` as it
+    is, the sign of a zero included.  The arrays that index ``buf`` are
+    shared with the template; only values live here.
+    """
+
+    def __init__(
+        self,
+        template: "MnaTemplate",
+        a: np.ndarray,
+        b: np.ndarray,
+        rows: np.ndarray,
+        sign: np.ndarray,
+        src: np.ndarray,
+    ):
+        t = template
+        self.size = t.size
+        self.a, self.b = a, b
+        self.rows, self.sign, self.src = rows, sign, src
+        self.buf = np.zeros(t._cur_off + len(a))
+        self.xe = self.buf[: t.size + 1]
+        self.ids = self.buf[t._ids_off : t._inj_off]
+        self.inj = self.buf[t._inj_off : t._cur_off]
+        self.cur = self.buf[t._cur_off :]
+        self.c = np.zeros(len(a))
+        self.e = np.full(len(a), -0.0)
+        #: ``(aff, cp, cn, gain)`` when the netlist has a VCVS.
+        self.vcvs: tuple | None = None
+        #: ``(aff, k, req)`` and ``ind_rhs`` for the transient's inductors.
+        self.inductor: tuple | None = None
+        self.ind_rhs = np.zeros(0)
+        #: ``xe[a] - xe[b]`` of the last call, a fresh array each call.
+        self.diff = np.zeros(len(a))
+
+    def __call__(self, x: np.ndarray, ids: list[float]) -> np.ndarray:
+        xe = self.xe
+        xe[: self.size] = x
+        self.ids[:] = ids
+        self.diff = diff = xe[self.a] - xe[self.b]
+        cur = self.cur
+        np.multiply(self.c, diff, out=cur)
+        cur += self.e
+        if self.vcvs is not None:
+            aff, cp, cn, gain = self.vcvs
+            cur[aff] -= gain * (xe[cp] - xe[cn])
+        if self.inductor is not None:
+            aff, k, req = self.inductor
+            cur[aff] = (cur[aff] - req * xe[k]) + self.ind_rhs
+        return np.bincount(self.rows, self.sign * self.buf[self.src], self.size)
+
+
 class BoundMna:
     """A template bound to one circuit's element values.
 
-    Holds its own value buffers, so concurrently bound instances (thread
-    backend) never share mutable state; the structure arrays on the parent
-    :class:`MnaTemplate` are read-only.
+    Holds its own value buffers, so concurrently bound instances never
+    share mutable state; the structure arrays on the parent
+    :class:`MnaTemplate` are read-only.  A DC Newton iterate calls
+    :meth:`residual`, and :meth:`jacobian` only when it takes a step.
     """
 
     def __init__(self, template: MnaTemplate, circuit: Circuit):
         self.template = template
         t = template
-        n_mos = max(len(t.mos_names), 1)
+        n = t.size
         # DC buffers: constants filled by rebind, MOSFET slots per call.
-        self._jv = np.zeros(len(t._jr))
-        self._rv = np.zeros(len(t._rr))
-        self._pair_coeff = np.zeros(len(t._pair_slots))
-        self._vc_dc = np.zeros(len(t._vc_dc_slots))
-        self._vg_gain = np.zeros(len(t._vg_gain_slots))
-        self._inj_dc = np.zeros(len(t._r_inj_slots))
-        self._kindvals = np.zeros((4, n_mos))
-        self._ids = np.zeros(n_mos)
-        self._xe = np.empty(t.size + 1)
+        self._jv = np.zeros(len(t._jflat))
+        self._fused = fused = FusedResidual(
+            t, t._aff_a, t._aff_b, t._rr, t._r_sign, t._r_src
+        )
+        self._vdc = np.zeros(len(t._vs_slots))
+        self._inj_dc = np.zeros(t._n_inj)
+        self._vg_gain = np.zeros(len(t._vg_slots))
+        if len(self._vg_gain):
+            fused.vcvs = (t._vg_aff, t._vg_cp, t._vg_cn, self._vg_gain)
+        self._cond: list[float] = []
         # Small-signal buffers.
-        self._gv = np.zeros(len(t._gr))
-        self._cv = np.zeros(len(t._cr))
-        self._b_ac = np.zeros(t.size, dtype=complex)
+        self._gv = np.zeros(len(t._gflat))
+        self._cv = np.zeros(len(t._cflat))
+        self._b_ac = np.zeros(n, dtype=complex)
         self.rebind(circuit)
 
     def rebind(self, circuit: Circuit) -> "BoundMna":
@@ -690,20 +779,23 @@ class BoundMna:
         self.layout: MnaLayout = t.layout.with_circuit(circuit)
         if len(t._j_const_pos):
             self._jv[t._j_const_pos] = _eval_slots(circuit, t._j_const_slots)
-        if len(self._pair_coeff):
-            self._pair_coeff[:] = _eval_slots(circuit, t._pair_slots)
-        if len(self._vc_dc):
-            self._vc_dc[:] = _eval_slots(circuit, t._vc_dc_slots)
-        if len(self._vg_gain):
-            self._vg_gain[:] = _eval_slots(circuit, t._vg_gain_slots)
+        fused = self._fused
+        if len(fused.c):
+            fused.c[:] = _eval_slots(circuit, t._aff_slots)
+        if len(self._vdc):
+            self._vdc[:] = _eval_slots(circuit, t._vs_slots)
         if len(self._inj_dc):
-            self._inj_dc[:] = _eval_slots(circuit, t._r_inj_slots)
-        self._mosfets = [circuit[nm] for nm in t.mos_names]
-        #: (params, w, l, mult, d, g, s, b) per device — flat tuples so the
-        #: per-iteration model loop avoids attribute chains.
+            self._inj_dc[:] = _eval_slots(circuit, t._inj_slots)
+        if len(self._vg_gain):
+            self._vg_gain[:] = _eval_slots(circuit, t._vg_slots)
+        #: The source scale ``e`` and ``inj`` hold; None forces a refill.
+        self._scale = None
+        #: (device constants, mult, d, g, s, b) per device — flat tuples
+        #: so the per-iteration model loop avoids attribute chains.
+        elements = [circuit[nm] for nm in t.mos_names]
         self._mos_args = [
-            (e.params, e.w, e.l, e.mult) + t._mos_xe[i]
-            for i, e in enumerate(self._mosfets)
+            (device_constants(e.params, e.w, e.l), e.mult) + xe
+            for e, xe in zip(elements, t._mos_xe)
         ]
         if len(t._g_const_pos):
             self._gv[t._g_const_pos] = _eval_slots(circuit, t._g_const_slots)
@@ -718,65 +810,41 @@ class BoundMna:
                 b_ac[idx] -= circuit[nm].ac
         return self
 
-    # -- DC Newton assembly ------------------------------------------------
+    # -- DC Newton system --------------------------------------------------
 
-    def assemble(
+    def residual(
         self, x: np.ndarray, gmin: float, source_scale: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Bit-identical replacement for :func:`repro.analysis.dc._assemble`."""
+    ) -> np.ndarray:
+        """The residual of :func:`repro.analysis.dc._assemble`, bit for bit.
+
+        Also evaluates the MOSFETs' conductances at ``x`` for a following
+        :meth:`jacobian` call.
+        """
+        fused = self._fused
+        if source_scale != self._scale:
+            fused.e[self.template._vs_aff] = -(self._vdc * source_scale)
+            fused.inj[:] = self._inj_dc * source_scale
+            self._scale = source_scale
+        xl = x.tolist()
+        xl.append(0.0)
+        ids, self._cond = device_eval(self._mos_args, xl)
+        resid = fused(x, ids)
+        if gmin > 0.0:
+            n_nodes = self.template.n_nodes
+            resid[:n_nodes] += gmin * x[:n_nodes]
+        return resid
+
+    def jacobian(self, gmin: float) -> np.ndarray:
+        """The jacobian of :func:`repro.analysis.dc._assemble`, bit for bit.
+
+        It is taken at the ``x`` of the last :meth:`residual` call.
+        """
         t = self.template
-        n = t.size
-        xe = self._xe
-        xe[:n] = x
-        xe[n] = 0.0
-
-        # MOSFET small-signal quantities (same scalar model calls as legacy),
-        # on Python floats: the model's + - * /, sqrt and tanh give the same
-        # bits as on np.float64 scalars, at half the cost per device.
-        kindvals = self._kindvals
-        ids_arr = self._ids
-        xl = xe.tolist()
-        for dev, (params, w, l, mult, d, g_, s, b) in enumerate(self._mos_args):
-            xs = xl[s]
-            ids, gm, gds, gmb = dc_current(
-                params, w, l, xl[g_] - xs, xl[d] - xs, xl[b] - xs
-            )
-            ids_arr[dev] = ids * mult
-            kindvals[_KIND_GM, dev] = gm = gm * mult
-            kindvals[_KIND_GDS, dev] = gds = gds * mult
-            kindvals[_KIND_GMB, dev] = gmb = gmb * mult
-            kindvals[_KIND_GSUM, dev] = gm + gds + gmb
-
-        jv = self._jv
-        if len(t._j_mos_pos):
-            jv[t._j_mos_pos] = t._j_mos_sign * kindvals[t._j_mos_kind, t._j_mos_dev]
-        jac = np.zeros((n, n))
-        np.add.at(jac, (t._jr, t._jc), jv)
-
-        rv = self._rv
-        if len(t._r_pair_pos):
-            cur = self._pair_coeff * (xe[t._pair_a] - xe[t._pair_b])
-            rv[t._r_pair_pos] = t._r_pair_sign * cur[t._r_pair_src]
-        if len(t._r_br_pos):
-            rv[t._r_br_pos] = t._r_br_sign * x[t._r_br_k]
-        if len(t._r_vc_pos):
-            rv[t._r_vc_pos] = (xe[t._vc_p] - xe[t._vc_n]) - self._vc_dc * source_scale
-        if len(t._r_vg_pos):
-            rv[t._r_vg_pos] = (xe[t._vg_op] - xe[t._vg_on]) - self._vg_gain * (
-                xe[t._vg_cp] - xe[t._vg_cn]
-            )
-        if len(t._r_inj_pos):
-            rv[t._r_inj_pos] = self._inj_dc * source_scale
-        if len(t._r_mos_pos):
-            rv[t._r_mos_pos] = t._r_mos_sign * ids_arr[t._r_mos_dev]
-        resid = np.zeros(n)
-        np.add.at(resid, t._rr, rv)
-
+        jac = assemble_jacobian(t, t._jflat, self._jv, self._cond)
         if gmin > 0.0:
             diag = np.arange(t.n_nodes)
             jac[diag, diag] += gmin
-            resid[:t.n_nodes] += gmin * x[:t.n_nodes]
-        return jac, resid
+        return jac
 
     def newton_solve(self, jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """The DC Newton step's linear solve.
@@ -799,27 +867,22 @@ class BoundMna:
         """
         t = self.template
         n = t.size
-        kindvals = self._kindvals
-        capvals = np.zeros((len(_CAP_KINDS), max(len(self._mosfets), 1)))
-        for dev, element in enumerate(self._mosfets):
-            device_op = op.device_ops[element.name]
-            kindvals[_KIND_GM, dev] = device_op.gm
-            kindvals[_KIND_GDS, dev] = device_op.gds
-            kindvals[_KIND_GMB, dev] = device_op.gmb
-            for kind, attr in enumerate(_CAP_KINDS):
-                capvals[kind, dev] = getattr(device_op, attr)
+        cond = []
+        caps = []
+        for name in t.mos_names:
+            device_op = op.device_ops[name]
+            cond += (device_op.gm, device_op.gds, device_op.gmb, 0.0)
+            caps += [getattr(device_op, attr) for attr in _CAP_KINDS]
 
         gv = self._gv
         if len(t._g_mos_pos):
-            gv[t._g_mos_pos] = t._g_mos_sign * kindvals[t._g_mos_kind, t._g_mos_dev]
-        g_matrix = np.zeros((n, n))
-        np.add.at(g_matrix, (t._gr, t._gc), gv)
+            gv[t._g_mos_pos] = t._g_mos_sign * np.array(cond)[t._g_mos_val]
+        g_matrix = np.bincount(t._gflat, gv, n * n).reshape(n, n)
 
         cv = self._cv
         if len(t._c_mos_pos):
-            cv[t._c_mos_pos] = t._c_mos_sign * capvals[t._c_mos_kind, t._c_mos_dev]
-        c_matrix = np.zeros((n, n))
-        np.add.at(c_matrix, (t._cr, t._cc), cv)
+            cv[t._c_mos_pos] = t._c_mos_sign * np.array(caps)[t._c_mos_val]
+        c_matrix = np.bincount(t._cflat, cv, n * n).reshape(n, n)
 
         return LinearizedCircuit(
             layout=self.layout,

@@ -13,16 +13,19 @@ paper singles out for simulation — is captured.
 The step loop runs on the circuit's compiled stamp program
 (:mod:`repro.analysis.template`), the one the t=0 DC solve binds.  The DC
 program supplies every element stamp; per step only the switch
-conductances and the waveform-source values change.  The inductor
-companion branches and the capacitor companion stamps follow it, with
-values fixed once per call (the MOSFET capacitances at the t=0 operating
-point).  Each Newton iteration builds the jacobian and the residual with
-one ``np.bincount`` each over the ordered entry list.  ``np.bincount``
-adds its weights in input order, so every cell receives the same float
-additions, in the same order, as in the per-element walk with
-``isinstance`` dispatch and scalar ``+=`` stamps: the waveforms are
-bit-identical to that walk, which ``tests/analysis/transient_reference.py``
-keeps as the oracle.
+conductances and the waveform-source values change.  The capacitor
+companions join the DC program's fused residual layout as affine currents
+``g * (v_i - v_j) + ieq``; the inductor companions keep their history term
+``(v - r_eq * i) + rhs``.  Each Newton iterate builds its residual with
+one gather pair, one affine map, one signed gather and one
+``np.bincount``, and only an iterate that fails the convergence check
+builds a jacobian, with one more ``np.bincount`` over the DC program's
+entries, the inductor companion diagonals and the capacitor companion
+stamps.  ``np.bincount`` adds its weights in input order, so every cell
+receives the same float additions, in the same order, as in the
+per-element walk with ``isinstance`` dispatch and scalar ``+=`` stamps:
+the waveforms are bit-identical to that walk, which
+``tests/analysis/transient_reference.py`` keeps as the oracle.
 """
 
 from __future__ import annotations
@@ -32,20 +35,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.dc import DcSolution, solve_dc
+from repro.analysis.dc import DcSolution, _abs_max, solve_dc
 from repro.analysis.mna import GROUND, layout_for
 from repro.analysis.template import (
     _CAP_KINDS,
-    _OP_DC,
     _OP_SW_INV,
-    _OP_ZERO,
     BoundMna,
+    FusedResidual,
+    assemble_jacobian,
     bind_template,
+    device_eval,
 )
 from repro.circuit.elements import CurrentSource, VoltageSource
 from repro.circuit.netlist import Circuit
 from repro.errors import AnalysisError, ConvergenceError
-from repro.tech.mosfet import dc_current
 
 _MAX_NEWTON = 60
 _ABS_TOL = 1e-9
@@ -118,15 +121,17 @@ def _ext(idx: int, n: int) -> int:
 
 
 class _StepProgram:
-    """One run's Newton system, assembled from a bound stamp program.
+    """One run's Newton system, on the bound stamp program's fused layout.
 
-    Entry lists are the DC program's followed by the inductor companion
-    diagonals and then the capacitor companion stamps, in netlist order —
-    the order the element walk applied them.  ``begin_step`` refreshes
-    what depends on time (switch conductances, waveform-source values) and
-    on the accepted previous solution (companion history currents);
-    ``assemble`` rebuilds the jacobian and residual for one Newton iterate;
-    ``end_step`` advances the capacitor and inductor history.
+    The residual is the DC program's fused layout with one affine current
+    per capacitor companion appended (``C = g``, ``E = ieq``); the jacobian
+    entries are the DC program's followed by the inductor companion
+    diagonals and the capacitor companion stamps, in netlist order — the
+    order the element walk applied them.  ``begin_step`` refreshes what
+    depends on time (switch conductances, waveform-source values) and on
+    the accepted previous solution (companion history); ``residual``
+    evaluates one Newton iterate and ``jacobian`` the system at that
+    iterate; ``end_step`` advances the capacitor and inductor history.
     """
 
     def __init__(
@@ -139,61 +144,14 @@ class _StepProgram:
     ):
         t = bound.template
         n = t.size
-        self.size = n
         self._trap = trap = method == "trap"
         self._t = t
         self._mos_args = bound._mos_args
-        # (gm, gds, gmb, gm + gds + gmb) per device, flattened.
-        self._j_mos_val = t._j_mos_dev * 4 + t._j_mos_kind
-        self._vg_gain = bound._vg_gain
-        self._xe = np.zeros(n + 1)
         self._devices_x = None
-        self._devices_at = (np.zeros(0), np.zeros(0))
-
-        # Time-dependent slots of the DC program: switches and sources.
-        pair_sw = [
-            i for i, (op, _, _) in enumerate(t._pair_slots) if op == _OP_SW_INV
-        ]
-        self._switches = [circuit[t._pair_slots[i][1]] for i in pair_sw]
-        sw_of = {sw.name: k for k, sw in enumerate(self._switches)}
-        j_sw = [
-            (pos, sw_of[name], -1.0 if negate else 1.0)
-            for pos, (op, name, negate) in zip(t._j_const_pos, t._j_const_slots)
-            if op == _OP_SW_INV
-        ]
-        self._pair_sw = np.asarray(pair_sw, dtype=np.intp)
-        self._j_sw_pos = np.asarray([p for p, _, _ in j_sw], dtype=np.intp)
-        self._j_sw_src = np.asarray([s for _, s, _ in j_sw], dtype=np.intp)
-        self._j_sw_sign = np.asarray([g for _, _, g in j_sw], dtype=float)
-        self._pair_coeff = bound._pair_coeff.copy()
-
-        vs = [i for i, (op, _, _) in enumerate(t._vc_dc_slots) if op == _OP_DC]
-        ind = [i for i, (op, _, _) in enumerate(t._vc_dc_slots) if op == _OP_ZERO]
-        vs_elems = [circuit[t._vc_dc_slots[i][1]] for i in vs]
-        self._vs_pos = t._r_vc_pos[vs]
-        self._vs_p = t._vc_p[vs]
-        self._vs_n = t._vc_n[vs]
-        self._vs_val = np.array([e.dc for e in vs_elems], dtype=float)
-        self._vs_wave = [(k, e) for k, e in enumerate(vs_elems) if e.waveform]
-
-        inj_elems = [circuit[name] for _, name, _ in t._r_inj_slots]
-        self._inj_sign = np.array(
-            [-1.0 if negate else 1.0 for _, _, negate in t._r_inj_slots]
-        )
-        self._inj_val = np.array([e.dc for e in inj_elems], dtype=float)
-        self._inj_wave = [(k, e) for k, e in enumerate(inj_elems) if e.waveform]
-
-        # Inductor companion: v_new (+ v_prev) = r_eq * (i_new - i_prev).
-        inductance = np.array(
-            [circuit[t._vc_dc_slots[i][1]].inductance for i in ind], dtype=float
-        )
-        self._ind_req = (2.0 * inductance if trap else inductance) / dt
-        self._ind_pos = t._r_vc_pos[ind]
-        self._ind_p = t._vc_p[ind]
-        self._ind_n = t._vc_n[ind]
-        self._ind_k = t._rr[self._ind_pos]
-        self._ind_v = np.zeros(len(ind))
-        self._ind_rhs = np.zeros(len(ind))
+        self._devices_at: tuple[list, list, float] = ([], [], 0.0)
+        self._cond: list[float] = []
+        #: ``max |x|`` of the last :meth:`residual` iterate.
+        self.x_peak = 0.0
 
         # Capacitor companions at the t=0 operating point: explicit
         # capacitors and MOSFET capacitances, skipping empty ones.
@@ -208,142 +166,152 @@ class _StepProgram:
         cap_c = np.array([c for _, _, c in caps], dtype=float)
         self._cap_g = (2.0 * cap_c if trap else cap_c) / dt
         self._cap_neg_g = -self._cap_g
-        self._cap_a = np.asarray([_ext(i, n) for i, _, _ in caps], dtype=np.intp)
-        self._cap_b = np.asarray([_ext(j, n) for _, j, _ in caps], dtype=np.intp)
+        cap_a = np.asarray([_ext(i, n) for i, _, _ in caps], dtype=np.intp)
+        cap_b = np.asarray([_ext(j, n) for _, j, _ in caps], dtype=np.intp)
+        n_aff = len(t._aff_a)
+        self._caps = slice(n_aff, n_aff + len(caps))
         self._cap_current = np.zeros(len(caps))
-        self._cap_ieq = np.zeros(len(caps))
 
-        # Appended entries: inductor diagonals, then capacitor stamps in
-        # the order of stamp_conductance; residual rows +cur / -cur.
-        j_rows = list(self._ind_k)
-        j_cols = list(self._ind_k)
-        j_vals = list(-self._ind_req)
+        # The fused residual: the DC layout, then per capacitor
+        # resid[i] += cur and resid[j] -= cur.
         r_rows, r_src, r_sign = [], [], []
-        for k, ((i, j, _), g) in enumerate(zip(caps, self._cap_g.tolist())):
-            for row, col, value in ((i, i, g), (j, j, g)):
+        for k, (i, j, _) in enumerate(caps):
+            for row, sign in ((i, 1.0), (j, -1.0)):
+                if row != GROUND:
+                    r_rows.append(row)
+                    r_src.append(t._cur_off + n_aff + k)
+                    r_sign.append(sign)
+        self._fused = fused = FusedResidual(
+            t,
+            np.concatenate([t._aff_a, cap_a]),
+            np.concatenate([t._aff_b, cap_b]),
+            np.concatenate([t._rr, np.asarray(r_rows, dtype=np.intp)]),
+            np.concatenate([t._r_sign, np.asarray(r_sign, dtype=float)]),
+            np.concatenate([t._r_src, np.asarray(r_src, dtype=np.intp)]),
+        )
+        fused.c[:n_aff] = bound._fused.c
+        fused.c[self._caps] = self._cap_g
+        fused.vcvs = bound._fused.vcvs
+
+        # Time-dependent values of the DC program: switches and sources.
+        aff_sw = [
+            i for i, (op, _, _) in enumerate(t._aff_slots) if op == _OP_SW_INV
+        ]
+        self._switches = [circuit[t._aff_slots[i][1]] for i in aff_sw]
+        sw_of = {sw.name: k for k, sw in enumerate(self._switches)}
+        j_sw = [
+            (pos, sw_of[name], -1.0 if negate else 1.0)
+            for pos, (op, name, negate) in zip(t._j_const_pos, t._j_const_slots)
+            if op == _OP_SW_INV
+        ]
+        self._aff_sw = np.asarray(aff_sw, dtype=np.intp)
+        self._j_sw_pos = np.asarray([p for p, _, _ in j_sw], dtype=np.intp)
+        self._j_sw_src = np.asarray([s for _, s, _ in j_sw], dtype=np.intp)
+        self._j_sw_sign = np.asarray([g for _, _, g in j_sw], dtype=float)
+
+        # A voltage source's constraint subtracts its value: E = -value.
+        self._vs_wave = []
+        for aff, (_, name, _) in zip(t._vs_aff.tolist(), t._vs_slots):
+            element = circuit[name]
+            fused.e[aff] = -element.dc
+            if element.waveform:
+                self._vs_wave.append((aff, element))
+        inj_elems = [circuit[name] for _, name, _ in t._inj_slots]
+        fused.inj[:] = [e.dc for e in inj_elems]
+        self._inj_wave = [(k, e) for k, e in enumerate(inj_elems) if e.waveform]
+
+        # Inductor companion: v_new (+ v_prev) = r_eq * (i_new - i_prev).
+        inductance = np.array(
+            [circuit[name].inductance for name in t._ind_names], dtype=float
+        )
+        self._ind_req = (2.0 * inductance if trap else inductance) / dt
+        self._ind_aff = t._ind_aff
+        self._ind_k = t._ind_k
+        self._ind_v = np.zeros(len(inductance))
+        if len(inductance):
+            fused.inductor = (t._ind_aff, t._ind_k, self._ind_req)
+
+        # Jacobian: the DC entries, the inductor diagonals, then the
+        # capacitor stamps in the order of stamp_conductance.
+        j_rows = t._ind_k.tolist()
+        j_cols = list(j_rows)
+        j_vals = (-self._ind_req).tolist()
+        for (i, j, _), g in zip(caps, self._cap_g.tolist()):
+            for row, value in ((i, g), (j, g)):
                 if row != GROUND:
                     j_rows.append(row)
-                    j_cols.append(col)
+                    j_cols.append(row)
                     j_vals.append(value)
             if i != GROUND and j != GROUND:
                 j_rows += [i, j]
                 j_cols += [j, i]
                 j_vals += [-g, -g]
-            for row, sign in ((i, 1.0), (j, -1.0)):
-                if row != GROUND:
-                    r_rows.append(row)
-                    r_src.append(k)
-                    r_sign.append(sign)
         self._jflat = np.concatenate(
             [
-                t._jr * n + t._jc,
+                t._jflat,
                 np.asarray(j_rows, dtype=np.intp) * n
                 + np.asarray(j_cols, dtype=np.intp),
             ]
         )
         self._jv = np.concatenate([bound._jv, np.asarray(j_vals, dtype=float)])
-        self._rr = np.concatenate([t._rr, np.asarray(r_rows, dtype=np.intp)])
-        self._rv = np.zeros(len(self._rr))
-        self._rv[t._r_inj_pos] = self._inj_sign * self._inj_val
-        self._cap_rpos = len(t._rr) + np.arange(len(r_rows))
-        self._cap_rsrc = np.asarray(r_src, dtype=np.intp)
-        self._cap_rsign = np.asarray(r_sign, dtype=float)
 
-        self._xe[:n] = initial.x
-        self._cap_dv = self._xe[self._cap_a] - self._xe[self._cap_b]
+        xe = np.append(initial.x, 0.0)
+        self._cap_dv = xe[cap_a] - xe[cap_b]
 
     def begin_step(self, time: float, x_prev: np.ndarray) -> None:
         """Refresh the time-dependent values for the step ending at ``time``."""
-        t = self._t
+        fused = self._fused
         if self._switches:
             g = np.array([1.0 / sw.resistance_at(time) for sw in self._switches])
             self._jv[self._j_sw_pos] = self._j_sw_sign * g[self._j_sw_src]
-            self._pair_coeff[self._pair_sw] = g
-        for k, element in self._vs_wave:
-            self._vs_val[k] = element.value_at(time)
-        if self._inj_wave:
-            for k, element in self._inj_wave:
-                self._inj_val[k] = element.value_at(time)
-            self._rv[t._r_inj_pos] = self._inj_sign * self._inj_val
-        if len(self._ind_k):
-            self._ind_rhs = self._ind_req * x_prev[self._ind_k]
-            if self._trap:
-                self._ind_rhs = self._ind_rhs + self._ind_v
-        self._cap_ieq = self._cap_neg_g * self._cap_dv
+            fused.c[self._aff_sw] = g
+        for aff, element in self._vs_wave:
+            fused.e[aff] = -element.value_at(time)
+        for k, element in self._inj_wave:
+            fused.inj[k] = element.value_at(time)
+        if fused.inductor is not None:
+            rhs = self._ind_req * x_prev[self._ind_k]
+            fused.ind_rhs = rhs + self._ind_v if self._trap else rhs
+        ieq = fused.e[self._caps]
+        np.multiply(self._cap_neg_g, self._cap_dv, out=ieq)
         if self._trap:
-            self._cap_ieq = self._cap_ieq - self._cap_current
+            ieq -= self._cap_current
 
-    def _devices(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """MOSFET drain currents and conductances at ``x``.
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        """The step's Newton residual at ``x``; sets :attr:`x_peak`.
 
         The compact model runs on Python floats, exactly as the walk called
         it.  A step's first iterate is the previous step's converged
-        solution, the very array its last check assembled at; the step
-        loop never writes into an iterate, so that evaluation is reused.
+        solution, the very array its last check evaluated; the step loop
+        never writes into an iterate, so that evaluation is reused.
         """
         if x is not self._devices_x:
-            xl = x.tolist() + [0.0]
-            ids_list = []
-            conductances = []
-            for params, w, l, mult, d, g_, s, b in self._mos_args:
-                xs = xl[s]
-                ids, gm, gds, gmb = dc_current(
-                    params, w, l, xl[g_] - xs, xl[d] - xs, xl[b] - xs
-                )
-                gm *= mult
-                gds *= mult
-                gmb *= mult
-                ids_list.append(ids * mult)
-                conductances += (gm, gds, gmb, gm + gds + gmb)
-            self._devices_at = np.array(ids_list), np.array(conductances)
+            xl = x.tolist()
+            peak = _abs_max(xl)
+            xl.append(0.0)
+            ids, cond = device_eval(self._mos_args, xl)
+            self._devices_at = ids, cond, peak
             self._devices_x = x
-        return self._devices_at
+        ids, self._cond, self.x_peak = self._devices_at
+        return self._fused(x, ids)
 
-    def assemble(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Jacobian and residual of the step's Newton system at ``x``."""
-        t = self._t
-        n = self.size
-        xe = self._xe
-        xe[:n] = x
-        ids, conductances = self._devices(x)
+    def jacobian(self) -> np.ndarray:
+        """The step's Newton jacobian at the last :meth:`residual` iterate."""
+        return assemble_jacobian(self._t, self._jflat, self._jv, self._cond)
 
-        jv = self._jv
-        if len(ids):
-            jv[t._j_mos_pos] = t._j_mos_sign * conductances[self._j_mos_val]
-        jac = np.bincount(self._jflat, jv, n * n).reshape(n, n)
+    def end_step(self) -> None:
+        """Advance the companion history to the last residual's iterate.
 
-        rv = self._rv
-        if len(t._r_pair_pos):
-            cur = self._pair_coeff * (xe[t._pair_a] - xe[t._pair_b])
-            rv[t._r_pair_pos] = t._r_pair_sign * cur[t._r_pair_src]
-        if len(t._r_br_pos):
-            rv[t._r_br_pos] = t._r_br_sign * x[t._r_br_k]
-        if len(self._vs_pos):
-            rv[self._vs_pos] = (xe[self._vs_p] - xe[self._vs_n]) - self._vs_val
-        if len(self._ind_pos):
-            rv[self._ind_pos] = (
-                (xe[self._ind_p] - xe[self._ind_n]) - self._ind_req * x[self._ind_k]
-            ) + self._ind_rhs
-        if len(t._r_vg_pos):
-            rv[t._r_vg_pos] = (xe[t._vg_op] - xe[t._vg_on]) - self._vg_gain * (
-                xe[t._vg_cp] - xe[t._vg_cn]
-            )
-        if len(ids):
-            rv[t._r_mos_pos] = t._r_mos_sign * ids[t._r_mos_dev]
-        if len(self._cap_rpos):
-            cur = self._cap_g * (xe[self._cap_a] - xe[self._cap_b]) + self._cap_ieq
-            rv[self._cap_rpos] = self._cap_rsign * cur[self._cap_rsrc]
-        return jac, np.bincount(self._rr, rv, n)
-
-    def end_step(self, x: np.ndarray) -> None:
-        """Advance the companion history to the accepted solution ``x``."""
-        xe = self._xe
-        xe[: self.size] = x
-        dv = xe[self._cap_a] - xe[self._cap_b]
+        That iterate is the accepted solution, and its node-voltage
+        differences are already in the fused residual's ``diff``.
+        """
+        diff = self._fused.diff
+        dv = diff[self._caps]
         charge = self._cap_g * (dv - self._cap_dv)
         self._cap_current = charge - self._cap_current if self._trap else charge
         self._cap_dv = dv
-        self._ind_v = xe[self._ind_p] - xe[self._ind_n]
+        if self._fused.inductor is not None:
+            self._ind_v = diff[self._ind_aff]
 
 
 def simulate_transient(
@@ -392,22 +360,22 @@ def simulate_transient(
         t = times[step]
         program.begin_step(t, x)
         for _ in range(_MAX_NEWTON):
-            jac, resid = program.assemble(x)
-            if np.abs(resid).max() < _ABS_TOL * max(1.0, float(np.abs(x).max())):
+            resid = program.residual(x)
+            if _abs_max(resid.tolist()) < _ABS_TOL * max(1.0, program.x_peak):
                 break
             try:
-                dx = solve(jac, -resid)
+                dx = solve(program.jacobian(), -resid)
             except np.linalg.LinAlgError as exc:
                 raise ConvergenceError(
                     f"transient Newton singular at t={t:.3e}s"
                 ) from exc
-            limit = np.abs(dx[:n_nodes]).max() if n_nodes else 0.0
+            limit = _abs_max(dx[:n_nodes].tolist())
             if limit > _VSTEP_LIMIT:
                 dx *= _VSTEP_LIMIT / limit
             x = x + dx
         else:
             raise ConvergenceError(f"transient Newton did not converge at t={t:.3e}s")
-        program.end_step(x)
+        program.end_step()
         traces[columns, step] = x[take]
 
     return TransientResult(

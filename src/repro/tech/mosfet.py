@@ -57,50 +57,58 @@ class MosfetOperatingPoint:
     region: str  #: 'cutoff', 'triode' or 'saturation'.
 
 
-def _veff(vov: float) -> tuple[float, float]:
-    """Smooth max(vov, 0) and its derivative."""
-    root = math.sqrt(vov * vov + 4.0 * _VEFF_DELTA * _VEFF_DELTA)
-    veff = 0.5 * (vov + root)
-    dveff = 0.5 * (1.0 + vov / root)
-    return veff, dveff
+def device_constants(
+    params: MosfetParams, w: float, l: float
+) -> tuple[int, float, float, float, float, float, float, float, float]:
+    """The bias-independent constants of one device, for :func:`device_current`.
+
+    Returns ``(polarity, phi, vsb_min, sqrt(phi), vth0, gamma, kp * (w / l),
+    esat * l, lambda_l / l)``, where ``vsb_min = -phi + 0.05`` is the body
+    clamp.  Each is the exact expression the model evaluates, so hoisting
+    them out of a Newton loop (once per bound circuit) changes no bit.
+    """
+    phi = params.phi
+    return (
+        params.polarity,
+        phi,
+        -phi + 0.05,
+        math.sqrt(phi),
+        params.vth0,
+        params.gamma,
+        params.kp * (w / l),
+        params.esat * l,
+        params.lambda_l / l,
+    )
 
 
-def _threshold(params: MosfetParams, vsb: float) -> tuple[float, float]:
-    """Body-affected threshold and d(vth)/d(vsb) (polarity-normalized)."""
-    vsb_clamped = max(vsb, -params.phi + 0.05)
-    sq = math.sqrt(params.phi + vsb_clamped)
-    vth = params.vth0 + params.gamma * (sq - math.sqrt(params.phi))
-    if vsb > -params.phi + 0.05:
-        dvth = params.gamma / (2.0 * sq)
-    else:
-        dvth = 0.0
-    return vth, dvth
+#: ``4 * delta**2`` of the smooth overdrive, in the model's evaluation order.
+_VEFF_DELTA_SQ4 = 4.0 * _VEFF_DELTA * _VEFF_DELTA
 
 
 def _forward_current(
-    params: MosfetParams, w: float, l: float, vgs: float, vds: float, vbs: float
-) -> tuple[float, float, float, float, float, float]:
+    constants: tuple, vgs: float, vds: float, vbs: float
+) -> tuple[float, float, float, float, float, float, float]:
     """Normalized (NMOS-like, vds >= 0) current and partial derivatives.
 
-    Returns ``(id, gm, gds, gmb, veff, vdsat, vth)``.
+    ``constants`` comes from :func:`device_constants`.  Returns
+    ``(id, gm, gds, gmb, veff, vdsat, vth)``.
     """
-    # _threshold and _veff, inlined: this function runs once per device per
-    # Newton iteration, where the call overhead alone was measurable.
+    # The body-effect threshold and the smooth overdrive are inlined: this
+    # runs once per device per Newton iteration, where call overhead shows.
+    _, phi, vsb_min, sqrt_phi, vth0, gamma, beta, esat_l, lam = constants
     vsb = -vbs
-    vsb_clamped = max(vsb, -params.phi + 0.05)
-    sq = math.sqrt(params.phi + vsb_clamped)
-    vth = params.vth0 + params.gamma * (sq - math.sqrt(params.phi))
-    if vsb > -params.phi + 0.05:
-        dvth_dvsb = params.gamma / (2.0 * sq)
+    vsb_clamped = max(vsb, vsb_min)
+    sq = math.sqrt(phi + vsb_clamped)
+    vth = vth0 + gamma * (sq - sqrt_phi)
+    if vsb > vsb_min:
+        dvth_dvsb = gamma / (2.0 * sq)
     else:
         dvth_dvsb = 0.0
     vov = vgs - vth
-    root = math.sqrt(vov * vov + 4.0 * _VEFF_DELTA * _VEFF_DELTA)
+    root = math.sqrt(vov * vov + _VEFF_DELTA_SQ4)
     veff = 0.5 * (vov + root)
     dveff_dvov = 0.5 * (1.0 + vov / root)
 
-    beta = params.kp * (w / l)
-    esat_l = params.esat * l
     sat_factor = 1.0 / (1.0 + veff / esat_l)
     dsat_dveff = -sat_factor * sat_factor / esat_l
 
@@ -114,12 +122,12 @@ def _forward_current(
     dcore_dveff = vdse + (veff - vdse) * dvdse_dveff
     dcore_dvds = (veff - vdse) * dvdse_dvds
 
-    clm = 1.0 + (params.lambda_l / l) * vds
+    clm = 1.0 + lam * vds
     ids = beta * core * clm * sat_factor
 
     dids_dveff = beta * clm * (dcore_dveff * sat_factor + core * dsat_dveff)
     gm = dids_dveff * dveff_dvov
-    gds = beta * (dcore_dvds * clm * sat_factor + core * (params.lambda_l / l) * sat_factor)
+    gds = beta * (dcore_dvds * clm * sat_factor + core * lam * sat_factor)
     # d(ids)/d(vbs): raising vbs lowers vsb, lowers vth, raises vov.
     gmb = dids_dveff * dveff_dvov * dvth_dvsb
 
@@ -156,12 +164,23 @@ def dc_current(
     Handles PMOS (sign transformation) and reverse mode (vds < 0 after
     normalization) exactly like SPICE.
     """
-    p = params.polarity
+    return device_current(device_constants(params, w, l), vgs, vds, vbs)
+
+
+def device_current(
+    constants: tuple, vgs: float, vds: float, vbs: float
+) -> tuple[float, float, float, float]:
+    """:func:`dc_current` of a device whose :func:`device_constants` are known.
+
+    The compiled Newton loops bind the constants once per circuit and call
+    this per iterate.
+    """
+    p = constants[0]
     # Polarity normalization: analyze an equivalent NMOS.
     nvgs, nvds, nvbs = p * vgs, p * vds, p * vbs
 
     if nvds >= 0.0:
-        ids, gm, gds, gmb, _, _, _ = _forward_current(params, w, l, nvgs, nvds, nvbs)
+        ids, gm, gds, gmb, _, _, _ = _forward_current(constants, nvgs, nvds, nvbs)
         # d(p*I)/d(p*V) transformation cancels: terminal derivative = normalized.
         return p * ids, gm, gds, gmb
     # Reverse mode: swap drain and source.
@@ -169,7 +188,7 @@ def dc_current(
     swapped_vds = -nvds
     swapped_vbs = nvbs - nvds  # becomes vbd
     ids, gm_s, gds_s, gmb_s, _, _, _ = _forward_current(
-        params, w, l, swapped_vgs, swapped_vds, swapped_vbs
+        constants, swapped_vgs, swapped_vds, swapped_vbs
     )
     ids_term = -ids
     gm = -gm_s
@@ -201,7 +220,7 @@ def operating_point(
     # (the model used to be evaluated three times here; hot sizing loops
     # noticed).
     ids, fgm, fgds, fgmb, veff, vdsat, vth = _forward_current(
-        params, w, l, fvgs, fvds, fvbs
+        device_constants(params, w, l), fvgs, fvds, fvbs
     )
     if reverse:
         gm, gds, gmb = -fgm, fgm + fgds + fgmb, -fgmb

@@ -4,16 +4,21 @@ This is the contract that lets the compiled kernel be the default
 evaluation path while campaign records stay byte-identical to the legacy
 path: every jacobian, residual, small-signal matrix and DC solution the
 template produces equals the element-walk result exactly — not to a
-tolerance, to the bit.
+tolerance, to the bit.  Arrays are compared by their bytes, because
+``np.array_equal`` treats -0.0 and +0.0 as equal.
 """
 
+import math
 import pickle
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.analysis.dc import _ABS_TOL, _assemble, solve_dc
-from repro.analysis.mna import MnaLayout, layout_cache_disabled, layout_for
+from repro.analysis.dc import _ABS_TOL, _abs_max, _assemble, _newton, solve_dc
+from repro.analysis.mna import GROUND, MnaLayout, layout_cache_disabled, layout_for
 from repro.analysis.smallsignal import linearize
 from repro.analysis.template import (
     TEMPLATE_STATS,
@@ -35,10 +40,22 @@ from repro.circuit.elements import (
 )
 from repro.circuit.netlist import Circuit
 from repro.enumeration.candidates import PipelineCandidate
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, ConvergenceError
 from repro.specs import AdcSpec, plan_stages
 from repro.synth import HybridEvaluator, two_stage_space
 from repro.tech import CMOS025
+
+
+def assert_same_bytes(expected: np.ndarray, got: np.ndarray) -> None:
+    """Equal shape, dtype and bytes: the sign of every zero included."""
+    assert (got.shape, got.dtype) == (expected.shape, expected.dtype)
+    assert got.tobytes() == expected.tobytes()
+
+
+def _system(bound, x, gmin, scale):
+    """The compiled (jacobian, residual) at ``x``, in Newton's call order."""
+    resid = bound.residual(x, gmin, scale)
+    return bound.jacobian(gmin), resid
 
 
 def _opamp_bench(seed: int = 0):
@@ -84,9 +101,9 @@ class TestAssembleBitIdentity:
             x = rng.standard_normal(layout.size)
             for gmin, scale in ((0.0, 1.0), (1e-3, 1.0), (1e-9, 0.35)):
                 jac_ref, res_ref = _assemble(layout, x, gmin, scale)
-                jac, res = bound.assemble(x, gmin, scale)
-                assert np.array_equal(jac_ref, jac)
-                assert np.array_equal(res_ref, res)
+                jac, res = _system(bound, x, gmin, scale)
+                assert_same_bytes(jac_ref, jac)
+                assert_same_bytes(res_ref, res)
 
     def test_mixed_elements_assemble(self):
         circuit = _mixed_circuit()
@@ -97,9 +114,9 @@ class TestAssembleBitIdentity:
             x = rng.standard_normal(layout.size)
             for gmin, scale in ((0.0, 1.0), (1e-4, 0.7), (1e-9, 0.05)):
                 jac_ref, res_ref = _assemble(layout, x, gmin, scale)
-                jac, res = bound.assemble(x, gmin, scale)
-                assert np.array_equal(jac_ref, jac)
-                assert np.array_equal(res_ref, res)
+                jac, res = _system(bound, x, gmin, scale)
+                assert_same_bytes(jac_ref, jac)
+                assert_same_bytes(res_ref, res)
 
     def test_solve_dc_identical(self):
         bench, evaluator = _opamp_bench(5)
@@ -109,7 +126,7 @@ class TestAssembleBitIdentity:
             initial_guess=evaluator._dc_guess(),
             assembly=bind_template(bench),
         )
-        assert np.array_equal(ref.x, via_template.x)
+        assert_same_bytes(ref.x, via_template.x)
         assert ref.iterations == via_template.iterations
         assert ref.strategy == via_template.strategy
         assert ref.voltages == via_template.voltages
@@ -124,9 +141,9 @@ class TestAssembleBitIdentity:
             bound = bind_template(circuit)
             ref = linearize(circuit, op, include_noise=False)
             lin = bound.linearize(op)
-            assert np.array_equal(ref.g_matrix, lin.g_matrix)
-            assert np.array_equal(ref.c_matrix, lin.c_matrix)
-            assert np.array_equal(ref.b_ac, lin.b_ac)
+            assert_same_bytes(ref.g_matrix, lin.g_matrix)
+            assert_same_bytes(ref.c_matrix, lin.c_matrix)
+            assert_same_bytes(ref.b_ac, lin.b_ac)
 
 
 class TestTemplateCacheAndBinding:
@@ -154,10 +171,10 @@ class TestTemplateCacheAndBinding:
         clone = pickle.loads(pickle.dumps(template))
         assert clone.key == template.key
         x = np.random.default_rng(0).standard_normal(layout_for(bench).size)
-        jac_a, res_a = template.bind(bench).assemble(x, 1e-9, 0.5)
-        jac_b, res_b = clone.bind(bench).assemble(x, 1e-9, 0.5)
-        assert np.array_equal(jac_a, jac_b)
-        assert np.array_equal(res_a, res_b)
+        jac_a, res_a = _system(template.bind(bench), x, 1e-9, 0.5)
+        jac_b, res_b = _system(clone.bind(bench), x, 1e-9, 0.5)
+        assert_same_bytes(jac_a, jac_b)
+        assert_same_bytes(res_a, res_b)
 
     def test_bind_rejects_other_topology(self):
         bench, _ = _opamp_bench(1)
@@ -173,10 +190,10 @@ class TestTemplateCacheAndBinding:
         reference = bind_template(bench_b)
         layout = layout_for(bench_b)
         x = np.random.default_rng(0).standard_normal(layout.size)
-        jac_a, res_a = bound.assemble(x, 0.0, 1.0)
-        jac_b, res_b = reference.assemble(x, 0.0, 1.0)
-        assert np.array_equal(jac_a, jac_b)
-        assert np.array_equal(res_a, res_b)
+        jac_a, res_a = _system(bound, x, 0.0, 1.0)
+        jac_b, res_b = _system(reference, x, 0.0, 1.0)
+        assert_same_bytes(jac_a, jac_b)
+        assert_same_bytes(res_a, res_b)
 
     def test_layout_cache_shares_structure_not_values(self):
         bench_a, _ = _opamp_bench(1)
@@ -241,7 +258,7 @@ class TestCompiledDcSolve:
         guess = evaluator._dc_guess()
         ref = solve_dc(bench, initial_guess=guess)
         sol = solve_dc(bench, initial_guess=guess, assembly=bind_template(bench))
-        assert np.array_equal(ref.x, sol.x)
+        assert_same_bytes(ref.x, sol.x)
         assert (sol.iterations, sol.strategy) == (ref.iterations, ref.strategy)
         # KCL holds under the element walk's own assembly, not just the
         # template's.
@@ -252,7 +269,7 @@ class TestCompiledDcSolve:
         neighbour, _ = _opamp_bench(seed + 1)
         warm_ref = solve_dc(neighbour, x0=ref.x)
         warm = solve_dc(neighbour, x0=sol.x, assembly=bind_template(neighbour))
-        assert np.array_equal(warm_ref.x, warm.x)
+        assert_same_bytes(warm_ref.x, warm.x)
         assert (warm.iterations, warm.strategy) == (
             warm_ref.iterations,
             warm_ref.strategy,
@@ -262,7 +279,7 @@ class TestCompiledDcSolve:
         circuit = _mixed_circuit()
         ref = solve_dc(circuit)
         sol = solve_dc(circuit, assembly=bind_template(circuit))
-        assert np.array_equal(ref.x, sol.x)
+        assert_same_bytes(ref.x, sol.x)
         assert ref.voltages == sol.voltages
         assert ref.branch_currents == sol.branch_currents
 
@@ -282,3 +299,62 @@ class TestCompiledDcSolve:
         finally:
             _TEMPLATE_CACHE.clear()
             _TEMPLATE_CACHE.update(saved)
+
+
+class TestNewtonLoopContracts:
+    """A jacobian only for an iterate that steps; a NaN never converges."""
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_converged_newton_builds_one_jacobian_per_step(self, seed):
+        bench, evaluator = _opamp_bench(seed)
+        bound = bind_template(bench)
+        layout = bound.layout
+        x0 = np.zeros(layout.size)
+        for net, value in evaluator._dc_guess().items():
+            if layout.index(net) != GROUND:
+                x0[layout.index(net)] = value
+        built = []
+        jacobian = bound.jacobian
+
+        def counting(gmin):
+            built.append(gmin)
+            return jacobian(gmin)
+
+        bound.jacobian = counting
+        x, iterations, _ = _newton(layout, x0, 0.0, 1.0, assembly=bound)
+        assert iterations > 1
+        assert len(built) == iterations - 1
+        # The steps are the element walk's steps.
+        x_ref, iterations_ref, _ = _newton(layout_for(bench), x0, 0.0, 1.0)
+        assert iterations_ref == iterations
+        assert_same_bytes(x_ref, x)
+
+    def test_nan_source_never_converges(self):
+        c = Circuit("nan_source")
+        c.add(VoltageSource("vin", positive="a", negative="gnd", dc=math.nan))
+        c.add(Resistor("r1", "a", "b", 1e3))
+        c.add(Resistor("r2", "b", "gnd", 2e3))
+        with pytest.raises(ConvergenceError) as expected:
+            solve_dc(c)
+        with pytest.raises(ConvergenceError) as got:
+            solve_dc(c, assembly=bind_template(c))
+        assert str(got.value) == str(expected.value)
+        assert "residual nan A" in str(got.value)
+
+
+#: Floats with the values a residual norm must get right.
+_norm_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e-10, -1e-10]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_norm_floats, max_size=14))
+def test_abs_max_equals_numpy_max_abs(values):
+    expected = float(np.max(np.abs(values))) if values else 0.0
+    got = _abs_max(list(values))
+    if math.isnan(expected):
+        assert math.isnan(got)
+    else:
+        assert struct.pack("<d", got) == struct.pack("<d", expected)

@@ -2,15 +2,19 @@
 
 :func:`repro.analysis.transient.simulate_transient` runs on the compiled
 stamp program; ``transient_reference.py`` keeps the walk it replaced.
-Every comparison is exact: ``np.array_equal`` on the time axis and on
-every recorded waveform, and the same exception message when a run fails.
+Every comparison is exact: the bytes of the time axis and of every
+recorded waveform (``np.array_equal`` would let -0.0 meet +0.0), and the
+same exception message when a run fails.
 """
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import transient
 from repro.analysis.transient import simulate_transient
 from repro.blocks.mdac import SETTLING_STEP_TIME, build_settling_bench
 from repro.blocks.opamp_library import build_two_stage_miller
@@ -40,10 +44,11 @@ def assert_identical(circuit, **kwargs):
         assert got == expected
         return None
     assert not isinstance(got, tuple), got
-    assert np.array_equal(got.time, expected.time)
+    assert got.time.tobytes() == expected.time.tobytes()
     assert list(got.waveforms) == list(expected.waveforms)
     for net, wave in expected.waveforms.items():
-        assert np.array_equal(got.waveforms[net], wave), net
+        assert got.waveforms[net].dtype == wave.dtype, net
+        assert got.waveforms[net].tobytes() == wave.tobytes(), net
     return got
 
 
@@ -174,7 +179,7 @@ def test_settling_bench_recorded_output_matches_full_record():
     full = assert_identical(bench, t_stop=t_stop, dt=dt)
     out = assert_identical(bench, t_stop=t_stop, dt=dt, record=["out"])
     assert list(out.waveforms) == ["out"]
-    assert np.array_equal(out.voltage("out"), full.voltage("out"))
+    assert out.voltage("out").tobytes() == full.voltage("out").tobytes()
 
 
 # -- error parity ----------------------------------------------------------
@@ -195,3 +200,58 @@ def test_floating_node_raises_the_same_error_at_the_same_time():
         simulate_transient(b.circuit, **kwargs)
     assert str(got.value) == str(expected.value)
     assert "t=3.000e-09s" in str(got.value)
+
+
+def test_nan_waveform_raises_the_same_error_at_the_same_time():
+    # The source turns NaN after 2 ns: its residual row never converges.
+    b = CircuitBuilder("nan_wave", tech=CMOS025)
+    b.v("in", "gnd", dc=0.0, waveform=lambda t: math.nan if t > 2e-9 else 0.0)
+    b.r("in", "out", 1e3)
+    b.c("out", "gnd", 1e-12)
+    b.nmos("out", "out", "gnd", w=4e-6, l=0.5e-6)
+    kwargs = dict(t_stop=1e-8, dt=1e-9)
+    with pytest.raises(ConvergenceError) as expected:
+        reference_transient(b.circuit, **kwargs)
+    with pytest.raises(ConvergenceError) as got:
+        simulate_transient(b.circuit, **kwargs)
+    assert str(got.value) == str(expected.value)
+    assert "t=3.000e-09s" in str(got.value)
+
+
+# -- jacobians only for iterates that take a step -------------------------
+
+
+def _count_iterates(monkeypatch):
+    """Count the step program's residual and jacobian builds."""
+    counts = {"residual": 0, "jacobian": 0}
+    program = transient._StepProgram
+    for name in counts:
+        method = getattr(program, name)
+
+        def counted(self, *args, _method=method, _name=name):
+            counts[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(program, name, counted)
+    return counts
+
+
+def test_step_converging_at_its_first_iterate_builds_no_jacobian(monkeypatch):
+    # A circuit at rest: every step's first iterate is its solution.
+    b = CircuitBuilder("at_rest", tech=CMOS025)
+    b.v("vdd", "gnd", dc=3.3)
+    b.r("vdd", "out", 1e4)
+    b.c("out", "gnd", 1e-12)
+    b.nmos("out", "out", "gnd", w=4e-6, l=0.5e-6)
+    counts = _count_iterates(monkeypatch)
+    result = simulate_transient(b.circuit, t_stop=2e-8, dt=1e-9)
+    assert counts == {"residual": len(result.time) - 1, "jacobian": 0}
+
+
+def test_every_iterate_but_the_converging_one_builds_a_jacobian(monkeypatch):
+    bench, t_stop, dt = _settling_bench(0, 1)
+    counts = _count_iterates(monkeypatch)
+    result = simulate_transient(bench, t_stop=t_stop, dt=dt)
+    steps = len(result.time) - 1
+    assert counts["jacobian"] > 0
+    assert counts["residual"] == counts["jacobian"] + steps
