@@ -10,10 +10,12 @@ The PR 3 tentpole claim, measured three ways on a standard
 * **equation-metric stage throughput** — the transfer-function stage
   alone (the paper's "formulate the numerical transfer function" step):
   the seed solved it one frequency at a time through per-call
-  ``np.linalg.solve``; the kernel solves each of its two grids (the
-  DC-gain point, then the loop grid) as one stacked batch.  This is
-  where the batched-linear-solve tentpole lands its biggest factor
-  (>= 3x is asserted here);
+  ``np.linalg.solve``; the kernel solves each of the evaluator's staged
+  read-outs (the DC-gain point, the top of the loop grid, then its
+  bottom) as one stacked batch, and the joined read-out has the bytes of
+  the per-frequency loop over the whole grid.  This is where the
+  batched-linear-solve tentpole lands its biggest factor (>= 3x is
+  asserted here, on the best of several timed blocks);
 * **result identity** — both sides must produce bit-identical
   synthesis results (the determinism contract that lets the compiled
   kernel be the default).
@@ -50,6 +52,47 @@ def _block_spec():
     spec = AdcSpec(resolution_bits=13)
     plan = plan_stages(spec, PipelineCandidate((4, 3, 2), 13, 7))
     return plan.mdacs[2]  # the 2-bit stage: fastest standard block
+
+
+def staged_read_out(evaluator: HybridEvaluator, sizing):
+    """The evaluator's AC read-outs of one candidate, per frequency and stacked.
+
+    Returns ``(legacy, batched, identical)``: two callables that solve the
+    DC-gain point, the top of the loop grid and its bottom, the reference
+    per-frequency loop and the evaluator's stacked solves, and whether the
+    stacked read-outs joined as ``[gain point | bottom | top]`` have the
+    bytes of the per-frequency loop over the whole grid.
+    """
+    staged = evaluator._stage_equation(sizing)
+    assert staged.op is not None
+    lin = evaluator._linearize(staged)
+    k0 = evaluator._k0
+    reads = (_GAIN_FREQS, _LOOP_FREQS[k0:], _LOOP_FREQS[1:k0])
+
+    def legacy():
+        return [ac_reference.ac_transfer(lin, "out", f) for f in reads]
+
+    def batched():
+        return [evaluator._transfer(lin, f) for f in reads]
+
+    gain, top, bottom = batched()
+    joined = np.concatenate((gain, bottom, top))
+    identical = (
+        joined.tobytes() == ac_reference.ac_transfer(lin, "out", _LOOP_FREQS).tobytes()
+    )
+    return legacy, batched, identical
+
+
+def best_rate(fn, repeats: int, blocks: int = 5) -> float:
+    """Calls per second of ``fn``: the best of ``blocks`` timed blocks."""
+    fn()
+    best = 0.0
+    for _ in range(blocks):
+        start = time.perf_counter()
+        for _ in range(repeats):
+            fn()
+        best = max(best, repeats / (time.perf_counter() - start))
+    return best
 
 
 def _synthesize(budget: int = 400):
@@ -91,38 +134,21 @@ def test_kernel_throughput_and_identity(once):
 
 @pytest.mark.slow
 def test_equation_metric_stage_speedup():
-    """The batched AC sweep is >= 3x the per-frequency legacy loop."""
+    """The batched AC read-outs are >= 3x the per-frequency legacy loop."""
     mdac = _block_spec()
     space = two_stage_space(mdac, CMOS025)
     evaluator = HybridEvaluator(mdac, CMOS025)
     rng = np.random.default_rng(1)
-    staged = evaluator._stage_equation(space.decode(rng.random(space.dimension)))
-    assert staged.lin is not None
-    lin = staged.lin
+    legacy_stage, batched_stage, identical = staged_read_out(
+        evaluator, space.decode(rng.random(space.dimension))
+    )
+    assert identical
 
-    # The evaluator's two read-outs: the DC-gain point, then the loop grid.
-    def legacy_stage():
-        return [ac_reference.ac_transfer(lin, "out", f) for f in (_GAIN_FREQS, _LOOP_FREQS)]
-
-    def batched_stage():
-        return [evaluator._transfer(lin, f) for f in (_GAIN_FREQS, _LOOP_FREQS)]
-
-    # Identical transfer vectors, slice for slice.
-    assert all(map(np.array_equal, legacy_stage(), batched_stage()))
-
-    def rate(fn, repeats=30):
-        fn()
-        start = time.perf_counter()
-        for _ in range(repeats):
-            fn()
-        return repeats / (time.perf_counter() - start)
-
-    legacy_rate = rate(legacy_stage)
-    batched_rate = rate(batched_stage)
+    legacy_rate = best_rate(legacy_stage, 30)
+    batched_rate = best_rate(batched_stage, 30)
     speedup = batched_rate / legacy_rate
     print(
         f"\nequation-metric stage: legacy {legacy_rate:6.1f}/s, "
         f"batched {batched_rate:6.1f}/s -> {speedup:.2f}x"
     )
     assert speedup >= 3.0
-

@@ -30,6 +30,9 @@ registry counter micro-rate; see ``benchmarks/bench_obs.py``).
 ``--check`` is the CI regression guard: it fails the run when the compiled
 kernel is slower than the reference walk on the same workload, when any
 variant's synthesis result diverges (the bit-identity contract), when the
+compiled search rejected no candidate at one of the three ``reject``
+stages (after the DC solve, the gain point, the top of the loop grid), when
+the staged AC read-out's bytes differ from the per-frequency loop, when the
 compiled transient step is slower than the walk or its waveform bytes
 differ, when the
 behavioral batch kernel is not bit-identical to the scalar walk or misses
@@ -72,13 +75,17 @@ from repro.behavioral.verify import draw_error_models
 from repro.engine.persist import sizing_digest
 from repro.engine.threads import pin_blas_threads
 from repro.enumeration.candidates import PipelineCandidate, enumerate_candidates
+from repro.obs import metrics
 from repro.specs import AdcSpec, plan_stages
 from repro.synth import HybridEvaluator, synthesize_mdac, two_stage_space
-from repro.synth.evaluator import _GAIN_FREQS, _LOOP_FREQS
+from repro.synth.evaluator import _LOOP_FREQS, REJECT_STAGES
 from repro.tech import CMOS025
-from tests.analysis import ac_reference, transient_reference
+from tests.analysis import transient_reference
 from tests.behavioral import batch_reference
 from tests.synth.evaluator_reference import ReferenceEvaluator
+
+# The AC read-out helpers sit next to this script.
+from bench_evaluator_kernel import best_rate, staged_read_out
 
 
 def _block_spec():
@@ -87,33 +94,46 @@ def _block_spec():
     return plan.mdacs[2]
 
 
+def _rejected_at() -> dict[str, int]:
+    counters = metrics.snapshot()["counters"]
+    return {s: counters.get(f"synth.rejected_at_{s}", 0) for s in REJECT_STAGES}
+
+
 def _time_synthesize(budget: int, reference: bool = False):
-    """Time one synthesis; ``reference`` runs it on the reference walk."""
+    """Time one synthesis; ``reference`` runs it on the reference walk.
+
+    Returns the result, its wall time and its rejections by stage.
+    """
     mdac = _block_spec()
 
     def run():
+        before = _rejected_at()
         start = time.perf_counter()
         result = synthesize_mdac(
             mdac, CMOS025, budget=budget, seed=1, verify_transient=False
         )
-        return result, time.perf_counter() - start
+        wall = time.perf_counter() - start
+        rejected = {s: n - before[s] for s, n in _rejected_at().items()}
+        return result, wall, rejected
 
     if reference:
         with layout_cache_disabled(), mock.patch(
             "repro.synth.synthesis.HybridEvaluator", ReferenceEvaluator
         ):
             run()  # warm module/caches
-            result, wall = run()
-    else:
-        run()
-        result, wall = run()
-    return result, wall
+            return run()
+    run()
+    return run()
 
 
 def stage_synthesize(budget: int) -> dict:
-    """Full-candidate equation-evaluation throughput per kernel."""
-    legacy, legacy_wall = _time_synthesize(budget, reference=True)
-    compiled_, compiled_wall = _time_synthesize(budget)
+    """Full-candidate equation-evaluation throughput per kernel.
+
+    Also records the compiled search's rejections by stage; the
+    reference evaluator ignores ``reject``.
+    """
+    legacy, legacy_wall, _ = _time_synthesize(budget, reference=True)
+    compiled_, compiled_wall, rejected_at = _time_synthesize(budget)
     identical = (
         sizing_digest(legacy) == sizing_digest(compiled_)
         and legacy.history == compiled_.history
@@ -129,39 +149,25 @@ def stage_synthesize(budget: int) -> dict:
         "wall_compiled_s": round(compiled_wall, 3),
         "speedup_full_candidate": round(legacy_wall / compiled_wall, 2),
         "identical_results": identical,
+        "rejected_at": rejected_at,
     }
 
 
 def stage_equation_metrics(repeats: int) -> dict:
-    """The AC/transfer-function stage: per-frequency loop vs batched stack."""
+    """The AC/transfer-function stage: per-frequency loop vs batched stacks."""
     mdac = _block_spec()
     space = two_stage_space(mdac, CMOS025)
     evaluator = HybridEvaluator(mdac, CMOS025)
     rng = np.random.default_rng(1)
-    staged = evaluator._stage_equation(space.decode(rng.random(space.dimension)))
-    lin = staged.lin
-
-    # The evaluator's two read-outs: the DC-gain point, then the loop grid.
-    def legacy_stage():
-        return [ac_reference.ac_transfer(lin, "out", f) for f in (_GAIN_FREQS, _LOOP_FREQS)]
-
-    def batched_stage():
-        return [evaluator._transfer(lin, f) for f in (_GAIN_FREQS, _LOOP_FREQS)]
-
-    identical = all(map(np.array_equal, legacy_stage(), batched_stage()))
-
-    def rate(fn):
-        fn()
-        start = time.perf_counter()
-        for _ in range(repeats):
-            fn()
-        return repeats / (time.perf_counter() - start)
-
-    legacy_rate, batched_rate = rate(legacy_stage), rate(batched_stage)
+    legacy_stage, batched_stage, identical = staged_read_out(
+        evaluator, space.decode(rng.random(space.dimension))
+    )
+    legacy_rate = best_rate(legacy_stage, repeats)
+    batched_rate = best_rate(batched_stage, repeats)
     return {
         "workload": (
-            f"{len(_GAIN_FREQS)}+{len(_LOOP_FREQS)}-point AC read-out "
-            "of the opamp testbench"
+            f"{len(_LOOP_FREQS)}-point AC read-out of the opamp testbench "
+            "(gain point, top and bottom of the loop grid)"
         ),
         "legacy_sweeps_per_s": round(legacy_rate, 1),
         "batched_sweeps_per_s": round(batched_rate, 1),
@@ -391,6 +397,9 @@ def main(argv=None) -> int:
         failures = []
         if not synth["identical_results"]:
             failures.append("synthesize_mdac results diverged across kernels")
+        for stage, count in synth["rejected_at"].items():
+            if not count:
+                failures.append(f"synthesize_mdac rejected no candidate at {stage!r}")
         if not eqn["identical_results"]:
             failures.append("batched AC sweep diverged from the reference loop")
         if not trans["identical_results"]:

@@ -10,6 +10,8 @@ import numpy as np
 from repro.errors import SynthesisError
 
 #: ``reject(bound) -> bool``: would any cost ``>= bound`` be turned down?
+#: A cost function may ask it any number of times, each time with a lower
+#: bound on the cost it returns.
 Reject = Callable[[float], bool]
 
 #: ``cost_fn(x, reject)``; ``reject`` is None for a point compared with nothing.
@@ -41,24 +43,22 @@ class _Comparison:
 
     The acceptance test draws a uniform ``u`` exactly when the candidate
     costs more than the current point.  :meth:`reject` draws that same
-    ``u`` early, once a lower bound already says the candidate costs more,
-    and :meth:`accepts` reuses it, so the random stream never moves.
+    ``u`` early, on the first ask whose lower bound already says the
+    candidate costs more; later asks and :meth:`accepts` reuse it, so the
+    random stream never moves.
     """
 
     def __init__(self, rng: np.random.Generator, cost: float, temperature: float):
         self.rng = rng
         self.cost = cost
         self.temperature = max(temperature, 1e-12)
-        self.asked = False
         self.u: float | None = None
 
     def reject(self, bound: float) -> bool:
-        if self.asked:
-            raise SynthesisError("cost function called reject twice")
-        self.asked = True
         if not bound > self.cost:
             return False
-        self.u = self.rng.random()
+        if self.u is None:
+            self.u = self.rng.random()
         # Every cost >= bound has a delta >= bound - cost, so an
         # acceptance probability no larger than this one (up to the slack).
         return self.u >= np.exp(-(bound - self.cost) / self.temperature) * _EXP_SLACK
@@ -91,13 +91,16 @@ def anneal(
     ``cost_fn(x, reject)`` maps a point in [0,1]^dimension to a scalar
     cost; lower is better.  For each candidate, ``reject(bound)`` answers
     whether any cost ``>= bound`` would be turned down.  A cost function
-    may ask it once, with a lower bound on the cost, and after a ``True``
-    may return ``inf`` instead of finishing the cost: the candidate is
-    turned down either way.  The starting point is compared with nothing
-    and gets ``reject=None``.  Asking twice, or returning a cost at or
-    below the current one after ``reject`` drew the acceptance uniform,
-    would shift the random stream and raises :class:`SynthesisError`.
-    ``x0`` warm-starts the search (the retargeting mechanism).
+    may ask it as often as it learns a lower bound on the cost, and after
+    a ``True`` may return ``inf`` instead of finishing the cost: the
+    candidate is turned down either way.  The acceptance uniform is drawn
+    at most once per candidate, on the first ask whose bound exceeds the
+    current cost, and every later answer reuses it, so asking never moves
+    the random stream.  The starting point is compared with nothing and
+    gets ``reject=None``.  Returning a cost at or below the current one
+    after ``reject`` drew the uniform would shift the stream and raises
+    :class:`SynthesisError`.  ``x0`` warm-starts the search (the
+    retargeting mechanism).
     """
     if budget < 2:
         raise SynthesisError("budget must be >= 2")

@@ -19,16 +19,18 @@ for.  Benchmarks quantify the trade (bench_ablation_evaluator).
 The equation half runs on compiled kernels: the testbench topology is
 compiled once into a parametric MNA stamp template
 (:mod:`repro.analysis.template`), the DC Newton iterations assemble through
-vectorized scatters, and the AC read-out solves as two stacked
-``np.linalg.solve`` calls, the 1 kHz DC-gain point and then the 241-point
-loop grid.  Results are bit-identical to the per-element stamp walk and
-per-frequency AC loop they replaced, which
+vectorized scatters, and the AC read-out solves as stacked
+``np.linalg.solve`` calls: the 1 kHz DC-gain point, the top of the loop
+grid, then its bottom.  Results are bit-identical to the per-element stamp
+walk and per-frequency AC loop they replaced, which
 ``tests/synth/evaluator_reference.py`` keeps as the oracle.
 
-Between the two AC solves the power, the saturation margin and the DC gain
-already give a lower bound on the cost.  A search that passes ``reject``
-(see :meth:`HybridEvaluator.evaluate`) learns that bound first, and a
-candidate it would turn down anyway skips the loop sweep.
+Each stage tightens a lower bound on the cost: the power and the
+saturation margin after the DC solve, the DC gain after the gain point,
+the bandwidth after the top of the loop grid.  A search that passes
+``reject`` (see :meth:`HybridEvaluator.evaluate`) learns each bound as it
+is known, and a candidate it would turn down anyway skips the rest of its
+evaluation.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 from repro.analysis.ac import ac_system_stack, solve_ac_stack
 from repro.analysis.dc import DcSolution, solve_dc
 from repro.analysis.smallsignal import LinearizedCircuit
-from repro.analysis.template import bind_template
+from repro.analysis.template import BoundMna, bind_template
 from repro.analysis.transient import simulate_transient
 from repro.blocks.mdac import SETTLING_STEP_TIME, MdacNetwork, build_settling_bench
 from repro.blocks.opamp import TwoStageSizing
@@ -77,8 +79,68 @@ _GAIN_FREQS = np.array([_DC_GAIN_FREQ])
 #: Loop-gain sweep grid [Hz] (the legacy ``_loop_margin`` grid).
 _LOOP_FREQS = np.logspace(3, 11, 241)
 
+# The gain point is the grid's first point, so the read-out
+# [gain point | bottom | top] is the whole grid.
+assert _LOOP_FREQS[0] == _DC_GAIN_FREQ
+
+#: The top of the loop grid starts at the first point at or above the
+#: required closed-loop bandwidth divided by this.
+_TOP_DIVISOR = 2.0
+
+#: Relative slack on the grid point that bounds a crossing below the top:
+#: it covers the rounding of the log-interpolated crossing frequency.
+_CROSSING_SLACK = 1.0 + 1e-9
+
 #: Cost of a candidate whose DC solve, linearization or AC solve failed.
 FAILED_COST = 1e6
+
+#: The stages after which a search's ``reject`` callback is asked.
+REJECT_STAGES = ("dc", "gain", "bandwidth")
+
+
+def _split_index(required_hz: float) -> int:
+    """First loop-grid index at or above ``required_hz / _TOP_DIVISOR``.
+
+    Clamped to [1, 240], so the bottom never holds the gain point and the
+    top is never empty.
+    """
+    k0 = int(np.searchsorted(_LOOP_FREQS, required_hz / _TOP_DIVISOR))
+    return min(max(k0, 1), len(_LOOP_FREQS) - 1)
+
+
+def _unity_crossing(
+    freqs: np.ndarray, loop_mag: np.ndarray
+) -> tuple[int, float, float] | None:
+    """The last downward unity crossing of ``loop_mag`` over ``freqs``.
+
+    Returns ``(k, t, fx)``: the crossing lies between points ``k`` and
+    ``k + 1`` (``loop_mag[k] >= 1 > loop_mag[k + 1]``), ``t`` is its
+    log-interpolated position between them and ``fx`` its frequency.
+    None when there is none; a NaN entry is never part of a crossing.
+    """
+    down = np.nonzero((loop_mag[:-1] >= 1.0) & (loop_mag[1:] < 1.0))[0]
+    if len(down) == 0:
+        return None
+    k = int(down[-1])
+    m1, m2 = loop_mag[k], loop_mag[k + 1]
+    t = math.log(m1) / (math.log(m1) - math.log(m2))
+    return k, t, freqs[k] ** (1 - t) * freqs[k + 1] ** t
+
+
+def _top_bandwidth_violation(
+    required_hz: float, top_freqs: np.ndarray, top_mag: np.ndarray
+) -> float:
+    """A lower bound on the bandwidth violation, from the top of the grid.
+
+    A crossing in the top is the whole grid's last one, so the term is
+    exact.  Otherwise any crossing lies at or below the top's first point
+    (the boundary pair included), and no crossing at all costs 1.0, so
+    that point, with :data:`_CROSSING_SLACK`, bounds the crossing.
+    """
+    crossing = _unity_crossing(top_freqs, top_mag)
+    unity = top_freqs[0] * _CROSSING_SLACK if crossing is None else crossing[2]
+    return float((required_hz - unity) / required_hz)
+
 
 @dataclass
 class EvalResult:
@@ -88,7 +150,7 @@ class EvalResult:
     sizing: object
     #: Estimated block power (differential implementation) [W].
     power: float
-    #: Open-loop DC gain [V/V].
+    #: Open-loop DC gain [V/V]; NaN when rejected before the gain point.
     dc_gain: float
     #: Loop unity-gain frequency (a*beta crossing) [Hz].
     loop_unity_hz: float | None
@@ -123,13 +185,16 @@ class EvalResult:
 
 @dataclass
 class _StagedEvaluation:
-    """Per-candidate state between the DC stage and the AC read-out."""
+    """One candidate's DC stage: what its linearization starts from."""
 
     sizing: object
-    failed: bool = False
+    bench: Circuit
+    #: Bound stamp template of ``bench``, or None for the element walk.
+    assembly: BoundMna | None
+    #: Operating point; None when the DC solve failed.
+    op: DcSolution | None = None
     power: float = float("inf")
     saturation: float = -1.0
-    lin: LinearizedCircuit | None = None
 
 
 class HybridEvaluator:
@@ -151,12 +216,23 @@ class HybridEvaluator:
         #: Counters for the ablation benchmarks and the metrics registry.
         self.equation_evals = 0
         self.transient_evals = 0
-        #: Evaluations a ``reject`` callback cut short before the loop sweep.
-        self.rejected_evals = 0
+        #: Evaluations a ``reject`` callback cut short, by the stage after
+        #: which it answered ``True`` (see :data:`REJECT_STAGES`).
+        self.rejected_at = dict.fromkeys(REJECT_STAGES, 0)
+        #: AC frequency points solved, the gain points included.
+        self.ac_points = 0
+        #: The loop grid's split: the bottom is ``_LOOP_FREQS[1:k0]`` and
+        #: the top ``_LOOP_FREQS[k0:]``.
+        self._k0 = _split_index(mdac.closed_loop_bw_hz)
         #: Scratch buffer for the per-candidate AC system stack.
         self._ac_stack_buf: np.ndarray | None = None
         #: Bound stamp template, reused (rebound) across candidates.
         self._bound = None
+
+    @property
+    def rejected_evals(self) -> int:
+        """Evaluations a ``reject`` callback cut short, at any stage."""
+        return sum(self.rejected_at.values())
 
     def _bind(self, bench: Circuit):
         """Bind (or rebind) the compiled stamp template onto ``bench``.
@@ -172,11 +248,16 @@ class HybridEvaluator:
         self._bound = bound
         return bound
 
+    def _read_out(self, lin: LinearizedCircuit, freqs: np.ndarray) -> np.ndarray:
+        """:meth:`_transfer`, counted in :attr:`ac_points`."""
+        self.ac_points += len(freqs)
+        return self._transfer(lin, freqs)
+
     def _transfer(self, lin: LinearizedCircuit, freqs: np.ndarray) -> np.ndarray:
         """Amplifier transfer to ``out`` over ``freqs``: one stacked solve.
 
         The system stack fills a per-evaluator scratch buffer sized for the
-        loop grid; the one-point gain read-out uses its first slice.
+        loop grid; each read-out uses its first ``len(freqs)`` slices.
         """
         buf = self._ac_stack_buf
         if buf is None or buf.shape[1] != lin.size:
@@ -214,37 +295,69 @@ class HybridEvaluator:
     ) -> EvalResult:
         """Hybrid evaluation; set ``run_transient`` for the simulation half.
 
-        ``reject(bound)`` is asked once, after the DC-gain point and before
-        the loop sweep, whether any cost ``>= bound`` would be turned down.
-        ``bound`` is the cost of the power, the DC-gain and the saturation
-        violations alone, capped at :data:`FAILED_COST`, so it is never
-        above the full :meth:`EvalResult.cost` (at its default power
-        scale): every omitted term is ``>= 0``, IEEE rounding is monotone,
-        and a failed loop sweep costs :data:`FAILED_COST`.  A NaN bound
-        never rejects.  On ``True`` the loop sweep, the loop margins and
-        the transient are skipped: the result carries the power, the
-        saturation margin and the DC gain, and an infinite ``rejected``
-        violation, so ``cost() == inf`` and it is not feasible.  A
-        candidate whose DC or gain point fails never asks.
+        ``reject(bound)`` asks whether any cost ``>= bound`` would be turned
+        down.  It is asked after each stage, with the cost of the
+        violations that stage knows, in the full dict's order, capped at
+        :data:`FAILED_COST`:
+
+        1. after the DC solve: the power and the saturation violation;
+        2. after the 1 kHz gain point: the DC-gain violation joins;
+        3. after the top of the loop grid, unless ``run_transient`` (a
+           passing settling check zeroes the bandwidth term): the
+           bandwidth violation, or a lower bound on it, joins.
+
+        No bound is above the full :meth:`EvalResult.cost` (at its default
+        power scale): every omitted term is ``>= 0``, IEEE rounding is
+        monotone, and a failed later stage costs :data:`FAILED_COST`.  Each
+        bound adds terms to the one before, so the bounds never decrease.
+        A NaN bound never rejects.  On
+        ``True`` the rest of the evaluation is skipped: the result carries
+        what the stages so far computed (``dc_gain`` is NaN before the gain
+        point), no loop margins, and an infinite ``rejected`` violation, so
+        ``cost() == inf`` and it is not feasible.  A stage that fails
+        returns the failed result and asks nothing more.
         """
         staged = self._stage_equation(sizing)
-        if staged.failed:
+        if staged.op is None:
             return self._infeasible(sizing)
+        saturation = (SATURATION_MARGIN - staged.saturation) / self.tech.vdd * 10.0
+        partial = self._partial(staged, math.nan, {"saturation": saturation})
+        if self._rejects(reject, partial, "dc"):
+            return partial
         try:
-            gain_point = self._transfer(staged.lin, _GAIN_FREQS)
+            lin = self._linearize(staged)
+            gain_point = self._read_out(lin, _GAIN_FREQS)
         except (AnalysisError, ReproError):
             return self._infeasible(sizing)
-        early = self._early_result(staged, abs(float(np.real(gain_point[0]))))
-        # min() keeps a NaN cost as the bound (1e6 < nan is False).
-        if reject is not None and reject(min(early.cost(), FAILED_COST)):
-            self.rejected_evals += 1
-            early.violations["rejected"] = math.inf
-            return early
+        dc_gain = abs(float(np.real(gain_point[0])))
+        gain = (self.mdac.dc_gain_min - dc_gain) / self.mdac.dc_gain_min
+        gained = self._partial(
+            staged, dc_gain, {"dc_gain": gain, "saturation": saturation}
+        )
+        if self._rejects(reject, gained, "gain"):
+            return gained
+        top_freqs = _LOOP_FREQS[self._k0 :]
         try:
-            loop = self._transfer(staged.lin, _LOOP_FREQS)
+            top = self._read_out(lin, top_freqs)
         except (AnalysisError, ReproError):
             return self._infeasible(sizing)
-        return self._finish(early, loop, run_transient)
+        if reject is not None and not run_transient:
+            bandwidth = _top_bandwidth_violation(
+                self.mdac.closed_loop_bw_hz, top_freqs, np.abs(top) * self.network.beta
+            )
+            partial = self._partial(
+                staged,
+                dc_gain,
+                {"dc_gain": gain, "bandwidth": bandwidth, "saturation": saturation},
+            )
+            if self._rejects(reject, partial, "bandwidth"):
+                return partial
+        try:
+            bottom = self._read_out(lin, _LOOP_FREQS[1 : self._k0])
+        except (AnalysisError, ReproError):
+            return self._infeasible(sizing)
+        loop = np.concatenate((gain_point, bottom, top))
+        return self._finish(gained, loop, run_transient)
 
     def evaluate_batch(
         self, sizings: list[TwoStageSizing], run_transient: bool = False
@@ -253,39 +366,32 @@ class HybridEvaluator:
         # No caller left in the package; kept because e2ebench/layers.py wraps it by name.
         return [self.evaluate(sizing, run_transient) for sizing in sizings]
 
-    def _stage_equation(self, sizing: TwoStageSizing) -> "_StagedEvaluation":
-        """The order-dependent half: bench build, DC solve, linearization."""
+    def _stage_equation(self, sizing: TwoStageSizing) -> _StagedEvaluation:
+        """The order-dependent half: bench build and DC solve."""
         self.equation_evals += 1
-        staged = _StagedEvaluation(sizing=sizing)
         bench = self._ac_bench(sizing)
-        bound = self._bind(bench)
+        staged = _StagedEvaluation(sizing, bench, self._bind(bench))
         try:
-            op = self._solve_dc(bench, assembly=bound)
+            op = self._solve_dc(bench, assembly=staged.assembly)
         except (ConvergenceError, ReproError):
-            staged.failed = True
             return staged
+        staged.op = op
         staged.power = (
             self.tech.vdd
             * abs(op.supply_current("vdd_src"))
             * DIFFERENTIAL_FACTOR
         )
         staged.saturation = self._saturation_margin(op)
-        try:
-            staged.lin = bound.linearize(op)
-        except (AnalysisError, ReproError):
-            staged.failed = True
         return staged
 
-    def _early_result(
-        self, staged: "_StagedEvaluation", dc_gain: float
+    def _linearize(self, staged: _StagedEvaluation) -> LinearizedCircuit:
+        """Small-signal model at the staged operating point."""
+        return staged.assembly.linearize(staged.op)
+
+    def _partial(
+        self, staged: _StagedEvaluation, dc_gain: float, violations: dict[str, float]
     ) -> EvalResult:
-        """What the DC stage and the gain point decide: the bound's result."""
-        violations = {
-            "dc_gain": (self.mdac.dc_gain_min - dc_gain) / self.mdac.dc_gain_min,
-            "saturation": (SATURATION_MARGIN - staged.saturation)
-            / self.tech.vdd
-            * 10.0,
-        }
+        """What the stages so far decide: the result a bound is the cost of."""
         return EvalResult(
             sizing=staged.sizing,
             power=staged.power,
@@ -298,22 +404,35 @@ class HybridEvaluator:
             violations=violations,
         )
 
+    def _rejects(
+        self, reject: Reject | None, partial: EvalResult, stage: str
+    ) -> bool:
+        """Ask ``reject`` with ``partial``'s capped cost; mark it if rejected."""
+        if reject is None:
+            return False
+        # min() keeps a NaN cost as the bound (1e6 < nan is False).
+        if not reject(float(min(partial.cost(), FAILED_COST))):
+            return False
+        self.rejected_at[stage] += 1
+        partial.violations["rejected"] = math.inf
+        return True
+
     def _finish(
-        self, early: EvalResult, loop: np.ndarray, run_transient: bool
+        self, gained: EvalResult, loop: np.ndarray, run_transient: bool
     ) -> EvalResult:
-        """Loop margins, transient and full violations after the loop sweep."""
+        """Loop margins, transient and full violations after the loop grid."""
         loop_unity, pm = self._loop_margin_values(loop)
         settling = None
         if run_transient:
-            settling = self._transient_settling(early.sizing)
-        violations = self._violations(early.violations, loop_unity, pm, settling)
+            settling = self._transient_settling(gained.sizing)
+        violations = self._violations(gained.violations, loop_unity, pm, settling)
         return EvalResult(
-            sizing=early.sizing,
-            power=early.power,
-            dc_gain=early.dc_gain,
+            sizing=gained.sizing,
+            power=gained.power,
+            dc_gain=gained.dc_gain,
             loop_unity_hz=loop_unity,
             phase_margin=pm,
-            saturation_margin=early.saturation_margin,
+            saturation_margin=gained.saturation_margin,
             settling_error=settling,
             dc_ok=True,
             violations=violations,
@@ -375,20 +494,13 @@ class HybridEvaluator:
         unwrapped along the sweep so margins past -180 degrees report as
         negative instead of aliasing.
         """
-        beta = self.network.beta
-        freqs = _LOOP_FREQS
-        loop_mag = np.abs(a) * beta
-        phase = np.degrees(np.unwrap(np.angle(a)))
-        # Last downward unity crossing (vectorized form of the legacy scan).
-        down = np.nonzero((loop_mag[:-1] >= 1.0) & (loop_mag[1:] < 1.0))[0]
-        if len(down) == 0:
+        crossing = _unity_crossing(_LOOP_FREQS, np.abs(a) * self.network.beta)
+        if crossing is None:
             return None, None
-        crossing = int(down[-1])
-        # Log-interpolate the crossing frequency and phase.
-        m1, m2 = loop_mag[crossing], loop_mag[crossing + 1]
-        t = math.log(m1) / (math.log(m1) - math.log(m2))
-        fx = freqs[crossing] ** (1 - t) * freqs[crossing + 1] ** t
-        ph = phase[crossing] * (1 - t) + phase[crossing + 1] * t
+        k, t, fx = crossing
+        # The phase at the log-interpolated crossing.
+        phase = np.degrees(np.unwrap(np.angle(a)))
+        ph = phase[k] * (1 - t) + phase[k + 1] * t
         return fx, 180.0 + ph
 
     def _transient_settling(self, sizing: TwoStageSizing) -> float | None:
@@ -430,8 +542,9 @@ class HybridEvaluator:
     ) -> dict[str, float]:
         """All violations, in the order :meth:`EvalResult.cost` sums them.
 
-        ``early`` holds the DC-gain and saturation violations of
-        :meth:`_early_result`; the loop and settling entries go around them.
+        ``early`` holds the DC-gain and saturation violations the gain
+        point's bound was the cost of; the loop and settling entries go
+        around them.
         """
         v: dict[str, float] = {"dc_gain": early["dc_gain"]}
         required_bw = self.mdac.closed_loop_bw_hz

@@ -22,7 +22,8 @@ def pattern_search(
     step when a full sweep fails.  ``cost_fn(x, reject)`` follows the
     :func:`~repro.synth.anneal.anneal` protocol; a trial moves only when it
     costs less than the current point, so ``reject(bound)`` is
-    ``bound >= cost``.
+    ``bound >= cost``, which holds no state and may be asked any number
+    of times.
     """
     x = np.clip(np.asarray(x0, dtype=float), 0.0, 1.0)
     cost = cost_fn(x, None)

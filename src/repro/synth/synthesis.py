@@ -45,9 +45,14 @@ def synthesize_mdac(
     ``optimizer`` is ``"anneal"`` (default, NeoCircuit-style) or ``"de"``.
     ``x0`` (unit coordinates) warm-starts the search — used by retargeting.
     The anneal and the pattern-search polish hand the evaluator their
-    ``reject`` callback, so candidates they would turn down skip the loop
-    sweep; differential evolution compares without one.  The number of
-    such candidates goes to the ``synth.rejected_candidates`` counter.
+    ``reject`` callback, which it asks after the DC solve, the gain point
+    and the top of the loop grid, so a candidate they would turn down skips
+    the rest of its evaluation; differential evolution compares without
+    one.  Once per search, the number of such candidates goes to the
+    ``synth.rejected_candidates`` counter, split by stage into
+    ``synth.rejected_at_dc``, ``synth.rejected_at_gain`` and
+    ``synth.rejected_at_bandwidth``, and the AC frequency points the
+    evaluator solved to ``synth.ac_points``.
     """
     start = time.perf_counter()
     space = two_stage_space(mdac, tech)
@@ -69,7 +74,6 @@ def synthesize_mdac(
     # constraint margin the annealer leaves behind.
     polish_budget = max(40, budget // 4)
     best_x, _, _ = pattern_search(cost_fn, run.best_x, budget=polish_budget)
-    metrics.counter("synth.rejected_candidates", evaluator.rejected_evals)
 
     sizing = space.decode(best_x)
     final = evaluator.evaluate(sizing, run_transient=verify_transient)
@@ -96,6 +100,10 @@ def synthesize_mdac(
         )
         final = evaluator.evaluate(sizing, run_transient=True)
 
+    metrics.counter("synth.rejected_candidates", evaluator.rejected_evals)
+    for stage, count in evaluator.rejected_at.items():
+        metrics.counter(f"synth.rejected_at_{stage}", count)
+    metrics.counter("synth.ac_points", evaluator.ac_points)
     return SynthesisResult(
         spec=mdac,
         final=final,

@@ -4,10 +4,11 @@ A campaign whose syntheses run on the per-element equation path kept in
 ``tests/synth/evaluator_reference.py`` must write exactly the bytes the
 default compiled path writes — on the serial backend and on broker
 workers — extending the PR 1/PR 2 determinism guarantees to the kernel
-layer.  The default path prunes candidates its searches would turn down
-before their loop sweep; the reference evaluator never does, so equal
-bytes also show that pruning moves nothing, and each comparison checks
-that the default path really pruned.
+layer.  The default path prunes candidates its searches would turn down,
+after the DC solve, the gain point or the top of the loop grid; the
+reference evaluator never does, so equal bytes also show that pruning
+moves nothing, and each comparison checks that the default path really
+pruned, at every stage.
 """
 
 import pytest
@@ -15,7 +16,8 @@ import pytest
 import repro.synth.synthesis
 from repro.campaign import CampaignGrid, run_campaign
 from repro.engine.config import FlowConfig
-from tests.conftest import fleet_for, rejected_candidates
+from repro.synth.evaluator import REJECT_STAGES
+from tests.conftest import fleet_for, rejected_at, rejected_candidates
 from tests.synth.evaluator_reference import ReferenceEvaluator
 
 
@@ -43,9 +45,12 @@ def stores(tmp_path_factory):
         built.append(ReferenceEvaluator(*args, **kwargs))
         return built[-1]
 
-    before = rejected_candidates()
+    before, stages_before = rejected_candidates(), rejected_at()
     runs = {"compiled-serial": _store_bytes(tmp_path, "compiled-serial")}
     runs["pruned"] = rejected_candidates() - before
+    runs["pruned-at"] = {
+        stage: count - stages_before[stage] for stage, count in rejected_at().items()
+    }
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(repro.synth.synthesis, "HybridEvaluator", reference)
         before = rejected_candidates()
@@ -71,3 +76,8 @@ def test_compiled_matches_legacy_bytes(stores):
 def test_compiled_matches_legacy_broker_bytes(stores):
     assert stores["compiled-serial"] == stores["legacy-broker"]
     assert stores["pruned"] > 0 and stores["legacy-pruned"] == 0
+
+
+def test_every_stage_pruned(stores):
+    assert all(stores["pruned-at"][stage] > 0 for stage in REJECT_STAGES)
+    assert sum(stores["pruned-at"].values()) == stores["pruned"]

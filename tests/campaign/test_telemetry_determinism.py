@@ -15,6 +15,7 @@ from repro.campaign import CampaignGrid, run_campaign
 from repro.engine.config import FlowConfig
 from repro.obs import metrics as obs
 from repro.obs.trace import TRACE_DIRNAME, trace_enabled
+from repro.synth.evaluator import REJECT_STAGES
 from tests.conftest import broker_workers
 
 MODES = ("off", "metrics", "trace")
@@ -29,6 +30,10 @@ WORK_COUNTERS = (
     "cache.cold_runs",
     "cache.retargeted_runs",
     "synth.rejected_candidates",
+    "synth.rejected_at_dc",
+    "synth.rejected_at_gain",
+    "synth.rejected_at_bandwidth",
+    "synth.ac_points",
 )
 
 
@@ -131,6 +136,10 @@ class TestBackendDeterminism:
         assert serial["campaign.scenarios"] == 4
         # Bit-identity suites cannot see a bound that never fires; this can.
         assert serial["synth.rejected_candidates"] > 0
+        assert serial["synth.rejected_candidates"] == sum(
+            serial[f"synth.rejected_at_{stage}"] for stage in REJECT_STAGES
+        )
+        assert serial["synth.ac_points"] > 0
         queue_dir = str(tmp_path / "queue") if backend == "broker" else None
         with broker_workers(queue_dir) if backend == "broker" else nullcontext():
             store = _run(

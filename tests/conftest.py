@@ -20,6 +20,7 @@ from repro.engine.broker import DirectoryBroker
 from repro.engine.worker import WorkerLoop
 from repro.obs import metrics
 from repro.obs.trace import TRACER, configure_tracing
+from repro.synth.evaluator import REJECT_STAGES
 
 
 @pytest.fixture(autouse=True)
@@ -80,3 +81,9 @@ def fleet_for(config):
 def rejected_candidates() -> int:
     """The registry's ``synth.rejected_candidates`` count so far."""
     return metrics.REGISTRY.snapshot()["counters"].get("synth.rejected_candidates", 0)
+
+
+def rejected_at() -> dict[str, int]:
+    """The registry's ``synth.rejected_at_<stage>`` counts so far, by stage."""
+    counters = metrics.REGISTRY.snapshot()["counters"]
+    return {stage: counters.get(f"synth.rejected_at_{stage}", 0) for stage in REJECT_STAGES}

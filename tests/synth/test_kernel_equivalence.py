@@ -5,12 +5,16 @@ synthesis outcome of the compiled evaluator must be *bit-identical* to the
 per-element equation path kept in ``tests/synth/evaluator_reference.py``.
 
 The searches on the compiled evaluator also pass their ``reject`` callback
-through, so candidates they would turn down skip the loop sweep, while the
-reference evaluator ignores it.  Matching trajectories therefore show that
-pruning moves nothing, and every such comparison checks that it pruned.
+through, so candidates they would turn down skip the rest of their
+evaluation, while the reference evaluator ignores it.  Matching
+trajectories therefore show that pruning moves nothing; every such
+comparison checks that it pruned, and each suite that all three stages
+(after the DC solve, the gain point and the top of the loop grid)
+rejected somewhere across its cases.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -29,11 +33,18 @@ from repro.synth import (
     synthesize_mdac,
     two_stage_space,
 )
-from repro.synth.evaluator import FAILED_COST
+from repro.synth.evaluator import (
+    _LOOP_FREQS,
+    FAILED_COST,
+    REJECT_STAGES,
+    _split_index,
+    _top_bandwidth_violation,
+    _unity_crossing,
+)
 from repro.synth.patternsearch import pattern_search
 from repro.tech import CMOS025
 from repro.tech.process import CMOS025_SLOW
-from tests.conftest import rejected_candidates
+from tests.conftest import rejected_at, rejected_candidates
 from tests.synth.evaluator_reference import ReferenceEvaluator
 
 CORNERS = {"nom": CMOS025, "slow": CMOS025_SLOW}
@@ -49,6 +60,25 @@ def _sizings(tech, count, seed):
     space = two_stage_space(mdac, tech)
     rng = np.random.default_rng(seed)
     return mdac, [space.decode(rng.random(space.dimension)) for _ in range(count)]
+
+
+#: Compiled-side rejections by stage, per search case a test has run.
+_REJECTED_AT: dict[tuple, dict[str, int]] = {}
+
+
+def _assert_every_stage_rejected(cases):
+    """Each stage rejected in at least one of ``cases``.
+
+    ``cases`` maps a case key to a function that runs the case's compiled
+    side and returns its rejections by stage.  A case no test has recorded
+    yet (a ``-k`` selection, say) runs here.
+    """
+    totals = Counter()
+    for key, run in cases.items():
+        if key not in _REJECTED_AT:
+            _REJECTED_AT[key] = run()
+        totals.update(_REJECTED_AT[key])
+    assert all(totals[stage] > 0 for stage in REJECT_STAGES), totals
 
 
 def _assert_results_equal(a, b):
@@ -114,91 +144,125 @@ class TestCornerEquivalence:
         assert legacy.equation_evals == compiled_.equation_evals
 
 
+TRAJECTORY_CASES = [(2, 2), (1, 5), (0, 8)]
+
+
+def _search(kind, evaluator, seed):
+    """One search of the trajectory tests on ``evaluator``'s MDAC."""
+    space = two_stage_space(evaluator.mdac, evaluator.tech)
+
+    def cost(u, reject=None):
+        return evaluator.evaluate(space.decode(u), reject=reject).cost()
+
+    if kind == "anneal":
+        return anneal(cost, space.dimension, budget=40, seed=seed)
+    if kind == "de":
+        return differential_evolution(
+            cost, space.dimension, budget=32, seed=seed, population=8
+        )
+    # Pattern search from the old 0.5 start and a seeded one.
+    starts = (
+        np.full(space.dimension, 0.5),
+        np.random.default_rng(seed).random(space.dimension),
+    )
+    return [pattern_search(cost, x0, budget=30) for x0 in starts]
+
+
 class TestOptimizerTrajectories:
     """Each optimizer walks the same trajectory on either evaluator."""
 
-    @pytest.fixture(params=[(2, 2), (1, 5), (0, 8)], ids=lambda p: f"mdac{p[0]}-seed{p[1]}")
-    def setup(self, request):
+    @pytest.fixture(params=TRAJECTORY_CASES, ids=lambda p: f"mdac{p[0]}-seed{p[1]}")
+    def case(self, request):
         index, seed = request.param
         mdac = _mdac(index)
-        space = two_stage_space(mdac, CMOS025)
         evaluators = {
             "legacy": ReferenceEvaluator(mdac, CMOS025),
             "compiled": HybridEvaluator(mdac, CMOS025),
         }
+        return index, seed, evaluators
 
-        def cost(kernel):
-            evaluator = evaluators[kernel]
-            return lambda u, reject=None: evaluator.evaluate(
-                space.decode(u), reject=reject
-            ).cost()
+    @staticmethod
+    def _run(kind, case):
+        index, seed, evaluators = case
+        ref = _search(kind, evaluators["legacy"], seed)
+        got = _search(kind, evaluators["compiled"], seed)
+        assert (
+            evaluators["compiled"].equation_evals
+            == evaluators["legacy"].equation_evals
+        )
+        assert evaluators["legacy"].rejected_evals == 0
+        _REJECTED_AT[(kind, index, seed)] = dict(evaluators["compiled"].rejected_at)
+        return ref, got, evaluators["compiled"].rejected_evals
 
-        return space.dimension, evaluators, cost, seed
-
-    def test_anneal(self, setup):
-        dimension, evaluators, cost, seed = setup
-        ref = anneal(cost("legacy"), dimension, budget=40, seed=seed)
-        got = anneal(cost("compiled"), dimension, budget=40, seed=seed)
+    def test_anneal(self, case):
+        ref, got, rejected = self._run("anneal", case)
         assert got.history == ref.history
         assert np.array_equal(got.best_x, ref.best_x)
         assert got.best_cost == ref.best_cost
-        assert (
-            evaluators["compiled"].equation_evals
-            == evaluators["legacy"].equation_evals
-        )
-        assert evaluators["compiled"].rejected_evals > 0
-        assert evaluators["legacy"].rejected_evals == 0
+        assert rejected > 0
 
-    def test_differential_evolution(self, setup):
-        dimension, evaluators, cost, seed = setup
-        options = dict(budget=32, seed=seed, population=8)
-        ref = differential_evolution(cost("legacy"), dimension, **options)
-        got = differential_evolution(cost("compiled"), dimension, **options)
+    def test_differential_evolution(self, case):
+        ref, got, rejected = self._run("de", case)
         assert got.history == ref.history
         assert np.array_equal(got.best_x, ref.best_x)
-        assert (
-            evaluators["compiled"].equation_evals
-            == evaluators["legacy"].equation_evals
-        )
         # DE compares without a reject callback.
-        assert evaluators["compiled"].rejected_evals == 0
+        assert rejected == 0
 
-    def test_pattern_search(self, setup):
-        dimension, evaluators, cost, seed = setup
-        starts = (np.full(dimension, 0.5), np.random.default_rng(seed).random(dimension))
-        for x0 in starts:
-            ref_x, ref_cost, ref_evals = pattern_search(cost("legacy"), x0, budget=30)
-            got_x, got_cost, got_evals = pattern_search(cost("compiled"), x0, budget=30)
+    def test_pattern_search(self, case):
+        ref, got, rejected = self._run("pattern", case)
+        for (ref_x, *ref_rest), (got_x, *got_rest) in zip(ref, got):
             assert np.array_equal(got_x, ref_x)
-            assert (got_cost, got_evals) == (ref_cost, ref_evals)
-        assert (
-            evaluators["compiled"].equation_evals
-            == evaluators["legacy"].equation_evals
+            assert got_rest == ref_rest
+        assert rejected > 0
+
+    def test_every_stage_rejected(self):
+        def compiled(kind, index, seed):
+            def run():
+                evaluator = HybridEvaluator(_mdac(index), CMOS025)
+                _search(kind, evaluator, seed)
+                return dict(evaluator.rejected_at)
+
+            return run
+
+        _assert_every_stage_rejected(
+            {
+                (kind, index, seed): compiled(kind, index, seed)
+                for kind in ("anneal", "pattern")
+                for index, seed in TRAJECTORY_CASES
+            }
         )
-        assert evaluators["compiled"].rejected_evals > 0
+
+
+SYNTHESIS_CASES = [
+    ("anneal", 2, 1),
+    ("anneal", 0, 3),
+    ("anneal", 1, 4),
+    ("de", 2, 1),
+    ("de", 1, 2),
+]
+
+
+def _synthesize(optimizer, index, seed):
+    return synthesize_mdac(
+        _mdac(index),
+        CMOS025,
+        budget=60,
+        seed=seed,
+        optimizer=optimizer,
+        verify_transient=False,
+    )
 
 
 class TestSynthesisEquivalence:
-    @pytest.mark.parametrize(
-        "optimizer, index, seed",
-        [("anneal", 2, 1), ("anneal", 0, 3), ("anneal", 1, 4), ("de", 2, 1), ("de", 1, 2)],
-    )
+    @pytest.mark.parametrize("optimizer, index, seed", SYNTHESIS_CASES)
     def test_synthesize_identical_across_kernels(
         self, optimizer, index, seed, monkeypatch
     ):
-        def run():
-            return synthesize_mdac(
-                _mdac(index),
-                CMOS025,
-                budget=60,
-                seed=seed,
-                optimizer=optimizer,
-                verify_transient=False,
-            )
-
-        other = run()
+        other = _synthesize(optimizer, index, seed)
         # The anneal and the pattern-search polish (after DE too) pruned.
         assert rejected_candidates() > 0
+        assert sum(rejected_at().values()) == rejected_candidates()
+        _REJECTED_AT[("synth", optimizer, index, seed)] = rejected_at()
         built = []
 
         def reference(*args, **kwargs):
@@ -207,7 +271,7 @@ class TestSynthesisEquivalence:
 
         monkeypatch.setattr(repro.synth.synthesis, "HybridEvaluator", reference)
         pruned = rejected_candidates()
-        base = run()
+        base = _synthesize(optimizer, index, seed)
         assert len(built) == 1  # the search really ran on the oracle
         assert rejected_candidates() == pruned  # which never rejects
         assert sizing_digest(other) == sizing_digest(base)
@@ -216,13 +280,39 @@ class TestSynthesisEquivalence:
         assert other.final.cost() == base.final.cost()
         assert other.final.violations == base.final.violations
 
+    def test_every_stage_rejected(self):
+        def compiled(case):
+            def run():
+                before = rejected_at()
+                _synthesize(*case)
+                return {s: n - before[s] for s, n in rejected_at().items()}
+
+            return run
+
+        _assert_every_stage_rejected(
+            {("synth", *case): compiled(case) for case in SYNTHESIS_CASES}
+        )
+
 
 class _LoopGridFails(HybridEvaluator):
-    """Every loop-grid solve raises, as a singular loop sweep would."""
+    """Every loop-grid solve raises, as a singular loop sweep would.
+
+    The top of the grid is solved first, so the bandwidth is never asked.
+    """
 
     def _transfer(self, lin, freqs):
         if len(freqs) > 1:
             raise AnalysisError("forced loop-grid failure")
+        return super()._transfer(lin, freqs)
+
+
+class _LoopBottomFails(HybridEvaluator):
+    """Only the bottom of the loop grid raises, after all three asks."""
+
+    def _transfer(self, lin, freqs):
+        # The top always ends at the grid's last point; the bottom never does.
+        if len(freqs) > 1 and freqs[-1] != _LOOP_FREQS[-1]:
+            raise AnalysisError("forced failure of the loop grid's bottom")
         return super()._transfer(lin, freqs)
 
 
@@ -231,6 +321,8 @@ def _bounds_and_results(evaluator_cls, tech, mdac, points):
 
     A probe evaluator records the bounds its never-rejecting callback is
     handed; a twin fed the same sequence without ``reject`` scores them.
+    Each candidate gets at most three bounds, Python floats that never
+    decrease and are never above the twin's cost.
     """
     space = two_stage_space(mdac, tech)
     probe, twin = evaluator_cls(mdac, tech), evaluator_cls(mdac, tech)
@@ -242,19 +334,120 @@ def _bounds_and_results(evaluator_cls, tech, mdac, points):
         result = twin.evaluate(sizing)
         # A reject answering False changes nothing, the DC warm chain included.
         assert seen.cost() == result.cost()
-        assert len(bounds) <= 1
+        assert len(bounds) <= 3
+        assert all(type(bound) is float for bound in bounds)
+        assert bounds == sorted(bounds)
+        assert all(bound <= result.cost() for bound in bounds)
         out.append((bounds, result))
     return out
 
 
+def _reference_crossing(freqs, mag):
+    """The legacy crossing scan, one pair at a time from the top down."""
+    for k in range(len(mag) - 2, -1, -1):
+        if mag[k] >= 1.0 and mag[k + 1] < 1.0:
+            m1, m2 = mag[k], mag[k + 1]
+            t = math.log(m1) / (math.log(m1) - math.log(m2))
+            return k, t, freqs[k] ** (1 - t) * freqs[k + 1] ** t
+    return None
+
+
+#: A required bandwidth whose split, k0 = 150, sits mid-grid.
+_REQUIRED_HZ = 2e8
+_K0 = 150
+
+
+def _magnitude(runs):
+    """A 241-point loop magnitude from ``(length, value)`` runs."""
+    mag = np.concatenate([np.full(length, value) for length, value in runs])
+    assert len(mag) == len(_LOOP_FREQS)
+    return mag
+
+
+def _check_top_bound(mag):
+    """The third ask's term against the whole grid's bandwidth violation."""
+    crossing = _unity_crossing(_LOOP_FREQS, mag)
+    assert crossing == _reference_crossing(_LOOP_FREQS, mag)
+    full = 1.0 if crossing is None else (_REQUIRED_HZ - crossing[2]) / _REQUIRED_HZ
+    term = _top_bandwidth_violation(_REQUIRED_HZ, _LOOP_FREQS[_K0:], mag[_K0:])
+    assert type(term) is float
+    assert term <= full
+    if crossing is not None and crossing[0] >= _K0:
+        assert term == full
+    return crossing, term, full
+
+
+class TestTopBandwidthBound:
+    """The crossing helper and the bandwidth term read from the top alone."""
+
+    def test_split_index(self):
+        assert _split_index(_REQUIRED_HZ) == _K0
+        assert _LOOP_FREQS[_K0 - 1] < _REQUIRED_HZ / 2 <= _LOOP_FREQS[_K0]
+        # Clamped: the bottom never holds the gain point, the top is never empty.
+        assert _split_index(1.0) == 1
+        assert _split_index(1e15) == len(_LOOP_FREQS) - 1
+
+    @pytest.mark.parametrize(
+        "runs, last",
+        [
+            pytest.param([(190, 3.0), (51, 0.4)], 189, id="inside-the-top"),
+            pytest.param([(_K0, 3.0), (91, 0.4)], _K0 - 1, id="boundary-pair"),
+            pytest.param([(60, 3.0), (181, 0.4)], 59, id="bottom-only"),
+            pytest.param(
+                [(30, 3.0), (40, 0.5), (100, 2.0), (71, 0.7)], 169, id="several-last-in-top"
+            ),
+            pytest.param(
+                [(30, 3.0), (40, 0.5), (50, 2.0), (121, 0.7)], 119, id="several-in-the-bottom"
+            ),
+            pytest.param([(241, 0.4)], None, id="never-above-unity"),
+            pytest.param([(241, 3.0)], None, id="never-below-unity"),
+            pytest.param([(120, 3.0), (121, 1.0)], None, id="ends-at-unity"),
+        ],
+    )
+    def test_cases(self, runs, last):
+        crossing, term, full = _check_top_bound(_magnitude(runs))
+        assert (None if crossing is None else crossing[0]) == last
+        if last is None or last < _K0:
+            # The fallback: the top's first point bounds the crossing.
+            fallback = (_REQUIRED_HZ - _LOOP_FREQS[_K0] * (1 + 1e-9)) / _REQUIRED_HZ
+            assert term == fallback < full
+
+    def test_slack_covers_a_crossing_rounded_past_the_boundary(self):
+        # The interpolated crossing of the boundary pair can round one ulp
+        # above the top's first point.
+        mag = _magnitude([(_K0, 50.99995), (241 - _K0, 0.9999999999999989)])
+        crossing, _, _ = _check_top_bound(mag)
+        assert crossing[0] == _K0 - 1
+        assert crossing[2] > _LOOP_FREQS[_K0]
+
+    @pytest.mark.parametrize("where", [_K0 - 1, _K0, _K0 + 1, 200])
+    def test_nan_entries(self, where):
+        # A NaN is never part of a crossing, in the top or the whole grid.
+        mag = _magnitude([(210, 3.0), (31, 0.4)])
+        mag[where] = math.nan
+        crossing, _, _ = _check_top_bound(mag)
+        assert crossing[0] == 209
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([0.3, 0.999, 1.0, 1.001, 4.0, math.nan]),
+            min_size=len(_LOOP_FREQS),
+            max_size=len(_LOOP_FREQS),
+        )
+    )
+    def test_never_above_the_full_grid(self, values):
+        _check_top_bound(np.array(values))
+
+
 class TestRejectBound:
-    """The bound handed to ``reject`` never exceeds the candidate's cost."""
+    """The bounds handed to ``reject`` never exceed the candidate's cost."""
 
     @settings(max_examples=25, deadline=None)
     @given(
         corner=st.sampled_from(sorted(CORNERS)),
         index=st.integers(0, 2),
-        loop_fails=st.booleans(),
+        evaluator_cls=st.sampled_from([HybridEvaluator, _LoopGridFails, _LoopBottomFails]),
         # Unit points of the nine-variable two-stage space.
         points=st.lists(
             st.lists(st.floats(0.0, 1.0), min_size=9, max_size=9),
@@ -262,17 +455,18 @@ class TestRejectBound:
             max_size=4,
         ),
     )
-    def test_bound_is_at_most_the_cost(self, corner, index, loop_fails, points):
-        evaluator_cls = _LoopGridFails if loop_fails else HybridEvaluator
+    def test_bound_is_at_most_the_cost(self, corner, index, evaluator_cls, points):
         for bounds, result in _bounds_and_results(
             evaluator_cls, CORNERS[corner], _mdac(index), points
         ):
-            for bound in bounds:
-                assert bound <= result.cost()
+            if result.dc_ok and evaluator_cls is HybridEvaluator:
+                assert len(bounds) == 3
+            if evaluator_cls is _LoopGridFails:
+                assert len(bounds) <= 2
 
     def test_cap_is_what_bounds_a_failed_loop_grid(self, monkeypatch):
-        # A saturation margin of -1 kV puts the uncapped early cost far
-        # above what a failed loop sweep costs.
+        # A saturation margin of -1 kV puts the uncapped bounds far above
+        # what a failed loop grid costs.
         monkeypatch.setattr(HybridEvaluator, "_saturation_margin", lambda self, op: -1e3)
         mdac = _mdac(2)
         space = two_stage_space(mdac, CMOS025)
@@ -283,21 +477,69 @@ class TestRejectBound:
             reject=lambda b: bounds.append(b) or False,
         )
         assert result.cost() == FAILED_COST
-        assert bounds == [FAILED_COST]
+        # The DC and gain-point asks; the failed top asks nothing more.
+        assert bounds == [FAILED_COST, FAILED_COST]
 
-    def test_rejected_result(self):
+    @pytest.mark.parametrize("stage", REJECT_STAGES)
+    def test_rejected_result(self, stage):
+        # A callback answering True at its n-th ask gets what stages 1..n computed.
+        asks = REJECT_STAGES.index(stage) + 1
         mdac = _mdac(2)
         space = two_stage_space(mdac, CMOS025)
         sizing = space.decode(np.full(space.dimension, 0.5))
-        full = HybridEvaluator(mdac, CMOS025).evaluate(sizing)
+        reference = HybridEvaluator(mdac, CMOS025)
+        full = reference.evaluate(sizing)
+        assert reference.ac_points == len(_LOOP_FREQS)
         evaluator = HybridEvaluator(mdac, CMOS025)
-        rejected = evaluator.evaluate(sizing, reject=lambda bound: True)
+        bounds = []
+
+        def reject(bound):
+            bounds.append(bound)
+            return len(bounds) == asks
+
+        rejected = evaluator.evaluate(sizing, reject=reject)
+        assert len(bounds) == asks
+        assert evaluator.rejected_at == {s: int(s == stage) for s in REJECT_STAGES}
         assert evaluator.rejected_evals == 1
         assert rejected.cost() == math.inf
         assert not rejected.feasible
-        assert (rejected.power, rejected.saturation_margin, rejected.dc_gain) == (
+        assert (rejected.power, rejected.saturation_margin) == (
             full.power,
             full.saturation_margin,
-            full.dc_gain,
         )
         assert rejected.loop_unity_hz is None and rejected.phase_margin is None
+        known = {
+            "dc": ["saturation"],
+            "gain": ["dc_gain", "saturation"],
+            "bandwidth": ["dc_gain", "bandwidth", "saturation"],
+        }[stage]
+        assert list(rejected.violations) == known + ["rejected"]
+        for name in known:
+            assert rejected.violations[name] == full.violations[name], name
+        k0 = _split_index(mdac.closed_loop_bw_hz)
+        # This sizing's crossing lies in the top, so its bandwidth term is exact.
+        assert full.loop_unity_hz > _LOOP_FREQS[k0 + 1]
+        if stage == "dc":
+            assert math.isnan(rejected.dc_gain)
+            assert evaluator.ac_points == 0
+        else:
+            assert rejected.dc_gain == full.dc_gain
+            top = len(_LOOP_FREQS) - k0 if stage == "bandwidth" else 0
+            assert evaluator.ac_points == 1 + top
+
+    def test_transient_run_never_asks_the_bandwidth(self):
+        # A passing settling check zeroes the bandwidth term, so no bound
+        # may hold it.
+        mdac = _mdac(2)
+        space = two_stage_space(mdac, CMOS025)
+        sizing = space.decode(np.full(space.dimension, 0.6))
+        bounds = []
+        seen = HybridEvaluator(mdac, CMOS025, transient_points=150).evaluate(
+            sizing, run_transient=True, reject=lambda b: bounds.append(b) or False
+        )
+        result = HybridEvaluator(mdac, CMOS025, transient_points=150).evaluate(
+            sizing, run_transient=True
+        )
+        assert len(bounds) == 2
+        assert seen.cost() == result.cost()
+        assert all(bound <= result.cost() for bound in bounds)

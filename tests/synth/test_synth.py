@@ -1,9 +1,12 @@
 """Synthesis-engine tests: optimizers, space, evaluator, end-to-end sizing."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.enumeration.candidates import PipelineCandidate
 from repro.errors import SynthesisError
@@ -29,6 +32,20 @@ def cheap_mdac_spec():
 
 def sphere(x, reject=None):
     return float(np.sum((x - 0.3) ** 2))
+
+
+def _anneal_with_generator(cost_fn, dimension, budget, seed, wrap=lambda rng: rng):
+    """``anneal`` and the generator it drew from, as ``wrap`` returned it."""
+    generators = []
+    default_rng = np.random.default_rng
+
+    def capture(seed):
+        generators.append(wrap(default_rng(seed)))
+        return generators[-1]
+
+    with mock.patch.object(np.random, "default_rng", capture):
+        result = anneal(cost_fn, dimension=dimension, budget=budget, seed=seed)
+    return result, generators[-1]
 
 
 def pruned_sphere(asked):
@@ -119,15 +136,69 @@ class TestRejectProtocol:
         pattern_search(cost, np.full(3, 0.5), budget=30)
         assert answers and not any(answers)
 
-    def test_anneal_refuses_a_second_reject(self):
-        def cost(x, reject=None):
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        dimension=st.integers(1, 4),
+        budget=st.integers(2, 40),
+        # Each ask's bound as a fraction of the cost, in ask order.
+        asks=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+        prune=st.booleans(),
+    )
+    def test_asking_more_than_once_moves_nothing(
+        self, seed, dimension, budget, asks, prune
+    ):
+        def asking(x, reject=None):
+            value = sphere(x)
             if reject is not None:
-                reject(0.0)
-                reject(0.0)
-            return sphere(x)
+                for fraction in asks:
+                    if reject(value * fraction) and prune:
+                        return math.inf
+            return value
 
-        with pytest.raises(SynthesisError, match="reject twice"):
-            anneal(cost, dimension=2, budget=5, seed=1)
+        plain, plain_rng = _anneal_with_generator(sphere, dimension, budget, seed)
+        asked, asked_rng = _anneal_with_generator(asking, dimension, budget, seed)
+        assert np.array_equal(asked.best_x, plain.best_x)
+        assert (asked.best_cost, asked.history) == (plain.best_cost, plain.history)
+        assert (asked.evaluations, asked.evals_to_converge) == (
+            plain.evaluations,
+            plain.evals_to_converge,
+        )
+        assert asked_rng.bit_generator.state == plain_rng.bit_generator.state
+
+    def test_anneal_draws_at_most_one_uniform_per_comparison(self):
+        draws = []
+
+        class CountingGenerator:
+            """Logs every draw of the generator it wraps: "n"ormal, "r"andom."""
+
+            def __init__(self, rng):
+                self._rng = rng
+
+            def normal(self, *args, **kwargs):
+                draws.append("n")
+                return self._rng.normal(*args, **kwargs)
+
+            def random(self, *args, **kwargs):
+                draws.append("r")
+                return self._rng.random(*args, **kwargs)
+
+        answers = []
+
+        def cost(x, reject=None):
+            value = sphere(x)
+            if reject is not None:
+                # Three asks per candidate, the last at the exact cost.
+                answers.extend(reject(value * f) for f in (0.5, 0.9, 1.0))
+            return value
+
+        _anneal_with_generator(cost, 3, 200, seed=4, wrap=CountingGenerator)
+        # The start point's draw, then per comparison one step and at most
+        # one uniform.
+        start, *comparisons = "".join(draws).split("n")
+        assert start == "r" and len(comparisons) == 199
+        assert set(comparisons) == {"", "r"}
+        assert any(answers) and not all(answers)
 
     def test_anneal_refuses_a_cost_below_a_drawn_bound(self):
         # A bound above the current cost draws the acceptance uniform; a
