@@ -35,8 +35,10 @@ stages (after the DC solve, the gain point, the top of the loop grid), when
 the staged AC read-out's bytes differ from the per-frequency loop, when the
 compiled transient step is slower than the walk or its waveform bytes
 differ, when the
-behavioral batch kernel is not bit-identical to the scalar walk or misses
-its 5x floor at 256 draws, when the service stage breaks its coalescing
+behavioral batch kernel is not bit-identical to the scalar walk, misses
+its 5x floor at 256 draws, or its ``tracemalloc`` peak on the campaign's
+13-bit 3-2-2-2-2 plan at 256 draws exceeds 1.25x its own output arrays,
+when the service stage breaks its coalescing
 contract (N identical concurrent submissions must perform exactly one cold
 synthesis), or when the ``fabric`` stage misses its 1.5x two-worker
 throughput floor, diverges from the local serial run, or fails to reclaim
@@ -56,6 +58,7 @@ import json
 import platform
 import sys
 import time
+import tracemalloc
 import traceback
 from pathlib import Path
 from unittest import mock
@@ -71,7 +74,7 @@ from repro.blocks.mdac import SETTLING_STEP_TIME, build_settling_bench
 from repro.blocks.opamp_library import build_two_stage_miller
 from repro.behavioral.batch import simulate_draws
 from repro.behavioral.signals import full_scale_sine, pick_coherent_cycles
-from repro.behavioral.verify import draw_error_models
+from repro.behavioral.verify import SAMPLES, draw_error_models
 from repro.engine.persist import sizing_digest
 from repro.engine.threads import pin_blas_threads
 from repro.enumeration.candidates import PipelineCandidate, enumerate_candidates
@@ -236,6 +239,35 @@ def stage_transient_step(repeats: int) -> dict:
     }
 
 
+BEHAVIORAL_FIELDS = ("stage_codes", "residues", "backend_codes", "codes")
+
+
+def _kernel_memory(draws: int) -> tuple[int, int]:
+    """The batch kernel's ``tracemalloc`` peak and its outputs' bytes.
+
+    The kernel alone on the campaign's 13-bit '3-2-2-2-2' winner at the
+    campaign's record length.  The peak includes the four output arrays,
+    so a whole-array temporary shows as a ratio well above one.
+    """
+    spec = AdcSpec(resolution_bits=13)
+    candidate = next(
+        c for c in enumerate_candidates(13) if c.label == "3-2-2-2-2"
+    )
+    models, rngs = draw_error_models(plan_stages(spec, candidate), draws, 101)
+    stimulus = full_scale_sine(
+        SAMPLES, pick_coherent_cycles(SAMPLES), spec.full_scale
+    )
+    tracemalloc.start()
+    try:
+        result = simulate_draws(
+            candidate, spec.full_scale, models, stimulus, rngs=rngs
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, sum(getattr(result, f).nbytes for f in BEHAVIORAL_FIELDS)
+
+
 def stage_behavioral(draws: int, samples: int) -> dict:
     """Vectorized Monte-Carlo pipeline simulation vs the scalar walk.
 
@@ -245,6 +277,8 @@ def stage_behavioral(draws: int, samples: int) -> dict:
     thermal-noise streams, not just the static mismatches, must replay
     bit-for-bit.
     The 256-draw speedup floor in ``--check`` is the PR 7 acceptance bar.
+    ``_kernel_memory`` adds the peak that ``--check`` bounds at 1.25x the
+    kernel's own outputs.
     """
     spec = AdcSpec(resolution_bits=10)
     candidate = next(c for c in enumerate_candidates(10) if c.label == "3-2")
@@ -266,9 +300,10 @@ def stage_behavioral(draws: int, samples: int) -> dict:
     batch, batch_wall = run(simulate_draws)
     identical = all(
         np.array_equal(getattr(legacy, field), getattr(batch, field))
-        for field in ("stage_codes", "residues", "backend_codes", "codes")
+        for field in BEHAVIORAL_FIELDS
     )
     conversions = draws * samples
+    peak, output_bytes = _kernel_memory(draws)
     return {
         "workload": f"{draws} mismatch draws x {samples}-sample coherent "
                     f"capture, 10-bit '3-2' pipeline",
@@ -278,6 +313,11 @@ def stage_behavioral(draws: int, samples: int) -> dict:
         "wall_batch_s": round(batch_wall, 3),
         "speedup": round(legacy_wall / batch_wall, 2),
         "identical_results": identical,
+        "memory_workload": f"{draws} mismatch draws x {SAMPLES} samples, "
+                           f"13-bit '3-2-2-2-2' pipeline, kernel alone",
+        "tracemalloc_peak_bytes": peak,
+        "output_bytes": output_bytes,
+        "peak_over_outputs": round(peak / output_bytes, 3),
     }
 
 
@@ -422,6 +462,11 @@ def main(argv=None) -> int:
             failures.append(
                 "regression: behavioral batch kernel under its 5x floor "
                 f"at 256 draws ({behavioral['speedup']}x)"
+            )
+        if behavioral["peak_over_outputs"] > 1.25:
+            failures.append(
+                "regression: behavioral batch kernel's tracemalloc peak is "
+                f"{behavioral['peak_over_outputs']}x its outputs (limit 1.25x)"
             )
         failures.extend(check_service_report(service))
         failures.extend(check_fabric_report(fabric))

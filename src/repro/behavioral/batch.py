@@ -1,18 +1,26 @@
 """Vectorized Monte-Carlo pipeline simulation: draws × samples × stages.
 
-The PR 3 pattern applied to the behavioral tier: :func:`simulate_draws`
-evaluates the whole input record × mismatch-draw matrix as one
-``(draws, samples)`` numpy array program per stage, bit-identical to the
-scalar per-sample walk of :class:`~repro.behavioral.pipeline.BehavioralPipeline`.
+:func:`simulate_draws` converts the whole input record under every
+mismatch draw with one kernel call, bit-identical to the scalar
+per-sample walk of :class:`~repro.behavioral.pipeline.BehavioralPipeline`.
+The kernel runs the stage chain on blocks of
+``max(1, _BLOCK_ELEMENTS // samples)`` draws: a block's ``(rows, samples)``
+arrays stay in cache from the sample-and-hold through every stage, the
+backend quantizer and the integer correction, and only the four output
+arrays span every draw.
 
-Bit-identity holds because every kernel stage replays the scalar
-arithmetic op-for-op on float64 arrays (numpy elementwise double ops are
-the same IEEE operations the scalar walk performs) and because thermal
-noise replays the scalar RNG *stream*: the scalar walk consumes one
-standard normal per noisy stage per sample (sample-major, stage-minor),
-exactly the C-order fill of ``Generator.standard_normal((samples, k))``,
-and ``Generator.normal(0.0, sigma)`` is ``0.0 + sigma * z`` on that same
-stream.  The equivalence is enforced against the scalar walk kept in
+Bit-identity holds because every element goes through the scalar walk's
+IEEE expressions op for op (numpy elementwise double ops are the same
+operations the scalar walk performs; integer codes and the correction are
+exact), and because thermal noise replays the scalar RNG *stream*: the
+scalar walk consumes one standard normal per noisy source per sample
+(sample-major, source-minor), exactly the C-order fill of
+``Generator.standard_normal((samples, k))``, and
+``Generator.normal(0.0, sigma)`` is ``0.0 + sigma * z`` on that same
+stream.  Blocks draw their noise in draw order and nothing draws in
+between, so drawing a draw's noise when its block starts consumes every
+generator exactly as drawing every draw's noise up front did.  The
+equivalence is enforced against the scalar walk kept in
 ``tests/behavioral/batch_reference.py`` by
 ``tests/behavioral/test_batch_kernel.py`` and the ``behavioral`` stage of
 ``benchmarks/run_all.py --check``.
@@ -30,6 +38,11 @@ from repro.blocks.sah import SampleAndHold
 from repro.blocks.subadc import FlashSubAdc
 from repro.enumeration.candidates import PipelineCandidate
 from repro.errors import SpecificationError
+
+#: Elements in one block's ``(rows, samples)`` arrays: 256 KiB of float64,
+#: 16 draws at the default 2048 samples.  The block's rows follow from the
+#: sample count; this is not a knob.
+_BLOCK_ELEMENTS = 32768
 
 
 @dataclass(frozen=True)
@@ -80,67 +93,41 @@ def simulate_draws(
     return _simulate_batch(candidate, full_scale, error_draws, samples, rngs, sah)
 
 
-def _simulate_batch(
+@dataclass(frozen=True)
+class _Stage:
+    """One stage's per-draw constants, built before any generator is touched."""
+
+    #: Ideal comparator thresholds, ascending (Python floats).
+    thresholds: list[float]
+    #: Comparator offsets, shape ``(draws, comparators)``; zero for a draw
+    #: without offsets.
+    offsets: np.ndarray
+    #: Residue gain ``2^(m-1) * effective_gain_factor``, shape ``(draws, 1)``.
+    gains: np.ndarray
+    #: DAC level table, shape ``(draws, levels)``: level ``k`` of draw ``d``
+    #: is ``(k - (levels - 1) / 2.0) * full_scale / 2.0``, plus
+    #: ``dac_level_errors[k]`` when any draw carries level errors.
+    dac: np.ndarray
+    #: Smallest unsigned dtype that holds the largest code, ``levels - 1``.
+    count_dtype: np.dtype
+    #: Signed DAC index offset ``(levels - 1) // 2`` and the stage's weight
+    #: ``2^(total_bits - 1 - cumulative)`` in the integer correction.
+    half: int
+    weight: int
+
+
+def _stages(
     candidate: PipelineCandidate,
     full_scale: float,
     error_draws: list[tuple[StageErrorModel, ...]],
-    samples: np.ndarray,
-    rngs: Sequence[np.random.Generator] | None,
-    sah: SampleAndHold,
-) -> BatchResult:
-    """The vectorized kernel: one (draws, samples) array program per stage."""
-    draws, n_samples = len(error_draws), len(samples)
-    n_stages = candidate.stage_count
-    total_bits = candidate.total_bits
-    backend_bits = total_bits - candidate.frontend_bits
-    # Structural validation the scalar walk performs inside combine_codes.
-    if candidate.frontend_bits > total_bits - 1:
-        raise SpecificationError("stages resolve more than total_bits")
-
-    # Thermal-noise replay: the scalar walk consumes one standard normal
-    # per noisy source per sample, sample-major.  Pre-draw each draw's
-    # whole (samples, sources) block from its own generator — the same
-    # stream positions — and hand out columns per source.
-    sah_noisy = sah.noise_rms > 0.0
-    sigmas = np.array(
-        [[model.noise_rms for model in models] for models in error_draws]
-    ).reshape(draws, n_stages)
-    column = np.full((draws, n_stages), -1, dtype=int)
-    noise_blocks: list[np.ndarray | None] = [None] * draws
-    for d in range(draws):
-        col = 1 if sah_noisy else 0
-        for c in range(n_stages):
-            if sigmas[d, c] > 0.0:
-                column[d, c] = col
-                col += 1
-        if col:
-            noise_blocks[d] = rngs[d].standard_normal((n_samples, col))
-
-    # Sample-and-hold: vin * (1 + gain_error) + noise, like the scalar walk.
-    v = np.broadcast_to(
-        samples * (1.0 + sah.gain_error), (draws, n_samples)
-    ).copy()
-    if sah_noisy:
-        for d in range(draws):
-            v[d] = v[d] + (0.0 + sah.noise_rms * noise_blocks[d][:, 0])
-    else:
-        v = v + 0.0  # the scalar walk's `+ noise` with noise == 0.0
-
-    stage_codes = np.zeros((draws, n_samples, n_stages), dtype=np.int64)
-    for c in range(n_stages):
-        m = candidate.resolutions[c]
+) -> list[_Stage]:
+    """Validate every draw's models and build each stage's tables."""
+    draws, total_bits = len(error_draws), candidate.total_bits
+    stages: list[_Stage] = []
+    cumulative = 0
+    for c, m in enumerate(candidate.resolutions):
         levels = 2**m - 1
-        # Stage input noise (consumed before the sub-ADC decision).
-        if np.any(sigmas[:, c] > 0.0):
-            noise = np.zeros((draws, n_samples))
-            for d in range(draws):
-                if sigmas[d, c] > 0.0:
-                    noise[d] = 0.0 + sigmas[d, c] * noise_blocks[d][:, column[d, c]]
-            v = np.where((sigmas[:, c] > 0.0)[:, None], v + noise, v)
-        # Thermometer decision: loop over the <= 2^m - 2 comparators so the
-        # working set stays at (draws, samples) — never (draws, samples,
-        # comparators).
-        thresholds = FlashSubAdc(m, full_scale).ideal_thresholds()
+        cumulative += m - 1
         offsets = np.zeros((draws, levels - 1))
         for d, models in enumerate(error_draws):
             if models[c].comparator_offsets:
@@ -149,18 +136,10 @@ def _simulate_batch(
                         f"{m}-bit stage needs {levels - 1} offsets"
                     )
                 offsets[d] = models[c].comparator_offsets
-        code = np.zeros((draws, n_samples), dtype=np.int64)
-        for j in range(levels - 1):
-            code += (v + offsets[:, j : j + 1]) > thresholds[j]
-        stage_codes[:, :, c] = code
-        # MDAC residue: gain * vin - dac, per-draw gain and DAC errors.
-        gain = np.array(
-            [
-                2.0 ** (m - 1) * models[c].effective_gain_factor
-                for models in error_draws
-            ]
+        dac = np.broadcast_to(
+            (np.arange(levels) - (levels - 1) / 2.0) * full_scale / 2.0,
+            (draws, levels),
         )
-        dac = (code - (levels - 1) / 2.0) * full_scale / 2.0
         if any(models[c].dac_level_errors for models in error_draws):
             level_errors = np.zeros((draws, levels))
             for d, models in enumerate(error_draws):
@@ -168,25 +147,113 @@ def _simulate_batch(
                     if len(models[c].dac_level_errors) != levels:
                         raise SpecificationError("one DAC error per level required")
                     level_errors[d] = models[c].dac_level_errors
-            dac = dac + np.take_along_axis(level_errors, code, axis=1)
-        v = gain[:, None] * v - dac
-
-    # Ideal backend quantizer, then the exact integer correction.
-    n = 2**backend_bits
-    backend_codes = np.clip(
-        np.floor((v / full_scale + 0.5) * n), 0, n - 1
-    ).astype(np.int64)
-    cumulative = 0
-    acc = np.zeros((draws, n_samples), dtype=np.int64)
-    for c, m in enumerate(candidate.resolutions):
-        levels = 2**m - 1
-        cumulative += m - 1
-        acc += (stage_codes[:, :, c] - (levels - 1) // 2) * (
-            2 ** (total_bits - 1 - cumulative)
+            dac = dac + level_errors
+        gains = np.array(
+            [
+                2.0 ** (m - 1) * models[c].effective_gain_factor
+                for models in error_draws
+            ]
+        ).reshape(draws, 1)
+        stages.append(
+            _Stage(
+                thresholds=FlashSubAdc(m, full_scale).ideal_thresholds(),
+                offsets=offsets,
+                gains=gains,
+                dac=dac,
+                count_dtype=np.min_scalar_type(levels - 1),
+                half=(levels - 1) // 2,
+                weight=2 ** (total_bits - 1 - cumulative),
+            )
         )
-    word = 2 ** (total_bits - 1) + acc + (backend_codes - 2 ** (backend_bits - 1))
-    codes = np.clip(word, 0, 2**total_bits - 1)
-    return BatchResult(stage_codes, v, backend_codes, codes)
+    return stages
+
+
+def _simulate_batch(
+    candidate: PipelineCandidate,
+    full_scale: float,
+    error_draws: list[tuple[StageErrorModel, ...]],
+    samples: np.ndarray,
+    rngs: Sequence[np.random.Generator] | None,
+    sah: SampleAndHold,
+) -> BatchResult:
+    """The kernel: the whole stage chain on one block of draws at a time."""
+    draws, n_samples = len(error_draws), len(samples)
+    n_stages = candidate.stage_count
+    total_bits = candidate.total_bits
+    backend_bits = total_bits - candidate.frontend_bits
+    # Structural validation the scalar walk performs inside combine_codes.
+    if candidate.frontend_bits > total_bits - 1:
+        raise SpecificationError("stages resolve more than total_bits")
+    stages = _stages(candidate, full_scale, error_draws)
+
+    # Thermal-noise replay: the scalar walk consumes one standard normal
+    # per noisy source per sample, sample-major.  Each draw's whole
+    # (samples, sources) block comes from its own generator when the
+    # draw's block starts — the same stream positions — and each source
+    # reads its own column.
+    sah_noisy = sah.noise_rms > 0.0
+    sigmas = np.array(
+        [[model.noise_rms for model in models] for models in error_draws]
+    ).reshape(draws, n_stages)
+    column = np.full((draws, n_stages), -1, dtype=int)
+    sources = np.zeros(draws, dtype=int)
+    for d in range(draws):
+        col = 1 if sah_noisy else 0
+        for c in range(n_stages):
+            if sigmas[d, c] > 0.0:
+                column[d, c] = col
+                col += 1
+        sources[d] = col
+
+    stage_codes = np.empty((draws, n_samples, n_stages), dtype=np.int64)
+    residues = np.empty((draws, n_samples))
+    backend_codes = np.empty((draws, n_samples), dtype=np.int64)
+    codes = np.empty((draws, n_samples), dtype=np.int64)
+    # Sample-and-hold: vin * (1 + gain_error) + noise, like the scalar walk.
+    held = samples * (1.0 + sah.gain_error)
+    n = 2**backend_bits
+    rows = max(1, _BLOCK_ELEMENTS // max(n_samples, 1))
+    for d0 in range(0, draws, rows):
+        d1 = min(d0 + rows, draws)
+        noise = [
+            rngs[d].standard_normal((n_samples, sources[d])).T
+            if sources[d]
+            else None
+            for d in range(d0, d1)
+        ]
+        if sah_noisy:
+            v = np.empty((d1 - d0, n_samples))
+            for i, z in enumerate(noise):
+                v[i] = held + (0.0 + sah.noise_rms * z[0])
+        else:
+            # The scalar walk's `+ noise` with noise == 0.0.
+            v = np.broadcast_to(held + 0.0, (d1 - d0, n_samples)).copy()
+        acc = np.zeros((d1 - d0, n_samples), dtype=np.int64)
+        for c, stage in enumerate(stages):
+            # Stage input noise (consumed before the sub-ADC decision).
+            for i, d in enumerate(range(d0, d1)):
+                if column[d, c] >= 0:
+                    v[i] += 0.0 + sigmas[d, c] * noise[i][column[d, c]]
+            # Thermometer decision, one comparator at a time.
+            code = np.zeros((d1 - d0, n_samples), dtype=stage.count_dtype)
+            offsets = stage.offsets[d0:d1]
+            for j, threshold in enumerate(stage.thresholds):
+                code += (v + offsets[:, j : j + 1]) > threshold
+            stage_codes[d0:d1, :, c] = code
+            # MDAC residue: gain * vin - dac, per-draw gain and DAC table.
+            dac = np.take_along_axis(stage.dac[d0:d1], code, axis=1)
+            v = stage.gains[d0:d1] * v - dac
+            # Exact integer correction; widen first, a uint8 count wraps.
+            acc += (code.astype(np.int64) - stage.half) * stage.weight
+        # Ideal backend quantizer, then the corrected output word.
+        backend = np.clip(
+            np.floor((v / full_scale + 0.5) * n), 0, n - 1
+        ).astype(np.int64)
+        word = 2 ** (total_bits - 1) + acc + (backend - 2 ** (backend_bits - 1))
+        residues[d0:d1] = v
+        backend_codes[d0:d1] = backend
+        codes[d0:d1] = np.clip(word, 0, 2**total_bits - 1)
+    return BatchResult(stage_codes, residues, backend_codes, codes)
 
 
 __all__ = ["BatchResult", "simulate_draws"]

@@ -86,7 +86,9 @@ def draw_error_models(
     The parameter stream always consumes the same count per draw (one
     gain, ``comparator_count`` offsets, ``2^m - 1`` DAC levels per stage)
     with the sigmas applied as pure scale factors, so draw d's mismatch
-    realization is comparable across :class:`MismatchSpec` settings.
+    realization is comparable across :class:`MismatchSpec` settings.  All
+    of it comes from one ``(draws, width)`` standard-normal block, whose C
+    order is that draw-major, stage-major stream.
     """
     if draws < 1:
         raise SpecificationError("draws must be >= 1")
@@ -94,36 +96,54 @@ def draw_error_models(
     param_seq, noise_seq = root.spawn(2)
     rng = np.random.default_rng(param_seq)
     lsb = plan.spec.lsb
-    all_draws: list[tuple[StageErrorModel, ...]] = []
-    for _ in range(draws):
-        models: list[StageErrorModel] = []
-        for mdac, sub_adc in zip(plan.mdacs, plan.sub_adcs):
-            eps = mdac.settling_error
-            gain_z = rng.standard_normal()
-            offset_z = rng.standard_normal(sub_adc.comparator_count)
-            dac_z = rng.standard_normal(2**mdac.stage_bits - 1)
-            gain_error = mismatch.gain_error_sigma * eps * gain_z
-            settling = 0.0
-            if mismatch.systematic:
-                # Static gain error from the minimum-DC-gain opamp:
-                # -1/(A0*beta) with A0 = 2/(eps*beta) is exactly -eps/2.
-                gain_error -= eps / 2.0
-                settling = eps
-            offsets = mismatch.offset_sigma * sub_adc.offset_tolerance * offset_z
-            dac_errors = mismatch.dac_error_sigma * lsb * dac_z
-            noise_rms = mismatch.noise_sigma * math.sqrt(mdac.noise_allocation)
-            models.append(
-                StageErrorModel(
-                    gain_error=float(gain_error),
-                    settling_error=settling,
-                    comparator_offsets=tuple(float(x) for x in offsets),
-                    noise_rms=noise_rms,
-                    dac_level_errors=tuple(float(x) for x in dac_errors),
-                )
+    widths = [
+        1 + sub_adc.comparator_count + 2**mdac.stage_bits - 1
+        for mdac, sub_adc in zip(plan.mdacs, plan.sub_adcs)
+    ]
+    z = rng.standard_normal((draws, sum(widths)))
+    stages = []
+    start = 0
+    for mdac, sub_adc, width in zip(plan.mdacs, plan.sub_adcs, widths):
+        split = start + 1 + sub_adc.comparator_count
+        gain_z = z[:, start]
+        offset_z = z[:, start + 1 : split]
+        dac_z = z[:, split : start + width]
+        start += width
+        eps = mdac.settling_error
+        gain_error = mismatch.gain_error_sigma * eps * gain_z
+        settling = 0.0
+        if mismatch.systematic:
+            # Static gain error from the minimum-DC-gain opamp:
+            # -1/(A0*beta) with A0 = 2/(eps*beta) is exactly -eps/2.
+            gain_error -= eps / 2.0
+            settling = eps
+        offsets = mismatch.offset_sigma * sub_adc.offset_tolerance * offset_z
+        dac_errors = mismatch.dac_error_sigma * lsb * dac_z
+        noise_rms = mismatch.noise_sigma * math.sqrt(mdac.noise_allocation)
+        stages.append(
+            (
+                gain_error.tolist(),
+                settling,
+                offsets.tolist(),
+                noise_rms,
+                dac_errors.tolist(),
             )
-        all_draws.append(tuple(models))
+        )
+    all_draws = tuple(
+        tuple(
+            StageErrorModel(
+                gain_error=gains[d],
+                settling_error=settling,
+                comparator_offsets=tuple(offsets[d]),
+                noise_rms=noise_rms,
+                dac_level_errors=tuple(dac_errors[d]),
+            )
+            for gains, settling, offsets, noise_rms, dac_errors in stages
+        )
+        for d in range(draws)
+    )
     noise_rngs = tuple(np.random.default_rng(s) for s in noise_seq.spawn(draws))
-    return tuple(all_draws), noise_rngs
+    return all_draws, noise_rngs
 
 
 @dataclass(frozen=True)
