@@ -14,12 +14,18 @@ draws are consumed in a fixed order (draw-major; per stage: gain, then
 comparator offsets, then DAC levels).  Replaying the same seed therefore
 reproduces every draw bit for bit, which is what lets checkpointed
 behavioral scenarios resume, shard and merge byte-identically.
+
+The same determinism makes a verdict cacheable: it depends only on the
+stage plan, draws, seed, mismatch and record length, never on a sizing.
+:func:`cached_verdict` keeps verdicts under ``<cache_dir>/verdicts/``,
+keyed by :func:`verdict_key`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -27,14 +33,25 @@ from repro.behavioral.batch import BatchResult, simulate_draws
 from repro.behavioral.metrics import sndr_db
 from repro.behavioral.nonideal import StageErrorModel
 from repro.behavioral.signals import full_scale_sine, pick_coherent_cycles
+from repro.engine.persist import digest, load_result, store_result
 from repro.enumeration.candidates import PipelineCandidate
 from repro.errors import SpecificationError
+from repro.obs import metrics
 from repro.specs.adc import AdcSpec
 from repro.specs.stage import StagePlan, plan_stages
 
 #: Record length for SNDR captures: long enough for a clean noise floor,
 #: short enough that a 1000-draw batch stays comfortably in memory.
 SAMPLES = 2048
+
+#: Version of :func:`verdict_key`.  Bump it with any change that moves a
+#: verdict's bits (the batch kernel, the draw tree, the stimulus, the SNDR
+#: read-out) or the shape of the key's payload: cached verdicts under the
+#: old key then stop matching.
+VERDICT_VERSION = 1
+
+#: Subdirectory of a cache directory that holds behavioral verdicts.
+VERDICT_DIRNAME = "verdicts"
 
 
 @dataclass(frozen=True)
@@ -212,11 +229,75 @@ def verify_candidate(
     )
 
 
+def verdict_key(
+    spec: AdcSpec,
+    candidate: PipelineCandidate,
+    *,
+    draws: int,
+    seed: int,
+    mismatch: MismatchSpec = DEFAULT_MISMATCH,
+    samples: int = SAMPLES,
+) -> str:
+    """Cache key of the verdict :func:`verify_candidate` would return.
+
+    The stage plan carries the spec (resolution, rate, full scale, the
+    corner's technology) and the candidate; draws, seed, mismatch and
+    record length are the rest of what the simulation reads.
+    """
+    return digest(
+        {
+            "version": VERDICT_VERSION,
+            "kind": "behavioral",
+            "plan": plan_stages(spec, candidate),
+            "draws": draws,
+            "seed": seed,
+            "mismatch": mismatch,
+            "samples": samples,
+        }
+    )
+
+
+def cached_verdict(
+    spec: AdcSpec,
+    candidate: PipelineCandidate,
+    *,
+    draws: int,
+    seed: int,
+    cache_dir: str | Path | None,
+    mismatch: MismatchSpec = DEFAULT_MISMATCH,
+    samples: int = SAMPLES,
+) -> BehavioralVerdict:
+    """The verdict of :func:`verify_candidate`, from the cache when it is there.
+
+    A hit returns the stored verdict; a miss (no entry, or an unreadable
+    one) simulates and stores the verdict.  Hits and misses count as
+    ``behavioral.verdict_hits`` / ``behavioral.verdict_misses``.  Without
+    a ``cache_dir`` this is :func:`verify_candidate`.
+    """
+    kwargs = dict(draws=draws, seed=seed, mismatch=mismatch, samples=samples)
+    if cache_dir is None:
+        return verify_candidate(spec, candidate, **kwargs)
+    directory = Path(cache_dir) / VERDICT_DIRNAME
+    key = verdict_key(spec, candidate, **kwargs)
+    verdict = load_result(directory, key)
+    if isinstance(verdict, BehavioralVerdict):
+        metrics.counter("behavioral.verdict_hits")
+        return verdict
+    metrics.counter("behavioral.verdict_misses")
+    verdict = verify_candidate(spec, candidate, **kwargs)
+    store_result(directory, key, verdict)
+    return verdict
+
+
 __all__ = [
     "DEFAULT_MISMATCH",
     "SAMPLES",
+    "VERDICT_DIRNAME",
+    "VERDICT_VERSION",
     "BehavioralVerdict",
     "MismatchSpec",
+    "cached_verdict",
     "draw_error_models",
+    "verdict_key",
     "verify_candidate",
 ]

@@ -14,8 +14,9 @@ scenario:
   searching; a later scenario with a merely *similar* spec retargets from
   the nearest earlier design instead of synthesizing cold — the paper's
   retarget economy applied across system specs, not just within one;
-* **one persistent block cache directory** (``FlowConfig.cache_dir``) — the
+* **one persistent cache directory** (``FlowConfig.cache_dir``) — the
   on-disk layer behind the ledger, so reuse also spans campaign invocations.
+  It holds synthesized blocks and, under ``verdicts/``, behavioral verdicts.
 
 Scenarios execute strictly in expansion order (only the work *inside* a
 scenario fans out over the backend), and every scenario's synthesis plan is
@@ -29,7 +30,9 @@ under seeded Monte-Carlo mismatch (:mod:`repro.behavioral.verify`), and
 record the simulated SNDR/ENOB/FoM next to the analytic numbers.  Their
 draws derive entirely from ``FlowConfig.behavioral_seed``, which sits in
 the manifest's config digest — so behavioral records obey the same
-resume/shard/merge byte-identity contract as every other record.
+resume/shard/merge byte-identity contract as every other record.  With a
+cache directory, a verdict simulated by an earlier run is loaded instead
+of simulated again (:func:`~repro.behavioral.verify.cached_verdict`).
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from repro.campaign.store import (
     walden_fom,
     write_records,
 )
-from repro.behavioral.verify import verify_candidate
+from repro.behavioral.verify import cached_verdict
 from repro.enumeration.candidates import enumerate_candidates
 from repro.errors import CampaignInterrupted, SpecificationError
 from repro.engine.backend import ExecutionBackend
@@ -445,11 +448,12 @@ def _behavioral_record(
         for c in enumerate_candidates(scenario.spec.resolution_bits)
         if c.label == winner_label
     )
-    verdict = verify_candidate(
+    verdict = cached_verdict(
         scenario.spec,
         candidate,
         draws=config.behavioral_draws,
         seed=config.behavioral_seed,
+        cache_dir=config.cache_dir,
     )
     # Walden FoM at the *simulated* effective resolution: same power and
     # rate as the analytic FoM, but 2^ENOB instead of 2^K — the honest

@@ -76,8 +76,9 @@ execution engine (every flow command):
   --backend {serial,process,queue,broker} maps the flow's fan-out points
   (candidate evaluation, synthesis waves, resolution sweeps) over the
   chosen executor; --workers bounds the pool.  --cache-dir enables the
-  content-fingerprinted persistent block cache (default: the
-  REPRO_ADC_CACHE environment variable), so warm reruns skip synthesis.
+  content-fingerprinted persistent block and verdict cache (default: the
+  REPRO_ADC_CACHE environment variable), so warm reruns skip synthesis
+  and the behavioral Monte-Carlo.
   --budget / --retarget-budget set the cold and warm-start annealer
   evaluation budgets; --no-verify skips the transient verifier.  The
   same knobs form FlowConfig in the Python API.
@@ -164,7 +165,7 @@ def _engine_parent() -> argparse.ArgumentParser:
     group.add_argument(
         "--cache-dir",
         default=os.environ.get("REPRO_ADC_CACHE"),
-        help="persistent block-cache directory (env REPRO_ADC_CACHE)",
+        help="persistent block and verdict cache directory (env REPRO_ADC_CACHE)",
     )
     group.add_argument(
         "--budget", type=int, default=400, help="cold-synthesis annealer budget"
@@ -334,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
         help="run a resolution x rate x mode grid as one batch",
         description=(
             "Expand a design-space grid into scenarios and run them as one "
-            "batch sharing a backend, a persistent block cache and a "
+            "batch sharing a backend, a persistent block and verdict cache and a "
             "cross-scenario warm-start donor pool; writes results.jsonl and "
             "a figure-of-merit comparison report."
         ),
@@ -449,8 +450,8 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument(
         "--cache-dir",
         default=os.environ.get("REPRO_ADC_CACHE"),
-        help="persistent block-cache directory shared by all jobs "
-        "(env REPRO_ADC_CACHE)",
+        help="persistent block and verdict cache directory shared by all "
+        "jobs (env REPRO_ADC_CACHE)",
     )
     p_serve.add_argument(
         "--lease-ttl",

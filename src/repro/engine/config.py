@@ -48,8 +48,9 @@ class FlowConfig:
     #: or negative waits forever.  A pure execution knob like ``broker_url``;
     #: never enters result identity.  Ignored by the other backends.
     broker_wait_timeout: float = 300.0
-    #: Directory for the persistent block cache; ``None`` keeps synthesis
-    #: results in-memory only.
+    #: Directory for the persistent block and verdict cache: synthesized
+    #: blocks, and behavioral verdicts under ``verdicts/``.  ``None`` keeps
+    #: synthesis results in memory only and caches no verdicts.
     cache_dir: str | None = None
     #: Cold-synthesis annealer budget (evaluations).
     budget: int = 400

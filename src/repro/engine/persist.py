@@ -10,8 +10,9 @@ designer-rule extraction and CI reruns all hit this cache.
 
 The module is deliberately free of flow imports: it hashes any dataclass
 tree (specs, technologies, sizings) structurally, and stores/loads pickled
-results in a directory with atomic writes.  Corrupt or unreadable entries
-degrade to cache misses, never to errors.
+results in a directory with atomic writes.  Every entry carries the SHA-256
+of its pickle, so corrupt, truncated or unreadable entries degrade to cache
+misses, never to errors and never to a different result.
 """
 
 from __future__ import annotations
@@ -25,12 +26,16 @@ import tempfile
 from pathlib import Path
 from typing import Any
 
-#: Bump when the on-disk format or the fingerprint payload changes shape;
-#: old entries then simply stop matching.
+#: Bump when the fingerprint payload changes shape; old entries then
+#: simply stop matching.  (An entry written in another frame fails its
+#: checksum and is a miss already.)
 FORMAT_VERSION = 1
 
 #: Suffix of cache entries.
 ENTRY_SUFFIX = ".pkl"
+
+#: Length of the SHA-256 checksum that heads every entry.
+_CHECK_BYTES = hashlib.sha256().digest_size
 
 
 def _canonical(value: Any) -> Any:
@@ -139,40 +144,35 @@ def entry_path(cache_dir: str | Path, fingerprint: str) -> Path:
 
 
 def store_result(cache_dir: str | Path, fingerprint: str, result: Any) -> Path:
-    """Atomically pickle a result under its fingerprint; returns the path."""
-    directory = Path(cache_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    final = entry_path(directory, fingerprint)
-    fd, tmp_name = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp_name, final)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    return final
+    """Atomically store a result under its fingerprint; returns the path.
+
+    The entry is the SHA-256 of the pickle followed by the pickle itself.
+    """
+    data = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+    return atomic_write_bytes(
+        entry_path(cache_dir, fingerprint), hashlib.sha256(data).digest() + data
+    )
 
 
 def load_result(cache_dir: str | Path, fingerprint: str) -> Any | None:
-    """Load a pickled result, or ``None`` on miss/corruption."""
-    path = entry_path(cache_dir, fingerprint)
+    """Load a stored result, or ``None`` on a miss or an unreadable entry.
+
+    An entry whose checksum does not match its pickle (truncated,
+    byte-flipped, or written in an older frame) is a miss, and so is any
+    ``Exception`` raised while unpickling it (a class that moved between
+    code versions, say).  The caller recomputes the result and rewrites
+    the entry.  ``KeyboardInterrupt`` and ``SystemExit`` propagate.
+    """
     try:
-        with open(path, "rb") as handle:
-            return pickle.load(handle)
-    except FileNotFoundError:
+        blob = entry_path(cache_dir, fingerprint).read_bytes()
+    except OSError:
         return None
-    except (
-        OSError,
-        pickle.UnpicklingError,
-        EOFError,
-        AttributeError,
-        ValueError,
-        ImportError,  # a pickled class moved between code versions
-    ):
-        # Unreadable entries are treated as misses; the block is simply
-        # re-synthesized and the entry rewritten.
+    check, data = blob[:_CHECK_BYTES], blob[_CHECK_BYTES:]
+    if hashlib.sha256(data).digest() != check:
+        return None
+    try:
+        return pickle.loads(data)
+    except Exception:
+        # Unpickling calls whatever reconstructors the entry names, so it
+        # can raise anything; a cache read must never fail the run.
         return None

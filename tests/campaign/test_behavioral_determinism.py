@@ -2,16 +2,19 @@
 
 The PR 6 corner-determinism contract extended to the behavioral tier:
 Monte-Carlo verification records must be byte-identical across execution
-backends, across ``--shard K/N`` plus merge, and across SIGTERM/resume —
-the mismatch draws are replayed from the checkpointed seed, never
-re-sampled.  Also pinned here: the winner-map coupling (a behavioral
-scenario verifies the synthesis winner from its own grid and therefore
-shards with that tech's synthesis chain) and the manifest identity rules
-(draws and seed are store identity).
+backends, across ``--shard K/N`` plus merge, across SIGTERM/resume — the
+mismatch draws are replayed from the checkpointed seed, never re-sampled —
+and across a cold and a warm verdict cache.  Also pinned here: the
+winner-map coupling (a behavioral scenario verifies the synthesis winner
+from its own grid and therefore shards with that tech's synthesis chain)
+and the manifest identity rules (draws and seed are store identity).
 """
+
+import json
 
 import pytest
 
+from repro.behavioral.verify import VERDICT_DIRNAME
 from repro.campaign import CampaignGrid, merge_shards, run_campaign
 from repro.campaign.grid import count_shard_units, shard_scenarios
 from repro.campaign.manifest import config_digest
@@ -135,6 +138,27 @@ class TestBehavioralBackendAndShardByteIdentity:
         )
         assert resumed.replayed_scenarios == 2
         assert _store_bytes(store) == _store_bytes(reference)
+
+    @pytest.mark.parametrize("backend", ("serial", "process", "broker"))
+    def test_cold_then_warm_verdict_cache(self, reference, backend, tmp_path):
+        cache_dir = tmp_path / "cache"
+        queue_dir = str(tmp_path / "queue") if backend == "broker" else None
+        config = _config(backend, queue_dir=queue_dir, cache_dir=str(cache_dir))
+        for leg, counted in (("cold", "misses"), ("warm", "hits")):
+            out = tmp_path / leg
+            with fleet_for(config):
+                run_campaign(GRID, config=config, store_dir=out)
+            for name in ("results.jsonl", "report.txt", "manifest.json"):
+                expected = (reference / name).read_bytes()
+                assert (out / name).read_bytes() == expected, (leg, name)
+            payload = json.loads((out / "metrics.json").read_text())
+            counters = payload["metrics"]["counters"]
+            verdicts = {
+                kind: counters.get(f"behavioral.verdict_{kind}", 0)
+                for kind in ("hits", "misses")
+            }
+            assert verdicts == {"hits": 0, "misses": 0, counted: 2}, leg
+        assert len(list((cache_dir / VERDICT_DIRNAME).iterdir())) == 2
 
 
 class TestSynthesisWinnerCoupling:

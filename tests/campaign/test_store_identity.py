@@ -1,10 +1,16 @@
 """On-disk identities of the default path, and the stores it refuses.
 
-Manifest config digests, block fingerprints and queue/broker task keys
-address data that outlives a process: campaign stores, the persistent
-block cache and completed task acks.  The values below were computed
-before the batched DC kernel and the speculation knob were removed, so a
-change that moves any of them orphans stores already on disk.
+Manifest config digests, block fingerprints, verdict keys and queue/broker
+task keys address data that outlives a process: campaign stores, the
+persistent block and verdict cache and completed task acks.  The values
+below were computed before the batched DC kernel and the speculation knob
+were removed, so a change that moves any of them orphans stores already
+on disk.
+
+A verdict key covers the simulation's inputs, not its code, so the bits
+of one small verdict are pinned beside it: a change that moves them must
+bump :data:`~repro.behavioral.verify.VERDICT_VERSION` (and re-pin both),
+or warm caches would keep serving the old verdicts.
 
 The refusals cover what that removal, and the later removal of the
 evaluation and behavioral kernel knobs, leave behind: a store written
@@ -14,9 +20,12 @@ knob, and a persisted service job whose request carries one.
 
 import asyncio
 import dataclasses
+import hashlib
+import struct
 
 import pytest
 
+from repro.behavioral.verify import VERDICT_VERSION, verdict_key, verify_candidate
 from repro.campaign import CampaignGrid
 from repro.campaign.manifest import (
     build_manifest,
@@ -27,7 +36,7 @@ from repro.engine.config import FlowConfig
 from repro.engine.persist import block_fingerprint
 from repro.engine.scheduler import SynthesisJob, run_synthesis_job
 from repro.engine.workqueue import task_key
-from repro.enumeration.candidates import PipelineCandidate
+from repro.enumeration.candidates import PipelineCandidate, enumerate_candidates
 from repro.errors import SpecificationError
 from repro.service.jobs import JobRecord, JobStore, build_config, parse_request
 from repro.service.scheduler import JobScheduler
@@ -102,6 +111,10 @@ def _mdac():
     return plan.mdacs[0]
 
 
+def _candidate_3_2():
+    return next(c for c in enumerate_candidates(10) if c.label == "3-2")
+
+
 def _one_line(exc_info) -> str:
     message = str(exc_info.value)
     assert "\n" not in message
@@ -126,6 +139,29 @@ class TestDefaultIdentitiesArePinned:
         )
         assert task_key(run_synthesis_job, job) == (
             "aae3c9003eb1615a8ca3586a6c3e454bbeeabad380797f0437b25928d97afc0b"
+        )
+
+    def test_verdict_key(self):
+        config = FlowConfig()
+        key = verdict_key(
+            AdcSpec(resolution_bits=10),
+            _candidate_3_2(),
+            draws=config.behavioral_draws,
+            seed=config.behavioral_seed,
+        )
+        assert VERDICT_VERSION == 1
+        assert key == (
+            "2d2040e08c12b351da7d7ecb08c7ccb64b9dd94bbd9ffaf9c3dc047c57882ba6"
+        )
+
+    def test_verdict_bits_under_this_key_version(self):
+        verdict = verify_candidate(
+            AdcSpec(resolution_bits=10), _candidate_3_2(), draws=8, seed=1
+        )
+        bits = struct.pack("<8d", *verdict.sndr_db)
+        assert VERDICT_VERSION == 1
+        assert hashlib.sha256(bits).hexdigest() == (
+            "d52007d30e9f952a4440a5dbac3df7eec546a73e40dd3d779350f03eb6f250c2"
         )
 
 

@@ -36,6 +36,15 @@ WORK_COUNTERS = (
     "synth.ac_points",
 )
 
+#: Behavioral verdicts served from and missed in the verdict cache.
+VERDICT_COUNTERS = ("behavioral.verdict_hits", "behavioral.verdict_misses")
+
+
+def _counters(store, names):
+    payload = json.loads((store / obs.METRICS_FILENAME).read_text())
+    counters = payload["metrics"]["counters"]
+    return {name: counters.get(name, 0) for name in names}
+
 
 def _run(tmp_path, name, grid=None, **config_kwargs):
     store = tmp_path / name
@@ -128,9 +137,7 @@ class TestBackendDeterminism:
         grid = CampaignGrid(resolutions=(10, 11), modes=("analytic", "synthesis"))
 
         def work_counters(store):
-            payload = json.loads((store / obs.METRICS_FILENAME).read_text())
-            counters = payload["metrics"]["counters"]
-            return {name: counters.get(name, 0) for name in WORK_COUNTERS}
+            return _counters(store, WORK_COUNTERS)
 
         serial = work_counters(_run(tmp_path, "serial", grid))
         assert serial["campaign.scenarios"] == 4
@@ -147,3 +154,36 @@ class TestBackendDeterminism:
                 backend=backend, max_workers=2, queue_dir=queue_dir,
             )
         assert work_counters(store) == serial
+
+    @pytest.mark.parametrize("backend", ("process", "queue", "broker"))
+    def test_verdict_counters_match_serial(self, tmp_path, backend):
+        # A cold and a warm run against one fresh cache dir per backend.
+        # Behavioral scenarios run in the campaign's own process, so the
+        # counts come from the runner's registry on every backend.
+        grid = CampaignGrid(resolutions=(10, 11), modes=("analytic", "behavioral"))
+
+        def verdict_counters(name, **config_kwargs):
+            cache_dir = str(tmp_path / f"{name}-cache")
+            legs = []
+            for leg in ("cold", "warm"):
+                store = _run(
+                    tmp_path,
+                    f"{name}-{leg}",
+                    grid,
+                    cache_dir=cache_dir,
+                    behavioral_draws=4,
+                    **config_kwargs,
+                )
+                legs.append(_counters(store, VERDICT_COUNTERS))
+            return legs
+
+        serial = verdict_counters("serial")
+        # (hits, misses): the cold run simulates both verdicts, the warm
+        # run loads both.
+        assert [tuple(leg.values()) for leg in serial] == [(0, 2), (2, 0)]
+        queue_dir = str(tmp_path / "queue") if backend == "broker" else None
+        with broker_workers(queue_dir) if backend == "broker" else nullcontext():
+            pooled = verdict_counters(
+                backend, backend=backend, max_workers=2, queue_dir=queue_dir
+            )
+        assert pooled == serial

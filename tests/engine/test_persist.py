@@ -1,6 +1,12 @@
 """Persistent block cache: fingerprints, round-trips, corruption handling."""
 
+import hashlib
+import pickle
+import tempfile
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.config import FlowConfig
 from repro.engine.persist import (
@@ -135,3 +141,107 @@ class TestPersistentBlockCache:
         other.get(_mdac())
         assert other.persistent_hits == 0
         assert other.cold_runs == 1
+
+
+def _raise(exc):
+    raise exc
+
+
+class _RaisesOnLoad:
+    """Pickles fine; unpickling raises ``exc``."""
+
+    def __init__(self, exc):
+        self.exc = exc
+
+    def __reduce__(self):
+        return _raise, (self.exc,)
+
+
+def _framed(data: bytes) -> bytes:
+    """``data`` in the entry frame, with a checksum that matches it."""
+    return hashlib.sha256(data).digest() + data
+
+
+@pytest.fixture(scope="module")
+def real_entry(tmp_path_factory):
+    """One synthesized block: its entry's file name and bytes, and the block."""
+    directory = tmp_path_factory.mktemp("real-entry")
+    result = _cache(directory).get(_mdac())
+    (path,) = directory.iterdir()
+    return path.name, path.read_bytes(), result
+
+
+def _corruptions(entry: bytes):
+    """Arbitrary bytes, truncations and byte flips of ``entry``."""
+    flips = st.tuples(
+        st.integers(0, len(entry) - 1), st.integers(1, 255)
+    ).map(
+        lambda flip: entry[: flip[0]]
+        + bytes([entry[flip[0]] ^ flip[1]])
+        + entry[flip[0] + 1 :]
+    )
+    truncations = st.integers(0, len(entry) - 1).map(lambda n: entry[:n])
+    return st.one_of(st.binary(max_size=4096), truncations, flips)
+
+
+class TestCorruptEntries:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_corrupt_entries_load_as_misses(self, real_entry, data):
+        _, entry, _ = real_entry
+        corrupt = data.draw(_corruptions(entry))
+        with tempfile.TemporaryDirectory() as directory:
+            entry_path(directory, "fp").write_bytes(corrupt)
+            assert load_result(directory, "fp") is None
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda entry: b"garbage",
+            lambda entry: entry[: len(entry) // 2],
+            lambda entry: entry[:-1] + bytes([entry[-1] ^ 0x01]),
+            lambda entry: entry[32:],  # an entry without its checksum
+        ],
+        ids=["garbage", "truncated", "flipped", "unframed"],
+    )
+    def test_next_run_rewrites_the_entry(self, tmp_path, real_entry, corrupt):
+        name, entry, result = real_entry
+        path = tmp_path / name
+        path.write_bytes(corrupt(entry))
+        again = _cache(tmp_path)
+        rebuilt = again.get(_mdac())
+        assert (again.persistent_hits, again.cold_runs) == (0, 1)
+        assert rebuilt.final.sizing == result.final.sizing
+        reloaded = load_result(tmp_path, path.stem)
+        assert reloaded.final.sizing == result.final.sizing
+        assert reloaded.power == result.power
+        third = _cache(tmp_path)
+        third.get(_mdac())
+        assert (third.persistent_hits, third.cold_runs) == (1, 0)
+
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            TypeError("t"),
+            MemoryError(),
+            OverflowError("o"),
+            RuntimeError("r"),
+            RecursionError("deep"),
+            ValueError("v"),
+            ModuleNotFoundError("m"),
+        ],
+        ids=lambda exc: type(exc).__name__,
+    )
+    def test_any_exception_while_unpickling_is_a_miss(self, tmp_path, exc):
+        entry_path(tmp_path, "fp").write_bytes(
+            _framed(pickle.dumps(_RaisesOnLoad(exc)))
+        )
+        assert load_result(tmp_path, "fp") is None
+
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
+    def test_interrupts_propagate(self, tmp_path, exc):
+        entry_path(tmp_path, "fp").write_bytes(
+            _framed(pickle.dumps(_RaisesOnLoad(exc())))
+        )
+        with pytest.raises(exc):
+            load_result(tmp_path, "fp")
