@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import inspect
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Iterable,
@@ -33,6 +33,9 @@ from typing import (
 from repro.engine.threads import pin_blas_threads
 from repro.errors import SpecificationError
 from repro.obs.metrics import REGISTRY
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -106,6 +109,10 @@ class _PooledBackend:
 
     def _pool(self) -> ProcessPoolExecutor:
         if self._executor is None:
+            # Imported here: it loads multiprocessing, which only a run
+            # that fills a pool needs.
+            from concurrent.futures import ProcessPoolExecutor
+
             # Pin the solver libraries to one thread per worker before the
             # pool exists: fork-started workers inherit the parent's
             # environment, and the initializer re-pins under spawn (see

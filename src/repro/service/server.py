@@ -59,7 +59,7 @@ import signal
 import threading
 import traceback
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.engine.broker import DEFAULT_LEASE_TTL, DirectoryBroker, check_key
 from repro.errors import ServiceError, SpecificationError
@@ -82,6 +82,7 @@ _STATUS_TEXT = {
     409: "Conflict",
     413: "Payload Too Large",
     500: "Internal Server Error",
+    501: "Not Implemented",
     503: "Service Unavailable",
 }
 
@@ -114,6 +115,53 @@ class _HttpError(Exception):
         self.status = status
         self.message = message
         super().__init__(message)
+
+
+class RequestHead(NamedTuple):
+    """A request head whose body this server can read."""
+
+    method: str
+    path: str
+    #: Body length in bytes: the ``Content-Length`` value, 0 without one.
+    length: int
+
+
+def parse_head(head: bytes) -> RequestHead | _HttpError:
+    """Parse a request head, through its blank line; never raises.
+
+    Returns the method, the path and the body's length, or the error that
+    refuses the request.  The body's framing follows RFC 9112 §6.3, where
+    a framing error is unrecoverable: any ``Transfer-Encoding`` is 501
+    (this server decodes no transfer coding), a ``Content-Length`` that is
+    not ``1*DIGIT`` or that differs from another ``Content-Length`` is
+    400, and a length above :data:`MAX_BODY_BYTES` is 413.
+    """
+    request_line, _, header_block = head.decode("latin-1").partition("\r\n")
+    try:
+        method, path, _version = request_line.split(" ", 2)
+    except ValueError:
+        return _HttpError(400, "malformed request line")
+    lengths = []
+    transfer_coded = False
+    for line in header_block.split("\r\n"):
+        name, sep, value = line.partition(":")
+        name = name.strip().lower()
+        if sep and name == "transfer-encoding":
+            transfer_coded = True
+        elif sep and name == "content-length":
+            lengths.append(value.strip(" \t"))
+    if transfer_coded:
+        return _HttpError(501, "Transfer-Encoding is not supported: send a Content-Length")
+    # 1*DIGIT: no sign, separator or non-ASCII digit such as "²".
+    if not all(value.isascii() and value.isdigit() for value in lengths):
+        return _HttpError(400, "bad Content-Length: digits only")
+    if len(set(lengths)) > 1:
+        return _HttpError(400, "conflicting Content-Length headers")
+    # int() refuses more than 4,300 digits: count them first.
+    digits = (lengths[0].lstrip("0") or "0") if lengths else "0"
+    if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
+        return _HttpError(413, "request body too large")
+    return RequestHead(method, path, int(digits))
 
 
 class OptimizationService:
@@ -220,27 +268,11 @@ class OptimizationService:
                 asyncio.TimeoutError,
             ):
                 return
-            request_line, _, header_block = head.decode("latin-1").partition("\r\n")
-            try:
-                method, path, _version = request_line.split(" ", 2)
-            except ValueError:
-                await self._send_error(writer, 400, "malformed request line")
+            parsed = parse_head(head)
+            if isinstance(parsed, _HttpError):
+                await self._send_error(writer, parsed.status, parsed.message)
                 return
-            headers = {}
-            for line in header_block.split("\r\n"):
-                name, sep, value = line.partition(":")
-                if sep:
-                    headers[name.strip().lower()] = value.strip()
-            try:
-                length = int(headers.get("content-length", "0") or "0")
-            except ValueError:
-                length = -1
-            if length < 0:
-                await self._send_error(writer, 400, "bad Content-Length")
-                return
-            if length > MAX_BODY_BYTES:
-                await self._send_error(writer, 413, "request body too large")
-                return
+            method, path, length = parsed
             try:
                 body = (
                     await asyncio.wait_for(reader.readexactly(length), timeout=30.0)

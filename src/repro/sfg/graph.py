@@ -1,10 +1,13 @@
-"""Signal-flow graph container with rational-function branch weights."""
+"""Signal-flow graph container with rational-function branch weights.
+
+The graph and its path and cycle searches are networkx's.  No flow code
+builds a signal-flow graph, so networkx is not a runtime dependency: it is
+imported on first use.
+"""
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-
-import networkx as nx
 
 from repro.errors import SfgError
 from repro.symbolic import RationalFunction
@@ -19,6 +22,8 @@ class SignalFlowGraph:
     """
 
     def __init__(self, name: str = "sfg"):
+        import networkx as nx
+
         self.name = name
         self._graph = nx.DiGraph()
 
@@ -63,10 +68,14 @@ class SignalFlowGraph:
             raise SfgError(f"unknown source node {src!r}")
         if not self.has_node(dst):
             raise SfgError(f"unknown sink node {dst!r}")
+        import networkx as nx
+
         return [list(p) for p in nx.all_simple_paths(self._graph, src, dst)]
 
     def loops(self) -> list[list[str]]:
         """All simple directed cycles (Mason's loops)."""
+        import networkx as nx
+
         return [list(c) for c in nx.simple_cycles(self._graph)]
 
     def path_gain(self, path: list[str]) -> RationalFunction:

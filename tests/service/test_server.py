@@ -1,18 +1,34 @@
 """HTTP server + client: end-to-end jobs, streaming, byte-identity, restart."""
 
 import json
+import socket
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaign import CampaignGrid, run_campaign
 from repro.errors import ServiceError
 from repro.flow.topology import optimize_topology
 from repro.service import BackgroundServer, ServiceClient, topology_payload
+from repro.service.server import MAX_BODY_BYTES, RequestHead, parse_head
 from repro.specs.adc import AdcSpec
 
 
 CAMPAIGN = {"kind": "campaign", "grid": {"resolutions": [10, 11, 12]}}
+
+
+def _raw_exchange(server, request: bytes) -> str:
+    """Send ``request`` on a fresh connection; the whole response, decoded."""
+    with socket.create_connection(
+        (server.service.host, server.service.port), timeout=30
+    ) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks).decode("latin-1")
 
 
 @pytest.fixture
@@ -235,20 +251,46 @@ class TestErrors:
             client._request("GET", "/nonsense")
 
     def test_negative_content_length_is_400(self, server):
-        import socket
-
-        with socket.create_connection(
-            (server.service.host, server.service.port), timeout=30
-        ) as sock:
-            sock.sendall(
-                b"POST /jobs HTTP/1.1\r\n"
-                b"Host: x\r\n"
-                b"Content-Length: -1\r\n"
-                b"\r\n"
-            )
-            response = sock.recv(65536).decode("latin-1")
+        response = _raw_exchange(
+            server,
+            b"POST /jobs HTTP/1.1\r\n"
+            b"Host: x\r\n"
+            b"Content-Length: -1\r\n"
+            b"\r\n",
+        )
         assert "400" in response.split("\r\n", 1)[0]
         assert "Content-Length" in response
+
+    @pytest.mark.parametrize(
+        "framing, body, status, reason",
+        [
+            (b"Content-Length: +5\r\n", b"12345", 400, "Content-Length"),
+            (b"Content-Length: 1_0\r\n", b"0123456789", 400, "Content-Length"),
+            (b"Content-Length: -0\r\n", b"", 400, "Content-Length"),
+            (
+                b"Content-Length: 5\r\nContent-Length: 6\r\n",
+                b"123456",
+                400,
+                "conflicting Content-Length",
+            ),
+            (b"Transfer-Encoding: chunked\r\n", b"0\r\n\r\n", 501, "Transfer-Encoding"),
+            (
+                b"Content-Length: 2\r\nContent-Length: 2\r\n",
+                b"{}",
+                200,
+                '"status": "ok"',
+            ),
+        ],
+        ids=["plus-sign", "underscore", "minus-zero", "differing", "chunked", "agreeing"],
+    )
+    def test_body_framing_follows_rfc_9112(self, server, framing, body, status, reason):
+        # Each body has the length a lenient int() parse would read, so only
+        # a parser that refuses the framing itself answers an error.
+        response = _raw_exchange(
+            server, b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n" + framing + b"\r\n" + body
+        )
+        assert response.split("\r\n", 1)[0].split(" ")[1] == str(status)
+        assert reason in response
 
     def test_wait_timeout_does_not_overshoot_on_a_quiet_stream(self, client):
         import time as _time
@@ -274,6 +316,58 @@ class TestErrors:
         dead = ServiceClient("http://127.0.0.1:1", timeout=2)
         with pytest.raises(ServiceError, match="cannot reach"):
             dead.health()
+
+
+#: Header values: valid lengths, near misses a lenient parse accepts, and noise.
+_HEADER_VALUES = st.one_of(
+    st.from_regex(r"[0-9]{1,6}", fullmatch=True),
+    st.sampled_from(["+5", "-0", "1_0", "0x10", "5,5", "5 5", "", "1e3", "\xb2", "\xa05"]),
+    st.text(st.characters(min_codepoint=0x20, max_codepoint=0xFF), max_size=6),
+)
+_HEADER_NAMES = st.sampled_from(
+    ["Content-Length", "content-length", "CONTENT-LENGTH", "Transfer-Encoding", "Host"]
+)
+_OWS = st.sampled_from(["", " ", "\t", " \t"])
+
+
+class TestParseHead:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(_HEADER_NAMES, _OWS, _HEADER_VALUES, _OWS), max_size=4))
+    def test_a_length_exactly_when_every_content_length_is_digits_and_agrees(
+        self, headers
+    ):
+        head = "POST /v1/jobs HTTP/1.1\r\n" + "".join(
+            f"{name}:{before}{value}{after}\r\n" for name, before, value, after in headers
+        )
+        parsed = parse_head((head + "\r\n").encode("latin-1"))
+        lengths = [
+            value.strip(" \t")
+            for name, _, value, _ in headers
+            if name.lower() == "content-length"
+        ]
+        transfer_coded = any(name.lower() == "transfer-encoding" for name, *_ in headers)
+        digits_only = all(value and set(value) <= set("0123456789") for value in lengths)
+        if not transfer_coded and digits_only and len(set(lengths)) <= 1:
+            expected = int(lengths[0]) if lengths else 0
+            assert parsed == RequestHead("POST", "/v1/jobs", expected)
+        else:
+            assert not isinstance(parsed, RequestHead)
+            assert parsed.status == (501 if transfer_coded else 400)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.binary(max_size=200))
+    def test_any_head_parses_or_is_refused(self, noise):
+        parsed = parse_head(noise + b"\r\n\r\n")
+        assert isinstance(parsed, RequestHead) or parsed.status in (400, 413, 501)
+
+    def test_lengths_past_the_limit_are_413_however_many_digits(self):
+        def head(length: str) -> bytes:
+            return f"POST /v1/jobs HTTP/1.1\r\nContent-Length: {length}\r\n\r\n".encode()
+
+        assert parse_head(head(str(MAX_BODY_BYTES))).length == MAX_BODY_BYTES
+        assert parse_head(head("0" * 5000 + "7")).length == 7
+        assert parse_head(head(str(MAX_BODY_BYTES + 1))).status == 413
+        assert parse_head(head("9" * 5000)).status == 413
 
 
 class TestCancel:
