@@ -153,9 +153,8 @@ def _fleet_identity(base_url: str, jobs: list) -> bool:
 
 def _lease_overhead(base_url: str, trips: int) -> dict:
     """Median/max ms of one full task round trip over the HTTP broker."""
-    from repro.engine.broker import HttpBroker
+    from repro.engine.broker import HttpBroker, task_key
     from repro.engine.persist import digest
-    from repro.engine.workqueue import task_key
     from repro.service import wire
 
     broker = HttpBroker(base_url)
@@ -180,9 +179,8 @@ def _lease_overhead(base_url: str, trips: int) -> dict:
 
 def _reclaim_after_sigkill(base_url: str) -> dict:
     """Seconds from SIGKILLing a lease-holding worker to re-leasability."""
-    from repro.engine.broker import HttpBroker
+    from repro.engine.broker import HttpBroker, task_key
     from repro.engine.persist import digest
-    from repro.engine.workqueue import task_key
     from repro.service import wire
 
     broker = HttpBroker(base_url)

@@ -16,8 +16,8 @@ Three claims, measured on a synthesis grid:
 import time
 
 from repro.campaign import CampaignGrid, run_campaign
+from repro.engine.backend import create_backend
 from repro.engine.config import FlowConfig
-from repro.engine.workqueue import QueueBackend
 from repro.engine.scheduler import run_synthesis_job
 
 GRID = CampaignGrid(
@@ -98,14 +98,14 @@ def test_queue_ack_replay_skips_finished_tasks(tmp_path, once):
         for mdac in plan.mdacs
     ]
 
-    queue_dir = tmp_path / "queue"
-    with QueueBackend(max_workers=2, queue_dir=queue_dir) as backend:
+    queue = _config(backend="queue", max_workers=2, queue_dir=str(tmp_path / "queue"))
+    with create_backend("queue", queue) as backend:
         start = time.perf_counter()
         first = backend.map(run_synthesis_job, jobs)
         cold_s = time.perf_counter() - start
-        executed = backend.executed
+        executed = backend.dispatched
 
-    with QueueBackend(max_workers=2, queue_dir=queue_dir) as backend:
+    with create_backend("queue", queue) as backend:
         start = time.perf_counter()
         second = backend.map(run_synthesis_job, jobs)
         replay_s = time.perf_counter() - start
@@ -126,5 +126,5 @@ def test_queue_ack_replay_skips_finished_tasks(tmp_path, once):
     assert [r.final.sizing for r in second] == [r.final.sizing for r in first]
     assert replay_s < 0.2 * cold_s
 
-    with QueueBackend(max_workers=2, queue_dir=queue_dir) as backend:
+    with create_backend("queue", queue) as backend:
         once(backend.map, run_synthesis_job, jobs)

@@ -25,7 +25,6 @@ from repro.engine.backend import (
     ProcessPoolBackend,
     SerialBackend,
     create_backend,
-    make_backend,
 )
 from repro.engine.config import DEFAULT_FLOW_CONFIG, FlowConfig
 from repro.engine.persist import block_fingerprint, load_result, store_result
@@ -52,7 +51,6 @@ __all__ = [
     "create_backend",
     "execute_plan",
     "load_result",
-    "make_backend",
     "plan_synthesis",
     "run_synthesis_job",
     "store_result",

@@ -6,7 +6,9 @@ all of them funnel through one tiny contract: ``map`` an importable function
 over a list of picklable tasks, preserving order.  ``SerialBackend`` runs
 in-process (the default, and the reference for determinism checks);
 ``ProcessPoolBackend`` dispatches to a :class:`concurrent.futures`
-process pool so independent tasks use every core.
+process pool so independent tasks use every core.  The ``queue`` and
+``broker`` entries are one :class:`~repro.engine.broker.BrokerBackend`,
+with and without in-process workers.
 
 Backends are deliberately dumb: all scheduling intelligence (deduplication,
 donor ordering, wave construction) lives in :mod:`repro.engine.scheduler`,
@@ -17,7 +19,6 @@ serial results bit-for-bit.
 
 from __future__ import annotations
 
-import inspect
 import os
 from typing import (
     TYPE_CHECKING,
@@ -154,81 +155,54 @@ class ProcessPoolBackend(_PooledBackend):
     name = "process"
 
 
-def _make_queue_backend(max_workers=None, queue_dir=None):
-    """Factory for the file-backed work-queue backend (lazy import)."""
-    from repro.engine.workqueue import QueueBackend
+def _queue_backend(config: Any) -> ExecutionBackend:
+    """``queue``: a directory broker drained by in-process workers.
 
-    return QueueBackend(max_workers=max_workers, queue_dir=queue_dir)
+    The directory is ``config.queue_dir``, or a private temporary one the
+    backend removes on close.  One worker per CPU unless ``max_workers``.
+    """
+    from repro.engine.broker import BrokerBackend
+
+    max_workers = getattr(config, "max_workers", None)
+    if max_workers is not None and max_workers < 1:
+        raise SpecificationError("max_workers must be >= 1")
+    return BrokerBackend(
+        queue_dir=getattr(config, "queue_dir", None),
+        max_workers=max_workers or os.cpu_count() or 1,
+    )
 
 
-def _make_broker_backend(
-    max_workers=None, queue_dir=None, broker_url=None, wait_timeout=None,
-):
-    """Factory for the distributed broker backend (lazy import).
+def _broker_backend(config: Any) -> ExecutionBackend:
+    """``broker``: publish to a broker that remote workers drain.
 
-    ``wait_timeout`` semantics: ``None`` keeps the backend's finite default
-    (:data:`~repro.engine.broker.DEFAULT_WAIT_TIMEOUT`); zero or negative
-    means wait forever.
+    ``broker_wait_timeout`` semantics: unset keeps the backend's finite
+    default (:data:`~repro.engine.broker.DEFAULT_WAIT_TIMEOUT`); zero or
+    negative means wait forever.
     """
     from repro.engine.broker import DEFAULT_WAIT_TIMEOUT, BrokerBackend
 
+    wait_timeout = getattr(config, "broker_wait_timeout", None)
     if wait_timeout is None:
         wait_timeout = DEFAULT_WAIT_TIMEOUT
     elif wait_timeout <= 0:
         wait_timeout = None
     return BrokerBackend(
-        broker_url=broker_url,
-        queue_dir=queue_dir,
-        max_workers=max_workers,
+        broker_url=getattr(config, "broker_url", None),
+        queue_dir=getattr(config, "queue_dir", None),
         wait_timeout=wait_timeout,
     )
 
 
-#: Registered backend names -> factories.  Extension point: register a new
-#: name here (or assign ``BACKENDS['myname'] = factory`` at import time) and
-#: every FlowConfig / CLI ``--backend`` choice picks it up.  Factories that
-#: accept a ``queue_dir`` / ``broker_url`` keyword receive the matching
-#: :class:`FlowConfig` field.
-BACKENDS: dict[str, Callable[..., ExecutionBackend]] = {
-    "serial": lambda max_workers=None: SerialBackend(),
-    "process": ProcessPoolBackend,
-    "queue": _make_queue_backend,
-    "broker": _make_broker_backend,
+#: Registered backend names -> factories.  Each factory takes the
+#: :class:`~repro.engine.config.FlowConfig`-shaped object that
+#: :func:`create_backend` receives (``None`` means defaults) and reads only
+#: the execution knobs it needs.
+BACKENDS: dict[str, Callable[[Any], ExecutionBackend]] = {
+    "serial": lambda config: SerialBackend(),
+    "process": lambda config: ProcessPoolBackend(getattr(config, "max_workers", None)),
+    "queue": _queue_backend,
+    "broker": _broker_backend,
 }
-
-
-def make_backend(
-    name: str,
-    max_workers: int | None = None,
-    queue_dir: str | None = None,
-    broker_url: str | None = None,
-    wait_timeout: float | None = None,
-) -> ExecutionBackend:
-    """Instantiate a backend by registered name.
-
-    ``queue_dir``, ``broker_url``, and ``wait_timeout`` are forwarded only
-    to factories whose signature accepts them (the work-queue and broker
-    backends); other backends ignore them.
-    """
-    try:
-        factory = BACKENDS[name]
-    except KeyError:
-        known = ", ".join(sorted(BACKENDS))
-        raise SpecificationError(
-            f"unknown execution backend {name!r} (known: {known})"
-        ) from None
-    kwargs: dict[str, Any] = {"max_workers": max_workers}
-    try:
-        params = inspect.signature(factory).parameters
-    except (TypeError, ValueError):
-        params = {}
-    if "queue_dir" in params:
-        kwargs["queue_dir"] = queue_dir
-    if "broker_url" in params:
-        kwargs["broker_url"] = broker_url
-    if "wait_timeout" in params:
-        kwargs["wait_timeout"] = wait_timeout
-    return factory(**kwargs)
 
 
 def create_backend(name: str, config: Any = None) -> ExecutionBackend:
@@ -241,12 +215,11 @@ def create_backend(name: str, config: Any = None) -> ExecutionBackend:
     everywhere — one :class:`~repro.errors.SpecificationError` the CLI
     renders as its single-line ``repro-adc: error:`` form.
     """
-    if config is None:
-        return make_backend(name)
-    return make_backend(
-        name,
-        max_workers=getattr(config, "max_workers", None),
-        queue_dir=getattr(config, "queue_dir", None),
-        broker_url=getattr(config, "broker_url", None),
-        wait_timeout=getattr(config, "broker_wait_timeout", None),
-    )
+    try:
+        factory = BACKENDS[name]
+    except KeyError:
+        known = ", ".join(sorted(BACKENDS))
+        raise SpecificationError(
+            f"unknown execution backend {name!r} (known: {known})"
+        ) from None
+    return factory(config)

@@ -1,25 +1,39 @@
-"""The distributed execution fabric: brokers, and the backend that uses them.
+"""The execution fabric: brokers, and the backend that uses them.
 
-The file-backed work queue (:mod:`repro.engine.workqueue`) proved the
-protocol — content-addressed tasks, exclusive leases, atomic acks — but its
-lease/ack plumbing was welded to one process's thread pool.  This module
-promotes that plumbing into a pluggable :class:`Broker` with two
-implementations and a backend that dispatches through either one:
+Every task the ``queue`` and ``broker`` backends run goes through one
+content-addressed lease/ack protocol, defined here:
+
+* **key** — each ``(fn, task)`` pair is content-addressed (:func:`task_key`):
+  tasks that expose a ``queue_payload()`` method (e.g.
+  :class:`~repro.engine.scheduler.SynthesisJob`) digest that stable
+  payload, everything else digests structurally via
+  :func:`repro.engine.persist.digest`.
+* **lease** — a worker claims a task by atomically creating
+  ``<key>.lease``; it heartbeats while the task runs.
+* **ack** — the result is pickled to ``<key>.ack.pkl`` atomically *before*
+  the lease is released, so an ack is always a complete result.  A
+  re-dispatched task whose ack already exists replays the stored result
+  instead of executing, which is what makes killed campaigns resume at
+  task granularity.
+
+The protocol lives behind a pluggable :class:`Broker` with two
+implementations and one backend that dispatches through either:
 
 * :class:`DirectoryBroker` — the PR 4 on-disk layout behind the protocol.
   ``<key>.ack.pkl`` and ``<key>.lease`` files are byte-compatible both ways
   (old acks replay, old leases parse; new leases add worker/host/deadline
-  fields the old reader ignores).  Two new file kinds appear only when the
-  fabric is used: ``<key>.task.json`` (a pending task envelope a remote
-  worker can pick up) and ``<key>.nack.json`` (a failure record with a
-  retry count).
+  fields the old reader ignores).  Two more file kinds: ``<key>.task.json``
+  (a pending task envelope a worker can pick up) and ``<key>.nack.json``
+  (a failure record with a retry count).
 * :class:`HttpBroker` — the same protocol spoken over the optimization
   service's versioned ``/v1/broker/*`` routes, so workers on other hosts
   need nothing but a URL.
-* :class:`BrokerBackend` — ``BACKENDS['broker']``: publishes each ``map``'s
-  tasks to a broker and polls for acks, instead of executing on local
-  executor threads.  Whoever runs ``repro-adc worker`` against the same
-  broker does the executing.
+* :class:`BrokerBackend` — ``BACKENDS['broker']`` and ``BACKENDS['queue']``:
+  publishes each ``map``'s tasks to a broker and collects their acks.
+  ``broker`` leaves the executing to ``repro-adc worker`` processes;
+  ``queue`` drains its directory on in-process
+  :class:`~repro.engine.worker.WorkerLoop` threads, so local and remote
+  execution share every lease, heartbeat, ack, nack and reclaim.
 
 Leases carry a TTL.  A worker extends its lease by heartbeating; a lease
 whose deadline passed — or whose recorded pid is dead on this host — is
@@ -37,13 +51,17 @@ import contextlib
 import json
 import os
 import re
+import shutil
 import socket
+import tempfile
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Protocol, TypeVar, runtime_checkable
 
-from repro.engine.persist import atomic_write_bytes
+from repro.engine.persist import atomic_write_bytes, digest
+from repro.engine.threads import pin_blas_threads
 from repro.errors import ServiceError, SpecificationError
 from repro.obs import metrics
 
@@ -52,6 +70,12 @@ R = TypeVar("R")
 
 #: Pending-task envelope files (JSON, see :func:`repro.service.wire.encode_task`).
 TASK_SUFFIX = ".task.json"
+
+#: Completed-task result files (raw pickled results).
+ACK_SUFFIX = ".ack.pkl"
+
+#: In-flight claim markers.
+LEASE_SUFFIX = ".lease"
 
 #: Subdirectory of a :class:`DirectoryBroker` root holding one JSON record
 #: per worker that ever leased from it (the fleet census; see
@@ -75,10 +99,9 @@ NACK_SUFFIX = ".nack.json"
 #: re-leasing it and ``BrokerBackend`` surfaces the recorded error.
 MAX_RETRIES = 3
 
-#: Default lease time-to-live.  Matches the work queue's historic
-#: ``lease_timeout``: synthesis tasks run seconds to low minutes, and a
-#: worker heartbeats at TTL/3, so 60 s tolerates slow tasks while keeping
-#: reclaim-after-SIGKILL prompt.
+#: Default lease time-to-live.  Synthesis tasks run seconds to low minutes,
+#: and a worker heartbeats at TTL/3, so 60 s tolerates slow tasks while
+#: keeping reclaim-after-SIGKILL prompt.
 DEFAULT_LEASE_TTL = 60.0
 
 #: Default :class:`BrokerBackend` no-progress timeout [s].  Finite on
@@ -99,6 +122,31 @@ def check_key(key: str) -> str:
     if not isinstance(key, str) or not _KEY_RE.fullmatch(key):
         raise ValueError(f"malformed task key {key!r}")
     return key
+
+
+def task_key(fn: Callable, task: object) -> str | None:
+    """Content address of one ``(fn, task)`` dispatch, or ``None``.
+
+    ``None`` means the task has no stable identity (its structural digest
+    raised) — it still executes, it just never replays from an ack.
+    """
+    payload_fn = getattr(task, "queue_payload", None)
+    body = payload_fn() if callable(payload_fn) else task
+    try:
+        return digest({"fn": f"{fn.__module__}.{fn.__qualname__}", "task": body})
+    except Exception:
+        return None
+
+
+def _pid_alive(pid: int) -> bool:
+    """Whether a process with this pid exists on this host."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except (PermissionError, OSError):
+        return True  # exists (owned by someone else), or unknowable: keep it
+    return True
 
 
 @runtime_checkable
@@ -170,15 +218,16 @@ class DirectoryBroker:
     One directory, four file kinds per task key: ``.task.json`` (pending
     envelope), ``.lease`` (exclusive claim, JSON with pid/worker/host/
     deadline), ``.ack.pkl`` (raw pickled result, written atomically), and
-    ``.nack.json`` (retry count + last error).  Ack and lease files are the
-    exact PR 4 formats, so stores written by the old ``QueueBackend`` replay
-    under the broker and vice versa.
+    ``.nack.json`` (retry count + last error).  Ack and lease files keep
+    their original formats, so queue directories written by any earlier
+    version replay here.
 
     Reclaim policy, per lease: an acked task's lease is simply swept; a
-    lease with an expired ``deadline`` is broken; a lease *without* a
-    deadline (a legacy claim, or mid-crash garbage) is broken unless its
-    recorded pid is alive on this host.  A live pid with an unexpired
-    deadline is always kept — that covers the recycled-pid case, where a
+    lease past its deadline is broken.  A lease without a recorded
+    deadline (a legacy ``{"pid": N}`` claim) expires ``lease_ttl`` after its
+    file's mtime, and one that records no pid at all (mid-crash garbage) is
+    broken at once.  A dead local pid breaks a lease early; a live pid
+    never extends one — that covers the recycled-pid case, where a
     SIGKILLed worker's pid was reused by an unrelated process: the impostor
     pid looks alive, but the lease still dies when its TTL runs out.
 
@@ -198,9 +247,11 @@ class DirectoryBroker:
         self.lease_ttl = lease_ttl
         self.host = socket.gethostname()
         #: Serializes lease read-modify-write cycles (heartbeat, ownership
-        #: checks before release) against claim/release in this process.  The
-        #: HTTP fabric funnels every lease mutation through the server's one
-        #: DirectoryBroker, so in-process is the case that matters; two
+        #: checks before release, the reclaim sweep's staleness check before
+        #: its unlink) against claim/release in this process.  The HTTP
+        #: fabric funnels every lease mutation through the server's one
+        #: DirectoryBroker, and the queue backend's workers share one, so
+        #: in-process is the case that matters; two
         #: unrelated processes mutating one directory still have a small
         #: read-to-unlink window, which the ownership checks shrink from
         #: "any ack/nack clobbers any lease" to "a lost-lease race during
@@ -225,13 +276,9 @@ class DirectoryBroker:
         return self.root / f"{check_key(key)}{TASK_SUFFIX}"
 
     def _lease_path(self, key: str) -> Path:
-        from repro.engine.workqueue import LEASE_SUFFIX
-
         return self.root / f"{check_key(key)}{LEASE_SUFFIX}"
 
     def _ack_path(self, key: str) -> Path:
-        from repro.engine.workqueue import ACK_SUFFIX
-
         return self.root / f"{check_key(key)}{ACK_SUFFIX}"
 
     def _nack_path(self, key: str) -> Path:
@@ -394,51 +441,52 @@ class DirectoryBroker:
 
     def _lease_is_stale(self, key: str) -> bool | None:
         """None: no lease. False: a live claim. True: break it."""
-        from repro.engine.workqueue import _pid_alive
         from repro.service import wire
 
         lease = self._lease_path(key)
         try:
             parsed = wire.parse_lease(lease.read_text(errors="replace"))
+            deadline = parsed["deadline"]
+            if deadline is None:
+                if parsed["pid"] <= 0:
+                    return True  # no claimant recorded: crash garbage
+                deadline = lease.stat().st_mtime + self.lease_ttl
         except FileNotFoundError:
             return None
         except OSError:
             return True
-        if parsed["deadline"] is not None:
-            if parsed["deadline"] <= time.time():
-                return True
-            # Unexpired TTL: trust it even when the pid check is available —
-            # a recycled pid must not make a dead worker look alive forever,
-            # and a live worker heartbeats before the deadline anyway.  But a
-            # *local, dead* pid is conclusive: break early, don't wait out
-            # the TTL.
-            if (
-                parsed["host"] in (None, self.host)
-                and parsed["pid"] > 0
-                and not _pid_alive(parsed["pid"])
-            ):
-                return True
-            return False
-        # Legacy lease (no deadline): the PR 4 rule — keep iff pid is alive.
-        if parsed["host"] not in (None, self.host):
-            return False  # foreign host, no TTL: unknowable, keep it
-        return not (parsed["pid"] > 0 and _pid_alive(parsed["pid"]))
+        if deadline <= time.time():
+            return True
+        # Unexpired: trust it even when the pid looks alive — a recycled pid
+        # must not keep a dead worker's lease forever, and a live worker
+        # heartbeats before the deadline anyway.  But a *local, dead* pid
+        # is conclusive: break early, don't wait out the TTL.
+        return (
+            parsed["host"] in (None, self.host)
+            and parsed["pid"] > 0
+            and not _pid_alive(parsed["pid"])
+        )
 
     def break_if_stale(self, key: str) -> bool:
         """Apply the reclaim policy to one key; True if a lease was broken."""
         if self._ack_path(key).exists():
             self.release(key)
             return False
-        if self._lease_is_stale(key):
-            self.release(key)
-            self._count("reclaimed")
-            return True
-        return False
+        # Look and unlink under one lock: otherwise another in-process
+        # worker could break this lease and re-claim the task in between,
+        # and the unlink would drop that live claim.
+        with self._mutex:
+            if not self._lease_is_stale(key):
+                return False
+            try:
+                self._lease_path(key).unlink()
+            except OSError:
+                pass
+        self._count("reclaimed")
+        return True
 
     def reclaim(self) -> int:
         """Sweep every lease in the directory; returns how many broke."""
-        from repro.engine.workqueue import LEASE_SUFFIX
-
         broken = 0
         try:
             leases = sorted(self.root.glob(f"*{LEASE_SUFFIX}"))
@@ -628,7 +676,6 @@ class DirectoryBroker:
 
     def stats(self) -> dict:
         """Counters plus a live census of the directory."""
-        from repro.engine.workqueue import ACK_SUFFIX, LEASE_SUFFIX
 
         def count(suffix: str) -> int:
             try:
@@ -839,23 +886,23 @@ class HttpBroker:
 
 
 class BrokerBackend:
-    """``BACKENDS['broker']``: dispatch ``map`` through a task broker.
+    """``BACKENDS['broker']`` and ``BACKENDS['queue']``: ``map`` via a broker.
 
-    The inversion of every other backend: instead of *executing* tasks, it
-    *publishes* them (content-addressed envelopes via
-    :func:`repro.service.wire.encode_task`) and polls the broker for acks,
-    while ``repro-adc worker`` processes — anywhere that can reach the
-    broker — do the executing.  Acked results replay exactly like the work
-    queue's, so a resumed or re-sharded campaign only ships the unfinished
-    tail.  Tasks with no stable key (their digest raised) cannot ship and
-    run locally, preserving the backend contract.
+    Every ``map`` publishes its tasks (content-addressed envelopes via
+    :func:`repro.service.wire.encode_task`) and collects their acks.  Acked
+    results replay, so a resumed or re-sharded campaign only runs the
+    unfinished tail.  Tasks with no stable key (their digest raised) cannot
+    ship and run in-process, preserving the backend contract.
 
-    Construct with ``broker_url=`` (an :class:`HttpBroker`) or ``queue_dir=``
-    (a :class:`DirectoryBroker` — the in-server dispatch path, where workers
-    ack over HTTP into the same directory the backend polls).
+    Who executes is ``max_workers``: that many in-process
+    :class:`~repro.engine.worker.WorkerLoop` threads drain the broker inside
+    each ``map`` (the ``queue`` backend), or, at 0, ``repro-adc worker``
+    processes anywhere that can reach the broker do (the ``broker``
+    backend).  Construct with ``broker_url=`` (an :class:`HttpBroker`) or
+    ``queue_dir=`` (a :class:`DirectoryBroker`); with local workers and
+    neither, the backend runs on a private temporary directory that
+    :meth:`close` removes.
     """
-
-    name = "broker"
 
     def __init__(
         self,
@@ -863,16 +910,23 @@ class BrokerBackend:
         *,
         broker_url: str | None = None,
         queue_dir: str | Path | None = None,
-        max_workers: int | None = None,  # registry parity; workers are remote
-        lease_ttl: float = DEFAULT_LEASE_TTL,
+        max_workers: int = 0,
         poll_interval: float = 0.05,
         wait_timeout: float | None = DEFAULT_WAIT_TIMEOUT,
     ):
+        #: Registry name: in-process workers are what make it the queue.
+        self.name = "queue" if max_workers else "broker"
+        #: In-process workers that drain the broker inside each ``map``.
+        self.max_workers = max_workers
+        #: The private queue directory this backend made (removed on close).
+        self._owned_dir: Path | None = None
+        if broker is None and broker_url is None and queue_dir is None and max_workers:
+            queue_dir = self._owned_dir = Path(tempfile.mkdtemp(prefix="repro-queue-"))
         if broker is None:
             if broker_url is not None:
                 broker = HttpBroker(broker_url)
             elif queue_dir is not None:
-                broker = DirectoryBroker(queue_dir, lease_ttl=lease_ttl)
+                broker = DirectoryBroker(queue_dir)
             else:
                 raise SpecificationError(
                     "the broker backend needs a broker URL (--broker-url) "
@@ -889,21 +943,8 @@ class BrokerBackend:
         self.replayed = 0
         #: Tasks published to the broker by this backend.
         self.dispatched = 0
-
-    def _poll_statuses(self, keys: list[str]) -> dict[str, dict]:
-        """Batched ack/lease/failure poll, with a fallback for brokers
-        that predate :meth:`Broker.statuses` (two calls per key)."""
-        statuses = getattr(self.broker, "statuses", None)
-        if callable(statuses):
-            return statuses(keys)
-        out = {}
-        for key in keys:
-            out[key] = {
-                "acked": self.broker.result(key) is not None,
-                "leased": False,
-                "failure": self.broker.failure(key),
-            }
-        return out
+        self._worker_prefix = f"{self.name}-{socket.gethostname()}-{os.getpid()}"
+        self._executor: ThreadPoolExecutor | None = None
 
     def _take_result(self, key: str) -> tuple[bool, Any]:
         """(done, value) for one key; discards + leaves pending if corrupt."""
@@ -915,14 +956,50 @@ class BrokerBackend:
         try:
             return True, wire.decode_result(payload)
         except Exception:
-            # An unreadable ack degrades to a retry, exactly like the work
-            # queue: drop it and let a worker re-execute the task.
+            # An unreadable ack degrades to a retry: drop it and let a
+            # worker re-execute the task.
             self.broker.discard(key)
             return False, None
 
+    def _pool(self) -> ThreadPoolExecutor:
+        if self._executor is None:
+            # Local workers are threads sharing this process's BLAS pools:
+            # pin them to one solver thread each so concurrent solves don't
+            # oversubscribe the cores (user settings win).
+            pin_blas_threads()
+            self._executor = ThreadPoolExecutor(max_workers=self.max_workers)
+        return self._executor
+
+    def _drain(self, pending: int) -> None:
+        """Run the local workers until the broker has nothing to lease."""
+        from repro.engine.worker import WorkerLoop
+        from repro.obs.trace import TRACER
+
+        ttl = getattr(self.broker, "lease_ttl", DEFAULT_LEASE_TTL)
+        loops = [
+            WorkerLoop(
+                self.broker,
+                worker_id=f"{self._worker_prefix}-{n}",
+                lease_ttl=ttl,
+                idle_exit=0.0,
+                census=False,
+            )
+            for n in range(min(self.max_workers, pending))
+        ]
+        stop = threading.Event()
+        previous = TRACER.worker  # WorkerLoop.run claims this process-global
+        try:
+            if len(loops) == 1:
+                loops[0].run(stop)
+            else:
+                for future in [self._pool().submit(loop.run, stop) for loop in loops]:
+                    future.result()
+        finally:
+            stop.set()
+            TRACER.worker = previous
+
     def map(self, fn: Callable[[T], R], tasks: Iterable[T]) -> list[R]:
-        """Publish every task, poll for acks, return results in task order."""
-        from repro.engine.workqueue import task_key
+        """Publish every task, collect the acks, return results in task order."""
         from repro.service import wire
 
         task_list = list(tasks)
@@ -953,10 +1030,12 @@ class BrokerBackend:
         last_progress = time.monotonic()
         delay = self.poll_interval
         while outstanding:
+            if self.max_workers:
+                self._drain(len(outstanding))
             # One batched status poll for every outstanding key (a single
             # HTTP round trip on HttpBroker); result *bytes* are fetched
             # only for keys the poll reports acked.
-            statuses = self._poll_statuses(list(outstanding))
+            statuses = self.broker.statuses(list(outstanding))
             completed = []
             live_leases = 0
             for key in outstanding:
@@ -1008,8 +1087,12 @@ class BrokerBackend:
         ]
 
     def close(self) -> None:
-        """Nothing pooled locally; the broker's state is its own."""
-        return None
+        """Stop the local worker threads; remove a private queue directory."""
+        if self._executor is not None:
+            self._executor.shutdown(wait=True)
+            self._executor = None
+        if self._owned_dir is not None:
+            shutil.rmtree(self._owned_dir, ignore_errors=True)
 
     def __enter__(self) -> "BrokerBackend":
         return self
@@ -1019,12 +1102,14 @@ class BrokerBackend:
 
 
 __all__ = [
+    "ACK_SUFFIX",
     "Broker",
     "BrokerBackend",
     "DEFAULT_LEASE_TTL",
     "DEFAULT_WAIT_TIMEOUT",
     "DirectoryBroker",
     "HttpBroker",
+    "LEASE_SUFFIX",
     "MAX_RETRIES",
     "NACK_SUFFIX",
     "STALE_AFTER_TTLS",
@@ -1032,4 +1117,5 @@ __all__ = [
     "WORKERS_DIRNAME",
     "check_key",
     "lease_heartbeat",
+    "task_key",
 ]

@@ -3,7 +3,8 @@
 A worker is the other half of the :class:`~repro.engine.broker.Broker`
 fabric: :class:`~repro.engine.broker.BrokerBackend` publishes task
 envelopes; any number of ``WorkerLoop`` processes — on any host that can
-reach the broker — lease them, run them through the same importable task
+reach the broker, or as threads of the submitting process under the
+``queue`` backend — lease them, run them through the same importable task
 functions the local backends use, and ack pickled results back.  Fleet
 size is pure deployment: determinism lives in the tasks and the
 order-preserving assembly, so 1 worker and N workers produce
@@ -111,6 +112,7 @@ class WorkerLoop:
         lease_ttl: float = DEFAULT_LEASE_TTL,
         max_tasks: int | None = None,
         idle_exit: float | None = None,
+        census: bool = True,
     ):
         self.broker = broker
         self.worker_id = worker_id or default_worker_id()
@@ -121,6 +123,10 @@ class WorkerLoop:
         self.heartbeat_interval = max(lease_ttl / 3.0, 0.05)
         self.max_tasks = max_tasks
         self.idle_exit = idle_exit
+        #: Publish a full census record around every task.  In-process
+        #: workers skip it: their metrics are the submitter's own, and the
+        #: broker still registers them on first contact.
+        self.census = census
         self.counters = {"executed": 0, "failed": 0, "rejected": 0, "polls": 0}
         #: Wall seconds spent executing leased tasks (census metadata).
         self.busy_seconds = 0.0
@@ -148,7 +154,7 @@ class WorkerLoop:
     def _push_census(self, current: str | None = None) -> None:
         """Best-effort census refresh; brokers without one are fine."""
         register = getattr(self.broker, "register_worker", None)
-        if not callable(register):
+        if not self.census or not callable(register):
             return
         try:
             register(self.census_record(current))

@@ -1,16 +1,15 @@
 """One wire format for everything that crosses a process boundary.
 
-Before this module, three serializers had grown independently: the job
-store's canonical result summaries (``topology_payload`` /
-``campaign_payload`` in :mod:`repro.service.jobs`), the work-queue's task
-identity payload (:meth:`~repro.engine.scheduler.SynthesisJob.queue_payload`),
-and the ad-hoc lease JSON inside :mod:`repro.engine.workqueue`.  The broker
-fabric adds a fourth concern — shipping arbitrary ``(fn, task)`` dispatches
-to remote workers — so all of them now live here, with explicit schema
-versions, and the broker, the job store and the queue share one format.
+Four payload kinds live here, with explicit schema versions: the job
+store's canonical result summaries
+(``topology_payload`` / ``campaign_payload``, used by
+:mod:`repro.service.jobs`), the task identity payload
+(:meth:`~repro.engine.scheduler.SynthesisJob.queue_payload`), the lease
+JSON, and the ``(fn, task)`` envelopes and results the brokers ship
+between submitters and workers (:mod:`repro.engine.broker`).
 
 Layering: this is a *leaf* module — stdlib plus
-:mod:`repro.engine.persist` only — so both the engine (broker, work queue,
+:mod:`repro.engine.persist` only — so both the engine (broker, worker,
 scheduler) and the service (jobs, server) can import it without cycles.
 Engine modules that are part of the ``repro`` package import chain load it
 lazily inside functions.

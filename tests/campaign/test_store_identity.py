@@ -35,7 +35,7 @@ from repro.campaign.manifest import (
 from repro.engine.config import FlowConfig
 from repro.engine.persist import block_fingerprint
 from repro.engine.scheduler import SynthesisJob, run_synthesis_job
-from repro.engine.workqueue import task_key
+from repro.engine.broker import task_key
 from repro.enumeration.candidates import PipelineCandidate, enumerate_candidates
 from repro.errors import SpecificationError
 from repro.service.jobs import JobRecord, JobStore, build_config, parse_request

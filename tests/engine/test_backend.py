@@ -1,6 +1,7 @@
 """Execution-backend contract tests."""
 
 import dataclasses
+import os
 
 import pytest
 
@@ -10,7 +11,6 @@ from repro.engine.backend import (
     ProcessPoolBackend,
     SerialBackend,
     create_backend,
-    make_backend,
 )
 from repro.engine.config import FlowConfig
 from repro.errors import SpecificationError
@@ -66,15 +66,27 @@ class TestFactory:
     def test_registry_names(self):
         assert sorted(BACKENDS) == ["broker", "process", "queue", "serial"]
 
-    def test_make_backend(self):
-        assert isinstance(make_backend("serial"), SerialBackend)
-        backend = make_backend("process", max_workers=3)
+    def test_create_backend(self):
+        assert isinstance(create_backend("serial"), SerialBackend)
+        backend = create_backend("process", FlowConfig(max_workers=3))
         assert isinstance(backend, ProcessPoolBackend)
         assert backend.max_workers == 3
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(SpecificationError):
-            make_backend("gpu")
+        with pytest.raises(SpecificationError) as excinfo:
+            create_backend("gpu")
+        assert str(excinfo.value) == (
+            "unknown execution backend 'gpu' "
+            "(known: broker, process, queue, serial)"
+        )
+
+    def test_in_process_workers_are_the_queue_backends_only(self, tmp_path):
+        config = FlowConfig(max_workers=3, queue_dir=str(tmp_path))
+        for name, workers in (("queue", 3), ("broker", 0)):
+            with create_backend(name, config) as backend:
+                assert backend.max_workers == workers
+        with create_backend("queue") as backend:
+            assert backend.max_workers == (os.cpu_count() or 1)
 
     @pytest.mark.parametrize("name", sorted(BACKENDS))
     def test_create_backend_builds_every_registered_name(self, name, tmp_path):

@@ -13,6 +13,7 @@ import pytest
 import repro
 
 from repro.engine.broker import (
+    ACK_SUFFIX,
     DEFAULT_LEASE_TTL,
     DEFAULT_WAIT_TIMEOUT,
     MAX_RETRIES,
@@ -20,11 +21,12 @@ from repro.engine.broker import (
     BrokerBackend,
     DirectoryBroker,
     HttpBroker,
+    LEASE_SUFFIX,
     check_key,
+    task_key,
 )
 from repro.engine.persist import digest
 from repro.engine.worker import WorkerLoop, default_worker_id, resolve_task_fn
-from repro.engine.workqueue import ACK_SUFFIX, LEASE_SUFFIX, task_key
 from repro.errors import SpecificationError
 from repro.service import wire
 
@@ -201,6 +203,38 @@ class TestDirectoryBrokerLeases:
             )
         )
         assert broker.reclaim() == 1
+
+    def test_a_sweep_never_breaks_a_lease_claimed_after_it_looked(self, tmp_path):
+        # Two in-process workers sweep one dead lease.  The first breaks it
+        # and re-claims the task while the second is between reading the
+        # dead lease and unlinking it; the second must not unlink the new,
+        # live claim.
+        broker = DirectoryBroker(tmp_path)
+        key = _key()
+        proc = subprocess.Popen([sys.executable, "-c", "pass"])
+        proc.wait()
+        (tmp_path / f"{key}{LEASE_SUFFIX}").write_text(json.dumps({"pid": proc.pid}))
+        looked, claimed = threading.Event(), threading.Event()
+        is_stale = broker._lease_is_stale
+
+        def slow_is_stale(k):
+            stale = is_stale(k)
+            if threading.current_thread() is not threading.main_thread():
+                looked.set()
+                claimed.wait(timeout=0.5)
+            return stale
+
+        broker._lease_is_stale = slow_is_stale
+        sweeper = threading.Thread(target=broker.break_if_stale, args=(key,))
+        sweeper.start()
+        assert looked.wait(timeout=5.0)
+        broker.break_if_stale(key)
+        assert broker.claim(key, "w1")
+        claimed.set()
+        sweeper.join(timeout=5.0)
+        assert not sweeper.is_alive()
+        info = broker.lease_info(key)
+        assert info is not None and info["worker"] == "w1"
 
     def test_legacy_pid_only_lease_still_parses(self, tmp_path):
         # PR 4 leases were {"pid": N} with no deadline: keep iff pid alive.
@@ -536,6 +570,37 @@ class TestBrokerBackend:
         finally:
             holder.join()
 
+    def test_a_deadline_less_lease_of_a_live_pid_expires_after_one_ttl(
+        self, tmp_path
+    ):
+        # A legacy lease ({"pid": N}, no deadline) whose pid is alive — pid 1
+        # after recycling — must not count as progress forever: it expires
+        # one TTL after its mtime and the attached worker runs the task.
+        broker = DirectoryBroker(tmp_path, lease_ttl=0.3)
+        key = task_key(digest, {"n": 3})
+        (tmp_path / f"{key}{LEASE_SUFFIX}").write_text('{"pid": 1}')
+        backend = BrokerBackend(broker, poll_interval=0.01, wait_timeout=5.0)
+        worker = WorkerLoop(
+            DirectoryBroker(tmp_path, lease_ttl=0.3),
+            worker_id="w1",
+            lease_ttl=0.3,
+            poll_interval=0.01,
+        )
+        stop = threading.Event()
+        thread = threading.Thread(target=worker.run, args=(stop,))
+        results = []
+        mapper = threading.Thread(
+            target=lambda: results.extend(backend.map(digest, [{"n": 3}])),
+            daemon=True,  # a hung map must not hang the test session
+        )
+        thread.start()
+        mapper.start()
+        mapper.join(timeout=5 * 0.3)
+        stop.set()
+        thread.join()
+        assert not mapper.is_alive(), "map still blocked on the expired lease"
+        assert results == [digest({"n": 3})]
+
     def test_corrupt_ack_is_discarded_and_reexecuted(self, tmp_path):
         broker = DirectoryBroker(tmp_path)
         key = task_key(digest, {"n": 1})
@@ -564,7 +629,7 @@ class TestProtocolConformance:
             with pytest.raises(ValueError):
                 resolve_task_fn(name)
 
-    def test_default_ttl_matches_the_workqueue_timeout(self):
+    def test_default_lease_ttl_is_one_minute(self):
         assert DEFAULT_LEASE_TTL == 60.0
 
 
@@ -650,3 +715,16 @@ class TestWorkerCensus:
         assert record["current"] is None  # idle after the task acked
         assert isinstance(record["metrics"], dict)
         assert record["metrics"]["counters"]["worker.executed"] == 1
+
+    def test_a_loop_without_census_is_only_registered(self, tmp_path):
+        # In-process workers skip the per-task records; the broker still
+        # registers them on first contact.
+        broker = DirectoryBroker(tmp_path)
+        _seed(broker)
+        loop = WorkerLoop(
+            broker, worker_id="w-local", max_tasks=1, poll_interval=0.01, census=False
+        )
+        assert loop.run()["executed"] == 1
+        (record,) = broker.workers()
+        assert record["worker"] == "w-local"
+        assert "executed" not in record and "metrics" not in record

@@ -1,13 +1,62 @@
-"""The file-backed work-queue backend: leases, acks, replay, determinism."""
+"""The ``queue`` backend: a directory broker drained by in-process workers.
+
+Every case builds the backend through ``create_backend("queue", ...)``.
+Task functions are ``repro`` module-level functions, because the workers
+resolve only ``repro.*`` names — as they do for the production task
+functions (``run_synthesis_job``, ``_evaluate_analytic``, ``_sweep_one``).
+"""
 
 import os
-import pickle
+import subprocess
+import sys
+import threading
+import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
-from repro.engine.backend import BACKENDS, make_backend
-from repro.engine.workqueue import ACK_SUFFIX, LEASE_SUFFIX, QueueBackend, task_key
+import repro
+from repro.engine.backend import BACKENDS, create_backend
+from repro.engine.broker import (
+    ACK_SUFFIX,
+    LEASE_SUFFIX,
+    MAX_RETRIES,
+    DirectoryBroker,
+    check_key,
+    task_key,
+)
+from repro.engine.config import FlowConfig
+from repro.engine.persist import digest
+from repro.engine.worker import fabric_probe
+from repro.errors import SpecificationError
+from repro.obs.trace import TRACER
+from repro.service import wire
+
+
+def _queue(queue_dir=None, max_workers=1):
+    return create_backend(
+        "queue",
+        FlowConfig(
+            backend="queue",
+            max_workers=max_workers,
+            queue_dir=None if queue_dir is None else str(queue_dir),
+        ),
+    )
+
+
+def _files(queue_dir, suffix):
+    return [p for p in Path(queue_dir).iterdir() if p.name.endswith(suffix)]
+
+
+def _start_map(backend, fn, tasks):
+    """Run ``backend.map`` on a daemon thread: a hung map fails, not hangs."""
+    results = []
+    mapper = threading.Thread(
+        target=lambda: results.extend(backend.map(fn, tasks)), daemon=True
+    )
+    mapper.start()
+    return mapper, results
 
 
 @dataclass(frozen=True)
@@ -19,215 +68,229 @@ def square(task: SquareTask) -> int:
     return task.value * task.value
 
 
-@dataclass(frozen=True)
-class TrackedTask:
-    value: int
-
-
-CALLS: list[int] = []
-
-
-def tracked(task: TrackedTask) -> int:
-    CALLS.append(task.value)
-    return task.value + 100
-
-
 class TestBackendContract:
     def test_registered_in_backends(self):
         assert "queue" in BACKENDS
-        backend = make_backend("queue", max_workers=2)
-        try:
+        with _queue(max_workers=2) as backend:
             assert backend.name == "queue"
-        finally:
-            backend.close()
 
     def test_map_preserves_task_order(self, tmp_path):
-        with QueueBackend(max_workers=4, queue_dir=tmp_path) as backend:
-            tasks = [SquareTask(v) for v in (5, 3, 9, 1, 7)]
-            assert backend.map(square, tasks) == [25, 9, 81, 1, 49]
+        tasks = [{"n": v} for v in (5, 3, 9, 1, 7)]
+        with _queue(tmp_path, max_workers=2) as backend:
+            assert backend.map(digest, tasks) == [digest(t) for t in tasks]
 
     def test_matches_serial_backend(self, tmp_path):
-        serial = make_backend("serial")
-        tasks = [SquareTask(v) for v in range(10)]
-        expected = serial.map(square, tasks)
-        with QueueBackend(max_workers=3, queue_dir=tmp_path) as backend:
-            assert backend.map(square, tasks) == expected
+        tasks = [{"n": v} for v in range(10)]
+        expected = create_backend("serial").map(digest, tasks)
+        with _queue(tmp_path, max_workers=3) as backend:
+            assert backend.map(digest, tasks) == expected
 
     def test_empty_map(self, tmp_path):
-        with QueueBackend(queue_dir=tmp_path) as backend:
-            assert backend.map(square, []) == []
+        with _queue(tmp_path) as backend:
+            assert backend.map(digest, []) == []
 
     def test_ephemeral_dir_removed_on_close(self):
-        backend = QueueBackend(max_workers=1)
-        queue_dir = backend.queue_dir
-        backend.map(square, [SquareTask(2)])
-        assert queue_dir.exists()
+        backend = _queue()
+        queue_dir = backend.broker.root
+        backend.map(digest, [{"n": 2}])
+        assert _files(queue_dir, ACK_SUFFIX)
         backend.close()
         assert not queue_dir.exists()
 
     def test_explicit_dir_survives_close(self, tmp_path):
-        backend = QueueBackend(max_workers=1, queue_dir=tmp_path)
-        backend.map(square, [SquareTask(2)])
+        backend = _queue(tmp_path)
+        backend.map(digest, [{"n": 2}])
         backend.close()
         assert tmp_path.exists()
-        assert any(p.name.endswith(ACK_SUFFIX) for p in tmp_path.iterdir())
+        assert _files(tmp_path, ACK_SUFFIX)
 
     def test_invalid_workers_rejected(self):
-        from repro.errors import SpecificationError
-
         with pytest.raises(SpecificationError):
-            QueueBackend(max_workers=0)
+            _queue(max_workers=0)
+
+    def test_tracer_worker_survives_a_map(self, tmp_path, monkeypatch):
+        # WorkerLoop.run stamps its id on the process-global tracer; the
+        # backend hands the campaign its own identity back.
+        monkeypatch.setattr(TRACER, "worker", "campaign")
+        with _queue(tmp_path, max_workers=2) as backend:
+            backend.map(digest, [{"n": v} for v in range(4)])
+            assert TRACER.worker == "campaign"
+            backend.map(digest, [{"n": 9}])
+        assert TRACER.worker == "campaign"
 
 
 class TestAckReplay:
     def test_acked_tasks_replay_instead_of_executing(self, tmp_path):
-        CALLS.clear()
-        tasks = [TrackedTask(v) for v in (1, 2, 3)]
-        with QueueBackend(max_workers=1, queue_dir=tmp_path) as first:
-            first_results = first.map(tracked, tasks)
-            assert first.executed == 3 and first.replayed == 0
-        assert sorted(CALLS) == [1, 2, 3]
-
-        CALLS.clear()
-        with QueueBackend(max_workers=1, queue_dir=tmp_path) as second:
-            second_results = second.map(tracked, tasks)
-            assert second.executed == 0 and second.replayed == 3
-        assert CALLS == []  # nothing re-executed
-        assert second_results == first_results
+        tasks = [{"n": v} for v in (1, 2, 3)]
+        with _queue(tmp_path) as first:
+            first_results = first.map(digest, tasks)
+            assert first.dispatched == 3 and first.replayed == 0
+            assert first.broker.counters["acked"] == 3
+        with _queue(tmp_path) as second:
+            assert second.map(digest, tasks) == first_results
+            assert second.dispatched == 0 and second.replayed == 3
+            assert second.broker.counters["acked"] == 0  # nothing re-executed
 
     def test_partial_acks_execute_only_the_tail(self, tmp_path):
-        tasks = [TrackedTask(v) for v in (1, 2, 3, 4)]
-        with QueueBackend(max_workers=1, queue_dir=tmp_path) as first:
-            first.map(tracked, tasks[:2])
-        CALLS.clear()
-        with QueueBackend(max_workers=1, queue_dir=tmp_path) as second:
-            results = second.map(tracked, tasks)
-            assert second.replayed == 2 and second.executed == 2
-        assert sorted(CALLS) == [3, 4]
-        assert results == [101, 102, 103, 104]
+        tasks = [{"n": v} for v in (1, 2, 3, 4)]
+        with _queue(tmp_path) as first:
+            first.map(digest, tasks[:2])
+        with _queue(tmp_path) as second:
+            assert second.map(digest, tasks) == [digest(t) for t in tasks]
+            assert second.replayed == 2 and second.dispatched == 2
+            assert second.broker.counters["acked"] == 2
 
     def test_duplicate_tasks_collapse_to_one_execution(self, tmp_path):
-        CALLS.clear()
-        with QueueBackend(max_workers=2, queue_dir=tmp_path) as backend:
-            results = backend.map(
-                tracked, [TrackedTask(5), TrackedTask(5), TrackedTask(5)]
-            )
-        assert results == [105, 105, 105]
-        assert CALLS == [5]
-
-    def test_corrupt_ack_degrades_to_reexecution(self, tmp_path):
-        task = TrackedTask(9)
-        with QueueBackend(max_workers=1, queue_dir=tmp_path) as first:
-            first.map(tracked, [task])
-        (ack,) = [p for p in tmp_path.iterdir() if p.name.endswith(ACK_SUFFIX)]
-        ack.write_bytes(b"not a pickle")
-        CALLS.clear()
-        with QueueBackend(max_workers=1, queue_dir=tmp_path) as second:
-            assert second.map(tracked, [task]) == [109]
-            assert second.executed == 1
-        assert CALLS == [9]
-        # The entry was rewritten: a third run replays again.
-        with QueueBackend(max_workers=1, queue_dir=tmp_path) as third:
-            assert third.map(tracked, [task]) == [109]
-            assert third.replayed == 1
+        with _queue(tmp_path, max_workers=2) as backend:
+            results = backend.map(digest, [{"n": 5}, {"n": 5}, {"n": 5}])
+            assert backend.dispatched == 1
+            assert backend.broker.counters["acked"] == 1
+        assert results == [digest({"n": 5})] * 3
 
 
 class TestCrashTolerance:
-    def test_stale_lease_is_broken_and_task_reexecuted(self, tmp_path):
-        # A lease without an ack is what a SIGKILLed worker leaves behind.
-        # Use the pid of a process that has verifiably exited.
-        import subprocess
+    def _leftover_lease(self, queue_dir, body, task):
+        """A lease (without ack) that a killed run left for ``task``."""
+        key = task_key(digest, task)
+        lease = Path(queue_dir) / f"{key}{LEASE_SUFFIX}"
+        lease.parent.mkdir(parents=True, exist_ok=True)
+        lease.write_bytes(body)
+        return lease
 
+    def test_dead_pid_lease_is_broken_and_task_reexecuted(self, tmp_path):
+        proc = subprocess.Popen(["true"])
+        proc.wait()  # a pid that has verifiably exited
+        task = {"n": 7}
+        lease = self._leftover_lease(tmp_path, str(proc.pid).encode(), task)
+        with _queue(tmp_path) as backend:
+            assert backend.map(digest, [task]) == [digest(task)]
+            assert backend.broker.counters["reclaimed"] == 1
+            assert backend.broker.counters["acked"] == 1
+        assert not lease.exists()
+
+    @pytest.mark.parametrize(
+        "body",
+        [b'{"pid": 12', b"\x00\xff\xfe{pid", b'{"pid": "soon"}'],
+        ids=["corrupt-json", "binary-garbage", "non-numeric-pid"],
+    )
+    def test_garbage_lease_is_broken_at_once(self, tmp_path, body):
+        # A crash mid-write can leave anything in a lease file; one that
+        # records no claimant never holds the task up.
+        task = {"n": 11}
+        lease = self._leftover_lease(tmp_path, body, task)
+        with _queue(tmp_path) as backend:
+            start = time.monotonic()
+            assert backend.map(digest, [task]) == [digest(task)]
+            assert time.monotonic() - start < backend.broker.lease_ttl
+            assert backend.broker.counters["reclaimed"] == 1
+            assert backend.broker.counters["acked"] == 1
+        assert not lease.exists()
+
+    def test_recycled_pid_lease_is_stolen_after_one_ttl(self, tmp_path):
+        # A legacy lease records a pid and no deadline.  Its pid was recycled
+        # by a live process (pid 1 is the classic case), so only the TTL,
+        # counted from the lease file's mtime, can expire it.
+        task = {"n": 14}
+        self._leftover_lease(tmp_path, b'{"pid": 1}', task)
+        with _queue(tmp_path) as backend:
+            backend.broker.lease_ttl = 0.3
+            start = time.monotonic()
+            mapper, results = _start_map(backend, digest, [task])
+            mapper.join(timeout=5 * 0.3)
+            assert not mapper.is_alive(), "map still blocked on the expired lease"
+            assert time.monotonic() - start >= 0.25  # waited the TTL out
+            assert results == [digest(task)]
+            assert backend.broker.counters["reclaimed"] == 1
+            assert backend.broker.counters["acked"] == 1
+
+    def test_live_foreign_lease_is_waited_on_and_its_ack_replayed(self, tmp_path):
+        task = {"n": 8}
+        key = task_key(digest, task)
+        holder = DirectoryBroker(tmp_path)
+        assert holder.claim(key, "foreign")
+
+        def finish():
+            time.sleep(0.3)
+            holder.ack(key, wire.encode_result(digest(task)), "foreign")
+
+        finisher = threading.Thread(target=finish)
+        finisher.start()
+        try:
+            with _queue(tmp_path, max_workers=2) as backend:
+                assert backend.map(digest, [task]) == [digest(task)]
+                assert backend.broker.counters["acked"] == 0  # never ran here
+                assert backend.broker.counters["reclaimed"] == 0
+        finally:
+            finisher.join()
+
+    def test_task_of_a_dead_foreign_holder_is_reexecuted(self, tmp_path):
+        # The holder lives while map waits on it, then is SIGKILLed: the
+        # local workers must notice and run the task themselves.
+        task = {"n": 9}
+        key = task_key(digest, task)
+        holder = subprocess.Popen(
+            [
+                sys.executable,
+                "-c",
+                "import sys, time\n"
+                "from repro.engine.broker import DirectoryBroker\n"
+                "assert DirectoryBroker(sys.argv[1]).claim(sys.argv[2], 'victim')\n"
+                "print('leased', flush=True)\n"
+                "time.sleep(600)\n",
+                str(tmp_path),
+                key,
+            ],
+            stdout=subprocess.PIPE,
+            env={
+                **os.environ,
+                "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1]),
+            },
+        )
+        try:
+            assert holder.stdout.readline().strip() == b"leased"
+            with _queue(tmp_path) as backend:
+                mapper, results = _start_map(backend, digest, [task])
+                time.sleep(0.3)
+                assert mapper.is_alive() and not results  # waiting on the holder
+                holder.kill()
+                holder.wait()
+                mapper.join(timeout=10.0)
+                assert not mapper.is_alive(), "nobody re-ran the dead holder's task"
+                assert results == [digest(task)]
+                assert backend.broker.counters["reclaimed"] == 1
+                assert backend.broker.counters["acked"] == 1
+        finally:
+            holder.kill()
+            holder.wait()
+
+    def test_concurrent_reclaims_break_each_dead_lease_once(self, tmp_path):
+        # Four workers sweep the same dead leases at once.  A sweep that
+        # unlinked a lease another worker had just broken and re-claimed
+        # would let the task be leased, and run, twice.
         proc = subprocess.Popen(["true"])
         proc.wait()
-        task = TrackedTask(7)
-        key = task_key(tracked, task)
-        (tmp_path / f"{key}{LEASE_SUFFIX}").write_text(str(proc.pid))
-        CALLS.clear()
-        with QueueBackend(max_workers=1, queue_dir=tmp_path) as backend:
-            assert backend.map(tracked, [task]) == [107]
-            assert backend.broken_leases == 1
-        assert CALLS == [7]
-        assert not (tmp_path / f"{key}{LEASE_SUFFIX}").exists()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for rep in range(120):
+                tasks = [{"rep": rep, "n": n} for n in range(4)]
+                for task in tasks:
+                    self._leftover_lease(
+                        tmp_path / str(rep), str(proc.pid).encode(), task
+                    )
+                with _queue(tmp_path / str(rep), max_workers=4) as backend:
+                    results = backend.map(digest, tasks)
+                    counters = backend.broker.counters
+                assert results == [digest(task) for task in tasks]
+                assert counters["reclaimed"] == counters["leased"] == len(tasks)
+        finally:
+            sys.setswitchinterval(interval)
 
-    def test_live_foreign_lease_is_waited_on_then_stolen(self, tmp_path):
-        # A lease whose claimant pid is alive is NOT broken at dispatch —
-        # the worker polls for its ack and only steals after the timeout.
-        task = TrackedTask(8)
-        key = task_key(tracked, task)
-        (tmp_path / f"{key}{LEASE_SUFFIX}").write_text(str(os.getpid()))
-        CALLS.clear()
-        with QueueBackend(
-            max_workers=1, queue_dir=tmp_path, lease_timeout=0.3
-        ) as backend:
-            assert backend.map(tracked, [task]) == [108]
-            assert backend.broken_leases == 0  # sweep left the live lease
-        assert CALLS == [8]  # stolen and executed after the timeout
-
-    def test_corrupt_lease_json_is_swept(self, tmp_path):
-        # A crash mid-write can leave truncated JSON in the lease; the
-        # sweep must treat it as a dead claim, not crash the run.
-        task = TrackedTask(11)
-        key = task_key(tracked, task)
-        (tmp_path / f"{key}{LEASE_SUFFIX}").write_text('{"pid": 12')
-        CALLS.clear()
-        with QueueBackend(max_workers=1, queue_dir=tmp_path) as backend:
-            assert backend.map(tracked, [task]) == [111]
-            assert backend.broken_leases == 1
-        assert CALLS == [11]
-        assert not (tmp_path / f"{key}{LEASE_SUFFIX}").exists()
-
-    def test_binary_garbage_lease_is_swept(self, tmp_path):
-        task = TrackedTask(12)
-        key = task_key(tracked, task)
-        (tmp_path / f"{key}{LEASE_SUFFIX}").write_bytes(b"\x00\xff\xfe{pid")
-        CALLS.clear()
-        with QueueBackend(max_workers=1, queue_dir=tmp_path) as backend:
-            assert backend.map(tracked, [task]) == [112]
-            assert backend.broken_leases == 1
-        assert CALLS == [12]
-
-    def test_json_lease_with_non_numeric_pid_is_swept(self, tmp_path):
-        task = TrackedTask(13)
-        key = task_key(tracked, task)
-        (tmp_path / f"{key}{LEASE_SUFFIX}").write_text('{"pid": "soon"}')
-        with QueueBackend(max_workers=1, queue_dir=tmp_path) as backend:
-            assert backend.map(tracked, [task]) == [113]
-            assert backend.broken_leases == 1
-
-    def test_recycled_pid_lease_does_not_crash_the_run(self, tmp_path):
-        # A stale lease whose recorded pid was recycled by an unrelated
-        # live process (pid 1 is the classic case) looks alive to the
-        # sweep, so it is conservatively left in place — the worker then
-        # waits the lease out and steals it.  The run must complete either
-        # way, with the correct result.
-        task = TrackedTask(14)
-        key = task_key(tracked, task)
-        (tmp_path / f"{key}{LEASE_SUFFIX}").write_text('{"pid": 1}')
-        CALLS.clear()
-        with QueueBackend(
-            max_workers=1, queue_dir=tmp_path, lease_timeout=0.3
-        ) as backend:
-            assert backend.map(tracked, [task]) == [114]
-            assert backend.broken_leases == 0  # sweep kept the "live" claim
-        assert CALLS == [14]  # stolen after the timeout and executed
-
-    def test_long_task_heartbeats_keep_its_lease(self, tmp_path):
-        # A task running past lease_timeout is NOT reclaimable: the executor
-        # thread heartbeats its own lease, so a concurrent worker or resumed
-        # run sweeping the directory sees a live claim the whole time (the
-        # PR 4 pid-alive protection, now preserved under TTL'd leases).
-        import threading
-        import time
-
-        from repro.engine.broker import DirectoryBroker
-
-        def slow(task):
-            time.sleep(0.8)
-            return task.value + 100
-
-        task = TrackedTask(21)
-        key = task_key(slow, task)
+    def test_long_task_keeps_its_lease_past_the_ttl(self, tmp_path):
+        # The executing worker heartbeats, so a rival sweeping the directory
+        # two TTLs into the run sees a live claim the whole time.
+        task = {"busy_s": 0.8}
+        key = task_key(fabric_probe, task)
         rival = DirectoryBroker(tmp_path, lease_ttl=0.3)
         lease_path = tmp_path / f"{key}{LEASE_SUFFIX}"
         reclaims = []
@@ -235,7 +298,7 @@ class TestCrashTolerance:
         def sweep():
             while not lease_path.exists():
                 time.sleep(0.005)
-            deadline = time.monotonic() + 0.7  # two TTLs into the run
+            deadline = time.monotonic() + 0.7
             while time.monotonic() < deadline:
                 if rival.reclaim():
                     reclaims.append(True)
@@ -244,31 +307,32 @@ class TestCrashTolerance:
 
         thief = threading.Thread(target=sweep)
         thief.start()
-        with QueueBackend(
-            max_workers=1, queue_dir=tmp_path, lease_timeout=0.3
-        ) as backend:
-            assert backend.map(slow, [task]) == [121]
-            assert backend.executed == 1
-        thief.join()
+        try:
+            with _queue(tmp_path) as backend:
+                backend.broker.lease_ttl = 0.3
+                assert backend.map(fabric_probe, [task]) == [digest(task)]
+                assert backend.broker.counters["acked"] == 1
+        finally:
+            thief.join()
         assert not reclaims
 
-    def test_failed_task_leaves_no_ack(self, tmp_path):
-        def explode(task):
-            raise RuntimeError("boom")
-
-        with QueueBackend(max_workers=1, queue_dir=tmp_path) as backend:
-            with pytest.raises(RuntimeError):
-                backend.map(explode, [SquareTask(1)])
-        assert not any(p.name.endswith(ACK_SUFFIX) for p in tmp_path.iterdir())
-        # ...and no stale lease either: the task is retryable immediately.
-        assert not any(p.name.endswith(LEASE_SUFFIX) for p in tmp_path.iterdir())
+    def test_failing_task_surfaces_after_the_retries(self, tmp_path):
+        # A task that raises is retried MAX_RETRIES times, then map raises
+        # the broker's RuntimeError naming the task's own exception.
+        with _queue(tmp_path) as backend:
+            with pytest.raises(RuntimeError, match="ValueError: malformed task key"):
+                backend.map(check_key, ["not-hex"])
+            key = task_key(check_key, "not-hex")
+            assert backend.broker.failure(key)["retries"] == MAX_RETRIES
+        assert not _files(tmp_path, ACK_SUFFIX)
+        assert not _files(tmp_path, LEASE_SUFFIX)
 
 
 class TestTaskKeys:
     def test_key_is_stable_and_fn_scoped(self):
         task = SquareTask(3)
         assert task_key(square, task) == task_key(square, task)
-        assert task_key(square, task) != task_key(tracked, task)
+        assert task_key(square, task) != task_key(digest, task)
         assert task_key(square, SquareTask(3)) != task_key(square, SquareTask(4))
 
     def test_synthesis_job_key_ignores_donor_wall_seconds(self):
@@ -316,9 +380,7 @@ class TestTaskKeys:
         def touch(task):
             return 42
 
-        with QueueBackend(max_workers=1, queue_dir=tmp_path) as backend:
+        with _queue(tmp_path) as backend:
             assert backend.map(touch, [opaque]) == [42]
             # No ack was written: nothing stable to key it by.
-            assert not any(
-                p.name.endswith(ACK_SUFFIX) for p in tmp_path.iterdir()
-            )
+            assert not _files(tmp_path, ACK_SUFFIX)

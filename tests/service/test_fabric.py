@@ -15,7 +15,7 @@ from repro.engine.broker import BrokerBackend, DirectoryBroker, HttpBroker
 from repro.engine.config import FlowConfig
 from repro.engine.persist import digest
 from repro.engine.worker import WorkerLoop
-from repro.engine.workqueue import task_key
+from repro.engine.broker import task_key
 from repro.errors import ServiceError
 from repro.service import BackgroundServer, ServiceClient, wire
 
