@@ -1,11 +1,14 @@
 """On-disk identities of the default path, and the stores it refuses.
 
-Manifest config digests, block fingerprints, verdict keys and queue/broker
-task keys address data that outlives a process: campaign stores, the
-persistent block and verdict cache and completed task acks.  The values
-below were computed before the batched DC kernel and the speculation knob
-were removed, so a change that moves any of them orphans stores already
-on disk.
+Manifest grid and config digests, block fingerprints, ledger spec keys,
+verdict keys, queue/broker task keys and service job keys address data
+that outlives a process: campaign stores, the persistent block and verdict
+cache, completed task acks and service job records.  The values below
+were computed before the batched DC kernel and the speculation knob were
+removed; the retarget fingerprint, grid digest, ledger spec key and job
+keys were computed with ``persist.digest`` encoding through
+``_canonical`` + ``json.dumps``.  A change that moves any of them orphans
+stores already on disk.
 
 A verdict key covers the simulation's inputs, not its code, so the bits
 of one small verdict are pinned beside it: a change that moves them must
@@ -30,10 +33,12 @@ from repro.campaign import CampaignGrid
 from repro.campaign.manifest import (
     build_manifest,
     config_digest,
+    grid_digest,
     require_matching_manifest,
 )
+from repro.campaign.runner import LedgerBackedCache
 from repro.engine.config import FlowConfig
-from repro.engine.persist import block_fingerprint
+from repro.engine.persist import block_fingerprint, sizing_digest
 from repro.engine.scheduler import SynthesisJob, run_synthesis_job
 from repro.engine.broker import task_key
 from repro.enumeration.candidates import PipelineCandidate, enumerate_candidates
@@ -41,6 +46,7 @@ from repro.errors import SpecificationError
 from repro.service.jobs import JobRecord, JobStore, build_config, parse_request
 from repro.service.scheduler import JobScheduler
 from repro.specs import AdcSpec, plan_stages
+from repro.synth import synthesize_mdac
 from repro.tech import CMOS025
 
 #: ``config_digest(FlowConfig())``.
@@ -105,10 +111,21 @@ LEGACY_REQUESTS = {
 
 GRID = CampaignGrid(resolutions=(10,), modes=("analytic",))
 
+#: The paper's Fig. 2 grid as a synthesis campaign runs it.
+FIG2_GRID = CampaignGrid(
+    resolutions=(10, 11, 12, 13),
+    sample_rates_hz=(40e6,),
+    modes=("analytic", "synthesis", "behavioral"),
+)
+
+
+def _mdacs():
+    plan = plan_stages(AdcSpec(resolution_bits=13), PipelineCandidate((4, 3, 2), 13, 7))
+    return plan.mdacs
+
 
 def _mdac():
-    plan = plan_stages(AdcSpec(resolution_bits=13), PipelineCandidate((4, 3, 2), 13, 7))
-    return plan.mdacs[0]
+    return _mdacs()[0]
 
 
 def _candidate_3_2():
@@ -139,6 +156,59 @@ class TestDefaultIdentitiesArePinned:
         )
         assert task_key(run_synthesis_job, job) == (
             "aae3c9003eb1615a8ca3586a6c3e454bbeeabad380797f0437b25928d97afc0b"
+        )
+
+    def test_retarget_fingerprint(self):
+        donor = synthesize_mdac(
+            _mdacs()[2], CMOS025, budget=60, seed=1, verify_transient=False
+        )
+        assert sizing_digest(donor) == (
+            "d8744a725556cc78b684e3d6b6776f4ad3d8098aecee529de7ccb642389a1a31"
+        )
+        fingerprint = block_fingerprint(
+            _mdacs()[1],
+            CMOS025,
+            budget=60,
+            seed=1,
+            verify_transient=False,
+            donor=donor,
+            retarget_budget=30,
+            retarget_seed=7,
+        )
+        assert fingerprint == (
+            "ac0b8429a4b98885122c436c47f123897a2d8bb6a0515eff7f2cc411e3332ea2"
+        )
+
+    def test_fig2_grid_digest(self):
+        assert grid_digest(FIG2_GRID) == (
+            "8faaaa6faf4d57bf53b4ee66ab242c29fcd30ce3957d7ade0d198d49c7d80f7a"
+        )
+
+    def test_ledger_spec_key(self):
+        assert LedgerBackedCache(tech=CMOS025)._spec_key(_mdac()) == (
+            "0bf2214ee4e8e1bdcbaef93ff16706cd3d5678b7057974d97c788ca2c8ff3b1f"
+        )
+
+    def test_campaign_job_key(self):
+        request = parse_request(
+            {
+                "kind": "campaign",
+                "grid": {
+                    "resolutions": [10, 11, 12, 13],
+                    "modes": ["analytic", "synthesis", "behavioral"],
+                },
+            }
+        )
+        assert request.key == (
+            "4cca5f20d13dae6aa22f849cde245fc66610cf9f6a1addfb7a137249e2480c65"
+        )
+
+    def test_optimize_job_key(self):
+        request = parse_request(
+            {"kind": "optimize", "spec": {"resolution_bits": 12}, "mode": "synthesis"}
+        )
+        assert request.key == (
+            "480535bfb28bfac6c915bda46502d0a8c036066ee07900360ae1516a2e30de39"
         )
 
     def test_verdict_key(self):
