@@ -13,16 +13,24 @@ tree (specs, technologies, sizings) structurally, and stores/loads pickled
 results in a directory with atomic writes.  Every entry carries the SHA-256
 of its pickle, so corrupt, truncated or unreadable entries degrade to cache
 misses, never to errors and never to a different result.
+
+A digest encodes its payload to canonical JSON text in one pass, and
+remembers the text of each *deep-frozen* value it encodes (a frozen
+dataclass whose fields are exact-type leaves, tuples of them, or other
+deep-frozen values), so one technology or spec shared by many digests is
+encoded once.  ``tests/engine/persist_reference.py`` keeps the two-pass
+encoder it replaced, which the tests require it to match byte for byte.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import os
 import pickle
 import tempfile
+import weakref
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Any
 
@@ -38,36 +46,172 @@ ENTRY_SUFFIX = ".pkl"
 _CHECK_BYTES = hashlib.sha256().digest_size
 
 
-def _canonical(value: Any) -> Any:
-    """Recursively convert a value into a JSON-stable structure.
+#: Types whose values are immutable and encode by exact type.
+_LEAVES = frozenset({float, str, int, bool, type(None)})
+
+#: Stands in for an ``int`` too long for ``str``.  :func:`digest` raises
+#: for it once the walk is over, so an error anywhere else in the payload
+#: wins, as it did when the payload was canonicalized before JSON encoding.
+#: Escaped text never holds a raw NUL.
+_TOO_LONG = "\x00"
+
+
+class _Memo(weakref.ref):
+    """A weak reference to a deep-frozen value, carrying its JSON text."""
+
+    __slots__ = ("key", "text")
+
+
+def _forget(entry: _Memo) -> None:
+    """Drop a dead value's entry, unless a newer value took over its id."""
+    if _MEMO.get(entry.key) is entry:
+        _MEMO.pop(entry.key, None)
+
+
+#: ``id(value)`` -> entry, for the deep-frozen values encoded so far.  An
+#: entry serves only its own value (``entry() is value``), so an id reused
+#: after its value died never sees another value's text.
+_MEMO: dict[int, _Memo] = {}
+
+#: Dataclass -> (field names, ``str.format`` template of its JSON object
+#: with the fields in key order, whether its instances may be memoized).
+_LAYOUTS: dict[type, tuple[tuple[str, ...], str, bool]] = {}
+
+
+def _layout(cls: type) -> tuple[tuple[str, ...], str, bool]:
+    """The :data:`_LAYOUTS` entry of a dataclass.
+
+    Only a class that is itself a ``frozen=True`` dataclass and takes weak
+    references may be memoized.
+    """
+    names = tuple(f.name for f in dataclasses.fields(cls))
+
+    def literal(text: str) -> str:
+        return text.replace("{", "{{").replace("}", "}}")
+
+    # A field named "__dataclass__" overrides the class tag, as it did in
+    # the dict the old encoder built.
+    members = {"__dataclass__": literal(_quote(cls.__name__))}
+    members.update((name, "{%d}" % i) for i, name in enumerate(names))
+    template = "{{%s}}" % ",".join(
+        literal(_quote(key)) + ":" + member for key, member in sorted(members.items())
+    )
+    params = cls.__dict__.get("__dataclass_params__")
+    memoizable = params is not None and params.frozen and cls.__weakrefoffset__ != 0
+    return names, template, memoizable
+
+
+def _int(value: int) -> str:
+    try:
+        return int.__repr__(value)
+    except ValueError:
+        return _TOO_LONG
+
+
+def _settled(value: Any) -> bool:
+    """True if ``value`` encodes to the same text for as long as it lives."""
+    cls = type(value)
+    if cls in _LEAVES:
+        return True
+    if cls is tuple:
+        return all(map(_settled, value))
+    entry = _MEMO.get(id(value))
+    return entry is not None and entry() is value
+
+
+def _encode_dataclass(value: Any, layout: tuple[tuple[str, ...], str, bool]) -> str:
+    """Encode a dataclass instance, through :data:`_MEMO` if it is frozen.
+
+    The text is remembered only if every field is :func:`_settled` once
+    encoded, so a list or a mutable dataclass anywhere inside keeps the
+    value out of the memo.
+    """
+    names, template, memoizable = layout
+    if not memoizable:
+        return template.format(*[_encode(getattr(value, name)) for name in names])
+    entry = _MEMO.get(id(value))
+    if entry is not None and entry() is value:
+        return entry.text
+    texts = []
+    settled = True
+    for name in names:
+        field = getattr(value, name)
+        texts.append(_encode(field))
+        if settled and type(field) not in _LEAVES:
+            settled = _settled(field)
+    text = template.format(*texts)
+    if settled:
+        entry = _Memo(value, _forget)
+        entry.key, entry.text = id(value), text
+        _MEMO[entry.key] = entry
+    return text
+
+
+def _encode_dict(items: Any) -> str:
+    texts = {str(key): _encode(item) for key, item in sorted(items)}
+    return "{%s}" % ",".join(
+        [_quote(key) + ":" + text for key, text in sorted(texts.items())]
+    )
+
+
+def _encode(value: Any) -> str:
+    """Canonical JSON text of ``value``, as :func:`digest` hashes it.
 
     Floats are rendered with ``float.hex`` so the digest is exact (no
-    decimal rounding); dataclasses become name-tagged field dicts; tuples
-    become lists.  Unknown objects fall back to ``repr`` — good enough for
-    the enum-like leaves that appear in specs.
+    decimal rounding); dataclasses become name-tagged objects of their
+    fields; tuples become arrays; dict keys become ``str(key)``, in sorted
+    order.  Unknown objects fall back to ``repr`` — good enough for the
+    enum-like leaves that appear in specs.  Exact types dispatch first;
+    subclasses take the ``isinstance`` rules of :func:`_encode_other`.
     """
+    cls = type(value)
+    if cls is float:
+        return '"' + value.hex() + '"'
+    if cls is str:
+        return _quote(value)
+    if cls is int:
+        return _int(value)
+    if cls is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if cls is tuple or cls is list:
+        return "[%s]" % ",".join([_encode(item) for item in value])
+    if cls is dict:
+        return _encode_dict(value.items())
+    layout = _LAYOUTS.get(cls)
+    if layout is not None:
+        return _encode_dataclass(value, layout)
+    return _encode_other(value)
+
+
+def _encode_other(value: Any) -> str:
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        fields = {
-            f.name: _canonical(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
-        return {"__dataclass__": type(value).__name__, **fields}
+        layout = _LAYOUTS[type(value)] = _layout(type(value))
+        return _encode_dataclass(value, layout)
     if isinstance(value, float):
-        return value.hex()
+        return _quote(value.hex())
     if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
+        return "[%s]" % ",".join([_encode(item) for item in value])
     if isinstance(value, dict):
-        return {str(k): _canonical(v) for k, v in sorted(value.items())}
-    if isinstance(value, (str, int, bool)) or value is None:
-        return value
+        return _encode_dict(value.items())
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, int):
+        return _int(value)
     if isinstance(value, Path):
-        return str(value)
-    return repr(value)
+        return _quote(str(value))
+    return _quote(repr(value))
 
 
 def digest(payload: Any) -> str:
-    """SHA-256 hex digest of the canonicalized payload."""
-    text = json.dumps(_canonical(payload), sort_keys=True, separators=(",", ":"))
+    """SHA-256 hex digest of the payload's canonical JSON text."""
+    text = _encode(payload)
+    if _TOO_LONG in text:
+        raise ValueError(
+            "cannot digest an integer with more digits than "
+            "sys.get_int_max_str_digits() allows"
+        )
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
