@@ -4,8 +4,8 @@ Standalone (no pytest): fixed seeds, deterministic workloads, wall-clock
 measurements of the compiled evaluation kernels against the reference
 walks kept as test oracles (``tests/synth/evaluator_reference.py``,
 ``tests/analysis/ac_reference.py``, ``tests/analysis/transient_reference.py``,
-``tests/behavioral/batch_reference.py``; the script puts the repo root on
-``sys.path`` to import them), plus the
+``tests/behavioral/batch_reference.py``, ``tests/engine/persist_reference.py``;
+the script puts the repo root on ``sys.path`` to import them), plus the
 optimization-service stage (submission latency, coalescing hit
 rate, sustained jobs/s — see ``benchmarks/bench_service.py``).
 
@@ -17,7 +17,9 @@ rate, sustained jobs/s — see ``benchmarks/bench_service.py``).
 Stages: ``synthesize_mdac`` / ``equation_metric_stage`` (compiled kernel
 vs the reference walk), ``transient_step`` (the compiled settling
 transient vs the per-element walk), ``behavioral`` (vectorized
-Monte-Carlo vs the scalar walk), ``service``, ``fabric`` (the distributed
+Monte-Carlo vs the scalar walk), ``digest`` (the one-pass content digest
+vs the two-pass encoder, over the payloads a Fig. 2 plan digests, its memo
+emptied before each pass), ``service``, ``fabric`` (the distributed
 execution fabric against a live HTTP broker and real ``repro-adc worker``
 subprocesses — per-task lease overhead, fleet throughput at 1 vs 2 workers
 on fixed-service-time probe tasks, sizing digests of a 2-worker synthesis
@@ -38,6 +40,8 @@ differ, when the
 behavioral batch kernel is not bit-identical to the scalar walk, misses
 its 5x floor at 256 draws, or its ``tracemalloc`` peak on the campaign's
 13-bit 3-2-2-2-2 plan at 256 draws exceeds 1.25x its own output arrays,
+when any content digest differs from the two-pass encoder's or the
+one-pass encoder is under 2x its speed,
 when the service stage breaks its coalescing
 contract (N identical concurrent submissions must perform exactly one cold
 synthesis), or when the ``fabric`` stage misses its 1.5x two-worker
@@ -61,6 +65,7 @@ import time
 import tracemalloc
 import traceback
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -68,14 +73,20 @@ import numpy as np
 # The reference walks live in the test tree; import them from the repo root.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
+import repro.behavioral.verify as verify
+import repro.campaign.runner as runner
+import repro.engine.broker as broker
 from repro.analysis.mna import layout_cache_disabled
 from repro.analysis.transient import simulate_transient
 from repro.blocks.mdac import SETTLING_STEP_TIME, build_settling_bench
+from repro.blocks.opamp import TwoStageSizing
 from repro.blocks.opamp_library import build_two_stage_miller
 from repro.behavioral.batch import simulate_draws
 from repro.behavioral.signals import full_scale_sine, pick_coherent_cycles
 from repro.behavioral.verify import SAMPLES, draw_error_models
-from repro.engine.persist import sizing_digest
+from repro.engine import persist
+from repro.engine.persist import block_fingerprint, sizing_digest
+from repro.engine.scheduler import SynthesisJob, run_synthesis_job
 from repro.engine.threads import pin_blas_threads
 from repro.enumeration.candidates import PipelineCandidate, enumerate_candidates
 from repro.obs import metrics
@@ -85,6 +96,7 @@ from repro.synth.evaluator import _LOOP_FREQS, REJECT_STAGES
 from repro.tech import CMOS025
 from tests.analysis import transient_reference
 from tests.behavioral import batch_reference
+from tests.engine import persist_reference
 from tests.synth.evaluator_reference import ReferenceEvaluator
 
 # The AC read-out helpers sit next to this script.
@@ -321,6 +333,90 @@ def stage_behavioral(draws: int, samples: int) -> dict:
     }
 
 
+def _digest_payloads() -> list:
+    """Every payload the flow's key functions digest for a Fig. 2 plan.
+
+    For K = 10..13 and every candidate: a ledger spec key per MDAC, a cold
+    fingerprint for the first MDAC and a retarget fingerprint for each
+    later one, its donor the MDAC before it (a stand-in result with its own
+    two-stage sizing, hashed through ``sizing_digest``); a verdict key per
+    resolution; and the task key of one retarget synthesis job.  The key
+    functions run for real and every payload they hand ``digest`` is kept.
+    """
+    ledger = runner.LedgerBackedCache(tech=CMOS025)
+    payloads: list = []
+    real = persist.digest
+
+    def keep(payload):
+        payloads.append(payload)
+        return real(payload)
+
+    with mock.patch.object(persist, "digest", keep), \
+            mock.patch.object(runner, "persist_digest", keep), \
+            mock.patch.object(verify, "digest", keep), \
+            mock.patch.object(broker, "digest", keep):
+        for k in (10, 11, 12, 13):
+            spec = AdcSpec(resolution_bits=k)
+            candidates = enumerate_candidates(k)
+            verify.verdict_key(spec, candidates[0], draws=256, seed=1)
+            for candidate in candidates:
+                donor = None
+                for mdac in plan_stages(spec, candidate).mdacs:
+                    ledger._spec_key(mdac)
+                    block_fingerprint(
+                        mdac, CMOS025, budget=400, seed=1, verify_transient=True,
+                        donor=donor, retarget_budget=80, retarget_seed=7,
+                    )
+                    sizing = TwoStageSizing(i_tail=1e-4 * (len(payloads) + 1))
+                    donor = SimpleNamespace(
+                        spec=mdac, final=SimpleNamespace(sizing=sizing)
+                    )
+        broker.task_key(
+            run_synthesis_job,
+            SynthesisJob(
+                spec=donor.spec, tech=CMOS025, budget=400, seed=1,
+                verify_transient=True, donor=donor,
+            ),
+        )
+    return payloads
+
+
+def stage_digest(repeats: int) -> dict:
+    """Content digests: the one-pass encoder vs the two-pass oracle.
+
+    Both sides digest the same payloads (see :func:`_digest_payloads`);
+    the one-pass encoder's memo is emptied before each of its passes, so
+    the speedup does not lean on values remembered from an earlier pass.
+    """
+    payloads = _digest_payloads()
+
+    def one_pass():
+        persist._MEMO.clear()
+        start = time.perf_counter()
+        digests = [persist.digest(payload) for payload in payloads]
+        return digests, time.perf_counter() - start
+
+    def two_pass():
+        start = time.perf_counter()
+        digests = [persist_reference.digest(payload) for payload in payloads]
+        return digests, time.perf_counter() - start
+
+    ours, oracle = one_pass()[0], two_pass()[0]
+    one_wall = min(one_pass()[1] for _ in range(repeats))
+    two_wall = min(two_pass()[1] for _ in range(repeats))
+    return {
+        "workload": (
+            f"{len(payloads)} payloads of a K=10..13 Fig. 2 plan "
+            f"(best of {repeats} passes, memo emptied before each)"
+        ),
+        "payloads": len(payloads),
+        "two_pass_ms": round(two_wall * 1e3, 3),
+        "one_pass_ms": round(one_wall * 1e3, 3),
+        "speedup": round(two_wall / one_wall, 2),
+        "identical_digests": ours == oracle,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
@@ -372,6 +468,7 @@ def main(argv=None) -> int:
         "behavioral": lambda: stage_behavioral(
             behavioral_draws, behavioral_samples
         ),
+        "digest": lambda: stage_digest(repeats),
         "service": lambda: run_service_benchmark(identical, distinct),
         "fabric": lambda: run_fabric_benchmark(**fabric_kwargs),
         # Telemetry overhead holds its floor on the same synthesis run;
@@ -414,6 +511,7 @@ def main(argv=None) -> int:
     eqn = report["stages"]["equation_metric_stage"]
     trans = report["stages"]["transient_step"]
     behavioral = report["stages"]["behavioral"]
+    digests = report["stages"]["digest"]
     service = report["stages"]["service"]
     fabric = report["stages"]["fabric"]
     obs = report["stages"]["obs"]
@@ -422,6 +520,7 @@ def main(argv=None) -> int:
         f"equation-metric stage: {eqn['speedup']}x, "
         f"transient step: {trans['speedup']}x, "
         f"behavioral batch: {behavioral['speedup']}x, "
+        f"digest: {digests['speedup']}x, "
         f"service: {service['coalescing']['submissions']} identical submissions "
         f"-> {service['coalescing']['cold_synthesis_runs']} cold synthesis, "
         f"{service['throughput']['jobs_per_s']} jobs/s, "
@@ -467,6 +566,15 @@ def main(argv=None) -> int:
             failures.append(
                 "regression: behavioral batch kernel's tracemalloc peak is "
                 f"{behavioral['peak_over_outputs']}x its outputs (limit 1.25x)"
+            )
+        if not digests["identical_digests"]:
+            failures.append(
+                "one-pass content digests diverged from the two-pass encoder"
+            )
+        if digests["speedup"] < 2.0:
+            failures.append(
+                "regression: one-pass content digests under their 2x floor "
+                f"({digests['speedup']}x)"
             )
         failures.extend(check_service_report(service))
         failures.extend(check_fabric_report(fabric))

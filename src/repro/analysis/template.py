@@ -852,7 +852,9 @@ class BoundMna:
         It is the public ``np.linalg.solve``, so every solve of the stack,
         the transient's t=0 operating point included, stays visible to
         tools that wrap ``numpy.linalg.solve``.  Calling its LAPACK gufunc
-        directly would save about 1 µs per 13x13 system.
+        directly would save about 5-7 µs per 13x13 system, about half of
+        the call, or 0.3-0.5 s of a cold Fig. 2 campaign's 70,623 single
+        solves (docs/performance.md, "The kernel layer").
         """
         return np.linalg.solve(jac, rhs)
 

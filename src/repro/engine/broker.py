@@ -947,7 +947,12 @@ class BrokerBackend:
         self._executor: ThreadPoolExecutor | None = None
 
     def _take_result(self, key: str) -> tuple[bool, Any]:
-        """(done, value) for one key; discards + leaves pending if corrupt."""
+        """(done, value) for one key.
+
+        An ack that does not decode is discarded and comes back as
+        ``(False, error)``, the error a one-line ``Type: message``; the
+        caller publishes the task again.  No ack is ``(False, None)``.
+        """
         from repro.service import wire
 
         payload = self.broker.result(key)
@@ -955,11 +960,9 @@ class BrokerBackend:
             return False, None
         try:
             return True, wire.decode_result(payload)
-        except Exception:
-            # An unreadable ack degrades to a retry: drop it and let a
-            # worker re-execute the task.
+        except Exception as exc:
             self.broker.discard(key)
-            return False, None
+            return False, " ".join(f"{type(exc).__name__}: {exc}".split())
 
     def _pool(self) -> ThreadPoolExecutor:
         if self._executor is None:
@@ -1010,6 +1013,20 @@ class BrokerBackend:
         results: dict[str, Any] = {}
         outstanding: dict[str, T] = {}
         unkeyed: list[int] = []
+        # Acks refused by the decoder, per key.  The worker's ack deleted
+        # the task envelope, so a refused key is published again on every
+        # poll until it is acked again (submit is a no-op while the
+        # envelope or an ack exists); MAX_RETRIES refusals end the map.
+        refused: dict[str, int] = {}
+
+        def refuse(key: str, error: str) -> None:
+            refused[key] = refused.get(key, 0) + 1
+            if refused[key] >= MAX_RETRIES:
+                raise RuntimeError(
+                    f"broker task {key[:12]} returned a result that does not "
+                    f"decode {refused[key]} time(s): {error}"
+                )
+
         for i, (key, task) in enumerate(zip(keys, task_list)):
             if key is None:
                 unkeyed.append(i)
@@ -1020,8 +1037,10 @@ class BrokerBackend:
             if done:
                 self.replayed += 1
                 results[key] = value
-            else:
-                outstanding[key] = task
+                continue
+            if value is not None:
+                refuse(key, value)
+            outstanding[key] = task
 
         for key, task in outstanding.items():
             if self.broker.submit(key, wire.encode_task(fn, task)):
@@ -1038,6 +1057,7 @@ class BrokerBackend:
             statuses = self.broker.statuses(list(outstanding))
             completed = []
             live_leases = 0
+            republished = 0
             for key in outstanding:
                 status = statuses.get(key, {})
                 if status.get("acked"):
@@ -1046,6 +1066,12 @@ class BrokerBackend:
                         results[key] = value
                         completed.append(key)
                         continue
+                    if value is not None:
+                        refuse(key, value)
+                if key in refused and self.broker.submit(
+                    key, wire.encode_task(fn, outstanding[key])
+                ):
+                    republished += 1
                 if status.get("leased"):
                     live_leases += 1
                 record = status.get("failure")
@@ -1056,7 +1082,7 @@ class BrokerBackend:
                     )
             for key in completed:
                 del outstanding[key]
-            if completed or live_leases:
+            if completed or live_leases or republished:
                 # A live lease is a worker mid-task: that is progress even
                 # when no ack lands this poll, so slow tasks never trip the
                 # no-progress timeout — only a genuinely idle queue does.

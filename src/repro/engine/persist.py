@@ -63,7 +63,11 @@ class _Memo(weakref.ref):
 
 
 def _forget(entry: _Memo) -> None:
-    """Drop a dead value's entry, unless a newer value took over its id."""
+    """Drop a dying value's entry, unless a newer entry took its place.
+
+    Callbacks run before the value's memory is freed, so no other value
+    can hold its id yet: the check and the pop need no lock.
+    """
     if _MEMO.get(entry.key) is entry:
         _MEMO.pop(entry.key, None)
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -614,6 +615,60 @@ class TestBrokerBackend:
         finally:
             thread.join()
         assert backend.replayed == 0 and backend.dispatched == 1
+
+    def test_refused_fresh_acks_rerun_the_task_then_fail_fast(self, tmp_path, monkeypatch):
+        # A worker's ack deletes the task envelope, so an ack the decoder
+        # refuses must be published again, not waited on until the
+        # no-progress timeout blames missing workers.
+        def refuse(payload):
+            raise pickle.UnpicklingError("global 'os.system' is forbidden\nhere")
+
+        monkeypatch.setattr(wire, "decode_result", refuse)
+        backend = BrokerBackend(queue_dir=tmp_path, max_workers=1, wait_timeout=5)
+        start = time.monotonic()
+        try:
+            with pytest.raises(RuntimeError) as exc:
+                backend.map(digest, [{"n": 1}])
+            counters = backend.broker.counters
+        finally:
+            backend.close()
+        message = str(exc.value)
+        assert time.monotonic() - start < 5
+        assert "\n" not in message
+        assert task_key(digest, {"n": 1})[:12] in message
+        assert f"{MAX_RETRIES} time(s)" in message
+        assert "UnpicklingError: global 'os.system' is forbidden here" in message
+        assert counters["acked"] == MAX_RETRIES
+
+    @pytest.mark.parametrize("local", [True, False], ids=["queue", "broker"])
+    def test_a_refused_fresh_ack_reruns_the_task(self, tmp_path, monkeypatch, local):
+        decode = wire.decode_result
+        calls = []
+
+        def refuse_once(payload):
+            calls.append(payload)
+            if len(calls) == 1:
+                raise ValueError("truncated ack")
+            return decode(payload)
+
+        monkeypatch.setattr(wire, "decode_result", refuse_once)
+        broker = DirectoryBroker(tmp_path)
+        backend = BrokerBackend(
+            broker, max_workers=1 if local else 0, poll_interval=0.01, wait_timeout=5
+        )
+        worker = WorkerLoop(broker, worker_id="w1", poll_interval=0.01, idle_exit=2.0)
+        thread = threading.Thread(target=worker.run)
+        if not local:
+            thread.start()
+        try:
+            assert backend.map(digest, [{"n": 2}]) == [digest({"n": 2})]
+        finally:
+            if not local:
+                thread.join()
+            backend.close()
+        assert len(calls) == 2
+        assert broker.counters["acked"] == 2
+        assert backend.dispatched == 1
 
 
 class TestProtocolConformance:

@@ -275,7 +275,9 @@ class TestDigestMemo:
         digest(settled)
         assert _entry(settled).text == _oracle_text(settled)
 
-    @pytest.mark.parametrize("nest", [lambda items: items, lambda items: (1.0, (items,))])
+    @pytest.mark.parametrize(
+        "nest", [lambda items: items, lambda items: (1.0, (items,))], ids=["list", "tuple"]
+    )
     def test_mutating_a_list_inside_a_frozen_value_moves_its_digest(self, nest):
         items = [1.0]
         value = Frozen(nest(items), Frozen((2.0, "x")))
@@ -304,8 +306,8 @@ class TestDigestMemo:
         assert reused  # the allocator did hand out recycled ids
 
     def test_an_entry_serves_only_its_own_value(self):
-        # Entries planted under another value's id stand for a callback
-        # that has not run yet: the weakref guard must refuse them.
+        # The weakref guard must refuse an entry found under this value's
+        # id that belongs to a dead value or to another live one.
         alive = Frozen(1.0, "alive")
         doomed = Frozen(2.0, "doomed")
         digest(alive)
