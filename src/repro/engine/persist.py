@@ -51,8 +51,8 @@ _LEAVES = frozenset({float, str, int, bool, type(None)})
 
 #: Stands in for an ``int`` too long for ``str``.  :func:`digest` raises
 #: for it once the walk is over, so an error anywhere else in the payload
-#: wins, as it did when the payload was canonicalized before JSON encoding.
-#: Escaped text never holds a raw NUL.
+#: wins, as in the two-pass oracle (which canonicalizes everything before
+#: its JSON encoder meets the int).  Escaped text never holds a raw NUL.
 _TOO_LONG = "\x00"
 
 
@@ -93,8 +93,8 @@ def _layout(cls: type) -> tuple[tuple[str, ...], str, bool]:
     def literal(text: str) -> str:
         return text.replace("{", "{{").replace("}", "}}")
 
-    # A field named "__dataclass__" overrides the class tag, as it did in
-    # the dict the old encoder built.
+    # A field named "__dataclass__" overrides the class tag, as in the
+    # oracle's ``{"__dataclass__": name, **fields}``.
     members = {"__dataclass__": literal(_quote(cls.__name__))}
     members.update((name, "{%d}" % i) for i, name in enumerate(names))
     template = "{{%s}}" % ",".join(
