@@ -20,10 +20,10 @@ The PR 3 tentpole claim, measured three ways on a standard
   synthesis results (the determinism contract that lets the compiled
   kernel be the default).
 
-The reference side runs under ``layout_cache_disabled`` so it also pays
-the per-call :class:`~repro.analysis.mna.MnaLayout` derivation the
-pre-kernel evaluator paid.  ``benchmarks/run_all.py`` records the same
-numbers.
+The reference side derives its :class:`~repro.analysis.mna.MnaLayout`
+per candidate, as the pre-kernel evaluator did
+(``tests/analysis/mna_reference.py``).  ``benchmarks/run_all.py`` records
+the same numbers.
 """
 
 import sys
@@ -37,7 +37,6 @@ import pytest
 # The reference walks live in the test tree; import them from the repo root.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from repro.analysis.mna import layout_cache_disabled
 from repro.engine.persist import sizing_digest
 from repro.enumeration.candidates import PipelineCandidate
 from repro.specs import AdcSpec, plan_stages
@@ -112,9 +111,7 @@ def _synthesize(budget: int = 400):
 @pytest.mark.slow
 def test_kernel_throughput_and_identity(once):
     """Compiled >= 2x legacy on full candidates, with identical results."""
-    with layout_cache_disabled(), mock.patch(
-        "repro.synth.synthesis.HybridEvaluator", ReferenceEvaluator
-    ):
+    with mock.patch("repro.synth.synthesis.HybridEvaluator", ReferenceEvaluator):
         legacy, legacy_rate = _synthesize()
     compiled_run = once(_synthesize)
     compiled, compiled_rate = compiled_run

@@ -4,68 +4,23 @@ The linearized circuit is the bridge between the nonlinear netlist and every
 frequency-domain analysis (AC, poles/zeros, noise).  It is also what the
 DPI/SFG construction consumes: each entry of G/C is a branch admittance the
 signal-flow graph can be read from.
+
+G, C and the AC excitation come from the circuit's compiled stamp program
+(:meth:`repro.analysis.template.BoundMna.linearize`); the noise sources
+come from a short pass of their own.  The per-element stamp walk the
+program replays bit for bit is the oracle in
+``tests/analysis/mna_reference.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from repro.analysis.dc import DcSolution, solve_dc
-from repro.analysis.mna import (
-    GROUND,
-    MnaLayout,
-    layout_for,
-    stamp_conductance,
-    stamp_inductor_branch,
-    stamp_transconductance,
-    stamp_vcvs,
-    stamp_voltage_source,
-)
-from repro.circuit.elements import (
-    Capacitor,
-    CurrentSource,
-    Inductor,
-    Mosfet,
-    Resistor,
-    Switch,
-    Vccs,
-    Vcvs,
-    VoltageSource,
-)
+from repro.analysis.mna import LinearizedCircuit, MnaLayout
+from repro.analysis.template import bind_template
+from repro.circuit.elements import Mosfet, Resistor
 from repro.circuit.netlist import Circuit
-from repro.errors import AnalysisError
-
-
-@dataclass
-class LinearizedCircuit:
-    """Small-signal view: (G + sC) x = b with noise-source bookkeeping."""
-
-    layout: MnaLayout
-    #: Conductance matrix (real).
-    g_matrix: np.ndarray
-    #: Capacitance matrix (real); system is G + s*C.
-    c_matrix: np.ndarray
-    #: AC excitation vector (from source ``ac`` values).
-    b_ac: np.ndarray
-    #: The DC solution this linearization was taken at.
-    op: DcSolution
-    #: Noise sources: (label, node_p, node_n, psd_fn(frequency_hz) -> A^2/Hz).
-    noise_sources: list[tuple[str, int, int, object]]
-
-    @property
-    def size(self) -> int:
-        """Number of MNA unknowns."""
-        return self.layout.size
-
-    def index(self, net: str) -> int:
-        """Unknown index of a net (GROUND for the reference)."""
-        return self.layout.index(net)
-
-    def system_at(self, s: complex) -> np.ndarray:
-        """The complex MNA matrix G + s*C."""
-        return self.g_matrix + s * self.c_matrix
+from repro.constants import KT_ROOM
+from repro.tech.mosfet import flicker_noise_psd, thermal_noise_psd
 
 
 def linearize(
@@ -75,126 +30,62 @@ def linearize(
 ) -> LinearizedCircuit:
     """Linearize ``circuit`` around its DC operating point.
 
-    Solves DC first if ``op`` is not supplied.  Independent sources keep
-    their ``ac`` magnitudes in the excitation vector; DC values are zeroed
-    (superposition around the operating point).
+    Solves DC first if ``op`` is not supplied, on the same bound stamp
+    program that then fills the matrices.  Independent sources keep their
+    ``ac`` magnitudes in the excitation vector; DC values are zeroed
+    (superposition around the operating point).  ``include_noise=False``
+    leaves the noise-source list empty.
     """
+    bound = bind_template(circuit)
     if op is None:
-        op = solve_dc(circuit)
-    layout = layout_for(circuit)
-    n = layout.size
-    g_matrix = np.zeros((n, n))
-    c_matrix = np.zeros((n, n))
-    b_ac = np.zeros(n, dtype=complex)
-    noise_sources: list[tuple[str, int, int, object]] = []
+        op = solve_dc(circuit, assembly=bound)
+    linear = bound.linearize(op)
+    if include_noise:
+        linear.noise_sources = _noise_sources(circuit, linear.layout, op)
+    return linear
 
-    from repro.constants import KT_ROOM
-    from repro.tech.mosfet import flicker_noise_psd, thermal_noise_psd
 
+def _noise_sources(
+    circuit: Circuit, layout: MnaLayout, op: DcSolution
+) -> list[tuple[str, int, int, object]]:
+    """Every resistor's thermal noise and every MOSFET's channel noise.
+
+    In netlist order, as ``(label, node_p, node_n, psd_fn)``: a resistor
+    injects between its terminals, a MOSFET between drain and source.
+    """
+    sources: list[tuple[str, int, int, object]] = []
     for element in circuit:
         if isinstance(element, Resistor):
-            i, j = layout.index(element.n1), layout.index(element.n2)
-            g = 1.0 / element.resistance
-            stamp_conductance(g_matrix, i, j, g)
-            psd = 4.0 * KT_ROOM * g
+            psd = 4.0 * KT_ROOM * (1.0 / element.resistance)
 
             def resistor_psd(frequency_hz: float, _psd=psd) -> float:
                 return _psd
 
-            noise_sources.append((element.name, i, j, resistor_psd))
-        elif isinstance(element, Switch):
-            i, j = layout.index(element.n1), layout.index(element.n2)
-            g = 1.0 / element.resistance_at(0.0)
-            stamp_conductance(g_matrix, i, j, g)
-        elif isinstance(element, Capacitor):
-            i, j = layout.index(element.n1), layout.index(element.n2)
-            c = element.capacitance
-            if i != GROUND:
-                c_matrix[i, i] += c
-            if j != GROUND:
-                c_matrix[j, j] += c
-            if i != GROUND and j != GROUND:
-                c_matrix[i, j] -= c
-                c_matrix[j, i] -= c
-        elif isinstance(element, Inductor):
-            p, nn = layout.index(element.n1), layout.index(element.n2)
-            k = layout.branch(element.name)
-            stamp_inductor_branch(g_matrix, c_matrix, p, nn, k, element.inductance)
-        elif isinstance(element, VoltageSource):
-            p, nn = layout.index(element.positive), layout.index(element.negative)
-            k = layout.branch(element.name)
-            stamp_voltage_source(g_matrix, np.zeros(n), p, nn, k, 0.0)
-            b_ac[k] += element.ac
-        elif isinstance(element, CurrentSource):
-            p, nn = layout.index(element.positive), layout.index(element.negative)
-            if p != GROUND:
-                b_ac[p] -= element.ac
-            if nn != GROUND:
-                b_ac[nn] += element.ac
-        elif isinstance(element, Vcvs):
-            op_, on_ = layout.index(element.out_positive), layout.index(element.out_negative)
-            cp, cn = layout.index(element.ctrl_positive), layout.index(element.ctrl_negative)
-            stamp_vcvs(g_matrix, op_, on_, cp, cn, layout.branch(element.name), element.gain)
-        elif isinstance(element, Vccs):
-            op_, on_ = layout.index(element.out_positive), layout.index(element.out_negative)
-            cp, cn = layout.index(element.ctrl_positive), layout.index(element.ctrl_negative)
-            stamp_transconductance(g_matrix, op_, on_, cp, cn, element.gm)
-        elif isinstance(element, Mosfet):
-            if element.name not in op.device_ops:
-                raise AnalysisError(
-                    f"no operating point for device {element.name!r}; "
-                    "was the DC solution computed on the same circuit?"
+            sources.append(
+                (
+                    element.name,
+                    layout.index(element.n1),
+                    layout.index(element.n2),
+                    resistor_psd,
                 )
-            device_op = op.device_ops[element.name]
-            d = layout.index(element.drain)
-            g_ = layout.index(element.gate)
-            s = layout.index(element.source)
-            b = layout.index(element.bulk)
-            stamp_transconductance(g_matrix, d, s, g_, s, device_op.gm)
-            stamp_conductance(g_matrix, d, s, device_op.gds)
-            stamp_transconductance(g_matrix, d, s, b, s, device_op.gmb)
-            for (i, j, c) in (
-                (g_, s, device_op.cgs),
-                (g_, d, device_op.cgd),
-                (g_, b, device_op.cgb),
-                (d, b, device_op.cdb),
-                (s, b, device_op.csb),
-            ):
-                if c == 0.0:
-                    continue
-                if i != GROUND:
-                    c_matrix[i, i] += c
-                if j != GROUND:
-                    c_matrix[j, j] += c
-                if i != GROUND and j != GROUND:
-                    c_matrix[i, j] -= c
-                    c_matrix[j, i] -= c
-            if include_noise:
-                params, w, l = element.params, element.w * element.mult, element.l
-                gm_val = device_op.gm
-
-                def mosfet_psd(
-                    frequency_hz: float,
-                    _params=params,
-                    _w=w,
-                    _l=l,
-                    _gm=gm_val,
-                ) -> float:
-                    return thermal_noise_psd(_params, _gm) + flicker_noise_psd(
-                        _params, _w, _l, _gm, frequency_hz
-                    )
-
-                noise_sources.append((element.name, d, s, mosfet_psd))
-        else:
-            raise AnalysisError(
-                f"element type {type(element).__name__} not supported in AC"
             )
+        elif isinstance(element, Mosfet):
+            params, w, l = element.params, element.w * element.mult, element.l
+            gm = op.device_ops[element.name].gm
 
-    return LinearizedCircuit(
-        layout=layout,
-        g_matrix=g_matrix,
-        c_matrix=c_matrix,
-        b_ac=b_ac,
-        op=op,
-        noise_sources=noise_sources,
-    )
+            def mosfet_psd(
+                frequency_hz: float, _params=params, _w=w, _l=l, _gm=gm
+            ) -> float:
+                return thermal_noise_psd(_params, _gm) + flicker_noise_psd(
+                    _params, _w, _l, _gm, frequency_hz
+                )
+
+            sources.append(
+                (
+                    element.name,
+                    layout.index(element.drain),
+                    layout.index(element.source),
+                    mosfet_psd,
+                )
+            )
+    return sources

@@ -1,20 +1,20 @@
 """Compiled MNA evaluation kernels: parametric stamp templates.
 
-The legacy DC path (:func:`repro.analysis.dc._assemble`) and small-signal
-linearization (:func:`repro.analysis.smallsignal.linearize`) walk the
-netlist element-by-element, dispatching on ``isinstance`` and issuing one
-scalar ``+=`` per matrix stamp.  That walk runs inside *every Newton
-iteration* of every DC solve — for a sizing loop that evaluates hundreds of
-candidates on the same testbench topology, it is almost pure interpreter
-overhead.
+This is the one MNA implementation of the package: every DC solve,
+linearization and transient step runs a stamp program compiled here.  A
+per-element walk would dispatch on ``isinstance`` and issue one scalar
+``+=`` per matrix stamp inside every Newton iteration of every DC solve;
+for a sizing loop that evaluates hundreds of candidates on the same
+testbench topology that is almost pure interpreter overhead.
 
 This module compiles a circuit *topology* once into flat stamp programs:
 
 * :class:`MnaTemplate` (cached per :meth:`repro.circuit.netlist.Circuit.topology_key`)
-  records every scalar stamp the legacy walk would emit — row/column index
-  arrays in exact emission order, plus value *slots* classified by origin
-  (element constants, MOSFET small-signal quantities, source injections) —
-  and lays the DC residual out as one fused program (see the class);
+  records every scalar stamp the element walk would emit — row/column
+  index arrays in exact emission order, plus value *slots* classified by
+  origin (element constants, MOSFET small-signal quantities, source
+  injections) — and lays the DC residual out as one fused program (see
+  the class);
 * :meth:`MnaTemplate.bind` fills the constant slots from a concrete
   circuit's element values, producing a :class:`BoundMna`.  Its
   :meth:`~BoundMna.residual` builds a Newton residual with one gather
@@ -22,6 +22,9 @@ This module compiles a circuit *topology* once into flat stamp programs:
   :meth:`~BoundMna.jacobian`, which Newton calls only for an iterate that
   takes a step, and :meth:`~BoundMna.linearize` sum their ordered entries
   with one ``np.bincount`` per matrix;
+* :func:`repro.analysis.dc.solve_dc` binds the circuit's template when
+  its caller passes none, and :func:`repro.analysis.smallsignal.linearize`
+  takes G, C and ``b_ac`` from the bound program;
 * :func:`repro.analysis.transient.simulate_transient` steps on a bound DC
   program too: it refreshes the switch and source values per timestep and
   appends inductor and capacitor companions to the same layout, which is
@@ -31,37 +34,36 @@ This module compiles a circuit *topology* once into flat stamp programs:
 Value slots are pure data — ``(opcode, element name, negate)`` triples
 evaluated by :func:`_slot_value` — so a compiled template is picklable.
 Index arrays live on the template; binding and rebinding only fill
-values.  Templates are cached per process by topology key;
-:data:`TEMPLATE_STATS` counts compiles so benchmarks can check how often a
-topology recompiles.
+values.  Templates are cached per process by topology key; the
+``template.compiled`` counter of :mod:`repro.obs.metrics` counts compiles.
 
-**Bit-identity contract.**  The compiled programs reproduce the legacy
+**Bit-identity contract.**  The compiled programs reproduce the element
 walk's floating-point results *bit for bit*: the entry arrays list every
-individual ``+=`` in the same order the legacy code performs them
+individual ``+=`` in the same order the walk performs them
 (``np.bincount`` adds its weights in input order into +0.0 bins, as a
 zeroed matrix receives the walk's stamps), each value is computed with the
 same arithmetic expression shape (``d - v`` is ``1.0 * d + (-v)``
 exactly, ``g * d + (-0.0)`` is ``g * d``, and negation replays the
-legacy stamps' ``-value``), and the MOSFET compact model is the very same
+walk's ``-value`` stamps), and the MOSFET compact model is the very same
 :func:`repro.tech.mosfet.device_current` that
 :func:`~repro.tech.mosfet.dc_current` calls, its per-device constants
-bound once per :meth:`~BoundMna.rebind`.
-``tests/analysis/test_template.py`` enforces the equality byte by byte
-against :func:`repro.analysis.dc._assemble`; it is what lets
-:class:`repro.synth.evaluator.HybridEvaluator` run the compiled kernel
-while keeping campaign records byte-identical to the legacy path.
+bound once per :meth:`~BoundMna.rebind`.  The walk is the oracle in
+``tests/analysis/mna_reference.py``; ``tests/analysis/test_template.py``
+and ``tests/analysis/test_mna_single_path.py`` compare against it byte by
+byte, which is what keeps campaign records byte-identical to the
+pre-kernel evaluator.
 
-Limitations: :meth:`BoundMna.linearize` does not carry noise sources (use
-:func:`repro.analysis.smallsignal.linearize` for noise analysis), and
-binding requires an exact topology-key match.
+An element kind the template cannot compile (only a user-defined
+:class:`~repro.circuit.elements.Element` subclass can be one) fails at
+compile time with a one-line :class:`~repro.errors.AnalysisError`.
+Binding requires an exact topology-key match.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.mna import GROUND, MnaLayout, layout_for
-from repro.analysis.smallsignal import LinearizedCircuit
+from repro.analysis.mna import GROUND, LinearizedCircuit, MnaLayout, layout_for
 from repro.circuit.elements import (
     Capacitor,
     CurrentSource,
@@ -75,7 +77,7 @@ from repro.circuit.elements import (
 )
 from repro.circuit.netlist import Circuit
 from repro.errors import AnalysisError
-from repro.obs.metrics import REGISTRY, CounterView
+from repro.obs import metrics
 from repro.tech.mosfet import device_constants, device_current
 
 #: MOSFET conductance kinds: offsets within a device's four-value group.
@@ -90,8 +92,7 @@ _CAP_KINDS = ("cgs", "cgd", "cgb", "cdb", "csb")
 # Every non-MOSFET value slot reduces to "extract one element attribute,
 # optionally negated".  Recording slots as (opcode, name, negate) data —
 # instead of closures — keeps the compiled template picklable.  Negation (not a
-# sign multiply) reproduces the legacy lambdas' ``-value`` expressions
-# bit-for-bit.
+# sign multiply) reproduces the walk's ``-value`` stamps bit-for-bit.
 # ---------------------------------------------------------------------------
 
 _OP_ONE = 0  # 1.0 (branch-row unit stamps)
@@ -131,7 +132,7 @@ def _slot_value(circuit: Circuit, op: int, name: str | None) -> float:
 def _eval_slots(
     circuit: Circuit, slots: tuple[tuple[int, str | None, bool], ...]
 ) -> list[float]:
-    """Evaluate a slot table; ``negate`` replays the legacy ``-value``."""
+    """Evaluate a slot table; ``negate`` replays the walk's ``-value``."""
     out = []
     for op, name, negate in slots:
         value = _slot_value(circuit, op, name)
@@ -140,7 +141,7 @@ def _eval_slots(
 
 
 class _Coo:
-    """Ordered COO recorder: one entry per scalar ``+=`` of a legacy walk.
+    """Ordered COO recorder: one entry per scalar ``+=`` of the element walk.
 
     ``pos`` of an appended entry is its index in the final value buffer;
     callers remember positions of non-constant slots so they can be
@@ -186,7 +187,7 @@ class MnaTemplate:
     value-carrying :class:`BoundMna`.  Instances are pure data (index
     arrays plus opcode slot tables) and therefore picklable.
 
-    The DC residual is a *fused layout*.  Every residual entry the legacy
+    The DC residual is a *fused layout*.  Every residual entry the element
     walk adds, in its order, is ``sign * buf[src]`` over one buffer
     ``[xe | ids | inj | cur]``: the ground-extended unknowns (ground at
     slot ``size``, branch currents read in place), the MOSFET drain
@@ -214,7 +215,7 @@ class MnaTemplate:
 
         # -- DC Newton program -------------------------------------------
         jac = _Coo()
-        # Residual entries in the legacy walk's order: row, sign, and the
+        # Residual entries in the element walk's order: row, sign, and the
         # (segment, index) of the value they add.
         r_rows: list[int] = []
         r_signs: list[float] = []
@@ -270,7 +271,7 @@ class MnaTemplate:
             entry(node_j, -1.0, _SEG_CUR, src)
 
         def emit_conductance(i: int, j: int, op: int, name: str):
-            """Replay :func:`repro.analysis.mna.stamp_conductance`."""
+            """Replay the walk's conductance stamp."""
             if i != GROUND:
                 jac.append_const(i, i, op, name)
             if j != GROUND:
@@ -333,7 +334,7 @@ class MnaTemplate:
                 cp = layout.index(element.ctrl_positive)
                 cn = layout.index(element.ctrl_negative)
                 k = layout.branch(name)
-                # stamp_vcvs order: out rows, then the gain row entries.
+                # The walk's VCVS stamp order: out rows, then the gain row.
                 emit_branch_jac(op_, on_, k)
                 if cp != GROUND:
                     jac.append_const(k, cp, _OP_GAIN, name, negate=True)
@@ -418,6 +419,14 @@ class MnaTemplate:
                     "by the compiled DC template"
                 )
 
+        # np.bincount returns integer zeros for no entries at all; one +0.0
+        # entry keeps a program with none (a netlist of capacitors and
+        # current sources, say) as float as the walk's zeroed arrays.
+        if n and not r_rows:
+            entry(0, +1.0, _SEG_XE, ground_slot)
+        if n and not jac.rows:
+            jac.append_const(0, 0, _OP_ZERO)
+
         asarray = np.asarray
         self._jflat = jac.flat(n)
         self._j_const_pos = asarray(jac.const_pos, dtype=np.intp)
@@ -456,7 +465,7 @@ class MnaTemplate:
     # -- small-signal program --------------------------------------------
 
     def _compile_linear(self, circuit: Circuit) -> None:
-        """Record the :func:`~repro.analysis.smallsignal.linearize` walk."""
+        """Record the small-signal stamp walk."""
         layout = self.layout
         g = _Coo()
         c = _Coo()
@@ -485,7 +494,7 @@ class MnaTemplate:
             g_mos_sign.append(sign)
 
         def emit_mos_vccs(op_: int, on_: int, cp: int, cn: int, dev: int, kind: int):
-            """Replay stamp_transconductance with a device-slot value."""
+            """Replay the walk's transconductance stamp with a device slot."""
             for row, sign in ((op_, +1.0), (on_, -1.0)):
                 if row == GROUND:
                     continue
@@ -570,7 +579,7 @@ class MnaTemplate:
                 s = layout.index(element.source)
                 b = layout.index(element.bulk)
                 emit_mos_vccs(d, s, g_, s, dev, _KIND_GM)
-                # stamp_conductance(d, s, gds)
+                # The walk's conductance stamp of gds between d and s.
                 for row, col, sign in (
                     (d, d, +1.0),
                     (s, s, +1.0),
@@ -627,6 +636,17 @@ class MnaTemplate:
                 "template's topology"
             )
         return BoundMna(self, circuit)
+
+
+def _cell_sums(flat: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """The ``n``-by-``n`` matrix of ``values`` summed, in order, per cell.
+
+    ``flat`` names each value's row-major cell.  With no values at all
+    ``np.bincount`` would return integer zeros; the walk's matrix is float.
+    """
+    if not len(values):
+        return np.zeros((n, n))
+    return np.bincount(flat, values, n * n).reshape(n, n)
 
 
 def device_eval(
@@ -815,7 +835,7 @@ class BoundMna:
     def residual(
         self, x: np.ndarray, gmin: float, source_scale: float
     ) -> np.ndarray:
-        """The residual of :func:`repro.analysis.dc._assemble`, bit for bit.
+        """The DC Newton residual at ``x``, bit for bit the walk's.
 
         Also evaluates the MOSFETs' conductances at ``x`` for a following
         :meth:`jacobian` call.
@@ -835,7 +855,7 @@ class BoundMna:
         return resid
 
     def jacobian(self, gmin: float) -> np.ndarray:
-        """The jacobian of :func:`repro.analysis.dc._assemble`, bit for bit.
+        """The DC Newton jacobian, bit for bit the walk's.
 
         It is taken at the ``x`` of the last :meth:`residual` call.
         """
@@ -861,35 +881,38 @@ class BoundMna:
     # -- small-signal ------------------------------------------------------
 
     def linearize(self, op) -> LinearizedCircuit:
-        """Bit-identical, noise-free :func:`~repro.analysis.smallsignal.linearize`.
+        """G, C and ``b_ac`` of this bound circuit at the operating point ``op``.
 
         ``op`` is the :class:`~repro.analysis.dc.DcSolution` of this bound
-        circuit.  Noise sources are not carried (the compiled evaluator path
-        never uses them); call the legacy ``linearize`` for noise analysis.
+        circuit.  The noise-source list is empty:
+        :func:`repro.analysis.smallsignal.linearize` adds it.
         """
         t = self.template
         n = t.size
         cond = []
         caps = []
+        device_ops = op.device_ops
         for name in t.mos_names:
-            device_op = op.device_ops[name]
+            device_op = device_ops.get(name)
+            if device_op is None:
+                raise AnalysisError(
+                    f"no operating point for device {name!r}; "
+                    "was the DC solution computed on the same circuit?"
+                )
             cond += (device_op.gm, device_op.gds, device_op.gmb, 0.0)
             caps += [getattr(device_op, attr) for attr in _CAP_KINDS]
 
         gv = self._gv
         if len(t._g_mos_pos):
             gv[t._g_mos_pos] = t._g_mos_sign * np.array(cond)[t._g_mos_val]
-        g_matrix = np.bincount(t._gflat, gv, n * n).reshape(n, n)
-
         cv = self._cv
         if len(t._c_mos_pos):
             cv[t._c_mos_pos] = t._c_mos_sign * np.array(caps)[t._c_mos_val]
-        c_matrix = np.bincount(t._cflat, cv, n * n).reshape(n, n)
 
         return LinearizedCircuit(
             layout=self.layout,
-            g_matrix=g_matrix,
-            c_matrix=c_matrix,
+            g_matrix=_cell_sums(t._gflat, gv, n),
+            c_matrix=_cell_sums(t._cflat, cv, n),
             b_ac=self._b_ac.copy(),
             op=op,
             noise_sources=[],
@@ -904,19 +927,6 @@ class BoundMna:
 _TEMPLATE_CACHE: dict[tuple, MnaTemplate] = {}
 _TEMPLATE_CACHE_MAX = 128
 
-#: Compile counter: ``compiled`` counts fresh ``MnaTemplate``
-#: constructions in this process.  Benchmarks reset and read it.
-#: Stored in the process-global metrics registry (``template.*`` counters,
-#: see :mod:`repro.obs`); this view keeps the historical dict API.
-TEMPLATE_STATS = CounterView(REGISTRY, "template", ("compiled",))
-
-
-def reset_template_stats() -> None:
-    """Zero :data:`TEMPLATE_STATS` (benchmark/test hook)."""
-    for key in TEMPLATE_STATS:
-        TEMPLATE_STATS[key] = 0
-
-
 def template_for(circuit: Circuit) -> MnaTemplate:
     """The compiled stamp template of ``circuit``'s topology (cached)."""
     key = circuit.topology_key()
@@ -925,7 +935,7 @@ def template_for(circuit: Circuit) -> MnaTemplate:
         if len(_TEMPLATE_CACHE) >= _TEMPLATE_CACHE_MAX:
             _TEMPLATE_CACHE.clear()
         cached = MnaTemplate(circuit)
-        TEMPLATE_STATS["compiled"] += 1
+        metrics.counter("template.compiled")
         _TEMPLATE_CACHE[key] = cached
     return cached
 
@@ -938,8 +948,6 @@ def bind_template(circuit: Circuit) -> BoundMna:
 __all__ = [
     "BoundMna",
     "MnaTemplate",
-    "TEMPLATE_STATS",
     "bind_template",
-    "reset_template_stats",
     "template_for",
 ]

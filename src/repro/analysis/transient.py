@@ -232,7 +232,7 @@ class _StepProgram:
             fused.inductor = (t._ind_aff, t._ind_k, self._ind_req)
 
         # Jacobian: the DC entries, the inductor diagonals, then the
-        # capacitor stamps in the order of stamp_conductance.
+        # capacitor stamps in the order of the walk's conductance stamp.
         j_rows = t._ind_k.tolist()
         j_cols = list(j_rows)
         j_vals = (-self._ind_req).tolist()

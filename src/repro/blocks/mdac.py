@@ -10,7 +10,6 @@ clock period?  This module provides all four.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.circuit.builder import CircuitBuilder
@@ -143,13 +142,3 @@ def _rename_net(circuit: Circuit, old: str, new: str) -> None:
                 changes[field.name] = new
         if changes:
             circuit.replace(dataclasses.replace(element, **changes))
-
-
-def settling_error_fraction(
-    waveform_final: float, waveform_start: float, ideal_step: float
-) -> float:
-    """Relative settling error of the measured output step."""
-    if ideal_step == 0:
-        raise SpecificationError("ideal_step must be nonzero")
-    actual = waveform_final - waveform_start
-    return abs(actual - ideal_step) / abs(ideal_step)

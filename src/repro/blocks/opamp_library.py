@@ -110,11 +110,3 @@ def build_folded_cascode(
     b.nmos("s2", "d1", "gnd", w=sizing.w_mirror, l=sizing.l_mirror, name="mm2")
 
     return b.build(validate=False)
-
-
-def opamp_supply_current(circuit: Circuit, dc_solution) -> float:
-    """Total current drawn from the vdd supply source in a testbench.
-
-    The testbench must name its supply source ``vdd_src``.
-    """
-    return dc_solution.supply_current("vdd_src")

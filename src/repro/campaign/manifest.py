@@ -96,11 +96,6 @@ class CampaignManifest:
     corners: tuple[str, ...] = ()
     format_version: int = MANIFEST_VERSION
 
-    @property
-    def is_sharded(self) -> bool:
-        """True when this store covers a strict subset of the grid."""
-        return self.shard_count > 1
-
     def to_json(self) -> str:
         """Canonical JSON (indented for humans, key-sorted for diffing)."""
         payload = {

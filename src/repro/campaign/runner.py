@@ -599,6 +599,20 @@ def _write_campaign_metrics(
     return path
 
 
+def _forget_failures(queue_dir: Path) -> None:
+    """Delete the failure records in a store's queue before a resume.
+
+    A task whose ``.nack.json`` holds ``MAX_RETRIES`` failures is never
+    leased again, so a resume would fail at once on the old record.
+    Without it the task gets ``MAX_RETRIES`` fresh attempts.  Acks stay,
+    so finished tasks still replay.
+    """
+    from repro.engine.broker import NACK_SUFFIX
+
+    for path in queue_dir.glob(f"*{NACK_SUFFIX}"):
+        path.unlink(missing_ok=True)
+
+
 def run_campaign(
     grid: CampaignGrid,
     config: FlowConfig | None = None,
@@ -628,8 +642,10 @@ def run_campaign(
     checkpointed scenarios replay byte-identically (records *and* their
     ledger contributions, so the remaining scenarios plan the same warm
     starts) instead of re-running; the manifest must match the requested
-    campaign or the call refuses with a :class:`SpecificationError`.
-    Without ``resume``, stale checkpoints and queue state are cleared.
+    campaign or the call refuses with a :class:`SpecificationError`.  A
+    resume also forgets the failures recorded in the store's own queue
+    directory, so a task that failed before is tried again.  Without
+    ``resume``, stale checkpoints and queue state are cleared.
 
     ``shard=(k, n)`` runs only the k-th of n deterministic slices of the
     grid (see :func:`repro.campaign.grid.shard_scenarios`); the shard
@@ -688,6 +704,7 @@ def run_campaign(
             )
         if resume:
             completed = checkpoints.completed_prefix(scenarios)
+            _forget_failures(store_path / QUEUE_DIRNAME)
 
     # Telemetry is a pure execution knob (see FlowConfig.telemetry): it is
     # applied here — mode, trace sink, and the env vars pool workers

@@ -1,10 +1,9 @@
 """Unified observability: metrics registry, trace spans, fleet liveness.
 
 ``repro.obs`` is the one telemetry substrate every layer reports into —
-the compiled-kernel counters (``TEMPLATE_STATS`` is a thin view over
-it), block-cache accounting, scheduler waves, campaign
-scenarios, broker lease lifecycle and service job coalescing.  Three
-pillars, all stdlib-only:
+stamp-template compiles, block-cache accounting, scheduler waves,
+campaign scenarios, broker lease lifecycle and service job coalescing.
+Three pillars, all stdlib-only:
 
 * **metrics** (:mod:`repro.obs.metrics`) — a process-global
   :class:`MetricsRegistry` of named counters/gauges/histograms with
@@ -33,7 +32,6 @@ from repro.obs.metrics import (
     REGISTRY,
     SPOOL_ENV,
     TELEMETRY_MODES,
-    CounterView,
     MetricsRegistry,
     aggregate_snapshots,
     counter,
@@ -67,7 +65,6 @@ __all__ = [
     "TRACER",
     "TRACE_DIRNAME",
     "TRACE_ENV",
-    "CounterView",
     "MetricsRegistry",
     "aggregate_snapshots",
     "configure_tracing",

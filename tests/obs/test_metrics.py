@@ -1,4 +1,4 @@
-"""Unit tests for the metrics registry: primitives, views, merge, spool."""
+"""Unit tests for the metrics registry: primitives, merge, spool."""
 
 import json
 
@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import SpecificationError
 from repro.obs import metrics
-from repro.obs.metrics import CounterView, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 
 class TestRegistryPrimitives:
@@ -91,31 +91,6 @@ class TestMergeSemantics:
         snap = r.snapshot()
         assert snap["counters"] == {"ok": 1}
         assert list(snap["histograms"]) == ["good"]
-
-
-class TestCounterView:
-    def test_dict_compatibility(self):
-        r = MetricsRegistry()
-        view = CounterView(r, "kernel", ("hits", "misses"))
-        view["hits"] += 2
-        assert dict(view) == {"hits": 2, "misses": 0}
-        assert sorted(view.items()) == [("hits", 2), ("misses", 0)]
-        assert len(view) == 2
-        assert r.get_counter("kernel.hits") == 2
-
-    def test_fixed_key_set(self):
-        view = CounterView(MetricsRegistry(), "kernel", ("hits",))
-        with pytest.raises(KeyError):
-            view["other"]
-        with pytest.raises(TypeError):
-            del view["hits"]
-
-    def test_writes_bypass_telemetry_gate(self):
-        # Legacy kernel counters predate the knob: they record even when off.
-        metrics.set_mode("off")
-        view = CounterView(metrics.REGISTRY, "kernel", ("hits",))
-        view["hits"] += 1
-        assert view["hits"] == 1
 
 
 class TestModeGate:

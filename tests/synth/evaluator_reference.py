@@ -2,10 +2,11 @@
 
 :class:`ReferenceEvaluator` is :class:`~repro.synth.evaluator.HybridEvaluator`
 as it evaluated a candidate before the compiled kernels: the DC operating
-point comes from the per-element stamp walk (``solve_dc`` with no
-assembly), the small-signal model from :func:`~repro.analysis.smallsignal.linearize`,
-and the amplifier transfer from per-frequency sweeps, one per read-out of
-the staged path (``tests/analysis/ac_reference.py``).
+point and the small-signal model come from the per-element stamp walk
+(``tests/analysis/mna_reference.py``: ``solve_dc`` with a
+:class:`~tests.analysis.mna_reference.WalkAssembly`, and its
+``linearize``), and the amplifier transfer from per-frequency sweeps, one
+per read-out of the staged path (``tests/analysis/ac_reference.py``).
 Everything else (testbench, warm-start chain, margins, transient
 verification, cost) is inherited, so any difference from the compiled
 evaluator comes from the equation path alone.
@@ -24,9 +25,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.smallsignal import linearize
 from repro.synth.evaluator import EvalResult, HybridEvaluator
 from tests.analysis.ac_reference import ac_transfer
+from tests.analysis.mna_reference import WalkAssembly, linearize
 
 
 class ReferenceEvaluator(HybridEvaluator):
@@ -37,7 +38,7 @@ class ReferenceEvaluator(HybridEvaluator):
 
     def _bind(self, bench):
         # No stamp template: solve_dc walks the elements.
-        return None
+        return WalkAssembly(bench)
 
     def _linearize(self, staged):
         return linearize(staged.bench, staged.op, include_noise=False)
