@@ -19,7 +19,11 @@ vs the reference walk), ``transient_step`` (the compiled settling
 transient vs the per-element walk), ``behavioral`` (vectorized
 Monte-Carlo vs the scalar walk), ``digest`` (the one-pass content digest
 vs the two-pass encoder, over the payloads a Fig. 2 plan digests, its memo
-emptied before each pass), ``service``, ``fabric`` (the distributed
+emptied before each pass), ``warm_rerun`` (a K = 10..11 analytic, synthesis
+and behavioral grid rerun against the cache its first run filled: the
+rerun's median wall, its ``plan_stages`` calls against its distinct
+(spec, candidate) pairs and its record serializations against its
+records), ``service``, ``fabric`` (the distributed
 execution fabric against a live HTTP broker and real ``repro-adc worker``
 subprocesses — per-task lease overhead, fleet throughput at 1 vs 2 workers
 on fixed-service-time probe tasks, sizing digests of a 2-worker synthesis
@@ -43,7 +47,8 @@ behavioral batch kernel is not bit-identical to the scalar walk, misses
 its 5x floor at 256 draws, or its ``tracemalloc`` peak on the campaign's
 13-bit 3-2-2-2-2 plan at 256 draws exceeds 1.25x its own output arrays,
 when any content digest differs from the two-pass encoder's or the
-one-pass encoder is under 2x its speed,
+one-pass encoder is under 2x its speed, when the warm rerun searches a
+block, plans a (spec, candidate) pair twice or serializes a record twice,
 when the service stage breaks its coalescing
 contract (N identical concurrent submissions must perform exactly one cold
 synthesis), or when the ``fabric`` stage misses its 1.5x two-worker
@@ -62,7 +67,9 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import statistics
 import sys
+import tempfile
 import time
 import tracemalloc
 import traceback
@@ -85,7 +92,9 @@ from repro.blocks.opamp_library import build_two_stage_miller
 from repro.behavioral.batch import simulate_draws
 from repro.behavioral.signals import full_scale_sine, pick_coherent_cycles
 from repro.behavioral.verify import SAMPLES, draw_error_models
+from repro.campaign.grid import CampaignGrid
 from repro.engine import persist
+from repro.engine.config import FlowConfig
 from repro.engine.persist import block_fingerprint, sizing_digest
 from repro.engine.scheduler import SynthesisJob, run_synthesis_job
 from repro.engine.threads import pin_blas_threads
@@ -97,6 +106,7 @@ from repro.synth.evaluator import _LOOP_FREQS, REJECT_STAGES
 from repro.tech import CMOS025
 from tests.analysis import transient_reference
 from tests.behavioral import batch_reference
+from tests.campaign.traffic import campaign_traffic
 from tests.engine import persist_reference
 from tests.synth.evaluator_reference import ReferenceEvaluator
 
@@ -416,6 +426,56 @@ def stage_digest(repeats: int) -> dict:
     }
 
 
+#: The warm-rerun grid: K = 10..11 in all three modes, 7 (spec, candidate)
+#: pairs and 6 records.
+WARM_GRID = CampaignGrid(
+    resolutions=(10, 11), modes=("analytic", "synthesis", "behavioral")
+)
+
+
+def stage_warm_rerun(budget: int, reruns: int) -> dict:
+    """A warm rerun of a three-mode grid: its wall time and its traffic.
+
+    Fills a temporary cache with :data:`WARM_GRID` at ``budget``, then
+    reruns the grid against it ``reruns`` times and reports the median
+    wall.  One more rerun is counted (``tests/campaign/traffic.py``):
+    ``plan_stages`` calls against the distinct (spec, candidate) pairs, and
+    record serializations against records.
+    """
+    with tempfile.TemporaryDirectory(prefix="repro-warm-") as tmp:
+        root = Path(tmp)
+        config = FlowConfig(
+            budget=budget,
+            retarget_budget=budget // 3,
+            behavioral_draws=16,
+            cache_dir=str(root / "cache"),
+        )
+        start = time.perf_counter()
+        runner.run_campaign(WARM_GRID, config, store_dir=root / "fill")
+        fill_wall = time.perf_counter() - start
+        walls = []
+        for _ in range(reruns):
+            start = time.perf_counter()
+            runner.run_campaign(WARM_GRID, config, store_dir=root / "warm")
+            walls.append(time.perf_counter() - start)
+        with campaign_traffic() as traffic:
+            counted = runner.run_campaign(WARM_GRID, config, store_dir=root / "counted")
+    searches = sum(r.cold_runs + r.retargeted_runs for r in counted.records)
+    return {
+        "workload": (
+            f"K=10..11 analytic+synthesis+behavioral grid, budget {budget}, "
+            f"16 draws, rerun against its filled cache (median of {reruns})"
+        ),
+        "fill_s": round(fill_wall, 3),
+        "rerun_ms": round(statistics.median(walls) * 1e3, 3),
+        "searches": searches,
+        "plans": len(traffic.plans),
+        "distinct_pairs": traffic.distinct_pairs,
+        "serializations": traffic.serializations,
+        "records": len(counted.records),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
@@ -468,6 +528,7 @@ def main(argv=None) -> int:
             behavioral_draws, behavioral_samples
         ),
         "digest": lambda: stage_digest(repeats),
+        "warm_rerun": lambda: stage_warm_rerun(budget, repeats),
         "service": lambda: run_service_benchmark(identical, distinct),
         "fabric": lambda: run_fabric_benchmark(**fabric_kwargs),
         # Telemetry overhead holds its floor on the same synthesis run;
@@ -511,6 +572,7 @@ def main(argv=None) -> int:
     trans = report["stages"]["transient_step"]
     behavioral = report["stages"]["behavioral"]
     digests = report["stages"]["digest"]
+    warm = report["stages"]["warm_rerun"]
     service = report["stages"]["service"]
     fabric = report["stages"]["fabric"]
     obs = report["stages"]["obs"]
@@ -520,6 +582,9 @@ def main(argv=None) -> int:
         f"transient step: {trans['speedup']}x, "
         f"behavioral batch: {behavioral['speedup']}x, "
         f"digest: {digests['speedup']}x, "
+        f"warm rerun: {warm['rerun_ms']}ms, {warm['plans']} plans for "
+        f"{warm['distinct_pairs']} pairs, {warm['serializations']} lines for "
+        f"{warm['records']} records, "
         f"service: {service['coalescing']['submissions']} identical submissions "
         f"-> {service['coalescing']['cold_synthesis_runs']} cold synthesis, "
         f"{service['throughput']['jobs_per_s']} jobs/s, "
@@ -575,6 +640,18 @@ def main(argv=None) -> int:
             failures.append(
                 "regression: one-pass content digests under their 2x floor "
                 f"({digests['speedup']}x)"
+            )
+        if warm["searches"]:
+            failures.append(f"warm_rerun searched {warm['searches']} block(s)")
+        if warm["plans"] != warm["distinct_pairs"]:
+            failures.append(
+                f"warm_rerun planned {warm['distinct_pairs']} (spec, candidate) "
+                f"pairs {warm['plans']} times"
+            )
+        if warm["serializations"] != warm["records"]:
+            failures.append(
+                f"warm_rerun serialized {warm['records']} records "
+                f"{warm['serializations']} times"
             )
         failures.extend(check_service_report(service))
         failures.extend(check_fabric_report(fabric))

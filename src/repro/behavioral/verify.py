@@ -38,7 +38,7 @@ from repro.enumeration.candidates import PipelineCandidate
 from repro.errors import SpecificationError
 from repro.obs import metrics
 from repro.specs.adc import AdcSpec
-from repro.specs.stage import StagePlan, plan_stages
+from repro.specs.stage import PlanTable, StagePlan
 
 #: Record length for SNDR captures: long enough for a clean noise floor,
 #: short enough that a 1000-draw batch stays comfortably in memory.
@@ -203,14 +203,16 @@ def verify_candidate(
     seed: int,
     mismatch: MismatchSpec = DEFAULT_MISMATCH,
     samples: int = SAMPLES,
+    plans: PlanTable | None = None,
 ) -> BehavioralVerdict:
     """Simulate ``draws`` mismatch realizations of one topology.
 
     Drives a near-full-scale coherent sine through the behavioral
     pipeline under per-stage error models derived from the candidate's
     stage plan, and distills each draw's code record into SNDR/ENOB.
+    ``plans`` is the caller's plan table, if it keeps one.
     """
-    plan = plan_stages(spec, candidate)
+    plan = (plans or PlanTable()).plan(spec, candidate)
     models, rngs = draw_error_models(plan, draws, seed, mismatch)
     cycles = pick_coherent_cycles(samples)
     stimulus = full_scale_sine(samples, cycles, spec.full_scale)
@@ -237,18 +239,21 @@ def verdict_key(
     seed: int,
     mismatch: MismatchSpec = DEFAULT_MISMATCH,
     samples: int = SAMPLES,
+    plans: PlanTable | None = None,
 ) -> str:
     """Cache key of the verdict :func:`verify_candidate` would return.
 
     The stage plan carries the spec (resolution, rate, full scale, the
     corner's technology) and the candidate; draws, seed, mismatch and
-    record length are the rest of what the simulation reads.
+    record length are the rest of what the simulation reads.  ``plans``
+    is the caller's plan table, if it keeps one: the key is the same
+    either way, since equal plans encode to the same text.
     """
     return digest(
         {
             "version": VERDICT_VERSION,
             "kind": "behavioral",
-            "plan": plan_stages(spec, candidate),
+            "plan": (plans or PlanTable()).plan(spec, candidate),
             "draws": draws,
             "seed": seed,
             "mismatch": mismatch,
@@ -266,15 +271,24 @@ def cached_verdict(
     cache_dir: str | Path | None,
     mismatch: MismatchSpec = DEFAULT_MISMATCH,
     samples: int = SAMPLES,
+    plans: PlanTable | None = None,
 ) -> BehavioralVerdict:
     """The verdict of :func:`verify_candidate`, from the cache when it is there.
 
     A hit returns the stored verdict; a miss (no entry, or an unreadable
     one) simulates and stores the verdict.  Hits and misses count as
     ``behavioral.verdict_hits`` / ``behavioral.verdict_misses``.  Without
-    a ``cache_dir`` this is :func:`verify_candidate`.
+    a ``cache_dir`` this is :func:`verify_candidate`.  The key and the
+    simulation read one plan, from ``plans`` when the caller keeps a
+    table (a campaign does).
     """
-    kwargs = dict(draws=draws, seed=seed, mismatch=mismatch, samples=samples)
+    kwargs = dict(
+        draws=draws,
+        seed=seed,
+        mismatch=mismatch,
+        samples=samples,
+        plans=plans or PlanTable(),
+    )
     if cache_dir is None:
         return verify_candidate(spec, candidate, **kwargs)
     directory = Path(cache_dir) / VERDICT_DIRNAME

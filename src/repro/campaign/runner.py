@@ -1,7 +1,7 @@
 """The campaign runner: one batch, many scenarios, shared synthesis state.
 
 ``run_campaign`` executes every scenario of a :class:`~repro.campaign.grid.CampaignGrid`
-through :func:`~repro.flow.topology.optimize_topology` while sharing three
+through :func:`~repro.flow.topology.optimize_topology` while sharing four
 things across the whole batch that a naive per-spec loop would rebuild per
 scenario:
 
@@ -16,7 +16,10 @@ scenario:
   retarget economy applied across system specs, not just within one;
 * **one persistent cache directory** (``FlowConfig.cache_dir``) — the
   on-disk layer behind the ledger, so reuse also spans campaign invocations.
-  It holds synthesized blocks and, under ``verdicts/``, behavioral verdicts.
+  It holds synthesized blocks and, under ``verdicts/``, behavioral verdicts;
+* **one plan table** (:class:`~repro.specs.stage.PlanTable`) — a grid
+  point's analytic screen, synthesis scenario and behavioral verdict read
+  one stage plan per candidate, planned once per ``run_campaign`` call.
 
 Scenarios execute strictly in expansion order (only the work *inside* a
 scenario fans out over the backend), and every scenario's synthesis plan is
@@ -75,6 +78,7 @@ from repro.flow.cache import PersistentBlockCache
 from repro.flow.topology import TopologyResult, optimize_topology
 from repro.obs import metrics as obs
 from repro.obs.trace import TRACE_DIRNAME, TRACE_ENV, configure_tracing, span
+from repro.specs.stage import PlanTable
 from repro.synth.result import SynthesisResult
 
 
@@ -420,6 +424,7 @@ def _behavioral_record(
     config: FlowConfig,
     backend: ExecutionBackend | None,
     synthesis_winners: dict[tuple[int, float, str], tuple[str, float]],
+    plans: PlanTable,
 ) -> CampaignRecord:
     """Verify one grid point's chosen topology in the time domain.
 
@@ -438,7 +443,11 @@ def _behavioral_record(
         winner_source = "synthesis"
     else:
         screen = optimize_topology(
-            scenario.spec, mode="analytic", config=config, backend=backend
+            scenario.spec,
+            mode="analytic",
+            config=config,
+            backend=backend,
+            plans=plans,
         )
         winner_label = screen.best.label
         winner_power = screen.best.total_power
@@ -454,6 +463,7 @@ def _behavioral_record(
         draws=config.behavioral_draws,
         seed=config.behavioral_seed,
         cache_dir=config.cache_dir,
+        plans=plans,
     )
     # Walden FoM at the *simulated* effective resolution: same power and
     # rate as the analytic FoM, but 2^ENOB instead of 2^K — the honest
@@ -736,6 +746,10 @@ def run_campaign(
         #: synthesis scenarios — live or replayed — feeding the behavioral
         #: tier the topology each synthesis point actually selected.
         synthesis_winners: dict[tuple[int, float, str], tuple[str, float]] = {}
+        #: One plan per (spec, candidate) for this call's scenarios: the
+        #: analytic screen, the synthesis scenario and the verdict key of a
+        #: grid point read the same plan, and it dies with the call.
+        plans = PlanTable()
         campaign_start = time.perf_counter()
         for scenario, record, journal in completed:
             ledger.replay(journal)
@@ -781,7 +795,11 @@ def run_campaign(
                             obs.counter("campaign.scenarios")
                             if scenario.mode == "behavioral":
                                 record = _behavioral_record(
-                                    scenario, config, backend, synthesis_winners
+                                    scenario,
+                                    config,
+                                    backend,
+                                    synthesis_winners,
+                                    plans,
                                 )
                             else:
                                 if scenario.mode == "synthesis":
@@ -804,6 +822,7 @@ def run_campaign(
                                     cache=cache,
                                     config=config,
                                     backend=backend,
+                                    plans=plans,
                                 )
                                 record = _make_record(scenario, topology, cache)
                                 if scenario.mode == "synthesis":

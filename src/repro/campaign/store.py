@@ -12,6 +12,7 @@ object (and the runner's ``meta.json``), where nondeterminism is expected.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -89,8 +90,18 @@ class CampaignRecord:
         return self.rankings[0][1]
 
     def to_json(self) -> str:
-        """One canonical JSON line (sorted keys, no whitespace)."""
-        payload = dataclasses.asdict(self)
+        """One canonical JSON line (sorted keys, no whitespace).
+
+        Encoded on the first call and kept, so a record's checkpoint and
+        its ``results.jsonl`` line are one text.  A record is finished
+        when it is built: nothing may change ``behavioral`` afterwards.
+        """
+        return self._line
+
+    @functools.cached_property
+    def _line(self) -> str:
+        # The fields hold JSON values already, so no deep copy is needed.
+        payload = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         payload["rankings"] = [[label, power] for label, power in self.rankings]
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 

@@ -976,7 +976,6 @@ class BrokerBackend:
     def _drain(self, pending: int) -> None:
         """Run the local workers until the broker has nothing to lease."""
         from repro.engine.worker import WorkerLoop
-        from repro.obs.trace import TRACER
 
         ttl = getattr(self.broker, "lease_ttl", DEFAULT_LEASE_TTL)
         loops = [
@@ -990,7 +989,6 @@ class BrokerBackend:
             for n in range(min(self.max_workers, pending))
         ]
         stop = threading.Event()
-        previous = TRACER.worker  # WorkerLoop.run claims this process-global
         try:
             if len(loops) == 1:
                 loops[0].run(stop)
@@ -999,7 +997,6 @@ class BrokerBackend:
                     future.result()
         finally:
             stop.set()
-            TRACER.worker = previous
 
     def map(self, fn: Callable[[T], R], tasks: Iterable[T]) -> list[R]:
         """Publish every task, collect the acks, return results in task order."""

@@ -200,9 +200,19 @@ class WorkerLoop:
 
     def run(self, stop: threading.Event | None = None) -> dict:
         """Serve tasks until ``stop`` is set, ``max_tasks`` executed, or the
-        broker stays empty past ``idle_exit`` seconds.  Returns counters."""
+        broker stays empty past ``idle_exit`` seconds.  Returns counters.
+
+        Spans on this thread carry the worker id while the loop runs; the
+        thread's previous label comes back when it returns."""
         stop = stop or threading.Event()
+        previous = TRACER.worker
         TRACER.worker = self.worker_id
+        try:
+            return self._serve(stop)
+        finally:
+            TRACER.worker = previous
+
+    def _serve(self, stop: threading.Event) -> dict:
         idle_since = time.monotonic()
         self._push_census()
         while not stop.is_set():

@@ -164,11 +164,18 @@ class PersistentBlockCache(BlockCache):
         self, fingerprint: str, spec: MdacSpec | None = None
     ) -> SynthesisResult | None:
         result = load_result(self.cache_dir, fingerprint)
-        if result is not None:
-            self.persistent_hits += 1
-            metrics.counter("cache.persistent_hits")
-        else:
+        if result is None:
             metrics.counter("cache.persistent_misses")
+            return None
+        self.persistent_hits += 1
+        metrics.counter("cache.persistent_hits")
+        if spec is not None:
+            # The fingerprint digests the spec, so the stored block's spec
+            # is an unpickled twin of ``spec`` that encodes to the same
+            # text.  Holding the planned object instead lets every later
+            # digest of this block (ledger spec key, sizing digest, donor
+            # fingerprints) reuse the text the fingerprint remembered.
+            result.spec = spec
         return result
 
     def _persist(self, fingerprint: str, result: SynthesisResult) -> None:

@@ -24,7 +24,7 @@ from repro.power.analytic import CandidatePower, candidate_power
 from repro.power.comparator import sub_adc_power
 from repro.power.model import PowerModel, DEFAULT_POWER_MODEL
 from repro.specs.adc import AdcSpec
-from repro.specs.stage import StagePlan, plan_stages
+from repro.specs.stage import PlanTable, StagePlan
 
 
 @dataclass(frozen=True)
@@ -76,17 +76,16 @@ class TopologyResult:
 class _AnalyticTask:
     """Picklable per-candidate analytic evaluation unit."""
 
-    spec: AdcSpec
-    candidate: PipelineCandidate
+    plan: StagePlan
     model: PowerModel
 
 
 def _evaluate_analytic(task: _AnalyticTask) -> CandidateEvaluation:
     """Analytic evaluation of one candidate — pool-dispatchable."""
-    plan = plan_stages(task.spec, task.candidate)
-    cp: CandidatePower = candidate_power(task.spec, task.candidate, task.model, plan)
+    plan = task.plan
+    cp: CandidatePower = candidate_power(plan.spec, plan.candidate, task.model, plan)
     return CandidateEvaluation(
-        candidate=task.candidate,
+        candidate=plan.candidate,
         plan=plan,
         stage_powers=tuple(s.total_power for s in cp.stages),
         mdac_powers=tuple(s.mdac.total_power for s in cp.stages),
@@ -130,6 +129,7 @@ def optimize_topology(
     candidates: list[PipelineCandidate] | None = None,
     config: FlowConfig | None = None,
     backend: ExecutionBackend | None = None,
+    plans: PlanTable | None = None,
 ) -> TopologyResult:
     """Run the full designer-driven flow for one ADC spec.
 
@@ -144,6 +144,9 @@ def optimize_topology(
     over ``config.make_cache`` (its budgets then drive the scheduler), and
     an explicitly passed ``backend`` is reused without being closed —
     callers sharing a pool across several runs own its lifecycle.
+    ``plans`` is the campaign's :class:`~repro.specs.stage.PlanTable`, so
+    the scenarios of one grid point plan each candidate once; without
+    one, this call plans into a table of its own.
 
     Sub-ADC power always comes from the comparator model; ranking ascending
     by total front-end power.  Rankings are backend-independent: the wave
@@ -156,18 +159,20 @@ def optimize_topology(
         raise SpecificationError(f"unknown mode {mode!r}")
     if config is None:
         config = FlowConfig()
+    if plans is None:
+        plans = PlanTable()
+    stage_plans = [plans.plan(spec, cand) for cand in candidates]
 
     owns_backend = backend is None
     if backend is None:
         backend = config.make_backend()
     try:
         if mode == "analytic":
-            tasks = [_AnalyticTask(spec, cand, model) for cand in candidates]
+            tasks = [_AnalyticTask(plan, model) for plan in stage_plans]
             evaluations = backend.map(_evaluate_analytic, tasks)
         else:
             if cache is None:
                 cache = config.make_cache(spec.tech)
-            stage_plans = [plan_stages(spec, cand) for cand in candidates]
             all_specs = [m for p in stage_plans for m in p.mdacs]
             synth_plan = plan_synthesis(
                 all_specs, cache.results, donors=cache.donor_pool

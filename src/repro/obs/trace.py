@@ -58,8 +58,6 @@ class Tracer:
         self._handle = None
         self._handle_pid: int | None = None
         self._host = socket.gethostname()
-        #: Optional worker identity stamped on every emitted span.
-        self.worker: str | None = None
 
     # -- configuration ---------------------------------------------------
 
@@ -85,7 +83,22 @@ class Tracer:
     def enabled(self) -> bool:
         return self.sink_dir() is not None
 
-    # -- the per-thread span stack ---------------------------------------
+    # -- the per-thread span stack and worker label ----------------------
+
+    @property
+    def worker(self) -> str | None:
+        """The worker identity stamped on this thread's spans, if any.
+
+        Per thread, like the span stack: each ``WorkerLoop`` labels the
+        thread it runs on, so loops running side by side in one process
+        (the ``queue`` backend's workers, or two overlapping maps) label
+        only their own spans.
+        """
+        return getattr(self._tls, "worker", None)
+
+    @worker.setter
+    def worker(self, worker: str | None) -> None:
+        self._tls.worker = worker
 
     def _stack(self) -> list:
         stack = getattr(self._tls, "stack", None)

@@ -51,7 +51,9 @@ import base64
 import binascii
 import io
 import json
+import math
 import pickle
+import pickletools
 from typing import Any, Callable, Iterable
 
 #: Version tag stamped on v1 wire payloads (task envelopes, leases,
@@ -120,12 +122,40 @@ class _RestrictedUnpickler(pickle.Unpickler):
         )
 
 
+#: Opcodes that store into the unpickler's memo at an index they name.
+_MEMO_PUTS = frozenset({"PUT", "BINPUT", "LONG_BINPUT"})
+
+
+def _check_bounds(payload: bytes) -> None:
+    """Refuse a pickle whose opcodes ask for more than the payload holds.
+
+    The unpickler allocates what an opcode declares before it reads it: a
+    bytes or bytearray length, or a memo table large enough for a memo
+    index.  So a nine-byte body can ask for gigabytes or raise
+    ``OverflowError``.  :func:`pickletools.genops` reads no more
+    than the payload holds and raises ``ValueError`` for a declared length
+    past its end.  A memo index at or above the payload's length is
+    refused too: a real pickle numbers its memo entries from 0, at least
+    one opcode byte each.  Raises :class:`pickle.UnpicklingError`.
+    """
+    size = len(payload)
+    try:
+        for opcode, arg, _ in pickletools.genops(payload):
+            if opcode.name in _MEMO_PUTS and arg >= size:
+                raise ValueError(f"memo index {arg} past a {size}-byte pickle")
+    except Exception as exc:
+        raise pickle.UnpicklingError(f"malformed wire pickle: {exc}") from exc
+
+
 def restricted_loads(payload: bytes) -> Any:
     """``pickle.loads`` through the wire allow-list (see module docstring).
 
-    Raises :class:`pickle.UnpicklingError` (or the usual truncation/codec
-    errors) for anything referencing a global outside the allow-list.
+    Raises :class:`pickle.UnpicklingError` for anything referencing a
+    global outside the allow-list, and for a payload whose opcodes do not
+    parse or ask for more than it holds (:func:`_check_bounds`); the
+    objects the allowed globals build can still raise their own errors.
     """
+    _check_bounds(payload)
     return _RestrictedUnpickler(io.BytesIO(payload)).load()
 
 
@@ -193,7 +223,8 @@ def decode_task(envelope: dict) -> tuple[str, Any]:
     Raises ``ValueError`` for envelopes from a *newer* schema or with a
     malformed body — a worker must reject what it cannot faithfully run.
     The body is unpickled through :func:`restricted_loads`, so a hostile
-    envelope surfaces as a rejection, never as code execution.
+    envelope surfaces as a rejection, never as code execution, and any
+    error the body raises becomes that ``ValueError``.
     """
     if not isinstance(envelope, dict):
         raise ValueError("task envelope must be a JSON object")
@@ -208,10 +239,12 @@ def decode_task(envelope: dict) -> tuple[str, Any]:
         raise ValueError(f"task envelope has no importable fn ({fn_name!r})")
     try:
         task = restricted_loads(base64.b64decode(envelope["task_pkl"]))
-    except (KeyError, TypeError, ValueError, binascii.Error,
-            pickle.UnpicklingError, EOFError, AttributeError,
-            ImportError, IndexError) as exc:
-        raise ValueError(f"task envelope body is unreadable ({exc})") from exc
+    except Exception as exc:
+        # Reconstructing the body runs allow-listed constructors on
+        # untrusted arguments, so it can raise anything.
+        raise ValueError(
+            f"task envelope body is unreadable ({type(exc).__name__}: {exc})"
+        ) from exc
     return fn_name, task
 
 
@@ -227,10 +260,17 @@ def decode_result(payload: bytes) -> Any:
     """Inverse of :func:`encode_result`, via :func:`restricted_loads`.
 
     Ack bytes come back from brokers other processes write into, so the
-    submitter applies the same allow-list the worker applies to tasks;
-    raises like ``pickle.loads`` on truncation or a disallowed global.
+    submitter applies the same allow-list the worker applies to tasks.
+    Raises ``ValueError`` for a payload that does not decode: truncated,
+    malformed, asking for more than it holds, or naming a global outside
+    the allow-list.
     """
-    return restricted_loads(payload)
+    try:
+        return restricted_loads(payload)
+    except Exception as exc:
+        raise ValueError(
+            f"result payload is unreadable ({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 def encode_result_b64(payload: bytes) -> str:
@@ -266,6 +306,28 @@ def lease_body(
     return json.dumps(payload, sort_keys=True)
 
 
+#: Largest process id a lease may name (``pid_t`` is a 32-bit int).
+_PID_MAX = 2**31 - 1
+
+
+def _pid(value: Any) -> int:
+    """A lease's pid as an int, or 0 when it names no possible process."""
+    try:
+        pid = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return 0
+    return pid if 0 <= pid <= _PID_MAX else 0
+
+
+def _deadline(value: Any) -> float | None:
+    """A lease's deadline, or ``None`` when no clock will ever pass it."""
+    try:
+        deadline = float(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return deadline if math.isfinite(deadline) else None
+
+
 def parse_lease(text: str) -> dict:
     """Tolerant lease parse: always a dict, never an exception.
 
@@ -273,36 +335,27 @@ def parse_lease(text: str) -> dict:
     "deadline": float | None}``.  A PR 4 lease (``{"pid": N}`` or a bare
     integer) parses with the new fields ``None``; truncated JSON, binary
     garbage or an empty file (a crash mid-write) parse to ``pid=0`` — a
-    dead claim the reclaim sweep may break.
+    dead claim the reclaim sweep may break.  So does a pid no process can
+    have (negative, past ``pid_t``, infinite or NaN).  A deadline that is
+    not a finite number parses to ``None``, so the lease expires by its
+    file's mtime instead of never.
     """
     dead = {"pid": 0, "worker": None, "host": None, "deadline": None}
     try:
         payload = json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError):
-        try:
-            return {**dead, "pid": int(text.strip() or "0")}
-        except ValueError:
-            return dead
+    except (ValueError, RecursionError):
+        # Not JSON, an int past the digit limit, or nesting too deep.
+        return {**dead, "pid": _pid(text)}
     if not isinstance(payload, dict):
-        try:
-            return {**dead, "pid": int(payload)}
-        except (TypeError, ValueError):
-            return dead
-    parsed = dict(dead)
-    try:
-        parsed["pid"] = int(payload.get("pid", 0))
-    except (TypeError, ValueError):
-        parsed["pid"] = 0
+        return {**dead, "pid": _pid(payload)}
     worker = payload.get("worker")
-    parsed["worker"] = worker if isinstance(worker, str) else None
     host = payload.get("host")
-    parsed["host"] = host if isinstance(host, str) else None
-    try:
-        deadline = payload.get("deadline")
-        parsed["deadline"] = None if deadline is None else float(deadline)
-    except (TypeError, ValueError):
-        parsed["deadline"] = None
-    return parsed
+    return {
+        "pid": _pid(payload.get("pid", 0)),
+        "worker": worker if isinstance(worker, str) else None,
+        "host": host if isinstance(host, str) else None,
+        "deadline": _deadline(payload.get("deadline")),
+    }
 
 
 # -- task identity ------------------------------------------------------------

@@ -11,7 +11,7 @@ requirements — lives here.
 from repro.specs.adc import AdcSpec
 from repro.specs.noise_budget import NoiseBudget, allocate_noise_budget
 from repro.specs.caps import size_sampling_capacitor, CapacitorSizing
-from repro.specs.stage import MdacSpec, StagePlan, SubAdcSpec, plan_stages
+from repro.specs.stage import MdacSpec, PlanTable, StagePlan, SubAdcSpec, plan_stages
 
 __all__ = [
     "AdcSpec",
@@ -22,5 +22,6 @@ __all__ = [
     "MdacSpec",
     "SubAdcSpec",
     "StagePlan",
+    "PlanTable",
     "plan_stages",
 ]

@@ -255,3 +255,29 @@ def plan_stages(
         mdacs=tuple(mdacs),
         sub_adcs=sub_adcs,
     )
+
+
+class PlanTable:
+    """The stage plans of one campaign: one :class:`StagePlan` per pair.
+
+    A grid point's analytic screen, synthesis scenario and behavioral
+    verdict all plan the same ``(spec, candidate)`` pairs.  Reading them
+    from one table plans each pair once, and every reader gets the same
+    plan object, so the content digests that embed its specs reuse their
+    remembered text (:mod:`repro.engine.persist`).  The table lives as
+    long as its owner: ``run_campaign`` makes one per call, and a direct
+    ``optimize_topology`` call one of its own.  Pairs match by equality,
+    and equal specs plan to equal plans, since :func:`plan_stages` is a
+    pure function.
+    """
+
+    def __init__(self) -> None:
+        self._plans: dict[tuple[AdcSpec, PipelineCandidate], StagePlan] = {}
+
+    def plan(self, spec: AdcSpec, candidate: PipelineCandidate) -> StagePlan:
+        """``plan_stages(spec, candidate)``, planned on the first request."""
+        key = (spec, candidate)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = plan_stages(spec, candidate)
+        return plan

@@ -19,7 +19,7 @@ import pytest
 from repro.engine.broker import DirectoryBroker
 from repro.engine.worker import WorkerLoop
 from repro.obs import metrics
-from repro.obs.trace import TRACER, configure_tracing
+from repro.obs.trace import configure_tracing
 from repro.synth.evaluator import REJECT_STAGES
 
 
@@ -39,10 +39,8 @@ def broker_workers(queue_dir, count: int = 2):
 
     A ``FlowConfig(backend="broker", queue_dir=queue_dir)`` run inside the
     block executes its tasks on these threads.  On exit the threads stop
-    and join, and ``TRACER.worker`` (which ``WorkerLoop.run`` overwrites)
-    gets its old value back.
+    and join.
     """
-    previous_worker = TRACER.worker
     broker = DirectoryBroker(queue_dir)
     stop = threading.Event()
     threads = [
@@ -63,7 +61,6 @@ def broker_workers(queue_dir, count: int = 2):
         stop.set()
         for thread in threads:
             thread.join(timeout=120)
-        TRACER.worker = previous_worker
     assert not any(thread.is_alive() for thread in threads), "a worker hung"
 
 

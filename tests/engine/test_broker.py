@@ -1,8 +1,10 @@
 """Broker protocol: directory broker semantics, worker loop, broker backend."""
 
+import base64
 import json
 import os
 import pickle
+import struct
 import subprocess
 import sys
 import threading
@@ -237,6 +239,39 @@ class TestDirectoryBrokerLeases:
         info = broker.lease_info(key)
         assert info is not None and info["worker"] == "w1"
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            '{"pid": 1e400}',
+            "1e400",
+            '{"deadline": NaN}',
+            '{"pid": 4, "deadline": Infinity}',
+            '{"pid": %d, "deadline": Infinity}' % os.getpid(),
+            '{"pid": %d, "deadline": NaN}' % os.getpid(),
+        ],
+        ids=[
+            "pid-1e400",
+            "bare-1e400",
+            "nan-deadline",
+            "pid-4-infinite-deadline",
+            "live-pid-infinite-deadline",
+            "live-pid-nan-deadline",
+        ],
+    )
+    def test_an_hour_old_lease_without_a_usable_deadline_expires(self, tmp_path, body):
+        # A pid no process can have reads as no claimant, and a deadline
+        # no clock reaches as none: the lease expires one TTL after its
+        # mtime (or at once without a claimant) instead of never.
+        broker = DirectoryBroker(tmp_path)
+        key = _key()
+        lease = tmp_path / f"{key}{LEASE_SUFFIX}"
+        lease.write_text(body)
+        an_hour_ago = time.time() - 3600.0
+        os.utime(lease, (an_hour_ago, an_hour_ago))
+        assert broker._lease_is_stale(key) is True
+        assert broker.statuses([key])[key]["leased"] is False
+        assert broker.reclaim() == 1
+
     def test_legacy_pid_only_lease_still_parses(self, tmp_path):
         # PR 4 leases were {"pid": N} with no deadline: keep iff pid alive.
         broker = DirectoryBroker(tmp_path)
@@ -423,6 +458,24 @@ class TestWorkerLoop:
         broker.submit(key, envelope)
         loop = WorkerLoop(broker, worker_id="w1", idle_exit=0.0, poll_interval=0.01)
         assert loop.run()["rejected"] == MAX_RETRIES
+
+    def test_an_unreadable_body_is_rejected_and_the_loop_runs_on(self, tmp_path):
+        # A BYTEARRAY8 longer than sys.maxsize: the unpickler raised
+        # OverflowError, which ended WorkerLoop.run.
+        broker = DirectoryBroker(tmp_path)
+        bad = _key(1)
+        envelope = _envelope({"test-task": 1})
+        envelope["task_pkl"] = base64.b64encode(
+            b"\x96" + struct.pack("<Q", 2**63 + 5)
+        ).decode("ascii")
+        broker.submit(bad, envelope)
+        good = _seed(broker)
+        loop = WorkerLoop(broker, worker_id="w1", idle_exit=0.0, poll_interval=0.01)
+        counters = loop.run()
+        assert counters["rejected"] == MAX_RETRIES
+        assert counters["executed"] == 1
+        assert broker.failure(bad)["error"].startswith("rejected envelope:")
+        assert wire.decode_result(broker.result(good)) == digest({"test-task": 0})
 
     def test_heartbeats_keep_the_lease_during_a_slow_task(self, tmp_path, monkeypatch):
         # TTL 0.6 with a ~0.2s heartbeat cadence leaves ~0.4s of scheduling

@@ -6,6 +6,7 @@ resolve only ``repro.*`` names — as they do for the production task
 functions (``run_synthesis_job``, ``_evaluate_analytic``, ``_sweep_one``).
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -28,9 +30,9 @@ from repro.engine.broker import (
 )
 from repro.engine.config import FlowConfig
 from repro.engine.persist import digest
-from repro.engine.worker import fabric_probe
+from repro.engine.worker import WorkerLoop, fabric_probe
 from repro.errors import SpecificationError
-from repro.obs.trace import TRACER
+from repro.obs.trace import TRACER, configure_tracing
 from repro.service import wire
 
 
@@ -117,6 +119,50 @@ class TestBackendContract:
             assert TRACER.worker == "campaign"
             backend.map(digest, [{"n": 9}])
         assert TRACER.worker == "campaign"
+
+    def test_overlapping_maps_label_only_their_own_spans(self, tmp_path):
+        # Two queue maps overlap in one process, as two service job workers
+        # run them: the second starts while the first's task runs and ends
+        # after it.  Each loop labels only its own spans, and no thread is
+        # left with a finished loop's label.
+        configure_tracing(tmp_path / "traces")
+        running = threading.Event()
+        ran_by: dict[str, str] = {}
+        execute = WorkerLoop._execute
+
+        def recording_execute(loop, key, envelope):
+            ran_by[key[:12]] = loop.worker_id
+            running.set()
+            return execute(loop, key, envelope)
+
+        labels_after: dict[str, str | None] = {}
+
+        def campaign(name, busy_s):
+            with _queue(tmp_path / name) as backend:
+                backend._worker_prefix = f"queue-{name}"
+                backend.map(fabric_probe, [{"busy_s": busy_s, "campaign": name}])
+            labels_after[name] = TRACER.worker
+
+        with mock.patch.object(WorkerLoop, "_execute", recording_execute):
+            first = threading.Thread(target=campaign, args=("a", 0.3), daemon=True)
+            first.start()
+            assert running.wait(timeout=30)
+            second = threading.Thread(target=campaign, args=("b", 0.6), daemon=True)
+            second.start()
+            for thread in (first, second):
+                thread.join(timeout=60)
+                assert not thread.is_alive(), "a map hung"
+        assert labels_after == {"a": None, "b": None}
+        assert TRACER.worker is None
+        spans = [
+            json.loads(line)
+            for path in (tmp_path / "traces").glob("*.jsonl")
+            for line in path.read_text(encoding="utf-8").splitlines()
+        ]
+        tasks = [s for s in spans if s["name"] == "worker.task"]
+        assert sorted(s["worker"] for s in tasks) == ["queue-a-0", "queue-b-0"]
+        for task in tasks:
+            assert task["worker"] == ran_by[task["attrs"]["key"]]
 
 
 class TestAckReplay:

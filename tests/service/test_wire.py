@@ -1,8 +1,19 @@
 """The wire module: round-trips, schema gates, and byte-stability contracts."""
 
+import base64
 import json
+import math
+import os
+import pickle
+import struct
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.persist import digest
 from repro.engine.scheduler import SynthesisJob
@@ -139,6 +150,157 @@ class TestRestrictedUnpickling:
             wire.decode_task(envelope)
 
 
+#: Bodies a few bytes long that the unpickler used to answer with
+#: ``OverflowError`` or a multi-exabyte allocation (``MemoryError``).
+DECLARED_PAST_THE_END = {
+    "bytearray8-past-maxsize": b"\x96" + struct.pack("<Q", 2**63 + 5),
+    "bytearray8-2**62": b"\x96" + struct.pack("<Q", 2**62),
+    "bytes8-2**62": b"\x8e" + struct.pack("<Q", 2**62),
+}
+
+#: A LONG_BINPUT at memo index 2**27: the unpickler zeroed a memo table of
+#: 2**28 pointers (2 GB) for it, then returned ``None``.
+MEMO_BOMB = b"\x80\x04N" + b"r" + struct.pack("<I", 2**27) + b"."
+
+
+def _envelope_with_body(body: bytes) -> dict:
+    envelope = wire.encode_task(digest, {"n": 1})
+    envelope["task_pkl"] = base64.b64encode(body).decode("ascii")
+    return envelope
+
+
+def _plain_data(binary: bool):
+    """Nested plain data; bytes only where the protocol has opcodes for it."""
+    leaves = (
+        st.none()
+        | st.booleans()
+        | st.integers()
+        | st.floats(allow_nan=False)
+        | st.text(max_size=20)
+    )
+    if binary:
+        leaves |= st.binary(max_size=20)
+    return st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, max_size=5)
+        | st.tuples(inner, inner)
+        | st.dictionaries(st.text(max_size=5), inner, max_size=5),
+        max_leaves=30,
+    )
+
+
+class TestWirePayloadBounds:
+    @pytest.mark.parametrize("name", sorted(DECLARED_PAST_THE_END))
+    def test_declared_lengths_past_the_end_are_unreadable(self, name):
+        body = DECLARED_PAST_THE_END[name]
+        with pytest.raises(pickle.UnpicklingError, match="malformed"):
+            wire.restricted_loads(body)
+        with pytest.raises(ValueError, match="unreadable"):
+            wire.decode_result(body)
+        with pytest.raises(ValueError, match="unreadable"):
+            wire.decode_task(_envelope_with_body(body))
+
+    def test_a_memo_index_past_the_payload_allocates_nothing(self):
+        # Run where a regression can only hurt a child capped at its own
+        # address space plus 256 MB, never the test process.
+        child = textwrap.dedent(
+            f"""
+            import base64, resource
+            from repro.engine.persist import digest
+            from repro.service import wire
+
+            with open("/proc/self/status") as status:
+                vm = next(int(l.split()[1]) for l in status if l.startswith("VmSize:"))
+            limit = vm * 1024 + 256 * 2**20
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+            body = {MEMO_BOMB!r}
+            envelope = wire.encode_task(digest, None)
+            envelope["task_pkl"] = base64.b64encode(body).decode("ascii")
+            for decode, arg in ((wire.decode_result, body), (wire.decode_task, envelope)):
+                try:
+                    decode(arg)
+                except ValueError as exc:
+                    print("refused:", exc)
+            """
+        )
+        src = Path(wire.__file__).resolve().parents[2]
+        done = subprocess.run(
+            [sys.executable, "-c", child],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert len(lines) == 2, done.stdout
+        assert all("memo index 134217728" in line for line in lines)
+
+    def test_every_truncation_of_a_real_payload_is_unreadable(self):
+        payload = wire.encode_result(_job())
+        for end in range(len(payload)):
+            with pytest.raises(ValueError, match="unreadable"):
+                wire.decode_result(payload[:end])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=st.integers(0, pickle.HIGHEST_PROTOCOL).flatmap(
+            # Protocols 0-2 pickle bytes through globals the allow-list refuses.
+            lambda protocol: st.tuples(st.just(protocol), _plain_data(protocol >= 3))
+        )
+    )
+    def test_real_pickles_of_every_protocol_pass_the_bounds(self, case):
+        protocol, value = case
+        # Shared references put real memo entries in the payload.
+        shared = [value, value, (value,)]
+        decoded = wire.decode_result(pickle.dumps(shared, protocol=protocol))
+        assert decoded == shared
+
+
+#: Awkward JSON leaf values: huge, NaN and infinite floats, ints of any
+#: size (written as text, since ``json.dumps`` refuses the largest).
+_LEASE_LEAF = (
+    st.floats().map(json.dumps)
+    | st.sampled_from(["1e400", "-1e400", "1e308", "-1.0", "2147483648.0", "1e19"])
+    | st.integers().map(str)
+    | st.integers(min_value=10**300, max_value=10**310).map(str)
+    | st.text(max_size=8).map(json.dumps)
+    | st.sampled_from(["null", "true", "false", "9" * 5000])
+)
+
+_LEASE_VALUE = st.recursive(
+    _LEASE_LEAF,
+    lambda inner: st.lists(inner, max_size=3).map(lambda xs: "[" + ",".join(xs) + "]")
+    | st.dictionaries(
+        st.sampled_from(["pid", "deadline", "worker", "host", "schema", "x"]),
+        inner,
+        max_size=4,
+    ).map(lambda d: "{" + ",".join(f"{json.dumps(k)}:{v}" for k, v in d.items()) + "}"),
+    max_leaves=10,
+)
+
+#: Lease bodies: a value or an object over the lease's own keys.
+_LEASE_JSON = _LEASE_VALUE | st.fixed_dictionaries(
+    {},
+    optional={
+        "pid": _LEASE_VALUE,
+        "deadline": _LEASE_VALUE,
+        "worker": _LEASE_VALUE,
+        "host": _LEASE_VALUE,
+    },
+).map(lambda d: "{" + ",".join(f"{json.dumps(k)}:{v}" for k, v in d.items()) + "}")
+
+
+def _assert_parsed(parsed: dict) -> None:
+    assert set(parsed) == {"pid", "worker", "host", "deadline"}
+    assert type(parsed["pid"]) is int
+    assert parsed["deadline"] is None or (
+        type(parsed["deadline"]) is float and math.isfinite(parsed["deadline"])
+    )
+    assert parsed["worker"] is None or isinstance(parsed["worker"], str)
+    assert parsed["host"] is None or isinstance(parsed["host"], str)
+
+
 class TestLeases:
     def test_v1_roundtrip(self):
         body = wire.lease_body(pid=1234, worker="w1", host="h", deadline=42.5)
@@ -172,6 +334,54 @@ class TestLeases:
         parsed = wire.parse_lease(garbage)
         assert parsed["pid"] == 0
         assert parsed["deadline"] is None
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "1e400",
+            '{"pid": 1e400}',
+            '{"pid": -Infinity}',
+            '{"pid": NaN}',
+            '{"pid": -5}',
+            '{"pid": 2147483648}',
+            "9" * 5000,
+            '{"pid": ' + "9" * 5000 + "}",
+            "[" * 100_000,
+        ],
+        ids=[
+            "bare-1e400",
+            "pid-1e400",
+            "pid-minus-infinity",
+            "pid-nan",
+            "negative-pid",
+            "pid-past-pid_t",
+            "bare-5000-digits",
+            "pid-5000-digits",
+            "nested-100000-deep",
+        ],
+    )
+    def test_a_pid_no_process_can_have_is_a_dead_claim(self, body):
+        parsed = wire.parse_lease(body)
+        assert parsed["pid"] == 0
+        assert parsed["deadline"] is None
+
+    @pytest.mark.parametrize(
+        "deadline", ["NaN", "Infinity", "-Infinity", "1e400", '"nan"', "[]"]
+    )
+    def test_a_deadline_no_clock_reaches_is_no_deadline(self, deadline):
+        parsed = wire.parse_lease('{"pid": 4, "deadline": %s}' % deadline)
+        assert parsed["pid"] == 4
+        assert parsed["deadline"] is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text())
+    def test_any_text_parses(self, text):
+        _assert_parsed(wire.parse_lease(text))
+
+    @settings(max_examples=300, deadline=None)
+    @given(body=_LEASE_JSON)
+    def test_any_json_parses(self, body):
+        _assert_parsed(wire.parse_lease(body))
 
 
 class TestSynthesisTaskPayload:
