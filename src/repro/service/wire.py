@@ -132,11 +132,11 @@ def _check_bounds(payload: bytes) -> None:
     The unpickler allocates what an opcode declares before it reads it: a
     bytes or bytearray length, or a memo table large enough for a memo
     index.  So a nine-byte body can ask for gigabytes or raise
-    ``OverflowError``.  :func:`pickletools.genops` reads no more
-    than the payload holds and raises ``ValueError`` for a declared length
-    past its end.  A memo index at or above the payload's length is
-    refused too: a real pickle numbers its memo entries from 0, at least
-    one opcode byte each.  Raises :class:`pickle.UnpicklingError`.
+    ``OverflowError``.  :func:`pickletools.genops` reads no more than the
+    payload holds and raises ``ValueError`` for a declared length past
+    its end.  A memo index at or above the payload's length is refused
+    too: a real pickle numbers its memo entries from 0, at least one
+    opcode byte each.  Raises :class:`pickle.UnpicklingError`.
     """
     size = len(payload)
     try:
