@@ -35,9 +35,15 @@ the ``off`` wall; the ``off`` vs ``metrics`` vs ``trace`` walls measured
 round-robin and a registry counter micro-rate are reported too; see
 ``benchmarks/bench_obs.py``).
 
+The ``synthesize_mdac`` stage also runs its block with
+``verify_transient=True`` (the campaign's setting) on both sides and
+reports candidates/s and transient steps/s (steps over the seconds spent
+in the settling transients).
+
 ``--check`` is the CI regression guard: it fails the run when the compiled
 kernel is slower than the reference walk on the same workload, when any
-variant's synthesis result diverges (the bit-identity contract), when the
+variant's synthesis result diverges (the bit-identity contract; with
+``verify_transient=True`` against the evaluator and transient walks), when the
 compiled search rejected no candidate at one of the three ``reject``
 stages (after the DC solve, the gain point, the top of the loop grid), when
 the staged AC read-out's bytes differ from the per-frequency loop, when the
@@ -125,45 +131,85 @@ def _rejected_at() -> dict[str, int]:
     return {s: counters.get(f"synth.rejected_at_{s}", 0) for s in REJECT_STAGES}
 
 
-def _time_synthesize(budget: int, reference: bool = False):
-    """Time one synthesis; ``reference`` runs it on the reference walk.
+def _counter(name: str) -> int:
+    return metrics.snapshot()["counters"].get(name, 0)
 
-    Returns the result, its wall time and its rejections by stage.
+
+def _time_synthesize(
+    budget: int, reference: bool = False, verify_transient: bool = False
+):
+    """Time one synthesis; ``reference`` runs it on the reference walks.
+
+    The reference side evaluates on ``ReferenceEvaluator`` and, with
+    ``verify_transient``, verifies on the transient walk.  Returns the
+    result, its wall time, its rejections by stage, its transient steps
+    and the seconds spent in the settling transients.
     """
     mdac = _block_spec()
+    module = sys.modules[HybridEvaluator.__module__]
+    simulate = (
+        transient_reference.simulate_transient if reference else simulate_transient
+    )
+    transient_s = [0.0]
+
+    def timed_transient(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return simulate(*args, **kwargs)
+        finally:
+            transient_s[0] += time.perf_counter() - start
 
     def run():
         before = _rejected_at()
+        steps_before = _counter("synth.transient_steps")
+        transient_s[0] = 0.0
         start = time.perf_counter()
         result = synthesize_mdac(
-            mdac, CMOS025, budget=budget, seed=1, verify_transient=False
+            mdac, CMOS025, budget=budget, seed=1, verify_transient=verify_transient
         )
         wall = time.perf_counter() - start
         rejected = {s: n - before[s] for s, n in _rejected_at().items()}
-        return result, wall, rejected
+        steps = _counter("synth.transient_steps") - steps_before
+        return result, wall, rejected, steps, transient_s[0]
 
-    if reference:
-        with mock.patch("repro.synth.synthesis.HybridEvaluator", ReferenceEvaluator):
-            run()  # warm module/caches
-            return run()
-    run()
-    return run()
+    with mock.patch.object(module, "simulate_transient", timed_transient):
+        if reference:
+            with mock.patch("repro.synth.synthesis.HybridEvaluator", ReferenceEvaluator):
+                run()  # warm module/caches
+                return run()
+        run()
+        return run()
+
+
+def _same_synthesis(a, b) -> bool:
+    """Equal sizings, search traces, effort and final evaluations."""
+    return (
+        sizing_digest(a) == sizing_digest(b)
+        and a.history == b.history
+        and a.equation_evals == b.equation_evals
+        and a.transient_evals == b.transient_evals
+        and a.final == b.final
+    )
 
 
 def stage_synthesize(budget: int) -> dict:
     """Full-candidate equation-evaluation throughput per kernel.
 
     Also records the compiled search's rejections by stage; the
-    reference evaluator ignores ``reject``.
+    reference evaluator ignores ``reject``.  The ``verified`` entry runs
+    the same block with ``verify_transient=True``, the campaign's setting:
+    the compiled path against the evaluator and transient walks.
     """
-    legacy, legacy_wall, _ = _time_synthesize(budget, reference=True)
-    compiled_, compiled_wall, rejected_at = _time_synthesize(budget)
-    identical = (
-        sizing_digest(legacy) == sizing_digest(compiled_)
-        and legacy.history == compiled_.history
-        and legacy.equation_evals == compiled_.equation_evals
-    )
+    legacy, legacy_wall, _, _, _ = _time_synthesize(budget, reference=True)
+    compiled_, compiled_wall, rejected_at, _, _ = _time_synthesize(budget)
+    identical = _same_synthesis(legacy, compiled_)
     evals = compiled_.equation_evals
+    walk, walk_wall, _, walk_steps, walk_transient_s = _time_synthesize(
+        budget, reference=True, verify_transient=True
+    )
+    verified, verified_wall, _, steps, transient_s = _time_synthesize(
+        budget, verify_transient=True
+    )
     return {
         "workload": f"synthesize_mdac(2b@8b, budget={budget}, seed=1, anneal+polish)",
         "equation_evals": evals,
@@ -174,6 +220,19 @@ def stage_synthesize(budget: int) -> dict:
         "speedup_full_candidate": round(legacy_wall / compiled_wall, 2),
         "identical_results": identical,
         "rejected_at": rejected_at,
+        "verified": {
+            "workload": "the same block with verify_transient=True",
+            "transient_evals": verified.transient_evals,
+            "transient_steps": steps,
+            "walk_cands_per_s": round(walk.equation_evals / walk_wall, 1),
+            "compiled_cands_per_s": round(verified.equation_evals / verified_wall, 1),
+            "walk_transient_steps_per_s": round(walk_steps / walk_transient_s, 1),
+            "compiled_transient_steps_per_s": round(steps / transient_s, 1),
+            "wall_walk_s": round(walk_wall, 3),
+            "wall_compiled_s": round(verified_wall, 3),
+            "identical_results": _same_synthesis(walk, verified)
+            and walk_steps == steps,
+        },
     }
 
 
@@ -578,6 +637,9 @@ def main(argv=None) -> int:
     obs = report["stages"]["obs"]
     print(
         f"\nfull-candidate speedup: {synth['speedup_full_candidate']}x, "
+        f"verified synthesis: {synth['verified']['compiled_cands_per_s']} "
+        f"candidates/s, {synth['verified']['compiled_transient_steps_per_s']} "
+        f"transient steps/s, "
         f"equation-metric stage: {eqn['speedup']}x, "
         f"transient step: {trans['speedup']}x, "
         f"behavioral batch: {behavioral['speedup']}x, "
@@ -601,6 +663,11 @@ def main(argv=None) -> int:
         failures = []
         if not synth["identical_results"]:
             failures.append("synthesize_mdac results diverged across kernels")
+        if not synth["verified"]["identical_results"]:
+            failures.append(
+                "synthesize_mdac with verify_transient=True diverged from "
+                "the evaluator and transient walks"
+            )
         for stage, count in synth["rejected_at"].items():
             if not count:
                 failures.append(f"synthesize_mdac rejected no candidate at {stage!r}")

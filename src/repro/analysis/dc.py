@@ -17,12 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.mna import GROUND, MnaLayout
+from repro.analysis.mna import GROUND
 from repro.analysis.template import bind_template
-from repro.circuit.elements import Mosfet
 from repro.circuit.netlist import Circuit
 from repro.errors import ConvergenceError, SingularCircuitError
-from repro.tech.mosfet import MosfetOperatingPoint, operating_point
+from repro.tech.mosfet import MosfetOperatingPoint
 
 #: Maximum Newton iterations per attempt.
 _MAX_ITER = 120
@@ -75,6 +74,34 @@ def _abs_max(values: list[float]) -> float:
     return peak
 
 
+def _within(values: list[float], tol: float) -> bool:
+    """``_abs_max(values) < tol``, exactly: the Newton convergence test.
+
+    C-level ``max`` and ``min`` skip a NaN that is not first, so they only
+    rule out: a list they pass still pays for the NaN-aware scan, which a
+    Newton loop meets once per converged solve or timestep.
+    """
+    return (
+        max(values, default=0.0) < tol
+        and min(values, default=0.0) > -tol
+        and _abs_max(values) < tol
+    )
+
+
+def _limit_step(dx: np.ndarray, n_nodes: int, limit: float) -> None:
+    """Scale ``dx`` in place so no node-voltage step exceeds ``limit``.
+
+    Exactly ``step = _abs_max(dx[:n_nodes]); if step > limit: dx *=
+    limit / step``, with C-level ``max``/``min`` deciding first whether
+    the scan can find a step past the limit (a NaN step scales nothing).
+    """
+    head = dx[:n_nodes].tolist()
+    if max(head, default=0.0) > limit or min(head, default=0.0) < -limit:
+        step = _abs_max(head)
+        if step > limit:
+            dx *= limit / step
+
+
 def _newton(
     assembly,
     x0: np.ndarray,
@@ -85,20 +112,20 @@ def _newton(
     """Run damped Newton; returns (x, iterations, residual_norm).
 
     ``assembly`` is a bound :class:`repro.analysis.template.MnaTemplate`
-    (anything with its ``layout``, ``residual``, ``jacobian`` and
-    ``newton_solve`` will do).  Only an iterate that takes a step builds a
-    jacobian.
+    (anything with its ``layout``, ``residual``, ``jacobian``,
+    ``newton_solve`` and ``operating_points`` will do).  Only an iterate
+    that takes a step builds a jacobian.
     """
     layout = assembly.layout
     x = x0.copy()
     n_nodes = len(layout.nets)
-    residual_norm = np.inf
+    values = [np.inf]
     solve = assembly.newton_solve
     for iteration in range(1, max_iter + 1):
         resid = assembly.residual(x, gmin, source_scale)
-        residual_norm = _abs_max(resid.tolist())
-        if residual_norm < _ABS_TOL:
-            return x, iteration, residual_norm
+        values = resid.tolist()
+        if _within(values, _ABS_TOL):
+            return x, iteration, _abs_max(values)
         jac = assembly.jacobian(gmin)
         try:
             dx = solve(jac, -resid)
@@ -112,12 +139,10 @@ def _newton(
                     "(floating node or voltage-source loop?)"
                 ) from exc
         # Limit node-voltage steps to keep the model in a sane region.
-        step = _abs_max(dx[:n_nodes].tolist())
-        if step > _VSTEP_LIMIT:
-            dx *= _VSTEP_LIMIT / step
+        _limit_step(dx, n_nodes, _VSTEP_LIMIT)
         x = x + dx
     raise ConvergenceError(
-        f"DC Newton did not converge (residual {residual_norm:.3e} A)"
+        f"DC Newton did not converge (residual {_abs_max(values):.3e} A)"
     )
 
 
@@ -156,7 +181,7 @@ def solve_dc(
     # Strategy 1: plain Newton.
     try:
         x, iters, residual = _newton(assembly, start, gmin=0.0, source_scale=1.0)
-        return _package(layout, x, iterations_total + iters, "newton", residual)
+        return _package(assembly, x, iterations_total + iters, "newton", residual)
     except (ConvergenceError, SingularCircuitError):
         pass
 
@@ -168,7 +193,7 @@ def solve_dc(
             iterations_total += iters
         x, iters, residual = _newton(assembly, x, gmin=0.0, source_scale=1.0)
         iterations_total += iters
-        return _package(layout, x, iterations_total, "gmin", residual)
+        return _package(assembly, x, iterations_total, "gmin", residual)
     except (ConvergenceError, SingularCircuitError):
         pass
 
@@ -181,7 +206,7 @@ def solve_dc(
             iterations_total += iters
         x, iters, residual = _newton(assembly, x, gmin=0.0, source_scale=1.0)
         iterations_total += iters
-        return _package(layout, x, iterations_total, "source", residual)
+        return _package(assembly, x, iterations_total, "source", residual)
     except (ConvergenceError, SingularCircuitError) as exc:
         raise ConvergenceError(
             f"DC analysis of {circuit.name!r} failed after Newton, gmin and "
@@ -190,32 +215,21 @@ def solve_dc(
 
 
 def _package(
-    layout: MnaLayout, x: np.ndarray, iterations: int, strategy: str, residual: float
+    assembly, x: np.ndarray, iterations: int, strategy: str, residual: float
 ) -> DcSolution:
-    voltages = layout.voltages(x)
+    layout = assembly.layout
+    xl = x.tolist()
+    voltages = dict(zip(layout.nets, xl))
+    voltages["gnd"] = 0.0
     voltages.setdefault("0", 0.0)
+    branch_of = layout.branch_of
     branch_currents = {
-        e.name: float(x[layout.branch(e.name)]) for e in layout.branch_elements
+        e.name: xl[branch_of[e.name]] for e in layout.branch_elements
     }
-
-    def v(net: str) -> float:
-        return 0.0 if net in ("0", "gnd", "GND") else voltages[net]
-
-    device_ops: dict[str, MosfetOperatingPoint] = {}
-    for element in layout.circuit.elements_of(Mosfet):
-        op = operating_point(
-            element.params,
-            element.w * element.mult,
-            element.l,
-            v(element.gate) - v(element.source),
-            v(element.drain) - v(element.source),
-            v(element.bulk) - v(element.source),
-        )
-        device_ops[element.name] = op
     return DcSolution(
         voltages=voltages,
         branch_currents=branch_currents,
-        device_ops=device_ops,
+        device_ops=assembly.operating_points(x),
         x=x,
         iterations=iterations,
         strategy=strategy,

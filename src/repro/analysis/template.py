@@ -45,9 +45,10 @@ zeroed matrix receives the walk's stamps), each value is computed with the
 same arithmetic expression shape (``d - v`` is ``1.0 * d + (-v)``
 exactly, ``g * d + (-0.0)`` is ``g * d``, and negation replays the
 walk's ``-value`` stamps), and the MOSFET compact model is the very same
-:func:`repro.tech.mosfet.device_current` that
-:func:`~repro.tech.mosfet.dc_current` calls, its per-device constants
-bound once per :meth:`~BoundMna.rebind`.  The walk is the oracle in
+loop, :func:`repro.tech.mosfet.device_currents`, that
+:func:`~repro.tech.mosfet.dc_current` runs for one device, over every
+device at once with its constants bound once per
+:meth:`~BoundMna.rebind`.  The walk is the oracle in
 ``tests/analysis/mna_reference.py``; ``tests/analysis/test_template.py``
 and ``tests/analysis/test_mna_single_path.py`` compare against it byte by
 byte, which is what keeps campaign records byte-identical to the
@@ -78,7 +79,13 @@ from repro.circuit.elements import (
 from repro.circuit.netlist import Circuit
 from repro.errors import AnalysisError
 from repro.obs import metrics
-from repro.tech.mosfet import device_constants, device_current
+from repro.tech.mosfet import (
+    MosfetOperatingPoint,
+    capacitance_constants,
+    device_constants,
+    device_currents,
+    operating_points,
+)
 
 #: MOSFET conductance kinds: offsets within a device's four-value group.
 _KIND_GM, _KIND_GDS, _KIND_GMB, _KIND_GSUM = 0, 1, 2, 3
@@ -649,32 +656,6 @@ def _cell_sums(flat: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(flat, values, n * n).reshape(n, n)
 
 
-def device_eval(
-    mos_args: list[tuple], xl: list[float]
-) -> tuple[list[float], list[float]]:
-    """Drain currents and conductances of every MOSFET at ``xl``.
-
-    ``xl`` is the ground-extended unknown vector as Python floats; the
-    compact model's ``+ - * /``, ``sqrt`` and ``tanh`` give the same bits
-    on them as on ``np.float64`` scalars, at a fraction of the cost.
-    Returns the drain currents and, per device, ``(gm, gds, gmb,
-    gm + gds + gmb)`` flattened, all scaled by the device multiplier.
-    """
-    ids = []
-    cond = []
-    for constants, mult, d, g_, s, b in mos_args:
-        xs = xl[s]
-        i_d, gm, gds, gmb = device_current(
-            constants, xl[g_] - xs, xl[d] - xs, xl[b] - xs
-        )
-        gm *= mult
-        gds *= mult
-        gmb *= mult
-        ids.append(i_d * mult)
-        cond += (gm, gds, gmb, gm + gds + gmb)
-    return ids, cond
-
-
 def assemble_jacobian(
     template: "MnaTemplate",
     flat: np.ndarray,
@@ -684,7 +665,8 @@ def assemble_jacobian(
     """Write the MOSFET entries into ``values`` and sum them per cell.
 
     ``flat`` and ``values`` start with the template's DC entries, whose
-    MOSFET slots ``cond`` (from :func:`device_eval`) fills.
+    MOSFET slots ``cond`` (from :func:`~repro.tech.mosfet.device_currents`)
+    fills.
     ``np.bincount`` adds its weights in input order into +0.0 bins, the
     additions a zeroed matrix receives from the walk's ``+=`` stamps.
     """
@@ -810,12 +792,13 @@ class BoundMna:
             self._vg_gain[:] = _eval_slots(circuit, t._vg_slots)
         #: The source scale ``e`` and ``inj`` hold; None forces a refill.
         self._scale = None
-        #: (device constants, mult, d, g, s, b) per device — flat tuples
-        #: so the per-iteration model loop avoids attribute chains.
-        elements = [circuit[nm] for nm in t.mos_names]
-        self._mos_args = [
-            (device_constants(e.params, e.w, e.l), e.mult) + xe
-            for e, xe in zip(elements, t._mos_xe)
+        self._mosfets = mosfets = [circuit[nm] for nm in t.mos_names]
+        #: One flat tuple per MOSFET for the model loop (see
+        #: :func:`~repro.tech.mosfet.device_currents`): its constants, its
+        #: multiplier and its ground-extended terminal slots.
+        self._devices = [
+            device_constants(e.params, e.w, e.l) + (e.mult,) + xe
+            for e, xe in zip(mosfets, t._mos_xe)
         ]
         if len(t._g_const_pos):
             self._gv[t._g_const_pos] = _eval_slots(circuit, t._g_const_slots)
@@ -847,7 +830,7 @@ class BoundMna:
             self._scale = source_scale
         xl = x.tolist()
         xl.append(0.0)
-        ids, self._cond = device_eval(self._mos_args, xl)
+        ids, self._cond = device_currents(self._devices, xl)
         resid = fused(x, ids)
         if gmin > 0.0:
             n_nodes = self.template.n_nodes
@@ -877,6 +860,24 @@ class BoundMna:
         solves (docs/performance.md, "The kernel layer").
         """
         return np.linalg.solve(jac, rhs)
+
+    def operating_points(self, x: np.ndarray) -> dict[str, MosfetOperatingPoint]:
+        """Every MOSFET's operating point at the solution ``x``, by name.
+
+        Each device is taken at its multiplied width; one with ``mult`` 1
+        reuses the Newton loop's tuple that :meth:`rebind` bound.
+        """
+        devices = []
+        caps = []
+        for e, device in zip(self._mosfets, self._devices):
+            w = e.w * e.mult
+            if e.mult != 1:
+                device = device_constants(e.params, w, e.l) + (1,) + device[-4:]
+            devices.append(device)
+            caps.append(capacitance_constants(e.params, w, e.l))
+        xl = x.tolist()
+        xl.append(0.0)
+        return dict(zip(self.template.mos_names, operating_points(devices, caps, xl)))
 
     # -- small-signal ------------------------------------------------------
 

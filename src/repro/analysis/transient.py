@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.dc import DcSolution, _abs_max, solve_dc
+from repro.analysis.dc import DcSolution, _abs_max, _limit_step, _within, solve_dc
 from repro.analysis.mna import GROUND, layout_for
 from repro.analysis.template import (
     _CAP_KINDS,
@@ -44,11 +44,11 @@ from repro.analysis.template import (
     FusedResidual,
     assemble_jacobian,
     bind_template,
-    device_eval,
 )
 from repro.circuit.elements import CurrentSource, VoltageSource
 from repro.circuit.netlist import Circuit
 from repro.errors import AnalysisError, ConvergenceError
+from repro.tech.mosfet import device_currents
 
 _MAX_NEWTON = 60
 _ABS_TOL = 1e-9
@@ -127,11 +127,14 @@ class _StepProgram:
     per capacitor companion appended (``C = g``, ``E = ieq``); the jacobian
     entries are the DC program's followed by the inductor companion
     diagonals and the capacitor companion stamps, in netlist order — the
-    order the element walk applied them.  ``begin_step`` refreshes what
-    depends on time (switch conductances, waveform-source values) and on
-    the accepted previous solution (companion history); ``residual``
-    evaluates one Newton iterate and ``jacobian`` the system at that
-    iterate; ``end_step`` advances the capacitor and inductor history.
+    order the element walk applied them.  The switch conductances and
+    waveform-source values of every step of the run are tabulated once,
+    from the same calls the walk makes per step.  ``begin_step`` writes
+    the step's row where it differs from the previous step's and refreshes
+    what depends on the accepted previous solution (companion history);
+    ``residual`` evaluates one Newton iterate and ``jacobian`` the system
+    at that iterate; ``end_step`` advances the capacitor and inductor
+    history.
     """
 
     def __init__(
@@ -141,17 +144,19 @@ class _StepProgram:
         initial: DcSolution,
         dt: float,
         method: str,
+        times: np.ndarray,
     ):
         t = bound.template
         n = t.size
         self._trap = trap = method == "trap"
         self._t = t
-        self._mos_args = bound._mos_args
+        self._devices = bound._devices
         self._devices_x = None
-        self._devices_at: tuple[list, list, float] = ([], [], 0.0)
+        self._devices_at: tuple[list, list, float] = ([], [], 1.0)
         self._cond: list[float] = []
-        #: ``max |x|`` of the last :meth:`residual` iterate.
-        self.x_peak = 0.0
+        #: ``max(1.0, max |x|)`` of the last :meth:`residual` iterate, the
+        #: scale of its convergence tolerance.
+        self.x_scale = 1.0
 
         # Capacitor companions at the t=0 operating point: explicit
         # capacitors and MOSFET capacitances, skipping empty ones.
@@ -193,12 +198,14 @@ class _StepProgram:
         fused.c[self._caps] = self._cap_g
         fused.vcvs = bound._fused.vcvs
 
-        # Time-dependent values of the DC program: switches and sources.
+        # Time-dependent values of the DC program, per step of the run:
+        # switch conductances and waveform-source values.
+        steps = times[1:]
         aff_sw = [
             i for i, (op, _, _) in enumerate(t._aff_slots) if op == _OP_SW_INV
         ]
-        self._switches = [circuit[t._aff_slots[i][1]] for i in aff_sw]
-        sw_of = {sw.name: k for k, sw in enumerate(self._switches)}
+        switches = [circuit[t._aff_slots[i][1]] for i in aff_sw]
+        sw_of = {sw.name: k for k, sw in enumerate(switches)}
         j_sw = [
             (pos, sw_of[name], -1.0 if negate else 1.0)
             for pos, (op, name, negate) in zip(t._j_const_pos, t._j_const_slots)
@@ -206,19 +213,38 @@ class _StepProgram:
         ]
         self._aff_sw = np.asarray(aff_sw, dtype=np.intp)
         self._j_sw_pos = np.asarray([p for p, _, _ in j_sw], dtype=np.intp)
-        self._j_sw_src = np.asarray([s for _, s, _ in j_sw], dtype=np.intp)
-        self._j_sw_sign = np.asarray([g for _, _, g in j_sw], dtype=float)
+        j_sw_src = np.asarray([s for _, s, _ in j_sw], dtype=np.intp)
+        j_sw_sign = np.asarray([g for _, _, g in j_sw], dtype=float)
+        #: Conductance of every switch at every step, and the jacobian
+        #: entries they stamp.
+        self._sw_g = np.array(
+            [[1.0 / sw.resistance_at(time) for sw in switches] for time in steps]
+        ).reshape(len(steps), len(switches))
+        self._sw_jv = j_sw_sign * self._sw_g[:, j_sw_src]
 
         # A voltage source's constraint subtracts its value: E = -value.
-        self._vs_wave = []
+        vs_wave = []
         for aff, (_, name, _) in zip(t._vs_aff.tolist(), t._vs_slots):
             element = circuit[name]
             fused.e[aff] = -element.dc
             if element.waveform:
-                self._vs_wave.append((aff, element))
+                vs_wave.append((aff, element))
+        self._vs_aff = np.asarray([aff for aff, _ in vs_wave], dtype=np.intp)
+        self._vs_e = np.array(
+            [[-e.value_at(time) for _, e in vs_wave] for time in steps], dtype=float
+        ).reshape(len(steps), len(vs_wave))
         inj_elems = [circuit[name] for _, name, _ in t._inj_slots]
         fused.inj[:] = [e.dc for e in inj_elems]
-        self._inj_wave = [(k, e) for k, e in enumerate(inj_elems) if e.waveform]
+        inj_wave = [(k, e) for k, e in enumerate(inj_elems) if e.waveform]
+        self._inj_k = np.asarray([k for k, _ in inj_wave], dtype=np.intp)
+        self._inj_v = np.array(
+            [[e.value_at(time) for _, e in inj_wave] for time in steps], dtype=float
+        ).reshape(len(steps), len(inj_wave))
+        #: Whether a step's row differs from the step before (the first
+        #: step's always counts), compared by bits.
+        rows = np.concatenate([self._sw_g, self._vs_e, self._inj_v], axis=1)
+        bits = rows.view(np.int64)
+        self._changed = [True] + np.any(bits[1:] != bits[:-1], axis=1).tolist()
 
         # Inductor companion: v_new (+ v_prev) = r_eq * (i_new - i_prev).
         inductance = np.array(
@@ -258,17 +284,15 @@ class _StepProgram:
         xe = np.append(initial.x, 0.0)
         self._cap_dv = xe[cap_a] - xe[cap_b]
 
-    def begin_step(self, time: float, x_prev: np.ndarray) -> None:
-        """Refresh the time-dependent values for the step ending at ``time``."""
+    def begin_step(self, step: int, x_prev: np.ndarray) -> None:
+        """Refresh the time-dependent values for step ``step`` (from 1)."""
         fused = self._fused
-        if self._switches:
-            g = np.array([1.0 / sw.resistance_at(time) for sw in self._switches])
-            self._jv[self._j_sw_pos] = self._j_sw_sign * g[self._j_sw_src]
-            fused.c[self._aff_sw] = g
-        for aff, element in self._vs_wave:
-            fused.e[aff] = -element.value_at(time)
-        for k, element in self._inj_wave:
-            fused.inj[k] = element.value_at(time)
+        row = step - 1
+        if self._changed[row]:
+            self._jv[self._j_sw_pos] = self._sw_jv[row]
+            fused.c[self._aff_sw] = self._sw_g[row]
+            fused.e[self._vs_aff] = self._vs_e[row]
+            fused.inj[self._inj_k] = self._inj_v[row]
         if fused.inductor is not None:
             rhs = self._ind_req * x_prev[self._ind_k]
             fused.ind_rhs = rhs + self._ind_v if self._trap else rhs
@@ -278,7 +302,7 @@ class _StepProgram:
             ieq -= self._cap_current
 
     def residual(self, x: np.ndarray) -> np.ndarray:
-        """The step's Newton residual at ``x``; sets :attr:`x_peak`.
+        """The step's Newton residual at ``x``; sets :attr:`x_scale`.
 
         The compact model runs on Python floats, exactly as the walk called
         it.  A step's first iterate is the previous step's converged
@@ -287,12 +311,18 @@ class _StepProgram:
         """
         if x is not self._devices_x:
             xl = x.tolist()
-            peak = _abs_max(xl)
+            # max(1.0, _abs_max(xl)): C-level max and min give it exactly
+            # unless a NaN (or both infinities) makes the sum NaN.
+            total = sum(xl)
+            if total == total:
+                scale = max(1.0, max(xl, default=0.0), -min(xl, default=0.0))
+            else:
+                scale = max(1.0, _abs_max(xl))
             xl.append(0.0)
-            ids, cond = device_eval(self._mos_args, xl)
-            self._devices_at = ids, cond, peak
+            ids, cond = device_currents(self._devices, xl)
+            self._devices_at = ids, cond, scale
             self._devices_x = x
-        ids, self._cond, self.x_peak = self._devices_at
+        ids, self._cond, self.x_scale = self._devices_at
         return self._fused(x, ids)
 
     def jacobian(self) -> np.ndarray:
@@ -341,10 +371,9 @@ def simulate_transient(
     x = initial.x.copy()
     if len(x) != layout.size:
         raise AnalysisError("initial DC solution does not match circuit")
-    program = _StepProgram(bound, circuit, initial, dt, method)
-
     n_steps = int(round(t_stop / dt))
     times = np.linspace(0.0, n_steps * dt, n_steps + 1)
+    program = _StepProgram(bound, circuit, initial, dt, method, times)
     nets = list(dict.fromkeys(record if record is not None else layout.nets))
     indices = [layout.index(net) for net in nets]
     columns = np.asarray(
@@ -357,24 +386,23 @@ def simulate_transient(
     n_nodes = len(layout.nets)
     solve = np.linalg.solve
     for step in range(1, n_steps + 1):
-        t = times[step]
-        program.begin_step(t, x)
+        program.begin_step(step, x)
         for _ in range(_MAX_NEWTON):
             resid = program.residual(x)
-            if _abs_max(resid.tolist()) < _ABS_TOL * max(1.0, program.x_peak):
+            if _within(resid.tolist(), _ABS_TOL * program.x_scale):
                 break
             try:
                 dx = solve(program.jacobian(), -resid)
             except np.linalg.LinAlgError as exc:
                 raise ConvergenceError(
-                    f"transient Newton singular at t={t:.3e}s"
+                    f"transient Newton singular at t={times[step]:.3e}s"
                 ) from exc
-            limit = _abs_max(dx[:n_nodes].tolist())
-            if limit > _VSTEP_LIMIT:
-                dx *= _VSTEP_LIMIT / limit
+            _limit_step(dx, n_nodes, _VSTEP_LIMIT)
             x = x + dx
         else:
-            raise ConvergenceError(f"transient Newton did not converge at t={t:.3e}s")
+            raise ConvergenceError(
+                f"transient Newton did not converge at t={times[step]:.3e}s"
+            )
         program.end_step()
         traces[columns, step] = x[take]
 

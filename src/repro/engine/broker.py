@@ -48,6 +48,7 @@ byte-identical to the serial reference (the fabric tests and the CI
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
 import re
@@ -115,6 +116,10 @@ DEFAULT_WAIT_TIMEOUT = 300.0
 #: Everything the brokers touch on disk or serve over HTTP is validated
 #: against this, so a key can never become a path traversal.
 _KEY_RE = re.compile(r"^[0-9a-f]{8,128}$")
+
+#: Numbers each :class:`BrokerBackend` of this process, so two backends'
+#: in-process worker loops never share a worker id.
+_BACKEND_NONCES = itertools.count()
 
 
 def check_key(key: str) -> str:
@@ -943,7 +948,12 @@ class BrokerBackend:
         self.replayed = 0
         #: Tasks published to the broker by this backend.
         self.dispatched = 0
-        self._worker_prefix = f"{self.name}-{socket.gethostname()}-{os.getpid()}"
+        #: ``<name>-<host>-<pid>-<nonce>``: the nonce tells apart backends
+        #: of one process (a service runs one per job worker), whose loops
+        #: would otherwise label spans, census records and leases alike.
+        self._worker_prefix = (
+            f"{self.name}-{socket.gethostname()}-{os.getpid()}-{next(_BACKEND_NONCES)}"
+        )
         self._executor: ThreadPoolExecutor | None = None
 
     def _take_result(self, key: str) -> tuple[bool, Any]:

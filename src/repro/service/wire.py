@@ -33,8 +33,8 @@ Compatibility contracts enforced by ``tests/service/test_wire.py``:
 Trust model: task and result bodies are pickle *bytes* (the PR 4 ack
 format), but they are never fed to a bare ``pickle.loads``.  Both decode
 through :func:`restricted_loads`, whose ``find_class`` admits only
-``repro.*`` **classes** plus a fixed allow-list of data-carrier globals
-(container builtins, numpy array reconstruction).  Arbitrary importables —
+``repro.*`` **classes** plus the numpy scalar globals real payloads use.
+Arbitrary importables —
 ``os.system``, ``subprocess.Popen``, ``builtins.eval``, even ``repro``
 module-level *functions* (call gadgets: ``REDUCE`` invokes whatever
 ``find_class`` returns) — raise ``pickle.UnpicklingError`` before any code
@@ -71,27 +71,18 @@ def canonical_json(payload: Any) -> bytes:
 
 # -- restricted unpickling ----------------------------------------------------
 
-#: Non-``repro`` globals a wire pickle may reference: pure data carriers
-#: whose construction runs no caller-supplied code.  Everything here is a
-#: container/value type or a numpy array-reconstruction hook (the names
-#: numpy itself emits for ``ndarray.__reduce__``, old and new layouts).
+#: The non-``repro`` globals real wire payloads reference: a numpy scalar
+#: (an ``np.float64`` inside a result) pickles as ``scalar(dtype, bytes)``,
+#: its module ``numpy.core.multiarray`` before numpy 2 and
+#: ``numpy._core.multiarray`` since.  Nothing else: a builtin constructor
+#: such as ``bytearray`` or ``range`` would let a few bytes of pickle ask
+#: for gigabytes.  ``tests/service/test_wire.py`` walks payloads of every
+#: production task and result type and pins this set to what they use.
 _SAFE_GLOBALS = frozenset(
-    [("builtins", name) for name in (
-        "bool", "bytearray", "bytes", "complex", "dict", "float",
-        "frozenset", "int", "list", "range", "set", "slice", "str", "tuple",
-    )]
-    + [
-        ("collections", "OrderedDict"),
-        ("collections", "deque"),
-        ("copyreg", "_reconstructor"),
+    [
         ("numpy", "dtype"),
-        ("numpy", "ndarray"),
-        ("numpy.core.multiarray", "_reconstruct"),
         ("numpy.core.multiarray", "scalar"),
-        ("numpy.core.numeric", "_frombuffer"),
-        ("numpy._core.multiarray", "_reconstruct"),
         ("numpy._core.multiarray", "scalar"),
-        ("numpy._core.numeric", "_frombuffer"),
     ]
 )
 

@@ -221,6 +221,13 @@ class HybridEvaluator:
         self.rejected_at = dict.fromkeys(REJECT_STAGES, 0)
         #: AC frequency points solved, the gain points included.
         self.ac_points = 0
+        #: DC operating-point solves of the DC stage (a warm start and its
+        #: cold retry count apart), and the Newton iterations of those that
+        #: converged.
+        self.dc_solves = 0
+        self.newton_iterations = 0
+        #: Timesteps of the settling transients that ran to their end.
+        self.transient_steps = 0
         #: The loop grid's split: the bottom is ``_LOOP_FREQS[1:k0]`` and
         #: the top ``_LOOP_FREQS[k0:]``.
         self._k0 = _split_index(mdac.closed_loop_bw_hz)
@@ -228,6 +235,16 @@ class HybridEvaluator:
         self._ac_stack_buf: np.ndarray | None = None
         #: Bound stamp template, reused (rebound) across candidates.
         self._bound = None
+        #: The testbench around the amplifier, which no sizing changes:
+        #: supplies, the high-impedance unity feedback and the load.
+        b = CircuitBuilder("tb", tech=tech)
+        b.v("vdd", "gnd", dc=tech.vdd, name="vdd_src")
+        b.v("inp", "gnd", dc=self.common_mode, ac=1.0, name="vin_src")
+        # DC feedback path for biasing; invisible above ~1 kHz.
+        b.r("out", "inm", 1e9, name="rfb")
+        b.c("inm", "gnd", 1e-6, name="cfb")
+        b.c("out", "gnd", self.network.c_eff, name="cload")
+        self._testbench = b.circuit.elements
 
     @property
     def rejected_evals(self) -> int:
@@ -272,17 +289,8 @@ class HybridEvaluator:
         """Opamp + supplies + high-impedance unity feedback + effective load."""
         amp = build_two_stage_miller(self.tech, sizing)
         bench = Circuit(f"acbench_{amp.name}")
-        for element in amp:
-            bench.add(element)
-        b = CircuitBuilder("tb", tech=self.tech)
-        b.v("vdd", "gnd", dc=self.tech.vdd, name="vdd_src")
-        b.v("inp", "gnd", dc=self.common_mode, ac=1.0, name="vin_src")
-        # DC feedback path for biasing; invisible above ~1 kHz.
-        b.r("out", "inm", 1e9, name="rfb")
-        b.c("inm", "gnd", 1e-6, name="cfb")
-        b.c("out", "gnd", self.network.c_eff, name="cload")
-        for element in b.circuit:
-            bench.add(element)
+        bench.extend(amp)
+        bench.extend(self._testbench)
         return bench
 
     # -- evaluation ----------------------------------------------------------
@@ -460,16 +468,23 @@ class HybridEvaluator:
         m2 = op.device_ops.get("m2")
         return m2 is not None and m2.region == "cutoff"
 
+    def _counted_dc(self, bench: Circuit, assembly, **start) -> DcSolution:
+        """:func:`solve_dc`, counted in :attr:`dc_solves` and :attr:`newton_iterations`."""
+        self.dc_solves += 1
+        op = solve_dc(bench, assembly=assembly, **start)
+        self.newton_iterations += op.iterations
+        return op
+
     def _solve_dc(self, bench: Circuit, assembly=None) -> DcSolution:
         if self._warm_x is not None:
             try:
-                op = solve_dc(bench, x0=self._warm_x, assembly=assembly)
+                op = self._counted_dc(bench, assembly, x0=self._warm_x)
                 if not self._degenerate(op):
                     self._warm_x = op.x
                     return op
             except (ConvergenceError, ReproError):
                 pass
-        op = solve_dc(bench, initial_guess=self._dc_guess(), assembly=assembly)
+        op = self._counted_dc(bench, assembly, initial_guess=self._dc_guess())
         if self._degenerate(op):
             raise ConvergenceError("amplifier stuck in a degenerate operating point")
         self._warm_x = op.x
@@ -526,6 +541,7 @@ class HybridEvaluator:
             result = simulate_transient(bench, t_stop=t_stop, dt=dt, record=["out"])
         except (ConvergenceError, AnalysisError):
             return 1.0
+        self.transient_steps += len(result.time) - 1
         v = result.voltage("out")
         start = float(v[np.searchsorted(result.time, SETTLING_STEP_TIME) - 1])
         final = float(v[-1])

@@ -73,6 +73,13 @@ class DesignSpace:
             raise SynthesisError("duplicate design-variable names")
         self.variables = list(variables)
         self.factory = factory
+        #: Per variable: name, low end, log flag, and ``high / low`` (log
+        #: scale) or ``high - low`` (linear), as :meth:`DesignVariable.from_unit`
+        #: computes them.
+        self._maps = [
+            (v.name, v.low, v.log_scale, v.high / v.low if v.log_scale else v.high - v.low)
+            for v in self.variables
+        ]
 
     @property
     def dimension(self) -> int:
@@ -80,12 +87,21 @@ class DesignSpace:
         return len(self.variables)
 
     def decode(self, unit_vector: np.ndarray) -> object:
-        """Map a [0,1]^d vector to a sizing object."""
+        """Map a [0,1]^d vector to a sizing object.
+
+        Each value is :meth:`DesignVariable.from_unit` of its coordinate,
+        bit for bit, on the per-variable constants bound at construction.
+        """
         if len(unit_vector) != self.dimension:
             raise SynthesisError("unit vector has wrong dimension")
-        values = {
-            v.name: v.from_unit(float(u)) for v, u in zip(self.variables, unit_vector)
-        }
+        values = {}
+        for (name, low, log_scale, span), u in zip(
+            self._maps, np.asarray(unit_vector, dtype=float).tolist()
+        ):
+            # min(max(u, 0.0), 1.0), without the builtin calls.
+            u = 0.0 if 0.0 > u else u
+            u = 1.0 if 1.0 < u else u
+            values[name] = low * span**u if log_scale else low + span * u
         return self.factory(values)
 
     def encode(self, values: dict[str, float]) -> np.ndarray:

@@ -51,8 +51,11 @@ def synthesize_mdac(
     one.  Once per search, the number of such candidates goes to the
     ``synth.rejected_candidates`` counter, split by stage into
     ``synth.rejected_at_dc``, ``synth.rejected_at_gain`` and
-    ``synth.rejected_at_bandwidth``, and the AC frequency points the
-    evaluator solved to ``synth.ac_points``.
+    ``synth.rejected_at_bandwidth``; the AC frequency points the
+    evaluator solved go to ``synth.ac_points``, its DC solves and their
+    Newton iterations to ``synth.dc_solves`` and
+    ``synth.newton_iterations``, and the timesteps of its settling
+    transients to ``synth.transient_steps``.
     """
     start = time.perf_counter()
     space = two_stage_space(mdac, tech)
@@ -104,6 +107,9 @@ def synthesize_mdac(
     for stage, count in evaluator.rejected_at.items():
         metrics.counter(f"synth.rejected_at_{stage}", count)
     metrics.counter("synth.ac_points", evaluator.ac_points)
+    metrics.counter("synth.dc_solves", evaluator.dc_solves)
+    metrics.counter("synth.newton_iterations", evaluator.newton_iterations)
+    metrics.counter("synth.transient_steps", evaluator.transient_steps)
     return SynthesisResult(
         spec=mdac,
         final=final,

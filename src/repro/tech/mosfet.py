@@ -19,7 +19,7 @@ DC Newton solver converges quadratically near a solution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.tech.process import MosfetParams
 
@@ -81,72 +81,165 @@ def device_constants(
     )
 
 
+def capacitance_constants(
+    params: MosfetParams, w: float, l: float
+) -> tuple[float, float, float]:
+    """``(cox * w * l, cov * w, cj * w * ldiff)``: what the Meyer caps scale."""
+    return params.cox * w * l, params.cov * w, params.cj * w * params.ldiff
+
+
 #: ``4 * delta**2`` of the smooth overdrive, in the model's evaluation order.
 _VEFF_DELTA_SQ4 = 4.0 * _VEFF_DELTA * _VEFF_DELTA
 
 
-def _forward_current(
-    constants: tuple, vgs: float, vds: float, vbs: float
-) -> tuple[float, float, float, float, float, float, float]:
-    """Normalized (NMOS-like, vds >= 0) current and partial derivatives.
+def device_currents(
+    devices: list[tuple], xl: list[float], detail: list | None = None
+) -> tuple[list[float], list[float]]:
+    """Drain currents and conductances of every device at the voltages ``xl``.
 
-    ``constants`` comes from :func:`device_constants`.  Returns
-    ``(id, gm, gds, gmb, veff, vdsat, vth)``.
+    This loop is the one copy of the model equations.  Each device is one
+    flat tuple, its :func:`device_constants` followed by ``(mult, d, g, s,
+    b)``: the multiplier and the indices of its drain, gate, source and
+    bulk voltages in ``xl`` (Python floats, on which ``+ - * /``, ``sqrt``
+    and ``tanh`` give the same bits as on ``np.float64`` at a fraction of
+    the cost).  Returns the terminal drain currents and, per device,
+    ``(gm, gds, gmb, gm + gds + gmb)`` flattened, all scaled by ``mult``;
+    each derivative is the partial of the terminal drain current with
+    respect to the terminal vgs/vds/vbs.
+
+    A PMOS device is analyzed as the equivalent NMOS (polarity
+    normalization), and a device whose normalized vds is negative with
+    drain and source swapped (reverse mode), as in SPICE.  With ``detail``
+    a list, each device also appends its forward-frame ``(vgs, vds, veff,
+    vth, reverse)`` for :func:`operating_points`; a NaN vds then stays
+    forward, where the current path runs it reversed (every current and
+    conductance is NaN either way).
     """
-    # The body-effect threshold and the smooth overdrive are inlined: this
-    # runs once per device per Newton iteration, where call overhead shows.
-    _, phi, vsb_min, sqrt_phi, vth0, gamma, beta, esat_l, lam = constants
-    vsb = -vbs
-    vsb_clamped = max(vsb, vsb_min)
-    sq = math.sqrt(phi + vsb_clamped)
-    vth = vth0 + gamma * (sq - sqrt_phi)
-    if vsb > vsb_min:
-        dvth_dvsb = gamma / (2.0 * sq)
-    else:
-        dvth_dvsb = 0.0
-    vov = vgs - vth
-    root = math.sqrt(vov * vov + _VEFF_DELTA_SQ4)
-    veff = 0.5 * (vov + root)
-    dveff_dvov = 0.5 * (1.0 + vov / root)
+    sqrt = math.sqrt
+    tanh = math.tanh
+    ids = []
+    cond = []
+    for p, phi, vsb_min, sqrt_phi, vth0, gamma, beta, esat_l, lam, mult, d, g, s, b in devices:
+        xs = xl[s]
+        vgs = p * (xl[g] - xs)
+        vds = p * (xl[d] - xs)
+        vbs = p * (xl[b] - xs)
+        reverse = not vds >= 0.0 and (detail is None or vds < 0.0)
+        if reverse:
+            # Swap drain and source: vgs becomes vgd, vbs becomes vbd.
+            vgs -= vds
+            vbs -= vds
+            vds = -vds
 
-    sat_factor = 1.0 / (1.0 + veff / esat_l)
-    dsat_dveff = -sat_factor * sat_factor / esat_l
+        # The forward model (NMOS-like, vds >= 0).
+        vsb = -vbs
+        sq = sqrt(phi + (vsb_min if vsb_min > vsb else vsb))
+        vth = vth0 + gamma * (sq - sqrt_phi)
+        if vsb > vsb_min:
+            dvth_dvsb = gamma / (2.0 * sq)
+        else:
+            dvth_dvsb = 0.0
+        vov = vgs - vth
+        root = sqrt(vov * vov + _VEFF_DELTA_SQ4)
+        veff = 0.5 * (vov + root)
+        dveff_dvov = 0.5 * (1.0 + vov / root)
 
-    t = math.tanh(vds / veff)
-    sech2 = 1.0 - t * t
-    vdse = veff * t
-    dvdse_dvds = sech2
-    dvdse_dveff = t - (vds / veff) * sech2
+        sat_factor = 1.0 / (1.0 + veff / esat_l)
+        dsat_dveff = -sat_factor * sat_factor / esat_l
 
-    core = (veff - 0.5 * vdse) * vdse
-    dcore_dveff = vdse + (veff - vdse) * dvdse_dveff
-    dcore_dvds = (veff - vdse) * dvdse_dvds
+        t = tanh(vds / veff)
+        sech2 = 1.0 - t * t
+        vdse = veff * t
+        dvdse_dvds = sech2
+        dvdse_dveff = t - (vds / veff) * sech2
 
-    clm = 1.0 + lam * vds
-    ids = beta * core * clm * sat_factor
+        core = (veff - 0.5 * vdse) * vdse
+        dcore_dveff = vdse + (veff - vdse) * dvdse_dveff
+        dcore_dvds = (veff - vdse) * dvdse_dvds
 
-    dids_dveff = beta * clm * (dcore_dveff * sat_factor + core * dsat_dveff)
-    gm = dids_dveff * dveff_dvov
-    gds = beta * (dcore_dvds * clm * sat_factor + core * lam * sat_factor)
-    # d(ids)/d(vbs): raising vbs lowers vsb, lowers vth, raises vov.
-    gmb = dids_dveff * dveff_dvov * dvth_dvsb
+        clm = 1.0 + lam * vds
+        i = beta * core * clm * sat_factor
 
-    gds = max(gds, _GDS_MIN)
-    return ids, gm, gds, gmb, veff, veff, vth
+        dids_dveff = beta * clm * (dcore_dveff * sat_factor + core * dsat_dveff)
+        gm = dids_dveff * dveff_dvov
+        gds = beta * (dcore_dvds * clm * sat_factor + core * lam * sat_factor)
+        # d(ids)/d(vbs): raising vbs lowers vsb, lowers vth, raises vov.
+        gmb = dids_dveff * dveff_dvov * dvth_dvsb
+        if gds < _GDS_MIN:
+            gds = _GDS_MIN
+
+        if detail is not None:
+            detail.append((vgs, vds, veff, vth, reverse))
+        if reverse:
+            i = -i
+            gm, gds, gmb = -gm, gm + gds + gmb, -gmb
+        # d(p*I)/d(p*V) cancels: the terminal derivatives are the normalized.
+        i = p * i
+        if mult != 1:
+            i *= mult
+            gm *= mult
+            gds *= mult
+            gmb *= mult
+        ids.append(i)
+        cond += (gm, gds, gmb, gm + gds + gmb)
+    return ids, cond
 
 
-def _capacitances(
-    params: MosfetParams, w: float, l: float, region: str
-) -> tuple[float, float, float, float, float]:
-    """Meyer-style capacitances (cgs, cgd, cgb, cdb, csb) for a region."""
-    cox_total = params.cox * w * l
-    cov = params.cov * w
-    cj = params.cj * w * params.ldiff
-    if region == "saturation":
-        return (2.0 / 3.0) * cox_total + cov, cov, 0.0, cj, cj
-    if region == "triode":
-        return 0.5 * cox_total + cov, 0.5 * cox_total + cov, 0.0, cj, cj
-    return cov, cov, cox_total, cj, cj
+#: The field names of :class:`MosfetOperatingPoint`, in order.
+_OP_FIELDS = tuple(f.name for f in fields(MosfetOperatingPoint))
+
+
+def operating_points(
+    devices: list[tuple], caps: list[tuple[float, float, float]], xl: list[float]
+) -> list[MosfetOperatingPoint]:
+    """Full small-signal operating point of every device at ``xl``.
+
+    ``devices`` is as in :func:`device_currents`, with ``mult`` 1: an
+    operating point describes the device at its multiplied width.
+    ``caps`` holds each device's :func:`capacitance_constants`.  The
+    points are built without the frozen dataclass's per-field
+    ``__init__``; type, fields, field order and equality are unchanged.
+    """
+    detail = []
+    ids, cond = device_currents(devices, xl, detail)
+    new = object.__new__
+    points = []
+    k = 0
+    for device, (vgs, vds, veff, vth, reverse), (cox_total, cov, cj), i in zip(
+        devices, detail, caps, ids
+    ):
+        d, g, s, b = device[-4:]
+        # Meyer-style capacitances of the region.
+        if vgs - vth < 0.0:
+            region = "cutoff"
+            cgs, cgd, cgb = cov, cov, cox_total
+        elif vds < veff:
+            region = "triode"
+            cgs, cgd, cgb = 0.5 * cox_total + cov, 0.5 * cox_total + cov, 0.0
+        else:
+            region = "saturation"
+            cgs, cgd, cgb = (2.0 / 3.0) * cox_total + cov, cov, 0.0
+        if reverse:
+            cgs, cgd = cgd, cgs
+        xs = xl[s]
+        point = new(MosfetOperatingPoint)
+        point.__dict__.update(
+            zip(
+                _OP_FIELDS,
+                (
+                    i, xl[g] - xs, xl[d] - xs, xl[b] - xs, vth, veff, veff,
+                    cond[k], cond[k + 1], cond[k + 2],
+                    cgs, cgd, cgb, cj, cj, region,
+                ),
+            )
+        )
+        points.append(point)
+        k += 4
+    return points
+
+
+#: ``(mult, d, g, s, b)`` of a lone device at ``xl = [vds, vgs, vbs, 0.0]``.
+_LONE = (1, 0, 1, 3, 2)
 
 
 def dc_current(
@@ -170,31 +263,11 @@ def dc_current(
 def device_current(
     constants: tuple, vgs: float, vds: float, vbs: float
 ) -> tuple[float, float, float, float]:
-    """:func:`dc_current` of a device whose :func:`device_constants` are known.
-
-    The compiled Newton loops bind the constants once per circuit and call
-    this per iterate.
-    """
-    p = constants[0]
-    # Polarity normalization: analyze an equivalent NMOS.
-    nvgs, nvds, nvbs = p * vgs, p * vds, p * vbs
-
-    if nvds >= 0.0:
-        ids, gm, gds, gmb, _, _, _ = _forward_current(constants, nvgs, nvds, nvbs)
-        # d(p*I)/d(p*V) transformation cancels: terminal derivative = normalized.
-        return p * ids, gm, gds, gmb
-    # Reverse mode: swap drain and source.
-    swapped_vgs = nvgs - nvds  # becomes vgd
-    swapped_vds = -nvds
-    swapped_vbs = nvbs - nvds  # becomes vbd
-    ids, gm_s, gds_s, gmb_s, _, _, _ = _forward_current(
-        constants, swapped_vgs, swapped_vds, swapped_vbs
+    """:func:`dc_current` of a device whose :func:`device_constants` are known."""
+    (i_d,), (gm, gds, gmb, _) = device_currents(
+        [constants + _LONE], [vds, vgs, vbs, 0.0]
     )
-    ids_term = -ids
-    gm = -gm_s
-    gmb = -gmb_s
-    gds = gm_s + gds_s + gmb_s
-    return p * ids_term, gm, gds, gmb
+    return i_d, gm, gds, gmb
 
 
 def operating_point(
@@ -206,58 +279,12 @@ def operating_point(
     vbs: float = 0.0,
 ) -> MosfetOperatingPoint:
     """Full small-signal operating point (currents, conductances, caps)."""
-    p = params.polarity
-    nvgs, nvds, nvbs = p * vgs, p * vds, p * vbs
-    reverse = nvds < 0.0
-    if reverse:
-        fvgs, fvds, fvbs = nvgs - nvds, -nvds, nvbs - nvds
-    else:
-        fvgs, fvds, fvbs = nvgs, nvds, nvbs
-
-    # One forward-model evaluation serves current, derivatives and the
-    # threshold: the terminal transformation below is exactly what
-    # dc_current applies, so the values are bit-identical to calling it
-    # (the model used to be evaluated three times here; hot sizing loops
-    # noticed).
-    ids, fgm, fgds, fgmb, veff, vdsat, vth = _forward_current(
-        device_constants(params, w, l), fvgs, fvds, fvbs
+    (point,) = operating_points(
+        [device_constants(params, w, l) + _LONE],
+        [capacitance_constants(params, w, l)],
+        [vds, vgs, vbs, 0.0],
     )
-    if reverse:
-        gm, gds, gmb = -fgm, fgm + fgds + fgmb, -fgmb
-        ids = -ids
-    else:
-        gm, gds, gmb = fgm, fgds, fgmb
-
-    if fvgs - vth < 0.0:
-        region = "cutoff"
-    elif fvds < vdsat:
-        region = "triode"
-    else:
-        region = "saturation"
-
-    cgs, cgd, cgb, cdb, csb = _capacitances(params, w, l, region)
-    if reverse:
-        cgs, cgd = cgd, cgs
-        cdb, csb = csb, cdb
-
-    return MosfetOperatingPoint(
-        ids=p * ids,
-        vgs=vgs,
-        vds=vds,
-        vbs=vbs,
-        vth=vth,
-        vov=veff,
-        vdsat=vdsat,
-        gm=gm,
-        gds=gds,
-        gmb=gmb,
-        cgs=cgs,
-        cgd=cgd,
-        cgb=cgb,
-        cdb=cdb,
-        csb=csb,
-        region=region,
-    )
+    return point
 
 
 def thermal_noise_psd(params: MosfetParams, gm: float) -> float:

@@ -7,7 +7,8 @@ from the circuit per solve.  The package no longer runs it.
 
 * :class:`WalkAssembly` plugs the walk into
   ``solve_dc(circuit, assembly=WalkAssembly(circuit))``, so a DC solve
-  runs the package's Newton loop and homotopies on the walk's systems;
+  runs the package's Newton loop and homotopies on the walk's systems,
+  and packages its operating points with ``package_reference.py``;
 * :func:`assemble` is the walk's ``(jacobian, residual)`` at one iterate;
 * :func:`linearize` is the walk's small-signal model, noise sources
   included.
@@ -38,6 +39,7 @@ from repro.circuit.netlist import Circuit
 from repro.constants import KT_ROOM
 from repro.errors import AnalysisError, SingularCircuitError
 from repro.tech.mosfet import dc_current, flicker_noise_psd, thermal_noise_psd
+from tests.analysis import package_reference
 
 # ---------------------------------------------------------------------------
 # Stamp helpers.  All skip ground indices transparently.
@@ -263,6 +265,9 @@ class WalkAssembly:
 
     def newton_solve(self, jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.solve(jac, rhs)
+
+    def operating_points(self, x: np.ndarray) -> dict:
+        return package_reference.device_ops(self.layout, x)
 
 
 def walk_solve_dc(circuit: Circuit, **kwargs) -> DcSolution:

@@ -34,6 +34,9 @@ WORK_COUNTERS = (
     "synth.rejected_at_gain",
     "synth.rejected_at_bandwidth",
     "synth.ac_points",
+    "synth.dc_solves",
+    "synth.newton_iterations",
+    "synth.transient_steps",
 )
 
 #: Behavioral verdicts served from and missed in the verdict cache.
@@ -46,14 +49,14 @@ def _counters(store, names):
     return {name: counters.get(name, 0) for name in names}
 
 
-def _run(tmp_path, name, grid=None, **config_kwargs):
+def _run(tmp_path, name, grid=None, verify_transient=False, **config_kwargs):
     store = tmp_path / name
     if grid is None:
         grid = CampaignGrid(resolutions=(10,), modes=("synthesis",))
     config = FlowConfig(
         budget=60,
         retarget_budget=30,
-        verify_transient=False,
+        verify_transient=verify_transient,
         **config_kwargs,
     )
     run_campaign(grid, config=config, store_dir=store)
@@ -139,7 +142,8 @@ class TestBackendDeterminism:
         def work_counters(store):
             return _counters(store, WORK_COUNTERS)
 
-        serial = work_counters(_run(tmp_path, "serial", grid))
+        # Transient verification on, so the transient steps count too.
+        serial = work_counters(_run(tmp_path, "serial", grid, verify_transient=True))
         assert serial["campaign.scenarios"] == 4
         # Bit-identity suites cannot see a bound that never fires; this can.
         assert serial["synth.rejected_candidates"] > 0
@@ -147,10 +151,12 @@ class TestBackendDeterminism:
             serial[f"synth.rejected_at_{stage}"] for stage in REJECT_STAGES
         )
         assert serial["synth.ac_points"] > 0
+        assert serial["synth.newton_iterations"] >= serial["synth.dc_solves"] > 0
+        assert serial["synth.transient_steps"] > 0
         queue_dir = str(tmp_path / "queue") if backend == "broker" else None
         with broker_workers(queue_dir) if backend == "broker" else nullcontext():
             store = _run(
-                tmp_path, backend, grid,
+                tmp_path, backend, grid, verify_transient=True,
                 backend=backend, max_workers=2, queue_dir=queue_dir,
             )
         assert work_counters(store) == serial

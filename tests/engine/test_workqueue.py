@@ -136,10 +136,11 @@ class TestBackendContract:
             return execute(loop, key, envelope)
 
         labels_after: dict[str, str | None] = {}
+        prefixes: dict[str, str] = {}
 
         def campaign(name, busy_s):
             with _queue(tmp_path / name) as backend:
-                backend._worker_prefix = f"queue-{name}"
+                prefixes[name] = backend._worker_prefix
                 backend.map(fabric_probe, [{"busy_s": busy_s, "campaign": name}])
             labels_after[name] = TRACER.worker
 
@@ -160,9 +161,30 @@ class TestBackendContract:
             for line in path.read_text(encoding="utf-8").splitlines()
         ]
         tasks = [s for s in spans if s["name"] == "worker.task"]
-        assert sorted(s["worker"] for s in tasks) == ["queue-a-0", "queue-b-0"]
+        assert sorted(s["worker"] for s in tasks) == sorted(
+            f"{prefix}-0" for prefix in prefixes.values()
+        )
+        assert prefixes["a"] != prefixes["b"]
         for task in tasks:
             assert task["worker"] == ran_by[task["attrs"]["key"]]
+
+
+    def test_two_backends_in_one_process_run_distinct_worker_ids(self, tmp_path):
+        # A service with two job workers holds two queue backends at once;
+        # their loops label spans, census records and leases by worker id.
+        ran_by: list[str] = []
+        execute = WorkerLoop._execute
+
+        def recording_execute(loop, key, envelope):
+            ran_by.append(loop.worker_id)
+            return execute(loop, key, envelope)
+
+        with mock.patch.object(WorkerLoop, "_execute", recording_execute):
+            with _queue(tmp_path / "a") as first, _queue(tmp_path / "b") as second:
+                first.map(digest, [{"n": 1}])
+                second.map(digest, [{"n": 2}])
+        assert len(ran_by) == 2
+        assert ran_by[0] != ran_by[1]
 
 
 class TestAckReplay:

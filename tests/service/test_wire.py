@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pickle
+import pickletools
 import struct
 import subprocess
 import sys
@@ -90,11 +91,29 @@ class TestRestrictedUnpickling:
 
         job = _job()
         payload = wire.encode_result(
-            {"job": job, "gains": np.asarray([0.5, 1.0]), "label": ("a", 1)}
+            {"job": job, "gain": np.float64(0.5), "label": ("a", 1)}
         )
         decoded = wire.restricted_loads(payload)
         assert decoded["job"] == job
-        assert decoded["gains"].tolist() == [0.5, 1.0]
+        assert decoded["gain"] == 0.5 and type(decoded["gain"]) is np.float64
+
+    def test_globals_no_payload_uses_are_blocked(self):
+        import collections
+
+        import numpy as np
+
+        for value in (
+            np.asarray([0.5, 1.0]),
+            bytearray(b"ab"),
+            range(3),
+            complex(1.0, 2.0),
+            collections.OrderedDict(a=1),
+            collections.deque([1]),
+        ):
+            # Protocol 4: protocol 5 writes a bytearray with its own opcode.
+            payload = pickle.dumps(value, protocol=4)
+            with pytest.raises(pickle.UnpicklingError, match="may not reference"):
+                wire.restricted_loads(payload)
 
     def test_stdlib_call_gadgets_are_blocked(self):
         import pickle
@@ -148,6 +167,107 @@ class TestRestrictedUnpickling:
         ).decode("ascii")
         with pytest.raises(ValueError, match="unreadable"):
             wire.decode_task(envelope)
+
+
+def _wire_globals(payload: bytes) -> set[tuple[str, str]]:
+    """Every global a pickle references, read off its opcodes.
+
+    ``GLOBAL`` names its global inline; ``STACK_GLOBAL`` takes the two
+    strings pushed just before it, each pushed as itself or fetched from
+    the memo.
+    """
+    found = set()
+    memo: dict[int, object] = {}
+    pushed: list[object] = []
+    for opcode, arg, _ in pickletools.genops(payload):
+        if opcode.name == "GLOBAL":
+            found.add(tuple(arg.split(" ", 1)))
+            pushed.append(None)
+        elif opcode.name == "STACK_GLOBAL":
+            found.add((pushed[-2], pushed[-1]))
+            pushed.append(None)
+        elif opcode.name == "MEMOIZE":
+            memo[len(memo)] = pushed[-1]
+        elif opcode.name in ("PUT", "BINPUT", "LONG_BINPUT"):
+            memo[arg] = pushed[-1]
+        elif opcode.name in ("GET", "BINGET", "LONG_BINGET"):
+            pushed.append(memo[arg])
+        elif opcode.stack_after:
+            pushed.append(arg if isinstance(arg, str) else None)
+    return found
+
+
+@pytest.fixture(scope="module")
+def production_payloads() -> dict[str, bytes]:
+    """Pickled tasks and results of every type the backends ship."""
+    from repro.behavioral.verify import verify_candidate
+    from repro.engine.config import FlowConfig
+    from repro.engine.scheduler import run_synthesis_job
+    from repro.enumeration.candidates import PipelineCandidate
+    from repro.flow.designer import _sweep_one, _SweepTask
+    from repro.flow.topology import _AnalyticTask, _evaluate_analytic
+    from repro.power.model import DEFAULT_POWER_MODEL
+    from repro.specs import plan_stages
+
+    spec = AdcSpec(resolution_bits=10)
+    candidate = PipelineCandidate((3, 2), 10, 7)
+    plan = plan_stages(spec, candidate)
+    cold = SynthesisJob(
+        spec=plan.mdacs[0], tech=CMOS025, budget=20, seed=1, verify_transient=False
+    )
+    result = run_synthesis_job(cold)
+    retarget = SynthesisJob(
+        spec=plan.mdacs[1], tech=CMOS025, budget=20, seed=1,
+        verify_transient=False, donor=result,
+    )
+    analytic = _AnalyticTask(plan, DEFAULT_POWER_MODEL)
+    sweep = _SweepTask(10, 40e6, DEFAULT_POWER_MODEL, FlowConfig().serial())
+    tasks = {
+        "SynthesisJob": (run_synthesis_job, cold),
+        "SynthesisJob(donor)": (run_synthesis_job, retarget),
+        "_AnalyticTask": (_evaluate_analytic, analytic),
+        "_SweepTask": (_sweep_one, sweep),
+    }
+    payloads = {
+        name: base64.b64decode(wire.encode_task(fn, task)["task_pkl"])
+        for name, (fn, task) in tasks.items()
+    }
+    results = {
+        "SynthesisResult": result,
+        "CandidateEvaluation": _evaluate_analytic(analytic),
+        "SweepPoint": _sweep_one(sweep),
+        "BehavioralVerdict": verify_candidate(spec, candidate, draws=2, seed=1),
+    }
+    payloads.update({name: wire.encode_result(r) for name, r in results.items()})
+    return payloads
+
+
+class TestAllowList:
+    def test_it_is_exactly_what_production_payloads_reference(
+        self, production_payloads
+    ):
+        foreign = set()
+        for name, payload in production_payloads.items():
+            assert wire.decode_result(payload) is not None, name
+            foreign |= {
+                (module, qualname)
+                for module, qualname in _wire_globals(payload)
+                if module != "repro" and not module.startswith("repro.")
+            }
+        # numpy 2 moved ``numpy.core`` to ``numpy._core``; the list names both.
+        def layout_free(names):
+            return {(m.replace("numpy._core.", "numpy.core."), n) for m, n in names}
+
+        assert layout_free(foreign) == layout_free(wire._SAFE_GLOBALS)
+        assert foreign <= wire._SAFE_GLOBALS
+
+    def test_the_walk_sees_memoized_module_names(self):
+        class Bomb:
+            def __reduce__(self):
+                return (list, (range(3),))
+
+        payload = pickle.dumps(Bomb(), protocol=pickle.HIGHEST_PROTOCOL)
+        assert _wire_globals(payload) == {("builtins", "list"), ("builtins", "range")}
 
 
 #: Bodies a few bytes long that the unpickler used to answer with
@@ -235,6 +355,57 @@ class TestWirePayloadBounds:
         lines = done.stdout.splitlines()
         assert len(lines) == 2, done.stdout
         assert all("memo index 134217728" in line for line in lines)
+
+    def test_constructor_bombs_are_refused_before_they_allocate(self):
+        # A 46-byte bytearray(2**30) and a 61-byte list(range(2**27)): the
+        # allow-list must refuse their globals before REDUCE runs, in a
+        # child capped at its own address space plus 256 MB.
+        class Bytes:
+            def __reduce__(self):
+                return (bytearray, (2**30,))
+
+        class Ints:
+            def __reduce__(self):
+                return (list, (range(2**27),))
+
+        bodies = [
+            pickle.dumps(bomb(), protocol=pickle.HIGHEST_PROTOCOL)
+            for bomb in (Bytes, Ints)
+        ]
+        assert [len(body) for body in bodies] == [46, 61]
+        child = textwrap.dedent(
+            f"""
+            import base64, resource
+            from repro.engine.persist import digest
+            from repro.service import wire
+
+            with open("/proc/self/status") as status:
+                vm = next(int(l.split()[1]) for l in status if l.startswith("VmSize:"))
+            limit = vm * 1024 + 256 * 2**20
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+            for body in {bodies!r}:
+                envelope = wire.encode_task(digest, None)
+                envelope["task_pkl"] = base64.b64encode(body).decode("ascii")
+                for decode, arg in ((wire.decode_result, body), (wire.decode_task, envelope)):
+                    try:
+                        decode(arg)
+                    except ValueError as exc:
+                        print("refused:", exc)
+            """
+        )
+        src = Path(wire.__file__).resolve().parents[2]
+        done = subprocess.run(
+            [sys.executable, "-c", child],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert len(lines) == 4, done.stdout
+        assert all("may not reference builtins." in line for line in lines), lines
+        assert "builtins.bytearray" in lines[0] and "builtins.list" in lines[2]
 
     def test_every_truncation_of_a_real_payload_is_unreadable(self):
         payload = wire.encode_result(_job())
