@@ -31,11 +31,12 @@ This module compiles a circuit *topology* once into flat stamp programs:
   why the template also records the capacitances the DC program leaves
   open.
 
-Value slots are pure data — ``(opcode, element name, negate)`` triples
-evaluated by :func:`_slot_value` — so a compiled template is picklable.
-Index arrays live on the template; binding and rebinding only fill
-values.  Templates are cached per process by topology key; the
-``template.compiled`` counter of :mod:`repro.obs.metrics` counts compiles.
+Value slots are pure data — ``(opcode, element name, negate)`` triples,
+which :func:`_eval_slots` evaluates by the element's index in circuit
+order — so a compiled template is picklable.  Index arrays live on the
+template; binding and rebinding only fill values.  Templates are cached
+per process by topology key; the ``template.compiled`` counter of
+:mod:`repro.obs.metrics` counts compiles.
 
 **Bit-identity contract.**  The compiled programs reproduce the element
 walk's floating-point results *bit for bit*: the entry arrays list every
@@ -113,37 +114,39 @@ _OP_DC = 7  # independent-source DC value
 _OP_ZERO = 8  # 0.0 (inductor DC short constraint)
 
 
-def _slot_value(circuit: Circuit, op: int, name: str | None) -> float:
-    """Evaluate one constant-slot opcode against a concrete circuit."""
-    if op == _OP_ONE:
-        return 1.0
-    if op == _OP_RES_INV:
-        return 1.0 / circuit[name].resistance
-    if op == _OP_SW_INV:
-        return 1.0 / circuit[name].resistance_at(0.0)
-    if op == _OP_CAP:
-        return circuit[name].capacitance
-    if op == _OP_IND:
-        return circuit[name].inductance
-    if op == _OP_GAIN:
-        return circuit[name].gain
-    if op == _OP_GM:
-        return circuit[name].gm
-    if op == _OP_DC:
-        return circuit[name].dc
-    if op == _OP_ZERO:
-        return 0.0
-    raise AnalysisError(f"unknown template slot opcode {op}")  # pragma: no cover
-
-
 def _eval_slots(
-    circuit: Circuit, slots: tuple[tuple[int, str | None, bool], ...]
+    elements: tuple, program: tuple[tuple[int, int, bool], ...]
 ) -> list[float]:
-    """Evaluate a slot table; ``negate`` replays the walk's ``-value``."""
+    """Evaluate a slot program against a concrete circuit's ``elements``.
+
+    Each entry is ``(opcode, element index, negate)``: the element's index
+    in circuit order, which a topology-key match fixes (-1 for the
+    constant opcodes); ``negate`` replays the walk's ``-value``.
+    """
     out = []
-    for op, name, negate in slots:
-        value = _slot_value(circuit, op, name)
-        out.append(-value if negate else value)
+    append = out.append
+    for op, k, negate in program:
+        if op == _OP_ONE:
+            value = 1.0
+        elif op == _OP_RES_INV:
+            value = 1.0 / elements[k].resistance
+        elif op == _OP_CAP:
+            value = elements[k].capacitance
+        elif op == _OP_DC:
+            value = elements[k].dc
+        elif op == _OP_SW_INV:
+            value = 1.0 / elements[k].resistance_at(0.0)
+        elif op == _OP_IND:
+            value = elements[k].inductance
+        elif op == _OP_GAIN:
+            value = elements[k].gain
+        elif op == _OP_GM:
+            value = elements[k].gm
+        elif op == _OP_ZERO:
+            value = 0.0
+        else:  # pragma: no cover
+            raise AnalysisError(f"unknown template slot opcode {op}")
+        append(-value if negate else value)
     return out
 
 
@@ -469,6 +472,25 @@ class MnaTemplate:
 
         self._compile_linear(circuit)
 
+        # Rebind programs: every slot table with each element's index in
+        # circuit order in place of its name (see _eval_slots).
+        index = {e.name: k for k, e in enumerate(circuit)}
+
+        def program(slots):
+            return tuple((op, index.get(name, -1), neg) for op, name, neg in slots)
+
+        self._j_const_prog = program(self._j_const_slots)
+        self._aff_prog = program(self._aff_slots)
+        self._vs_prog = program(self._vs_slots)
+        self._inj_prog = program(self._inj_slots)
+        self._vg_prog = program(self._vg_slots)
+        self._g_const_prog = program(self._g_const_slots)
+        self._c_const_prog = program(self._c_const_slots)
+        self._b_ac_prog = tuple(
+            (idx, sign, index[nm]) for idx, sign, nm in self._b_ac_slots
+        )
+        self._mos_k = tuple(index[nm] for nm in self.mos_names)
+
     # -- small-signal program --------------------------------------------
 
     def _compile_linear(self, circuit: Circuit) -> None:
@@ -779,20 +801,21 @@ class BoundMna:
         t = self.template
         self.circuit = circuit
         self.layout: MnaLayout = t.layout.with_circuit(circuit)
+        elements = circuit.elements
         if len(t._j_const_pos):
-            self._jv[t._j_const_pos] = _eval_slots(circuit, t._j_const_slots)
+            self._jv[t._j_const_pos] = _eval_slots(elements, t._j_const_prog)
         fused = self._fused
         if len(fused.c):
-            fused.c[:] = _eval_slots(circuit, t._aff_slots)
+            fused.c[:] = _eval_slots(elements, t._aff_prog)
         if len(self._vdc):
-            self._vdc[:] = _eval_slots(circuit, t._vs_slots)
+            self._vdc[:] = _eval_slots(elements, t._vs_prog)
         if len(self._inj_dc):
-            self._inj_dc[:] = _eval_slots(circuit, t._inj_slots)
+            self._inj_dc[:] = _eval_slots(elements, t._inj_prog)
         if len(self._vg_gain):
-            self._vg_gain[:] = _eval_slots(circuit, t._vg_slots)
+            self._vg_gain[:] = _eval_slots(elements, t._vg_prog)
         #: The source scale ``e`` and ``inj`` hold; None forces a refill.
         self._scale = None
-        self._mosfets = mosfets = [circuit[nm] for nm in t.mos_names]
+        self._mosfets = mosfets = [elements[k] for k in t._mos_k]
         #: One flat tuple per MOSFET for the model loop (see
         #: :func:`~repro.tech.mosfet.device_currents`): its constants, its
         #: multiplier and its ground-extended terminal slots.
@@ -801,16 +824,16 @@ class BoundMna:
             for e, xe in zip(mosfets, t._mos_xe)
         ]
         if len(t._g_const_pos):
-            self._gv[t._g_const_pos] = _eval_slots(circuit, t._g_const_slots)
+            self._gv[t._g_const_pos] = _eval_slots(elements, t._g_const_prog)
         if len(t._c_const_pos):
-            self._cv[t._c_const_pos] = _eval_slots(circuit, t._c_const_slots)
+            self._cv[t._c_const_pos] = _eval_slots(elements, t._c_const_prog)
         b_ac = self._b_ac
         b_ac[:] = 0.0
-        for idx, sign, nm in t._b_ac_slots:
+        for idx, sign, k in t._b_ac_prog:
             if sign > 0:
-                b_ac[idx] += circuit[nm].ac
+                b_ac[idx] += elements[k].ac
             else:
-                b_ac[idx] -= circuit[nm].ac
+                b_ac[idx] -= elements[k].ac
         return self
 
     # -- DC Newton system --------------------------------------------------

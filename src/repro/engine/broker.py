@@ -951,9 +951,8 @@ class BrokerBackend:
         #: ``<name>-<host>-<pid>-<nonce>``: the nonce tells apart backends
         #: of one process (a service runs one per job worker), whose loops
         #: would otherwise label spans, census records and leases alike.
-        self._worker_prefix = (
-            f"{self.name}-{socket.gethostname()}-{os.getpid()}-{next(_BACKEND_NONCES)}"
-        )
+        host, pid, nonce = socket.gethostname(), os.getpid(), next(_BACKEND_NONCES)
+        self._worker_prefix = f"{self.name}-{host}-{pid}-{nonce}"
         self._executor: ThreadPoolExecutor | None = None
 
     def _take_result(self, key: str) -> tuple[bool, Any]:

@@ -33,12 +33,12 @@ Compatibility contracts enforced by ``tests/service/test_wire.py``:
 Trust model: task and result bodies are pickle *bytes* (the PR 4 ack
 format), but they are never fed to a bare ``pickle.loads``.  Both decode
 through :func:`restricted_loads`, whose ``find_class`` admits only
-``repro.*`` **classes** plus the numpy scalar globals real payloads use.
-Arbitrary importables —
-``os.system``, ``subprocess.Popen``, ``builtins.eval``, even ``repro``
-module-level *functions* (call gadgets: ``REDUCE`` invokes whatever
-``find_class`` returns) — raise ``pickle.UnpicklingError`` before any code
-runs.  Together with the worker's task-function allow-list this is what
+``repro.*`` **classes** plus the numpy scalar globals real payloads use
+(:data:`_SAFE_GLOBALS`).  Arbitrary importables — ``os.system``,
+``subprocess.Popen``, ``builtins.eval``, a builtin constructor, even
+``repro`` module-level *functions* (call gadgets: ``REDUCE`` invokes
+whatever ``find_class`` returns) — raise ``pickle.UnpicklingError``
+before any code runs.  Together with the worker's task-function allow-list this is what
 lets a broker accept envelopes from untrusted submitters without handing
 them code execution; what remains reachable is constructing ``repro`` data
 objects with attacker-chosen fields, which the task functions treat as

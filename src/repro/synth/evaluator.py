@@ -469,7 +469,8 @@ class HybridEvaluator:
         return m2 is not None and m2.region == "cutoff"
 
     def _counted_dc(self, bench: Circuit, assembly, **start) -> DcSolution:
-        """:func:`solve_dc`, counted in :attr:`dc_solves` and :attr:`newton_iterations`."""
+        """:func:`solve_dc`, counted in :attr:`dc_solves` and
+        :attr:`newton_iterations`."""
         self.dc_solves += 1
         op = solve_dc(bench, assembly=assembly, **start)
         self.newton_iterations += op.iterations

@@ -74,10 +74,15 @@ class DesignSpace:
         self.variables = list(variables)
         self.factory = factory
         #: Per variable: name, low end, log flag, and ``high / low`` (log
-        #: scale) or ``high - low`` (linear), as :meth:`DesignVariable.from_unit`
-        #: computes them.
+        #: scale) or ``high - low`` (linear), as
+        #: :meth:`DesignVariable.from_unit` computes them.
         self._maps = [
-            (v.name, v.low, v.log_scale, v.high / v.low if v.log_scale else v.high - v.low)
+            (
+                v.name,
+                v.low,
+                v.log_scale,
+                v.high / v.low if v.log_scale else v.high - v.low,
+            )
             for v in self.variables
         ]
 

@@ -119,7 +119,8 @@ def device_currents(
     tanh = math.tanh
     ids = []
     cond = []
-    for p, phi, vsb_min, sqrt_phi, vth0, gamma, beta, esat_l, lam, mult, d, g, s, b in devices:
+    for device in devices:
+        p, phi, vsb_min, sqrt_phi, vth0, gamma, beta, esat_l, lam, mult, d, g, s, b = device
         xs = xl[s]
         vgs = p * (xl[g] - xs)
         vds = p * (xl[d] - xs)

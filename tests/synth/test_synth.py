@@ -1,6 +1,7 @@
 """Synthesis-engine tests: optimizers, space, evaluator, end-to-end sizing."""
 
 import math
+import struct
 from unittest import mock
 
 import numpy as np
@@ -21,6 +22,7 @@ from repro.synth import (
     two_stage_space,
 )
 from repro.synth.patternsearch import pattern_search
+from repro.synth.space import DesignSpace
 from repro.tech import CMOS025
 
 
@@ -232,6 +234,30 @@ class TestDesignSpace:
         sizing = space.decode(np.full(space.dimension, 0.5))
         assert sizing.i_tail > 0
         assert sizing.w_input >= CMOS025.wmin
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.floats(min_value=-0.5, max_value=1.5)
+            | st.sampled_from([0.0, -0.0, 1.0, math.nan, math.inf, -math.inf]),
+            min_size=2,
+            max_size=2,
+        )
+    )
+    def test_decode_is_from_unit_bit_for_bit(self, coordinates):
+        # A log and a linear variable; decode binds their constants once.
+        variables = [
+            DesignVariable("log", 1.3e-6, 7.1e-5),
+            DesignVariable("lin", 0.3, 4.7, log_scale=False),
+        ]
+        space = DesignSpace(variables, dict)
+        got = space.decode(np.asarray(coordinates))
+        want = {v.name: v.from_unit(float(u)) for v, u in zip(variables, coordinates)}
+        assert list(got) == list(want)
+        for name, value in want.items():
+            assert (math.isnan(value) and math.isnan(got[name])) or (
+                struct.pack("<d", got[name]) == struct.pack("<d", value)
+            )
 
     def test_space_bounds_scale_with_spec(self):
         plan = plan_stages(
