@@ -31,9 +31,9 @@ This module compiles a circuit *topology* once into flat stamp programs:
   why the template also records the capacitances the DC program leaves
   open.
 
-Value slots are pure data — ``(opcode, element name, negate)`` triples,
-which :func:`_eval_slots` evaluates by the element's index in circuit
-order — so a compiled template is picklable.  Index arrays live on the
+Value slots are pure data — ``(opcode, element index, negate)`` triples,
+the index in circuit order, which a topology-key match fixes — so a
+compiled template is picklable.  Index arrays live on the
 template; binding and rebinding only fill values.  Templates are cached
 per process by topology key; the ``template.compiled`` counter of
 :mod:`repro.obs.metrics` counts compiles.
@@ -98,7 +98,8 @@ _CAP_KINDS = ("cgs", "cgd", "cgb", "cdb", "csb")
 # Constant-slot opcodes.
 #
 # Every non-MOSFET value slot reduces to "extract one element attribute,
-# optionally negated".  Recording slots as (opcode, name, negate) data —
+# optionally negated".  Recording slots as (opcode, element index, negate)
+# data —
 # instead of closures — keeps the compiled template picklable.  Negation (not a
 # sign multiply) reproduces the walk's ``-value`` stamps bit-for-bit.
 # ---------------------------------------------------------------------------
@@ -115,17 +116,16 @@ _OP_ZERO = 8  # 0.0 (inductor DC short constraint)
 
 
 def _eval_slots(
-    elements: tuple, program: tuple[tuple[int, int, bool], ...]
+    elements: tuple, slots: tuple[tuple[int, int, bool], ...]
 ) -> list[float]:
-    """Evaluate a slot program against a concrete circuit's ``elements``.
+    """Evaluate a slot table on a circuit's ``elements``, in circuit order.
 
-    Each entry is ``(opcode, element index, negate)``: the element's index
-    in circuit order, which a topology-key match fixes (-1 for the
-    constant opcodes); ``negate`` replays the walk's ``-value``.
+    The element index of a constant opcode is -1; ``negate`` replays the
+    walk's ``-value``.
     """
     out = []
     append = out.append
-    for op, k, negate in program:
+    for op, k, negate in slots:
         if op == _OP_ONE:
             value = 1.0
         elif op == _OP_RES_INV:
@@ -161,9 +161,10 @@ class _Coo:
     def __init__(self):
         self.rows: list[int] = []
         self.cols: list[int] = []
-        #: Constant-slot positions and their (opcode, name, negate) slots.
+        #: Constant-slot positions and their (opcode, element index, negate)
+        #: slots.
         self.const_pos: list[int] = []
-        self.const_slots: list[tuple[int, str | None, bool]] = []
+        self.const_slots: list[tuple[int, int, bool]] = []
 
     def append(self, row: int, col: int) -> int:
         self.rows.append(row)
@@ -171,12 +172,11 @@ class _Coo:
         return len(self.rows) - 1
 
     def append_const(
-        self, row: int, col: int, op: int, name: str | None = None,
-        negate: bool = False,
+        self, row: int, col: int, op: int, ei: int = -1, negate: bool = False
     ) -> None:
         pos = self.append(row, col)
         self.const_pos.append(pos)
-        self.const_slots.append((op, name, negate))
+        self.const_slots.append((op, ei, negate))
 
     def flat(self, n: int) -> np.ndarray:
         """Row-major cell index ``row * n + col`` of every entry."""
@@ -254,6 +254,7 @@ class MnaTemplate:
         cap_terms: list[tuple[int, int, str, int]] = []
         # MOSFET slots.
         mos_names: list[str] = []
+        mos_k: list[int] = []  # their element indices
         mos_xe: list[tuple[int, int, int, int]] = []  # (d, g, s, b) ext slots
         j_mos_pos: list[int] = []
         j_mos_val: list[int] = []  # dev * 4 + kind
@@ -266,29 +267,29 @@ class MnaTemplate:
                 r_signs.append(sign)
                 r_srcs.append((segment, index))
 
-        def affine(a: int, b: int, op: int, name: str | None = None) -> int:
+        def affine(a: int, b: int, op: int, ei: int = -1) -> int:
             aff_a.append(a)
             aff_b.append(b)
-            aff_slots.append((op, name, False))
+            aff_slots.append((op, ei, False))
             return len(aff_a) - 1
 
         def emit_pair_current(
-            a: int, b: int, op: int, name: str, node_i: int, node_j: int
+            a: int, b: int, op: int, ei: int, node_i: int, node_j: int
         ):
             """cur = coeff*(xe[a]-xe[b]); resid[i] += cur; resid[j] -= cur."""
-            src = affine(a, b, op, name)
+            src = affine(a, b, op, ei)
             entry(node_i, +1.0, _SEG_CUR, src)
             entry(node_j, -1.0, _SEG_CUR, src)
 
-        def emit_conductance(i: int, j: int, op: int, name: str):
+        def emit_conductance(i: int, j: int, op: int, ei: int):
             """Replay the walk's conductance stamp."""
             if i != GROUND:
-                jac.append_const(i, i, op, name)
+                jac.append_const(i, i, op, ei)
             if j != GROUND:
-                jac.append_const(j, j, op, name)
+                jac.append_const(j, j, op, ei)
             if i != GROUND and j != GROUND:
-                jac.append_const(i, j, op, name, negate=True)
-                jac.append_const(j, i, op, name, negate=True)
+                jac.append_const(i, j, op, ei, negate=True)
+                jac.append_const(j, i, op, ei, negate=True)
 
         def emit_branch_jac(p: int, nn: int, k: int):
             """Voltage-source-style jac cross terms of branch ``k``."""
@@ -304,19 +305,19 @@ class MnaTemplate:
             entry(p, +1.0, _SEG_XE, k)
             entry(nn, -1.0, _SEG_XE, k)
 
-        for element in circuit:
+        for ei, element in enumerate(circuit):
             name = element.name
             if isinstance(element, Resistor):
                 i, j = layout.index(element.n1), layout.index(element.n2)
-                emit_conductance(i, j, _OP_RES_INV, name)
+                emit_conductance(i, j, _OP_RES_INV, ei)
                 emit_pair_current(
-                    xi(element.n1), xi(element.n2), _OP_RES_INV, name, i, j
+                    xi(element.n1), xi(element.n2), _OP_RES_INV, ei, i, j
                 )
             elif isinstance(element, Switch):
                 i, j = layout.index(element.n1), layout.index(element.n2)
-                emit_conductance(i, j, _OP_SW_INV, name)
+                emit_conductance(i, j, _OP_SW_INV, ei)
                 emit_pair_current(
-                    xi(element.n1), xi(element.n2), _OP_SW_INV, name, i, j
+                    xi(element.n1), xi(element.n2), _OP_SW_INV, ei, i, j
                 )
             elif isinstance(element, Capacitor):
                 # Open in DC.
@@ -325,7 +326,7 @@ class MnaTemplate:
                 )
             elif isinstance(element, CurrentSource):
                 src = len(inj_slots)
-                inj_slots.append((_OP_DC, name, False))
+                inj_slots.append((_OP_DC, ei, False))
                 entry(layout.index(element.positive), +1.0, _SEG_INJ, src)
                 entry(layout.index(element.negative), -1.0, _SEG_INJ, src)
             elif isinstance(element, VoltageSource):
@@ -336,7 +337,7 @@ class MnaTemplate:
                 emit_branch_current(p, nn, k)
                 src = affine(xi(element.positive), xi(element.negative), _OP_ONE)
                 vs_aff.append(src)
-                vs_slots.append((_OP_DC, name, False))
+                vs_slots.append((_OP_DC, ei, False))
                 entry(k, +1.0, _SEG_CUR, src)
             elif isinstance(element, Vcvs):
                 op_ = layout.index(element.out_positive)
@@ -347,15 +348,15 @@ class MnaTemplate:
                 # The walk's VCVS stamp order: out rows, then the gain row.
                 emit_branch_jac(op_, on_, k)
                 if cp != GROUND:
-                    jac.append_const(k, cp, _OP_GAIN, name, negate=True)
+                    jac.append_const(k, cp, _OP_GAIN, ei, negate=True)
                 if cn != GROUND:
-                    jac.append_const(k, cn, _OP_GAIN, name)
+                    jac.append_const(k, cn, _OP_GAIN, ei)
                 emit_branch_current(op_, on_, k)
                 src = affine(xi(element.out_positive), xi(element.out_negative), _OP_ONE)
                 vg_aff.append(src)
                 vg_cp.append(xi(element.ctrl_positive))
                 vg_cn.append(xi(element.ctrl_negative))
-                vg_slots.append((_OP_GAIN, name, False))
+                vg_slots.append((_OP_GAIN, ei, False))
                 entry(k, +1.0, _SEG_CUR, src)
             elif isinstance(element, Vccs):
                 op_ = layout.index(element.out_positive)
@@ -366,14 +367,14 @@ class MnaTemplate:
                     if row == GROUND:
                         continue
                     if cp != GROUND:
-                        jac.append_const(row, cp, _OP_GM, name, negate=sign < 0)
+                        jac.append_const(row, cp, _OP_GM, ei, negate=sign < 0)
                     if cn != GROUND:
-                        jac.append_const(row, cn, _OP_GM, name, negate=sign > 0)
+                        jac.append_const(row, cn, _OP_GM, ei, negate=sign > 0)
                 emit_pair_current(
                     xi(element.ctrl_positive),
                     xi(element.ctrl_negative),
                     _OP_GM,
-                    name,
+                    ei,
                     op_,
                     on_,
                 )
@@ -395,6 +396,7 @@ class MnaTemplate:
                 b = layout.index(element.bulk)
                 dev = len(mos_names)
                 mos_names.append(name)
+                mos_k.append(ei)
                 mos_xe.append(
                     (
                         xi(element.drain),
@@ -446,6 +448,7 @@ class MnaTemplate:
         self._j_mos_sign = asarray(j_mos_sign, dtype=float)
         # Fused residual layout: buffer offsets, then the entry arrays.
         self.mos_names = tuple(mos_names)
+        self._mos_k = tuple(mos_k)
         self._mos_xe = mos_xe
         self._n_inj = len(inj_slots)
         self._ids_off = n + 1
@@ -472,25 +475,6 @@ class MnaTemplate:
 
         self._compile_linear(circuit)
 
-        # Rebind programs: every slot table with each element's index in
-        # circuit order in place of its name (see _eval_slots).
-        index = {e.name: k for k, e in enumerate(circuit)}
-
-        def program(slots):
-            return tuple((op, index.get(name, -1), neg) for op, name, neg in slots)
-
-        self._j_const_prog = program(self._j_const_slots)
-        self._aff_prog = program(self._aff_slots)
-        self._vs_prog = program(self._vs_slots)
-        self._inj_prog = program(self._inj_slots)
-        self._vg_prog = program(self._vg_slots)
-        self._g_const_prog = program(self._g_const_slots)
-        self._c_const_prog = program(self._c_const_slots)
-        self._b_ac_prog = tuple(
-            (idx, sign, index[nm]) for idx, sign, nm in self._b_ac_slots
-        )
-        self._mos_k = tuple(index[nm] for nm in self.mos_names)
-
     # -- small-signal program --------------------------------------------
 
     def _compile_linear(self, circuit: Circuit) -> None:
@@ -504,18 +488,18 @@ class MnaTemplate:
         c_mos_pos: list[int] = []
         c_mos_val: list[int] = []  # dev * 5 + index into _CAP_KINDS
         c_mos_sign: list[float] = []
-        #: (branch-or-node index, sign, element name, 'branch'|'node') for b_ac.
-        b_ac_slots: list[tuple[int, float, str]] = []
+        #: (branch-or-node index, sign, element index) for b_ac.
+        b_ac_slots: list[tuple[int, float, int]] = []
 
-        def emit_sym(coo: _Coo, i: int, j: int, op: int, name: str) -> None:
+        def emit_sym(coo: _Coo, i: int, j: int, op: int, ei: int) -> None:
             """Symmetric two-terminal stamp (conductance / capacitance)."""
             if i != GROUND:
-                coo.append_const(i, i, op, name)
+                coo.append_const(i, i, op, ei)
             if j != GROUND:
-                coo.append_const(j, j, op, name)
+                coo.append_const(j, j, op, ei)
             if i != GROUND and j != GROUND:
-                coo.append_const(i, j, op, name, negate=True)
-                coo.append_const(j, i, op, name, negate=True)
+                coo.append_const(i, j, op, ei, negate=True)
+                coo.append_const(j, i, op, ei, negate=True)
 
         def emit_mos_g(row: int, col: int, dev: int, kind: int, sign: float):
             g_mos_pos.append(g.append(row, col))
@@ -534,17 +518,17 @@ class MnaTemplate:
 
         dev_of = {nm: i for i, nm in enumerate(self.mos_names)}
 
-        for element in circuit:
+        for ei, element in enumerate(circuit):
             name = element.name
             if isinstance(element, Resistor):
                 i, j = layout.index(element.n1), layout.index(element.n2)
-                emit_sym(g, i, j, _OP_RES_INV, name)
+                emit_sym(g, i, j, _OP_RES_INV, ei)
             elif isinstance(element, Switch):
                 i, j = layout.index(element.n1), layout.index(element.n2)
-                emit_sym(g, i, j, _OP_SW_INV, name)
+                emit_sym(g, i, j, _OP_SW_INV, ei)
             elif isinstance(element, Capacitor):
                 i, j = layout.index(element.n1), layout.index(element.n2)
-                emit_sym(c, i, j, _OP_CAP, name)
+                emit_sym(c, i, j, _OP_CAP, ei)
             elif isinstance(element, Inductor):
                 p, nn = layout.index(element.n1), layout.index(element.n2)
                 k = layout.branch(name)
@@ -554,7 +538,7 @@ class MnaTemplate:
                 if nn != GROUND:
                     g.append_const(nn, k, _OP_ONE, negate=True)
                     g.append_const(k, nn, _OP_ONE, negate=True)
-                c.append_const(k, k, _OP_IND, name, negate=True)
+                c.append_const(k, k, _OP_IND, ei, negate=True)
             elif isinstance(element, VoltageSource):
                 p = layout.index(element.positive)
                 nn = layout.index(element.negative)
@@ -565,14 +549,14 @@ class MnaTemplate:
                 if nn != GROUND:
                     g.append_const(nn, k, _OP_ONE, negate=True)
                     g.append_const(k, nn, _OP_ONE, negate=True)
-                b_ac_slots.append((k, +1.0, name))
+                b_ac_slots.append((k, +1.0, ei))
             elif isinstance(element, CurrentSource):
                 p = layout.index(element.positive)
                 nn = layout.index(element.negative)
                 if p != GROUND:
-                    b_ac_slots.append((p, -1.0, name))
+                    b_ac_slots.append((p, -1.0, ei))
                 if nn != GROUND:
-                    b_ac_slots.append((nn, +1.0, name))
+                    b_ac_slots.append((nn, +1.0, ei))
             elif isinstance(element, Vcvs):
                 op_ = layout.index(element.out_positive)
                 on_ = layout.index(element.out_negative)
@@ -586,9 +570,9 @@ class MnaTemplate:
                     g.append_const(on_, k, _OP_ONE, negate=True)
                     g.append_const(k, on_, _OP_ONE, negate=True)
                 if cp != GROUND:
-                    g.append_const(k, cp, _OP_GAIN, name, negate=True)
+                    g.append_const(k, cp, _OP_GAIN, ei, negate=True)
                 if cn != GROUND:
-                    g.append_const(k, cn, _OP_GAIN, name)
+                    g.append_const(k, cn, _OP_GAIN, ei)
             elif isinstance(element, Vccs):
                 op_ = layout.index(element.out_positive)
                 on_ = layout.index(element.out_negative)
@@ -598,9 +582,9 @@ class MnaTemplate:
                     if row == GROUND:
                         continue
                     if cp != GROUND:
-                        g.append_const(row, cp, _OP_GM, name, negate=sign < 0)
+                        g.append_const(row, cp, _OP_GM, ei, negate=sign < 0)
                     if cn != GROUND:
-                        g.append_const(row, cn, _OP_GM, name, negate=sign > 0)
+                        g.append_const(row, cn, _OP_GM, ei, negate=sign > 0)
             elif isinstance(element, Mosfet):
                 dev = dev_of[name]
                 d = layout.index(element.drain)
@@ -803,16 +787,16 @@ class BoundMna:
         self.layout: MnaLayout = t.layout.with_circuit(circuit)
         elements = circuit.elements
         if len(t._j_const_pos):
-            self._jv[t._j_const_pos] = _eval_slots(elements, t._j_const_prog)
+            self._jv[t._j_const_pos] = _eval_slots(elements, t._j_const_slots)
         fused = self._fused
         if len(fused.c):
-            fused.c[:] = _eval_slots(elements, t._aff_prog)
+            fused.c[:] = _eval_slots(elements, t._aff_slots)
         if len(self._vdc):
-            self._vdc[:] = _eval_slots(elements, t._vs_prog)
+            self._vdc[:] = _eval_slots(elements, t._vs_slots)
         if len(self._inj_dc):
-            self._inj_dc[:] = _eval_slots(elements, t._inj_prog)
+            self._inj_dc[:] = _eval_slots(elements, t._inj_slots)
         if len(self._vg_gain):
-            self._vg_gain[:] = _eval_slots(elements, t._vg_prog)
+            self._vg_gain[:] = _eval_slots(elements, t._vg_slots)
         #: The source scale ``e`` and ``inj`` hold; None forces a refill.
         self._scale = None
         self._mosfets = mosfets = [elements[k] for k in t._mos_k]
@@ -824,12 +808,12 @@ class BoundMna:
             for e, xe in zip(mosfets, t._mos_xe)
         ]
         if len(t._g_const_pos):
-            self._gv[t._g_const_pos] = _eval_slots(elements, t._g_const_prog)
+            self._gv[t._g_const_pos] = _eval_slots(elements, t._g_const_slots)
         if len(t._c_const_pos):
-            self._cv[t._c_const_pos] = _eval_slots(elements, t._c_const_prog)
+            self._cv[t._c_const_pos] = _eval_slots(elements, t._c_const_slots)
         b_ac = self._b_ac
         b_ac[:] = 0.0
-        for idx, sign, k in t._b_ac_prog:
+        for idx, sign, k in t._b_ac_slots:
             if sign > 0:
                 b_ac[idx] += elements[k].ac
             else:

@@ -198,53 +198,67 @@ class _StepProgram:
         fused.c[self._caps] = self._cap_g
         fused.vcvs = bound._fused.vcvs
 
-        # Time-dependent values of the DC program, per step of the run:
-        # switch conductances and waveform-source values.
-        steps = times[1:]
+        # Time-dependent values of the DC program: switch conductances and
+        # waveform-source values.
+        elements = circuit.elements
         aff_sw = [
             i for i, (op, _, _) in enumerate(t._aff_slots) if op == _OP_SW_INV
         ]
-        switches = [circuit[t._aff_slots[i][1]] for i in aff_sw]
-        sw_of = {sw.name: k for k, sw in enumerate(switches)}
+        sw_of = {t._aff_slots[i][1]: k for k, i in enumerate(aff_sw)}
+        switches = [elements[ei] for ei in sw_of]
         j_sw = [
-            (pos, sw_of[name], -1.0 if negate else 1.0)
-            for pos, (op, name, negate) in zip(t._j_const_pos, t._j_const_slots)
+            (pos, sw_of[ei], -1.0 if negate else 1.0)
+            for pos, (op, ei, negate) in zip(t._j_const_pos, t._j_const_slots)
             if op == _OP_SW_INV
         ]
         self._aff_sw = np.asarray(aff_sw, dtype=np.intp)
         self._j_sw_pos = np.asarray([p for p, _, _ in j_sw], dtype=np.intp)
         j_sw_src = np.asarray([s for _, s, _ in j_sw], dtype=np.intp)
         j_sw_sign = np.asarray([g for _, _, g in j_sw], dtype=float)
-        #: Conductance of every switch at every step, and the jacobian
-        #: entries they stamp.
-        self._sw_g = np.array(
-            [[1.0 / sw.resistance_at(time) for sw in switches] for time in steps]
-        ).reshape(len(steps), len(switches))
-        self._sw_jv = j_sw_sign * self._sw_g[:, j_sw_src]
 
         # A voltage source's constraint subtracts its value: E = -value.
         vs_wave = []
-        for aff, (_, name, _) in zip(t._vs_aff.tolist(), t._vs_slots):
-            element = circuit[name]
+        for aff, (_, ei, _) in zip(t._vs_aff.tolist(), t._vs_slots):
+            element = elements[ei]
             fused.e[aff] = -element.dc
             if element.waveform:
                 vs_wave.append((aff, element))
         self._vs_aff = np.asarray([aff for aff, _ in vs_wave], dtype=np.intp)
-        self._vs_e = np.array(
-            [[-e.value_at(time) for _, e in vs_wave] for time in steps], dtype=float
-        ).reshape(len(steps), len(vs_wave))
-        inj_elems = [circuit[name] for _, name, _ in t._inj_slots]
+        inj_elems = [elements[ei] for _, ei, _ in t._inj_slots]
         fused.inj[:] = [e.dc for e in inj_elems]
         inj_wave = [(k, e) for k, e in enumerate(inj_elems) if e.waveform]
         self._inj_k = np.asarray([k for k, _ in inj_wave], dtype=np.intp)
-        self._inj_v = np.array(
-            [[e.value_at(time) for _, e in inj_wave] for time in steps], dtype=float
-        ).reshape(len(steps), len(inj_wave))
-        #: Whether a step's row differs from the step before (the first
-        #: step's always counts), compared by bits.
-        rows = np.concatenate([self._sw_g, self._vs_e, self._inj_v], axis=1)
-        bits = rows.view(np.int64)
-        self._changed = [True] + np.any(bits[1:] != bits[:-1], axis=1).tolist()
+
+        # Every step's values, one row per switch, voltage source and
+        # current source, from the calls the walk made per step; then one
+        # update per step whose values differ from the step before (by
+        # bits; the first step's always counts).
+        steps = times[1:]
+        n_steps, n_sw, n_vs = len(steps), len(switches), len(vs_wave)
+        table = np.empty((n_sw + n_vs + len(inj_wave), n_steps))
+        for k, sw in enumerate(switches):
+            conductances = (1.0 / sw.resistance_at(tm) for tm in steps)
+            table[k] = np.fromiter(conductances, float, n_steps)
+        for k, (_, e) in enumerate(vs_wave, n_sw):
+            values = (-e.value_at(tm) for tm in steps)
+            table[k] = np.fromiter(values, float, n_steps)
+        for k, (_, e) in enumerate(inj_wave, n_sw + n_vs):
+            values = (e.value_at(tm) for tm in steps)
+            table[k] = np.fromiter(values, float, n_steps)
+        bits = table.view(np.int64)
+        changed = np.flatnonzero(np.any(bits[:, 1:] != bits[:, :-1], axis=0)) + 1
+        #: Step index (from 0) -> the switch jacobian entries, switch
+        #: conductances, voltage-source ``E`` values and injected currents.
+        self._updates = {}
+        for row in [0] + changed.tolist():
+            column = table[:, row].copy()
+            g = column[:n_sw]
+            self._updates[row] = (
+                j_sw_sign * g[j_sw_src],
+                g,
+                column[n_sw : n_sw + n_vs],
+                column[n_sw + n_vs :],
+            )
 
         # Inductor companion: v_new (+ v_prev) = r_eq * (i_new - i_prev).
         inductance = np.array(
@@ -287,12 +301,13 @@ class _StepProgram:
     def begin_step(self, step: int, x_prev: np.ndarray) -> None:
         """Refresh the time-dependent values for step ``step`` (from 1)."""
         fused = self._fused
-        row = step - 1
-        if self._changed[row]:
-            self._jv[self._j_sw_pos] = self._sw_jv[row]
-            fused.c[self._aff_sw] = self._sw_g[row]
-            fused.e[self._vs_aff] = self._vs_e[row]
-            fused.inj[self._inj_k] = self._inj_v[row]
+        update = self._updates.get(step - 1)
+        if update is not None:
+            jv, g, e, inj = update
+            self._jv[self._j_sw_pos] = jv
+            fused.c[self._aff_sw] = g
+            fused.e[self._vs_aff] = e
+            fused.inj[self._inj_k] = inj
         if fused.inductor is not None:
             rhs = self._ind_req * x_prev[self._ind_k]
             fused.ind_rhs = rhs + self._ind_v if self._trap else rhs
