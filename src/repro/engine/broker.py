@@ -262,6 +262,8 @@ class DirectoryBroker:
         #: "any ack/nack clobbers any lease" to "a lost-lease race during
         #: the victim's own claim".
         self._mutex = threading.Lock()
+        #: Guards :attr:`counters`: in-process workers bump them at once.
+        self._counter_lock = threading.Lock()
         self.counters = {
             "submitted": 0,
             "leased": 0,
@@ -272,7 +274,8 @@ class DirectoryBroker:
 
     def _count(self, name: str) -> None:
         """Bump an instance counter and mirror it into the obs registry."""
-        self.counters[name] += 1
+        with self._counter_lock:
+            self.counters[name] += 1
         metrics.counter(f"broker.{name}")
 
     # -- paths ----------------------------------------------------------------
@@ -624,6 +627,11 @@ class DirectoryBroker:
             if record is not None and record["retries"] >= MAX_RETRIES:
                 continue  # poisoned task: leave the evidence, stop re-leasing
             if self._lease_path(key).exists() or not self.claim(key, worker):
+                continue
+            if self._ack_path(key).exists():
+                # Acked after the check above: its holder wrote the ack,
+                # then released the lease this claim took.
+                self.release(key)
                 continue
             try:
                 envelope = json.loads(path.read_text())
