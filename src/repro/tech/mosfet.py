@@ -176,6 +176,7 @@ def device_currents(
             gm, gds, gmb = -gm, gm + gds + gmb, -gmb
         # d(p*I)/d(p*V) cancels: the terminal derivatives are the normalized.
         i = p * i
+        # Multiplying by a mult of 1 would return each operand bit for bit.
         if mult != 1:
             i *= mult
             gm *= mult
@@ -199,7 +200,8 @@ def operating_points(
     operating point describes the device at its multiplied width.
     ``caps`` holds each device's :func:`capacitance_constants`.  The
     points are built without the frozen dataclass's per-field
-    ``__init__``; type, fields, field order and equality are unchanged.
+    ``__init__``: one ``__dict__`` update in field order gives the same
+    type, fields, equality and pickle bytes.
     """
     detail = []
     ids, cond = device_currents(devices, xl, detail)
@@ -221,6 +223,7 @@ def operating_points(
             region = "saturation"
             cgs, cgd, cgb = (2.0 / 3.0) * cox_total + cov, cov, 0.0
         if reverse:
+            # Drain and source swap back; cdb and csb are both cj.
             cgs, cgd = cgd, cgs
         xs = xl[s]
         point = new(MosfetOperatingPoint)
