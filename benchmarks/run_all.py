@@ -15,7 +15,9 @@ rate, sustained jobs/s — see ``benchmarks/bench_service.py``).
                                                                # regression
 
 Stages: ``synthesize_mdac`` / ``equation_metric_stage`` (compiled kernel
-vs the reference walk), ``transient_step`` (the compiled settling
+vs the reference walk), ``bind`` (the evaluator's per-candidate value
+writes into its bound stamp program vs building the candidate's netlist
+and rebinding it), ``transient_step`` (the compiled settling
 transient vs the per-element walk), ``behavioral`` (vectorized
 Monte-Carlo vs the scalar walk), ``digest`` (the one-pass content digest
 vs the two-pass encoder, over the payloads a Fig. 2 plan digests, its memo
@@ -46,8 +48,10 @@ variant's synthesis result diverges (the bit-identity contract; with
 ``verify_transient=True`` against the evaluator and transient walks), when the
 compiled search rejected no candidate at one of the three ``reject``
 stages (after the DC solve, the gain point, the top of the loop grid), when
-the staged AC read-out's bytes differ from the per-frequency loop, when the
-compiled transient step is slower than the walk or its waveform bytes
+the staged AC read-out's bytes differ from the per-frequency loop, when a
+value the ``bind`` stage writes differs from the netlist rebind's (it has
+no speed floor: this host's run-to-run spread is wider than any useful
+one), when the compiled transient step is slower than the walk or its waveform bytes
 differ, when the
 behavioral batch kernel is not bit-identical to the scalar walk, misses
 its 5x floor at 256 draws, or its ``tracemalloc`` peak on the campaign's
@@ -91,6 +95,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 import repro.behavioral.verify as verify
 import repro.campaign.runner as runner
 import repro.engine.broker as broker
+from repro.analysis.template import bind_template
 from repro.analysis.transient import simulate_transient
 from repro.blocks.mdac import SETTLING_STEP_TIME, build_settling_bench
 from repro.blocks.opamp import TwoStageSizing
@@ -111,6 +116,7 @@ from repro.synth import HybridEvaluator, synthesize_mdac, two_stage_space
 from repro.synth.evaluator import _LOOP_FREQS, REJECT_STAGES
 from repro.tech import CMOS025
 from tests.analysis import transient_reference
+from tests.analysis.bound_state import bound_state
 from tests.behavioral import batch_reference
 from tests.campaign.traffic import campaign_traffic
 from tests.engine import persist_reference
@@ -256,6 +262,61 @@ def stage_equation_metrics(repeats: int) -> dict:
         "batched_sweeps_per_s": round(batched_rate, 1),
         "speedup": round(batched_rate / legacy_rate, 2),
         "identical_results": identical,
+    }
+
+
+def stage_bind(candidates: int, repeats: int) -> dict:
+    """Per-candidate binding: the evaluator's value writes vs a netlist rebind.
+
+    The 13-bit 4-3-2 plan's first MDAC over ``candidates`` seeded sizings:
+    ``HybridEvaluator._bind``, which writes each sizing's values into the
+    stamp program it bound once, against building the candidate's
+    testbench (``_ac_bench``), checking its topology key and
+    ``BoundMna.rebind``, the path it replaced.  Each side's best of
+    ``repeats`` passes gives its µs per candidate; ``identical_values``
+    compares every bound value and device tuple after each candidate.
+    """
+    mdac = plan_stages(
+        AdcSpec(resolution_bits=13), PipelineCandidate((4, 3, 2), 13, 7)
+    ).mdacs[0]
+    space = two_stage_space(mdac, CMOS025)
+    rng = np.random.default_rng(1)
+    sizings = [space.decode(rng.random(space.dimension)) for _ in range(candidates)]
+    evaluator = HybridEvaluator(mdac, CMOS025)
+    bound = bind_template(evaluator._ac_bench(sizings[0]))
+
+    def rebind(sizing):
+        bench = evaluator._ac_bench(sizing)
+        if bench.topology_key() != bound.template.key:
+            raise AssertionError("the testbench topology changed")
+        return bound.rebind(bench)
+
+    identical = all(
+        bound_state(evaluator._bind(sizing)) == bound_state(rebind(sizing))
+        for sizing in sizings
+    )
+
+    def per_candidate_us(bind) -> float:
+        best = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            for sizing in sizings:
+                bind(sizing)
+            best = min(best, time.perf_counter() - start)
+        return best / len(sizings) * 1e6
+
+    written_us = per_candidate_us(evaluator._bind)
+    netlist_us = per_candidate_us(rebind)
+    return {
+        "workload": (
+            f"bind the 13-bit 4-3-2 plan's first MDAC testbench over "
+            f"{candidates} seeded sizings (best of {repeats})"
+        ),
+        "candidates": candidates,
+        "netlist_rebind_us": round(netlist_us, 2),
+        "written_us": round(written_us, 2),
+        "speedup": round(netlist_us / written_us, 2),
+        "identical_values": identical,
     }
 
 
@@ -582,6 +643,7 @@ def main(argv=None) -> int:
     stage_fns = {
         "synthesize_mdac": lambda: stage_synthesize(budget),
         "equation_metric_stage": lambda: stage_equation_metrics(repeats),
+        "bind": lambda: stage_bind(200, repeats),
         "transient_step": lambda: stage_transient_step(3 if args.smoke else 7),
         "behavioral": lambda: stage_behavioral(
             behavioral_draws, behavioral_samples
@@ -628,6 +690,7 @@ def main(argv=None) -> int:
 
     synth = report["stages"]["synthesize_mdac"]
     eqn = report["stages"]["equation_metric_stage"]
+    bind = report["stages"]["bind"]
     trans = report["stages"]["transient_step"]
     behavioral = report["stages"]["behavioral"]
     digests = report["stages"]["digest"]
@@ -641,6 +704,8 @@ def main(argv=None) -> int:
         f"candidates/s, {synth['verified']['compiled_transient_steps_per_s']} "
         f"transient steps/s, "
         f"equation-metric stage: {eqn['speedup']}x, "
+        f"bind: {bind['written_us']} us/candidate written against "
+        f"{bind['netlist_rebind_us']} us rebuilt, "
         f"transient step: {trans['speedup']}x, "
         f"behavioral batch: {behavioral['speedup']}x, "
         f"digest: {digests['speedup']}x, "
@@ -673,6 +738,11 @@ def main(argv=None) -> int:
                 failures.append(f"synthesize_mdac rejected no candidate at {stage!r}")
         if not eqn["identical_results"]:
             failures.append("batched AC sweep diverged from the reference loop")
+        if not bind["identical_values"]:
+            failures.append(
+                "bind: a written value or device tuple differs from the "
+                "netlist rebind's"
+            )
         if not trans["identical_results"]:
             failures.append("compiled transient diverged from the element walk")
         if trans["speedup"] < 1.0:

@@ -15,29 +15,40 @@ def ac_system_stack(
     linear: LinearizedCircuit,
     frequencies_hz: np.ndarray,
     out: np.ndarray | None = None,
+    *,
+    cells: np.ndarray | None = None,
 ) -> np.ndarray:
     """The stacked complex MNA matrices ``G + s_k C``, shape (F, n, n).
 
     Each slice is elementwise identical to ``linear.system_at(s_k)`` — the
     broadcastable form batched solvers consume.  ``out`` (same shape,
-    complex) is filled in place when given, letting tight evaluation loops
-    reuse one scratch buffer.
+    complex) is filled in place and returned when given.  ``cells``, a
+    frequency-last complex scratch of shape (n, n, F') with F' >= F, lets a
+    tight evaluation loop reuse one buffer: its first F columns are filled
+    and their transposed (F, n, n) view is returned.
     """
     frequencies_hz = np.asarray(frequencies_hz, dtype=float)
     s = 2j * math.pi * frequencies_hz
-    if out is None:
-        out = np.empty(
-            (len(frequencies_hz), linear.size, linear.size), dtype=complex
-        )
-    # Fill with G, then add s*C only where C is nonzero.  Bit-identical to
-    # the dense ``G + s*C``: zero-C entries are exactly ``g + 0j`` either
-    # way, and nonzero entries see the same two-operand complex add — but
-    # the sparse update touches ~20% of the entries the dense product
-    # would, and C is sparse for every MNA system.
-    out[:] = linear.g_matrix
+    n, count = linear.size, len(frequencies_hz)
+    if cells is not None:
+        cells = cells[:, :, :count]
+        out = cells.transpose(2, 0, 1)
+    elif out is None:
+        cells = np.empty((n, n, count), dtype=complex)
+        out = cells.transpose(2, 0, 1)
+    else:
+        cells = out.transpose(1, 2, 0)
+    # Filled frequency-last: each matrix cell's frequencies are one
+    # contiguous row.  G is broadcast along every row, then s*C is added
+    # only on the rows of C's nonzero cells.  Bit-identical to the dense
+    # ``G + s*C``: zero-C entries are exactly ``g + 0j`` either way, and
+    # nonzero entries see the same two-operand complex add — but the
+    # sparse update touches ~20% of the entries the dense product would,
+    # and C is sparse for every MNA system.
+    cells[...] = linear.g_matrix[:, :, None]
     rows, cols = np.nonzero(linear.c_matrix)
     if len(rows):
-        out[:, rows, cols] += s[:, None] * linear.c_matrix[rows, cols][None, :]
+        cells[rows, cols] += s * linear.c_matrix[rows, cols][:, None]
     return out
 
 

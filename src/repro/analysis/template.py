@@ -22,6 +22,9 @@ This module compiles a circuit *topology* once into flat stamp programs:
   :meth:`~BoundMna.jacobian`, which Newton calls only for an iterate that
   takes a step, and :meth:`~BoundMna.linearize` sum their ordered entries
   with one ``np.bincount`` per matrix;
+* :class:`ValueWriter` writes new values of chosen elements straight into
+  a bound program's slots, so a sizing loop over one topology binds once
+  instead of building and rebinding a netlist per candidate;
 * :func:`repro.analysis.dc.solve_dc` binds the circuit's template when
   its caller passes none, and :func:`repro.analysis.smallsignal.linearize`
   takes G, C and ``b_ac`` from the bound program;
@@ -799,13 +802,16 @@ class BoundMna:
             self._vg_gain[:] = _eval_slots(elements, t._vg_slots)
         #: The source scale ``e`` and ``inj`` hold; None forces a refill.
         self._scale = None
-        self._mosfets = mosfets = [elements[k] for k in t._mos_k]
+        mosfets = [elements[k] for k in t._mos_k]
+        #: Each MOSFET's ``(params, w, l, mult)``, which
+        #: :meth:`operating_points` reads.
+        self._geometry = geometry = [(e.params, e.w, e.l, e.mult) for e in mosfets]
         #: One flat tuple per MOSFET for the model loop (see
         #: :func:`~repro.tech.mosfet.device_currents`): its constants, its
         #: multiplier and its ground-extended terminal slots.
         self._devices = [
-            device_constants(e.params, e.w, e.l) + (e.mult,) + xe
-            for e, xe in zip(mosfets, t._mos_xe)
+            device_constants(params, w, l) + (mult,) + xe
+            for (params, w, l, mult), xe in zip(geometry, t._mos_xe)
         ]
         if len(t._g_const_pos):
             self._gv[t._g_const_pos] = _eval_slots(elements, t._g_const_slots)
@@ -876,12 +882,12 @@ class BoundMna:
         """
         devices = []
         caps = []
-        for e, device in zip(self._mosfets, self._devices):
-            w = e.w * e.mult
-            if e.mult != 1:
-                device = device_constants(e.params, w, e.l) + (1,) + device[-4:]
+        for (params, w, l, mult), device in zip(self._geometry, self._devices):
+            w = w * mult
+            if mult != 1:
+                device = device_constants(params, w, l) + (1,) + device[-4:]
             devices.append(device)
-            caps.append(capacitance_constants(e.params, w, e.l))
+            caps.append(capacitance_constants(params, w, l))
         xl = x.tolist()
         xl.append(0.0)
         return dict(zip(self.template.mos_names, operating_points(devices, caps, xl)))
@@ -926,6 +932,94 @@ class BoundMna:
             noise_sources=[],
         )
 
+    # -- value writes --------------------------------------------------------
+
+    def writer(self, indices) -> "ValueWriter":
+        """A :class:`ValueWriter` for the elements at ``indices``."""
+        return ValueWriter(self, indices)
+
+
+class ValueWriter:
+    """Writes new values of some elements straight into a :class:`BoundMna`.
+
+    A sizing loop that changes only some values of one topology calls it
+    per candidate instead of building a netlist and rebinding it.
+    ``writer(values)`` takes one value per element of ``indices`` (their
+    indices in circuit order): a resistance, capacitance, inductance, VCVS
+    gain, VCCS transconductance or independent-source DC value, or a
+    MOSFET's ``(w, l)``.  Each lands in every slot the template recorded
+    for that element at compile time, with :func:`_eval_slots`' arithmetic
+    (``1.0 / r``, and a negated slot as ``-value``), and a MOSFET's
+    geometry rebuilds its model tuple; so the buffers hold what
+    :meth:`BoundMna.rebind` would read from a netlist carrying the values.
+
+    Source ``ac`` values, device parameters and multipliers keep their
+    bound values, and ``bound.circuit`` stays the circuit last bound, so
+    its elements no longer carry the written values.  A switch's
+    conductance follows its phase, so a switch is not writable.
+    """
+
+    def __init__(self, bound: BoundMna, indices):
+        t = bound.template
+        fused = bound._fused
+        slot_of = {ei: k for k, ei in enumerate(indices)}
+        count = len(bound.circuit.elements)
+        for ei in slot_of:
+            if not 0 <= ei < count:
+                raise AnalysisError(f"no element at index {ei} to write")
+        # (buffer, positions, slots) of every constant-slot table.
+        tables = (
+            (bound._jv, t._j_const_pos, t._j_const_slots),
+            (fused.c, range(len(t._aff_slots)), t._aff_slots),
+            (bound._vdc, range(len(t._vs_slots)), t._vs_slots),
+            (bound._inj_dc, range(t._n_inj), t._inj_slots),
+            (bound._vg_gain, range(len(t._vg_slots)), t._vg_slots),
+            (bound._gv, t._g_const_pos, t._g_const_slots),
+            (bound._cv, t._c_const_pos, t._c_const_slots),
+        )
+        ops: dict[int, int] = {}
+        targets: dict[int, list[tuple[np.ndarray, int, bool]]] = {}
+        for buf, positions, slots in tables:
+            for pos, (op, ei, negate) in zip(positions, slots):
+                k = slot_of.get(ei)
+                if k is None:
+                    continue
+                if op == _OP_SW_INV:
+                    raise AnalysisError(
+                        f"switch {bound.circuit.elements[ei].name!r} is not writable"
+                    )
+                ops[k] = op
+                targets.setdefault(k, []).append((buf, int(pos), negate))
+        #: ``(value index, opcode, [(buffer, position, negate)])`` per element.
+        self._scalars = tuple((k, ops[k], tuple(targets[k])) for k in sorted(targets))
+        #: ``(value index, device, terminal slots)`` per MOSFET.
+        self._mosfets = tuple(
+            (slot_of[ei], dev, xe)
+            for dev, (ei, xe) in enumerate(zip(t._mos_k, t._mos_xe))
+            if ei in slot_of
+        )
+        self._bound = bound
+
+    def __call__(self, values) -> None:
+        """Write ``values``, one per index, into the bound program."""
+        for k, op, targets in self._scalars:
+            value = values[k]
+            if op == _OP_RES_INV:
+                value = 1.0 / value
+            negated = -value
+            for buf, pos, negate in targets:
+                buf[pos] = negated if negate else value
+        bound = self._bound
+        geometry = bound._geometry
+        devices = bound._devices
+        for k, dev, xe in self._mosfets:
+            w, l = values[k]
+            params, _, _, mult = geometry[dev]
+            geometry[dev] = (params, w, l, mult)
+            devices[dev] = device_constants(params, w, l) + (mult,) + xe
+        # A written source value reaches ``e`` and ``inj`` on the next refill.
+        bound._scale = None
+
 
 # ---------------------------------------------------------------------------
 # Template cache.
@@ -956,6 +1050,7 @@ def bind_template(circuit: Circuit) -> BoundMna:
 __all__ = [
     "BoundMna",
     "MnaTemplate",
+    "ValueWriter",
     "bind_template",
     "template_for",
 ]

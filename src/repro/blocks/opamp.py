@@ -92,5 +92,6 @@ class FoldedCascodeSizing:
 def _check_positive(sizing) -> None:
     for f in fields(sizing):
         value = getattr(sizing, f.name)
-        if isinstance(value, (int, float)) and value <= 0:
+        # ``value != value`` refuses NaN, which ``value <= 0`` lets through.
+        if isinstance(value, (int, float)) and (value <= 0 or value != value):
             raise SpecificationError(f"{type(sizing).__name__}.{f.name} must be positive")

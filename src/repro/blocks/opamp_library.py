@@ -7,6 +7,13 @@ sources — their silicon cost is carried by the power model's fixed
 overhead, as in any sizing-tool setup where the bias cell is a shared
 library block.
 
+The two-stage Miller's sizing-to-value equations are stated once, in
+:func:`two_stage_miller_values`: one value per element, in netlist order.
+:func:`build_two_stage_miller` builds its elements from them, and the
+synthesis evaluator (:mod:`repro.synth.evaluator`) writes them straight
+into the testbench's bound stamp program, without a netlist per
+candidate.
+
 The testbench (supplies, input common mode, feedback, load) is added by the
 caller; see :func:`repro.blocks.mdac.build_settling_bench` and
 :mod:`repro.synth.evaluator`.
@@ -30,6 +37,34 @@ def estimate_gm(kp: float, w: float, l: float, drain_current: float) -> float:
     return math.sqrt(2.0 * kp * (w / l) * abs(drain_current))
 
 
+def two_stage_miller_values(tech: Technology, sizing: TwoStageSizing) -> tuple:
+    """Every value ``sizing`` sets in the two-stage Miller, in netlist order.
+
+    One entry per element :func:`build_two_stage_miller` adds, in the order
+    it adds them: the bias current ``ibias``, the ``(w, l)`` of ``mb``,
+    ``mtail``, ``m1``, ``m2``, ``m3``, ``m4``, ``m6`` and ``m7``, the
+    nulling resistance ``rz`` and the Miller capacitance ``cc``.
+    """
+    mirror = (sizing.w_tail, sizing.l_mirror)
+    pair = (sizing.w_input, sizing.l_input)
+    load = (sizing.w_load, sizing.l_mirror)
+    # The nulling resistor sits at ~1/gm6 of the second stage.
+    gm6 = estimate_gm(tech.pmos.kp, sizing.w_stage2, sizing.l_input, sizing.i_stage2)
+    return (
+        sizing.i_tail,
+        mirror,
+        mirror,
+        pair,
+        pair,
+        load,
+        load,
+        (sizing.w_stage2, sizing.l_input),
+        (sizing.w_tail * sizing.stage2_ratio, sizing.l_mirror),
+        max(1.0 / gm6, 1.0),
+        sizing.c_comp,
+    )
+
+
 def build_two_stage_miller(
     tech: Technology, sizing: TwoStageSizing, name: str = "ota2"
 ) -> Circuit:
@@ -38,30 +73,31 @@ def build_two_stage_miller(
     The Miller capacitor has a series nulling resistor at 1/gm of the
     second stage, which pushes the right-half-plane zero to infinity.
     """
+    i_bias, mb, mtail, m1, m2, m3, m4, m6, m7, rz, cc = two_stage_miller_values(
+        tech, sizing
+    )
     b = CircuitBuilder(name, tech=tech)
 
     # Bias: reference current into an NMOS diode sets the mirror gate.
-    b.i("vdd", "nbias", dc=sizing.i_tail, name="ibias")
-    b.nmos("nbias", "nbias", "gnd", w=sizing.w_tail, l=sizing.l_mirror, name="mb")
+    b.i("vdd", "nbias", dc=i_bias, name="ibias")
+    b.nmos("nbias", "nbias", "gnd", w=mb[0], l=mb[1], name="mb")
 
     # Tail and first stage.  The mirror-diode side (m1) is driven by the
     # inverting input: rising inm lifts o1, and the PMOS second stage then
     # pulls out down — so "inp" is the non-inverting input as labelled.
-    b.nmos("tail", "nbias", "gnd", w=sizing.w_tail, l=sizing.l_mirror, name="mtail")
-    b.nmos("x", "inm", "tail", w=sizing.w_input, l=sizing.l_input, name="m1")
-    b.nmos("o1", "inp", "tail", w=sizing.w_input, l=sizing.l_input, name="m2")
-    b.pmos("x", "x", "vdd", "vdd", w=sizing.w_load, l=sizing.l_mirror, name="m3")
-    b.pmos("o1", "x", "vdd", "vdd", w=sizing.w_load, l=sizing.l_mirror, name="m4")
+    b.nmos("tail", "nbias", "gnd", w=mtail[0], l=mtail[1], name="mtail")
+    b.nmos("x", "inm", "tail", w=m1[0], l=m1[1], name="m1")
+    b.nmos("o1", "inp", "tail", w=m2[0], l=m2[1], name="m2")
+    b.pmos("x", "x", "vdd", "vdd", w=m3[0], l=m3[1], name="m3")
+    b.pmos("o1", "x", "vdd", "vdd", w=m4[0], l=m4[1], name="m4")
 
     # Second stage: PMOS common source with mirrored NMOS sink.
-    b.pmos("out", "o1", "vdd", "vdd", w=sizing.w_stage2, l=sizing.l_input, name="m6")
-    w_sink = sizing.w_tail * sizing.stage2_ratio
-    b.nmos("out", "nbias", "gnd", w=w_sink, l=sizing.l_mirror, name="m7")
+    b.pmos("out", "o1", "vdd", "vdd", w=m6[0], l=m6[1], name="m6")
+    b.nmos("out", "nbias", "gnd", w=m7[0], l=m7[1], name="m7")
 
     # Miller compensation with nulling resistor ~ 1/gm6.
-    gm6 = estimate_gm(tech.pmos.kp, sizing.w_stage2, sizing.l_input, sizing.i_stage2)
-    b.r("o1", "nz", max(1.0 / gm6, 1.0), name="rz")
-    b.c("nz", "out", sizing.c_comp, name="cc")
+    b.r("o1", "nz", rz, name="rz")
+    b.c("nz", "out", cc, name="cc")
 
     return b.build(validate=False)
 

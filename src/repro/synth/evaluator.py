@@ -18,11 +18,14 @@ for.  Benchmarks quantify the trade (bench_ablation_evaluator).
 
 The equation half runs on compiled kernels: the testbench topology is
 compiled once into a parametric MNA stamp template
-(:mod:`repro.analysis.template`), the DC Newton iterations assemble through
-vectorized scatters, and the AC read-out solves as stacked
-``np.linalg.solve`` calls: the 1 kHz DC-gain point, the top of the loop
-grid, then its bottom.  Results are bit-identical to the per-element stamp
-walk and per-frequency AC loop they replaced, which
+(:mod:`repro.analysis.template`) and bound once per evaluator, and each
+candidate writes only the values its sizing sets
+(:func:`~repro.blocks.opamp_library.two_stage_miller_values`) into the
+bound program, with no netlist of its own.  The DC Newton iterations
+assemble through vectorized scatters, and the AC read-out solves as
+stacked ``np.linalg.solve`` calls: the 1 kHz DC-gain point, the top of the
+loop grid, then its bottom.  Results are bit-identical to the per-element
+stamp walk and per-frequency AC loop they replaced, which
 ``tests/synth/evaluator_reference.py`` keeps as the oracle.
 
 Each stage tightens a lower bound on the cost: the power and the
@@ -43,11 +46,11 @@ import numpy as np
 from repro.analysis.ac import ac_system_stack, solve_ac_stack
 from repro.analysis.dc import DcSolution, solve_dc
 from repro.analysis.smallsignal import LinearizedCircuit
-from repro.analysis.template import BoundMna, bind_template
+from repro.analysis.template import BoundMna, ValueWriter, bind_template
 from repro.analysis.transient import simulate_transient
 from repro.blocks.mdac import SETTLING_STEP_TIME, MdacNetwork, build_settling_bench
 from repro.blocks.opamp import TwoStageSizing
-from repro.blocks.opamp_library import build_two_stage_miller
+from repro.blocks.opamp_library import build_two_stage_miller, two_stage_miller_values
 from repro.circuit.builder import CircuitBuilder
 from repro.circuit.netlist import Circuit
 from repro.errors import AnalysisError, ConvergenceError, ReproError
@@ -188,9 +191,9 @@ class _StagedEvaluation:
     """One candidate's DC stage: what its linearization starts from."""
 
     sizing: object
-    bench: Circuit
-    #: Bound stamp template of ``bench``, or None for the element walk.
-    assembly: BoundMna | None
+    #: What ``solve_dc`` assembles on: the bound stamp program, or the
+    #: oracle's element walk.
+    assembly: object
     #: Operating point; None when the DC solve failed.
     op: DcSolution | None = None
     power: float = float("inf")
@@ -231,10 +234,12 @@ class HybridEvaluator:
         #: The loop grid's split: the bottom is ``_LOOP_FREQS[1:k0]`` and
         #: the top ``_LOOP_FREQS[k0:]``.
         self._k0 = _split_index(mdac.closed_loop_bw_hz)
-        #: Scratch buffer for the per-candidate AC system stack.
-        self._ac_stack_buf: np.ndarray | None = None
-        #: Bound stamp template, reused (rebound) across candidates.
-        self._bound = None
+        #: Frequency-last scratch for the per-candidate AC system stack.
+        self._ac_cells: np.ndarray | None = None
+        #: The testbench's bound stamp program, bound once, and the writer
+        #: of the amplifier's values into it.
+        self._bound: BoundMna | None = None
+        self._write: ValueWriter | None = None
         #: The testbench around the amplifier, which no sizing changes:
         #: supplies, the high-impedance unity feedback and the load.
         b = CircuitBuilder("tb", tech=tech)
@@ -251,18 +256,22 @@ class HybridEvaluator:
         """Evaluations a ``reject`` callback cut short, at any stage."""
         return sum(self.rejected_at.values())
 
-    def _bind(self, bench: Circuit):
-        """Bind (or rebind) the compiled stamp template onto ``bench``.
+    def _bind(self, sizing: TwoStageSizing):
+        """The testbench's stamp program with ``sizing``'s values in it.
 
-        The sizing loop produces the same topology every candidate, so one
-        :class:`~repro.analysis.template.BoundMna` is reused and only its
-        value slots refresh.
+        The first candidate builds the bench (:meth:`_ac_bench`) and binds
+        its template.  Every later one writes only the values its sizing
+        sets into the same :class:`~repro.analysis.template.BoundMna`: the
+        topology never changes, and neither do the testbench elements.
         """
         bound = self._bound
-        if bound is not None and bound.template.key == bench.topology_key():
-            return bound.rebind(bench)
-        bound = bind_template(bench)
-        self._bound = bound
+        if bound is None:
+            bench = self._ac_bench(sizing)
+            bound = self._bound = bind_template(bench)
+            # The amplifier's elements come first in the bench.
+            self._write = bound.writer(range(len(bench) - len(self._testbench)))
+        else:
+            self._write(two_stage_miller_values(self.tech, sizing))
         return bound
 
     def _read_out(self, lin: LinearizedCircuit, freqs: np.ndarray) -> np.ndarray:
@@ -273,14 +282,15 @@ class HybridEvaluator:
     def _transfer(self, lin: LinearizedCircuit, freqs: np.ndarray) -> np.ndarray:
         """Amplifier transfer to ``out`` over ``freqs``: one stacked solve.
 
-        The system stack fills a per-evaluator scratch buffer sized for the
-        loop grid; each read-out uses its first ``len(freqs)`` slices.
+        The system stack fills a per-evaluator frequency-last scratch sized
+        for the loop grid (see :func:`~repro.analysis.ac.ac_system_stack`).
         """
-        buf = self._ac_stack_buf
-        if buf is None or buf.shape[1] != lin.size:
-            buf = np.empty((len(_LOOP_FREQS), lin.size, lin.size), dtype=complex)
-            self._ac_stack_buf = buf
-        stack = ac_system_stack(lin, freqs, out=buf[: len(freqs)])
+        n = lin.size
+        cells = self._ac_cells
+        if cells is None or cells.shape[0] != n:
+            cells = np.empty((n, n, len(_LOOP_FREQS)), dtype=complex)
+            self._ac_cells = cells
+        stack = ac_system_stack(lin, freqs, cells=cells)
         return solve_ac_stack(stack, lin.b_ac, freqs)[:, lin.index("out")]
 
     # -- testbench -----------------------------------------------------------
@@ -375,12 +385,11 @@ class HybridEvaluator:
         return [self.evaluate(sizing, run_transient) for sizing in sizings]
 
     def _stage_equation(self, sizing: TwoStageSizing) -> _StagedEvaluation:
-        """The order-dependent half: bench build and DC solve."""
+        """The order-dependent half: binding and DC solve."""
         self.equation_evals += 1
-        bench = self._ac_bench(sizing)
-        staged = _StagedEvaluation(sizing, bench, self._bind(bench))
+        staged = _StagedEvaluation(sizing, self._bind(sizing))
         try:
-            op = self._solve_dc(bench, assembly=staged.assembly)
+            op = self._solve_dc(staged.assembly)
         except (ConvergenceError, ReproError):
             return staged
         staged.op = op
@@ -468,24 +477,24 @@ class HybridEvaluator:
         m2 = op.device_ops.get("m2")
         return m2 is not None and m2.region == "cutoff"
 
-    def _counted_dc(self, bench: Circuit, assembly, **start) -> DcSolution:
-        """:func:`solve_dc`, counted in :attr:`dc_solves` and
-        :attr:`newton_iterations`."""
+    def _counted_dc(self, assembly, **start) -> DcSolution:
+        """:func:`solve_dc` on ``assembly``, counted in :attr:`dc_solves`
+        and :attr:`newton_iterations`."""
         self.dc_solves += 1
-        op = solve_dc(bench, assembly=assembly, **start)
+        op = solve_dc(assembly.layout.circuit, assembly=assembly, **start)
         self.newton_iterations += op.iterations
         return op
 
-    def _solve_dc(self, bench: Circuit, assembly=None) -> DcSolution:
+    def _solve_dc(self, assembly) -> DcSolution:
         if self._warm_x is not None:
             try:
-                op = self._counted_dc(bench, assembly, x0=self._warm_x)
+                op = self._counted_dc(assembly, x0=self._warm_x)
                 if not self._degenerate(op):
                     self._warm_x = op.x
                     return op
             except (ConvergenceError, ReproError):
                 pass
-        op = self._counted_dc(bench, assembly, initial_guess=self._dc_guess())
+        op = self._counted_dc(assembly, initial_guess=self._dc_guess())
         if self._degenerate(op):
             raise ConvergenceError("amplifier stuck in a degenerate operating point")
         self._warm_x = op.x

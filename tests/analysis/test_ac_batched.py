@@ -3,6 +3,8 @@
 The loop is the oracle in ``tests/analysis/ac_reference.py``.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from repro.enumeration.candidates import PipelineCandidate
 from repro.errors import AnalysisError
 from repro.specs import AdcSpec, plan_stages
 from repro.synth import HybridEvaluator, two_stage_space
+from repro.synth.evaluator import _GAIN_FREQS, _LOOP_FREQS
 from repro.tech import CMOS025
 from tests.analysis import ac_reference
 
@@ -164,3 +167,82 @@ class TestAcSystemTensor:
     def test_mixed_sizes_rejected(self):
         with pytest.raises(AnalysisError, match="same-size"):
             ac_system_tensor([_linear(), _rc_ladder()], np.array([1e3, 1e6]))
+
+
+def _opamp_linears(index: int, count: int, seed: int):
+    """``count`` linearizations of the evaluator's bench, and its read-outs.
+
+    Seeded sizings of the 13-bit 4-3-2 plan's MDAC ``index`` whose DC
+    solve converges, linearized the way the evaluator does; the read-outs
+    are the gain point, the top and the bottom of the loop grid.
+    """
+    plan = plan_stages(
+        AdcSpec(resolution_bits=13), PipelineCandidate((4, 3, 2), 13, 7)
+    )
+    mdac = plan.mdacs[index]
+    space = two_stage_space(mdac, CMOS025)
+    evaluator = HybridEvaluator(mdac, CMOS025)
+    rng = np.random.default_rng(seed)
+    linears = []
+    while len(linears) < count:
+        staged = evaluator._stage_equation(space.decode(rng.random(space.dimension)))
+        if staged.op is not None:
+            linears.append(evaluator._linearize(staged))
+    k0 = evaluator._k0
+    return evaluator, linears, (_GAIN_FREQS, _LOOP_FREQS[k0:], _LOOP_FREQS[1:k0])
+
+
+class TestFrequencyLastReadOut:
+    """The evaluator's frequency-last stacks solve to the loop's bytes."""
+
+    @pytest.mark.parametrize("index, seed", [(0, 1), (1, 5), (2, 9)])
+    def test_read_outs_equal_the_loop(self, index, seed):
+        evaluator, linears, reads = _opamp_linears(index, 3, seed)
+        for lin in linears:
+            for freqs in reads:
+                loop = ac_reference.ac_transfer(lin, "out", freqs)
+                assert evaluator._transfer(lin, freqs).tobytes() == loop.tobytes()
+
+    def test_zero_and_nan_capacitance_cells(self):
+        # A structural C cell that is exactly 0.0 gets no s*C term, as the
+        # dense sum adds an exact zero there; a NaN cell gets one.
+        evaluator, (lin,), reads = _opamp_linears(0, 1, 3)
+        rows, cols = np.nonzero(lin.c_matrix)
+        zero = lin.c_matrix.copy()
+        zero[rows[0], cols[0]] = 0.0
+        nan = lin.c_matrix.copy()
+        nan[rows[-1], cols[-1]] = np.nan
+        for c_matrix in (zero, nan):
+            changed = dataclasses.replace(lin, c_matrix=c_matrix)
+            for freqs in reads:
+                loop = ac_reference.ac_transfer(changed, "out", freqs)
+                got = evaluator._transfer(changed, freqs)
+                assert got.tobytes() == loop.tobytes()
+        assert np.isnan(evaluator._transfer(changed, reads[1])).any()
+
+    def test_singular_stack_names_first_frequency(self):
+        evaluator, (lin,), reads = _opamp_linears(2, 1, 4)
+        g = lin.g_matrix.copy()
+        c = lin.c_matrix.copy()
+        row = lin.index("out")
+        g[row, :] = 0.0
+        c[row, :] = 0.0
+        broken = dataclasses.replace(lin, g_matrix=g, c_matrix=c)
+        for freqs in reads:
+            with pytest.raises(AnalysisError) as stacked_err:
+                evaluator._transfer(broken, freqs)
+            with pytest.raises(AnalysisError) as loop_err:
+                ac_reference.ac_transfer(broken, "out", freqs)
+            assert f"{freqs[0]:.3e}" in str(stacked_err.value)
+            assert str(stacked_err.value) == str(loop_err.value)
+
+    def test_cells_scratch_is_filled_in_place(self):
+        lin = _rc_ladder()
+        freqs = np.logspace(3, 6, 7)
+        cells = np.full((lin.size, lin.size, 11), complex(np.nan, 1.0))
+        stack = ac_system_stack(lin, freqs, cells=cells)
+        assert stack.shape == (len(freqs), lin.size, lin.size)
+        assert np.shares_memory(stack, cells)
+        assert stack.tobytes() == ac_system_stack(lin, freqs).tobytes()
+        # Columns past the sweep are left alone.
+        assert np.isnan(cells[:, :, len(freqs):].real).all()

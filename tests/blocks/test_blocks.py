@@ -15,8 +15,9 @@ from repro.blocks import (
 )
 from repro.blocks.comparator import BehavioralComparator
 from repro.blocks.opamp import FoldedCascodeSizing
-from repro.blocks.opamp_library import build_folded_cascode
+from repro.blocks.opamp_library import build_folded_cascode, two_stage_miller_values
 from repro.circuit.builder import CircuitBuilder
+from repro.circuit.elements import Capacitor, CurrentSource, Mosfet, Resistor
 from repro.circuit.netlist import Circuit
 from repro.enumeration.candidates import PipelineCandidate
 from repro.errors import SpecificationError
@@ -85,6 +86,32 @@ class TestTwoStageOpamp:
         i2 = op.device_ops["m2"].ids
         assert i1 == pytest.approx(i2, rel=0.2)
         assert i1 + i2 == pytest.approx(FoldedCascodeSizing().i_tail, rel=0.3)
+
+
+class TestSizingValues:
+    def test_builder_elements_carry_the_values(self):
+        sizing = TwoStageSizing(w_input=31e-6, stage2_ratio=1.7, c_comp=0.8e-12)
+        amp = build_two_stage_miller(CMOS025, sizing)
+        values = two_stage_miller_values(CMOS025, sizing)
+        assert len(values) == len(amp)
+        for element, value in zip(amp, values):
+            if isinstance(element, Mosfet):
+                assert (element.w, element.l) == value
+            elif isinstance(element, CurrentSource):
+                assert element.dc == value
+            elif isinstance(element, Resistor):
+                assert element.resistance == value
+            else:
+                assert isinstance(element, Capacitor)
+                assert element.capacitance == value
+
+    @pytest.mark.parametrize("cls", [TwoStageSizing, FoldedCascodeSizing])
+    @pytest.mark.parametrize("bad", [float("nan"), 0.0, -1e-6])
+    def test_sizing_refuses_nan_and_non_positive_fields(self, cls, bad):
+        with pytest.raises(
+            SpecificationError, match=rf"^{cls.__name__}\.w_input must be positive$"
+        ):
+            cls(w_input=bad)
 
 
 class TestMdacNetwork:

@@ -7,6 +7,9 @@ point and the small-signal model come from the per-element stamp walk
 :class:`~tests.analysis.mna_reference.WalkAssembly`, and its
 ``linearize``), and the amplifier transfer from per-frequency sweeps, one
 per read-out of the staged path (``tests/analysis/ac_reference.py``).
+It also keeps the netlist path per candidate: its ``_bind`` builds the
+candidate's testbench (``_ac_bench``) and walks it, where the compiled
+evaluator writes the sizing's values into a program bound once.
 Everything else (testbench, warm-start chain, margins, transient
 verification, cost) is inherited, so any difference from the compiled
 evaluator comes from the equation path alone.
@@ -36,12 +39,14 @@ class ReferenceEvaluator(HybridEvaluator):
     def evaluate(self, sizing, run_transient: bool = False, reject=None) -> EvalResult:
         return super().evaluate(sizing, run_transient)
 
-    def _bind(self, bench):
-        # No stamp template: solve_dc walks the elements.
-        return WalkAssembly(bench)
+    def _bind(self, sizing):
+        # A testbench per candidate and no stamp template: solve_dc walks
+        # its elements.
+        return WalkAssembly(self._ac_bench(sizing))
 
     def _linearize(self, staged):
-        return linearize(staged.bench, staged.op, include_noise=False)
+        bench = staged.assembly.layout.circuit
+        return linearize(bench, staged.op, include_noise=False)
 
     def _transfer(self, lin, freqs) -> np.ndarray:
         # The seed's per-frequency sweep, once per read-out.
