@@ -158,8 +158,8 @@ def solve_dc(
     ``x0`` (from a previous :class:`DcSolution`) wins over both and enables
     warm starts during optimization loops.  ``assembly`` is a bound
     :class:`repro.analysis.template.MnaTemplate` of ``circuit`` to reuse
-    (an evaluation loop rebinds one per candidate); without it the
-    circuit's cached template is bound for this call, which raises
+    (an evaluation loop writes each candidate's values into one); without
+    it the circuit's cached template is bound for this call, which raises
     :class:`~repro.errors.AnalysisError` for an element kind it cannot
     compile.
     """

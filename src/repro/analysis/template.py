@@ -932,22 +932,16 @@ class BoundMna:
             noise_sources=[],
         )
 
-    # -- value writes --------------------------------------------------------
-
-    def writer(self, indices) -> "ValueWriter":
-        """A :class:`ValueWriter` for the elements at ``indices``."""
-        return ValueWriter(self, indices)
-
 
 class ValueWriter:
     """Writes new values of some elements straight into a :class:`BoundMna`.
 
     A sizing loop that changes only some values of one topology calls it
     per candidate instead of building a netlist and rebinding it.
-    ``writer(values)`` takes one value per element of ``indices`` (their
-    indices in circuit order): a resistance, capacitance, inductance, VCVS
-    gain, VCCS transconductance or independent-source DC value, or a
-    MOSFET's ``(w, l)``.  Each lands in every slot the template recorded
+    ``ValueWriter(bound, indices)(values)`` takes one value per element of
+    ``indices`` (their indices in circuit order): a resistance,
+    capacitance, inductance, VCVS gain, VCCS transconductance or
+    independent-source DC value, or a MOSFET's ``(w, l)``.  Each lands in every slot the template recorded
     for that element at compile time, with :func:`_eval_slots`' arithmetic
     (``1.0 / r``, and a negated slot as ``-value``), and a MOSFET's
     geometry rebuilds its model tuple; so the buffers hold what

@@ -269,7 +269,8 @@ class HybridEvaluator:
             bench = self._ac_bench(sizing)
             bound = self._bound = bind_template(bench)
             # The amplifier's elements come first in the bench.
-            self._write = bound.writer(range(len(bench) - len(self._testbench)))
+            amplifier = range(len(bench) - len(self._testbench))
+            self._write = ValueWriter(bound, amplifier)
         else:
             self._write(two_stage_miller_values(self.tech, sizing))
         return bound

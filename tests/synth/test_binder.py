@@ -23,18 +23,8 @@ from hypothesis import strategies as st
 import repro.synth.evaluator as evaluator_module
 import repro.synth.synthesis
 from repro.analysis.dc import _package
-from repro.analysis.template import bind_template
+from repro.analysis.template import ValueWriter, bind_template
 from repro.circuit.builder import CircuitBuilder
-from repro.circuit.elements import (
-    Capacitor,
-    CurrentSource,
-    Inductor,
-    Mosfet,
-    Resistor,
-    Vccs,
-    Vcvs,
-    VoltageSource,
-)
 from repro.circuit.netlist import Circuit
 from repro.enumeration.candidates import PipelineCandidate, enumerate_candidates
 from repro.errors import AnalysisError
@@ -76,7 +66,8 @@ def assert_same_program(written, fresh, x: np.ndarray) -> None:
     """Same slots, systems, operating points and linearization at ``x``."""
     assert bound_state(written) == bound_state(fresh)
     for gmin, scale in STEPS:
-        assert_same_bytes(fresh.residual(x, gmin, scale), written.residual(x, gmin, scale))
+        resid = written.residual(x, gmin, scale)
+        assert_same_bytes(fresh.residual(x, gmin, scale), resid)
         assert_same_bytes(fresh.jacobian(gmin), written.jacobian(gmin))
     assert_same_bytes(fresh._fused.e, written._fused.e)
     assert_same_bytes(fresh._fused.inj, written._fused.inj)
@@ -115,18 +106,14 @@ class TestEvaluatorWrites:
             assert written.template is fresh.template
             assert_same_program(written, fresh, _fixed_point(evaluator, fresh, rng))
 
-    def test_one_program_per_evaluator(self):
-        mdac = FIG2_MDACS[0]
-        evaluator = HybridEvaluator(mdac, CMOS025)
-        space = two_stage_space(mdac, CMOS025)
-        rng = np.random.default_rng(4)
-        bound = evaluator._bind(space.decode(rng.random(space.dimension)))
-        for _ in range(3):
-            assert evaluator._bind(space.decode(rng.random(space.dimension))) is bound
-
 
 class TestValueWriter:
     """The writer on every writable element kind, against a fresh bind."""
+
+    #: Values of the first eight elements of :meth:`_circuit`: a resistor,
+    #: capacitor, inductor, VCVS, VCCS, voltage and current source and a
+    #: MOSFET, every kind the writer takes.
+    FIRST = (1e3, 1e-12, 1e-6, 2.5, 1e-3, 1.0, 1e-4, (2e-6, 0.5e-6))
 
     @staticmethod
     def _circuit(values) -> Circuit:
@@ -146,9 +133,8 @@ class TestValueWriter:
         return b.circuit
 
     def test_every_kind_equals_a_fresh_bind(self):
-        first = (1e3, 1e-12, 1e-6, 2.5, 1e-3, 1.0, 1e-4, (2e-6, 0.5e-6))
-        bound = bind_template(self._circuit(first))
-        write = bound.writer(range(len(first)))
+        bound = bind_template(self._circuit(self.FIRST))
+        write = ValueWriter(bound, range(len(self.FIRST)))
         rng = np.random.default_rng(7)
         for _ in range(4):
             r, c, l, gain, gm, vdc, idc, w = rng.uniform(0.5, 2.0, size=8)
@@ -168,24 +154,12 @@ class TestValueWriter:
         b.r("b", "gnd", 1e3, name="r1")
         bound = bind_template(b.circuit)
         with pytest.raises(AnalysisError, match="switch 's1' is not writable"):
-            bound.writer([1])
+            ValueWriter(bound, [1])
 
     def test_index_must_name_an_element(self):
-        bound = bind_template(self._circuit(
-            (1e3, 1e-12, 1e-6, 2.5, 1e-3, 1.0, 1e-4, (2e-6, 0.5e-6))
-        ))
+        bound = bind_template(self._circuit(self.FIRST))
         with pytest.raises(AnalysisError, match="no element at index 11"):
-            bound.writer([0, 11])
-
-    def test_written_kinds(self):
-        # The circuit above covers every kind the writer takes.
-        kinds = {type(e) for e in self._circuit(
-            (1e3, 1e-12, 1e-6, 2.5, 1e-3, 1.0, 1e-4, (2e-6, 0.5e-6))
-        ).elements[:8]}
-        assert kinds == {
-            Resistor, Capacitor, Inductor, Vcvs, Vccs, VoltageSource,
-            CurrentSource, Mosfet,
-        }
+            ValueWriter(bound, [0, 11])
 
 
 def test_synthesis_builds_no_netlist_per_candidate(monkeypatch):
