@@ -50,9 +50,9 @@ compiled search rejected no candidate at one of the three ``reject``
 stages (after the DC solve, the gain point, the top of the loop grid), when
 the staged AC read-out's bytes differ from the per-frequency loop, when a
 value the ``bind`` stage writes differs from the netlist rebind's (it has
-no speed floor: this host's run-to-run spread is wider than any useful
-one), when the compiled transient step is slower than the walk or its waveform bytes
-differ, when the
+no speed floor: a shared host's run-to-run spread is wider than any
+useful one), when the compiled transient step is slower than the walk or
+its waveform bytes differ, when the
 behavioral batch kernel is not bit-identical to the scalar walk, misses
 its 5x floor at 256 draws, or its ``tracemalloc`` peak on the campaign's
 13-bit 3-2-2-2-2 plan at 256 draws exceeds 1.25x its own output arrays,
