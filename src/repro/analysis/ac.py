@@ -17,6 +17,7 @@ def ac_system_stack(
     out: np.ndarray | None = None,
     *,
     cells: np.ndarray | None = None,
+    s: np.ndarray | None = None,
 ) -> np.ndarray:
     """The stacked complex MNA matrices ``G + s_k C``, shape (F, n, n).
 
@@ -25,10 +26,13 @@ def ac_system_stack(
     complex) is filled in place and returned when given.  ``cells``, a
     frequency-last complex scratch of shape (n, n, F') with F' >= F, lets a
     tight evaluation loop reuse one buffer: its first F columns are filled
-    and their transposed (F, n, n) view is returned.
+    and their transposed (F, n, n) view is returned.  ``s``, the Laplace
+    variable ``2j * pi * f`` of each frequency, is computed here unless the
+    caller holds it.
     """
     frequencies_hz = np.asarray(frequencies_hz, dtype=float)
-    s = 2j * math.pi * frequencies_hz
+    if s is None:
+        s = 2j * math.pi * frequencies_hz
     n, count = linear.size, len(frequencies_hz)
     if cells is not None:
         cells = cells[:, :, :count]
