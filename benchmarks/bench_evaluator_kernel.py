@@ -41,7 +41,7 @@ from repro.engine.persist import sizing_digest
 from repro.enumeration.candidates import PipelineCandidate
 from repro.specs import AdcSpec, plan_stages
 from repro.synth import HybridEvaluator, synthesize_mdac, two_stage_space
-from repro.synth.evaluator import _GAIN_POINT, _LOOP_FREQS
+from repro.synth.evaluator import _GAIN_FREQS, _LOOP_FREQS
 from repro.tech import CMOS025
 from tests.analysis import ac_reference
 from tests.synth.evaluator_reference import ReferenceEvaluator
@@ -66,13 +66,13 @@ def staged_read_out(evaluator: HybridEvaluator, sizing):
     assert staged.op is not None
     lin = evaluator._linearize(staged)
     k0 = evaluator._k0
-    reads = (_GAIN_POINT, slice(k0, None), slice(1, k0))
+    reads = (_GAIN_FREQS, _LOOP_FREQS[k0:], _LOOP_FREQS[1:k0])
 
     def legacy():
-        return [ac_reference.ac_transfer(lin, "out", _LOOP_FREQS[p]) for p in reads]
+        return [ac_reference.ac_transfer(lin, "out", f) for f in reads]
 
     def batched():
-        return [evaluator._transfer(lin, p) for p in reads]
+        return [evaluator._transfer(lin, f) for f in reads]
 
     gain, top, bottom = batched()
     joined = np.concatenate((gain, bottom, top))

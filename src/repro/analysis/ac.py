@@ -15,33 +15,23 @@ def ac_system_stack(
     linear: LinearizedCircuit,
     frequencies_hz: np.ndarray,
     out: np.ndarray | None = None,
-    *,
-    cells: np.ndarray | None = None,
-    s: np.ndarray | None = None,
 ) -> np.ndarray:
     """The stacked complex MNA matrices ``G + s_k C``, shape (F, n, n).
 
     Each slice is elementwise identical to ``linear.system_at(s_k)`` — the
     broadcastable form batched solvers consume.  ``out`` (same shape,
-    complex) is filled in place and returned when given.  ``cells``, a
-    frequency-last complex scratch of shape (n, n, F') with F' >= F, lets a
-    tight evaluation loop reuse one buffer: its first F columns are filled
-    and their transposed (F, n, n) view is returned.  ``s``, the Laplace
-    variable ``2j * pi * f`` of each frequency, is computed here unless the
-    caller holds it.
+    complex) is filled in place and returned when given, letting tight
+    evaluation loops reuse one scratch buffer.  The fill runs
+    frequency-last, so an ``out`` that is the transposed (F, n, n) view of
+    an (n, n, F) buffer fills contiguous rows; the default allocation is
+    such a view.
     """
     frequencies_hz = np.asarray(frequencies_hz, dtype=float)
-    if s is None:
-        s = 2j * math.pi * frequencies_hz
-    n, count = linear.size, len(frequencies_hz)
-    if cells is not None:
-        cells = cells[:, :, :count]
-        out = cells.transpose(2, 0, 1)
-    elif out is None:
-        cells = np.empty((n, n, count), dtype=complex)
-        out = cells.transpose(2, 0, 1)
-    else:
-        cells = out.transpose(1, 2, 0)
+    s = 2j * math.pi * frequencies_hz
+    if out is None:
+        n = linear.size
+        out = np.empty((n, n, len(frequencies_hz)), dtype=complex).transpose(2, 0, 1)
+    cells = out.transpose(1, 2, 0)
     # Filled frequency-last: each matrix cell's frequencies are one
     # contiguous row.  G is broadcast along every row, then s*C is added
     # only on the rows of C's nonzero cells.  Bit-identical to the dense

@@ -157,9 +157,12 @@ def solve_dc(
     ``initial_guess`` optionally seeds node voltages by net name;
     ``x0`` (from a previous :class:`DcSolution`) wins over both and enables
     warm starts during optimization loops.  ``assembly`` is a bound
-    :class:`repro.analysis.template.MnaTemplate` of ``circuit`` to reuse
-    (an evaluation loop writes each candidate's values into one); without
-    it the circuit's cached template is bound for this call, which raises
+    :class:`repro.analysis.template.MnaTemplate` of ``circuit``'s topology
+    to reuse, and the values it holds are the ones solved: an evaluation
+    loop writes each candidate's values into one
+    (:class:`~repro.analysis.template.ValueWriter`) and passes the circuit
+    it was bound to, of which only the name is read.  Without it the
+    circuit's cached template is bound for this call, which raises
     :class:`~repro.errors.AnalysisError` for an element kind it cannot
     compile.
     """

@@ -755,6 +755,12 @@ class BoundMna:
     share mutable state; the structure arrays on the parent
     :class:`MnaTemplate` are read-only.  A DC Newton iterate calls
     :meth:`residual`, and :meth:`jacobian` only when it takes a step.
+
+    The buffers are what every analysis reads.  Once a
+    :class:`ValueWriter` has written into them, :attr:`circuit` and
+    :attr:`layout` (and the layout of every :meth:`linearize` result) carry
+    the names and topology only: their elements keep the values last
+    bound, not the ones the program holds.
     """
 
     def __init__(self, template: MnaTemplate, circuit: Circuit):
@@ -941,11 +947,12 @@ class ValueWriter:
     ``ValueWriter(bound, indices)(values)`` takes one value per element of
     ``indices`` (their indices in circuit order): a resistance,
     capacitance, inductance, VCVS gain, VCCS transconductance or
-    independent-source DC value, or a MOSFET's ``(w, l)``.  Each lands in every slot the template recorded
-    for that element at compile time, with :func:`_eval_slots`' arithmetic
-    (``1.0 / r``, and a negated slot as ``-value``), and a MOSFET's
-    geometry rebuilds its model tuple; so the buffers hold what
-    :meth:`BoundMna.rebind` would read from a netlist carrying the values.
+    independent-source DC value, or a MOSFET's ``(w, l)``.  Each lands in
+    every slot the template recorded for that element at compile time,
+    with :func:`_eval_slots`' arithmetic (``1.0 / r``, and a negated slot
+    as ``-value``), and a MOSFET's geometry rebuilds its model tuple; so
+    the buffers hold what :meth:`BoundMna.rebind` would read from a
+    netlist carrying the values.
 
     Source ``ac`` values, device parameters and multipliers keep their
     bound values, and ``bound.circuit`` stays the circuit last bound, so

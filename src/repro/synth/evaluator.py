@@ -76,15 +76,15 @@ _SIGNAL_DEVICES = ("m1", "m2", "m3", "m4", "m6", "m7", "mtail")
 #: Frequency used for the DC-gain read-out [Hz].
 _DC_GAIN_FREQ = 1e3
 
+#: The DC-gain read-out as a one-point sweep.
+_GAIN_FREQS = np.array([_DC_GAIN_FREQ])
+
 #: Loop-gain sweep grid [Hz] (the legacy ``_loop_margin`` grid).
 _LOOP_FREQS = np.logspace(3, 11, 241)
 
 # The gain point is the grid's first point, so the read-out
 # [gain point | bottom | top] is the whole grid.
 assert _LOOP_FREQS[0] == _DC_GAIN_FREQ
-
-#: The DC-gain read-out: the loop grid's first point.
-_GAIN_POINT = slice(0, 1)
 
 #: The top of the loop grid starts at the first point at or above the
 #: required closed-loop bandwidth divided by this.
@@ -234,11 +234,8 @@ class HybridEvaluator:
         #: The loop grid's split: the bottom is ``_LOOP_FREQS[1:k0]`` and
         #: the top ``_LOOP_FREQS[k0:]``.
         self._k0 = _split_index(mdac.closed_loop_bw_hz)
-        #: Frequency-last scratch for the per-candidate AC system stack, and
-        #: the Laplace variable ``2j * pi * f`` over the loop grid, which
-        #: each read-out slices.
+        #: Frequency-last scratch for the per-candidate AC system stack.
         self._ac_cells: np.ndarray | None = None
-        self._loop_s = 2j * math.pi * _LOOP_FREQS
         #: The testbench's bound stamp program, bound once, and the writer
         #: of the amplifier's values into it.
         self._bound: BoundMna | None = None
@@ -278,16 +275,17 @@ class HybridEvaluator:
             self._write(two_stage_miller_values(self.tech, sizing))
         return bound
 
-    def _read_out(self, lin: LinearizedCircuit, part: slice) -> np.ndarray:
+    def _read_out(self, lin: LinearizedCircuit, freqs: np.ndarray) -> np.ndarray:
         """:meth:`_transfer`, counted in :attr:`ac_points`."""
-        self.ac_points += len(_LOOP_FREQS[part])
-        return self._transfer(lin, part)
+        self.ac_points += len(freqs)
+        return self._transfer(lin, freqs)
 
-    def _transfer(self, lin: LinearizedCircuit, part: slice) -> np.ndarray:
-        """Amplifier transfer to ``out`` over ``_LOOP_FREQS[part]``.
+    def _transfer(self, lin: LinearizedCircuit, freqs: np.ndarray) -> np.ndarray:
+        """Amplifier transfer to ``out`` over ``freqs``: one stacked solve.
 
-        One stacked solve: the system stack fills a per-evaluator
-        frequency-last scratch sized for the loop grid (see
+        The system stack fills a per-evaluator frequency-last (n, n, F)
+        scratch sized for the loop grid, through the (F, n, n) view of its
+        first ``len(freqs)`` columns (see
         :func:`~repro.analysis.ac.ac_system_stack`).
         """
         n = lin.size
@@ -295,8 +293,8 @@ class HybridEvaluator:
         if cells is None or cells.shape[0] != n:
             cells = np.empty((n, n, len(_LOOP_FREQS)), dtype=complex)
             self._ac_cells = cells
-        freqs = _LOOP_FREQS[part]
-        stack = ac_system_stack(lin, freqs, cells=cells, s=self._loop_s[part])
+        out = cells[:, :, : len(freqs)].transpose(2, 0, 1)
+        stack = ac_system_stack(lin, freqs, out=out)
         return solve_ac_stack(stack, lin.b_ac, freqs)[:, lin.index("out")]
 
     # -- testbench -----------------------------------------------------------
@@ -350,7 +348,7 @@ class HybridEvaluator:
             return partial
         try:
             lin = self._linearize(staged)
-            gain_point = self._read_out(lin, _GAIN_POINT)
+            gain_point = self._read_out(lin, _GAIN_FREQS)
         except (AnalysisError, ReproError):
             return self._infeasible(sizing)
         dc_gain = abs(float(np.real(gain_point[0])))
@@ -360,16 +358,14 @@ class HybridEvaluator:
         )
         if self._rejects(reject, gained, "gain"):
             return gained
-        top_part = slice(self._k0, None)
+        top_freqs = _LOOP_FREQS[self._k0 :]
         try:
-            top = self._read_out(lin, top_part)
+            top = self._read_out(lin, top_freqs)
         except (AnalysisError, ReproError):
             return self._infeasible(sizing)
         if reject is not None and not run_transient:
             bandwidth = _top_bandwidth_violation(
-                self.mdac.closed_loop_bw_hz,
-                _LOOP_FREQS[top_part],
-                np.abs(top) * self.network.beta,
+                self.mdac.closed_loop_bw_hz, top_freqs, np.abs(top) * self.network.beta
             )
             partial = self._partial(
                 staged,
@@ -379,7 +375,7 @@ class HybridEvaluator:
             if self._rejects(reject, partial, "bandwidth"):
                 return partial
         try:
-            bottom = self._read_out(lin, slice(1, self._k0))
+            bottom = self._read_out(lin, _LOOP_FREQS[1 : self._k0])
         except (AnalysisError, ReproError):
             return self._infeasible(sizing)
         loop = np.concatenate((gain_point, bottom, top))
@@ -489,6 +485,7 @@ class HybridEvaluator:
         """:func:`solve_dc` on ``assembly``, counted in :attr:`dc_solves`
         and :attr:`newton_iterations`."""
         self.dc_solves += 1
+        # The bound circuit names the solve; the program holds the values.
         op = solve_dc(assembly.layout.circuit, assembly=assembly, **start)
         self.newton_iterations += op.iterations
         return op

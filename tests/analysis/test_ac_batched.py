@@ -22,7 +22,7 @@ from repro.enumeration.candidates import PipelineCandidate
 from repro.errors import AnalysisError
 from repro.specs import AdcSpec, plan_stages
 from repro.synth import HybridEvaluator, two_stage_space
-from repro.synth.evaluator import _GAIN_POINT, _LOOP_FREQS
+from repro.synth.evaluator import _GAIN_FREQS, _LOOP_FREQS
 from repro.tech import CMOS025
 from tests.analysis import ac_reference
 
@@ -189,7 +189,7 @@ def _opamp_linears(index: int, count: int, seed: int):
         if staged.op is not None:
             linears.append(evaluator._linearize(staged))
     k0 = evaluator._k0
-    return evaluator, linears, (_GAIN_POINT, slice(k0, None), slice(1, k0))
+    return evaluator, linears, (_GAIN_FREQS, _LOOP_FREQS[k0:], _LOOP_FREQS[1:k0])
 
 
 class TestFrequencyLastReadOut:
@@ -199,9 +199,9 @@ class TestFrequencyLastReadOut:
     def test_read_outs_equal_the_loop(self, index, seed):
         evaluator, linears, reads = _opamp_linears(index, 3, seed)
         for lin in linears:
-            for part in reads:
-                loop = ac_reference.ac_transfer(lin, "out", _LOOP_FREQS[part])
-                assert evaluator._transfer(lin, part).tobytes() == loop.tobytes()
+            for freqs in reads:
+                loop = ac_reference.ac_transfer(lin, "out", freqs)
+                assert evaluator._transfer(lin, freqs).tobytes() == loop.tobytes()
 
     def test_zero_and_nan_capacitance_cells(self):
         # A structural C cell that is exactly 0.0 gets no s*C term, as the
@@ -214,9 +214,9 @@ class TestFrequencyLastReadOut:
         nan[rows[-1], cols[-1]] = np.nan
         for c_matrix in (zero, nan):
             changed = dataclasses.replace(lin, c_matrix=c_matrix)
-            for part in reads:
-                loop = ac_reference.ac_transfer(changed, "out", _LOOP_FREQS[part])
-                got = evaluator._transfer(changed, part)
+            for freqs in reads:
+                loop = ac_reference.ac_transfer(changed, "out", freqs)
+                got = evaluator._transfer(changed, freqs)
                 assert got.tobytes() == loop.tobytes()
         assert np.isnan(evaluator._transfer(changed, reads[1])).any()
 
@@ -228,21 +228,23 @@ class TestFrequencyLastReadOut:
         g[row, :] = 0.0
         c[row, :] = 0.0
         broken = dataclasses.replace(lin, g_matrix=g, c_matrix=c)
-        for part in reads:
+        for freqs in reads:
             with pytest.raises(AnalysisError) as stacked_err:
-                evaluator._transfer(broken, part)
+                evaluator._transfer(broken, freqs)
             with pytest.raises(AnalysisError) as loop_err:
-                ac_reference.ac_transfer(broken, "out", _LOOP_FREQS[part])
-            assert f"{_LOOP_FREQS[part][0]:.3e}" in str(stacked_err.value)
+                ac_reference.ac_transfer(broken, "out", freqs)
+            assert f"{freqs[0]:.3e}" in str(stacked_err.value)
             assert str(stacked_err.value) == str(loop_err.value)
 
-    def test_cells_scratch_is_filled_in_place(self):
+    def test_frequency_last_out_is_filled_in_place(self):
+        # The evaluator's scratch: an (n, n, F') buffer filled through the
+        # (F, n, n) view of its first F columns.
         lin = _rc_ladder()
         freqs = np.logspace(3, 6, 7)
         cells = np.full((lin.size, lin.size, 11), complex(np.nan, 1.0))
-        stack = ac_system_stack(lin, freqs, cells=cells)
-        assert stack.shape == (len(freqs), lin.size, lin.size)
-        assert np.shares_memory(stack, cells)
+        out = cells[:, :, : len(freqs)].transpose(2, 0, 1)
+        stack = ac_system_stack(lin, freqs, out=out)
+        assert stack is out
         assert stack.tobytes() == ac_system_stack(lin, freqs).tobytes()
         # Columns past the sweep are left alone.
         assert np.isnan(cells[:, :, len(freqs):].real).all()

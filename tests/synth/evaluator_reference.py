@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.synth.evaluator import _LOOP_FREQS, EvalResult, HybridEvaluator
+from repro.synth.evaluator import EvalResult, HybridEvaluator
 from tests.analysis.ac_reference import ac_transfer
 from tests.analysis.mna_reference import WalkAssembly, linearize
 
@@ -48,6 +48,6 @@ class ReferenceEvaluator(HybridEvaluator):
         bench = staged.assembly.layout.circuit
         return linearize(bench, staged.op, include_noise=False)
 
-    def _transfer(self, lin, part) -> np.ndarray:
+    def _transfer(self, lin, freqs) -> np.ndarray:
         # The seed's per-frequency sweep, once per read-out.
-        return ac_transfer(lin, "out", _LOOP_FREQS[part])
+        return ac_transfer(lin, "out", freqs)

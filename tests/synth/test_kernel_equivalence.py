@@ -300,21 +300,20 @@ class _LoopGridFails(HybridEvaluator):
     The top of the grid is solved first, so the bandwidth is never asked.
     """
 
-    def _transfer(self, lin, part):
-        if len(_LOOP_FREQS[part]) > 1:
+    def _transfer(self, lin, freqs):
+        if len(freqs) > 1:
             raise AnalysisError("forced loop-grid failure")
-        return super()._transfer(lin, part)
+        return super()._transfer(lin, freqs)
 
 
 class _LoopBottomFails(HybridEvaluator):
     """Only the bottom of the loop grid raises, after all three asks."""
 
-    def _transfer(self, lin, part):
+    def _transfer(self, lin, freqs):
         # The top always ends at the grid's last point; the bottom never does.
-        freqs = _LOOP_FREQS[part]
         if len(freqs) > 1 and freqs[-1] != _LOOP_FREQS[-1]:
             raise AnalysisError("forced failure of the loop grid's bottom")
-        return super()._transfer(lin, part)
+        return super()._transfer(lin, freqs)
 
 
 def _bounds_and_results(evaluator_cls, tech, mdac, points):
