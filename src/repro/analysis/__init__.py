@@ -1,9 +1,12 @@
 """Circuit analysis engines built on modified nodal analysis (MNA).
 
-The paper's hybrid evaluation needs exactly four capabilities, all provided
-here on top of dense numpy linear algebra (opamp-scale circuits have tens of
-nodes, so sparsity machinery would be overhead):
+The paper's hybrid evaluation needs the capabilities below, all provided
+here on top of dense numpy linear algebra (opamp-scale circuits have tens
+of nodes, so sparsity machinery would be overhead):
 
+* :mod:`repro.analysis.template` — the compiled MNA stamp program that
+  the DC, small-signal and transient analyses run on: one compile per
+  circuit topology, one bind per circuit;
 * :mod:`repro.analysis.dc` — Newton operating-point solver with gmin and
   source stepping homotopies ("DC simulation to extract small-signal values");
 * :mod:`repro.analysis.smallsignal` / :mod:`repro.analysis.ac` — linearized

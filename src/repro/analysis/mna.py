@@ -57,8 +57,10 @@ class MnaLayout:
         """A shallow rebind of this layout onto a same-topology circuit.
 
         Index maps are shared (they depend only on the topology); the
-        circuit reference — which analyses walk for element *values* — is
-        swapped, so a cached layout never leaks stale values.
+        circuit reference — which analyses walk for element *values* and
+        errors name — is swapped, so each bind of a compiled template
+        (:class:`repro.analysis.template.MnaTemplate`, which owns its
+        topology's one layout) reads and names its own circuit.
         """
         clone = object.__new__(MnaLayout)
         clone.circuit = circuit
@@ -122,32 +124,3 @@ class LinearizedCircuit:
     def system_at(self, s: complex) -> np.ndarray:
         """The complex MNA matrix G + s*C."""
         return self.g_matrix + s * self.c_matrix
-
-
-# ---------------------------------------------------------------------------
-# Layout cache.
-# ---------------------------------------------------------------------------
-
-#: topology_key -> MnaLayout.  Bounded: cleared wholesale when it outgrows
-#: _LAYOUT_CACHE_MAX (a sizing loop touches a handful of topologies; the
-#: bound only guards pathological enumeration workloads).
-_LAYOUT_CACHE: dict[tuple, MnaLayout] = {}
-_LAYOUT_CACHE_MAX = 256
-
-def layout_for(circuit: Circuit) -> MnaLayout:
-    """The MNA layout of ``circuit``, cached by circuit topology.
-
-    Repeated analyses of the same testbench *topology* (every Newton
-    iteration, every candidate of a sizing loop) share one index-map
-    construction; the returned layout is rebound to the live circuit so
-    element values are always read from the caller's instance.
-    """
-    key = circuit.topology_key()
-    cached = _LAYOUT_CACHE.get(key)
-    if cached is None:
-        if len(_LAYOUT_CACHE) >= _LAYOUT_CACHE_MAX:
-            _LAYOUT_CACHE.clear()
-        cached = MnaLayout(circuit)
-        _LAYOUT_CACHE[key] = cached
-        return cached
-    return cached.with_circuit(circuit)

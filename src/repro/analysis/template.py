@@ -7,39 +7,42 @@ per-element walk would dispatch on ``isinstance`` and issue one scalar
 for a sizing loop that evaluates hundreds of candidates on the same
 testbench topology that is almost pure interpreter overhead.
 
-This module compiles a circuit *topology* once into flat stamp programs:
+This module compiles a circuit *topology* once, in one pass over its
+elements, into flat stamp programs:
 
 * :class:`MnaTemplate` (cached per :meth:`repro.circuit.netlist.Circuit.topology_key`)
-  records every scalar stamp the element walk would emit — row/column
-  index arrays in exact emission order, plus value *slots* classified by
-  origin (element constants, MOSFET small-signal quantities, source
-  injections) — and lays the DC residual out as one fused program (see
-  the class);
-* :meth:`MnaTemplate.bind` fills the constant slots from a concrete
-  circuit's element values, producing a :class:`BoundMna`.  Its
-  :meth:`~BoundMna.residual` builds a Newton residual with one gather
-  pair, one affine map, one signed gather and one ``np.bincount``;
-  :meth:`~BoundMna.jacobian`, which Newton calls only for an iterate that
-  takes a step, and :meth:`~BoundMna.linearize` sum their ordered entries
-  with one ``np.bincount`` per matrix;
-* :class:`ValueWriter` writes new values of chosen elements straight into
-  a bound program's slots, so a sizing loop over one topology binds once
-  instead of building and rebinding a netlist per candidate;
+  owns the topology's :class:`~repro.analysis.mna.MnaLayout` and records
+  every scalar stamp the element walk would emit — row/column index
+  arrays in exact emission order for the DC jacobian and the small-signal
+  G and C matrices, the DC residual as one fused program (see the class)
+  and the capacitances the DC program leaves open — plus one value-slot
+  table, :attr:`MnaTemplate.slots`: per element, the opcode of its value
+  and every ``(buffer, position, negate)`` slot the value lands in;
+* :meth:`MnaTemplate.bind` writes the unit and zero stamps and fills the
+  slots from a concrete circuit's element values, producing a
+  :class:`BoundMna`.  Its :meth:`~BoundMna.residual` builds a Newton
+  residual with one gather pair, one affine map, one signed gather and
+  one ``np.bincount``; :meth:`~BoundMna.jacobian`, which Newton calls only
+  for an iterate that takes a step, and :meth:`~BoundMna.linearize` sum
+  their ordered entries with one ``np.bincount`` per matrix;
+* :class:`ValueWriter` writes new values of chosen elements through the
+  same slot table, so a sizing loop over one topology binds once instead
+  of building and rebinding a netlist per candidate;
 * :func:`repro.analysis.dc.solve_dc` binds the circuit's template when
   its caller passes none, and :func:`repro.analysis.smallsignal.linearize`
   takes G, C and ``b_ac`` from the bound program;
 * :func:`repro.analysis.transient.simulate_transient` steps on a bound DC
-  program too: it refreshes the switch and source values per timestep and
-  appends inductor and capacitor companions to the same layout, which is
-  why the template also records the capacitances the DC program leaves
-  open.
+  program too: it finds the switch and source slots in the slot table,
+  refreshes their values per timestep and appends inductor and capacitor
+  companions to the same layout.
 
-Value slots are pure data — ``(opcode, element index, negate)`` triples,
-the index in circuit order, which a topology-key match fixes — so a
-compiled template is picklable.  Index arrays live on the
-template; binding and rebinding only fill values.  Templates are cached
-per process by topology key; the ``template.compiled`` counter of
-:mod:`repro.obs.metrics` counts compiles.
+Templates are pure data — index arrays, slot tables and the layout — so a
+compiled template is picklable; binding and rebinding only fill values.
+Each bind views the template's layout through its own circuit
+(:meth:`~repro.analysis.mna.MnaLayout.with_circuit`), so an error names
+the caller's circuit.  Templates are cached per process by topology key;
+the ``template.compiled`` counter of :mod:`repro.obs.metrics` counts
+compiles.
 
 **Bit-identity contract.**  The compiled programs reproduce the element
 walk's floating-point results *bit for bit*: the entry arrays list every
@@ -68,7 +71,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.mna import GROUND, LinearizedCircuit, MnaLayout, layout_for
+from repro.analysis.mna import GROUND, LinearizedCircuit, MnaLayout
 from repro.circuit.elements import (
     Capacitor,
     CurrentSource,
@@ -98,88 +101,51 @@ _KIND_GM, _KIND_GDS, _KIND_GMB, _KIND_GSUM = 0, 1, 2, 3
 _CAP_KINDS = ("cgs", "cgd", "cgb", "cdb", "csb")
 
 # ---------------------------------------------------------------------------
-# Constant-slot opcodes.
+# The value-slot table.
 #
-# Every non-MOSFET value slot reduces to "extract one element attribute,
-# optionally negated".  Recording slots as (opcode, element index, negate)
-# data —
-# instead of closures — keeps the compiled template picklable.  Negation (not a
-# sign multiply) reproduces the walk's ``-value`` stamps bit-for-bit.
+# Every non-MOSFET element value lands in one or more slots of a bound
+# program's value buffers.  The template records them as data, per element
+# index an opcode and ``(buffer, position, negate)`` triples, instead of
+# closures, which keeps it picklable.  Negation (not a sign multiply)
+# reproduces the walk's ``-value`` stamps bit for bit.
 # ---------------------------------------------------------------------------
 
-_OP_ONE = 0  # 1.0 (branch-row unit stamps)
-_OP_RES_INV = 1  # 1 / resistance
-_OP_SW_INV = 2  # 1 / resistance_at(0.0)
-_OP_CAP = 3  # capacitance
-_OP_IND = 4  # inductance
-_OP_GAIN = 5  # VCVS gain
-_OP_GM = 6  # VCCS transconductance
-_OP_DC = 7  # independent-source DC value
-_OP_ZERO = 8  # 0.0 (inductor DC short constraint)
+#: A bound program's value buffers, in the order :attr:`BoundMna._buffers`
+#: lists them: DC jacobian entries, the fused residual's affine
+#: coefficients, voltage-source and current-source DC values, VCVS gains,
+#: and the small-signal G and C entries.
+_BUF_J, _BUF_AFF, _BUF_VDC, _BUF_INJ, _BUF_GAIN, _BUF_G, _BUF_C = range(7)
+
+#: Value opcodes: the attribute an element's slots hold.  A resistor's and
+#: a switch's slots hold its conductance, ``1.0 / r``.
+_OP_RES_INV, _OP_SW_INV, _OP_CAP, _OP_IND, _OP_GAIN, _OP_GM, _OP_DC = range(7)
+_ATTRIBUTES = (None, None, "capacitance", "inductance", "gain", "gm", "dc")
 
 
-def _eval_slots(
-    elements: tuple, slots: tuple[tuple[int, int, bool], ...]
-) -> list[float]:
-    """Evaluate a slot table on a circuit's ``elements``, in circuit order.
-
-    The element index of a constant opcode is -1; ``negate`` replays the
-    walk's ``-value``.
-    """
-    out = []
-    append = out.append
-    for op, k, negate in slots:
-        if op == _OP_ONE:
-            value = 1.0
-        elif op == _OP_RES_INV:
-            value = 1.0 / elements[k].resistance
-        elif op == _OP_CAP:
-            value = elements[k].capacitance
-        elif op == _OP_DC:
-            value = elements[k].dc
-        elif op == _OP_SW_INV:
-            value = 1.0 / elements[k].resistance_at(0.0)
-        elif op == _OP_IND:
-            value = elements[k].inductance
-        elif op == _OP_GAIN:
-            value = elements[k].gain
-        elif op == _OP_GM:
-            value = elements[k].gm
-        elif op == _OP_ZERO:
-            value = 0.0
-        else:  # pragma: no cover
-            raise AnalysisError(f"unknown template slot opcode {op}")
-        append(-value if negate else value)
-    return out
+def _slot_value(op: int, element) -> float:
+    """The value ``element`` writes into its slots, before negation."""
+    if op == _OP_RES_INV:
+        return 1.0 / element.resistance
+    if op == _OP_SW_INV:
+        return 1.0 / element.resistance_at(0.0)
+    return getattr(element, _ATTRIBUTES[op])
 
 
 class _Coo:
     """Ordered COO recorder: one entry per scalar ``+=`` of the element walk.
 
-    ``pos`` of an appended entry is its index in the final value buffer;
-    callers remember positions of non-constant slots so they can be
-    refreshed each iteration.
+    ``append`` returns the entry's position in its value buffer.
     """
 
-    def __init__(self):
+    def __init__(self, buffer: int):
+        self.buffer = buffer
         self.rows: list[int] = []
         self.cols: list[int] = []
-        #: Constant-slot positions and their (opcode, element index, negate)
-        #: slots.
-        self.const_pos: list[int] = []
-        self.const_slots: list[tuple[int, int, bool]] = []
 
     def append(self, row: int, col: int) -> int:
         self.rows.append(row)
         self.cols.append(col)
         return len(self.rows) - 1
-
-    def append_const(
-        self, row: int, col: int, op: int, ei: int = -1, negate: bool = False
-    ) -> None:
-        pos = self.append(row, col)
-        self.const_pos.append(pos)
-        self.const_slots.append((op, ei, negate))
 
     def flat(self, n: int) -> np.ndarray:
         """Row-major cell index ``row * n + col`` of every entry."""
@@ -198,7 +164,13 @@ class MnaTemplate:
     Build via :func:`template_for` (cached) or directly from a prototype
     circuit; call :meth:`bind` with any same-topology circuit to obtain a
     value-carrying :class:`BoundMna`.  Instances are pure data (index
-    arrays plus opcode slot tables) and therefore picklable.
+    arrays, slot tables and the topology's :class:`MnaLayout`) and
+    therefore picklable.
+
+    One pass over the elements records every program: the DC jacobian's
+    and the small-signal G and C matrices' entries, the fused DC residual,
+    the capacitances the DC program leaves open (for the transient's
+    companions) and :attr:`slots`, where each element's value lands.
 
     The DC residual is a *fused layout*.  Every residual entry the element
     walk adds, in its order, is ``sign * buf[src]`` over one buffer
@@ -214,189 +186,216 @@ class MnaTemplate:
 
     def __init__(self, circuit: Circuit):
         self.key = circuit.topology_key()
-        self.layout = layout_for(circuit)
-        layout = self.layout
+        #: The topology's layout; each bind takes a view naming its circuit.
+        self.layout = layout = MnaLayout(circuit)
+        index = layout.index
         n = layout.size
         self.size = n
         self.n_nodes = len(layout.nets)
-        #: Ground maps to the extra slot ``n`` of the extended vector.
-        ground_slot = n
 
         def xi(net: str) -> int:
-            idx = layout.index(net)
-            return ground_slot if idx == GROUND else idx
+            """Slot of a net in the ground-extended vector (ground -> n)."""
+            idx = index(net)
+            return n if idx == GROUND else idx
 
-        # -- DC Newton program -------------------------------------------
-        jac = _Coo()
+        jac, g, c = _Coo(_BUF_J), _Coo(_BUF_G), _Coo(_BUF_C)
+        # Per element index: its value's (buffer, position, negate) slots.
+        slots: list[list[tuple[int, int, bool]]] = [[] for _ in range(len(circuit))]
+        # (buffer, position, value) of the unit and zero stamps.
+        constants: list[tuple[int, int, float]] = []
+        ops: list[int | None] = []
         # Residual entries in the element walk's order: row, sign, and the
         # (segment, index) of the value they add.
         r_rows: list[int] = []
         r_signs: list[float] = []
         r_srcs: list[tuple[int, int]] = []
-        # Affine currents: cur = C * (xe[a] - xe[b]) + E; C from a slot.
+        # Affine currents: cur = C * (xe[a] - xe[b]) + E.
         aff_a: list[int] = []
         aff_b: list[int] = []
-        aff_slots: list[tuple[int, str | None, bool]] = []
-        # Voltage-source constraints: E = -(dc * source_scale).
+        # Voltage-source constraints (E = -(dc * source_scale)), inductor
+        # constraints (a DC short, E = -0.0) with their branch rows, VCVS
+        # constraints (cur -= gain * (xe[cp] - xe[cn]) per iterate) and
+        # current-source injections (dc * source_scale).
         vs_aff: list[int] = []
-        vs_slots: list[tuple[int, str | None, bool]] = []
-        # Inductor constraints (a DC short, E = -0.0) and their branch rows.
         ind_aff: list[int] = []
         ind_k: list[int] = []
         ind_names: list[str] = []
-        # VCVS constraints: cur -= gain * (xe[cp] - xe[cn]) per iterate.
         vg_aff: list[int] = []
         vg_cp: list[int] = []
         vg_cn: list[int] = []
-        vg_slots: list[tuple[int, str | None, bool]] = []
-        # Current-source injections: dc * source_scale.
-        inj_slots: list[tuple[int, str | None, bool]] = []
+        n_inj = 0
         # Capacitances the DC program leaves open, in netlist order:
         # (i, j, element name, kind) — kind -1 for a capacitor, else an
         # index into _CAP_KINDS.  The transient companion stamps use them.
         cap_terms: list[tuple[int, int, str, int]] = []
-        # MOSFET slots.
+        # MOSFET slots: the devices' element indices and ground-extended
+        # (d, g, s, b) slots; each matrix entry's position, device value
+        # (dev * 4 + kind, or dev * 5 + cap kind) and sign.
         mos_names: list[str] = []
-        mos_k: list[int] = []  # their element indices
-        mos_xe: list[tuple[int, int, int, int]] = []  # (d, g, s, b) ext slots
-        j_mos_pos: list[int] = []
-        j_mos_val: list[int] = []  # dev * 4 + kind
-        j_mos_sign: list[float] = []
+        mos_k: list[int] = []
+        mos_xe: list[tuple[int, int, int, int]] = []
+        j_mos: tuple[list[int], list[int], list[float]] = ([], [], [])
+        g_mos: tuple[list[int], list[int], list[float]] = ([], [], [])
+        c_mos: tuple[list[int], list[int], list[float]] = ([], [], [])
+        # (branch-or-node index, sign, element index) for b_ac.
+        b_ac_slots: list[tuple[int, float, int]] = []
 
-        def entry(row: int, sign: float, segment: int, index: int) -> None:
+        def value(coo: _Coo, row: int, col: int, ei: int, negate=False):
+            """An entry holding element ``ei``'s value."""
+            slots[ei].append((coo.buffer, coo.append(row, col), negate))
+
+        def constant(coo: _Coo, row: int, col: int, v: float) -> None:
+            """An entry holding the constant ``v``."""
+            constants.append((coo.buffer, coo.append(row, col), v))
+
+        def mos_entry(coo, mos, row, col, val, sign) -> None:
+            """An entry holding device value ``val`` times ``sign``."""
+            mos[0].append(coo.append(row, col))
+            mos[1].append(val)
+            mos[2].append(sign)
+
+        def conductance(coo: _Coo, i: int, j: int, ei: int) -> None:
+            """The walk's symmetric two-terminal stamp of ``ei``'s value."""
+            if i != GROUND:
+                value(coo, i, i, ei)
+            if j != GROUND:
+                value(coo, j, j, ei)
+            if i != GROUND and j != GROUND:
+                value(coo, i, j, ei, True)
+                value(coo, j, i, ei, True)
+
+        def transconductance(coo, op_, on_, cp, cn, ei) -> None:
+            """The walk's transconductance stamp of ``ei``'s value."""
+            for row, sign in ((op_, +1.0), (on_, -1.0)):
+                if row == GROUND:
+                    continue
+                if cp != GROUND:
+                    value(coo, row, cp, ei, sign < 0)
+                if cn != GROUND:
+                    value(coo, row, cn, ei, sign > 0)
+
+        def branch(coo: _Coo, p: int, nn: int, k: int) -> None:
+            """Voltage-source-style unit cross terms of branch ``k``."""
+            if p != GROUND:
+                constant(coo, p, k, 1.0)
+                constant(coo, k, p, 1.0)
+            if nn != GROUND:
+                constant(coo, nn, k, -1.0)
+                constant(coo, k, nn, -1.0)
+
+        def entry(row: int, sign: float, segment: int, idx: int) -> None:
             """``resid[row] += sign * value`` (ground rows dropped)."""
             if row != GROUND:
                 r_rows.append(row)
                 r_signs.append(sign)
-                r_srcs.append((segment, index))
+                r_srcs.append((segment, idx))
 
-        def affine(a: int, b: int, op: int, ei: int = -1) -> int:
-            aff_a.append(a)
-            aff_b.append(b)
-            aff_slots.append((op, ei, False))
-            return len(aff_a) - 1
+        def affine(a: str, b: str, ei: int | None = None) -> int:
+            """An affine current over nets ``a``, ``b``: ``C`` is element
+            ``ei``'s value, or 1.0 for a constraint row."""
+            src = len(aff_a)
+            aff_a.append(xi(a))
+            aff_b.append(xi(b))
+            if ei is None:
+                constants.append((_BUF_AFF, src, 1.0))
+            else:
+                slots[ei].append((_BUF_AFF, src, False))
+            return src
 
-        def emit_pair_current(
-            a: int, b: int, op: int, ei: int, node_i: int, node_j: int
-        ):
+        def pair_current(a: str, b: str, ei: int, i: int, j: int) -> None:
             """cur = coeff*(xe[a]-xe[b]); resid[i] += cur; resid[j] -= cur."""
-            src = affine(a, b, op, ei)
-            entry(node_i, +1.0, _SEG_CUR, src)
-            entry(node_j, -1.0, _SEG_CUR, src)
+            src = affine(a, b, ei)
+            entry(i, +1.0, _SEG_CUR, src)
+            entry(j, -1.0, _SEG_CUR, src)
 
-        def emit_conductance(i: int, j: int, op: int, ei: int):
-            """Replay the walk's conductance stamp."""
-            if i != GROUND:
-                jac.append_const(i, i, op, ei)
-            if j != GROUND:
-                jac.append_const(j, j, op, ei)
-            if i != GROUND and j != GROUND:
-                jac.append_const(i, j, op, ei, negate=True)
-                jac.append_const(j, i, op, ei, negate=True)
-
-        def emit_branch_jac(p: int, nn: int, k: int):
-            """Voltage-source-style jac cross terms of branch ``k``."""
-            if p != GROUND:
-                jac.append_const(p, k, _OP_ONE)
-                jac.append_const(k, p, _OP_ONE)
-            if nn != GROUND:
-                jac.append_const(nn, k, _OP_ONE, negate=True)
-                jac.append_const(k, nn, _OP_ONE, negate=True)
-
-        def emit_branch_current(p: int, nn: int, k: int):
-            """resid[p] += x[k]; resid[nn] -= x[k]."""
+        def constraint(p: int, nn: int, k: int, a: str, b: str) -> int:
+            """A branch row ``k`` between nets ``a`` and ``b``: the unit
+            jacobian and G stamps, resid[p] += x[k], resid[nn] -= x[k] and
+            resid[k] += cur of a new unit affine current."""
+            branch(jac, p, nn, k)
+            branch(g, p, nn, k)
             entry(p, +1.0, _SEG_XE, k)
             entry(nn, -1.0, _SEG_XE, k)
+            src = affine(a, b)
+            entry(k, +1.0, _SEG_CUR, src)
+            return src
 
         for ei, element in enumerate(circuit):
             name = element.name
-            if isinstance(element, Resistor):
-                i, j = layout.index(element.n1), layout.index(element.n2)
-                emit_conductance(i, j, _OP_RES_INV, ei)
-                emit_pair_current(
-                    xi(element.n1), xi(element.n2), _OP_RES_INV, ei, i, j
-                )
-            elif isinstance(element, Switch):
-                i, j = layout.index(element.n1), layout.index(element.n2)
-                emit_conductance(i, j, _OP_SW_INV, ei)
-                emit_pair_current(
-                    xi(element.n1), xi(element.n2), _OP_SW_INV, ei, i, j
-                )
+            op = None
+            if isinstance(element, (Resistor, Switch)):
+                op = _OP_RES_INV if isinstance(element, Resistor) else _OP_SW_INV
+                i, j = index(element.n1), index(element.n2)
+                conductance(jac, i, j, ei)
+                conductance(g, i, j, ei)
+                pair_current(element.n1, element.n2, ei, i, j)
             elif isinstance(element, Capacitor):
                 # Open in DC.
-                cap_terms.append(
-                    (layout.index(element.n1), layout.index(element.n2), name, -1)
-                )
+                op = _OP_CAP
+                i, j = index(element.n1), index(element.n2)
+                conductance(c, i, j, ei)
+                cap_terms.append((i, j, name, -1))
             elif isinstance(element, CurrentSource):
-                src = len(inj_slots)
-                inj_slots.append((_OP_DC, ei, False))
-                entry(layout.index(element.positive), +1.0, _SEG_INJ, src)
-                entry(layout.index(element.negative), -1.0, _SEG_INJ, src)
+                op = _OP_DC
+                p, nn = index(element.positive), index(element.negative)
+                slots[ei].append((_BUF_INJ, n_inj, False))
+                entry(p, +1.0, _SEG_INJ, n_inj)
+                entry(nn, -1.0, _SEG_INJ, n_inj)
+                n_inj += 1
+                if p != GROUND:
+                    b_ac_slots.append((p, -1.0, ei))
+                if nn != GROUND:
+                    b_ac_slots.append((nn, +1.0, ei))
             elif isinstance(element, VoltageSource):
-                p = layout.index(element.positive)
-                nn = layout.index(element.negative)
+                op = _OP_DC
+                p, nn = index(element.positive), index(element.negative)
                 k = layout.branch(name)
-                emit_branch_jac(p, nn, k)
-                emit_branch_current(p, nn, k)
-                src = affine(xi(element.positive), xi(element.negative), _OP_ONE)
+                src = constraint(p, nn, k, element.positive, element.negative)
+                slots[ei].append((_BUF_VDC, len(vs_aff), False))
                 vs_aff.append(src)
-                vs_slots.append((_OP_DC, ei, False))
-                entry(k, +1.0, _SEG_CUR, src)
+                b_ac_slots.append((k, +1.0, ei))
             elif isinstance(element, Vcvs):
-                op_ = layout.index(element.out_positive)
-                on_ = layout.index(element.out_negative)
-                cp = layout.index(element.ctrl_positive)
-                cn = layout.index(element.ctrl_negative)
+                op = _OP_GAIN
+                op_ = index(element.out_positive)
+                on_ = index(element.out_negative)
+                cp = index(element.ctrl_positive)
+                cn = index(element.ctrl_negative)
                 k = layout.branch(name)
                 # The walk's VCVS stamp order: out rows, then the gain row.
-                emit_branch_jac(op_, on_, k)
-                if cp != GROUND:
-                    jac.append_const(k, cp, _OP_GAIN, ei, negate=True)
-                if cn != GROUND:
-                    jac.append_const(k, cn, _OP_GAIN, ei)
-                emit_branch_current(op_, on_, k)
-                src = affine(xi(element.out_positive), xi(element.out_negative), _OP_ONE)
+                src = constraint(
+                    op_, on_, k, element.out_positive, element.out_negative
+                )
+                for coo in (jac, g):
+                    if cp != GROUND:
+                        value(coo, k, cp, ei, True)
+                    if cn != GROUND:
+                        value(coo, k, cn, ei)
+                slots[ei].append((_BUF_GAIN, len(vg_aff), False))
                 vg_aff.append(src)
                 vg_cp.append(xi(element.ctrl_positive))
                 vg_cn.append(xi(element.ctrl_negative))
-                vg_slots.append((_OP_GAIN, ei, False))
-                entry(k, +1.0, _SEG_CUR, src)
             elif isinstance(element, Vccs):
-                op_ = layout.index(element.out_positive)
-                on_ = layout.index(element.out_negative)
-                cp = layout.index(element.ctrl_positive)
-                cn = layout.index(element.ctrl_negative)
-                for row, sign in ((op_, +1.0), (on_, -1.0)):
-                    if row == GROUND:
-                        continue
-                    if cp != GROUND:
-                        jac.append_const(row, cp, _OP_GM, ei, negate=sign < 0)
-                    if cn != GROUND:
-                        jac.append_const(row, cn, _OP_GM, ei, negate=sign > 0)
-                emit_pair_current(
-                    xi(element.ctrl_positive),
-                    xi(element.ctrl_negative),
-                    _OP_GM,
-                    ei,
-                    op_,
-                    on_,
+                op = _OP_GM
+                op_ = index(element.out_positive)
+                on_ = index(element.out_negative)
+                cp = index(element.ctrl_positive)
+                cn = index(element.ctrl_negative)
+                transconductance(jac, op_, on_, cp, cn, ei)
+                transconductance(g, op_, on_, cp, cn, ei)
+                pair_current(
+                    element.ctrl_positive, element.ctrl_negative, ei, op_, on_
                 )
             elif isinstance(element, Inductor):
-                p = layout.index(element.n1)
-                nn = layout.index(element.n2)
+                op = _OP_IND
+                p, nn = index(element.n1), index(element.n2)
                 k = layout.branch(name)
-                emit_branch_jac(p, nn, k)
-                emit_branch_current(p, nn, k)
-                src = affine(xi(element.n1), xi(element.n2), _OP_ONE)
-                ind_aff.append(src)
+                ind_aff.append(constraint(p, nn, k, element.n1, element.n2))
                 ind_k.append(k)
                 ind_names.append(name)
-                entry(k, +1.0, _SEG_CUR, src)
+                value(c, k, k, ei, True)
             elif isinstance(element, Mosfet):
-                d = layout.index(element.drain)
-                g_ = layout.index(element.gate)
-                s = layout.index(element.source)
-                b = layout.index(element.bulk)
+                d, g_ = index(element.drain), index(element.gate)
+                s, b = index(element.source), index(element.bulk)
                 dev = len(mos_names)
                 mos_names.append(name)
                 mos_k.append(ei)
@@ -410,6 +409,7 @@ class MnaTemplate:
                 )
                 entry(d, +1.0, _SEG_IDS, dev)
                 entry(s, -1.0, _SEG_IDS, dev)
+                # The DC jacobian: each row's gm, gds, gmb and gsum terms.
                 for row, sign in ((d, +1.0), (s, -1.0)):
                     if row == GROUND:
                         continue
@@ -419,193 +419,18 @@ class MnaTemplate:
                         (b, _KIND_GMB, sign),
                         (s, _KIND_GSUM, -sign),
                     ):
-                        if col == GROUND:
-                            continue
-                        j_mos_pos.append(jac.append(row, col))
-                        j_mos_val.append(dev * 4 + kind)
-                        j_mos_sign.append(ks)
-                for kind, (t1, t2) in enumerate(
-                    ((g_, s), (g_, d), (g_, b), (d, b), (s, b))
-                ):
-                    cap_terms.append((t1, t2, name, kind))
-            else:
-                raise AnalysisError(
-                    f"element type {type(element).__name__} not supported "
-                    "by the compiled DC template"
-                )
-
-        # np.bincount returns integer zeros for no entries at all; one +0.0
-        # entry keeps a program with none (a netlist of capacitors and
-        # current sources, say) as float as the walk's zeroed arrays.
-        if n and not r_rows:
-            entry(0, +1.0, _SEG_XE, ground_slot)
-        if n and not jac.rows:
-            jac.append_const(0, 0, _OP_ZERO)
-
-        asarray = np.asarray
-        self._jflat = jac.flat(n)
-        self._j_const_pos = asarray(jac.const_pos, dtype=np.intp)
-        self._j_const_slots = tuple(jac.const_slots)
-        self._j_mos_pos = asarray(j_mos_pos, dtype=np.intp)
-        self._j_mos_val = asarray(j_mos_val, dtype=np.intp)
-        self._j_mos_sign = asarray(j_mos_sign, dtype=float)
-        # Fused residual layout: buffer offsets, then the entry arrays.
-        self.mos_names = tuple(mos_names)
-        self._mos_k = tuple(mos_k)
-        self._mos_xe = mos_xe
-        self._n_inj = len(inj_slots)
-        self._ids_off = n + 1
-        self._inj_off = self._ids_off + len(mos_names)
-        self._cur_off = self._inj_off + self._n_inj
-        base = (0, self._ids_off, self._inj_off, self._cur_off)
-        self._rr = asarray(r_rows, dtype=np.intp)
-        self._r_sign = asarray(r_signs, dtype=float)
-        self._r_src = asarray([base[seg] + i for seg, i in r_srcs], dtype=np.intp)
-        self._aff_a = asarray(aff_a, dtype=np.intp)
-        self._aff_b = asarray(aff_b, dtype=np.intp)
-        self._aff_slots = tuple(aff_slots)
-        self._vs_aff = asarray(vs_aff, dtype=np.intp)
-        self._vs_slots = tuple(vs_slots)
-        self._ind_aff = asarray(ind_aff, dtype=np.intp)
-        self._ind_k = asarray(ind_k, dtype=np.intp)
-        self._ind_names = tuple(ind_names)
-        self._vg_aff = asarray(vg_aff, dtype=np.intp)
-        self._vg_cp = asarray(vg_cp, dtype=np.intp)
-        self._vg_cn = asarray(vg_cn, dtype=np.intp)
-        self._vg_slots = tuple(vg_slots)
-        self._inj_slots = tuple(inj_slots)
-        self._cap_terms = tuple(cap_terms)
-
-        self._compile_linear(circuit)
-
-    # -- small-signal program --------------------------------------------
-
-    def _compile_linear(self, circuit: Circuit) -> None:
-        """Record the small-signal stamp walk."""
-        layout = self.layout
-        g = _Coo()
-        c = _Coo()
-        g_mos_pos: list[int] = []
-        g_mos_val: list[int] = []  # dev * 4 + _KIND_GM / _KIND_GDS / _KIND_GMB
-        g_mos_sign: list[float] = []
-        c_mos_pos: list[int] = []
-        c_mos_val: list[int] = []  # dev * 5 + index into _CAP_KINDS
-        c_mos_sign: list[float] = []
-        #: (branch-or-node index, sign, element index) for b_ac.
-        b_ac_slots: list[tuple[int, float, int]] = []
-
-        def emit_sym(coo: _Coo, i: int, j: int, op: int, ei: int) -> None:
-            """Symmetric two-terminal stamp (conductance / capacitance)."""
-            if i != GROUND:
-                coo.append_const(i, i, op, ei)
-            if j != GROUND:
-                coo.append_const(j, j, op, ei)
-            if i != GROUND and j != GROUND:
-                coo.append_const(i, j, op, ei, negate=True)
-                coo.append_const(j, i, op, ei, negate=True)
-
-        def emit_mos_g(row: int, col: int, dev: int, kind: int, sign: float):
-            g_mos_pos.append(g.append(row, col))
-            g_mos_val.append(dev * 4 + kind)
-            g_mos_sign.append(sign)
-
-        def emit_mos_vccs(op_: int, on_: int, cp: int, cn: int, dev: int, kind: int):
-            """Replay the walk's transconductance stamp with a device slot."""
-            for row, sign in ((op_, +1.0), (on_, -1.0)):
-                if row == GROUND:
-                    continue
-                if cp != GROUND:
-                    emit_mos_g(row, cp, dev, kind, sign)
-                if cn != GROUND:
-                    emit_mos_g(row, cn, dev, kind, -sign)
-
-        dev_of = {nm: i for i, nm in enumerate(self.mos_names)}
-
-        for ei, element in enumerate(circuit):
-            name = element.name
-            if isinstance(element, Resistor):
-                i, j = layout.index(element.n1), layout.index(element.n2)
-                emit_sym(g, i, j, _OP_RES_INV, ei)
-            elif isinstance(element, Switch):
-                i, j = layout.index(element.n1), layout.index(element.n2)
-                emit_sym(g, i, j, _OP_SW_INV, ei)
-            elif isinstance(element, Capacitor):
-                i, j = layout.index(element.n1), layout.index(element.n2)
-                emit_sym(c, i, j, _OP_CAP, ei)
-            elif isinstance(element, Inductor):
-                p, nn = layout.index(element.n1), layout.index(element.n2)
-                k = layout.branch(name)
-                if p != GROUND:
-                    g.append_const(p, k, _OP_ONE)
-                    g.append_const(k, p, _OP_ONE)
-                if nn != GROUND:
-                    g.append_const(nn, k, _OP_ONE, negate=True)
-                    g.append_const(k, nn, _OP_ONE, negate=True)
-                c.append_const(k, k, _OP_IND, ei, negate=True)
-            elif isinstance(element, VoltageSource):
-                p = layout.index(element.positive)
-                nn = layout.index(element.negative)
-                k = layout.branch(name)
-                if p != GROUND:
-                    g.append_const(p, k, _OP_ONE)
-                    g.append_const(k, p, _OP_ONE)
-                if nn != GROUND:
-                    g.append_const(nn, k, _OP_ONE, negate=True)
-                    g.append_const(k, nn, _OP_ONE, negate=True)
-                b_ac_slots.append((k, +1.0, ei))
-            elif isinstance(element, CurrentSource):
-                p = layout.index(element.positive)
-                nn = layout.index(element.negative)
-                if p != GROUND:
-                    b_ac_slots.append((p, -1.0, ei))
-                if nn != GROUND:
-                    b_ac_slots.append((nn, +1.0, ei))
-            elif isinstance(element, Vcvs):
-                op_ = layout.index(element.out_positive)
-                on_ = layout.index(element.out_negative)
-                cp = layout.index(element.ctrl_positive)
-                cn = layout.index(element.ctrl_negative)
-                k = layout.branch(name)
-                if op_ != GROUND:
-                    g.append_const(op_, k, _OP_ONE)
-                    g.append_const(k, op_, _OP_ONE)
-                if on_ != GROUND:
-                    g.append_const(on_, k, _OP_ONE, negate=True)
-                    g.append_const(k, on_, _OP_ONE, negate=True)
-                if cp != GROUND:
-                    g.append_const(k, cp, _OP_GAIN, ei, negate=True)
-                if cn != GROUND:
-                    g.append_const(k, cn, _OP_GAIN, ei)
-            elif isinstance(element, Vccs):
-                op_ = layout.index(element.out_positive)
-                on_ = layout.index(element.out_negative)
-                cp = layout.index(element.ctrl_positive)
-                cn = layout.index(element.ctrl_negative)
-                for row, sign in ((op_, +1.0), (on_, -1.0)):
-                    if row == GROUND:
-                        continue
-                    if cp != GROUND:
-                        g.append_const(row, cp, _OP_GM, ei, negate=sign < 0)
-                    if cn != GROUND:
-                        g.append_const(row, cn, _OP_GM, ei, negate=sign > 0)
-            elif isinstance(element, Mosfet):
-                dev = dev_of[name]
-                d = layout.index(element.drain)
-                g_ = layout.index(element.gate)
-                s = layout.index(element.source)
-                b = layout.index(element.bulk)
-                emit_mos_vccs(d, s, g_, s, dev, _KIND_GM)
-                # The walk's conductance stamp of gds between d and s.
-                for row, col, sign in (
-                    (d, d, +1.0),
-                    (s, s, +1.0),
-                    (d, s, -1.0),
-                    (s, d, -1.0),
-                ):
-                    if row == GROUND or col == GROUND:
-                        continue
-                    emit_mos_g(row, col, dev, _KIND_GDS, sign)
-                emit_mos_vccs(d, s, b, s, dev, _KIND_GMB)
+                        if col != GROUND:
+                            mos_entry(jac, j_mos, row, col, dev * 4 + kind, ks)
+                # G: the walk's gm transconductance, gds conductance and gmb
+                # transconductance stamps, entry by entry.
+                gm = ((d, g_, 1.0), (d, s, -1.0), (s, g_, -1.0), (s, s, 1.0))
+                gds = ((d, d, 1.0), (s, s, 1.0), (d, s, -1.0), (s, d, -1.0))
+                gmb = ((d, b, 1.0), (d, s, -1.0), (s, b, -1.0), (s, s, 1.0))
+                for kind, stamp in ((_KIND_GM, gm), (_KIND_GDS, gds), (_KIND_GMB, gmb)):
+                    for row, col, sign in stamp:
+                        if row != GROUND and col != GROUND:
+                            mos_entry(g, g_mos, row, col, dev * 4 + kind, sign)
+                # C and the transient's open capacitances.
                 for kind, (t1, t2) in enumerate(
                     ((g_, s), (g_, d), (g_, b), (d, b), (s, b))
                 ):
@@ -615,32 +440,61 @@ class MnaTemplate:
                         (t1, t2, -1.0),
                         (t2, t1, -1.0),
                     ):
-                        if row == GROUND or col == GROUND:
-                            continue
-                        c_mos_pos.append(c.append(row, col))
-                        c_mos_val.append(dev * len(_CAP_KINDS) + kind)
-                        c_mos_sign.append(sign)
+                        if row != GROUND and col != GROUND:
+                            val = dev * len(_CAP_KINDS) + kind
+                            mos_entry(c, c_mos, row, col, val, sign)
+                    cap_terms.append((t1, t2, name, kind))
             else:
                 raise AnalysisError(
                     f"element type {type(element).__name__} not supported "
-                    "by the compiled small-signal template"
+                    "by the compiled DC template"
                 )
+            ops.append(op)
+
+        # np.bincount returns integer zeros for no entries at all; one +0.0
+        # entry keeps a program with none (a netlist of capacitors and
+        # current sources, say) as float as the walk's zeroed arrays.
+        if n and not r_rows:
+            entry(0, +1.0, _SEG_XE, n)
+        if n and not jac.rows:
+            constant(jac, 0, 0, 0.0)
 
         asarray = np.asarray
-        n = self.size
+        #: Per element index: its value opcode (None for a MOSFET, whose
+        #: geometry binds through its device tuple) and every
+        #: ``(buffer, position, negate)`` slot the value lands in.
+        self.slots = tuple(zip(ops, map(tuple, slots)))
+        #: ``(buffer, position, value)`` of every unit and zero stamp.
+        self._constants = tuple(constants)
+        self._jflat = jac.flat(n)
         self._gflat = g.flat(n)
-        self._g_const_pos = asarray(g.const_pos, dtype=np.intp)
-        self._g_const_slots = tuple(g.const_slots)
         self._cflat = c.flat(n)
-        self._c_const_pos = asarray(c.const_pos, dtype=np.intp)
-        self._c_const_slots = tuple(c.const_slots)
-        self._g_mos_pos = asarray(g_mos_pos, dtype=np.intp)
-        self._g_mos_val = asarray(g_mos_val, dtype=np.intp)
-        self._g_mos_sign = asarray(g_mos_sign, dtype=float)
-        self._c_mos_pos = asarray(c_mos_pos, dtype=np.intp)
-        self._c_mos_val = asarray(c_mos_val, dtype=np.intp)
-        self._c_mos_sign = asarray(c_mos_sign, dtype=float)
-        self._b_ac_slots = b_ac_slots
+        self._j_mos_pos, self._j_mos_val, self._j_mos_sign = _mos_arrays(j_mos)
+        self._g_mos_pos, self._g_mos_val, self._g_mos_sign = _mos_arrays(g_mos)
+        self._c_mos_pos, self._c_mos_val, self._c_mos_sign = _mos_arrays(c_mos)
+        self._b_ac_slots = tuple(b_ac_slots)
+        # Fused residual layout: buffer offsets, then the entry arrays.
+        self.mos_names = tuple(mos_names)
+        self._mos_k = tuple(mos_k)
+        self._mos_xe = mos_xe
+        self._n_inj = n_inj
+        self._ids_off = n + 1
+        self._inj_off = self._ids_off + len(mos_names)
+        self._cur_off = self._inj_off + n_inj
+        base = (0, self._ids_off, self._inj_off, self._cur_off)
+        self._rr = asarray(r_rows, dtype=np.intp)
+        self._r_sign = asarray(r_signs, dtype=float)
+        self._r_src = asarray([base[seg] + i for seg, i in r_srcs], dtype=np.intp)
+        self._aff_a = asarray(aff_a, dtype=np.intp)
+        self._aff_b = asarray(aff_b, dtype=np.intp)
+        self._vs_aff = asarray(vs_aff, dtype=np.intp)
+        self._ind_aff = asarray(ind_aff, dtype=np.intp)
+        self._ind_k = asarray(ind_k, dtype=np.intp)
+        self._ind_names = tuple(ind_names)
+        self._vg_aff = asarray(vg_aff, dtype=np.intp)
+        self._vg_cp = asarray(vg_cp, dtype=np.intp)
+        self._vg_cn = asarray(vg_cn, dtype=np.intp)
+        self._cap_terms = tuple(cap_terms)
 
     # -- binding ----------------------------------------------------------
 
@@ -652,6 +506,16 @@ class MnaTemplate:
                 "template's topology"
             )
         return BoundMna(self, circuit)
+
+
+def _mos_arrays(mos) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A MOSFET entry list's positions, device values and signs as arrays."""
+    pos, val, sign = mos
+    return (
+        np.asarray(pos, dtype=np.intp),
+        np.asarray(val, dtype=np.intp),
+        np.asarray(sign, dtype=float),
+    )
 
 
 def _cell_sums(flat: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -767,14 +631,15 @@ class BoundMna:
         self.template = template
         t = template
         n = t.size
-        # DC buffers: constants filled by rebind, MOSFET slots per call.
+        # DC buffers: unit stamps written here, element values by rebind,
+        # MOSFET slots per call.
         self._jv = np.zeros(len(t._jflat))
         self._fused = fused = FusedResidual(
             t, t._aff_a, t._aff_b, t._rr, t._r_sign, t._r_src
         )
-        self._vdc = np.zeros(len(t._vs_slots))
+        self._vdc = np.zeros(len(t._vs_aff))
         self._inj_dc = np.zeros(t._n_inj)
-        self._vg_gain = np.zeros(len(t._vg_slots))
+        self._vg_gain = np.zeros(len(t._vg_aff))
         if len(self._vg_gain):
             fused.vcvs = (t._vg_aff, t._vg_cp, t._vg_cn, self._vg_gain)
         self._cond: list[float] = []
@@ -782,10 +647,22 @@ class BoundMna:
         self._gv = np.zeros(len(t._gflat))
         self._cv = np.zeros(len(t._cflat))
         self._b_ac = np.zeros(n, dtype=complex)
+        #: The value buffers, indexed by a slot's ``buffer``.
+        self._buffers = (
+            self._jv,
+            fused.c,
+            self._vdc,
+            self._inj_dc,
+            self._vg_gain,
+            self._gv,
+            self._cv,
+        )
+        for buf, pos, value in t._constants:
+            self._buffers[buf][pos] = value
         self.rebind(circuit)
 
     def rebind(self, circuit: Circuit) -> "BoundMna":
-        """Refresh every value slot from ``circuit`` (same topology).
+        """Refresh every element value slot from ``circuit`` (same topology).
 
         Evaluation loops that rebuild the same testbench topology per
         candidate reuse one :class:`BoundMna` and rebind it — the buffers
@@ -795,17 +672,13 @@ class BoundMna:
         self.circuit = circuit
         self.layout: MnaLayout = t.layout.with_circuit(circuit)
         elements = circuit.elements
-        if len(t._j_const_pos):
-            self._jv[t._j_const_pos] = _eval_slots(elements, t._j_const_slots)
-        fused = self._fused
-        if len(fused.c):
-            fused.c[:] = _eval_slots(elements, t._aff_slots)
-        if len(self._vdc):
-            self._vdc[:] = _eval_slots(elements, t._vs_slots)
-        if len(self._inj_dc):
-            self._inj_dc[:] = _eval_slots(elements, t._inj_slots)
-        if len(self._vg_gain):
-            self._vg_gain[:] = _eval_slots(elements, t._vg_slots)
+        buffers = self._buffers
+        for element, (op, targets) in zip(elements, t.slots):
+            if targets:
+                value = _slot_value(op, element)
+                negated = -value
+                for buf, pos, negate in targets:
+                    buffers[buf][pos] = negated if negate else value
         #: The source scale ``e`` and ``inj`` hold; None forces a refill.
         self._scale = None
         mosfets = [elements[k] for k in t._mos_k]
@@ -819,10 +692,6 @@ class BoundMna:
             device_constants(params, w, l) + (mult,) + xe
             for (params, w, l, mult), xe in zip(geometry, t._mos_xe)
         ]
-        if len(t._g_const_pos):
-            self._gv[t._g_const_pos] = _eval_slots(elements, t._g_const_slots)
-        if len(t._c_const_pos):
-            self._cv[t._c_const_pos] = _eval_slots(elements, t._c_const_slots)
         b_ac = self._b_ac
         b_ac[:] = 0.0
         for idx, sign, k in t._b_ac_slots:
@@ -948,11 +817,11 @@ class ValueWriter:
     ``indices`` (their indices in circuit order): a resistance,
     capacitance, inductance, VCVS gain, VCCS transconductance or
     independent-source DC value, or a MOSFET's ``(w, l)``.  Each lands in
-    every slot the template recorded for that element at compile time,
-    with :func:`_eval_slots`' arithmetic (``1.0 / r``, and a negated slot
-    as ``-value``), and a MOSFET's geometry rebuilds its model tuple; so
-    the buffers hold what :meth:`BoundMna.rebind` would read from a
-    netlist carrying the values.
+    every slot :attr:`MnaTemplate.slots` lists for that element, with
+    :func:`_slot_value`'s arithmetic (``1.0 / r``, and a negated slot as
+    ``-value``), and a MOSFET's geometry rebuilds its model tuple; so the
+    buffers hold what :meth:`BoundMna.rebind` would read from a netlist
+    carrying the values.
 
     Source ``ac`` values, device parameters and multipliers keep their
     bound values, and ``bound.circuit`` stays the circuit last bound, so
@@ -962,37 +831,23 @@ class ValueWriter:
 
     def __init__(self, bound: BoundMna, indices):
         t = bound.template
-        fused = bound._fused
         slot_of = {ei: k for k, ei in enumerate(indices)}
-        count = len(bound.circuit.elements)
         for ei in slot_of:
-            if not 0 <= ei < count:
+            if not 0 <= ei < len(t.slots):
                 raise AnalysisError(f"no element at index {ei} to write")
-        # (buffer, positions, slots) of every constant-slot table.
-        tables = (
-            (bound._jv, t._j_const_pos, t._j_const_slots),
-            (fused.c, range(len(t._aff_slots)), t._aff_slots),
-            (bound._vdc, range(len(t._vs_slots)), t._vs_slots),
-            (bound._inj_dc, range(t._n_inj), t._inj_slots),
-            (bound._vg_gain, range(len(t._vg_slots)), t._vg_slots),
-            (bound._gv, t._g_const_pos, t._g_const_slots),
-            (bound._cv, t._c_const_pos, t._c_const_slots),
-        )
-        ops: dict[int, int] = {}
-        targets: dict[int, list[tuple[np.ndarray, int, bool]]] = {}
-        for buf, positions, slots in tables:
-            for pos, (op, ei, negate) in zip(positions, slots):
-                k = slot_of.get(ei)
-                if k is None:
-                    continue
-                if op == _OP_SW_INV:
-                    raise AnalysisError(
-                        f"switch {bound.circuit.elements[ei].name!r} is not writable"
-                    )
-                ops[k] = op
-                targets.setdefault(k, []).append((buf, int(pos), negate))
+        buffers = bound._buffers
+        scalars = []
+        for ei, k in slot_of.items():
+            op, targets = t.slots[ei]
+            if op == _OP_SW_INV:
+                raise AnalysisError(
+                    f"switch {bound.circuit.elements[ei].name!r} is not writable"
+                )
+            if targets:
+                targets = tuple((buffers[buf], pos, neg) for buf, pos, neg in targets)
+                scalars.append((k, op, targets))
         #: ``(value index, opcode, [(buffer, position, negate)])`` per element.
-        self._scalars = tuple((k, ops[k], tuple(targets[k])) for k in sorted(targets))
+        self._scalars = tuple(scalars)
         #: ``(value index, device, terminal slots)`` per MOSFET.
         self._mosfets = tuple(
             (slot_of[ei], dev, xe)
@@ -1026,7 +881,8 @@ class ValueWriter:
 # Template cache.
 # ---------------------------------------------------------------------------
 
-#: topology_key -> MnaTemplate, bounded like the layout cache.
+#: topology_key -> MnaTemplate.  Bounded: cleared wholesale when it outgrows
+#: _TEMPLATE_CACHE_MAX (a sizing loop touches a handful of topologies).
 _TEMPLATE_CACHE: dict[tuple, MnaTemplate] = {}
 _TEMPLATE_CACHE_MAX = 128
 

@@ -36,9 +36,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.dc import DcSolution, _abs_max, _limit_step, _within, solve_dc
-from repro.analysis.mna import GROUND, layout_for
+from repro.analysis.mna import GROUND
 from repro.analysis.template import (
+    _BUF_AFF,
+    _BUF_J,
+    _BUF_VDC,
     _CAP_KINDS,
+    _OP_DC,
     _OP_SW_INV,
     BoundMna,
     FusedResidual,
@@ -198,35 +202,36 @@ class _StepProgram:
         fused.c[self._caps] = self._cap_g
         fused.vcvs = bound._fused.vcvs
 
-        # Time-dependent values of the DC program: switch conductances and
-        # waveform-source values.
-        elements = circuit.elements
-        aff_sw = [
-            i for i, (op, _, _) in enumerate(t._aff_slots) if op == _OP_SW_INV
-        ]
-        sw_of = {t._aff_slots[i][1]: k for k, i in enumerate(aff_sw)}
-        switches = [elements[ei] for ei in sw_of]
-        j_sw = [
-            (pos, sw_of[ei], -1.0 if negate else 1.0)
-            for pos, (op, ei, negate) in zip(t._j_const_pos, t._j_const_slots)
-            if op == _OP_SW_INV
-        ]
+        # Time-dependent values of the DC program, found through the
+        # template's value slots: switch conductances and waveform-source
+        # values.  Every source starts at its DC value.
+        switches, aff_sw, j_sw, vs_wave, inj_wave = [], [], [], [], []
+        for element, (op, targets) in zip(circuit.elements, t.slots):
+            if op == _OP_SW_INV:
+                for buf, pos, negate in targets:
+                    if buf == _BUF_J:
+                        j_sw.append((pos, len(switches), -1.0 if negate else 1.0))
+                    elif buf == _BUF_AFF:
+                        aff_sw.append(pos)
+                switches.append(element)
+            elif op == _OP_DC:
+                # A source's one slot: a voltage source's constraint
+                # subtracts its value (E = -value), a current source injects.
+                ((buf, pos, _),) = targets
+                if buf == _BUF_VDC:
+                    aff = int(t._vs_aff[pos])
+                    fused.e[aff] = -element.dc
+                    if element.waveform:
+                        vs_wave.append((aff, element))
+                else:
+                    fused.inj[pos] = element.dc
+                    if element.waveform:
+                        inj_wave.append((pos, element))
         self._aff_sw = np.asarray(aff_sw, dtype=np.intp)
         self._j_sw_pos = np.asarray([p for p, _, _ in j_sw], dtype=np.intp)
         j_sw_src = np.asarray([s for _, s, _ in j_sw], dtype=np.intp)
         j_sw_sign = np.asarray([g for _, _, g in j_sw], dtype=float)
-
-        # A voltage source's constraint subtracts its value: E = -value.
-        vs_wave = []
-        for aff, (_, ei, _) in zip(t._vs_aff.tolist(), t._vs_slots):
-            element = elements[ei]
-            fused.e[aff] = -element.dc
-            if element.waveform:
-                vs_wave.append((aff, element))
         self._vs_aff = np.asarray([aff for aff, _ in vs_wave], dtype=np.intp)
-        inj_elems = [elements[ei] for _, ei, _ in t._inj_slots]
-        fused.inj[:] = [e.dc for e in inj_elems]
-        inj_wave = [(k, e) for k, e in enumerate(inj_elems) if e.waveform]
         self._inj_k = np.asarray([k for k, _ in inj_wave], dtype=np.intp)
 
         # Every step's values, one row per switch, voltage source and
@@ -378,11 +383,14 @@ def simulate_transient(
     if method not in ("trap", "be"):
         raise AnalysisError(f"unknown method {method!r}")
 
-    layout = layout_for(circuit)
     if initial is None:
         bound, initial = _initial_dc(circuit)
     else:
         bound = bind_template(circuit)
+    # The bound program's layout, viewed through the caller's circuit so
+    # that an unknown ``record`` net names it (the t=0 bind names its
+    # frozen copy).
+    layout = bound.layout.with_circuit(circuit)
     x = initial.x.copy()
     if len(x) != layout.size:
         raise AnalysisError("initial DC solution does not match circuit")

@@ -6,12 +6,14 @@ files per *completed* scenario:
 * ``NNNNN.ledger.pkl`` — the scenario's ledger journal: every
   ``(fingerprint, spec_key, scope, result)`` admission it made into the
   campaign's :class:`~repro.campaign.runner.SynthesisLedger`, in admission
-  order (``scope`` is the donor's technology name; journals written before
-  donor scoping carry three-field entries, which replay as unscoped).
-  Replaying the journal reconstructs the ledger (donor pool order included)
-  exactly as it stood after the scenario finished — which is what makes a
-  resumed campaign's *remaining* scenarios plan the same warm starts, and
-  therefore produce byte-identical records, as an uninterrupted run.
+  order (``scope`` is the donor's technology name).  Replaying the
+  journal reconstructs the ledger (donor pool order included) exactly as
+  it stood after the scenario finished — which is what makes a resumed
+  campaign's *remaining* scenarios plan the same warm starts, and
+  therefore produce byte-identical records, as an uninterrupted run.  A
+  journal holding anything else (the three-field entries of code older
+  than donor scoping, say) is unusable, like an unreadable one: its
+  scenario re-runs.
 * ``NNNNN.json`` — the scenario's deterministic record (the exact
   ``results.jsonl`` line) plus its label.  Written *after* the journal via
   an atomic rename, so the JSON file is the commit marker: a kill between
@@ -83,8 +85,9 @@ class CheckpointStore:
     ) -> tuple[CampaignRecord, tuple[JournalEntry, ...]] | None:
         """Load one scenario's checkpoint, or ``None`` if absent/unusable.
 
-        Any unreadable or mismatching checkpoint degrades to "not
-        checkpointed" — the scenario re-runs, which is always safe.
+        Any unreadable or mismatching checkpoint, or a journal entry that
+        is not a four-field tuple, degrades to "not checkpointed" — the
+        scenario re-runs, which is always safe.
         """
         try:
             payload = json.loads(
@@ -94,8 +97,10 @@ class CheckpointStore:
                 return None
             record = CampaignRecord.from_json(payload["record"])
             with open(self._journal_path(scenario.index), "rb") as handle:
-                journal = pickle.load(handle)
-            return record, tuple(journal)
+                journal = tuple(pickle.load(handle))
+            if not all(isinstance(e, tuple) and len(e) == 4 for e in journal):
+                return None
+            return record, journal
         except FileNotFoundError:
             return None
         except (

@@ -118,8 +118,7 @@ class SynthesisLedger:
     by_spec: dict[str, SynthesisResult] = field(default_factory=dict)
     donors: list[SynthesisResult] = field(default_factory=list)
     _donor_digests: set[str] = field(default_factory=set)
-    #: Per-donor technology scope, parallel to ``donors``.  The empty
-    #: scope (legacy journals predating scoping) is visible everywhere.
+    #: Per-donor technology scope, parallel to ``donors``.
     _donor_scopes: list[str] = field(default_factory=list)
     #: Blocks any scenario loaded from the ledger instead of searching.
     shared_hits: int = 0
@@ -136,7 +135,7 @@ class SynthesisLedger:
         fingerprint: str,
         result: SynthesisResult,
         spec_key: str,
-        scope: str = "",
+        scope: str,
     ) -> None:
         """Admit a resolved block into the ledger (idempotent per design).
 
@@ -165,17 +164,16 @@ class SynthesisLedger:
     def donors_for(self, scope: str) -> tuple[SynthesisResult, ...]:
         """The warm-start pool visible to one technology scope.
 
-        Admission order is preserved; unscoped donors (recorded by code or
-        journals predating corner scoping) remain visible to every scope.
+        Admission order is preserved.
         """
         return tuple(
             donor
             for donor, donor_scope in zip(self.donors, self._donor_scopes)
-            if donor_scope == scope or not donor_scope
+            if donor_scope == scope
         )
 
     def replay(
-        self, journal: Sequence[tuple[str, ...]]
+        self, journal: Sequence[tuple[str, str, str, SynthesisResult]]
     ) -> None:
         """Re-apply a checkpointed journal, reconstructing ledger state.
 
@@ -183,15 +181,12 @@ class SynthesisLedger:
         admission order, so replaying the journals of completed scenarios
         (in scenario order) leaves ``memory``/``by_spec``/``donors`` —
         donor *order and scopes* included — exactly as the original run
-        left them.  Legacy three-field entries (written before donor
-        scoping existed) replay into the globally visible empty scope.
+        left them.  Every entry is ``(fingerprint, spec_key, scope,
+        result)``; :meth:`~repro.campaign.checkpoint.CheckpointStore.load`
+        refuses a journal holding anything else.
         """
-        for entry in journal:
-            if len(entry) == 4:
-                fingerprint, spec_key, scope, result = entry
-            else:
-                (fingerprint, spec_key, result), scope = entry, ""
-            self.record(fingerprint, result, spec_key, scope=scope)
+        for fingerprint, spec_key, scope, result in journal:
+            self.record(fingerprint, result, spec_key, scope)
 
 
 @dataclass

@@ -66,11 +66,11 @@ class Circuit:
 
         Two circuits with equal keys have identical MNA layouts and stamp
         *structure* — they may differ only in element values (resistances,
-        device geometry, source levels).  This is what the layout cache in
-        :mod:`repro.analysis.mna` and the compiled stamp templates in
-        :mod:`repro.analysis.template` key on: a sizing loop rebuilds the
-        same testbench topology hundreds of times with new values, and the
-        key lets every rebuild reuse the structural work.
+        device geometry, source levels).  This is what the compiled stamp
+        templates in :mod:`repro.analysis.template`, each with its
+        topology's one layout, key on: a sizing loop rebuilds the same
+        testbench topology hundreds of times with new values, and the key
+        lets every rebuild reuse the structural work.
         """
         if self._topology_key is None:
             self._topology_key = tuple(

@@ -163,7 +163,7 @@ def build_config(
     unknown = sorted(set(body) - set(CONFIG_FIELDS))
     if unknown:
         raise SpecificationError(
-            f"unknown config field(s) {', '.join(unknown)} "
+            f"unknown config field(s) {', '.join(map(repr, unknown))} "
             f"(valid: {', '.join(CONFIG_FIELDS)})"
         )
     backend = body.get("backend", "serial")
@@ -208,8 +208,8 @@ def build_grid(grid_body: dict) -> CampaignGrid:
     )
     if unknown:
         raise SpecificationError(
-            f"unknown grid field(s) {', '.join(unknown)} (valid: resolutions, "
-            "sample_rates_hz, modes, corners, full_scale)"
+            f"unknown grid field(s) {', '.join(map(repr, unknown))} (valid: "
+            "resolutions, sample_rates_hz, modes, corners, full_scale)"
         )
 
     def axis(name: str, default: list) -> list:
@@ -249,7 +249,7 @@ def build_spec(spec_body: dict) -> tuple[AdcSpec, str]:
     )
     if unknown:
         raise SpecificationError(
-            f"unknown spec field(s) {', '.join(unknown)} (valid: "
+            f"unknown spec field(s) {', '.join(map(repr, unknown))} (valid: "
             "resolution_bits, sample_rate_hz, full_scale, corner)"
         )
     corner = _require(spec_body.get("corner", "nom"), str, "spec.corner", "a string")

@@ -11,11 +11,7 @@ implements just enough computer algebra for that:
 * :mod:`repro.symbolic.poly` — polynomials in the Laplace variable ``s``
   whose coefficients are expressions;
 * :mod:`repro.symbolic.ratfunc` — rational functions in ``s`` (transfer
-  functions) with pole/zero extraction once numeric bindings are supplied;
-* :mod:`repro.symbolic.compile` — codegen of expressions/polynomials/
-  transfer functions into flat numpy callables (CSE'd three-address code)
-  that broadcast over arrays of bindings, replacing per-point recursive
-  tree walks in sweep and population workloads.
+  functions) with pole/zero extraction once numeric bindings are supplied.
 
 No external CAS is used; expression swell is bounded because opamp-scale
 signal-flow graphs have only a handful of loops.
@@ -24,14 +20,6 @@ signal-flow graphs have only a handful of loops.
 from repro.symbolic.expr import Expr, Sym, Const, symbols, as_expr
 from repro.symbolic.poly import Poly
 from repro.symbolic.ratfunc import RationalFunction
-from repro.symbolic.compile import (
-    CompiledExpr,
-    CompiledPoly,
-    CompiledRationalFunction,
-    compile_expr,
-    compile_poly,
-    compile_ratfunc,
-)
 
 __all__ = [
     "Expr",
@@ -41,10 +29,4 @@ __all__ = [
     "as_expr",
     "Poly",
     "RationalFunction",
-    "CompiledExpr",
-    "CompiledPoly",
-    "CompiledRationalFunction",
-    "compile_expr",
-    "compile_poly",
-    "compile_ratfunc",
 ]

@@ -21,7 +21,7 @@ from repro.symbolic.poly import Poly, _as_poly
 class RationalFunction:
     """An immutable ratio of two polynomials in ``s``."""
 
-    __slots__ = ("num", "den", "_compiled")
+    __slots__ = ("num", "den")
 
     def __init__(self, num: Poly | Expr | Number, den: Poly | Expr | Number = 1.0):
         num = _as_poly(num)
@@ -30,25 +30,9 @@ class RationalFunction:
             raise SymbolicError("rational function with zero denominator")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_compiled", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("RationalFunction objects are immutable")
-
-    def compiled(self):
-        """The codegen'd form of this transfer function (cached).
-
-        Returns a
-        :class:`repro.symbolic.compile.CompiledRationalFunction` whose
-        coefficient evaluation is a single flat function call instead of a
-        recursive tree walk, and whose bindings may be arrays — one sweep
-        for a whole population of small-signal parameter sets.
-        """
-        if self._compiled is None:
-            from repro.symbolic.compile import CompiledRationalFunction
-
-            object.__setattr__(self, "_compiled", CompiledRationalFunction(self))
-        return self._compiled
 
     # -- constructors ---------------------------------------------------------
 
@@ -170,17 +154,13 @@ class RationalFunction:
         frequencies_hz: np.ndarray,
         bindings: Mapping[str, float] | None = None,
     ) -> np.ndarray:
-        """Complex response over an array of frequencies in Hz.
+        """Complex response over an array of frequencies in Hz, shape ``(F,)``.
 
-        Scalar bindings return shape ``(F,)``.  Array bindings of shape
-        ``(B,)`` dispatch to the codegen'd form (:meth:`compiled`) and
-        return ``(B, F)`` — one response per population member, without
-        re-walking the coefficient trees per member.
+        Bindings are scalars; an array binding raises
+        :class:`~repro.errors.SymbolicError`.
         """
-        if bindings and any(
-            isinstance(v, np.ndarray) and v.ndim > 0 for v in bindings.values()
-        ):
-            return self.compiled().frequency_response(frequencies_hz, bindings)
+        if bindings and any(np.ndim(v) for v in bindings.values()):
+            raise SymbolicError("frequency_response takes scalar bindings only")
         num, den = self.numeric_coeffs(bindings)
         s = 2j * math.pi * np.asarray(frequencies_hz, dtype=float)
         return np.polyval(num[::-1], s) / np.polyval(den[::-1], s)

@@ -9,25 +9,34 @@ tuples by their ``repr``, which round-trips every float exactly.
 
 from __future__ import annotations
 
+#: Names of a bound program's value buffers, in ``BoundMna._buffers`` order.
+BUFFERS = ("jv", "c", "vdc", "inj_dc", "vg_gain", "gv", "cv")
+
 
 def bound_state(bound) -> dict[str, object]:
     """The constant slots, device tuples and geometry of ``bound``.
 
-    The MOSFET slots of the jacobian and the small-signal matrices are
-    left out: every jacobian and linearization refills them.  So are the
-    affine offsets ``e`` and injections ``inj``, which the next residual
-    refills from ``vdc``, ``inj_dc`` and its source scale.
+    The constant slots are the positions the template's value-slot table
+    and its unit and zero stamps name in each buffer.  The MOSFET slots of
+    the jacobian and the small-signal matrices are left out: every
+    jacobian and linearization refills them.  So are the affine offsets
+    ``e`` and injections ``inj``, which the next residual refills from
+    ``vdc``, ``inj_dc`` and its source scale.
     """
     t = bound.template
-    return {
-        "jv": bound._jv[t._j_const_pos].tobytes(),
-        "c": bound._fused.c.tobytes(),
-        "vdc": bound._vdc.tobytes(),
-        "inj_dc": bound._inj_dc.tobytes(),
-        "vg_gain": bound._vg_gain.tobytes(),
-        "gv": bound._gv[t._g_const_pos].tobytes(),
-        "cv": bound._cv[t._c_const_pos].tobytes(),
-        "b_ac": bound._b_ac.tobytes(),
-        "devices": repr(bound._devices),
-        "geometry": repr(bound._geometry),
+    positions = [[] for _ in BUFFERS]
+    for _, targets in t.slots:
+        for buf, pos, _ in targets:
+            positions[buf].append(pos)
+    for buf, pos, _ in t._constants:
+        positions[buf].append(pos)
+    state = {
+        name: buffer[sorted(at)].tobytes()
+        for name, buffer, at in zip(BUFFERS, bound._buffers, positions)
     }
+    state.update(
+        b_ac=bound._b_ac.tobytes(),
+        devices=repr(bound._devices),
+        geometry=repr(bound._geometry),
+    )
+    return state

@@ -16,7 +16,6 @@ from repro.analysis.ac import (
 )
 from repro.analysis.dc import solve_dc
 from repro.analysis.smallsignal import LinearizedCircuit, linearize
-from repro.analysis.mna import layout_for
 from repro.circuit.builder import CircuitBuilder
 from repro.enumeration.candidates import PipelineCandidate
 from repro.errors import AnalysisError

@@ -19,9 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.ac import ac_transfer
 from repro.analysis.dc import _ABS_TOL, _abs_max, _newton, solve_dc
-from repro.analysis.mna import GROUND, layout_for
+from repro.analysis.mna import GROUND, MnaLayout
 from repro.analysis.smallsignal import linearize
+from repro.analysis.transient import simulate_transient
 from repro.analysis.template import (
     MnaTemplate,
     _TEMPLATE_CACHE,
@@ -41,7 +43,7 @@ from repro.circuit.elements import (
 )
 from repro.circuit.netlist import Circuit
 from repro.enumeration.candidates import PipelineCandidate
-from repro.errors import AnalysisError, ConvergenceError
+from repro.errors import AnalysisError, ConvergenceError, NetlistError
 from repro.obs import metrics
 from repro.specs import AdcSpec, plan_stages
 from repro.synth import HybridEvaluator, two_stage_space
@@ -77,9 +79,9 @@ def _opamp_bench(seed: int = 0):
     return evaluator._ac_bench(sizing), evaluator
 
 
-def _mixed_circuit() -> Circuit:
+def _mixed_circuit(name: str = "mixed") -> Circuit:
     """Every element type the DC/AC templates support, in one netlist."""
-    c = Circuit("mixed")
+    c = Circuit(name)
     c.add(VoltageSource("vin", positive="a", negative="gnd", dc=1.0, ac=1.0))
     c.add(Resistor("r1", "a", "b", 1e3))
     c.add(Inductor("l1", "b", "c", 1e-6))
@@ -122,7 +124,7 @@ class TestAssembleBitIdentity:
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_opamp_bench_assemble(self, seed):
         bench, _ = _opamp_bench(seed)
-        layout = layout_for(bench)
+        layout = MnaLayout(bench)
         bound = bind_template(bench)
         rng = np.random.default_rng(seed + 100)
         for _ in range(3):
@@ -135,7 +137,7 @@ class TestAssembleBitIdentity:
 
     def test_mixed_elements_assemble(self):
         circuit = _mixed_circuit()
-        layout = layout_for(circuit)
+        layout = MnaLayout(circuit)
         bound = bind_template(circuit)
         rng = np.random.default_rng(2)
         for _ in range(4):
@@ -203,7 +205,7 @@ class TestTemplateCacheAndBinding:
         template = MnaTemplate(bench)
         clone = pickle.loads(pickle.dumps(template))
         assert clone.key == template.key
-        x = np.random.default_rng(0).standard_normal(layout_for(bench).size)
+        x = np.random.default_rng(0).standard_normal(MnaLayout(bench).size)
         jac_a, res_a = _system(template.bind(bench), x, 1e-9, 0.5)
         jac_b, res_b = _system(clone.bind(bench), x, 1e-9, 0.5)
         assert_same_bytes(jac_a, jac_b)
@@ -221,20 +223,40 @@ class TestTemplateCacheAndBinding:
         bound = bind_template(bench_a)
         bound.rebind(bench_b)
         reference = bind_template(bench_b)
-        layout = layout_for(bench_b)
+        layout = MnaLayout(bench_b)
         x = np.random.default_rng(0).standard_normal(layout.size)
         jac_a, res_a = _system(bound, x, 0.0, 1.0)
         jac_b, res_b = _system(reference, x, 0.0, 1.0)
         assert_same_bytes(jac_a, jac_b)
         assert_same_bytes(res_a, res_b)
 
-    def test_layout_cache_shares_structure_not_values(self):
+    def test_binds_share_layout_structure_not_values(self):
         bench_a, _ = _opamp_bench(1)
         bench_b, _ = _opamp_bench(2)
-        layout_a = layout_for(bench_a)
-        layout_b = layout_for(bench_b)
+        layout_a = bind_template(bench_a).layout
+        layout_b = bind_template(bench_b).layout
         assert layout_a.node_of is layout_b.node_of  # shared index maps
-        assert layout_b.circuit is bench_b  # values from the live circuit
+        assert layout_a.branch_of is layout_b.branch_of
+        # Values from, and errors naming, each bind's own circuit.
+        assert layout_a.circuit is bench_a
+        assert layout_b.circuit is bench_b
+
+    def test_errors_name_the_callers_circuit(self):
+        # Both circuits bind one template and its one layout; each bind's
+        # view of that layout must still name its own circuit.
+        first, second = _mixed_circuit("first"), _mixed_circuit("second")
+        assert template_for(first) is template_for(second)
+        solve_dc(first)
+        lin = linearize(second)
+        for call in (
+            lambda: solve_dc(second, initial_guess={"nope": 1.0}),
+            lambda: lin.index("nope"),
+            lambda: ac_transfer(lin, "nope", np.array([1e3])),
+            lambda: simulate_transient(second, 1e-9, 1e-10, record=["nope"]),
+        ):
+            with pytest.raises(NetlistError) as refused:
+                call()
+            assert str(refused.value) == "net 'nope' not in circuit 'second'"
 
     def test_topology_key_invalidates_on_mutation(self):
         circuit = _mixed_circuit()
@@ -301,7 +323,7 @@ class TestCompiledDcSolve:
         assert (sol.iterations, sol.strategy) == (ref.iterations, ref.strategy)
         # KCL holds under the element walk's own assembly, not just the
         # template's.
-        _, resid = assemble(layout_for(bench), sol.x, 0.0, 1.0)
+        _, resid = assemble(MnaLayout(bench), sol.x, 0.0, 1.0)
         assert float(np.max(np.abs(resid))) < _ABS_TOL
         # The next candidate warm-starts from this solution, as the
         # evaluator's chain does, and takes the same trajectory either way.

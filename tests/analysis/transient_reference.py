@@ -15,7 +15,7 @@ import dataclasses
 import numpy as np
 
 from repro.analysis.dc import DcSolution
-from repro.analysis.mna import GROUND, MnaLayout, layout_for
+from repro.analysis.mna import GROUND, MnaLayout
 from repro.analysis.transient import TransientResult
 from repro.circuit.elements import (
     Capacitor,
@@ -73,7 +73,7 @@ def simulate_transient(
     if method not in ("trap", "be"):
         raise AnalysisError(f"unknown method {method!r}")
 
-    layout = layout_for(circuit)
+    layout = MnaLayout(circuit)
     if initial is None:
         _, initial = _initial_dc(circuit)
     x = initial.x.copy()

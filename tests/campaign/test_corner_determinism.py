@@ -10,8 +10,12 @@ ledger-independent shard unit.  The contract tested here:
   reproduces the unsharded store byte-for-byte — the sharding PR 4 had to
   forbid for synthesis grids;
 * a run interrupted after its first corner resumes to the same bytes;
-* donors never cross corner scopes.
+* donors never cross corner scopes, and a journal without scopes is not
+  replayed: its scenario re-runs.
 """
+
+import pickle
+import shutil
 
 import pytest
 
@@ -136,6 +140,22 @@ class TestCornerShardedByteIdentity:
         for name in ("results.jsonl", "report.txt", "manifest.json"):
             assert (merged / name).read_bytes() == (reference / name).read_bytes(), name
 
+    def test_three_field_journal_reruns_its_scenario(self, reference, tmp_path):
+        # A journal in the pre-scoping format, (fingerprint, spec_key,
+        # result) per entry, would hand its donors to every corner.  The
+        # resume must treat it as unusable and re-run its scenario.
+        store = tmp_path / "legacy"
+        shutil.copytree(reference, store)
+        journal_path = store / "checkpoints" / "00001.ledger.pkl"
+        journal = pickle.loads(journal_path.read_bytes())
+        assert journal and all(len(entry) == 4 for entry in journal)
+        legacy = tuple((fp, key, result) for fp, key, _, result in journal)
+        journal_path.write_bytes(pickle.dumps(legacy))
+        resumed = run_campaign(GRID, config=_config(), store_dir=store, resume=True)
+        assert resumed.replayed_scenarios == 1
+        for name in ("results.jsonl", "report.txt"):
+            assert (store / name).read_bytes() == (reference / name).read_bytes(), name
+
     def test_interrupt_and_resume_matches_uninterrupted(self, reference, tmp_path):
         # The first corner's checkpoint replays with its donor scope, and
         # the second corner finishes exactly as in one uninterrupted run.
@@ -163,15 +183,6 @@ class TestDonorScoping:
             for donor in visible:
                 index = ledger.donors.index(donor)
                 assert ledger._donor_scopes[index] == scope
-
-    def test_unscoped_legacy_donors_stay_globally_visible(self):
-        ledger = SynthesisLedger()
-        run_campaign(GRID, config=_config(), ledger=ledger)
-        donor = ledger.donors[0]
-        legacy = SynthesisLedger()
-        legacy.replay([("fp", "spec-key", donor)])  # pre-scoping journal entry
-        assert legacy.donors_for("cmos025") == (donor,)
-        assert legacy.donors_for("anything") == (donor,)
 
     def test_journal_replay_reconstructs_scopes(self, tmp_path):
         ledger = SynthesisLedger()

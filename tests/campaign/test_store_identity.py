@@ -304,7 +304,8 @@ class TestRemovedKernelStoresAreRefused:
         )
         assert state_after == "failed"
         assert "\n" not in error
-        assert f"unknown config field(s) {', '.join(REMOVED_CONFIG_FIELDS)}" in error
+        removed = ", ".join(map(repr, REMOVED_CONFIG_FIELDS))
+        assert f"unknown config field(s) {removed}" in error
         assert not coalesced
         assert rerun.state == "done"
         assert store.result_ready(key)

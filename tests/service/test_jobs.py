@@ -121,8 +121,8 @@ class TestValidation:
 
 
 #: Bodies that once crashed ``parse_request`` with a ``TypeError`` or
-#: ``ValueError`` (an HTTP 500), or were silently coerced into a job the
-#: client did not ask for.
+#: ``ValueError`` (an HTTP 500), were silently coerced into a job the
+#: client did not ask for, or were refused with a multi-line error.
 MALFORMED = {
     "config-not-object": {**CAMPAIGN, "config": "x"},
     "backend-list": {**CAMPAIGN, "config": {"backend": ["serial"]}},
@@ -149,6 +149,12 @@ MALFORMED = {
     "spec-corner-list": {
         "kind": "optimize",
         "spec": {"resolution_bits": 10, "corner": ["nom"]},
+    },
+    "config-field-newline": {"kind": "campaign", "config": {"\n": None}},
+    "grid-field-newline": {"grid": {"resolutions": [10], "\n": None}},
+    "spec-field-newline": {
+        "kind": "optimize",
+        "spec": {"resolution_bits": 10, "\n": None},
     },
 }
 

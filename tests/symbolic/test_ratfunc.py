@@ -130,6 +130,26 @@ class TestNumericViews:
         with pytest.raises(SymbolicError):
             h(-1.0)
 
+    def test_unity_gain_frequency_unchanged(self):
+        # The coefficient hoisting inside unity_gain_frequency is exact:
+        # same crossing, same bisection path, same value.
+        gm, ro, cl = symbols("gm ro cl")
+        h = RationalFunction(Poly([gm * ro]), Poly([1.0, ro * cl]))
+        b = {"gm": 1e-2, "ro": 1e5, "cl": 1e-12}
+        fu = h.unity_gain_frequency(b)
+        assert fu is not None
+        # |H| at the crossing is ~1 and the value is stable/deterministic.
+        assert abs(abs(complex(h.frequency_response(np.array([fu]), b)[0])) - 1.0) < 1e-3
+        assert fu == h.unity_gain_frequency(b)
+
+    def test_frequency_response_refuses_array_bindings(self):
+        gm, cl = symbols("gm cl")
+        h = RationalFunction(Poly([gm]), Poly([0, cl]))
+        with pytest.raises(SymbolicError, match="scalar bindings"):
+            h.frequency_response(
+                np.logspace(3, 9, 13), {"gm": np.array([1e-3, 2e-3]), "cl": 1e-12}
+            )
+
 
 class TestSubstitute:
     def test_substitute_binds_symbols(self):
