@@ -56,6 +56,9 @@ its waveform bytes differ, when the
 behavioral batch kernel is not bit-identical to the scalar walk, misses
 its 5x floor at 256 draws, or its ``tracemalloc`` peak on the campaign's
 13-bit 3-2-2-2-2 plan at 256 draws exceeds 1.25x its own output arrays,
+when ``verify_candidate``'s ``tracemalloc`` peak on that plan at 1024
+draws exceeds 2x its peak at 256 draws (a verdict streams the kernel's
+draw blocks, so its memory must not grow with the draw count),
 when any content digest differs from the two-pass encoder's or the
 one-pass encoder is under 2x its speed, when the warm rerun searches a
 block, plans a (spec, candidate) pair twice or serializes a record twice,
@@ -383,6 +386,15 @@ def stage_transient_step(repeats: int) -> dict:
 BEHAVIORAL_FIELDS = ("stage_codes", "residues", "backend_codes", "codes")
 
 
+def _memory_plan() -> tuple[AdcSpec, object]:
+    """The campaign's 13-bit spec and its '3-2-2-2-2' winner."""
+    spec = AdcSpec(resolution_bits=13)
+    candidate = next(
+        c for c in enumerate_candidates(13) if c.label == "3-2-2-2-2"
+    )
+    return spec, candidate
+
+
 def _kernel_memory(draws: int) -> tuple[int, int]:
     """The batch kernel's ``tracemalloc`` peak and its outputs' bytes.
 
@@ -390,10 +402,7 @@ def _kernel_memory(draws: int) -> tuple[int, int]:
     campaign's record length.  The peak includes the four output arrays,
     so a whole-array temporary shows as a ratio well above one.
     """
-    spec = AdcSpec(resolution_bits=13)
-    candidate = next(
-        c for c in enumerate_candidates(13) if c.label == "3-2-2-2-2"
-    )
+    spec, candidate = _memory_plan()
     models, rngs = draw_error_models(plan_stages(spec, candidate), draws, 101)
     stimulus = full_scale_sine(
         SAMPLES, pick_coherent_cycles(SAMPLES), spec.full_scale
@@ -409,6 +418,28 @@ def _kernel_memory(draws: int) -> tuple[int, int]:
     return peak, sum(getattr(result, f).nbytes for f in BEHAVIORAL_FIELDS)
 
 
+def _verdict_peaks(draws: tuple[int, ...]) -> dict[str, int]:
+    """``verify_candidate``'s ``tracemalloc`` peak at each draw count.
+
+    The whole verdict (error models, generators, kernel blocks, SNDR
+    read-out) on the plan of :func:`_kernel_memory` at the campaign's
+    record length, after one warm-up verdict.  A verdict that streams the
+    kernel's draw blocks holds one block at a time, so its peak grows with
+    draws only by the error models and one generator per draw.
+    """
+    spec, candidate = _memory_plan()
+    verify.verify_candidate(spec, candidate, draws=2, seed=101)
+    peaks = {}
+    for count in draws:
+        tracemalloc.start()
+        try:
+            verify.verify_candidate(spec, candidate, draws=count, seed=101)
+            peaks[str(count)] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
 def stage_behavioral(draws: int, samples: int) -> dict:
     """Vectorized Monte-Carlo pipeline simulation vs the scalar walk.
 
@@ -419,7 +450,8 @@ def stage_behavioral(draws: int, samples: int) -> dict:
     bit-for-bit.
     The 256-draw speedup floor in ``--check`` is the PR 7 acceptance bar.
     ``_kernel_memory`` adds the peak that ``--check`` bounds at 1.25x the
-    kernel's own outputs.
+    kernel's own outputs, and ``_verdict_peaks`` the verdict's peaks at
+    256 and 1024 draws, whose ratio ``--check`` bounds at 2x.
     """
     spec = AdcSpec(resolution_bits=10)
     candidate = next(c for c in enumerate_candidates(10) if c.label == "3-2")
@@ -445,6 +477,7 @@ def stage_behavioral(draws: int, samples: int) -> dict:
     )
     conversions = draws * samples
     peak, output_bytes = _kernel_memory(draws)
+    verdict_peaks = _verdict_peaks((256, 1024))
     return {
         "workload": f"{draws} mismatch draws x {samples}-sample coherent "
                     f"capture, 10-bit '3-2' pipeline",
@@ -459,6 +492,12 @@ def stage_behavioral(draws: int, samples: int) -> dict:
         "tracemalloc_peak_bytes": peak,
         "output_bytes": output_bytes,
         "peak_over_outputs": round(peak / output_bytes, 3),
+        "verdict_memory_workload": f"verify_candidate, 13-bit '3-2-2-2-2' "
+                                   f"pipeline, {SAMPLES} samples",
+        "verdict_peak_bytes": verdict_peaks,
+        "verdict_peak_growth": round(
+            verdict_peaks["1024"] / verdict_peaks["256"], 3
+        ),
     }
 
 
@@ -708,6 +747,7 @@ def main(argv=None) -> int:
         f"{bind['netlist_rebind_us']} us rebuilt, "
         f"transient step: {trans['speedup']}x, "
         f"behavioral batch: {behavioral['speedup']}x, "
+        f"verdict peak 1024/256 draws: {behavioral['verdict_peak_growth']}x, "
         f"digest: {digests['speedup']}x, "
         f"warm rerun: {warm['rerun_ms']}ms, {warm['plans']} plans for "
         f"{warm['distinct_pairs']} pairs, {warm['serializations']} lines for "
@@ -768,6 +808,12 @@ def main(argv=None) -> int:
             failures.append(
                 "regression: behavioral batch kernel's tracemalloc peak is "
                 f"{behavioral['peak_over_outputs']}x its outputs (limit 1.25x)"
+            )
+        if behavioral["verdict_peak_growth"] > 2.0:
+            failures.append(
+                "regression: verify_candidate's tracemalloc peak at 1024 "
+                f"draws is {behavioral['verdict_peak_growth']}x its peak at "
+                "256 draws (limit 2x)"
             )
         if not digests["identical_digests"]:
             failures.append(

@@ -48,6 +48,7 @@ from repro.analysis.template import (
     FusedResidual,
     assemble_jacobian,
     bind_template,
+    template_for,
 )
 from repro.circuit.elements import CurrentSource, VoltageSource
 from repro.circuit.netlist import Circuit
@@ -383,22 +384,22 @@ def simulate_transient(
     if method not in ("trap", "be"):
         raise AnalysisError(f"unknown method {method!r}")
 
+    # The topology's layout, viewed through the caller's circuit so that
+    # an unknown ``record`` net names it (the t=0 bind names its frozen
+    # copy) and is refused before the DC solve.
+    layout = template_for(circuit).layout.with_circuit(circuit)
+    nets = list(dict.fromkeys(record if record is not None else layout.nets))
+    indices = [layout.index(net) for net in nets]
     if initial is None:
         bound, initial = _initial_dc(circuit)
     else:
         bound = bind_template(circuit)
-    # The bound program's layout, viewed through the caller's circuit so
-    # that an unknown ``record`` net names it (the t=0 bind names its
-    # frozen copy).
-    layout = bound.layout.with_circuit(circuit)
     x = initial.x.copy()
     if len(x) != layout.size:
         raise AnalysisError("initial DC solution does not match circuit")
     n_steps = int(round(t_stop / dt))
     times = np.linspace(0.0, n_steps * dt, n_steps + 1)
     program = _StepProgram(bound, circuit, initial, dt, method, times)
-    nets = list(dict.fromkeys(record if record is not None else layout.nets))
-    indices = [layout.index(net) for net in nets]
     columns = np.asarray(
         [c for c, idx in enumerate(indices) if idx != GROUND], dtype=np.intp
     )

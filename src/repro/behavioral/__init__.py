@@ -17,7 +17,7 @@ actually convert at the target resolution?  It provides:
   SNDR/ENOB verdicts the campaign layer stores.
 """
 
-from repro.behavioral.batch import BatchResult, simulate_draws
+from repro.behavioral.batch import BatchResult, simulate_blocks, simulate_draws
 from repro.behavioral.pipeline import BehavioralPipeline, PipelineStage
 from repro.behavioral.nonideal import StageErrorModel
 from repro.behavioral.correction import combine_codes
@@ -39,6 +39,7 @@ __all__ = [
     "StageErrorModel",
     "combine_codes",
     "draw_error_models",
+    "simulate_blocks",
     "simulate_draws",
     "sndr_db",
     "enob",

@@ -1,13 +1,15 @@
 """Vectorized Monte-Carlo pipeline simulation: draws × samples × stages.
 
-:func:`simulate_draws` converts the whole input record under every
-mismatch draw with one kernel call, bit-identical to the scalar
-per-sample walk of :class:`~repro.behavioral.pipeline.BehavioralPipeline`.
-The kernel runs the stage chain on blocks of
-``max(1, _BLOCK_ELEMENTS // samples)`` draws: a block's ``(rows, samples)``
-arrays stay in cache from the sample-and-hold through every stage, the
-backend quantizer and the integer correction, and only the four output
-arrays span every draw.
+:func:`simulate_blocks` converts the input record under every mismatch
+draw one block of ``max(1, _BLOCK_ELEMENTS // samples)`` draws at a time,
+bit-identical to the scalar per-sample walk of
+:class:`~repro.behavioral.pipeline.BehavioralPipeline`.  A block's
+``(rows, samples)`` arrays stay in cache from the sample-and-hold through
+every stage, the backend quantizer and the integer correction, and the
+block is yielded as its own trace: a consumer that keeps only what it
+reads from each block (the verifier keeps one SNDR per draw) holds one
+block at a time, whatever the draw count.  :func:`simulate_draws` copies
+the blocks into one full trace that spans every draw.
 
 Bit-identity holds because every element goes through the scalar walk's
 IEEE expressions op for op (numpy elementwise double ops are the same
@@ -29,7 +31,7 @@ equivalence is enforced against the scalar walk kept in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -47,7 +49,12 @@ _BLOCK_ELEMENTS = 32768
 
 @dataclass(frozen=True)
 class BatchResult:
-    """Full conversion trace of one draws × samples simulation."""
+    """Conversion trace of draws × samples: every draw, or one block of them.
+
+    :func:`simulate_draws` returns one over every draw and
+    :func:`simulate_blocks` one per block; ``draws`` below is then the
+    block's row count.
+    """
 
     #: Raw per-stage codes, shape ``(draws, samples, stage_count)``.
     stage_codes: np.ndarray
@@ -59,15 +66,15 @@ class BatchResult:
     codes: np.ndarray = field(default=None)  # type: ignore[assignment]
 
 
-def simulate_draws(
+def simulate_blocks(
     candidate: PipelineCandidate,
     full_scale: float,
     error_draws: Sequence[Sequence[StageErrorModel]],
     samples: np.ndarray,
     rngs: Sequence[np.random.Generator] | None = None,
     sah: SampleAndHold | None = None,
-) -> BatchResult:
-    """Convert ``samples`` under every mismatch draw with one kernel call.
+) -> Iterator[tuple[int, BatchResult]]:
+    """Convert ``samples`` under every mismatch draw, one block at a time.
 
     ``error_draws`` holds one per-stage error-model tuple per Monte-Carlo
     draw; ``rngs`` supplies one independent generator per draw (required
@@ -75,6 +82,12 @@ def simulate_draws(
     noise stream so draws are order-independent and replayable).  The
     generators are consumed exactly as the scalar walk consumes them, so
     the same seeded generators produce the scalar walk's traces bit for bit.
+
+    The arguments are checked and every stage's tables built here, before
+    any generator is touched, so a refused call raises at once and leaves
+    the generators where they were.  Iterating yields ``(first_draw,
+    block)`` in draw order: ``block`` is the trace of draws
+    ``first_draw`` to ``first_draw + len(block.codes)``, freshly allocated.
     """
     if sah is None:
         sah = SampleAndHold()
@@ -89,8 +102,46 @@ def simulate_draws(
     )
     if noisy and rngs is None:
         raise SpecificationError("rngs required when any draw carries noise")
+    # Structural validation the scalar walk performs inside combine_codes.
+    if candidate.frontend_bits > candidate.total_bits - 1:
+        raise SpecificationError("stages resolve more than total_bits")
+    stages = _stages(candidate, full_scale, error_draws)
     samples = np.asarray(samples, dtype=float)
-    return _simulate_batch(candidate, full_scale, error_draws, samples, rngs, sah)
+    return _simulate_blocks(
+        candidate, full_scale, error_draws, samples, rngs, sah, stages
+    )
+
+
+def simulate_draws(
+    candidate: PipelineCandidate,
+    full_scale: float,
+    error_draws: Sequence[Sequence[StageErrorModel]],
+    samples: np.ndarray,
+    rngs: Sequence[np.random.Generator] | None = None,
+    sah: SampleAndHold | None = None,
+) -> BatchResult:
+    """The full trace of :func:`simulate_blocks`: every draw in one result.
+
+    Allocates the four outputs over every draw and copies each block into
+    them, so it holds its outputs plus one block.  Arguments, refusals and
+    generator consumption are :func:`simulate_blocks`'.
+    """
+    blocks = simulate_blocks(candidate, full_scale, error_draws, samples, rngs, sah)
+    shape = (len(error_draws), len(samples))
+    trace = BatchResult(
+        stage_codes=np.empty(shape + (candidate.stage_count,), dtype=np.int64),
+        residues=np.empty(shape),
+        backend_codes=np.empty(shape, dtype=np.int64),
+        codes=np.empty(shape, dtype=np.int64),
+    )
+    for d0, block in blocks:
+        d1 = d0 + len(block.codes)
+        trace.stage_codes[d0:d1] = block.stage_codes
+        trace.residues[d0:d1] = block.residues
+        trace.backend_codes[d0:d1] = block.backend_codes
+        trace.codes[d0:d1] = block.codes
+        del block  # freed before the kernel builds the next one
+    return trace
 
 
 @dataclass(frozen=True)
@@ -168,23 +219,20 @@ def _stages(
     return stages
 
 
-def _simulate_batch(
+def _simulate_blocks(
     candidate: PipelineCandidate,
     full_scale: float,
     error_draws: list[tuple[StageErrorModel, ...]],
     samples: np.ndarray,
     rngs: Sequence[np.random.Generator] | None,
     sah: SampleAndHold,
-) -> BatchResult:
+    stages: list[_Stage],
+) -> Iterator[tuple[int, BatchResult]]:
     """The kernel: the whole stage chain on one block of draws at a time."""
     draws, n_samples = len(error_draws), len(samples)
     n_stages = candidate.stage_count
     total_bits = candidate.total_bits
     backend_bits = total_bits - candidate.frontend_bits
-    # Structural validation the scalar walk performs inside combine_codes.
-    if candidate.frontend_bits > total_bits - 1:
-        raise SpecificationError("stages resolve more than total_bits")
-    stages = _stages(candidate, full_scale, error_draws)
 
     # Thermal-noise replay: the scalar walk consumes one standard normal
     # per noisy source per sample, sample-major.  Each draw's whole
@@ -205,10 +253,6 @@ def _simulate_batch(
                 col += 1
         sources[d] = col
 
-    stage_codes = np.empty((draws, n_samples, n_stages), dtype=np.int64)
-    residues = np.empty((draws, n_samples))
-    backend_codes = np.empty((draws, n_samples), dtype=np.int64)
-    codes = np.empty((draws, n_samples), dtype=np.int64)
     # Sample-and-hold: vin * (1 + gain_error) + noise, like the scalar walk.
     held = samples * (1.0 + sah.gain_error)
     n = 2**backend_bits
@@ -228,6 +272,7 @@ def _simulate_batch(
         else:
             # The scalar walk's `+ noise` with noise == 0.0.
             v = np.broadcast_to(held + 0.0, (d1 - d0, n_samples)).copy()
+        stage_codes = np.empty((d1 - d0, n_samples, n_stages), dtype=np.int64)
         acc = np.zeros((d1 - d0, n_samples), dtype=np.int64)
         for c, stage in enumerate(stages):
             # Stage input noise (consumed before the sub-ADC decision).
@@ -239,7 +284,7 @@ def _simulate_batch(
             offsets = stage.offsets[d0:d1]
             for j, threshold in enumerate(stage.thresholds):
                 code += (v + offsets[:, j : j + 1]) > threshold
-            stage_codes[d0:d1, :, c] = code
+            stage_codes[:, :, c] = code
             # MDAC residue: gain * vin - dac, per-draw gain and DAC table.
             dac = np.take_along_axis(stage.dac[d0:d1], code, axis=1)
             v = stage.gains[d0:d1] * v - dac
@@ -250,10 +295,8 @@ def _simulate_batch(
             np.floor((v / full_scale + 0.5) * n), 0, n - 1
         ).astype(np.int64)
         word = 2 ** (total_bits - 1) + acc + (backend - 2 ** (backend_bits - 1))
-        residues[d0:d1] = v
-        backend_codes[d0:d1] = backend
-        codes[d0:d1] = np.clip(word, 0, 2**total_bits - 1)
-    return BatchResult(stage_codes, residues, backend_codes, codes)
+        codes = np.clip(word, 0, 2**total_bits - 1)
+        yield d0, BatchResult(stage_codes, v, backend, codes)
 
 
-__all__ = ["BatchResult", "simulate_draws"]
+__all__ = ["BatchResult", "simulate_blocks", "simulate_draws"]

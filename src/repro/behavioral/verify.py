@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.behavioral.batch import BatchResult, simulate_draws
+from repro.behavioral.batch import simulate_blocks
 from repro.behavioral.metrics import sndr_db
 from repro.behavioral.nonideal import StageErrorModel
 from repro.behavioral.signals import full_scale_sine, pick_coherent_cycles
@@ -40,8 +40,9 @@ from repro.obs import metrics
 from repro.specs.adc import AdcSpec
 from repro.specs.stage import PlanTable, StagePlan
 
-#: Record length for SNDR captures: long enough for a clean noise floor,
-#: short enough that a 1000-draw batch stays comfortably in memory.
+#: Record length for SNDR captures: long enough for a clean noise floor.
+#: A verdict holds one block of draws at this length at a time (16 draws,
+#: see :mod:`repro.behavioral.batch`), so its memory barely grows with draws.
 SAMPLES = 2048
 
 #: Version of :func:`verdict_key`.  Bump it with any change that moves a
@@ -210,23 +211,26 @@ def verify_candidate(
     Drives a near-full-scale coherent sine through the behavioral
     pipeline under per-stage error models derived from the candidate's
     stage plan, and distills each draw's code record into SNDR/ENOB.
-    ``plans`` is the caller's plan table, if it keeps one.
+    ``plans`` is the caller's plan table, if it keeps one.  Each block of
+    draws is read as it comes: only its output words' SNDRs are kept.
     """
     plan = (plans or PlanTable()).plan(spec, candidate)
     models, rngs = draw_error_models(plan, draws, seed, mismatch)
     cycles = pick_coherent_cycles(samples)
     stimulus = full_scale_sine(samples, cycles, spec.full_scale)
-    result: BatchResult = simulate_draws(
+    sndr: list[float] = []
+    for _, block in simulate_blocks(
         candidate, spec.full_scale, models, stimulus, rngs=rngs
-    )
-    sndr = tuple(sndr_db(result.codes[d], cycles) for d in range(draws))
+    ):
+        sndr.extend(sndr_db(codes, cycles) for codes in block.codes)
+        del block  # freed before the kernel builds the next one
     return BehavioralVerdict(
         candidate=candidate,
         draws=draws,
         seed=seed,
         samples=samples,
         cycles=cycles,
-        sndr_db=sndr,
+        sndr_db=tuple(sndr),
         enob=tuple((s - 1.76) / 6.02 for s in sndr),
     )
 

@@ -23,6 +23,7 @@ from repro.analysis.ac import ac_transfer
 from repro.analysis.dc import _ABS_TOL, _abs_max, _newton, solve_dc
 from repro.analysis.mna import GROUND, MnaLayout
 from repro.analysis.smallsignal import linearize
+from repro.analysis import transient
 from repro.analysis.transient import simulate_transient
 from repro.analysis.template import (
     MnaTemplate,
@@ -48,7 +49,7 @@ from repro.obs import metrics
 from repro.specs import AdcSpec, plan_stages
 from repro.synth import HybridEvaluator, two_stage_space
 from repro.tech import CMOS025
-from tests.analysis import mna_reference
+from tests.analysis import mna_reference, transient_reference
 from tests.analysis.mna_reference import WalkAssembly, assemble, walk_solve_dc
 
 
@@ -257,6 +258,23 @@ class TestTemplateCacheAndBinding:
             with pytest.raises(NetlistError) as refused:
                 call()
             assert str(refused.value) == "net 'nope' not in circuit 'second'"
+
+    @pytest.mark.parametrize("module", (transient, transient_reference))
+    def test_unknown_record_net_is_refused_before_the_dc_solve(
+        self, monkeypatch, module
+    ):
+        # The compiled transient and its oracle resolve ``record`` first:
+        # an unknown net is refused without the t=0 DC solve or any step
+        # set-up, and the error names the caller's circuit.
+        def no_dc(circuit):
+            pytest.fail("the t=0 DC solve ran before the nets were resolved")
+
+        monkeypatch.setattr(module, "_initial_dc", no_dc)
+        with pytest.raises(NetlistError) as refused:
+            module.simulate_transient(
+                _mixed_circuit("caller"), 1e-9, 1e-10, record=["f", "nope"]
+            )
+        assert str(refused.value) == "net 'nope' not in circuit 'caller'"
 
     def test_topology_key_invalidates_on_mutation(self):
         circuit = _mixed_circuit()

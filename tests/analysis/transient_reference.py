@@ -74,6 +74,8 @@ def simulate_transient(
         raise AnalysisError(f"unknown method {method!r}")
 
     layout = MnaLayout(circuit)
+    nets = record if record is not None else layout.nets
+    indices = {net: layout.index(net) for net in nets}
     if initial is None:
         _, initial = _initial_dc(circuit)
     x = initial.x.copy()
@@ -103,8 +105,6 @@ def simulate_transient(
 
     n_steps = int(round(t_stop / dt))
     times = np.linspace(0.0, n_steps * dt, n_steps + 1)
-    nets = record if record is not None else layout.nets
-    indices = {net: layout.index(net) for net in nets}
     traces = {net: np.zeros(n_steps + 1) for net in nets}
     for net, idx in indices.items():
         traces[net][0] = 0.0 if idx == GROUND else x[idx]

@@ -5,10 +5,14 @@ The vectorized batch kernel must reproduce the scalar walk kept in
 residue, backend code and output word, thermal-noise streams and every
 generator's end state included — across random error-model draws and
 draw blocks, and verdicts and campaign records must come out
-byte-identical with the walk swapped in.
+byte-identical with the walk swapped in.  A verdict streams the kernel's
+draw blocks, so it must also equal the verdict read from the full trace,
+and its memory must not grow with the draw count.
 """
 
 import dataclasses
+import functools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -18,7 +22,7 @@ from hypothesis import strategies as st
 
 import repro.behavioral.verify
 from repro.behavioral import batch
-from repro.behavioral.batch import simulate_draws
+from repro.behavioral.batch import simulate_blocks, simulate_draws
 from repro.behavioral.metrics import sndr_db
 from repro.behavioral.nonideal import StageErrorModel
 from repro.behavioral.pipeline import BehavioralPipeline
@@ -67,16 +71,38 @@ def _states(rngs):
     return [rng.bit_generator.state for rng in rngs]
 
 
-def _swap_in_the_walk(monkeypatch):
-    """Run every behavioral verification on the scalar walk; log its calls."""
+def _one_block(monkeypatch, simulate):
+    """Feed the verifier ``simulate``'s full trace as its only block.
+
+    Replaces the block source :func:`verify_candidate` reads; returns the
+    list of candidates ``simulate`` ran for, one entry per verdict.
+    """
     calls = []
 
-    def walk(*args, **kwargs):
+    def source(*args, **kwargs):
         calls.append(args[0])
-        return batch_reference.simulate_draws(*args, **kwargs)
+        return iter([(0, simulate(*args, **kwargs))])
 
-    monkeypatch.setattr(repro.behavioral.verify, "simulate_draws", walk)
+    monkeypatch.setattr(repro.behavioral.verify, "simulate_blocks", source)
     return calls
+
+
+def _swap_in_the_walk(monkeypatch):
+    """Run every behavioral verification on the scalar walk; log its calls."""
+    return _one_block(monkeypatch, batch_reference.simulate_draws)
+
+
+def _verdict_bits(verdict):
+    """Every field of a verdict, its floats by their bytes."""
+    return (
+        verdict.candidate,
+        verdict.draws,
+        verdict.seed,
+        verdict.samples,
+        verdict.cycles,
+        np.array(verdict.sndr_db).tobytes(),
+        np.array(verdict.enob).tobytes(),
+    )
 
 
 class TestTraceBitIdentity:
@@ -152,27 +178,55 @@ class TestTraceBitIdentity:
         spec = AdcSpec(resolution_bits=10)
         candidate = next(iter(enumerate_candidates(10)))
         batch = verify_candidate(spec, candidate, draws=4, seed=11)
-        _swap_in_the_walk(monkeypatch)
+        calls = _swap_in_the_walk(monkeypatch)
         legacy = verify_candidate(spec, candidate, draws=4, seed=11)
+        assert calls == [candidate]  # the walk ran for this one verdict
         assert batch == legacy
+
+
+def _noise_without_rngs():
+    spec = AdcSpec(resolution_bits=10)
+    candidate = next(iter(enumerate_candidates(10)))
+    models, _ = _draws(spec, candidate, 2, 1)
+    return candidate, models, [0.0, 0.1], None
+
+
+def _one_model_for_several_stages():
+    candidate = next(
+        c for c in enumerate_candidates(10) if c.stage_count > 1
+    )
+    return candidate, [(StageErrorModel.ideal(),)], [0.0], None
+
+
+def _mis_sized(field):
+    """A mis-sized tuple in the last draw's last stage."""
+    spec = AdcSpec(resolution_bits=11)
+    candidate = next(c for c in enumerate_candidates(11) if c.label == "3-2-2")
+    models, rngs = _draws(spec, candidate, 5, 4)
+    models = [list(draw) for draw in models]
+    last = models[-1][-1]
+    models[-1][-1] = dataclasses.replace(last, **{field: getattr(last, field)[1:]})
+    return candidate, models, _stimulus()[1], rngs
+
+
+REFUSED_CALLS = (
+    (_noise_without_rngs, "rngs"),
+    (_one_model_for_several_stages, "per stage"),
+    (functools.partial(_mis_sized, "comparator_offsets"), "offsets"),
+    (functools.partial(_mis_sized, "dac_level_errors"), "DAC error"),
+)
 
 
 class TestKernelValidation:
     def test_noise_without_rngs_is_refused(self):
-        spec = AdcSpec(resolution_bits=10)
-        candidate = next(iter(enumerate_candidates(10)))
-        models, _ = _draws(spec, candidate, 2, 1)
+        candidate, models, stimulus, _ = _noise_without_rngs()
         with pytest.raises(SpecificationError, match="rngs"):
-            simulate_draws(candidate, FULL_SCALE, models, [0.0, 0.1])
+            simulate_draws(candidate, FULL_SCALE, models, stimulus)
 
     def test_wrong_model_count_is_refused(self):
-        candidate = next(
-            c for c in enumerate_candidates(10) if c.stage_count > 1
-        )
+        candidate, models, stimulus, _ = _one_model_for_several_stages()
         with pytest.raises(SpecificationError, match="per stage"):
-            simulate_draws(
-                candidate, FULL_SCALE, [(StageErrorModel.ideal(),)], [0.0]
-            )
+            simulate_draws(candidate, FULL_SCALE, models, stimulus)
 
     @pytest.mark.parametrize(
         "field, message",
@@ -181,17 +235,25 @@ class TestKernelValidation:
     def test_refused_call_consumes_no_randomness(self, field, message):
         # A mis-sized tuple in the last draw's last stage is refused before
         # any generator is touched: the caller's streams stay where they were.
-        spec = AdcSpec(resolution_bits=11)
-        candidate = next(c for c in enumerate_candidates(11) if c.label == "3-2-2")
-        models, rngs = _draws(spec, candidate, 5, 4)
-        models = [list(draw) for draw in models]
-        last = models[-1][-1]
-        models[-1][-1] = dataclasses.replace(last, **{field: getattr(last, field)[1:]})
+        candidate, models, stimulus, rngs = _mis_sized(field)
         before = _states(rngs)
-        _, stimulus = _stimulus()
         with pytest.raises(SpecificationError, match=message):
             simulate_draws(candidate, FULL_SCALE, models, stimulus, rngs=rngs)
         assert _states(rngs) == before
+
+    @pytest.mark.parametrize(
+        "case, message",
+        REFUSED_CALLS,
+        ids=("noise_without_rngs", "model_count", "offsets", "dac_errors"),
+    )
+    def test_simulate_blocks_refuses_at_the_call(self, case, message):
+        # The block generator refuses when called, not when first iterated,
+        # and leaves every generator it was handed untouched.
+        candidate, models, stimulus, rngs = case()
+        before = _states(rngs or ())
+        with pytest.raises(SpecificationError, match=message):
+            simulate_blocks(candidate, FULL_SCALE, models, stimulus, rngs=rngs)
+        assert _states(rngs or ()) == before
 
 
 def _random_models(rng, candidate, draws, p_offsets, p_dac, p_noise):
@@ -297,6 +359,97 @@ class TestDrawBlocks:
         )
         _assert_same_trace(result, reference)
         assert _states(rngs) == _states(ref_rngs)
+
+
+#: Draw counts around the default 16-row block: one partial block, one
+#: draw short of a block, exactly one, one over, and two and a draw.
+STREAMED_DRAWS = (1, 15, 16, 17, 33)
+
+
+@functools.cache
+def _walk_verdict(draws):
+    """The 10-bit 3-2 verdict at ``draws`` draws, simulated by the walk."""
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _swap_in_the_walk(patch)
+        verdict = verify_candidate(
+            AdcSpec(resolution_bits=10), _streamed_candidate(), draws=draws, seed=29
+        )
+    assert len(calls) == 1  # the walk ran for this one verdict
+    return verdict
+
+
+def _streamed_candidate():
+    return next(c for c in enumerate_candidates(10) if c.label == "3-2")
+
+
+class TestStreamedVerdict:
+    @pytest.mark.parametrize("draws", STREAMED_DRAWS)
+    @pytest.mark.parametrize("rows", (None, 7))
+    def test_verdict_equals_full_trace_and_walk(self, monkeypatch, draws, rows):
+        # rows=None keeps the default 16-row block at 2048 samples; rows=7
+        # shrinks _BLOCK_ELEMENTS so every count above ends on a partial block.
+        spec = AdcSpec(resolution_bits=10)
+        candidate = _streamed_candidate()
+        samples = repro.behavioral.verify.SAMPLES
+        if rows is None:
+            assert batch._BLOCK_ELEMENTS // samples == 16
+        else:
+            monkeypatch.setattr(batch, "_BLOCK_ELEMENTS", rows * samples + 100)
+        streamed = verify_candidate(spec, candidate, draws=draws, seed=29)
+        walk = _walk_verdict(draws)
+        calls = _one_block(monkeypatch, simulate_draws)
+        full = verify_candidate(spec, candidate, draws=draws, seed=29)
+        assert calls == [candidate]  # the full trace ran for this verdict
+        assert _verdict_bits(streamed) == _verdict_bits(full)
+        assert _verdict_bits(streamed) == _verdict_bits(walk)
+
+    def test_blocks_cover_the_draws_in_order(self):
+        spec = AdcSpec(resolution_bits=10)
+        candidate = _streamed_candidate()
+        samples = repro.behavioral.verify.SAMPLES
+        stimulus = full_scale_sine(
+            samples, pick_coherent_cycles(samples), spec.full_scale
+        )
+        models, rngs = _draws(spec, candidate, 33, 31)
+        _, ref_rngs = _draws(spec, candidate, 33, 31)
+        blocks = list(
+            simulate_blocks(candidate, spec.full_scale, models, stimulus, rngs=rngs)
+        )
+        assert [(d0, len(block.codes)) for d0, block in blocks] == [
+            (0, 16), (16, 16), (32, 1)
+        ]
+        reference = simulate_draws(
+            candidate, spec.full_scale, models, stimulus, rngs=ref_rngs
+        )
+        for name in TRACE_FIELDS:
+            parts = [getattr(block, name) for _, block in blocks]
+            assert all(part.flags.c_contiguous for part in parts), name
+            joined = np.concatenate(parts)
+            assert joined.dtype == getattr(reference, name).dtype, name
+            assert joined.tobytes() == getattr(reference, name).tobytes(), name
+        assert _states(rngs) == _states(ref_rngs)
+
+    def test_verdict_memory_does_not_grow_with_draws(self):
+        # The campaign's 13-bit 3-2-2-2-2 plan at 2048 samples: a verdict
+        # holding every draw's trace grows by about 123 MiB from 64 to 1024
+        # draws; one that streams 16-draw blocks grows by about 3 MiB (the
+        # error models and one generator per draw).
+        spec = AdcSpec(resolution_bits=13)
+        candidate = next(
+            c for c in enumerate_candidates(13) if c.label == "3-2-2-2-2"
+        )
+        verify_candidate(spec, candidate, draws=2, seed=3)  # warm caches
+
+        def peak(draws):
+            tracemalloc.start()
+            try:
+                verify_candidate(spec, candidate, draws=draws, seed=3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        growth = peak(1024) - peak(64)
+        assert growth < 8 * 2**20, f"{growth / 2**20:.1f} MiB"
 
 
 class TestCampaignRecordsAcrossKernels:
