@@ -23,9 +23,10 @@ Monte-Carlo vs the scalar walk), ``digest`` (the one-pass content digest
 vs the two-pass encoder, over the payloads a Fig. 2 plan digests, its memo
 emptied before each pass), ``warm_rerun`` (a K = 10..11 analytic, synthesis
 and behavioral grid rerun against the cache its first run filled: the
-rerun's median wall, its ``plan_stages`` calls against its distinct
-(spec, candidate) pairs and its record serializations against its
-records), ``service``, ``fabric`` (the distributed
+fill's searches against its distinct block problems, the rerun's median
+wall, its ``plan_stages`` calls against its distinct (spec, candidate)
+pairs and its record serializations against its records), ``service``,
+``fabric`` (the distributed
 execution fabric against a live HTTP broker and real ``repro-adc worker``
 subprocesses — per-task lease overhead, fleet throughput at 1 vs 2 workers
 on fixed-service-time probe tasks, sizing digests of a 2-worker synthesis
@@ -60,8 +61,10 @@ when ``verify_candidate``'s ``tracemalloc`` peak on that plan at 1024
 draws exceeds 2x its peak at 256 draws (a verdict streams the kernel's
 draw blocks, so its memory must not grow with the draw count),
 when any content digest differs from the two-pass encoder's or the
-one-pass encoder is under 2x its speed, when the warm rerun searches a
-block, plans a (spec, candidate) pair twice or serializes a record twice,
+one-pass encoder is under 2x its speed, when the warm rerun's cold fill
+searches a problem for which the campaign already holds a feasible block,
+when the warm rerun searches a block, plans a (spec, candidate) pair twice
+or serializes a record twice,
 when the service stage breaks its coalescing
 contract (N identical concurrent submissions must perform exactly one cold
 synthesis), or when the ``fabric`` stage misses its 1.5x two-worker
@@ -98,6 +101,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 import repro.behavioral.verify as verify
 import repro.campaign.runner as runner
 import repro.engine.broker as broker
+import repro.engine.scheduler as scheduler
 from repro.analysis.template import bind_template
 from repro.analysis.transient import simulate_transient
 from repro.blocks.mdac import SETTLING_STEP_TIME, build_settling_bench
@@ -592,15 +596,55 @@ WARM_GRID = CampaignGrid(
 )
 
 
-def stage_warm_rerun(budget: int, reruns: int) -> dict:
-    """A warm rerun of a three-mode grid: its wall time and its traffic.
+def _searched_problems(searches: list):
+    """Wrap the scheduler's job function to log every search it runs.
 
-    Fills a temporary cache with :data:`WARM_GRID` at ``budget``, then
-    reruns the grid against it ``reruns`` times and reports the median
-    wall.  One more rerun is counted (``tests/campaign/traffic.py``):
-    ``plan_stages`` calls against the distinct (spec, candidate) pairs, and
-    record serializations against records.
+    Each search appends ``(problem key, feasible)``: the key digests the
+    block's problem, technology and verification flag, as the campaign
+    ledger's spec layer does.  Works on the serial backend, where jobs run
+    in this process.
     """
+    real = scheduler.run_synthesis_job
+
+    def logged(job):
+        result = real(job)
+        key = persist.digest(
+            {
+                "problem": job.spec.problem,
+                "tech": job.tech,
+                "verify_transient": job.verify_transient,
+            }
+        )
+        searches.append((key, result.feasible))
+        return result
+
+    return mock.patch.object(scheduler, "run_synthesis_job", logged)
+
+
+def _repeated_problems(searches: list) -> int:
+    """Searches of a problem an earlier search already solved feasibly."""
+    solved: set[str] = set()
+    repeats = 0
+    for key, feasible in searches:
+        repeats += key in solved
+        if feasible:
+            solved.add(key)
+    return repeats
+
+
+def stage_warm_rerun(budget: int, reruns: int) -> dict:
+    """A cold fill and warm reruns of a three-mode grid: work and traffic.
+
+    Fills a temporary cache with :data:`WARM_GRID` at ``budget`` and logs
+    the fill's searches: how many, how many distinct block problems, and
+    how many searched a problem the campaign already held a feasible block
+    for.  Then reruns the grid against the cache ``reruns`` times and
+    reports the median wall.  One more rerun is counted
+    (``tests/campaign/traffic.py``): ``plan_stages`` calls against the
+    distinct (spec, candidate) pairs, and record serializations against
+    records.
+    """
+    fill_searches: list[tuple[str, bool]] = []
     with tempfile.TemporaryDirectory(prefix="repro-warm-") as tmp:
         root = Path(tmp)
         config = FlowConfig(
@@ -610,7 +654,8 @@ def stage_warm_rerun(budget: int, reruns: int) -> dict:
             cache_dir=str(root / "cache"),
         )
         start = time.perf_counter()
-        runner.run_campaign(WARM_GRID, config, store_dir=root / "fill")
+        with _searched_problems(fill_searches):
+            runner.run_campaign(WARM_GRID, config, store_dir=root / "fill")
         fill_wall = time.perf_counter() - start
         walls = []
         for _ in range(reruns):
@@ -626,6 +671,9 @@ def stage_warm_rerun(budget: int, reruns: int) -> dict:
             f"16 draws, rerun against its filled cache (median of {reruns})"
         ),
         "fill_s": round(fill_wall, 3),
+        "fill_searches": len(fill_searches),
+        "fill_problems": len({key for key, _ in fill_searches}),
+        "fill_repeated_problems": _repeated_problems(fill_searches),
         "rerun_ms": round(statistics.median(walls) * 1e3, 3),
         "searches": searches,
         "plans": len(traffic.plans),
@@ -749,6 +797,8 @@ def main(argv=None) -> int:
         f"behavioral batch: {behavioral['speedup']}x, "
         f"verdict peak 1024/256 draws: {behavioral['verdict_peak_growth']}x, "
         f"digest: {digests['speedup']}x, "
+        f"warm fill: {warm['fill_searches']} searches of "
+        f"{warm['fill_problems']} problems, "
         f"warm rerun: {warm['rerun_ms']}ms, {warm['plans']} plans for "
         f"{warm['distinct_pairs']} pairs, {warm['serializations']} lines for "
         f"{warm['records']} records, "
@@ -823,6 +873,11 @@ def main(argv=None) -> int:
             failures.append(
                 "regression: one-pass content digests under their 2x floor "
                 f"({digests['speedup']}x)"
+            )
+        if warm["fill_repeated_problems"]:
+            failures.append(
+                f"warm_rerun's fill searched {warm['fill_repeated_problems']} "
+                "problem(s) the campaign already held a feasible block for"
             )
         if warm["searches"]:
             failures.append(f"warm_rerun searched {warm['searches']} block(s)")

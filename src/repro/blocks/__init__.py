@@ -4,8 +4,7 @@
 * :mod:`repro.blocks.opamp_library` — transistor-level netlist generators
   (two-stage Miller, folded cascode) used by block synthesis;
 * :mod:`repro.blocks.mdac` — the switched-capacitor MDAC: capacitor network
-  arithmetic, the closed-loop settling testbench, and the ideal residue
-  transfer used by the behavioral simulator;
+  arithmetic and the closed-loop settling testbench;
 * :mod:`repro.blocks.comparator` / :mod:`repro.blocks.subadc` — behavioral
   comparator and flash sub-ADC models with offset injection;
 * :mod:`repro.blocks.sah` — the front-end sample-and-hold.
@@ -16,7 +15,7 @@ from repro.blocks.opamp_library import (
     build_folded_cascode,
     build_two_stage_miller,
 )
-from repro.blocks.mdac import MdacNetwork, build_settling_bench, residue_transfer
+from repro.blocks.mdac import MdacNetwork, build_settling_bench
 from repro.blocks.comparator import BehavioralComparator
 from repro.blocks.subadc import FlashSubAdc
 from repro.blocks.sah import SampleAndHold
@@ -28,7 +27,6 @@ __all__ = [
     "build_folded_cascode",
     "MdacNetwork",
     "build_settling_bench",
-    "residue_transfer",
     "BehavioralComparator",
     "FlashSubAdc",
     "SampleAndHold",

@@ -2,10 +2,10 @@
 
 An MDAC samples the input on ``Cs + Cf``, then amplifies the quantization
 residue by ``G = (Cs + Cf) / Cf`` while subtracting the sub-ADC's DAC
-level.  Everything downstream cares about three numbers — the feedback
-factor, the effective load, and the residue transfer — plus one transient
-question: does the real opamp settle to the required accuracy in half a
-clock period?  This module provides all four.
+level.  Block synthesis cares about two numbers — the feedback factor and
+the effective load — plus one transient question: does the real opamp
+settle to the required accuracy in half a clock period?  This module
+provides all three.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 from repro.circuit.builder import CircuitBuilder
 from repro.circuit.netlist import Circuit
-from repro.errors import SpecificationError
-from repro.specs.stage import MdacSpec
+from repro.specs.stage import MdacProblem
 
 #: When the settling bench opens its reset switch and steps the DAC [s].
 SETTLING_STEP_TIME = 1.0e-9
@@ -51,35 +50,13 @@ class MdacNetwork:
         return self.c_load + series
 
     @staticmethod
-    def from_spec(mdac: MdacSpec) -> "MdacNetwork":
-        """Build the network from a block spec (Cs = (G-1) Cf)."""
-        cf = mdac.cf
-        cs = (mdac.gain - 1) * cf
-        # Invert the spec's beta = cf / (cs + cf + c_in) for the input cap.
-        c_in = cf / mdac.beta - (cs + cf)
-        return MdacNetwork(cs=cs, cf=cf, c_in=max(c_in, 0.0), c_load=mdac.c_load)
-
-
-def residue_transfer(
-    code: int, stage_bits: int, vin: float, full_scale: float, gain_error: float = 0.0
-) -> float:
-    """Ideal (or gain-errored) MDAC residue: G*vin - code-dependent DAC level.
-
-    ``code`` is the sub-ADC decision in ``[0, 2^m - 2]`` (the redundant
-    coding with 2^m - 1 levels); ``vin`` and the result are differential
-    voltages centred on zero with range ``[-FS/2, +FS/2]``.  The residue is
-
-    ``vout = 2^(m-1) * vin - (code - (levels-1)/2) * FS/2``
-
-    which for a 1.5-bit stage reduces to the classic ``2 vin - d FS/2``,
-    ``d in {-1, 0, +1}``.
-    """
-    levels = 2**stage_bits - 1
-    if not 0 <= code < levels:
-        raise SpecificationError(f"code {code} out of range for {stage_bits}-bit stage")
-    gain = 2.0 ** (stage_bits - 1) * (1.0 + gain_error)
-    dac_index = code - (levels - 1) / 2.0
-    return gain * vin - dac_index * full_scale / 2.0
+    def from_spec(problem: MdacProblem) -> "MdacNetwork":
+        """Build the network from a block's problem (Cs = (G-1) Cf)."""
+        cf = problem.cf
+        cs = (problem.gain - 1) * cf
+        # Invert the problem's beta = cf / (cs + cf + c_in) for the input cap.
+        c_in = cf / problem.beta - (cs + cf)
+        return MdacNetwork(cs=cs, cf=cf, c_in=max(c_in, 0.0), c_load=problem.c_load)
 
 
 def build_settling_bench(

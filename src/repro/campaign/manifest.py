@@ -46,9 +46,13 @@ from repro.errors import SpecificationError
 #: Manifest file name inside a campaign store directory.
 MANIFEST_FILENAME = "manifest.json"
 
-#: Bump when the manifest schema or digest payloads change shape.
+#: Bump when the manifest schema or digest payloads change shape, or when
+#: records change under an unchanged grid and config.
 #: v3: the DC Newton kernel joined the config digest (see config_digest).
-MANIFEST_VERSION = 3
+#: v4: blocks are keyed on the problem synthesis reads
+#: (:class:`~repro.specs.stage.MdacProblem`), so a campaign searches each
+#: problem once and its records change.
+MANIFEST_VERSION = 4
 
 
 def grid_digest(grid: CampaignGrid) -> str:
@@ -197,23 +201,32 @@ def require_matching_manifest(
     """Refuse to resume into a store built for a different campaign.
 
     Raises :class:`SpecificationError` naming exactly which identity field
-    diverged — the error the manifest exists to make loud.
+    diverged — the error the manifest exists to make loud.  A store of
+    another :data:`MANIFEST_VERSION` is refused for its version alone: both
+    digests embed the version, so they differ too.
     """
     mismatches: list[str] = []
-    if existing.grid_digest != expected.grid_digest:
+    if existing.format_version != expected.format_version:
         mismatches.append(
-            "grid digest "
-            f"(store {existing.grid_digest[:12]}…, requested "
-            f"{expected.grid_digest[:12]}… — different axes or technologies)"
+            f"format version (store {existing.format_version}, requested "
+            f"{expected.format_version} — written by another version of the "
+            "flow, whose records differ)"
         )
-    if existing.config_digest != expected.config_digest:
-        mismatches.append(
-            "config digest "
-            f"(store {existing.config_digest[:12]}…, requested "
-            f"{expected.config_digest[:12]}… — different budgets, seeds, "
-            "behavioral draws or verification flag, or a store written by "
-            "the removed batched DC kernel)"
-        )
+    else:
+        if existing.grid_digest != expected.grid_digest:
+            mismatches.append(
+                "grid digest "
+                f"(store {existing.grid_digest[:12]}…, requested "
+                f"{expected.grid_digest[:12]}… — different axes or technologies)"
+            )
+        if existing.config_digest != expected.config_digest:
+            mismatches.append(
+                "config digest "
+                f"(store {existing.config_digest[:12]}…, requested "
+                f"{expected.config_digest[:12]}… — different budgets, seeds, "
+                "behavioral draws or verification flag, or a store written by "
+                "the removed batched DC kernel)"
+            )
     if (existing.shard_index, existing.shard_count) != (
         expected.shard_index,
         expected.shard_count,

@@ -1,13 +1,14 @@
 """Fuse shard stores back into the single-run campaign store.
 
 The inverse of ``run_campaign(..., shard=(k, n))``: given the ``n`` shard
-store directories, validate that they belong to the *same* campaign (equal
-grid and config digests), that they are all present exactly once, and that
-together they cover every scenario of the grid; then write one merged store
-whose ``results.jsonl`` and ``report.txt`` are byte-identical to what a
-single unsharded run of the same campaign would have produced.  That
-byte-identity is the whole point — it is what lets a CI matrix split a grid
-across runners and still assert against a single-machine reference.
+store directories, validate that they belong to the *same* campaign (this
+flow's manifest version, equal grid and config digests), that they are all
+present exactly once, and that together they cover every scenario of the
+grid; then write one merged store whose ``results.jsonl`` and
+``report.txt`` are byte-identical to what a single unsharded run of the
+same campaign would have produced.  That byte-identity is the whole point
+— it is what lets a CI matrix split a grid across runners and still
+assert against a single-machine reference.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from pathlib import Path
 from typing import Iterable
 
 from repro.campaign.manifest import (
+    MANIFEST_VERSION,
     CampaignManifest,
     read_manifest,
     write_manifest,
@@ -77,6 +79,13 @@ def merge_shards(
     reference = shards[0][0]
     seen_indices: dict[int, Path] = {}
     for directory, (manifest, _) in zip(directories, shards):
+        if manifest.format_version != MANIFEST_VERSION:
+            raise SpecificationError(
+                f"cannot merge {directory}: it was written with manifest "
+                f"version {manifest.format_version}, not {MANIFEST_VERSION} — "
+                "its records come from another version of the flow; rerun "
+                "the shard"
+            )
         if manifest.grid_digest != reference.grid_digest:
             raise SpecificationError(
                 f"cannot merge {directory}: its grid digest "

@@ -9,11 +9,13 @@ scenario:
   campaign, not once per grid point;
 * **one synthesis ledger** (:class:`SynthesisLedger`) — an in-memory,
   fingerprint-keyed store of every block any scenario has synthesized, plus
-  the campaign-wide warm-start donor pool.  A later scenario whose spec
-  fingerprints identically to an earlier one loads the block instead of
-  searching; a later scenario with a merely *similar* spec retargets from
-  the nearest earlier design instead of synthesizing cold — the paper's
-  retarget economy applied across system specs, not just within one;
+  the campaign-wide warm-start donor pool.  A later scenario whose block
+  poses the same problem as an earlier one's (the spec fields synthesis
+  reads, :class:`~repro.specs.stage.MdacProblem`) loads that block instead
+  of searching; a later scenario with a merely *similar* problem retargets
+  from the nearest earlier design instead of synthesizing cold — the
+  paper's retarget economy applied across system specs, not just within
+  one;
 * **one persistent cache directory** (``FlowConfig.cache_dir``) — the
   on-disk layer behind the ledger, so reuse also spans campaign invocations.
   It holds synthesized blocks and, under ``verdicts/``, behavioral verdicts;
@@ -90,15 +92,19 @@ class SynthesisLedger:
 
     * ``memory`` maps content fingerprints (see
       :func:`repro.engine.persist.block_fingerprint`) to results — a hit
-      means this *search* (spec, budgets, seeds, donor chain) already ran;
-    * ``by_spec`` maps spec digests (spec + technology + verification flag)
-      to results — a hit means a block *satisfying* the identical
-      specification was already sized somewhere in the campaign, even if
-      under different search hyper-parameters.  Only feasible designs
-      enter this layer: an infeasible result never satisfied its spec, so
-      serving it spec-level would block legitimate re-searches (and defeat
-      the scheduler's cold escalation).  This is the paper's block reuse
-      applied campaign-wide;
+      means this *search* (problem, budgets, seeds, donor chain) already
+      ran;
+    * ``by_spec`` maps problem digests (the spec's
+      :class:`~repro.specs.stage.MdacProblem` + technology + verification
+      flag) to results — a hit means a block *satisfying* the identical
+      problem was already sized somewhere in the campaign, even if for
+      another spec (its noise allocation, capacitor report or stage
+      position may differ; synthesis reads none of them) or under
+      different search hyper-parameters.  Only feasible designs enter this
+      layer: an infeasible result never satisfied its problem, so serving
+      it here would block legitimate re-searches (and defeat the
+      scheduler's cold escalation).  This is the paper's block reuse
+      applied campaign-wide: one search per electrical problem;
     * ``donors`` is the warm-start pool in admission order, deduplicated by
       sizing digest, seeding retargets for *similar* (not identical) specs.
       Donors are *scoped by technology*: a block sized under one process
@@ -211,10 +217,10 @@ class LedgerBackedCache(PersistentBlockCache):
         pass
 
     def _spec_key(self, spec: Any) -> str:
-        """Digest identifying the block *specification* (not the search)."""
+        """Digest identifying the block's *problem* (not the search)."""
         return persist_digest(
             {
-                "spec": spec,
+                "problem": spec.problem,
                 "tech": self.tech,
                 "verify_transient": bool(self.verify_transient),
             }
@@ -231,6 +237,11 @@ class LedgerBackedCache(PersistentBlockCache):
                 self.shared_hits += 1
                 self.ledger.shared_hits += 1
                 obs.counter("ledger.shared_hits")
+                if spec is not None and hit.spec is not spec:
+                    # The block may have been sized for another spec with
+                    # the same problem.  Serve a copy that names the
+                    # planned spec; the ledger's own object never changes.
+                    hit = dataclasses.replace(hit, spec=spec)
                 return hit
         if self.cache_dir is not None:
             return super().load_persistent(fingerprint, spec)

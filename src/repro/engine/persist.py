@@ -1,12 +1,14 @@
 """Content-addressed persistence of synthesis results.
 
-A synthesized block is fully determined by its spec, the technology, the
+A synthesized block is fully determined by its problem (the part of its
+MDAC spec that synthesis reads, ``spec.problem``), the technology, the
 search budget/seed, whether the transient verifier ran, and — for
 retargeted blocks — the donor design it was warm-started from.  Hashing all
 of that yields a *content fingerprint*: two runs that would synthesize the
 same block map to the same hex digest, so the second run can load the first
 run's result from disk instead of searching again.  Rate sweeps,
-designer-rule extraction and CI reruns all hit this cache.
+designer-rule extraction and CI reruns all hit this cache, and so do specs
+of other system specs that pose the same problem.
 
 The module is deliberately free of flow imports: it hashes any dataclass
 tree (specs, technologies, sizings) structurally, and stores/loads pickled
@@ -220,13 +222,13 @@ def digest(payload: Any) -> str:
 
 
 def sizing_digest(result: Any) -> str:
-    """Digest identifying one *synthesized design* (spec + final sizing).
+    """Digest identifying one *synthesized design* (problem + final sizing).
 
     Used as the donor token in retarget fingerprints: a retargeted block
-    depends on the donor's actual sizing, not just the donor's spec, so the
-    chain digest must change whenever the donor design does.
+    depends on the donor's actual sizing, not just the donor's problem, so
+    the chain digest must change whenever the donor design does.
     """
-    return digest({"spec": result.spec, "sizing": result.final.sizing})
+    return digest({"problem": result.spec.problem, "sizing": result.final.sizing})
 
 
 def block_fingerprint(
@@ -242,13 +244,15 @@ def block_fingerprint(
 ) -> str:
     """Content fingerprint of one synthesis (cold or retargeted).
 
-    ``donor`` is the resolved donor :class:`~repro.synth.result.SynthesisResult`
-    for retargets, or ``None`` for cold syntheses.
+    ``mdac`` is the block's spec; only its ``problem`` is digested, so
+    specs that pose one problem share their fingerprints.  ``donor`` is the
+    resolved donor :class:`~repro.synth.result.SynthesisResult` for
+    retargets, or ``None`` for cold syntheses.
     """
     payload: dict[str, Any] = {
         "version": FORMAT_VERSION,
         "kind": "retarget" if donor is not None else "cold",
-        "spec": mdac,
+        "problem": mdac.problem,
         "tech": tech,
         "verify_transient": bool(verify_transient),
     }

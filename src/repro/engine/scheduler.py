@@ -1,8 +1,13 @@
 """Deduplicated, wave-ordered scheduling of MDAC block synthesis.
 
 The paper's economy argument is that block reuse collapses the synthesis
-workload: the seven 13-bit candidates need 27 stage instances but only ~11
-distinct MDAC specs.  The flow used to realize this with an inline
+workload: the seven 13-bit candidates need 27 stage instances but only 12
+distinct MDAC specs (reuse keys).  Across system specs the reuse goes one
+step further: the 33 blocks a K = 10..13 Fig. 2 campaign plans pose only
+21 distinct problems (:class:`~repro.specs.stage.MdacProblem`, the spec
+fields synthesis reads).  Block fingerprints digest the problem, and the
+campaign ledger serves a feasible block it holds for a problem instead of
+searching that problem again.  The flow used to realize this with an inline
 ``cache.get`` loop — correct, but strictly serial and invisible to any
 executor.  This module lifts that loop into an explicit two-phase form:
 

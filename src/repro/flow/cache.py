@@ -123,8 +123,9 @@ class BlockCache:
 
         ``spec`` is the block being resolved — fingerprint-only caches
         ignore it, but spec-aware layers (the campaign ledger) use it to
-        serve an already-sized block for the identical spec even when the
-        search hyper-parameters (donor, budget) differ.
+        serve an already-sized block for the identical problem even when
+        the search hyper-parameters (donor, budget) differ.  A served
+        block's ``spec`` is ``spec``.
         """
         return None
 
@@ -147,9 +148,10 @@ class PersistentBlockCache(BlockCache):
     """Block cache backed by a content-addressed directory on disk.
 
     Entries are keyed by :func:`repro.engine.persist.block_fingerprint` —
-    a hash of the MDAC spec, technology, budget, seed, verification flag
-    and (for retargets) the donor design — so a fingerprint hit is exact:
-    the stored result is what this synthesis would have produced.
+    a hash of the MDAC spec's problem, technology, budget, seed,
+    verification flag and (for retargets) the donor design — so a
+    fingerprint hit is exact: the stored result is what this synthesis
+    would have produced.
     """
 
     cache_dir: str | None = None
@@ -170,11 +172,12 @@ class PersistentBlockCache(BlockCache):
         self.persistent_hits += 1
         metrics.counter("cache.persistent_hits")
         if spec is not None:
-            # The fingerprint digests the spec, so the stored block's spec
-            # is an unpickled twin of ``spec`` that encodes to the same
-            # text.  Holding the planned object instead lets every later
-            # digest of this block (ledger spec key, sizing digest, donor
-            # fingerprints) reuse the text the fingerprint remembered.
+            # The fingerprint digests the spec's problem, so the stored
+            # block was sized for ``spec`` or for another spec posing the
+            # same problem.  Point the fresh copy at the planned spec: the
+            # block then names the spec it serves, and every later digest
+            # of it (ledger spec key, sizing digest, donor fingerprints)
+            # reuses the text the fingerprint remembered.
             result.spec = spec
         return result
 

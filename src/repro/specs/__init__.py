@@ -11,7 +11,14 @@ requirements — lives here.
 from repro.specs.adc import AdcSpec
 from repro.specs.noise_budget import NoiseBudget, allocate_noise_budget
 from repro.specs.caps import size_sampling_capacitor, CapacitorSizing
-from repro.specs.stage import MdacSpec, PlanTable, StagePlan, SubAdcSpec, plan_stages
+from repro.specs.stage import (
+    MdacProblem,
+    MdacSpec,
+    PlanTable,
+    StagePlan,
+    SubAdcSpec,
+    plan_stages,
+)
 
 __all__ = [
     "AdcSpec",
@@ -19,6 +26,7 @@ __all__ = [
     "allocate_noise_budget",
     "CapacitorSizing",
     "size_sampling_capacitor",
+    "MdacProblem",
     "MdacSpec",
     "SubAdcSpec",
     "StagePlan",

@@ -22,12 +22,22 @@ system-level specifications and the value m_i for the enumerated candidate":
 Two stages with equal ``(m, input_accuracy_bits)`` under the same system
 spec receive identical block specs — that is the reuse that lets eleven-odd
 MDAC syntheses cover all seven 13-bit candidates.
+
+Block synthesis reads only part of a spec: the 13 fields of its
+:class:`MdacProblem` (gain, feedback, loads, bandwidth, DC gain, settling
+and swing).  The noise allocation, the capacitor sizing report, the stage
+position, the accuracy bits and the slew current serve the reuse key,
+the analytic power model and the reports.  Specs of different system
+specs often share a problem (they differ only in noise allocation or
+position), and then they get one block: the block cache and the campaign
+ledger key blocks on the problem (:mod:`repro.engine.persist`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.enumeration.candidates import PipelineCandidate
 from repro.errors import SpecificationError
@@ -66,6 +76,34 @@ class SubAdcSpec:
     #: redundancy margin that would otherwise hide an early decision shrinks
     #: as 2^-m).
     is_first_stage: bool
+
+
+@dataclass(frozen=True)
+class MdacProblem:
+    """The electrical problem block synthesis solves for one MDAC.
+
+    Exactly the :class:`MdacSpec` fields that the design space, the
+    evaluator, the settling bench and retargeting read, under the same
+    names and units.  Two specs with equal problems get one block.
+    """
+
+    gain: int
+    beta: float
+    cf: float
+    c_load: float
+    c_eff: float
+    gm_required: float
+    gbw_hz: float
+    closed_loop_bw_hz: float
+    dc_gain_min: float
+    settling_error: float
+    linear_settling_time: float
+    slew_time: float
+    output_swing: float
+
+
+#: The :class:`MdacSpec` fields that make up its :class:`MdacProblem`.
+PROBLEM_FIELDS = tuple(f.name for f in fields(MdacProblem))
 
 
 @dataclass(frozen=True)
@@ -117,6 +155,17 @@ class MdacSpec:
     def reuse_key(self) -> tuple[int, int]:
         """Key identifying interchangeable MDAC blocks: (m, input accuracy)."""
         return (self.stage_bits, self.input_accuracy_bits)
+
+    @functools.cached_property
+    def problem(self) -> MdacProblem:
+        """The fields block synthesis reads, built once per spec object.
+
+        Kept on the spec, so every digest of a planned spec's problem
+        reuses the text :mod:`repro.engine.persist` remembered for it.  It
+        is not a dataclass field: the spec's own encoding, and so the
+        verdict and task keys that embed it, stay as they were.
+        """
+        return MdacProblem(*[getattr(self, name) for name in PROBLEM_FIELDS])
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,7 @@ from repro.blocks.opamp_library import build_two_stage_miller, two_stage_miller_
 from repro.circuit.builder import CircuitBuilder
 from repro.circuit.netlist import Circuit
 from repro.errors import AnalysisError, ConvergenceError, ReproError
-from repro.specs.stage import MdacSpec
+from repro.specs.stage import MdacProblem
 from repro.synth.anneal import Reject
 from repro.tech.process import Technology
 
@@ -201,18 +201,18 @@ class _StagedEvaluation:
 
 
 class HybridEvaluator:
-    """Evaluates two-stage-Miller sizings against an MDAC specification."""
+    """Evaluates two-stage-Miller sizings against an MDAC's problem."""
 
     def __init__(
         self,
-        mdac: MdacSpec,
+        problem: MdacProblem,
         tech: Technology,
         common_mode: float | None = None,
         transient_points: int = 500,
     ):
-        self.mdac = mdac
+        self.problem = problem
         self.tech = tech
-        self.network = MdacNetwork.from_spec(mdac)
+        self.network = MdacNetwork.from_spec(problem)
         self.common_mode = common_mode if common_mode is not None else 0.45 * tech.vdd
         self.transient_points = transient_points
         self._warm_x: np.ndarray | None = None
@@ -233,7 +233,7 @@ class HybridEvaluator:
         self.transient_steps = 0
         #: The loop grid's split: the bottom is ``_LOOP_FREQS[1:k0]`` and
         #: the top ``_LOOP_FREQS[k0:]``.
-        self._k0 = _split_index(mdac.closed_loop_bw_hz)
+        self._k0 = _split_index(problem.closed_loop_bw_hz)
         #: Frequency-last scratch for the per-candidate AC system stack.
         self._ac_cells: np.ndarray | None = None
         #: The testbench's bound stamp program, bound once, and the writer
@@ -352,7 +352,7 @@ class HybridEvaluator:
         except (AnalysisError, ReproError):
             return self._infeasible(sizing)
         dc_gain = abs(float(np.real(gain_point[0])))
-        gain = (self.mdac.dc_gain_min - dc_gain) / self.mdac.dc_gain_min
+        gain = (self.problem.dc_gain_min - dc_gain) / self.problem.dc_gain_min
         gained = self._partial(
             staged, dc_gain, {"dc_gain": gain, "saturation": saturation}
         )
@@ -365,7 +365,7 @@ class HybridEvaluator:
             return self._infeasible(sizing)
         if reject is not None and not run_transient:
             bandwidth = _top_bandwidth_violation(
-                self.mdac.closed_loop_bw_hz, top_freqs, np.abs(top) * self.network.beta
+                self.problem.closed_loop_bw_hz, top_freqs, np.abs(top) * self.network.beta
             )
             partial = self._partial(
                 staged,
@@ -539,7 +539,7 @@ class HybridEvaluator:
         amp = build_two_stage_miller(self.tech, sizing)
         # Per-side worst step of the differential implementation: each side
         # carries half the differential residue range.
-        output_step = self.mdac.output_swing / 4.0
+        output_step = self.problem.output_swing / 4.0
         step = -output_step / (self.network.cs / self.network.cf)
         bench, ideal = build_settling_bench(
             amp,
@@ -549,7 +549,7 @@ class HybridEvaluator:
             common_mode=self.common_mode,
             step_time=SETTLING_STEP_TIME,
         )
-        t_settle = self.mdac.linear_settling_time + self.mdac.slew_time
+        t_settle = self.problem.linear_settling_time + self.problem.slew_time
         t_stop = SETTLING_STEP_TIME + t_settle
         dt = t_settle / self.transient_points
         try:
@@ -578,7 +578,7 @@ class HybridEvaluator:
         around them.
         """
         v: dict[str, float] = {"dc_gain": early["dc_gain"]}
-        required_bw = self.mdac.closed_loop_bw_hz
+        required_bw = self.problem.closed_loop_bw_hz
         if loop_unity is None:
             v["bandwidth"] = 1.0
         else:
@@ -589,11 +589,11 @@ class HybridEvaluator:
             v["phase_margin"] = (PHASE_MARGIN_MIN - pm) / PHASE_MARGIN_MIN
         v["saturation"] = early["saturation"]
         if settling is not None:
-            v["settling"] = (settling - self.mdac.settling_error) / self.mdac.settling_error / 10.0
+            v["settling"] = (settling - self.problem.settling_error) / self.problem.settling_error / 10.0
             # The nonlinear transient *is* the settling requirement; when it
             # holds, the conservative linear bandwidth proxy is informative
             # only (the hybrid-evaluation principle of Section 3).
-            if settling <= self.mdac.settling_error:
+            if settling <= self.problem.settling_error:
                 v["bandwidth"] = min(v["bandwidth"], 0.0)
         return v
 

@@ -6,6 +6,12 @@ Mechanically that is a warm start: the previous solution, scaled by the
 ratio of required transconductances and load capacitances, seeds a much
 shorter search.  ``benchmarks/bench_retarget.py`` measures the resulting
 evaluation-count reduction.
+
+The specification that changes is the block's
+:class:`~repro.specs.stage.MdacProblem`, the part of an MDAC spec that
+synthesis reads: a retarget reads the donor's and the new spec's problems
+only, and a spec whose problem equals an already-sized block's needs no
+retarget at all (the campaign ledger serves it that block).
 """
 
 from __future__ import annotations
@@ -31,11 +37,14 @@ def retarget_mdac(
 
     The previous sizing is scaled by the gm-requirement ratio (currents and
     widths) and the effective-load ratio (compensation cap), then encoded
-    into the *new* spec's design space as the annealer's starting point.
+    into the *new* problem's design space as the annealer's starting point.
+    Only the two specs' ``problem`` is read; the result's ``spec`` is
+    ``new_spec``.
     """
     old = previous.final.sizing
-    gm_ratio = new_spec.gm_required / previous.spec.gm_required
-    load_ratio = new_spec.c_eff / previous.spec.c_eff
+    problem, donor = new_spec.problem, previous.spec.problem
+    gm_ratio = problem.gm_required / donor.gm_required
+    load_ratio = problem.c_eff / donor.c_eff
 
     seeded = {
         "w_input": old.w_input * gm_ratio,
@@ -48,7 +57,7 @@ def retarget_mdac(
         "stage2_ratio": old.stage2_ratio,
         "c_comp": old.c_comp * load_ratio,
     }
-    space = two_stage_space(new_spec, tech)
+    space = two_stage_space(problem, tech)
     x0 = np.clip(space.encode(seeded), 0.0, 1.0)
     return synthesize_mdac(
         new_spec,

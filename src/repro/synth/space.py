@@ -12,9 +12,9 @@ against the DPI/SFG engine in ``tests/sfg/test_dpi.py``):
   ``gm6 >= 2.2 gm1 C_L / Cc``;
 * the nulling resistor cancels the RHP zero at ``gm6 / Cc``.
 
-Given the MDAC spec (required loaded GBW, load, feedback factor), these
-relations bound every variable to about a decade instead of the raw 4-6
-decades a blind search would face.
+Given the MDAC's problem (required loaded GBW, load, feedback factor),
+these relations bound every variable to about a decade instead of the raw
+4-6 decades a blind search would face.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from repro.blocks.mdac import MdacNetwork
 from repro.blocks.opamp import TwoStageSizing
 from repro.errors import SynthesisError
-from repro.specs.stage import MdacSpec
+from repro.specs.stage import MdacProblem
 from repro.tech.process import Technology
 
 
@@ -118,19 +118,19 @@ class DesignSpace:
         return rng.random(self.dimension)
 
 
-def two_stage_space(mdac: MdacSpec, tech: Technology) -> DesignSpace:
-    """SFG-reduced design space for a two-stage Miller opamp on this spec.
+def two_stage_space(problem: MdacProblem, tech: Technology) -> DesignSpace:
+    """SFG-reduced design space for a two-stage Miller opamp on this problem.
 
     Centres every bound on the Mason-rule relations listed in the module
     docstring, spanning roughly a decade around each nominal value.
     """
-    network = MdacNetwork.from_spec(mdac)
+    network = MdacNetwork.from_spec(problem)
     c_eff = network.c_eff
 
     # Nominal compensation cap: a fraction of the effective load.
     cc_nom = max(0.4 * c_eff, 0.1e-12)
     # gm1 from GBW = beta-referred closed-loop bandwidth requirement.
-    gbw = mdac.gbw_hz
+    gbw = problem.gbw_hz
     gm1_nom = 2 * math.pi * gbw * cc_nom
     i_tail_nom = gm1_nom / 7.0  # gm/Id ~ 7 at moderate inversion
     # gm6 for the phase-margin relation.

@@ -3,7 +3,9 @@
 One call sizes one MDAC's opamp against its block spec, exactly in the
 paper's style: the SFG-reduced space is searched by annealing on the fast
 equation metrics, and the winner is verified (and if needed, repaired) with
-the nonlinear transient settling simulation.
+the nonlinear transient settling simulation.  The search reads only the
+spec's :class:`~repro.specs.stage.MdacProblem`, so specs with equal
+problems get equal blocks.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ def synthesize_mdac(
 ) -> SynthesisResult:
     """Synthesize one MDAC opamp; returns the verified result.
 
+    Only ``mdac.problem`` is read; the result's ``spec`` is ``mdac``.
     ``optimizer`` is ``"anneal"`` (default, NeoCircuit-style) or ``"de"``.
     ``x0`` (unit coordinates) warm-starts the search — used by retargeting.
     The anneal and the pattern-search polish hand the evaluator their
@@ -58,8 +61,9 @@ def synthesize_mdac(
     transients to ``synth.transient_steps``.
     """
     start = time.perf_counter()
-    space = two_stage_space(mdac, tech)
-    evaluator = HybridEvaluator(mdac, tech)
+    problem = mdac.problem
+    space = two_stage_space(problem, tech)
+    evaluator = HybridEvaluator(problem, tech)
 
     def cost_fn(u: np.ndarray, reject: Reject | None = None) -> float:
         return evaluator.evaluate(space.decode(u), reject=reject).cost()
@@ -87,7 +91,7 @@ def synthesize_mdac(
     while (
         verify_transient
         and final.settling_error is not None
-        and final.settling_error > mdac.settling_error
+        and final.settling_error > problem.settling_error
         and repairs < _MAX_REPAIRS
     ):
         repairs += 1

@@ -388,15 +388,15 @@ class TestCompiledDcSolve:
 
     def test_evaluators_share_one_compiled_template(self):
         _, evaluator = _opamp_bench(4)
-        space = two_stage_space(evaluator.mdac, CMOS025)
+        space = two_stage_space(evaluator.problem, CMOS025)
         sizing = space.decode(np.random.default_rng(4).random(space.dimension))
         saved = dict(_TEMPLATE_CACHE)
         _TEMPLATE_CACHE.clear()
         before = _compiled()
         try:
-            first = HybridEvaluator(evaluator.mdac, CMOS025).evaluate(sizing)
+            first = HybridEvaluator(evaluator.problem, CMOS025).evaluate(sizing)
             assert _compiled() == before + 1
-            second = HybridEvaluator(evaluator.mdac, CMOS025).evaluate(sizing)
+            second = HybridEvaluator(evaluator.problem, CMOS025).evaluate(sizing)
             assert _compiled() == before + 1  # served from the cache
             assert second.cost() == first.cost()
         finally:

@@ -11,7 +11,6 @@ from repro.blocks import (
     TwoStageSizing,
     build_settling_bench,
     build_two_stage_miller,
-    residue_transfer,
 )
 from repro.blocks.comparator import BehavioralComparator
 from repro.blocks.opamp import FoldedCascodeSizing
@@ -146,6 +145,30 @@ class TestMdacNetwork:
         settled = float(v[-1]) - start
         assert ideal == pytest.approx(0.5)
         assert settled == pytest.approx(ideal, rel=5e-3)
+
+
+def residue_transfer(
+    code: int, stage_bits: int, vin: float, full_scale: float, gain_error: float = 0.0
+) -> float:
+    """Ideal (or gain-errored) MDAC residue: G*vin - code-dependent DAC level.
+
+    ``code`` is the sub-ADC decision in ``[0, 2^m - 2]`` (the redundant
+    coding with 2^m - 1 levels); ``vin`` and the result are differential
+    voltages centred on zero with range ``[-FS/2, +FS/2]``.  The residue is
+
+    ``vout = 2^(m-1) * vin - (code - (levels-1)/2) * FS/2``
+
+    which for a 1.5-bit stage reduces to the classic ``2 vin - d FS/2``,
+    ``d in {-1, 0, +1}``.  The behavioral pipeline computes its residues
+    itself; this scalar form is the reference these tests hold the sub-ADC
+    codes against.
+    """
+    levels = 2**stage_bits - 1
+    if not 0 <= code < levels:
+        raise SpecificationError(f"code {code} out of range for {stage_bits}-bit stage")
+    gain = 2.0 ** (stage_bits - 1) * (1.0 + gain_error)
+    dac_index = code - (levels - 1) / 2.0
+    return gain * vin - dac_index * full_scale / 2.0
 
 
 class TestResidueTransfer:

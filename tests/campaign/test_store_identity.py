@@ -3,12 +3,14 @@
 Manifest grid and config digests, block fingerprints, ledger spec keys,
 verdict keys, queue/broker task keys and service job keys address data
 that outlives a process: campaign stores, the persistent block and verdict
-cache, completed task acks and service job records.  The values below
-were computed before the batched DC kernel and the speculation knob were
-removed; the retarget fingerprint, grid digest, ledger spec key and job
-keys were computed with ``persist.digest`` encoding through
-``_canonical`` + ``json.dumps``.  A change that moves any of them orphans
-stores already on disk.
+cache, completed task acks and service job records.  The task and verdict
+keys were computed before the batched DC kernel and the speculation knob
+were removed.  The block and retarget fingerprints (with the donor's sizing
+digest) and the ledger spec key were re-pinned when blocks were keyed on
+the spec's problem (:class:`~repro.specs.stage.MdacProblem`), and the
+config digest, grid digest and job keys with the ``MANIFEST_VERSION`` 4
+bump that came with it.  A change that moves any of them orphans stores
+already on disk.
 
 A verdict key covers the simulation's inputs, not its code, so the bits
 of one small verdict are pinned beside it: a change that moves them must
@@ -18,7 +20,9 @@ or warm caches would keep serving the old verdicts.
 The refusals cover what that removal, and the later removal of the
 evaluation and behavioral kernel knobs, leave behind: a store written
 under the batched kernel, a service config that still names a removed
-knob, and a persisted service job whose request carries one.
+knob, and a persisted service job whose request carries one.  A store
+written under manifest version 3, whose synthesis records searched some
+problems twice, is refused by resume and merge.
 """
 
 import asyncio
@@ -29,12 +33,14 @@ import struct
 import pytest
 
 from repro.behavioral.verify import VERDICT_VERSION, verdict_key, verify_candidate
-from repro.campaign import CampaignGrid
+from repro.campaign import CampaignGrid, merge_shards, run_campaign
 from repro.campaign.manifest import (
     build_manifest,
     config_digest,
     grid_digest,
+    read_manifest,
     require_matching_manifest,
+    write_manifest,
 )
 from repro.campaign.runner import LedgerBackedCache
 from repro.engine.config import FlowConfig
@@ -51,7 +57,16 @@ from repro.tech import CMOS025
 
 #: ``config_digest(FlowConfig())``.
 DEFAULT_CONFIG_DIGEST = (
+    "5db02568a24b3c91b2a2deb8f2fbf524ce496fc834ceedd8f15e90cf27f68131"
+)
+
+#: ``config_digest(FlowConfig())`` and the Fig. 2 grid digest under
+#: manifest version 3, before blocks were keyed on the spec's problem.
+V3_CONFIG_DIGEST = (
     "ca629b3d772896947b2cac6c1bb14f7f7498a76ea35719c80696f412c6c90cc1"
+)
+V3_FIG2_GRID_DIGEST = (
+    "8faaaa6faf4d57bf53b4ee66ab242c29fcd30ce3957d7ade0d198d49c7d80f7a"
 )
 
 #: ``config_digest`` of a ``dc_kernel="batched"`` config, as the batched
@@ -147,7 +162,7 @@ class TestDefaultIdentitiesArePinned:
             _mdac(), CMOS025, budget=400, seed=1, verify_transient=True
         )
         assert fingerprint == (
-            "b80615cec96a3c3515f81760077b645138a841cca35d34b13cd1fe885d3126c0"
+            "2ec88d0f93ce8461e7a098b4e2a0310a8f161e427a58b0930d177214c99ba4f8"
         )
 
     def test_synthesis_task_key(self):
@@ -163,7 +178,7 @@ class TestDefaultIdentitiesArePinned:
             _mdacs()[2], CMOS025, budget=60, seed=1, verify_transient=False
         )
         assert sizing_digest(donor) == (
-            "d8744a725556cc78b684e3d6b6776f4ad3d8098aecee529de7ccb642389a1a31"
+            "c254e1434fe31b28b16ff14664f7922693e27c4179bdf26b2ce443d731d1b74e"
         )
         fingerprint = block_fingerprint(
             _mdacs()[1],
@@ -176,17 +191,17 @@ class TestDefaultIdentitiesArePinned:
             retarget_seed=7,
         )
         assert fingerprint == (
-            "ac0b8429a4b98885122c436c47f123897a2d8bb6a0515eff7f2cc411e3332ea2"
+            "6d55a76dc0ef72dcd0e617ad35407f222199a43cd17c1e7d15c1eb33a2d9baa8"
         )
 
     def test_fig2_grid_digest(self):
         assert grid_digest(FIG2_GRID) == (
-            "8faaaa6faf4d57bf53b4ee66ab242c29fcd30ce3957d7ade0d198d49c7d80f7a"
+            "decc80a3c5fcfdb843c86d4d5de8bdf0123397989557e2181e131a5842aefc2e"
         )
 
     def test_ledger_spec_key(self):
         assert LedgerBackedCache(tech=CMOS025)._spec_key(_mdac()) == (
-            "0bf2214ee4e8e1bdcbaef93ff16706cd3d5678b7057974d97c788ca2c8ff3b1f"
+            "3266ec241d6148bb4792fe3dff6f6994f4ca841ad91a9aebbadc024d6349c5e9"
         )
 
     def test_campaign_job_key(self):
@@ -200,7 +215,7 @@ class TestDefaultIdentitiesArePinned:
             }
         )
         assert request.key == (
-            "4cca5f20d13dae6aa22f849cde245fc66610cf9f6a1addfb7a137249e2480c65"
+            "709c629d4ce0300caf474e4690b065ca54b9e1ca13341167501d33df8f8890a1"
         )
 
     def test_optimize_job_key(self):
@@ -208,7 +223,7 @@ class TestDefaultIdentitiesArePinned:
             {"kind": "optimize", "spec": {"resolution_bits": 12}, "mode": "synthesis"}
         )
         assert request.key == (
-            "480535bfb28bfac6c915bda46502d0a8c036066ee07900360ae1516a2e30de39"
+            "4659cabc906a8fe90522ec4897025ffff03dd15d4d310abf79d6e09d28e5120a"
         )
 
     def test_verdict_key(self):
@@ -233,6 +248,46 @@ class TestDefaultIdentitiesArePinned:
         assert hashlib.sha256(bits).hexdigest() == (
             "d52007d30e9f952a4440a5dbac3df7eec546a73e40dd3d779350f03eb6f250c2"
         )
+
+
+def _as_version_3(store) -> None:
+    """Rewrite a store's manifest as manifest version 3 wrote it."""
+    manifest = read_manifest(store)
+    write_manifest(
+        dataclasses.replace(
+            manifest,
+            grid_digest=V3_FIG2_GRID_DIGEST,
+            config_digest=V3_CONFIG_DIGEST,
+            format_version=3,
+        ),
+        store,
+    )
+
+
+class TestVersion3StoresAreRefused:
+    def test_resume_refuses_a_version_3_store(self, tmp_path):
+        write_manifest(build_manifest(FIG2_GRID, FlowConfig()), tmp_path)
+        _as_version_3(tmp_path)
+        with pytest.raises(SpecificationError) as exc:
+            run_campaign(FIG2_GRID, FlowConfig(), store_dir=tmp_path, resume=True)
+        message = _one_line(exc)
+        assert "format version (store 3, requested 4" in message
+        assert "grid digest" not in message
+
+    @pytest.mark.parametrize(
+        "old_shards", [(1,), (1, 2)], ids=["beside-a-new-shard", "all-shards-old"]
+    )
+    def test_merge_refuses_a_version_3_shard(self, tmp_path, old_shards):
+        grid = CampaignGrid(resolutions=(10, 11), modes=("analytic",))
+        shards = [tmp_path / f"shard{k}" for k in (1, 2)]
+        for k, store in enumerate(shards, start=1):
+            run_campaign(grid, FlowConfig(), store_dir=store, shard=(k, 2))
+        for k in old_shards:
+            _as_version_3(shards[k - 1])
+        with pytest.raises(SpecificationError) as exc:
+            merge_shards(shards, tmp_path / "merged")
+        assert "manifest version 3, not 4" in _one_line(exc)
+        assert not (tmp_path / "merged").exists()
 
 
 class TestRemovedKernelStoresAreRefused:

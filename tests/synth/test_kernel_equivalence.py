@@ -149,7 +149,7 @@ TRAJECTORY_CASES = [(2, 2), (1, 5), (0, 8)]
 
 def _search(kind, evaluator, seed):
     """One search of the trajectory tests on ``evaluator``'s MDAC."""
-    space = two_stage_space(evaluator.mdac, evaluator.tech)
+    space = two_stage_space(evaluator.problem, evaluator.tech)
 
     def cost(u, reject=None):
         return evaluator.evaluate(space.decode(u), reject=reject).cost()
