@@ -63,6 +63,9 @@ draw blocks, so its memory must not grow with the draw count),
 when any content digest differs from the two-pass encoder's or the
 one-pass encoder is under 2x its speed, when the warm rerun's cold fill
 searches a problem for which the campaign already holds a feasible block,
+or a search of it runs no settling transient or more than two (one, and
+one after the settling fallback's re-search: the equations carry the
+settling predictor, so no repair ladder may come back unseen),
 when the warm rerun searches a block, plans a (spec, candidate) pair twice
 or serializes a record twice,
 when the service stage breaks its coalescing
@@ -89,6 +92,7 @@ import tempfile
 import time
 import tracemalloc
 import traceback
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -599,10 +603,13 @@ WARM_GRID = CampaignGrid(
 def _searched_problems(searches: list):
     """Wrap the scheduler's job function to log every search it runs.
 
-    Each search appends ``(problem key, feasible)``: the key digests the
-    block's problem, technology and verification flag, as the campaign
-    ledger's spec layer does.  Works on the serial backend, where jobs run
-    in this process.
+    Each search appends ``(problem key, feasible, transients, first
+    pass)``: the key digests the block's problem, technology and
+    verification flag, as the campaign ledger's spec layer does;
+    ``transients`` is the search's ``transient_evals``, and ``first pass``
+    whether its first settling transient met the settling error (a search
+    that ran one and ends within it).  Works on the serial backend, where
+    jobs run in this process.
     """
     real = scheduler.run_synthesis_job
 
@@ -615,7 +622,13 @@ def _searched_problems(searches: list):
                 "verify_transient": job.verify_transient,
             }
         )
-        searches.append((key, result.feasible))
+        settling = result.final.settling_error
+        first_pass = (
+            result.transient_evals == 1
+            and settling is not None
+            and settling <= job.spec.problem.settling_error
+        )
+        searches.append((key, result.feasible, result.transient_evals, first_pass))
         return result
 
     return mock.patch.object(scheduler, "run_synthesis_job", logged)
@@ -625,7 +638,7 @@ def _repeated_problems(searches: list) -> int:
     """Searches of a problem an earlier search already solved feasibly."""
     solved: set[str] = set()
     repeats = 0
-    for key, feasible in searches:
+    for key, feasible, _, _ in searches:
         repeats += key in solved
         if feasible:
             solved.add(key)
@@ -636,15 +649,17 @@ def stage_warm_rerun(budget: int, reruns: int) -> dict:
     """A cold fill and warm reruns of a three-mode grid: work and traffic.
 
     Fills a temporary cache with :data:`WARM_GRID` at ``budget`` and logs
-    the fill's searches: how many, how many distinct block problems, and
-    how many searched a problem the campaign already held a feasible block
-    for.  Then reruns the grid against the cache ``reruns`` times and
-    reports the median wall.  One more rerun is counted
+    the fill's searches: how many, how many distinct block problems, how
+    many searched a problem the campaign already held a feasible block
+    for, their settling transients (in all, and how many searches ran each
+    count) and how many searches' first transient met the settling error.
+    Then reruns the grid against the cache ``reruns`` times and reports
+    the median wall.  One more rerun is counted
     (``tests/campaign/traffic.py``): ``plan_stages`` calls against the
     distinct (spec, candidate) pairs, and record serializations against
     records.
     """
-    fill_searches: list[tuple[str, bool]] = []
+    fill_searches: list[tuple[str, bool, int, bool]] = []
     with tempfile.TemporaryDirectory(prefix="repro-warm-") as tmp:
         root = Path(tmp)
         config = FlowConfig(
@@ -672,8 +687,14 @@ def stage_warm_rerun(budget: int, reruns: int) -> dict:
         ),
         "fill_s": round(fill_wall, 3),
         "fill_searches": len(fill_searches),
-        "fill_problems": len({key for key, _ in fill_searches}),
+        "fill_problems": len({key for key, *_ in fill_searches}),
         "fill_repeated_problems": _repeated_problems(fill_searches),
+        "fill_transients": sum(n for _, _, n, _ in fill_searches),
+        "fill_transients_per_search": {
+            str(n): count
+            for n, count in sorted(Counter(n for _, _, n, _ in fill_searches).items())
+        },
+        "fill_first_pass": sum(first for *_, first in fill_searches),
         "rerun_ms": round(statistics.median(walls) * 1e3, 3),
         "searches": searches,
         "plans": len(traffic.plans),
@@ -798,7 +819,8 @@ def main(argv=None) -> int:
         f"verdict peak 1024/256 draws: {behavioral['verdict_peak_growth']}x, "
         f"digest: {digests['speedup']}x, "
         f"warm fill: {warm['fill_searches']} searches of "
-        f"{warm['fill_problems']} problems, "
+        f"{warm['fill_problems']} problems, {warm['fill_transients']} "
+        f"transients, {warm['fill_first_pass']} first-transient passes, "
         f"warm rerun: {warm['rerun_ms']}ms, {warm['plans']} plans for "
         f"{warm['distinct_pairs']} pairs, {warm['serializations']} lines for "
         f"{warm['records']} records, "
@@ -878,6 +900,16 @@ def main(argv=None) -> int:
             failures.append(
                 f"warm_rerun's fill searched {warm['fill_repeated_problems']} "
                 "problem(s) the campaign already held a feasible block for"
+            )
+        odd = {
+            n: count
+            for n, count in warm["fill_transients_per_search"].items()
+            if n not in ("1", "2")
+        }
+        if odd:
+            failures.append(
+                "warm_rerun's fill ran searches with settling transient counts "
+                f"outside 1..2 (count: searches) {odd}: one, and the fallback's"
             )
         if warm["searches"]:
             failures.append(f"warm_rerun searched {warm['searches']} block(s)")

@@ -52,7 +52,10 @@ MANIFEST_FILENAME = "manifest.json"
 #: v4: blocks are keyed on the problem synthesis reads
 #: (:class:`~repro.specs.stage.MdacProblem`), so a campaign searches each
 #: problem once and its records change.
-MANIFEST_VERSION = 4
+#: v5: the search aims at a 60-degree phase margin and a settling miss
+#: gets one re-search instead of the repair ladder, so blocks change, and
+#: synthesis rankings put feasible candidates first.
+MANIFEST_VERSION = 5
 
 
 def grid_digest(grid: CampaignGrid) -> str:

@@ -36,10 +36,13 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Any
 
-#: Bump when the fingerprint payload changes shape; old entries then
-#: simply stop matching.  (An entry written in another frame fails its
-#: checksum and is a miss already.)
-FORMAT_VERSION = 1
+#: Bump when the fingerprint payload changes shape, or when the search
+#: that fills an entry changes (the same payload would then name another
+#: block); old entries then simply stop matching.  (An entry written in
+#: another frame fails its checksum and is a miss already.)  Version 2:
+#: the search aims at a 60-degree phase margin, and a settling miss gets
+#: one re-search instead of the 1.30x repair ladder.
+FORMAT_VERSION = 2
 
 #: Suffix of cache entries.
 ENTRY_SUFFIX = ".pkl"

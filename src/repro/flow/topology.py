@@ -64,7 +64,8 @@ class TopologyResult:
 
     @property
     def best(self) -> CandidateEvaluation:
-        """The minimum-power candidate."""
+        """The minimum-power feasible candidate (the minimum-power one when
+        no candidate is feasible)."""
         return self.evaluations[0]
 
     def power_table(self) -> list[tuple[str, float]]:
@@ -148,8 +149,10 @@ def optimize_topology(
     the scenarios of one grid point plan each candidate once; without
     one, this call plans into a table of its own.
 
-    Sub-ADC power always comes from the comparator model; ranking ascending
-    by total front-end power.  Rankings are backend-independent: the wave
+    Sub-ADC power always comes from the comparator model.  Candidates whose
+    blocks all met their constraints rank first, each group ascending by
+    total front-end power, so an infeasible design never outranks a
+    feasible one.  Rankings are backend-independent: the wave
     scheduler fixes every warm start before dispatch, so serial and
     process-pool runs synthesize identical blocks.
     """
@@ -185,7 +188,9 @@ def optimize_topology(
         if owns_backend:
             backend.close()
 
-    evaluations.sort(key=lambda e: e.total_power)
+    # Designs are compared only among those that meet spec: feasible
+    # candidates rank first, each group by power.
+    evaluations.sort(key=lambda e: (not e.all_feasible, e.total_power))
     return TopologyResult(
         spec=spec,
         evaluations=tuple(evaluations),

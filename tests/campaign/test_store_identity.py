@@ -9,8 +9,12 @@ were removed.  The block and retarget fingerprints (with the donor's sizing
 digest) and the ledger spec key were re-pinned when blocks were keyed on
 the spec's problem (:class:`~repro.specs.stage.MdacProblem`), and the
 config digest, grid digest and job keys with the ``MANIFEST_VERSION`` 4
-bump that came with it.  A change that moves any of them orphans stores
-already on disk.
+bump that came with it.  When the search came to aim at a phase-margin
+target and the repair ladder went, ``persist.FORMAT_VERSION`` 2 moved the
+block and retarget fingerprints (the donor's sizing digest moved with its
+search), and ``MANIFEST_VERSION`` 5 the config digest, grid digest and
+job keys.  A change that moves any of them orphans stores already on
+disk.
 
 A verdict key covers the simulation's inputs, not its code, so the bits
 of one small verdict are pinned beside it: a change that moves them must
@@ -57,7 +61,7 @@ from repro.tech import CMOS025
 
 #: ``config_digest(FlowConfig())``.
 DEFAULT_CONFIG_DIGEST = (
-    "5db02568a24b3c91b2a2deb8f2fbf524ce496fc834ceedd8f15e90cf27f68131"
+    "fcea9df468117c430f097f0829d408e791285e8f8b7bfc196d5e411b1acae8ab"
 )
 
 #: ``config_digest(FlowConfig())`` and the Fig. 2 grid digest under
@@ -162,7 +166,7 @@ class TestDefaultIdentitiesArePinned:
             _mdac(), CMOS025, budget=400, seed=1, verify_transient=True
         )
         assert fingerprint == (
-            "2ec88d0f93ce8461e7a098b4e2a0310a8f161e427a58b0930d177214c99ba4f8"
+            "b482f78e77dd25955b485f309a1410f1a3c5f5aaa92ed06d14ef4958352cd283"
         )
 
     def test_synthesis_task_key(self):
@@ -178,7 +182,7 @@ class TestDefaultIdentitiesArePinned:
             _mdacs()[2], CMOS025, budget=60, seed=1, verify_transient=False
         )
         assert sizing_digest(donor) == (
-            "c254e1434fe31b28b16ff14664f7922693e27c4179bdf26b2ce443d731d1b74e"
+            "5e9bfb4baabcefff6a7132f726aec7af2e4560f25639a1b1d33a5dcf6cc31890"
         )
         fingerprint = block_fingerprint(
             _mdacs()[1],
@@ -191,12 +195,12 @@ class TestDefaultIdentitiesArePinned:
             retarget_seed=7,
         )
         assert fingerprint == (
-            "6d55a76dc0ef72dcd0e617ad35407f222199a43cd17c1e7d15c1eb33a2d9baa8"
+            "e4f29a3bf418abaaf56fa5f68f3a6d9dd9df6e48c0086edd7320005431bc7238"
         )
 
     def test_fig2_grid_digest(self):
         assert grid_digest(FIG2_GRID) == (
-            "decc80a3c5fcfdb843c86d4d5de8bdf0123397989557e2181e131a5842aefc2e"
+            "0a20b6ed9307eb454b32e413b9f28ffa71a6c784debecf243e766f06c3eb866c"
         )
 
     def test_ledger_spec_key(self):
@@ -215,7 +219,7 @@ class TestDefaultIdentitiesArePinned:
             }
         )
         assert request.key == (
-            "709c629d4ce0300caf474e4690b065ca54b9e1ca13341167501d33df8f8890a1"
+            "db6b7a9f069d638d9dac81048437db882e20409e86664a123ba076f165843383"
         )
 
     def test_optimize_job_key(self):
@@ -223,7 +227,7 @@ class TestDefaultIdentitiesArePinned:
             {"kind": "optimize", "spec": {"resolution_bits": 12}, "mode": "synthesis"}
         )
         assert request.key == (
-            "4659cabc906a8fe90522ec4897025ffff03dd15d4d310abf79d6e09d28e5120a"
+            "f5849b4b968eece0b36bcea466512e50716f20719080ce4a23d4962c0a70087b"
         )
 
     def test_verdict_key(self):
@@ -271,7 +275,7 @@ class TestVersion3StoresAreRefused:
         with pytest.raises(SpecificationError) as exc:
             run_campaign(FIG2_GRID, FlowConfig(), store_dir=tmp_path, resume=True)
         message = _one_line(exc)
-        assert "format version (store 3, requested 4" in message
+        assert "format version (store 3, requested 5" in message
         assert "grid digest" not in message
 
     @pytest.mark.parametrize(
@@ -286,7 +290,7 @@ class TestVersion3StoresAreRefused:
             _as_version_3(shards[k - 1])
         with pytest.raises(SpecificationError) as exc:
             merge_shards(shards, tmp_path / "merged")
-        assert "manifest version 3, not 4" in _one_line(exc)
+        assert "manifest version 3, not 5" in _one_line(exc)
         assert not (tmp_path / "merged").exists()
 
 

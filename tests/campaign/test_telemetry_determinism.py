@@ -36,6 +36,8 @@ WORK_COUNTERS = (
     "synth.ac_points",
     "synth.dc_solves",
     "synth.newton_iterations",
+    "synth.transients",
+    "synth.repairs",
     "synth.transient_steps",
 )
 
@@ -152,7 +154,13 @@ class TestBackendDeterminism:
         )
         assert serial["synth.ac_points"] > 0
         assert serial["synth.newton_iterations"] >= serial["synth.dc_solves"] > 0
+        # One settling transient per search, and one more per fallback.
+        assert serial["synth.transients"] == (
+            serial["scheduler.job_executions"] + serial["synth.repairs"]
+        )
         assert serial["synth.transient_steps"] > 0
+        # The bandwidth bound is the one a settling predictor can starve.
+        assert serial["synth.rejected_at_bandwidth"] > 0
         queue_dir = str(tmp_path / "queue") if backend == "broker" else None
         with broker_workers(queue_dir) if backend == "broker" else nullcontext():
             store = _run(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.enumeration.candidates import PipelineCandidate
+from repro.enumeration.candidates import PipelineCandidate, enumerate_candidates
 from repro.errors import SpecificationError
 from repro.experiments import (
     fig1_stage_powers,
@@ -14,6 +14,8 @@ from repro.experiments import (
 )
 from repro.flow import BlockCache, extract_rules, optimize_topology
 from repro.specs import AdcSpec, plan_stages
+from repro.synth.evaluator import EvalResult
+from repro.synth.result import SynthesisResult
 from repro.tech import CMOS025
 
 
@@ -66,6 +68,69 @@ class TestBlockCache:
         assert second.retargeted
         assert cache.retargeted_runs == 1
         assert cache.unique_blocks == 2
+
+
+def _block(spec, power, feasible):
+    """A sized block with the given power and verdict, searched by nobody."""
+    final = EvalResult(
+        sizing=None,
+        power=power,
+        dc_gain=1e4,
+        loop_unity_hz=None,
+        phase_margin=None,
+        saturation_margin=0.1,
+        settling_error=None,
+        dc_ok=True,
+        violations={"settling": -0.5 if feasible else 0.5},
+    )
+    return SynthesisResult(
+        spec=spec,
+        final=final,
+        history=[],
+        equation_evals=0,
+        transient_evals=1,
+        retargeted=False,
+    )
+
+
+class TestSynthesisRanking:
+    def test_cheapest_feasible_candidate_ranks_above_a_cheaper_infeasible_one(self):
+        spec = AdcSpec(resolution_bits=10)
+        plans = {c.label: plan_stages(spec, c) for c in enumerate_candidates(10)}
+        # The one-stage '4' gets a cheap block that misses its spec; every
+        # other block meets its spec at a higher power.
+        cheap = plans["4"].mdacs[0].reuse_key
+        cache = BlockCache(CMOS025)
+        for plan in plans.values():
+            for mdac in plan.mdacs:
+                if mdac.reuse_key == cheap:
+                    cache.results[cheap] = _block(mdac, 0.1e-3, feasible=False)
+                else:
+                    cache.results.setdefault(
+                        mdac.reuse_key, _block(mdac, 1e-3, feasible=True)
+                    )
+        result = optimize_topology(spec, mode="synthesis", cache=cache)
+        assert cache.synthesis_runs == 0
+        by_power = min(result.evaluations, key=lambda e: e.total_power)
+        assert by_power.label == "4" and not by_power.all_feasible
+        feasible = [e for e in result.evaluations if e.all_feasible]
+        assert result.best is min(feasible, key=lambda e: e.total_power)
+        verdicts = [e.all_feasible for e in result.evaluations]
+        assert verdicts == sorted(verdicts, reverse=True)
+        for group in (True, False):
+            powers = [e.total_power for e in result.evaluations if e.all_feasible is group]
+            assert powers == sorted(powers)
+
+    def test_a_winner_is_named_when_no_candidate_is_feasible(self):
+        spec = AdcSpec(resolution_bits=10)
+        cache = BlockCache(CMOS025)
+        for cand in enumerate_candidates(10):
+            for mdac in plan_stages(spec, cand).mdacs:
+                power = 1e-3 * mdac.stage_bits
+                cache.results.setdefault(mdac.reuse_key, _block(mdac, power, False))
+        result = optimize_topology(spec, mode="synthesis", cache=cache)
+        assert not any(e.all_feasible for e in result.evaluations)
+        assert result.best is min(result.evaluations, key=lambda e: e.total_power)
 
 
 class TestDesignerRules:

@@ -195,7 +195,7 @@ def test_synthesis_builds_no_netlist_per_candidate(monkeypatch):
     ).mdacs[2]
     result = synthesize_mdac(mdac, CMOS025, budget=60, seed=1, verify_transient=True)
     assert len(evaluators) == 1
-    assert result.transient_evals >= 1
+    assert result.transient_evals == 1
     assert result.equation_evals > 100
     assert len(built) == len(evaluators) + result.transient_evals
     assert keys == ["acbench_ota2"] * len(evaluators)

@@ -2,7 +2,8 @@
 
 ``synthesize_mdac`` and ``retarget_mdac`` run here on specs whose fields
 outside the :class:`~repro.specs.stage.MdacProblem` raise on read, and must
-return the plain run's block bit for bit.
+return the plain run's block bit for bit, the settling fallback's re-search
+included.
 """
 
 import pytest
@@ -60,6 +61,9 @@ def test_synthesize_mdac_reads_only_the_problem(stage, optimizer):
     spec = _mdacs()[stage]
     kwargs = dict(budget=30, seed=1, optimizer=optimizer, verify_transient=True)
     plain = synthesize_mdac(spec, CMOS025, **kwargs)
+    # Stage 2 under DE misses its first transient with the equations met,
+    # so its search runs the fallback's re-search and second transient.
+    assert plain.transient_evals == (2 if (stage, optimizer) == (2, "de") else 1)
     proxy = OnlyTheProblem(spec)
     result = synthesize_mdac(proxy, CMOS025, **kwargs)
     assert result.spec is proxy
