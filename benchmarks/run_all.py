@@ -49,7 +49,9 @@ variant's synthesis result diverges (the bit-identity contract; with
 ``verify_transient=True`` against the evaluator and transient walks), when the
 compiled search rejected no candidate at one of the three ``reject``
 stages (after the DC solve, the gain point, the top of the loop grid), when
-the staged AC read-out's bytes differ from the per-frequency loop, when a
+the staged AC read-out's bytes differ from the per-frequency loop over
+the same free-node system or deviate from the whole MNA system's loop by
+more than 1e-10 relative, when a
 value the ``bind`` stage writes differs from the netlist rebind's (it has
 no speed floor: a shared host's run-to-run spread is wider than any
 useful one), when the compiled transient step is slower than the walk or
@@ -134,7 +136,7 @@ from tests.engine import persist_reference
 from tests.synth.evaluator_reference import ReferenceEvaluator
 
 # The AC read-out helpers sit next to this script.
-from bench_evaluator_kernel import best_rate, staged_read_out
+from bench_evaluator_kernel import READ_OUT_TOLERANCE, best_rate, staged_read_out
 
 
 def _block_spec():
@@ -254,12 +256,19 @@ def stage_synthesize(budget: int) -> dict:
 
 
 def stage_equation_metrics(repeats: int) -> dict:
-    """The AC/transfer-function stage: per-frequency loop vs batched stacks."""
+    """The AC/transfer-function stage: per-frequency loop vs batched stacks.
+
+    The seed's loop solves the whole MNA system, the evaluator's stacks
+    its free node voltages; ``identical_results`` compares the stacks with
+    a per-frequency loop over the same free-node system, and
+    ``max_deviation_from_whole_mna`` is their largest relative deviation
+    from the whole system's loop.
+    """
     mdac = _block_spec()
     space = two_stage_space(mdac, CMOS025)
     evaluator = HybridEvaluator(mdac, CMOS025)
     rng = np.random.default_rng(1)
-    legacy_stage, batched_stage, identical = staged_read_out(
+    legacy_stage, batched_stage, identical, deviation = staged_read_out(
         evaluator, space.decode(rng.random(space.dimension))
     )
     legacy_rate = best_rate(legacy_stage, repeats)
@@ -273,6 +282,7 @@ def stage_equation_metrics(repeats: int) -> dict:
         "batched_sweeps_per_s": round(batched_rate, 1),
         "speedup": round(batched_rate / legacy_rate, 2),
         "identical_results": identical,
+        "max_deviation_from_whole_mna": deviation,
     }
 
 
@@ -850,6 +860,12 @@ def main(argv=None) -> int:
                 failures.append(f"synthesize_mdac rejected no candidate at {stage!r}")
         if not eqn["identical_results"]:
             failures.append("batched AC sweep diverged from the reference loop")
+        if not eqn["max_deviation_from_whole_mna"] <= READ_OUT_TOLERANCE:
+            failures.append(
+                "free-node AC read-out deviates from the whole MNA loop by "
+                f"{eqn['max_deviation_from_whole_mna']:.3g} relative "
+                f"(limit {READ_OUT_TOLERANCE:g})"
+            )
         if not bind["identical_values"]:
             failures.append(
                 "bind: a written value or device tuple differs from the "

@@ -1,25 +1,156 @@
-"""AC (frequency sweep) analysis on a linearized circuit."""
+"""AC (frequency sweep) analysis on a linearized circuit.
+
+The public sweeps (:func:`ac_response`, :func:`ac_transfer`) solve the
+whole MNA system.  A read-out that needs only node voltages can solve the
+smaller system of :class:`FreeNodes` instead: the node voltages that
+grounded independent voltage sources do not fix.
+"""
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.mna import GROUND
+from repro.analysis.mna import GROUND, MnaLayout
 from repro.analysis.smallsignal import LinearizedCircuit
+from repro.circuit.elements import VoltageSource
 from repro.errors import AnalysisError
 
 
+class FreeNodes:
+    """The node voltages of a circuit that an AC sweep must solve for.
+
+    A grounded independent voltage source fixes its other terminal's
+    voltage at its ``ac`` value, and its branch row gives back only the
+    source's current.  Dropping those nodes and branches leaves the free
+    node voltages ``x_k``, which solve
+
+        (G_kk + s C_kk) x_k = b_k - (G_kf + s C_kf) x_f
+
+    for the fixed voltages ``x_f``.  The split depends on the topology
+    only, so it is worked out once per bound circuit; :meth:`reduce`
+    slices each linearization.  Any other voltage-defined element (a
+    floating source, a VCVS, an inductor) has a branch current that node
+    rows read, and is refused.
+    """
+
+    def __init__(self, layout: MnaLayout):
+        fixed: dict[int, tuple[int, float, str]] = {}
+        for element in layout.branch_elements:
+            name = element.name
+            if not isinstance(element, VoltageSource):
+                _refuse(f"{type(element).__name__} {name!r}")
+            p, n = layout.index(element.positive), layout.index(element.negative)
+            if (p == GROUND) == (n == GROUND):
+                _refuse(
+                    f"voltage source {name!r} from {element.positive!r} "
+                    f"to {element.negative!r}"
+                )
+            node = n if p == GROUND else p
+            if node in fixed:
+                _refuse(
+                    f"voltage source {name!r}",
+                    f"fixes {layout.nets[node]!r}, which {fixed[node][2]!r} "
+                    "already fixes",
+                )
+            fixed[node] = (layout.branch(name), -1.0 if p == GROUND else 1.0, name)
+        self.layout = layout
+        #: Unknown indices of the fixed nodes, in branch order, and of the
+        #: free ones, in index order.
+        self.fixed = np.array(list(fixed), dtype=np.intp)
+        self.free = np.array(
+            [i for i in range(len(layout.nets)) if i not in fixed], dtype=np.intp
+        )
+        #: Where ``b_ac`` holds each fixed voltage, and its sign.
+        self._rows = np.array([row for row, _, _ in fixed.values()], dtype=np.intp)
+        self._signs = np.array([sign for _, sign, _ in fixed.values()])
+        #: Flat indices of the free rows' free and fixed columns.
+        rows = self.free[:, None] * layout.size
+        self._kk = (rows + self.free).ravel()
+        self._kf = (rows + self.fixed).ravel()
+        self._position = {layout.nets[i]: k for k, i in enumerate(self.free)}
+
+    def index(self, net: str) -> int:
+        """Position of ``net``'s voltage among the free unknowns."""
+        try:
+            return self._position[net]
+        except KeyError:
+            raise AnalysisError(
+                f"net {net!r} is not a free node of {self.layout.circuit.name!r}"
+            ) from None
+
+    def reduce(self, linear: LinearizedCircuit) -> "FreeNodeSystem":
+        """``linear``'s AC system on the free node voltages."""
+        g, c, b = linear.g_matrix, linear.c_matrix, linear.b_ac
+        k, f = len(self.free), len(self.fixed)
+        x_fixed = self._signs * b[self._rows]
+        c_kk = c.take(self._kk).reshape(k, k)
+        rows, cols = np.nonzero(c_kk)
+        return FreeNodeSystem(
+            nodes=self,
+            g_matrix=g.take(self._kk).reshape(k, k),
+            c_matrix=c_kk,
+            b_vector=b[self.free] - np.dot(g.take(self._kf).reshape(k, f), x_fixed),
+            c_vector=np.dot(c.take(self._kf).reshape(k, f), x_fixed),
+            c_cells=(rows, cols, c_kk[rows, cols][:, None]),
+        )
+
+
+def _refuse(
+    element: str, reason: str = "is not a grounded independent voltage source"
+) -> None:
+    raise AnalysisError(
+        f"cannot solve the AC sweep on free node voltages: {element} {reason}"
+    )
+
+
+@dataclass
+class FreeNodeSystem:
+    """One linearization's AC system on its free node voltages.
+
+    At each ``s`` it is ``(G + s C) x = b - s c``: :attr:`g_matrix` and
+    :attr:`c_matrix` are the free rows and columns of the MNA matrices,
+    :attr:`b_vector` is ``b_k - G_kf x_f`` and :attr:`c_vector` is
+    ``C_kf x_f`` (see :class:`FreeNodes`).  :func:`ac_system_stack` fills
+    its matrices and :meth:`excitation` its right-hand sides.
+    """
+
+    nodes: FreeNodes
+    g_matrix: np.ndarray
+    c_matrix: np.ndarray
+    b_vector: np.ndarray
+    c_vector: np.ndarray
+    #: C's nonzero cells ``(rows, cols, values)``, the values as a column:
+    #: found once, for every stack of this system.
+    c_cells: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    @property
+    def size(self) -> int:
+        """Number of free node voltages."""
+        return len(self.b_vector)
+
+    def index(self, net: str) -> int:
+        """Position of ``net``'s voltage among the unknowns."""
+        return self.nodes.index(net)
+
+    def excitation(self, frequencies_hz: np.ndarray) -> np.ndarray:
+        """The right-hand sides ``b - s c`` over a sweep, shape (F, k)."""
+        s = 2j * math.pi * np.asarray(frequencies_hz, dtype=float)
+        return self.b_vector - s[:, None] * self.c_vector
+
+
 def ac_system_stack(
-    linear: LinearizedCircuit,
+    linear: LinearizedCircuit | FreeNodeSystem,
     frequencies_hz: np.ndarray,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The stacked complex MNA matrices ``G + s_k C``, shape (F, n, n).
+    """The stacked complex matrices ``G + s_k C``, shape (F, n, n).
 
-    Each slice is elementwise identical to ``linear.system_at(s_k)`` — the
-    broadcastable form batched solvers consume.  ``out`` (same shape,
+    ``linear`` is the whole MNA system or a :class:`FreeNodeSystem`.  Each
+    slice is elementwise identical to ``G + s_k * C`` — the broadcastable
+    form batched solvers consume.  ``out`` (same shape,
     complex) is filled in place and returned when given, letting tight
     evaluation loops reuse one scratch buffer.  The fill runs
     frequency-last, so an ``out`` that is the transposed (F, n, n) view of
@@ -40,9 +171,9 @@ def ac_system_stack(
     # sparse update touches ~20% of the entries the dense product would,
     # and C is sparse for every MNA system.
     cells[...] = linear.g_matrix[:, :, None]
-    rows, cols = np.nonzero(linear.c_matrix)
+    rows, cols, values = linear.c_cells
     if len(rows):
-        cells[rows, cols] += s * linear.c_matrix[rows, cols][:, None]
+        cells[rows, cols] += s * values
     return out
 
 
@@ -76,21 +207,23 @@ def ac_system_tensor(
 def solve_ac_stack(
     systems: np.ndarray, b_ac: np.ndarray, frequencies_hz: np.ndarray
 ) -> np.ndarray:
-    """Solve a (F, n, n) stack against one excitation vector, batched.
+    """Solve a (F, n, n) stack against its excitation, batched.
 
-    One LAPACK call covers the whole sweep; each slice's solution is
-    bit-identical to an individual ``np.linalg.solve``.  On failure the
-    sweep is replayed slice-by-slice so the raised :class:`AnalysisError`
-    names the first singular frequency, exactly like a per-frequency loop.
+    ``b_ac`` is one excitation vector (n,) for every frequency, or one per
+    frequency (F, n).  One LAPACK call covers the whole sweep; each slice's
+    solution is bit-identical to an individual ``np.linalg.solve``.  On
+    failure the sweep is replayed slice by slice, each against its own
+    excitation, so the raised :class:`AnalysisError` names the first
+    singular frequency, exactly like a per-frequency loop.
     """
-    rhs = np.broadcast_to(b_ac, (systems.shape[0], len(b_ac)))[..., None]
+    rhs = np.broadcast_to(b_ac, systems.shape[:2])
     try:
-        return np.linalg.solve(systems, rhs)[..., 0]
+        return np.linalg.solve(systems, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
         # Replay to attribute the failure to a frequency.
         for row, frequency in enumerate(np.asarray(frequencies_hz, dtype=float)):
             try:
-                np.linalg.solve(systems[row], b_ac)
+                np.linalg.solve(systems[row], rhs[row])
             except np.linalg.LinAlgError as exc:
                 raise AnalysisError(
                     f"AC solve failed at {frequency:.3e} Hz"

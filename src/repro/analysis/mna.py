@@ -124,3 +124,9 @@ class LinearizedCircuit:
     def system_at(self, s: complex) -> np.ndarray:
         """The complex MNA matrix G + s*C."""
         return self.g_matrix + s * self.c_matrix
+
+    @property
+    def c_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """C's nonzero cells ``(rows, cols, values)``, the values as a column."""
+        rows, cols = np.nonzero(self.c_matrix)
+        return rows, cols, self.c_matrix[rows, cols][:, None]

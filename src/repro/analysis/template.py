@@ -744,8 +744,10 @@ class BoundMna:
         the transient's t=0 operating point included, stays visible to
         tools that wrap ``numpy.linalg.solve``.  Calling its LAPACK gufunc
         directly would save about 5-7 µs per 13x13 system, about half of
-        the call, or 0.3-0.5 s of a cold Fig. 2 campaign's 70,623 single
-        solves (docs/performance.md, "The kernel layer").
+        the call, or 0.13-0.18 s of a cold Fig. 2 campaign's 26,231 single
+        solves: 12,636 DC (11,826 of them the evaluator's 11x11 benches)
+        and 13,595 transient steps (docs/performance.md, "The kernel
+        layer").
         """
         return np.linalg.solve(jac, rhs)
 

@@ -38,11 +38,14 @@ from typing import Any
 
 #: Bump when the fingerprint payload changes shape, or when the search
 #: that fills an entry changes (the same payload would then name another
-#: block); old entries then simply stop matching.  (An entry written in
+#: block), or when the numbers an entry stores change, even in their last
+#: bits; old entries then simply stop matching.  (An entry written in
 #: another frame fails its checksum and is a miss already.)  Version 2:
 #: the search aims at a 60-degree phase margin, and a settling miss gets
-#: one re-search instead of the 1.30x repair ladder.
-FORMAT_VERSION = 2
+#: one re-search instead of the 1.30x repair ladder.  Version 3: the AC
+#: read-outs solve the bench's free node voltages, so an entry's stored
+#: margins and cost history change in their last bits.
+FORMAT_VERSION = 3
 
 #: Suffix of cache entries.
 ENTRY_SUFFIX = ".pkl"

@@ -27,11 +27,14 @@ compiled once into a parametric MNA stamp template
 candidate writes only the values its sizing sets
 (:func:`~repro.blocks.opamp_library.two_stage_miller_values`) into the
 bound program, with no netlist of its own.  The DC Newton iterations
-assemble through vectorized scatters, and the AC read-out solves as
-stacked ``np.linalg.solve`` calls: the 1 kHz DC-gain point, the top of the
-loop grid, then its bottom.  Results are bit-identical to the per-element
-stamp walk and per-frequency AC loop they replaced, which
-``tests/synth/evaluator_reference.py`` keeps as the oracle.
+assemble through vectorized scatters.  The AC read-outs solve the bench's
+free node voltages (:class:`~repro.analysis.ac.FreeNodes`: the supply and
+input sources fix ``vdd`` and ``inp``) as stacked ``np.linalg.solve``
+calls: the 1 kHz DC-gain point, the top of the loop grid, then its
+bottom.  Results are bit-identical to the per-element stamp walk and a
+per-frequency loop over the same free-node system, which
+``tests/synth/evaluator_reference.py`` keeps as the oracle; they agree
+with the whole MNA system's loop to about 1e-13 relative.
 
 Each stage tightens a lower bound on the cost: the power and the
 saturation margin after the DC solve, the DC gain after the gain point,
@@ -48,7 +51,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.ac import ac_system_stack, solve_ac_stack
+from repro.analysis.ac import (
+    FreeNodes,
+    FreeNodeSystem,
+    ac_system_stack,
+    solve_ac_stack,
+)
 from repro.analysis.dc import DcSolution, solve_dc
 from repro.analysis.smallsignal import LinearizedCircuit
 from repro.analysis.template import BoundMna, ValueWriter, bind_template
@@ -261,10 +269,12 @@ class HybridEvaluator:
         self._k0 = _split_index(self.required_bw_hz)
         #: Frequency-last scratch for the per-candidate AC system stack.
         self._ac_cells: np.ndarray | None = None
-        #: The testbench's bound stamp program, bound once, and the writer
-        #: of the amplifier's values into it.
+        #: The testbench's bound stamp program, bound once, the writer of
+        #: the amplifier's values into it, and the bench's free node
+        #: voltages, which the AC read-outs solve for.
         self._bound: BoundMna | None = None
         self._write: ValueWriter | None = None
+        self._free: FreeNodes | None = None
         #: The testbench around the amplifier, which no sizing changes:
         #: supplies, the high-impedance unity feedback and the load.
         b = CircuitBuilder("tb", tech=tech)
@@ -293,10 +303,11 @@ class HybridEvaluator:
     def _bind(self, sizing: TwoStageSizing):
         """The testbench's stamp program with ``sizing``'s values in it.
 
-        The first candidate builds the bench (:meth:`_ac_bench`) and binds
-        its template.  Every later one writes only the values its sizing
-        sets into the same :class:`~repro.analysis.template.BoundMna`: the
-        topology never changes, and neither do the testbench elements.
+        The first candidate builds the bench (:meth:`_ac_bench`), binds
+        its template and works out its free node voltages.  Every later one
+        writes only the values its sizing sets into the same
+        :class:`~repro.analysis.template.BoundMna`: the topology never
+        changes, and neither do the testbench elements.
         """
         bound = self._bound
         if bound is None:
@@ -305,31 +316,42 @@ class HybridEvaluator:
             # The amplifier's elements come first in the bench.
             amplifier = range(len(bench) - len(self._testbench))
             self._write = ValueWriter(bound, amplifier)
+            self._free = FreeNodes(bound.layout)
         else:
             self._write(two_stage_miller_values(self.tech, sizing))
         return bound
 
-    def _read_out(self, lin: LinearizedCircuit, freqs: np.ndarray) -> np.ndarray:
+    def _read_out(self, system: FreeNodeSystem, freqs: np.ndarray) -> np.ndarray:
         """:meth:`_transfer`, counted in :attr:`ac_points`."""
         self.ac_points += len(freqs)
-        return self._transfer(lin, freqs)
+        return self._transfer(system, freqs)
 
-    def _transfer(self, lin: LinearizedCircuit, freqs: np.ndarray) -> np.ndarray:
+    def _reduce(self, lin: LinearizedCircuit) -> FreeNodeSystem:
+        """The read-outs' system: ``lin`` on the bench's free node voltages.
+
+        G and C are sliced and C's nonzero cells found once per candidate,
+        for all three read-outs.
+        """
+        return self._free.reduce(lin)
+
+    def _transfer(self, system: FreeNodeSystem, freqs: np.ndarray) -> np.ndarray:
         """Amplifier transfer to ``out`` over ``freqs``: one stacked solve.
 
-        The system stack fills a per-evaluator frequency-last (n, n, F)
-        scratch sized for the loop grid, through the (F, n, n) view of its
+        The system stack fills a per-evaluator frequency-last (k, k, F)
+        scratch sized for the loop grid, through the (F, k, k) view of its
         first ``len(freqs)`` columns (see
-        :func:`~repro.analysis.ac.ac_system_stack`).
+        :func:`~repro.analysis.ac.ac_system_stack`), and each frequency
+        solves against its own right-hand side.
         """
-        n = lin.size
+        k = system.size
         cells = self._ac_cells
-        if cells is None or cells.shape[0] != n:
-            cells = np.empty((n, n, len(_LOOP_FREQS)), dtype=complex)
+        if cells is None or cells.shape[0] != k:
+            cells = np.empty((k, k, len(_LOOP_FREQS)), dtype=complex)
             self._ac_cells = cells
         out = cells[:, :, : len(freqs)].transpose(2, 0, 1)
-        stack = ac_system_stack(lin, freqs, out=out)
-        return solve_ac_stack(stack, lin.b_ac, freqs)[:, lin.index("out")]
+        stack = ac_system_stack(system, freqs, out=out)
+        rhs = system.excitation(freqs)
+        return solve_ac_stack(stack, rhs, freqs)[:, system.index("out")]
 
     # -- testbench -----------------------------------------------------------
 
@@ -381,8 +403,8 @@ class HybridEvaluator:
         if self._rejects(reject, partial, "dc"):
             return partial
         try:
-            lin = self._linearize(staged)
-            gain_point = self._read_out(lin, _GAIN_FREQS)
+            system = self._reduce(self._linearize(staged))
+            gain_point = self._read_out(system, _GAIN_FREQS)
         except (AnalysisError, ReproError):
             return self._infeasible(sizing)
         dc_gain = abs(float(np.real(gain_point[0])))
@@ -394,7 +416,7 @@ class HybridEvaluator:
             return gained
         top_freqs = _LOOP_FREQS[self._k0 :]
         try:
-            top = self._read_out(lin, top_freqs)
+            top = self._read_out(system, top_freqs)
         except (AnalysisError, ReproError):
             return self._infeasible(sizing)
         if reject is not None and not run_transient:
@@ -409,7 +431,7 @@ class HybridEvaluator:
             if self._rejects(reject, partial, "bandwidth"):
                 return partial
         try:
-            bottom = self._read_out(lin, _LOOP_FREQS[1 : self._k0])
+            bottom = self._read_out(system, _LOOP_FREQS[1 : self._k0])
         except (AnalysisError, ReproError):
             return self._infeasible(sizing)
         loop = np.concatenate((gain_point, bottom, top))

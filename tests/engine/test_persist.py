@@ -438,18 +438,26 @@ class TestPersistentBlockCache:
         assert again.persistent_hits == 0
         assert again.cold_runs == 1
 
-    def test_an_entry_written_under_format_version_1_misses(self, tmp_path, monkeypatch):
-        # Version 1 entries hold blocks the 50-degree search and its repair
-        # ladder found; the payload's shape is the same, the search is not.
-        assert persist.FORMAT_VERSION == 2
+    def _older_entry_misses(self, tmp_path, monkeypatch, version):
+        assert persist.FORMAT_VERSION == 3
         with monkeypatch.context() as old:
-            old.setattr(persist, "FORMAT_VERSION", 1)
+            old.setattr(persist, "FORMAT_VERSION", version)
             _cache(tmp_path).get(_mdac())
         again = _cache(tmp_path)
         again.get(_mdac())
         assert again.persistent_hits == 0
         assert again.cold_runs == 1
         assert len(list(tmp_path.iterdir())) == 2
+
+    def test_an_entry_written_under_format_version_1_misses(self, tmp_path, monkeypatch):
+        # Version 1 entries hold blocks the 50-degree search and its repair
+        # ladder found; the payload's shape is the same, the search is not.
+        self._older_entry_misses(tmp_path, monkeypatch, 1)
+
+    def test_an_entry_written_under_format_version_2_misses(self, tmp_path, monkeypatch):
+        # Version 2 entries hold margins and cost histories from read-outs
+        # of the whole MNA system, which differ in their last bits.
+        self._older_entry_misses(tmp_path, monkeypatch, 2)
 
     def test_budget_change_misses(self, tmp_path):
         _cache(tmp_path).get(_mdac())

@@ -5,8 +5,10 @@ as it evaluated a candidate before the compiled kernels: the DC operating
 point and the small-signal model come from the per-element stamp walk
 (``tests/analysis/mna_reference.py``: ``solve_dc`` with a
 :class:`~tests.analysis.mna_reference.WalkAssembly`, and its
-``linearize``), and the amplifier transfer from per-frequency sweeps, one
-per read-out of the staged path (``tests/analysis/ac_reference.py``).
+``linearize``), and the amplifier transfer from per-frequency sweeps of
+the bench's free-node system, one per read-out of the staged path
+(``tests/analysis/ac_reference.py``), with the free nodes worked out from
+each candidate's own layout.
 It also keeps the netlist path per candidate: its ``_bind`` builds the
 candidate's testbench (``_ac_bench``) and walks it, where the compiled
 evaluator writes the sizing's values into a program bound once.
@@ -28,8 +30,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.analysis.ac import FreeNodes
 from repro.synth.evaluator import EvalResult, HybridEvaluator
-from tests.analysis.ac_reference import ac_transfer
+from tests.analysis.ac_reference import free_transfer
 from tests.analysis.mna_reference import WalkAssembly, linearize
 
 
@@ -48,6 +51,9 @@ class ReferenceEvaluator(HybridEvaluator):
         bench = staged.assembly.layout.circuit
         return linearize(bench, staged.op, include_noise=False)
 
-    def _transfer(self, lin, freqs) -> np.ndarray:
-        # The seed's per-frequency sweep, once per read-out.
-        return ac_transfer(lin, "out", freqs)
+    def _reduce(self, lin):
+        return FreeNodes(lin.layout).reduce(lin)
+
+    def _transfer(self, system, freqs) -> np.ndarray:
+        # A per-frequency sweep, once per read-out.
+        return free_transfer(system, "out", freqs)
