@@ -28,6 +28,8 @@ per candidate, as the pre-kernel evaluator did
 the same numbers.
 """
 
+import math
+import struct
 import sys
 import time
 from pathlib import Path
@@ -39,11 +41,19 @@ import pytest
 # The reference walks live in the test tree; import them from the repo root.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
+from repro.analysis.ac import FreeNodes, ac_system_stack
+from repro.analysis.dc import solve_dc
+from repro.analysis.smallsignal import linearize
 from repro.engine.persist import sizing_digest
 from repro.enumeration.candidates import PipelineCandidate
 from repro.specs import AdcSpec, plan_stages
 from repro.synth import HybridEvaluator, synthesize_mdac, two_stage_space
-from repro.synth.evaluator import _GAIN_FREQS, _LOOP_FREQS
+from repro.synth.evaluator import (
+    _GAIN,
+    _LOOP_FREQS,
+    _SIGNAL_DEVICES,
+    DIFFERENTIAL_FACTOR,
+)
 from repro.tech import CMOS025
 from tests.analysis import ac_reference
 from tests.synth.evaluator_reference import ReferenceEvaluator
@@ -68,32 +78,119 @@ def staged_read_out(evaluator: HybridEvaluator, sizing):
     ``batched`` are callables that solve the DC-gain point, the top of the
     loop grid and its bottom: the seed's per-frequency loop over the whole
     MNA system, and the evaluator's stacked solves of the free-node system
-    (each call reduces the linearization again, as each candidate does).
-    ``identical`` says whether the stacked read-outs joined as
-    ``[gain point | bottom | top]`` have the bytes of the per-frequency loop
-    over the same free-node system (``ac_reference.free_transfer``) on the
-    whole grid, and ``deviation`` is their largest relative deviation from
-    the whole MNA system's loop.
+    (each call builds that system again from the DC solution, as each
+    candidate does).  ``identical`` says whether the stacked read-outs
+    joined as ``[gain point | bottom | top]`` have the bytes of the
+    per-frequency loop over the same free-node system
+    (``ac_reference.free_transfer``) on the whole grid, and ``deviation``
+    is their largest relative deviation from the whole MNA system's loop.
     """
     staged = evaluator._stage_equation(sizing)
     assert staged.op is not None
-    lin = evaluator._linearize(staged)
-    k0 = evaluator._k0
-    reads = (_GAIN_FREQS, _LOOP_FREQS[k0:], _LOOP_FREQS[1:k0])
+    lin = staged.assembly.linearize(staged.op)
+    reads = (_GAIN, evaluator._top, evaluator._bottom)
 
     def legacy():
-        return [ac_reference.ac_transfer(lin, "out", f) for f in reads]
+        return [ac_reference.ac_transfer(lin, "out", freqs) for freqs, _ in reads]
 
     def batched():
-        system = evaluator._reduce(lin)
-        return [evaluator._transfer(system, f) for f in reads]
+        system = evaluator._system(staged)
+        return [evaluator._transfer(system, freqs, s) for freqs, s in reads]
 
     gain, top, bottom = batched()
     joined = np.concatenate((gain, bottom, top))
-    oracle = ac_reference.free_transfer(evaluator._reduce(lin), "out", _LOOP_FREQS)
+    oracle = ac_reference.free_transfer(evaluator._free.reduce(lin), "out", _LOOP_FREQS)
     whole = ac_reference.ac_transfer(lin, "out", _LOOP_FREQS)
     deviation = float(np.max(np.abs(joined - whole) / np.abs(whole)))
     return legacy, batched, joined.tobytes() == oracle.tobytes(), deviation
+
+
+def candidate_glue_us(evaluator_cls, mdac, sizings, repeats: int) -> dict:
+    """Per-candidate µs of the equation half's stages, best of ``repeats``.
+
+    One evaluator of ``evaluator_cls`` walks ``sizings`` in order per pass,
+    its warm-start chain restarted each pass: the DC stage (bind, DC solve,
+    power and saturation margin) per candidate, and per candidate whose
+    DC solve converged the small-signal step (its free-node system) and
+    the read-out glue, what the three read-outs cost beyond one batched
+    ``np.linalg.solve`` of each read-out's stack.
+    """
+    evaluator = evaluator_cls(mdac, CMOS025)
+    reads = (_GAIN, evaluator._top, evaluator._bottom)
+    clock = time.perf_counter
+    keys = ("dc_stage_us", "small_signal_us", "read_out_glue_us")
+    best = dict.fromkeys(keys, math.inf)
+    for _ in range(repeats):
+        evaluator._warm_x = None
+        dc = small = glue = 0.0
+        solved = 0
+        for sizing in sizings:
+            start = clock()
+            staged = evaluator._stage_equation(sizing)
+            dc += clock() - start
+            if staged.op is None:
+                continue
+            solved += 1
+            start = clock()
+            system = evaluator._system(staged)
+            small += clock() - start
+            for freqs, s in reads:
+                start = clock()
+                evaluator._transfer(system, freqs, s)
+                glue += clock() - start
+                stack = ac_system_stack(system, freqs, s=s)
+                rhs = system.excitation(s)[..., None]
+                start = clock()
+                np.linalg.solve(stack, rhs)
+                glue -= clock() - start
+        times = (dc / len(sizings), small / solved, glue / solved)
+        for key, seconds in zip(best, times):
+            best[key] = min(best[key], seconds * 1e6)
+    return {key: round(us, 2) for key, us in best.items()}
+
+
+def public_path_identical(mdac, sizings) -> bool:
+    """The evaluator's DC-stage reads against the public path, by bytes.
+
+    Each candidate starts cold, as a public ``solve_dc`` from the
+    evaluator's guess does.  Its power, saturation margin and free-node
+    system must equal ``solve_dc`` on the candidate's netlist, read
+    through its ``device_ops`` objects, then ``linearize`` and
+    ``FreeNodes.reduce``, byte for byte.
+    """
+    evaluator = HybridEvaluator(mdac, CMOS025)
+    compared = 0
+    for sizing in sizings:
+        evaluator._warm_x = None
+        staged = evaluator._stage_equation(sizing)
+        if staged.op is None:
+            continue
+        bench = evaluator._ac_bench(sizing)
+        op = solve_dc(bench, initial_guess=evaluator._dc_guess())
+        power = CMOS025.vdd * abs(op.supply_current("vdd_src")) * DIFFERENTIAL_FACTOR
+        saturation = min(
+            abs(op.device_ops[name].vds) - op.device_ops[name].vdsat
+            for name in _SIGNAL_DEVICES
+        )
+        lin = linearize(bench, op, include_noise=False)
+        public = FreeNodes(lin.layout).reduce(lin)
+        system = evaluator._system(staged)
+        arrays = ("g_matrix", "c_matrix", "b_vector", "c_vector")
+        if (
+            struct.pack("<dd", staged.power, staged.saturation)
+            != struct.pack("<dd", power, saturation)
+            or any(
+                getattr(system, name).tobytes() != getattr(public, name).tobytes()
+                for name in arrays
+            )
+            or any(
+                mine.tobytes() != theirs.tobytes()
+                for mine, theirs in zip(system.c_cells, public.c_cells)
+            )
+        ):
+            return False
+        compared += 1
+    return compared > 0
 
 
 def best_rate(fn, repeats: int, blocks: int = 5) -> float:

@@ -51,7 +51,9 @@ compiled search rejected no candidate at one of the three ``reject``
 stages (after the DC solve, the gain point, the top of the loop grid), when
 the staged AC read-out's bytes differ from the per-frequency loop over
 the same free-node system or deviate from the whole MNA system's loop by
-more than 1e-10 relative, when a
+more than 1e-10 relative, when the evaluator's power, saturation margin or
+free-node system differs by a byte from the public ``solve_dc`` ->
+``linearize`` -> ``FreeNodes.reduce`` path, when a
 value the ``bind`` stage writes differs from the netlist rebind's (it has
 no speed floor: a shared host's run-to-run spread is wider than any
 useful one), when the compiled transient step is slower than the walk or
@@ -136,7 +138,13 @@ from tests.engine import persist_reference
 from tests.synth.evaluator_reference import ReferenceEvaluator
 
 # The AC read-out helpers sit next to this script.
-from bench_evaluator_kernel import READ_OUT_TOLERANCE, best_rate, staged_read_out
+from bench_evaluator_kernel import (
+    READ_OUT_TOLERANCE,
+    best_rate,
+    candidate_glue_us,
+    public_path_identical,
+    staged_read_out,
+)
 
 
 def _block_spec():
@@ -255,14 +263,20 @@ def stage_synthesize(budget: int) -> dict:
     }
 
 
-def stage_equation_metrics(repeats: int) -> dict:
+def stage_equation_metrics(repeats: int, candidates: int = 20) -> dict:
     """The AC/transfer-function stage: per-frequency loop vs batched stacks.
 
     The seed's loop solves the whole MNA system, the evaluator's stacks
     its free node voltages; ``identical_results`` compares the stacks with
     a per-frequency loop over the same free-node system, and
     ``max_deviation_from_whole_mna`` is their largest relative deviation
-    from the whole system's loop.
+    from the whole system's loop.  Over ``candidates`` seeded sizings,
+    ``per_candidate_us`` gives the compiled path's and the oracle's DC
+    stage, small-signal step and read-out glue
+    (``bench_evaluator_kernel.candidate_glue_us``), and
+    ``public_path_identical`` whether the evaluator's power, saturation
+    margin and free-node system have the bytes of ``solve_dc`` ->
+    ``linearize`` -> ``FreeNodes.reduce``.
     """
     mdac = _block_spec()
     space = two_stage_space(mdac, CMOS025)
@@ -273,16 +287,23 @@ def stage_equation_metrics(repeats: int) -> dict:
     )
     legacy_rate = best_rate(legacy_stage, repeats)
     batched_rate = best_rate(batched_stage, repeats)
+    sizings = [space.decode(rng.random(space.dimension)) for _ in range(candidates)]
     return {
         "workload": (
             f"{len(_LOOP_FREQS)}-point AC read-out of the opamp testbench "
-            "(gain point, top and bottom of the loop grid)"
+            "(gain point, top and bottom of the loop grid); per candidate "
+            f"over {candidates} seeded sizings (best of {repeats} passes)"
         ),
         "legacy_sweeps_per_s": round(legacy_rate, 1),
         "batched_sweeps_per_s": round(batched_rate, 1),
         "speedup": round(batched_rate / legacy_rate, 2),
         "identical_results": identical,
         "max_deviation_from_whole_mna": deviation,
+        "per_candidate_us": {
+            "compiled": candidate_glue_us(HybridEvaluator, mdac, sizings, repeats),
+            "oracle": candidate_glue_us(ReferenceEvaluator, mdac, sizings, repeats),
+        },
+        "public_path_identical": public_path_identical(mdac, sizings),
     }
 
 
@@ -860,6 +881,11 @@ def main(argv=None) -> int:
                 failures.append(f"synthesize_mdac rejected no candidate at {stage!r}")
         if not eqn["identical_results"]:
             failures.append("batched AC sweep diverged from the reference loop")
+        if not eqn["public_path_identical"]:
+            failures.append(
+                "the evaluator's power, saturation margin or free-node system "
+                "differs from solve_dc -> linearize -> FreeNodes.reduce"
+            )
         if not eqn["max_deviation_from_whole_mna"] <= READ_OUT_TOLERANCE:
             failures.append(
                 "free-node AC read-out deviates from the whole MNA loop by "

@@ -30,10 +30,10 @@ class FreeNodes:
         (G_kk + s C_kk) x_k = b_k - (G_kf + s C_kf) x_f
 
     for the fixed voltages ``x_f``.  The split depends on the topology
-    only, so it is worked out once per bound circuit; :meth:`reduce`
-    slices each linearization.  Any other voltage-defined element (a
-    floating source, a VCVS, an inductor) has a branch current that node
-    rows read, and is refused.
+    only, so it is worked out once per bound circuit; :meth:`system`
+    slices each pair of G and C matrices.  Any other voltage-defined
+    element (a floating source, a VCVS, an inductor) has a branch current
+    that node rows read, and is refused.
     """
 
     def __init__(self, layout: MnaLayout):
@@ -83,7 +83,13 @@ class FreeNodes:
 
     def reduce(self, linear: LinearizedCircuit) -> "FreeNodeSystem":
         """``linear``'s AC system on the free node voltages."""
-        g, c, b = linear.g_matrix, linear.c_matrix, linear.b_ac
+        return self.system(linear.g_matrix, linear.c_matrix, linear.b_ac)
+
+    def system(
+        self, g: np.ndarray, c: np.ndarray, b: np.ndarray
+    ) -> "FreeNodeSystem":
+        """The AC system of MNA matrices ``g``, ``c`` and excitation ``b`` on
+        the free node voltages; none of the three is written or kept."""
         k, f = len(self.free), len(self.fixed)
         x_fixed = self._signs * b[self._rows]
         c_kk = c.take(self._kk).reshape(k, k)
@@ -114,7 +120,8 @@ class FreeNodeSystem:
     :attr:`c_matrix` are the free rows and columns of the MNA matrices,
     :attr:`b_vector` is ``b_k - G_kf x_f`` and :attr:`c_vector` is
     ``C_kf x_f`` (see :class:`FreeNodes`).  :func:`ac_system_stack` fills
-    its matrices and :meth:`excitation` its right-hand sides.
+    its matrices and :meth:`excitation` its right-hand sides, both from
+    the same ``s = 2j*pi*f``.
     """
 
     nodes: FreeNodes
@@ -135,9 +142,9 @@ class FreeNodeSystem:
         """Position of ``net``'s voltage among the unknowns."""
         return self.nodes.index(net)
 
-    def excitation(self, frequencies_hz: np.ndarray) -> np.ndarray:
-        """The right-hand sides ``b - s c`` over a sweep, shape (F, k)."""
-        s = 2j * math.pi * np.asarray(frequencies_hz, dtype=float)
+    def excitation(self, s: np.ndarray) -> np.ndarray:
+        """The right-hand sides ``b - s c`` at the complex frequencies ``s``
+        of a sweep, shape (F, k)."""
         return self.b_vector - s[:, None] * self.c_vector
 
 
@@ -145,23 +152,25 @@ def ac_system_stack(
     linear: LinearizedCircuit | FreeNodeSystem,
     frequencies_hz: np.ndarray,
     out: np.ndarray | None = None,
+    s: np.ndarray | None = None,
 ) -> np.ndarray:
     """The stacked complex matrices ``G + s_k C``, shape (F, n, n).
 
     ``linear`` is the whole MNA system or a :class:`FreeNodeSystem`.  Each
     slice is elementwise identical to ``G + s_k * C`` — the broadcastable
-    form batched solvers consume.  ``out`` (same shape,
+    form batched solvers consume.  ``s`` is the sweep's ``2j*pi*f`` when
+    the caller already has it.  ``out`` (same shape,
     complex) is filled in place and returned when given, letting tight
     evaluation loops reuse one scratch buffer.  The fill runs
     frequency-last, so an ``out`` that is the transposed (F, n, n) view of
     an (n, n, F) buffer fills contiguous rows; the default allocation is
     such a view.
     """
-    frequencies_hz = np.asarray(frequencies_hz, dtype=float)
-    s = 2j * math.pi * frequencies_hz
+    if s is None:
+        s = 2j * math.pi * np.asarray(frequencies_hz, dtype=float)
     if out is None:
         n = linear.size
-        out = np.empty((n, n, len(frequencies_hz)), dtype=complex).transpose(2, 0, 1)
+        out = np.empty((n, n, len(s)), dtype=complex).transpose(2, 0, 1)
     cells = out.transpose(1, 2, 0)
     # Filled frequency-last: each matrix cell's frequencies are one
     # contiguous row.  G is broadcast along every row, then s*C is added
@@ -210,13 +219,13 @@ def solve_ac_stack(
     """Solve a (F, n, n) stack against its excitation, batched.
 
     ``b_ac`` is one excitation vector (n,) for every frequency, or one per
-    frequency (F, n).  One LAPACK call covers the whole sweep; each slice's
-    solution is bit-identical to an individual ``np.linalg.solve``.  On
-    failure the sweep is replayed slice by slice, each against its own
-    excitation, so the raised :class:`AnalysisError` names the first
-    singular frequency, exactly like a per-frequency loop.
+    frequency (F, n), taken as it is.  One LAPACK call covers the whole
+    sweep; each slice's solution is bit-identical to an individual
+    ``np.linalg.solve``.  On failure the sweep is replayed slice by slice,
+    each against its own excitation, so the raised :class:`AnalysisError`
+    names the first singular frequency, exactly like a per-frequency loop.
     """
-    rhs = np.broadcast_to(b_ac, systems.shape[:2])
+    rhs = b_ac if b_ac.ndim == 2 else np.broadcast_to(b_ac, systems.shape[:2])
     try:
         return np.linalg.solve(systems, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:

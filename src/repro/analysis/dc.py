@@ -13,15 +13,16 @@ The per-element stamp walk the program replays bit for bit is the oracle in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
 from repro.analysis.mna import GROUND
-from repro.analysis.template import bind_template
+from repro.analysis.template import BoundMna, bind_template
 from repro.circuit.netlist import Circuit
 from repro.errors import ConvergenceError, SingularCircuitError
-from repro.tech.mosfet import MosfetOperatingPoint
+from repro.tech.mosfet import DeviceArrays, MosfetOperatingPoint
 
 #: Maximum Newton iterations per attempt.
 _MAX_ITER = 120
@@ -33,7 +34,14 @@ _ABS_TOL = 1e-10
 
 @dataclass
 class DcSolution:
-    """Result of a DC operating-point analysis."""
+    """Result of a DC operating-point analysis.
+
+    A solution of a bound stamp program also carries :attr:`devices`, its
+    MOSFETs as plain lists, and builds :attr:`voltages`,
+    :attr:`branch_currents` and :attr:`device_ops` from them and ``x`` on
+    first read: a sizing loop reads the lists and ``x`` only.  Either way
+    the fields, their equality and their pickle bytes are the same.
+    """
 
     #: Node voltages by net name (ground included, 0 V).
     voltages: dict[str, float]
@@ -50,6 +58,34 @@ class DcSolution:
     #: Final residual infinity-norm [A].
     residual: float
 
+    #: Every MOSFET at ``x`` (:meth:`~repro.analysis.template.BoundMna.device_arrays`),
+    #: or None when the assembly solved on was not a bound stamp program.
+    devices: ClassVar[DeviceArrays | None] = None
+
+    def __getattr__(self, name: str):
+        # Reached only for a field a packaged solution has not built yet.
+        packed = self.__dict__.get("_packed")
+        if packed is None or name not in _LAZY_FIELDS:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        layout, xl, names = packed
+        if name == "voltages":
+            value = dict(zip(layout.nets, xl))
+            value["gnd"] = 0.0
+            value.setdefault("0", 0.0)
+        elif name == "branch_currents":
+            branch_of = layout.branch_of
+            value = {e.name: xl[branch_of[e.name]] for e in layout.branch_elements}
+        else:
+            value = dict(zip(names, self.devices.points(xl)))
+        self.__dict__[name] = value
+        return value
+
+    def __getstate__(self) -> dict:
+        # The fields in order, as a solution built with all of them pickles.
+        return {name: getattr(self, name) for name in _FIELDS}
+
     def voltage(self, net: str) -> float:
         """Node voltage of ``net``."""
         return self.voltages[net] if net not in ("0", "GND") else 0.0
@@ -57,6 +93,11 @@ class DcSolution:
     def supply_current(self, source_name: str) -> float:
         """Current delivered by a voltage source (positive out of + terminal)."""
         return -self.branch_currents[source_name]
+
+
+#: The fields of :class:`DcSolution`, and those a packaged one builds lazily.
+_FIELDS = tuple(f.name for f in fields(DcSolution))
+_LAZY_FIELDS = ("voltages", "branch_currents", "device_ops")
 
 
 def _abs_max(values: list[float]) -> float:
@@ -112,9 +153,10 @@ def _newton(
     """Run damped Newton; returns (x, iterations, residual_norm).
 
     ``assembly`` is a bound :class:`repro.analysis.template.MnaTemplate`
-    (anything with its ``layout``, ``residual``, ``jacobian``,
-    ``newton_solve`` and ``operating_points`` will do).  Only an iterate
-    that takes a step builds a jacobian.
+    (anything with its ``layout``, ``residual``, ``jacobian`` and
+    ``newton_solve`` will do; :func:`_package` also asks any other
+    assembly for its ``operating_points``).  Only an iterate that takes a
+    step builds a jacobian.
     """
     layout = assembly.layout
     x = x0.copy()
@@ -220,21 +262,23 @@ def solve_dc(
 def _package(
     assembly, x: np.ndarray, iterations: int, strategy: str, residual: float
 ) -> DcSolution:
+    """The :class:`DcSolution` of ``x``.
+
+    On a bound stamp program it carries the program's device arrays at
+    ``x``, the converged Newton loop's last evaluation, and builds its
+    dicts on first read; any other assembly packages its
+    ``operating_points`` as they are.
+    """
+    solution = object.__new__(DcSolution)
+    state = solution.__dict__
+    state.update(x=x, iterations=iterations, strategy=strategy, residual=residual)
     layout = assembly.layout
-    xl = x.tolist()
-    voltages = dict(zip(layout.nets, xl))
-    voltages["gnd"] = 0.0
-    voltages.setdefault("0", 0.0)
-    branch_of = layout.branch_of
-    branch_currents = {
-        e.name: xl[branch_of[e.name]] for e in layout.branch_elements
-    }
-    return DcSolution(
-        voltages=voltages,
-        branch_currents=branch_currents,
-        device_ops=assembly.operating_points(x),
-        x=x,
-        iterations=iterations,
-        strategy=strategy,
-        residual=residual,
-    )
+    if isinstance(assembly, BoundMna):
+        xl, state["devices"] = assembly.device_arrays(x)
+        names = assembly.template.mos_names
+    else:
+        xl = x.tolist()
+        state["device_ops"] = assembly.operating_points(x)
+        names = ()
+    state["_packed"] = (layout, xl, names)
+    return solution

@@ -87,11 +87,10 @@ from repro.circuit.netlist import Circuit
 from repro.errors import AnalysisError
 from repro.obs import metrics
 from repro.tech.mosfet import (
-    MosfetOperatingPoint,
+    DeviceArrays,
     capacitance_constants,
     device_constants,
     device_currents,
-    operating_points,
 )
 
 #: MOSFET conductance kinds: offsets within a device's four-value group.
@@ -683,8 +682,14 @@ class BoundMna:
         self._scale = None
         mosfets = [elements[k] for k in t._mos_k]
         #: Each MOSFET's ``(params, w, l, mult)``, which
-        #: :meth:`operating_points` reads.
+        #: :meth:`device_arrays` reads.
         self._geometry = geometry = [(e.params, e.w, e.l, e.mult) for e in mosfets]
+        #: Whether every multiplier is 1, so a residual's device evaluation
+        #: is also the operating points' (see :meth:`device_arrays`).
+        self._unit_mult = all(mult == 1 for *_, mult in geometry)
+        #: The iterate of the last :meth:`residual` call; None once a value
+        #: changed since.
+        self._last_x: np.ndarray | None = None
         #: One flat tuple per MOSFET for the model loop (see
         #: :func:`~repro.tech.mosfet.device_currents`): its constants, its
         #: multiplier and its ground-extended terminal slots.
@@ -709,7 +714,8 @@ class BoundMna:
         """The DC Newton residual at ``x``, bit for bit the walk's.
 
         Also evaluates the MOSFETs' conductances at ``x`` for a following
-        :meth:`jacobian` call.
+        :meth:`jacobian` call, and keeps that evaluation, forward-frame
+        detail included, for :meth:`device_arrays` at the same ``x``.
         """
         fused = self._fused
         if source_scale != self._scale:
@@ -718,7 +724,10 @@ class BoundMna:
             self._scale = source_scale
         xl = x.tolist()
         xl.append(0.0)
-        ids, self._cond = device_currents(self._devices, xl)
+        detail = []
+        ids, self._cond = device_currents(self._devices, xl, detail)
+        self._last_x = x
+        self._last = (xl, ids, detail)
         resid = fused(x, ids)
         if gmin > 0.0:
             n_nodes = self.template.n_nodes
@@ -751,39 +760,79 @@ class BoundMna:
         """
         return np.linalg.solve(jac, rhs)
 
-    def operating_points(self, x: np.ndarray) -> dict[str, MosfetOperatingPoint]:
-        """Every MOSFET's operating point at the solution ``x``, by name.
+    def device_arrays(self, x: np.ndarray) -> tuple[list[float], DeviceArrays]:
+        """Every MOSFET at the solution ``x``, and ``x`` as a list, ground last.
 
-        Each device is taken at its multiplied width; one with ``mult`` 1
-        reuses the Newton loop's tuple that :meth:`rebind` bound.
+        Each device is taken at its multiplied width.  When ``x`` is the
+        last :meth:`residual`'s iterate, as a converged Newton loop's
+        solution is, and every multiplier is 1, that residual's device
+        evaluation is the operating points' own and is reused; so is its
+        voltage list.  A NaN vds is the exception: the residual runs it
+        reversed, an operating point forward.  Otherwise the devices are
+        evaluated again at ``x``.
         """
+        t = self.template
+        geometry = self._geometry
+        caps = [
+            capacitance_constants(params, w * mult, l)
+            for params, w, l, mult in geometry
+        ]
+        if x is self._last_x and self._unit_mult:
+            xl, ids, detail = self._last
+            if not any(vds != vds for _, vds, _, _, _ in detail):
+                return xl, DeviceArrays(t._mos_xe, ids, self._cond, detail, caps)
         devices = []
-        caps = []
-        for (params, w, l, mult), device in zip(self._geometry, self._devices):
-            w = w * mult
+        for (params, w, l, mult), device in zip(geometry, self._devices):
             if mult != 1:
-                device = device_constants(params, w, l) + (1,) + device[-4:]
+                device = device_constants(params, w * mult, l) + (1,) + device[-4:]
             devices.append(device)
-            caps.append(capacitance_constants(params, w, l))
         xl = x.tolist()
         xl.append(0.0)
-        return dict(zip(self.template.mos_names, operating_points(devices, caps, xl)))
+        detail = []
+        ids, cond = device_currents(devices, xl, detail, nan_forward=True)
+        return xl, DeviceArrays(t._mos_xe, ids, cond, detail, caps)
 
     # -- small-signal ------------------------------------------------------
+
+    @property
+    def b_ac(self) -> np.ndarray:
+        """The AC excitation from the sources' ``ac`` values.
+
+        The program's own buffer, not a copy: read it, do not write it.
+        """
+        return self._b_ac
+
+    def small_signal(
+        self, cond: list[float], caps: list[float]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """G and C of this bound circuit with its MOSFETs' values in them.
+
+        ``cond`` holds four values per device, ``(gm, gds, gmb, ·)`` (the
+        fourth is never read), and ``caps`` five, ``(cgs, cgd, cgb, cdb,
+        csb)``, in :attr:`MnaTemplate.mos_names` order.  Each matrix sums
+        its ordered entries with one ``np.bincount``.
+        """
+        t = self.template
+        n = t.size
+        gv = self._gv
+        if len(t._g_mos_pos):
+            gv[t._g_mos_pos] = t._g_mos_sign * np.array(cond)[t._g_mos_val]
+        cv = self._cv
+        if len(t._c_mos_pos):
+            cv[t._c_mos_pos] = t._c_mos_sign * np.array(caps)[t._c_mos_val]
+        return _cell_sums(t._gflat, gv, n), _cell_sums(t._cflat, cv, n)
 
     def linearize(self, op) -> LinearizedCircuit:
         """G, C and ``b_ac`` of this bound circuit at the operating point ``op``.
 
         ``op`` is the :class:`~repro.analysis.dc.DcSolution` of this bound
-        circuit.  The noise-source list is empty:
-        :func:`repro.analysis.smallsignal.linearize` adds it.
+        circuit, read through its ``device_ops``.  The noise-source list is
+        empty: :func:`repro.analysis.smallsignal.linearize` adds it.
         """
-        t = self.template
-        n = t.size
         cond = []
         caps = []
         device_ops = op.device_ops
-        for name in t.mos_names:
+        for name in self.template.mos_names:
             device_op = device_ops.get(name)
             if device_op is None:
                 raise AnalysisError(
@@ -792,18 +841,11 @@ class BoundMna:
                 )
             cond += (device_op.gm, device_op.gds, device_op.gmb, 0.0)
             caps += [getattr(device_op, attr) for attr in _CAP_KINDS]
-
-        gv = self._gv
-        if len(t._g_mos_pos):
-            gv[t._g_mos_pos] = t._g_mos_sign * np.array(cond)[t._g_mos_val]
-        cv = self._cv
-        if len(t._c_mos_pos):
-            cv[t._c_mos_pos] = t._c_mos_sign * np.array(caps)[t._c_mos_val]
-
+        g_matrix, c_matrix = self.small_signal(cond, caps)
         return LinearizedCircuit(
             layout=self.layout,
-            g_matrix=_cell_sums(t._gflat, gv, n),
-            c_matrix=_cell_sums(t._cflat, cv, n),
+            g_matrix=g_matrix,
+            c_matrix=c_matrix,
             b_ac=self._b_ac.copy(),
             op=op,
             noise_sources=[],
@@ -875,8 +917,10 @@ class ValueWriter:
             params, _, _, mult = geometry[dev]
             geometry[dev] = (params, w, l, mult)
             devices[dev] = device_constants(params, w, l) + (mult,) + xe
-        # A written source value reaches ``e`` and ``inj`` on the next refill.
+        # A written source value reaches ``e`` and ``inj`` on the next refill,
+        # and no residual's device evaluation holds the written values.
         bound._scale = None
+        bound._last_x = None
 
 
 # ---------------------------------------------------------------------------

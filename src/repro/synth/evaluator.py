@@ -27,14 +27,18 @@ compiled once into a parametric MNA stamp template
 candidate writes only the values its sizing sets
 (:func:`~repro.blocks.opamp_library.two_stage_miller_values`) into the
 bound program, with no netlist of its own.  The DC Newton iterations
-assemble through vectorized scatters.  The AC read-outs solve the bench's
-free node voltages (:class:`~repro.analysis.ac.FreeNodes`: the supply and
-input sources fix ``vdd`` and ``inp``) as stacked ``np.linalg.solve``
-calls: the 1 kHz DC-gain point, the top of the loop grid, then its
-bottom.  Results are bit-identical to the per-element stamp walk and a
-per-frequency loop over the same free-node system, which
-``tests/synth/evaluator_reference.py`` keeps as the oracle; they agree
-with the whole MNA system's loop to about 1e-13 relative.
+assemble through vectorized scatters.  After the DC solve the candidate
+is read from plain arrays: the power from the solution vector, the
+saturation margin and the degenerate check from the device arrays of the
+Newton loop's last evaluation, and G and C from the same arrays, scattered
+and sliced to the bench's free node voltages in one step
+(:class:`~repro.analysis.ac.FreeNodes`: the supply and input sources fix
+``vdd`` and ``inp``).  The AC read-outs solve that system as stacked
+``np.linalg.solve`` calls: the 1 kHz DC-gain point, the top of the loop
+grid, then its bottom.  Results are bit-identical to the per-element
+stamp walk and a per-frequency loop over the same free-node system,
+which ``tests/synth/evaluator_reference.py`` keeps as the oracle; they
+agree with the whole MNA system's loop to about 1e-13 relative.
 
 Each stage tightens a lower bound on the cost: the power and the
 saturation margin after the DC solve, the DC gain after the gain point,
@@ -58,7 +62,6 @@ from repro.analysis.ac import (
     solve_ac_stack,
 )
 from repro.analysis.dc import DcSolution, solve_dc
-from repro.analysis.smallsignal import LinearizedCircuit
 from repro.analysis.template import BoundMna, ValueWriter, bind_template
 from repro.analysis.transient import simulate_transient
 from repro.blocks.mdac import SETTLING_STEP_TIME, MdacNetwork, build_settling_bench
@@ -100,8 +103,10 @@ _SIGNAL_DEVICES = ("m1", "m2", "m3", "m4", "m6", "m7", "mtail")
 #: Frequency used for the DC-gain read-out [Hz].
 _DC_GAIN_FREQ = 1e3
 
-#: The DC-gain read-out as a one-point sweep.
+#: The DC-gain read-out as a one-point sweep, and as ``(freqs, s)`` with
+#: its ``s = 2j*pi*f``.
 _GAIN_FREQS = np.array([_DC_GAIN_FREQ])
+_GAIN = (_GAIN_FREQS, 2j * math.pi * _GAIN_FREQS)
 
 #: Loop-gain sweep grid [Hz] (the legacy ``_loop_margin`` grid).
 _LOOP_FREQS = np.logspace(3, 11, 241)
@@ -133,6 +138,18 @@ def _split_index(required_hz: float) -> int:
     """
     k0 = int(np.searchsorted(_LOOP_FREQS, required_hz / _TOP_DIVISOR))
     return min(max(k0, 1), len(_LOOP_FREQS) - 1)
+
+
+def _split(required_hz: float) -> tuple[int, tuple, tuple]:
+    """The loop grid's split for ``required_hz``: ``(k0, top, bottom)``.
+
+    ``k0`` is :func:`_split_index`, and the top and bottom are each
+    ``(freqs, s)``, with ``s = 2j*pi*freqs`` computed once for both the
+    stack and the right-hand sides of every read-out until the next split.
+    """
+    k0 = _split_index(required_hz)
+    top, bottom = _LOOP_FREQS[k0:], _LOOP_FREQS[1:k0]
+    return k0, (top, 2j * math.pi * top), (bottom, 2j * math.pi * bottom)
 
 
 def _unity_crossing(
@@ -264,9 +281,10 @@ class HybridEvaluator:
         self.transient_steps = 0
         #: The loop bandwidth later candidates must reach [Hz] (see
         #: :meth:`require_bandwidth`), and the loop grid's split for it:
-        #: the bottom is ``_LOOP_FREQS[1:k0]`` and the top ``_LOOP_FREQS[k0:]``.
+        #: the bottom is ``_LOOP_FREQS[1:k0]`` and the top ``_LOOP_FREQS[k0:]``,
+        #: each held with its ``s`` (:func:`_split`).
         self.required_bw_hz = problem.closed_loop_bw_hz
-        self._k0 = _split_index(self.required_bw_hz)
+        self._k0, self._top, self._bottom = _split(self.required_bw_hz)
         #: Frequency-last scratch for the per-candidate AC system stack.
         self._ac_cells: np.ndarray | None = None
         #: The testbench's bound stamp program, bound once, the writer of
@@ -275,6 +293,12 @@ class HybridEvaluator:
         self._bound: BoundMna | None = None
         self._write: ValueWriter | None = None
         self._free: FreeNodes | None = None
+        #: Where the bench's read-outs sit, found at the first bind: the
+        #: supply's branch current and ``out`` in the solution vector,
+        #: ``out`` among the free node voltages, and the positions of
+        #: ``m2`` and the signal devices among the MOSFETs.
+        self._vdd_branch = self._out_node = self._out = self._m2 = 0
+        self._signal: tuple[int, ...] = ()
         #: The testbench around the amplifier, which no sizing changes:
         #: supplies, the high-impedance unity feedback and the load.
         b = CircuitBuilder("tb", tech=tech)
@@ -293,7 +317,7 @@ class HybridEvaluator:
         settle faster than the problem's single-pole bound asks for more.
         """
         self.required_bw_hz = hz
-        self._k0 = _split_index(hz)
+        self._k0, self._top, self._bottom = _split(hz)
 
     @property
     def rejected_evals(self) -> int:
@@ -304,10 +328,10 @@ class HybridEvaluator:
         """The testbench's stamp program with ``sizing``'s values in it.
 
         The first candidate builds the bench (:meth:`_ac_bench`), binds
-        its template and works out its free node voltages.  Every later one
-        writes only the values its sizing sets into the same
-        :class:`~repro.analysis.template.BoundMna`: the topology never
-        changes, and neither do the testbench elements.
+        its template and works out its free node voltages and where its
+        read-outs sit.  Every later one writes only the values its sizing
+        sets into the same :class:`~repro.analysis.template.BoundMna`: the
+        topology never changes, and neither do the testbench elements.
         """
         bound = self._bound
         if bound is None:
@@ -316,30 +340,51 @@ class HybridEvaluator:
             # The amplifier's elements come first in the bench.
             amplifier = range(len(bench) - len(self._testbench))
             self._write = ValueWriter(bound, amplifier)
-            self._free = FreeNodes(bound.layout)
+            layout = bound.layout
+            self._free = FreeNodes(layout)
+            self._vdd_branch = layout.branch("vdd_src")
+            self._out_node = layout.index("out")
+            self._out = self._free.index("out")
+            names = bound.template.mos_names
+            self._m2 = names.index("m2")
+            self._signal = tuple(
+                names.index(name) for name in _SIGNAL_DEVICES if name in names
+            )
         else:
             self._write(two_stage_miller_values(self.tech, sizing))
         return bound
 
-    def _read_out(self, system: FreeNodeSystem, freqs: np.ndarray) -> np.ndarray:
-        """:meth:`_transfer`, counted in :attr:`ac_points`."""
+    def _read_out(
+        self, system: FreeNodeSystem, grid: tuple[np.ndarray, np.ndarray]
+    ) -> np.ndarray:
+        """:meth:`_transfer` over a read-out's ``(freqs, s)``, counted in
+        :attr:`ac_points`."""
+        freqs, s = grid
         self.ac_points += len(freqs)
-        return self._transfer(system, freqs)
+        return self._transfer(system, freqs, s)
 
-    def _reduce(self, lin: LinearizedCircuit) -> FreeNodeSystem:
-        """The read-outs' system: ``lin`` on the bench's free node voltages.
+    def _system(self, staged: _StagedEvaluation) -> FreeNodeSystem:
+        """The read-outs' system at the staged operating point, in one step.
 
-        G and C are sliced and C's nonzero cells found once per candidate,
+        G and C are scattered from the DC solution's device arrays
+        (:meth:`~repro.analysis.template.BoundMna.small_signal`) and sliced
+        to the bench's free node voltages, C's nonzero cells found once,
         for all three read-outs.
         """
-        return self._free.reduce(lin)
+        bound = staged.assembly
+        devices = staged.op.devices
+        g, c = bound.small_signal(devices.cond, devices.meyer()[1])
+        return self._free.system(g, c, bound.b_ac)
 
-    def _transfer(self, system: FreeNodeSystem, freqs: np.ndarray) -> np.ndarray:
+    def _transfer(
+        self, system: FreeNodeSystem, freqs: np.ndarray, s: np.ndarray
+    ) -> np.ndarray:
         """Amplifier transfer to ``out`` over ``freqs``: one stacked solve.
 
-        The system stack fills a per-evaluator frequency-last (k, k, F)
-        scratch sized for the loop grid, through the (F, k, k) view of its
-        first ``len(freqs)`` columns (see
+        ``s`` is ``2j*pi*freqs``, which fills the stack and the right-hand
+        sides.  The system stack fills a per-evaluator frequency-last
+        (k, k, F) scratch sized for the loop grid, through the (F, k, k)
+        view of its first ``len(freqs)`` columns (see
         :func:`~repro.analysis.ac.ac_system_stack`), and each frequency
         solves against its own right-hand side.
         """
@@ -349,9 +394,8 @@ class HybridEvaluator:
             cells = np.empty((k, k, len(_LOOP_FREQS)), dtype=complex)
             self._ac_cells = cells
         out = cells[:, :, : len(freqs)].transpose(2, 0, 1)
-        stack = ac_system_stack(system, freqs, out=out)
-        rhs = system.excitation(freqs)
-        return solve_ac_stack(stack, rhs, freqs)[:, system.index("out")]
+        stack = ac_system_stack(system, freqs, out=out, s=s)
+        return solve_ac_stack(stack, system.excitation(s), freqs)[:, self._out]
 
     # -- testbench -----------------------------------------------------------
 
@@ -403,8 +447,8 @@ class HybridEvaluator:
         if self._rejects(reject, partial, "dc"):
             return partial
         try:
-            system = self._reduce(self._linearize(staged))
-            gain_point = self._read_out(system, _GAIN_FREQS)
+            system = self._system(staged)
+            gain_point = self._read_out(system, _GAIN)
         except (AnalysisError, ReproError):
             return self._infeasible(sizing)
         dc_gain = abs(float(np.real(gain_point[0])))
@@ -414,14 +458,13 @@ class HybridEvaluator:
         )
         if self._rejects(reject, gained, "gain"):
             return gained
-        top_freqs = _LOOP_FREQS[self._k0 :]
         try:
-            top = self._read_out(system, top_freqs)
+            top = self._read_out(system, self._top)
         except (AnalysisError, ReproError):
             return self._infeasible(sizing)
         if reject is not None and not run_transient:
             bandwidth = _top_bandwidth_violation(
-                self.required_bw_hz, top_freqs, np.abs(top) * self.network.beta
+                self.required_bw_hz, self._top[0], np.abs(top) * self.network.beta
             )
             partial = self._partial(
                 staged,
@@ -431,7 +474,7 @@ class HybridEvaluator:
             if self._rejects(reject, partial, "bandwidth"):
                 return partial
         try:
-            bottom = self._read_out(system, _LOOP_FREQS[1 : self._k0])
+            bottom = self._read_out(system, self._bottom)
         except (AnalysisError, ReproError):
             return self._infeasible(sizing)
         loop = np.concatenate((gain_point, bottom, top))
@@ -453,17 +496,12 @@ class HybridEvaluator:
         except (ConvergenceError, ReproError):
             return staged
         staged.op = op
+        # The supply current's magnitude, read from the solution vector.
         staged.power = (
-            self.tech.vdd
-            * abs(op.supply_current("vdd_src"))
-            * DIFFERENTIAL_FACTOR
+            self.tech.vdd * abs(op.x.item(self._vdd_branch)) * DIFFERENTIAL_FACTOR
         )
         staged.saturation = self._saturation_margin(op)
         return staged
-
-    def _linearize(self, staged: _StagedEvaluation) -> LinearizedCircuit:
-        """Small-signal model at the staged operating point."""
-        return staged.assembly.linearize(staged.op)
 
     def _partial(
         self, staged: _StagedEvaluation, dc_gain: float, violations: dict[str, float]
@@ -531,11 +569,11 @@ class HybridEvaluator:
 
     def _degenerate(self, op: DcSolution) -> bool:
         """Detect the parasitic rail-stuck solution of the feedback bench."""
-        vout = op.voltages.get("out", 0.0)
+        vout = op.x.item(self._out_node)
         if not 0.15 * self.tech.vdd < vout < 0.85 * self.tech.vdd:
             return True
-        m2 = op.device_ops.get("m2")
-        return m2 is not None and m2.region == "cutoff"
+        regions, _ = op.devices.meyer()
+        return regions[self._m2] == "cutoff"
 
     def _counted_dc(self, assembly, **start) -> DcSolution:
         """:func:`solve_dc` on ``assembly``, counted in :attr:`dc_solves`
@@ -562,12 +600,13 @@ class HybridEvaluator:
         return op
 
     def _saturation_margin(self, op: DcSolution) -> float:
-        margins = []
-        for name in _SIGNAL_DEVICES:
-            if name not in op.device_ops:
-                continue
-            device = op.device_ops[name]
-            margins.append(abs(device.vds) - device.vdsat)
+        """The signal devices' smallest ``|vds| - vdsat``.
+
+        The forward frame's vds is the terminal one up to its sign, and
+        its veff is the operating point's vdsat.
+        """
+        detail = op.devices.detail
+        margins = [abs(detail[k][1]) - detail[k][2] for k in self._signal]
         return min(margins) if margins else -1.0
 
     def _loop_margin_values(
@@ -578,14 +617,16 @@ class HybridEvaluator:
         ``a`` is the amplifier transfer over :data:`_LOOP_FREQS`; a(s) is
         measured from the non-inverting input (phase 0 at DC); the phase is
         unwrapped along the sweep so margins past -180 degrees report as
-        negative instead of aliasing.
+        negative instead of aliasing.  ``np.unwrap`` is causal (a running
+        sum of corrections), so unwrapping up to the crossing's upper
+        point gives the whole sweep's phase there, bit for bit.
         """
         crossing = _unity_crossing(_LOOP_FREQS, np.abs(a) * self.network.beta)
         if crossing is None:
             return None, None
         k, t, fx = crossing
         # The phase at the log-interpolated crossing.
-        phase = np.degrees(np.unwrap(np.angle(a)))
+        phase = np.degrees(np.unwrap(np.angle(a[: k + 2])))
         ph = phase[k] * (1 - t) + phase[k + 1] * t
         return fx, 180.0 + ph
 

@@ -93,7 +93,10 @@ _VEFF_DELTA_SQ4 = 4.0 * _VEFF_DELTA * _VEFF_DELTA
 
 
 def device_currents(
-    devices: list[tuple], xl: list[float], detail: list | None = None
+    devices: list[tuple],
+    xl: list[float],
+    detail: list | None = None,
+    nan_forward: bool = False,
 ) -> tuple[list[float], list[float]]:
     """Drain currents and conductances of every device at the voltages ``xl``.
 
@@ -111,9 +114,10 @@ def device_currents(
     normalization), and a device whose normalized vds is negative with
     drain and source swapped (reverse mode), as in SPICE.  With ``detail``
     a list, each device also appends its forward-frame ``(vgs, vds, veff,
-    vth, reverse)`` for :func:`operating_points`; a NaN vds then stays
-    forward, where the current path runs it reversed (every current and
-    conductance is NaN either way).
+    vth, reverse)``, what :class:`DeviceArrays` reads.  A NaN vds runs
+    reversed, as the Newton residual has always run it; ``nan_forward``
+    keeps it forward, as an operating point does (every current and
+    conductance is NaN either way, with the other sign).
     """
     sqrt = math.sqrt
     tanh = math.tanh
@@ -125,7 +129,7 @@ def device_currents(
         vgs = p * (xl[g] - xs)
         vds = p * (xl[d] - xs)
         vbs = p * (xl[b] - xs)
-        reverse = not vds >= 0.0 and (detail is None or vds < 0.0)
+        reverse = not vds >= 0.0 and (vds < 0.0 or not nan_forward)
         if reverse:
             # Swap drain and source: vgs becomes vgd, vbs becomes vbd.
             vgs -= vds
@@ -191,28 +195,21 @@ def device_currents(
 _OP_FIELDS = tuple(f.name for f in fields(MosfetOperatingPoint))
 
 
-def operating_points(
-    devices: list[tuple], caps: list[tuple[float, float, float]], xl: list[float]
-) -> list[MosfetOperatingPoint]:
-    """Full small-signal operating point of every device at ``xl``.
+def meyer_capacitances(
+    detail: list[tuple], caps: list[tuple[float, float, float]]
+) -> tuple[list[str], list[float]]:
+    """Each device's region and its Meyer-style capacitances.
 
-    ``devices`` is as in :func:`device_currents`, with ``mult`` 1: an
-    operating point describes the device at its multiplied width.
-    ``caps`` holds each device's :func:`capacitance_constants`.  The
-    points are built without the frozen dataclass's per-field
-    ``__init__``: one ``__dict__`` update in field order gives the same
-    type, fields, equality and pickle bytes.
+    ``detail`` holds each device's forward-frame ``(vgs, vds, veff, vth,
+    reverse)`` from :func:`device_currents` and ``caps`` its
+    :func:`capacitance_constants`.  Returns the regions ('cutoff',
+    'triode' or 'saturation') and, per device, ``(cgs, cgd, cgb, cdb,
+    csb)`` flattened.  This loop is the one copy of the region and
+    capacitance equations.
     """
-    detail = []
-    ids, cond = device_currents(devices, xl, detail)
-    new = object.__new__
-    points = []
-    k = 0
-    for device, (vgs, vds, veff, vth, reverse), (cox_total, cov, cj), i in zip(
-        devices, detail, caps, ids
-    ):
-        d, g, s, b = device[-4:]
-        # Meyer-style capacitances of the region.
+    regions = []
+    values = []
+    for (vgs, vds, veff, vth, reverse), (cox_total, cov, cj) in zip(detail, caps):
         if vgs - vth < 0.0:
             region = "cutoff"
             cgs, cgd, cgb = cov, cov, cox_total
@@ -225,21 +222,68 @@ def operating_points(
         if reverse:
             # Drain and source swap back; cdb and csb are both cj.
             cgs, cgd = cgd, cgs
-        xs = xl[s]
-        point = new(MosfetOperatingPoint)
-        point.__dict__.update(
-            zip(
-                _OP_FIELDS,
-                (
-                    i, xl[g] - xs, xl[d] - xs, xl[b] - xs, vth, veff, veff,
-                    cond[k], cond[k + 1], cond[k + 2],
-                    cgs, cgd, cgb, cj, cj, region,
-                ),
+        regions.append(region)
+        values += (cgs, cgd, cgb, cj, cj)
+    return regions, values
+
+
+class DeviceArrays:
+    """Every device of a circuit at one solution, as plain lists.
+
+    ``terminals`` holds each device's ``(d, g, s, b)`` indices in the
+    solution's voltage list; ``ids``, ``cond`` and ``detail`` are one
+    :func:`device_currents` evaluation at the solution, and ``caps`` holds
+    each device's :func:`capacitance_constants`, all at each device's
+    multiplied width.  An analysis reads them as they are; :meth:`points`
+    builds the :class:`MosfetOperatingPoint` objects from them.
+    """
+
+    __slots__ = ("terminals", "ids", "cond", "detail", "caps", "_meyer")
+
+    def __init__(self, terminals, ids, cond, detail, caps):
+        self.terminals = terminals
+        self.ids = ids
+        self.cond = cond
+        self.detail = detail
+        self.caps = caps
+        self._meyer: tuple[list[str], list[float]] | None = None
+
+    def meyer(self) -> tuple[list[str], list[float]]:
+        """:func:`meyer_capacitances` of these devices, worked out once."""
+        if self._meyer is None:
+            self._meyer = meyer_capacitances(self.detail, self.caps)
+        return self._meyer
+
+    def points(self, xl: list[float]) -> list[MosfetOperatingPoint]:
+        """Every device's operating point; ``xl`` is the solution's voltages.
+
+        The points are built without the frozen dataclass's per-field
+        ``__init__``: one ``__dict__`` update in field order gives the same
+        type, fields, equality and pickle bytes.
+        """
+        regions, capacitances = self.meyer()
+        cond = self.cond
+        new = object.__new__
+        points = []
+        for k, ((d, g, s, b), i, (_, _, veff, vth, _), region) in enumerate(
+            zip(self.terminals, self.ids, self.detail, regions)
+        ):
+            xs = xl[s]
+            j = 4 * k
+            cgs, cgd, cgb, cdb, csb = capacitances[5 * k : 5 * k + 5]
+            point = new(MosfetOperatingPoint)
+            point.__dict__.update(
+                zip(
+                    _OP_FIELDS,
+                    (
+                        i, xl[g] - xs, xl[d] - xs, xl[b] - xs, vth, veff, veff,
+                        cond[j], cond[j + 1], cond[j + 2],
+                        cgs, cgd, cgb, cdb, csb, region,
+                    ),
+                )
             )
-        )
-        points.append(point)
-        k += 4
-    return points
+            points.append(point)
+        return points
 
 
 #: ``(mult, d, g, s, b)`` of a lone device at ``xl = [vds, vgs, vbs, 0.0]``.
@@ -283,11 +327,13 @@ def operating_point(
     vbs: float = 0.0,
 ) -> MosfetOperatingPoint:
     """Full small-signal operating point (currents, conductances, caps)."""
-    (point,) = operating_points(
-        [device_constants(params, w, l) + _LONE],
-        [capacitance_constants(params, w, l)],
-        [vds, vgs, vbs, 0.0],
+    xl = [vds, vgs, vbs, 0.0]
+    detail = []
+    ids, cond = device_currents(
+        [device_constants(params, w, l) + _LONE], xl, detail, nan_forward=True
     )
+    caps = [capacitance_constants(params, w, l)]
+    (point,) = DeviceArrays([_LONE[1:]], ids, cond, detail, caps).points(xl)
     return point
 
 

@@ -25,7 +25,7 @@ from repro.enumeration.candidates import PipelineCandidate
 from repro.errors import AnalysisError
 from repro.specs import AdcSpec, plan_stages
 from repro.synth import HybridEvaluator, synthesize_mdac, two_stage_space
-from repro.synth.evaluator import _GAIN_FREQS, _LOOP_FREQS
+from repro.synth.evaluator import _GAIN, _LOOP_FREQS
 from repro.tech import CMOS025
 from repro.tech.process import CMOS025_SLOW
 from tests.analysis import ac_reference
@@ -177,8 +177,9 @@ def _opamp_linears(index: int, count: int, seed: int):
     """``count`` linearizations of the evaluator's bench, and its read-outs.
 
     Seeded sizings of the 13-bit 4-3-2 plan's MDAC ``index`` whose DC
-    solve converges, linearized the way the evaluator does; the read-outs
-    are the gain point, the top and the bottom of the loop grid.
+    solve converges, linearized by the evaluator's bound program; the
+    read-outs are the gain point, the top and the bottom of the loop grid,
+    each as the evaluator's ``(freqs, s)``.
     """
     plan = plan_stages(
         AdcSpec(resolution_bits=13), PipelineCandidate((4, 3, 2), 13, 7)
@@ -191,9 +192,11 @@ def _opamp_linears(index: int, count: int, seed: int):
     while len(linears) < count:
         staged = evaluator._stage_equation(space.decode(rng.random(space.dimension)))
         if staged.op is not None:
-            linears.append(evaluator._linearize(staged))
+            linears.append(staged.assembly.linearize(staged.op))
     k0 = evaluator._k0
-    return evaluator, linears, (_GAIN_FREQS, _LOOP_FREQS[k0:], _LOOP_FREQS[1:k0])
+    assert evaluator._top[0].tobytes() == _LOOP_FREQS[k0:].tobytes()
+    assert evaluator._bottom[0].tobytes() == _LOOP_FREQS[1:k0].tobytes()
+    return evaluator, linears, (_GAIN, evaluator._top, evaluator._bottom)
 
 
 def _free_cells(evaluator, lin):
@@ -222,17 +225,20 @@ class TestFrequencyLastReadOut:
     def test_read_outs_equal_the_loop(self, index, seed):
         evaluator, linears, reads = _opamp_linears(index, 3, seed)
         for lin in linears:
-            system = evaluator._reduce(lin)
+            system = evaluator._free.reduce(lin)
             assert system.size == lin.size - 4
-            for freqs in reads:
+            for freqs, s in reads:
                 loop = ac_reference.free_transfer(system, "out", freqs)
-                assert evaluator._transfer(system, freqs).tobytes() == loop.tobytes()
+                assert evaluator._transfer(system, freqs, s).tobytes() == loop.tobytes()
 
     def test_system_stack_matches_the_dense_sum(self):
         evaluator, (lin,), reads = _opamp_linears(1, 1, 2)
-        system = evaluator._reduce(lin)
-        stack = ac_system_stack(system, reads[1])
-        for k, f in enumerate(reads[1]):
+        system = evaluator._free.reduce(lin)
+        freqs, s_top = reads[1]
+        stack = ac_system_stack(system, freqs)
+        # The evaluator's s, computed once per split, fills the same bytes.
+        assert ac_system_stack(system, freqs, s=s_top).tobytes() == stack.tobytes()
+        for k, f in enumerate(freqs):
             s = 2j * np.pi * f
             dense = system.g_matrix + s * system.c_matrix
             assert stack[k].tobytes() == dense.tobytes()
@@ -250,14 +256,14 @@ class TestFrequencyLastReadOut:
         nan[inside[-1]] = np.nan
         nan_rhs = lin.c_matrix.copy()
         nan_rhs[coupling[0]] = np.nan
-        cells = len(evaluator._reduce(lin).c_cells[0])
+        cells = len(evaluator._free.reduce(lin).c_cells[0])
         for c_matrix, nan_cells in ((zero, 0), (nan, 1), (nan_rhs, 0)):
-            system = evaluator._reduce(dataclasses.replace(lin, c_matrix=c_matrix))
+            system = evaluator._free.reduce(dataclasses.replace(lin, c_matrix=c_matrix))
             assert len(system.c_cells[0]) == cells - (c_matrix is zero)
             assert np.isnan(system.c_cells[2]).sum() == nan_cells
-            for freqs in reads:
+            for freqs, s in reads:
                 loop = ac_reference.free_transfer(system, "out", freqs)
-                got = evaluator._transfer(system, freqs)
+                got = evaluator._transfer(system, freqs, s)
                 assert got.tobytes() == loop.tobytes()
             assert np.isnan(got).any() == (c_matrix is not zero)
 
@@ -268,10 +274,11 @@ class TestFrequencyLastReadOut:
         row = lin.index("out")
         g[row, :] = 0.0
         c[row, :] = 0.0
-        system = evaluator._reduce(dataclasses.replace(lin, g_matrix=g, c_matrix=c))
-        for freqs in reads:
+        singular = dataclasses.replace(lin, g_matrix=g, c_matrix=c)
+        system = evaluator._free.reduce(singular)
+        for freqs, s in reads:
             with pytest.raises(AnalysisError) as stacked_err:
-                evaluator._transfer(system, freqs)
+                evaluator._transfer(system, freqs, s)
             with pytest.raises(AnalysisError) as loop_err:
                 ac_reference.free_transfer(system, "out", freqs)
             assert f"{freqs[0]:.3e}" in str(stacked_err.value)
@@ -327,12 +334,12 @@ class _WholeMnaProbe(HybridEvaluator):
         self.margins = 0
         self.worst = 0.0
 
-    def _reduce(self, lin):
-        self._lin = lin
-        return super()._reduce(lin)
+    def _system(self, staged):
+        self._lin = staged.assembly.linearize(staged.op)
+        return super()._system(staged)
 
-    def _transfer(self, system, freqs):
-        got = super()._transfer(system, freqs)
+    def _transfer(self, system, freqs, s):
+        got = super()._transfer(system, freqs, s)
         whole = ac_reference.ac_transfer(self._lin, "out", freqs)
         deviation = float(np.max(np.abs(got - whole) / np.abs(whole)))
         assert deviation <= READ_OUT_TOLERANCE, (deviation, freqs[0], len(freqs))

@@ -10,12 +10,16 @@ iterations and strategy, the same matrices, the same noise sources, and the
 same exception type where the walk raises.
 """
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.dc import solve_dc
+from repro.analysis.mna import MnaLayout
 from repro.analysis.smallsignal import linearize
+from repro.analysis.template import bind_template
 from repro.circuit.builder import CircuitBuilder
 from repro.errors import ReproError
 from repro.tech import CMOS025
@@ -145,6 +149,37 @@ def test_linearize_stamps_the_walks_matrices_and_noise(circuit):
     assert_same_linearization(
         mna_reference.linearize(circuit, expected.op, include_noise=False), quiet
     )
+
+
+def _nan_bits(values: np.ndarray) -> list:
+    """IEEE bits of each entry, a NaN as any NaN: the walk and the program
+    propagate a NaN through different operations, which keep its sign
+    differently."""
+    return ["nan" if v != v else v.tobytes() for v in values]
+
+
+@settings(max_examples=60, deadline=None)
+@given(netlists(), st.data())
+def test_residuals_at_iterates_holding_a_nan_match_the_walk(circuit, data):
+    # A NaN vds runs reversed in the residual, as in the walk, though the
+    # residual also keeps each device's forward-frame detail.
+    n = MnaLayout(circuit).size
+    x = np.array(
+        data.draw(
+            st.lists(
+                st.one_of(st.floats(-3.0, 3.0), st.just(math.nan)),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    )
+    x[data.draw(st.integers(0, n - 1))] = math.nan
+    gmin, scale = data.draw(st.sampled_from([(0.0, 1.0), (1e-9, 0.35)]))
+    bound = bind_template(circuit)
+    _, expected = mna_reference.assemble(MnaLayout(circuit), x, gmin, scale)
+    got = bound.residual(x, gmin, scale)
+    assert (got.shape, got.dtype) == (expected.shape, expected.dtype)
+    assert _nan_bits(got) == _nan_bits(expected)
 
 
 def test_include_noise_false_drops_every_noise_source():

@@ -22,6 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.synth.synthesis
+from repro.analysis.ac import FreeNodes
+from repro.analysis.dc import solve_dc
+from repro.analysis.smallsignal import linearize
 from repro.engine.persist import sizing_digest
 from repro.errors import AnalysisError
 from repro.enumeration.candidates import PipelineCandidate
@@ -35,6 +38,7 @@ from repro.synth import (
 )
 from repro.synth.evaluator import (
     _LOOP_FREQS,
+    DIFFERENTIAL_FACTOR,
     FAILED_COST,
     REJECT_STAGES,
     _split_index,
@@ -300,20 +304,20 @@ class _LoopGridFails(HybridEvaluator):
     The top of the grid is solved first, so the bandwidth is never asked.
     """
 
-    def _transfer(self, lin, freqs):
+    def _transfer(self, system, freqs, s):
         if len(freqs) > 1:
             raise AnalysisError("forced loop-grid failure")
-        return super()._transfer(lin, freqs)
+        return super()._transfer(system, freqs, s)
 
 
 class _LoopBottomFails(HybridEvaluator):
     """Only the bottom of the loop grid raises, after all three asks."""
 
-    def _transfer(self, lin, freqs):
+    def _transfer(self, system, freqs, s):
         # The top always ends at the grid's last point; the bottom never does.
         if len(freqs) > 1 and freqs[-1] != _LOOP_FREQS[-1]:
             raise AnalysisError("forced failure of the loop grid's bottom")
-        return super()._transfer(lin, freqs)
+        return super()._transfer(system, freqs, s)
 
 
 def _bounds_and_results(evaluator_cls, tech, mdac, points):
@@ -543,3 +547,107 @@ class TestRejectBound:
         assert len(bounds) == 2
         assert seen.cost() == result.cost()
         assert all(bound <= result.cost() for bound in bounds)
+
+
+#: One evaluator for the margin properties: they read its feedback factor only.
+_MARGINS = HybridEvaluator(_mdac(2), CMOS025)
+
+
+def _margin_bits(values):
+    return [None if v is None else np.float64(v).tobytes() for v in values]
+
+
+class TestTruncatedUnwrap:
+    """The phase margin unwraps the loop phase only up to its crossing.
+
+    ``np.unwrap`` is causal, so the compiled evaluator's unwrap of
+    ``a[:k + 2]`` must give the oracle's whole-grid phase margin bit for
+    bit, for phase steps that wrap past +-180 degrees and NaN entries after
+    the crossing.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        step=st.floats(0.0, 4.0 * math.pi),
+        nans=st.integers(0, 6),
+    )
+    def test_phase_margin_is_the_whole_grids(self, seed, step, nans):
+        rng = np.random.default_rng(seed)
+        n = len(_LOOP_FREQS)
+        beta = _MARGINS.network.beta
+        gain_db = rng.uniform(20.0, 80.0) + np.cumsum(rng.normal(-0.5, 3.0, n))
+        phase = np.cumsum(rng.uniform(-step, step, n))
+        a = 10.0 ** (gain_db / 20.0) / beta * np.exp(1j * phase)
+        crossing = _unity_crossing(_LOOP_FREQS, np.abs(a) * beta)
+        if crossing is not None and crossing[0] + 2 < n:
+            a[rng.integers(crossing[0] + 2, n, nans)] = complex(math.nan, math.nan)
+        got = HybridEvaluator._loop_margin_values(_MARGINS, a)
+        want = ReferenceEvaluator._loop_margin_values(_MARGINS, a)
+        assert _margin_bits(got) == _margin_bits(want)
+
+    def test_a_wrapped_margin_below_zero_with_nans_after_it(self):
+        # The phase falls through -180 degrees (wrapping twice) before the
+        # crossing at index 120; every point after index 121 is NaN.
+        n = len(_LOOP_FREQS)
+        beta = _MARGINS.network.beta
+        gain = np.where(np.arange(n) <= 120, 10.0, 0.1) / beta
+        a = gain * np.exp(-1j * np.linspace(0.0, 2.5 * math.pi, n))
+        a[122:] = complex(math.nan, math.nan)
+        got = HybridEvaluator._loop_margin_values(_MARGINS, a)
+        want = ReferenceEvaluator._loop_margin_values(_MARGINS, a)
+        assert _margin_bits(got) == _margin_bits(want)
+        assert got[1] < 0.0
+
+
+class TestPublicPath:
+    """The evaluator's DC-stage reads are the public path's, byte for byte.
+
+    Its power, saturation margin and degenerate check come from the
+    solution vector and the device arrays, and its free-node system is
+    scattered and sliced in one step; ``solve_dc`` on the candidate's
+    netlist, read through its ``device_ops`` objects, then ``linearize``
+    and ``FreeNodes.reduce`` must give the same bytes.
+    """
+
+    @pytest.mark.parametrize("corner", sorted(CORNERS))
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_power_saturation_and_system(self, corner, index):
+        tech = CORNERS[corner]
+        mdac = _mdac(index)
+        space = two_stage_space(mdac, tech)
+        evaluator = HybridEvaluator(mdac, tech)
+        rng = np.random.default_rng(index)
+        compared = 0
+        for _ in range(8):
+            sizing = space.decode(rng.random(space.dimension))
+            # A cold start, as the public solve from the guess makes.
+            evaluator._warm_x = None
+            staged = evaluator._stage_equation(sizing)
+            if staged.op is None:
+                continue
+            bench = evaluator._ac_bench(sizing)
+            op = solve_dc(bench, initial_guess=evaluator._dc_guess())
+            assert op.x.tobytes() == staged.op.x.tobytes()
+            power = tech.vdd * abs(op.supply_current("vdd_src")) * DIFFERENTIAL_FACTOR
+            saturation = ReferenceEvaluator._saturation_margin(evaluator, op)
+            assert type(staged.power) is float and type(staged.saturation) is float
+            assert np.float64(staged.power).tobytes() == np.float64(power).tobytes()
+            assert (
+                np.float64(staged.saturation).tobytes()
+                == np.float64(saturation).tobytes()
+            )
+            assert evaluator._degenerate(staged.op) == ReferenceEvaluator._degenerate(
+                evaluator, op
+            )
+            lin = linearize(bench, op, include_noise=False)
+            public = FreeNodes(lin.layout).reduce(lin)
+            system = evaluator._system(staged)
+            for name in ("g_matrix", "c_matrix", "b_vector", "c_vector"):
+                mine, theirs = getattr(system, name), getattr(public, name)
+                assert (mine.dtype, mine.shape) == (theirs.dtype, theirs.shape)
+                assert mine.tobytes() == theirs.tobytes(), name
+            for mine, theirs in zip(system.c_cells, public.c_cells):
+                assert mine.tobytes() == theirs.tobytes()
+            compared += 1
+        assert compared

@@ -102,6 +102,46 @@ def test_device_loop_matches_the_reference_walk(case):
     assert _loop(devices, xl) == _walk(devices, xl)
 
 
+def _exact(values):
+    """IEEE bits of each value, the sign and payload of a NaN included."""
+    return [struct.pack("<d", v) for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(bound_devices())
+def test_keeping_the_detail_keeps_the_residuals_reverse_rule(case):
+    # The Newton residual keeps each device's forward-frame detail and
+    # still runs a NaN vds reversed, bit for bit; an operating point's
+    # ``nan_forward`` pass changes only devices whose vds is NaN.
+    devices, xl = case
+    bound = [
+        device_constants(params, w, l) + (mult, d, g, s, b)
+        for params, w, l, mult, d, g, s, b in devices
+    ]
+    try:
+        plain = device_currents(bound, xl)
+    except (ArithmeticError, ValueError) as exc:
+        plain = type(exc)
+    detail = []
+    try:
+        kept = device_currents(bound, xl, detail)
+    except (ArithmeticError, ValueError) as exc:
+        kept = type(exc)
+    if isinstance(plain, type):
+        assert kept is plain
+        return
+    assert [_exact(v) for v in kept] == [_exact(v) for v in plain]
+    assert len(detail) == len(bound)
+    forward = device_currents(bound, xl, [], nan_forward=True)
+    nan_vds = [vds != vds for _, vds, _, _, _ in detail]
+    for k, nan in enumerate(nan_vds):
+        if not nan:
+            assert _exact([forward[0][k]]) == _exact([plain[0][k]])
+            assert _exact(forward[1][4 * k : 4 * k + 4]) == _exact(
+                plain[1][4 * k : 4 * k + 4]
+            )
+
+
 def test_every_region_and_special_voltage_appears():
     # One device per polarity and side, each terminal in turn NaN or +-inf.
     for _, _, params in DEVICES[:2]:
