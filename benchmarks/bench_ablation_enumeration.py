@@ -5,7 +5,7 @@ m_{i+1}) area rule, and the 7-bit backend cut shrink the candidate set —
 and confirms the constraints do not exclude the true optimum.
 """
 
-from repro.enumeration import enumerate_candidates, enumerate_full_pipelines
+from repro.enumeration import enumerate_candidates
 from repro.power import candidate_power
 from repro.specs import AdcSpec
 
@@ -15,8 +15,9 @@ def count_spaces(k: int = 13) -> dict[str, int]:
         "paper": len(enumerate_candidates(k)),
         "non_monotone": len(enumerate_candidates(k, monotone=False)),
         "up_to_6bit_stages": len(enumerate_candidates(k, max_stage_bits=6)),
-        "full_pipelines": len(enumerate_full_pipelines(k)),
-        "full_non_monotone": len(enumerate_full_pipelines(k, monotone=False)),
+        # No backend: the stages resolve all k bits.
+        "full_pipelines": len(enumerate_candidates(k, backend_bits=0)),
+        "full_non_monotone": len(enumerate_candidates(k, backend_bits=0, monotone=False)),
     }
 
 

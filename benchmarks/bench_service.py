@@ -8,7 +8,7 @@ Three claims, measured against a live in-process server
   synthesis**, an (N-1)/N coalescing hit rate, and byte-identical
   artifacts for every client.  This is the service-level analogue of the
   campaign ledger's block reuse — whole requests dedup, not just blocks.
-* **Submission latency** — a ``POST /jobs`` round-trip is milliseconds:
+* **Submission latency** — a ``POST /v1/jobs`` round-trip is milliseconds:
   admission is a digest + a queue insert, never a computation.
 * **Sustained throughput** — a stream of distinct analytic campaign jobs
   clears at multiple jobs/second end to end (submit -> schedule ->

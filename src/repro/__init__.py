@@ -3,10 +3,8 @@ Pipelined Analog to Digital Converters" (Chien et al., DATE 2005).
 
 The package builds the paper's full stack from scratch:
 
-* a circuit simulator (MNA DC/AC/transient/noise/pole-zero) and compact
-  0.25 um CMOS device models (:mod:`repro.analysis`, :mod:`repro.tech`);
-* the DPI/SFG + Mason's-rule symbolic transfer-function engine
-  (:mod:`repro.sfg`, :mod:`repro.symbolic`);
+* a circuit simulator (MNA DC/AC/transient/noise) and compact 0.25 um
+  CMOS device models (:mod:`repro.analysis`, :mod:`repro.tech`);
 * annealing-based block synthesis with hybrid equation + simulation
   evaluation — the NeoCircuit substitute (:mod:`repro.synth`);
 * candidate enumeration, spec translation and power models

@@ -11,8 +11,6 @@ of nodes, so sparsity machinery would be overhead):
   source stepping homotopies ("DC simulation to extract small-signal values");
 * :mod:`repro.analysis.smallsignal` / :mod:`repro.analysis.ac` — linearized
   G/C matrices and complex frequency sweeps;
-* :mod:`repro.analysis.pz` — pole/zero extraction via generalized
-  eigenvalues of the (G, C) pencil;
 * :mod:`repro.analysis.transient` — trapezoidal/backward-Euler integration
   with clocked switches for large-swing settling ("simulation-based
   evaluation ... when circuits experience large dynamic swing");
@@ -23,7 +21,6 @@ from repro.analysis.mna import MnaLayout
 from repro.analysis.dc import DcSolution, solve_dc
 from repro.analysis.smallsignal import LinearizedCircuit, linearize
 from repro.analysis.ac import ac_transfer, ac_response
-from repro.analysis.pz import poles, zeros
 from repro.analysis.noise import output_noise_psd, integrated_output_noise
 from repro.analysis.transient import TransientResult, simulate_transient
 
@@ -35,8 +32,6 @@ __all__ = [
     "linearize",
     "ac_transfer",
     "ac_response",
-    "poles",
-    "zeros",
     "output_noise_psd",
     "integrated_output_noise",
     "TransientResult",

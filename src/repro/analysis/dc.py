@@ -32,7 +32,7 @@ _VSTEP_LIMIT = 0.4
 _ABS_TOL = 1e-10
 
 
-@dataclass
+@dataclass(eq=False)
 class DcSolution:
     """Result of a DC operating-point analysis.
 
@@ -40,7 +40,9 @@ class DcSolution:
     MOSFETs as plain lists, and builds :attr:`voltages`,
     :attr:`branch_currents` and :attr:`device_ops` from them and ``x`` on
     first read: a sizing loop reads the lists and ``x`` only.  Either way
-    the fields, their equality and their pickle bytes are the same.
+    the fields and their pickle bytes are the same.  Solutions compare by
+    identity: ``x`` is an array, so field-by-field equality has no single
+    truth value.
     """
 
     #: Node voltages by net name (ground included, 0 V).

@@ -1,9 +1,10 @@
 """Linearization: build small-signal G and C matrices at a DC operating point.
 
 The linearized circuit is the bridge between the nonlinear netlist and every
-frequency-domain analysis (AC, poles/zeros, noise).  It is also what the
-DPI/SFG construction consumes: each entry of G/C is a branch admittance the
-signal-flow graph can be read from.
+frequency-domain analysis (AC and noise).  The signal-flow-graph oracle in
+``tests/sfg/`` builds its graph from the same branch admittances, read off
+the circuit and its DC solution, and the tests hold its transfer functions
+to the AC response of these matrices.
 
 G, C and the AC excitation come from the circuit's compiled stamp program
 (:meth:`repro.analysis.template.BoundMna.linearize`); the noise sources

@@ -82,26 +82,6 @@ class TransientResult:
         """Last sample of a net's waveform."""
         return float(self.voltage(net)[-1])
 
-    def settling_time(
-        self, net: str, target: float, tolerance: float, t_start: float = 0.0
-    ) -> float | None:
-        """First time after which the net stays within ``tolerance`` of target.
-
-        Returns None if the waveform never settles within the simulated window.
-        """
-        v = self.voltage(net)
-        inside = np.abs(v - target) <= tolerance
-        valid = self.time >= t_start
-        candidate = None
-        for k in range(len(self.time)):
-            if not valid[k]:
-                continue
-            if inside[k] and candidate is None:
-                candidate = self.time[k]
-            elif not inside[k]:
-                candidate = None
-        return None if candidate is None else float(candidate)
-
 
 def _initial_dc(circuit: Circuit) -> tuple[BoundMna, DcSolution]:
     """DC solution at t=0 with waveform sources frozen at their t=0 values.

@@ -9,7 +9,7 @@ actually convert at the target resolution?  It provides:
 * :mod:`repro.behavioral.nonideal` — per-stage error models (finite gain,
   incomplete settling, comparator offsets, noise, DAC level errors);
 * :mod:`repro.behavioral.metrics` — SNDR/ENOB/SFDR from coherent sine
-  tests, INL/DNL from histogram tests;
+  tests;
 * :mod:`repro.behavioral.signals` — coherent test-signal generators;
 * :mod:`repro.behavioral.batch` — the vectorized draws x samples x stages
   Monte-Carlo kernel (bit-identical to the scalar walk);
@@ -21,7 +21,7 @@ from repro.behavioral.batch import BatchResult, simulate_blocks, simulate_draws
 from repro.behavioral.pipeline import BehavioralPipeline, PipelineStage
 from repro.behavioral.nonideal import StageErrorModel
 from repro.behavioral.correction import combine_codes
-from repro.behavioral.metrics import enob, inl_dnl, sfdr_db, sndr_db
+from repro.behavioral.metrics import enob, sfdr_db, sndr_db
 from repro.behavioral.signals import coherent_sine, full_scale_sine, pick_coherent_cycles
 from repro.behavioral.verify import (
     BehavioralVerdict,
@@ -44,7 +44,6 @@ __all__ = [
     "sndr_db",
     "enob",
     "sfdr_db",
-    "inl_dnl",
     "coherent_sine",
     "full_scale_sine",
     "pick_coherent_cycles",

@@ -1,4 +1,4 @@
-"""Converter metrics: SNDR/ENOB/SFDR via coherent FFT, INL/DNL via histogram."""
+"""Converter metrics: SNDR/ENOB/SFDR via coherent FFT."""
 
 from __future__ import annotations
 
@@ -47,49 +47,3 @@ def sfdr_db(codes: np.ndarray, signal_bin: int) -> float:
     if largest <= 0.0:
         return float("inf")
     return 10.0 * math.log10(signal / largest)
-
-
-def inl_dnl(
-    codes: np.ndarray, total_bits: int, clip_codes: int = 8
-) -> tuple[np.ndarray, np.ndarray]:
-    """INL and DNL in LSB from a sine histogram test.
-
-    Uses the standard sine-histogram density correction.  The first and
-    last ``clip_codes`` codes are excluded (sine peaks distort the
-    histogram tails).  Returns ``(inl, dnl)`` arrays over the analyzed
-    code range.
-    """
-    n_codes = 2**total_bits
-    hist = np.bincount(np.asarray(codes, dtype=int), minlength=n_codes).astype(float)
-    if hist.sum() < 10 * n_codes:
-        raise SpecificationError(
-            "histogram too sparse: need >= 10 hits per code on average"
-        )
-    total = hist.sum()
-    # Ideal sine PDF between codes: p(k) proportional to
-    # asin((k+1-mid)/A) - asin((k-mid)/A).  Estimate amplitude and midpoint
-    # from the full exercised code extent (the quantile-based alternative
-    # biases the range inward and bows the INL).
-    nonzero = np.nonzero(hist)[0]
-    lo0, hi0 = int(nonzero[0]), int(nonzero[-1]) + 1
-    mid = (lo0 + hi0) / 2.0
-    amp = (hi0 - lo0) / 2.0 + 0.5
-    lo = lo0 + clip_codes
-    hi = hi0 - clip_codes
-    if hi - lo < 16:
-        raise SpecificationError("too few exercised codes for INL/DNL")
-
-    def ideal_fraction(k: np.ndarray) -> np.ndarray:
-        a = np.clip((k - mid) / amp, -1.0, 1.0)
-        b = np.clip((k + 1 - mid) / amp, -1.0, 1.0)
-        return (np.arcsin(b) - np.arcsin(a)) / np.pi
-
-    k = np.arange(lo, hi)
-    ideal = ideal_fraction(k)
-    measured = hist[lo:hi] / total
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dnl = measured / ideal - 1.0
-    dnl[~np.isfinite(dnl)] = 0.0
-    inl = np.cumsum(dnl)
-    inl -= np.linspace(inl[0], inl[-1], len(inl))  # endpoint-fit
-    return inl, dnl

@@ -116,14 +116,6 @@ class Circuit:
         """All elements of (a subclass of) the given type."""
         return [e for e in self._elements.values() if isinstance(e, element_type)]
 
-    def connectivity(self) -> dict[str, list[str]]:
-        """Map from net name to the element names touching it."""
-        table: dict[str, list[str]] = defaultdict(list)
-        for element in self._elements.values():
-            for net in set(element.nodes):
-                table[net].append(element.name)
-        return dict(table)
-
     def validate(self) -> None:
         """Sanity-check the netlist; raises :class:`NetlistError` on problems.
 

@@ -116,8 +116,7 @@ service:
   resumes its queue without recomputing completed jobs.  repro-adc submit
   sends a job (--watch streams progress; --fetch downloads the result
   store, byte-identical to a direct campaign run) and repro-adc jobs
-  lists the queue.  All routes live under /v1/; unversioned paths still
-  answer but carry a Deprecation header.  See docs/service.md.
+  lists the queue.  All routes live under /v1/.  See docs/service.md.
 
 distributed fabric:
   --backend broker hands the flow's fan-out tasks to a task broker

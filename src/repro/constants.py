@@ -81,19 +81,6 @@ def parallel(*impedances: float) -> float:
     return 1.0 / sum(1.0 / z for z in impedances)
 
 
-def settling_time_constants(relative_error: float) -> float:
-    """Number of closed-loop time constants to settle within ``relative_error``.
-
-    A single-pole system settles as ``exp(-t/tau)``; settling to a relative
-    error ``eps`` therefore needs ``ln(1/eps)`` time constants.
-    """
-    if not 0.0 < relative_error < 1.0:
-        raise ValueError(
-            f"relative_error must be in (0, 1), got {relative_error!r}"
-        )
-    return math.log(1.0 / relative_error)
-
-
 def lsb(full_scale: float, bits: int) -> float:
     """LSB size of a ``bits``-bit converter with the given full-scale range."""
     if bits < 1:

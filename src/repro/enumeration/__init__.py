@@ -7,14 +7,9 @@ dominated by the stages whose output must still settle to better than 7-bit
 accuracy (so only ``K - 7`` effective front-end bits are enumerated).
 """
 
-from repro.enumeration.candidates import (
-    PipelineCandidate,
-    enumerate_candidates,
-    enumerate_full_pipelines,
-)
+from repro.enumeration.candidates import PipelineCandidate, enumerate_candidates
 
 __all__ = [
     "PipelineCandidate",
     "enumerate_candidates",
-    "enumerate_full_pipelines",
 ]

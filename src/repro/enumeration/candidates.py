@@ -134,30 +134,3 @@ def enumerate_candidates(
         PipelineCandidate(resolutions=r, total_bits=total_bits, backend_bits=backend_bits)
         for r in results
     ]
-
-
-def enumerate_full_pipelines(
-    total_bits: int,
-    max_stage_bits: int = DEFAULT_MAX_STAGE_BITS,
-    min_stage_bits: int = DEFAULT_MIN_STAGE_BITS,
-    monotone: bool = True,
-    max_candidates: int = 10000,
-) -> list[PipelineCandidate]:
-    """Complete pipelines: effective bits sum to exactly ``total_bits``.
-
-    This is the unconstrained design space the paper prunes; it is exposed
-    for the enumeration ablation benchmark.  ``backend_bits`` is zero in the
-    returned candidates.
-    """
-    candidates = enumerate_candidates(
-        total_bits,
-        backend_bits=0,
-        max_stage_bits=max_stage_bits,
-        min_stage_bits=min_stage_bits,
-        monotone=monotone,
-    )
-    if len(candidates) > max_candidates:
-        raise EnumerationError(
-            f"{len(candidates)} full pipelines exceed max_candidates={max_candidates}"
-        )
-    return candidates

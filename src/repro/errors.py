@@ -28,14 +28,6 @@ class SingularCircuitError(AnalysisError):
     """Raised when the MNA system is singular (floating node, V-source loop)."""
 
 
-class SymbolicError(ReproError):
-    """Raised for invalid symbolic-algebra operations."""
-
-
-class SfgError(ReproError):
-    """Raised for malformed signal-flow graphs or Mason's-rule failures."""
-
-
 class SpecificationError(ReproError):
     """Raised when a system or block specification is inconsistent."""
 

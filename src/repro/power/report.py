@@ -26,16 +26,3 @@ def stage_table(evaluation: CandidatePower) -> str:
         f"sub-ADC {evaluation.sub_adc_power * 1e3:.2f})"
     )
     return "\n".join(lines)
-
-
-def comparison_table(evaluations: list[CandidatePower]) -> str:
-    """One line per candidate, sorted by total power."""
-    ordered = sorted(evaluations, key=lambda e: e.total_power)
-    lines = ["config          total[mW]  mdac[mW]  subadc[mW]  stages"]
-    for e in ordered:
-        lines.append(
-            f"{e.candidate.label:14s}  {e.total_power * 1e3:9.2f}"
-            f"  {e.mdac_power * 1e3:8.2f}  {e.sub_adc_power * 1e3:10.2f}"
-            f"  {e.candidate.stage_count:>6}"
-        )
-    return "\n".join(lines)

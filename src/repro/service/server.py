@@ -7,11 +7,8 @@ enough for a JSON control API plus **streaming** job-event responses —
 line per event until the job reaches a terminal state, so clients follow a
 campaign scenario-by-scenario without polling.
 
-The API is versioned: every route lives under ``/v1/``.  The original
-unversioned paths still answer (identical payloads) but carry a
-``Deprecation: true`` response header; new clients must speak ``/v1/``.
-The broker routes are ``/v1``-only — they postdate the versioning, so no
-deprecated alias exists.
+The API is versioned: every route lives under ``/v1/``, and any other
+path is a 404 that names ``/v1``.
 
 Routes (see ``docs/service.md`` for payloads):
 
@@ -87,22 +84,13 @@ _STATUS_TEXT = {
 }
 
 
-def _response_head(
-    status: int,
-    content_type: str,
-    length: int | None,
-    deprecated: bool = False,
-) -> bytes:
+def _response_head(status: int, content_type: str, length: int | None) -> bytes:
     lines = [
         f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}",
         f"Content-Type: {content_type}",
         "Connection: close",
         "Cache-Control: no-store",
     ]
-    if deprecated:
-        # RFC 9745 deprecation signal: the unversioned alias still works,
-        # but clients should move to the /v1/ path.
-        lines.append("Deprecation: true")
     if length is not None:
         lines.append(f"Content-Length: {length}")
     return ("\r\n".join(lines) + "\r\n\r\n").encode("ascii")
@@ -282,21 +270,18 @@ class OptimizationService:
             except (asyncio.IncompleteReadError, asyncio.TimeoutError):
                 return  # client stalled or hung up mid-body
             parts = [p for p in path.split("?", 1)[0].split("/") if p]
-            deprecated = parts[:1] != [API_VERSION]
-            if not deprecated:
-                parts = parts[1:]
             try:
-                await self._route(method, parts, path, body, writer, deprecated)
+                if parts[:1] != [API_VERSION]:
+                    raise _HttpError(404, f"no route for {method} {path} (use /v1)")
+                await self._route(method, parts[1:], path, body, writer)
             except _HttpError as exc:
-                await self._send_error(writer, exc.status, exc.message, deprecated)
+                await self._send_error(writer, exc.status, exc.message)
             except (SpecificationError, ServiceError) as exc:
-                await self._send_error(writer, 400, str(exc), deprecated)
+                await self._send_error(writer, 400, str(exc))
             except (ConnectionError, asyncio.CancelledError):
                 raise
             except Exception as exc:  # never kill the accept loop
-                await self._send_error(
-                    writer, 500, f"{type(exc).__name__}: {exc}", deprecated
-                )
+                await self._send_error(writer, 500, f"{type(exc).__name__}: {exc}")
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
@@ -309,41 +294,23 @@ class OptimizationService:
                 pass
 
     async def _send_json(
-        self,
-        writer: asyncio.StreamWriter,
-        payload: Any,
-        status: int = 200,
-        deprecated: bool = False,
+        self, writer: asyncio.StreamWriter, payload: Any, status: int = 200
     ) -> None:
         body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-        writer.write(
-            _response_head(status, "application/json", len(body), deprecated) + body
-        )
+        writer.write(_response_head(status, "application/json", len(body)) + body)
         await writer.drain()
 
     async def _send_bytes(
-        self,
-        writer: asyncio.StreamWriter,
-        payload: bytes,
-        content_type: str,
-        deprecated: bool = False,
+        self, writer: asyncio.StreamWriter, payload: bytes, content_type: str
     ) -> None:
-        writer.write(
-            _response_head(200, content_type, len(payload), deprecated) + payload
-        )
+        writer.write(_response_head(200, content_type, len(payload)) + payload)
         await writer.drain()
 
     async def _send_error(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        message: str,
-        deprecated: bool = False,
+        self, writer: asyncio.StreamWriter, status: int, message: str
     ) -> None:
         try:
-            await self._send_json(
-                writer, {"error": message}, status=status, deprecated=deprecated
-            )
+            await self._send_json(writer, {"error": message}, status=status)
         except (ConnectionError, OSError):
             pass
 
@@ -362,7 +329,6 @@ class OptimizationService:
         path: str,
         body: bytes,
         writer: asyncio.StreamWriter,
-        deprecated: bool,
     ) -> None:
         if method == "GET" and parts == ["healthz"]:
             stats = self.scheduler.stats()
@@ -374,16 +340,12 @@ class OptimizationService:
                     "running": stats["running"],
                     "jobs": stats["jobs"],
                 },
-                deprecated=deprecated,
             )
             return
         if method == "GET" and parts == ["stats"]:
-            await self._send_json(writer, self.scheduler.stats(), deprecated=deprecated)
+            await self._send_json(writer, self.scheduler.stats())
             return
         if method == "GET" and parts == ["metrics"]:
-            if deprecated:
-                # Postdates versioning, like the broker surface: /v1 only.
-                raise _HttpError(404, f"no route for {method} {path} (use /v1)")
             from repro.obs import metrics as obs
 
             await self._send_json(
@@ -393,12 +355,9 @@ class OptimizationService:
             return
         if method == "POST" and parts == ["drain"]:
             self.request_stop()
-            await self._send_json(writer, {"status": "draining"}, deprecated=deprecated)
+            await self._send_json(writer, {"status": "draining"})
             return
         if parts and parts[0] == "broker":
-            if deprecated:
-                # The broker surface postdates versioning: /v1 only, no alias.
-                raise _HttpError(404, f"no route for {method} {path} (use /v1)")
             await self._route_broker(method, parts[1:], path, body, writer)
             return
         if parts and parts[0] == "jobs":
@@ -412,36 +371,26 @@ class OptimizationService:
                 payload = self._parse_body(body)
                 record, coalesced = self.scheduler.submit(payload)
                 await self._send_json(
-                    writer,
-                    {"job": record.summary(), "coalesced": coalesced},
-                    deprecated=deprecated,
+                    writer, {"job": record.summary(), "coalesced": coalesced}
                 )
                 return
             if method == "GET" and len(parts) == 1:
                 records = sorted(self.scheduler.jobs.values(), key=lambda r: r.seq)
-                await self._send_json(
-                    writer,
-                    {"jobs": [r.summary() for r in records]},
-                    deprecated=deprecated,
-                )
+                await self._send_json(writer, {"jobs": [r.summary() for r in records]})
                 return
             if len(parts) >= 2:
                 record = self._record(parts[1])
                 if method == "GET" and len(parts) == 2:
-                    await self._send_json(
-                        writer, {"job": record.summary()}, deprecated=deprecated
-                    )
+                    await self._send_json(writer, {"job": record.summary()})
                     return
                 if method == "POST" and parts[2:] == ["cancel"]:
                     cancelled = self.scheduler.cancel(record.key)
                     await self._send_json(
-                        writer,
-                        {"job": record.summary(), "cancelled": cancelled},
-                        deprecated=deprecated,
+                        writer, {"job": record.summary(), "cancelled": cancelled}
                     )
                     return
                 if method == "GET" and parts[2:] == ["events"]:
-                    await self._stream_events(record, writer, deprecated)
+                    await self._stream_events(record, writer)
                     return
                 if method == "GET" and parts[2:] == ["result"]:
                     payload = self.store.read_result(record.key)
@@ -449,15 +398,11 @@ class OptimizationService:
                         raise _HttpError(
                             409, f"job {record.job_id} is {record.state}, not done"
                         )
-                    await self._send_bytes(
-                        writer, payload, "application/json", deprecated
-                    )
+                    await self._send_bytes(writer, payload, "application/json")
                     return
                 if method == "GET" and parts[2:] == ["artifacts"]:
                     await self._send_json(
-                        writer,
-                        {"artifacts": sorted(self.store.artifacts(record.key))},
-                        deprecated=deprecated,
+                        writer, {"artifacts": sorted(self.store.artifacts(record.key))}
                     )
                     return
                 if method == "GET" and len(parts) == 4 and parts[2] == "artifacts":
@@ -474,9 +419,7 @@ class OptimizationService:
                     payload = await asyncio.get_running_loop().run_in_executor(
                         None, artifact.read_bytes
                     )
-                    await self._send_bytes(
-                        writer, payload, "application/octet-stream", deprecated
-                    )
+                    await self._send_bytes(writer, payload, "application/octet-stream")
                     return
         raise _HttpError(404, f"no route for {method} {path}")
 
@@ -617,15 +560,11 @@ class OptimizationService:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise _HttpError(400, f"request body is not valid JSON ({exc})") from exc
 
-    async def _stream_events(
-        self, record, writer: asyncio.StreamWriter, deprecated: bool = False
-    ) -> None:
+    async def _stream_events(self, record, writer: asyncio.StreamWriter) -> None:
         """NDJSON event stream: snapshot first, then live until terminal."""
         queue = self.scheduler.subscribe(record.key)
         try:
-            writer.write(
-                _response_head(200, "application/x-ndjson", None, deprecated)
-            )
+            writer.write(_response_head(200, "application/x-ndjson", None))
             await writer.drain()
             while True:
                 event = await queue.get()

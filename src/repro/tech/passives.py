@@ -1,4 +1,4 @@
-"""Passive-component models: capacitor matching and switch sizing.
+"""Passive-component models: capacitor matching and switch on-resistance.
 
 Capacitor matching drives the MDAC's DAC accuracy and therefore puts a
 *floor* under unit-capacitor size at high resolution; the kT/C noise
@@ -26,14 +26,6 @@ def capacitor_mismatch_sigma(tech: Technology, capacitance: float) -> float:
     return tech.cap_matching / math.sqrt(area_um2)
 
 
-def capacitor_for_mismatch(tech: Technology, sigma_target: float) -> float:
-    """Smallest capacitor whose relative mismatch is below ``sigma_target``."""
-    if sigma_target <= 0:
-        raise ValueError(f"sigma_target must be positive, got {sigma_target!r}")
-    area_um2 = (tech.cap_matching / sigma_target) ** 2
-    return max(area_um2 * 1e-12 * tech.cap_density, tech.cap_min)
-
-
 def min_capacitor(tech: Technology) -> float:
     """Smallest manufacturable capacitor in this technology."""
     return tech.cap_min
@@ -51,22 +43,3 @@ def switch_on_resistance(
     if vov <= 0:
         raise ValueError("switch drive voltage below threshold")
     return 1.0 / (nmos.kp * (width / tech.lmin) * vov)
-
-
-def switch_width_for_settling(
-    tech: Technology, capacitance: float, settle_time: float, accuracy: float
-) -> float:
-    """Switch width so an RC sampling network settles to ``accuracy``.
-
-    The sampling time constant must satisfy ``tau <= settle_time / ln(1/accuracy)``.
-    """
-    if not 0 < accuracy < 1:
-        raise ValueError(f"accuracy must be in (0,1), got {accuracy!r}")
-    if settle_time <= 0 or capacitance <= 0:
-        raise ValueError("settle_time and capacitance must be positive")
-    n_tau = math.log(1.0 / accuracy)
-    r_max = settle_time / (n_tau * capacitance)
-    nmos = tech.nmos
-    vov = tech.vdd - nmos.vth0
-    width = tech.lmin / (nmos.kp * vov * r_max)
-    return max(width, tech.wmin)

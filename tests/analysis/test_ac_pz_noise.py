@@ -1,22 +1,15 @@
-"""AC, pole/zero and noise analyses validated against closed forms."""
+"""AC and noise analyses validated against closed forms."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    ac_transfer,
-    integrated_output_noise,
-    linearize,
-    poles,
-    solve_dc,
-    zeros,
-)
+from repro.analysis import ac_transfer, integrated_output_noise, linearize, solve_dc
 from repro.analysis.ac import dc_gain, phase_margin_deg, unity_gain_frequency
-from repro.analysis.pz import dominant_pole_hz
 from repro.circuit.builder import CircuitBuilder
 from repro.constants import KT_ROOM
+from repro.errors import AnalysisError
 from repro.tech import CMOS025
 
 
@@ -103,36 +96,24 @@ class TestAc:
         h = ac_transfer(lin, "p", np.array([1.0]), negative_net="n")
         assert abs(h[0]) == pytest.approx(0.0, abs=1e-12)
 
-
-class TestPz:
-    def test_rc_pole_location(self):
-        r, c = 1e3, 1e-9
-        lin = linearize(rc_lowpass(r, c))
-        p = poles(lin)
-        assert len(p) == 1
-        assert p[0].real == pytest.approx(-1.0 / (r * c), rel=1e-9)
-
-    def test_dominant_pole_hz(self):
-        r, c = 1e3, 1e-9
-        lin = linearize(rc_lowpass(r, c))
-        assert dominant_pole_hz(lin) == pytest.approx(
-            1.0 / (2 * math.pi * r * c), rel=1e-9
-        )
-
-    def test_rlc_resonance(self):
+    def test_series_rlc_peaks_at_resonance(self):
+        # At w0 = 1/sqrt(LC) the output is -j Q, with Q = sqrt(L/C) / R.
+        r, ind, c = 10.0, 1e-6, 1e-9
         b = CircuitBuilder("rlc")
         b.v("in", "gnd", ac=1.0)
-        b.r("in", "mid", 10.0)
-        b.l("mid", "out", 1e-6)
-        b.c("out", "gnd", 1e-9)
+        b.r("in", "mid", r)
+        b.l("mid", "out", ind)
+        b.c("out", "gnd", c)
         lin = linearize(b.build())
-        p = poles(lin)
-        w0 = 1.0 / math.sqrt(1e-6 * 1e-9)
-        assert len(p) == 2
-        assert np.abs(p[0]) == pytest.approx(w0, rel=1e-6)
+        f0 = 1.0 / (2 * math.pi * math.sqrt(ind * c))
+        h = ac_transfer(lin, "out", np.array([f0]))[0]
+        assert abs(h) == pytest.approx(math.sqrt(ind / c) / r, rel=1e-6)
+        assert math.degrees(math.atan2(h.imag, h.real)) == pytest.approx(
+            -90.0, abs=0.01
+        )
 
-    def test_lead_network_zero(self):
-        # R1 parallel C feeding R2: zero at 1/(R1 C).
+    def test_lead_network_matches_closed_form(self):
+        # R1 parallel C feeding R2: zero at 1/(R1 C), pole at 1/((R1 || R2) C).
         r1, r2, c = 10e3, 1e3, 1e-9
         b = CircuitBuilder("lead")
         b.v("in", "gnd", ac=1.0)
@@ -140,20 +121,37 @@ class TestPz:
         b.c("in", "out", c)
         b.r("out", "gnd", r2)
         lin = linearize(b.build())
-        z = zeros(lin, "out")
-        assert len(z) == 1
-        assert z[0].real == pytest.approx(-1.0 / (r1 * c), rel=1e-6)
+        freqs = np.logspace(2, 8, 13)
+        s = 2j * np.pi * freqs
+        expected = r2 * (1 + s * r1 * c) / (r1 + r2 + s * r1 * r2 * c)
+        h = ac_transfer(lin, "out", freqs)
+        np.testing.assert_allclose(h, expected, rtol=1e-9)
 
-    def test_zeros_requires_excitation(self):
+    def test_dc_sources_do_not_drive_the_sweep(self):
         b = CircuitBuilder("noac")
         b.v("in", "gnd", dc=1.0)
         b.r("in", "out", 1e3)
         b.r("out", "gnd", 1e3)
         lin = linearize(b.build())
-        from repro.errors import AnalysisError
+        h = ac_transfer(lin, "out", np.array([1.0, 1e6]))
+        assert np.all(h == 0.0)
 
-        with pytest.raises(AnalysisError, match="AC excitation"):
-            zeros(lin, "out")
+    def test_ground_output_rejected(self):
+        lin = linearize(rc_lowpass())
+        with pytest.raises(AnalysisError, match="output_net must not be ground"):
+            ac_transfer(lin, "gnd", np.array([1.0]))
+        with pytest.raises(AnalysisError, match="negative_net must not be ground"):
+            ac_transfer(lin, "out", np.array([1.0]), negative_net="gnd")
+
+    def test_sub_unity_gain_has_no_crossing(self):
+        # A divider's gain of 1/2 never reaches unity: no fu, no margin.
+        b = CircuitBuilder("div")
+        b.v("in", "gnd", ac=1.0)
+        b.r("in", "out", 1e3)
+        b.r("out", "gnd", 1e3)
+        lin = linearize(b.build())
+        assert unity_gain_frequency(lin, "out") is None
+        assert phase_margin_deg(lin, "out") is None
 
 
 class TestNoise:

@@ -19,6 +19,16 @@ class TestLinearCircuits:
         sol = solve_dc(b.build())
         assert sol.voltages["out"] == pytest.approx(3.3 * 2 / 3, rel=1e-9)
 
+    def test_solutions_compare_by_identity(self):
+        b = CircuitBuilder("divider")
+        b.v("in", "gnd", dc=3.3)
+        b.r("in", "out", 1e3)
+        b.r("out", "gnd", 2e3)
+        circuit = b.build()
+        first, second = solve_dc(circuit), solve_dc(circuit)
+        assert first == first
+        assert (first == second) is False
+
     def test_source_current_through_divider(self):
         b = CircuitBuilder("divider")
         v = b.v("in", "gnd", dc=3.0)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import ac_transfer, linearize, solve_dc
 from repro.circuit.builder import CircuitBuilder
-from repro.sfg import build_sfg, mason_gain, small_signal_bindings
+from tests.sfg import build_sfg, mason_gain, small_signal_bindings
 
 
 @st.composite

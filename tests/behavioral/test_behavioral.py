@@ -11,7 +11,6 @@ from repro.behavioral import (
     combine_codes,
     coherent_sine,
     enob,
-    inl_dnl,
     sfdr_db,
     sndr_db,
 )
@@ -153,28 +152,28 @@ class TestMetrics:
         codes = np.floor((distorted / 2 + 0.5) * 4096).astype(int)
         assert sfdr_db(codes, 101) == pytest.approx(-20 * np.log10(0.01), abs=1.0)
 
-    def test_inl_dnl_of_ideal_converter_small(self):
-        pipeline = BehavioralPipeline(CAND_22)
-        signal = full_scale_sine(60000, 4801, 2.0, backoff_db=0.1)
-        codes = pipeline.convert_array(signal)
-        inl, dnl = inl_dnl(codes, 9)
-        # Bounds reflect the histogram method's own noise floor at this
-        # record length, not converter error.
-        assert np.max(np.abs(dnl)) < 0.5
-        assert np.max(np.abs(inl)) < 1.2
+    def test_sndr_gains_6db_per_bit(self):
+        signal = coherent_sine(4096, 101, amplitude=0.499, offset=0.5)
+        coarse = sndr_db(np.floor(signal * 2**8).astype(int), 101)
+        fine = sndr_db(np.floor(signal * 2**12).astype(int), 101)
+        assert fine - coarse == pytest.approx(4 * 6.02, abs=1.0)
 
-    def test_inl_detects_dac_errors(self):
-        # A stage-1 DAC level error must raise measured INL well above the
-        # ideal converter's histogram-method noise floor.
-        signal = full_scale_sine(60000, 4801, 2.0, backoff_db=0.1)
-        ideal_inl, _ = inl_dnl(BehavioralPipeline(CAND_22).convert_array(signal), 9)
+    def test_dac_level_error_raises_spurs(self):
+        # A stage-1 DAC level error is code-dependent: it folds into
+        # harmonics, so SFDR drops well below the ideal converter's.
+        signal = full_scale_sine(2048, 479, 2.0)
+        ideal = BehavioralPipeline(CAND_22).convert_array(signal)
         dac_err = (0.0, 0.012, 0.0)  # 12 mV error on the middle DAC level
-        errored = BehavioralPipeline(
-            CAND_22,
-            stage_errors=(StageErrorModel(dac_level_errors=dac_err), StageErrorModel.ideal()),
-        )
-        err_inl, _ = inl_dnl(errored.convert_array(signal), 9)
-        assert np.max(np.abs(err_inl)) > 2.0 * np.max(np.abs(ideal_inl))
+        errors = (StageErrorModel(dac_level_errors=dac_err), StageErrorModel.ideal())
+        errored = BehavioralPipeline(CAND_22, stage_errors=errors).convert_array(signal)
+        assert sfdr_db(errored, 479) < sfdr_db(ideal, 479) - 10.0
+
+    def test_metrics_reject_out_of_range_bin(self):
+        codes = np.floor(coherent_sine(1024, 101, amplitude=0.499, offset=0.5) * 1024)
+        for metric in (sndr_db, sfdr_db):
+            for bad_bin in (0, 513):
+                with pytest.raises(SpecificationError, match="out of range"):
+                    metric(codes, bad_bin)
 
     def test_signals_validation(self):
         with pytest.raises(SpecificationError):

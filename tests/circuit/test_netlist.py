@@ -64,9 +64,13 @@ class TestCircuit:
         assert len(ckt.elements_of(VoltageSource)) == 1
         assert ckt.elements_of(Capacitor) == []
 
-    def test_connectivity(self):
-        table = small_circuit().connectivity()
-        assert sorted(table["out"]) == ["r1", "r2"]
+    def test_topology_key_ignores_values_tracks_nets(self):
+        resized = small_circuit()
+        resized.replace(Resistor("r1", "in", "out", 5e3))
+        assert resized.topology_key() == small_circuit().topology_key()
+        rewired = small_circuit()
+        rewired.replace(Resistor("r2", "out", "in", 1e3))
+        assert rewired.topology_key() != small_circuit().topology_key()
 
     def test_validate_passes_on_good_circuit(self):
         small_circuit().validate()

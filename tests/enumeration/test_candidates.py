@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.enumeration import enumerate_candidates, enumerate_full_pipelines
+from repro.enumeration import enumerate_candidates
 from repro.enumeration.candidates import PipelineCandidate
 from repro.errors import EnumerationError
 
@@ -100,12 +100,14 @@ class TestBookkeeping:
 
 
 class TestFullPipelines:
+    """With no backend the stages resolve every bit: the space the paper prunes."""
+
     def test_full_pipeline_resolves_all_bits(self):
-        for cand in enumerate_full_pipelines(10):
+        for cand in enumerate_candidates(10, backend_bits=0):
             assert cand.frontend_bits == 10
 
     def test_full_pipeline_space_is_larger(self):
-        assert len(enumerate_full_pipelines(13)) > len(enumerate_candidates(13))
+        assert len(enumerate_candidates(13, backend_bits=0)) > len(enumerate_candidates(13))
 
 
 class TestProperties:

@@ -178,7 +178,7 @@ class TestErrors:
         try:
             connection.request(
                 "POST",
-                "/jobs",
+                "/v1/jobs",
                 body=b"{nope",
                 headers={"Content-Type": "application/json"},
             )

@@ -1,4 +1,4 @@
-"""The versioned HTTP surface: /v1/ routes, legacy aliases, Deprecation."""
+"""The versioned HTTP surface: every route under /v1/, any other path a 404."""
 
 import json
 from http.client import HTTPConnection
@@ -41,30 +41,37 @@ class TestVersionedRoutes:
         assert "Deprecation" not in headers
         assert json.loads(body)["status"] == "ok"
 
-    def test_legacy_aliases_answer_with_deprecation(self, server):
-        for path in ("/healthz", "/stats", "/jobs"):
-            status, headers, _ = _raw(server, "GET", path)
-            assert status == 200, path
-            assert headers.get("Deprecation") == "true", path
-
-    def test_v1_and_legacy_serve_identical_bodies(self, server):
-        _, _, legacy = _raw(server, "GET", "/stats")
-        _, _, versioned = _raw(server, "GET", "/v1/stats")
-        assert json.loads(legacy) == json.loads(versioned)
-
-    def test_legacy_errors_also_carry_deprecation(self, server):
-        status, headers, _ = _raw(server, "GET", "/jobs/nonexistent")
+    @pytest.mark.parametrize(
+        "method,path",
+        [
+            ("GET", "/healthz"),
+            ("GET", "/stats"),
+            ("GET", "/jobs"),
+            ("GET", "/jobs/nonexistent"),
+            ("POST", "/drain"),
+        ],
+    )
+    def test_unversioned_paths_are_not_routes(self, server, method, path):
+        status, headers, body = _raw(server, method, path)
         assert status == 404
-        assert headers.get("Deprecation") == "true"
-        status, headers, _ = _raw(server, "GET", "/v1/jobs/nonexistent")
+        assert "/v1" in json.loads(body)["error"]
+        assert "Deprecation" not in headers
+
+    def test_unversioned_drain_drains_nothing(self, server):
+        assert _raw(server, "POST", "/drain")[0] == 404
+        assert json.loads(_raw(server, "GET", "/v1/healthz")[2])["status"] == "ok"
+
+    def test_v1_errors_carry_no_deprecation(self, server):
+        status, headers, body = _raw(server, "GET", "/v1/jobs/nonexistent")
         assert status == 404
         assert "Deprecation" not in headers
+        assert "unknown job" in json.loads(body)["error"]
 
     def test_unknown_version_prefix_is_not_a_route(self, server):
         status, _, body = _raw(server, "GET", "/v2/healthz")
         assert status == 404
-        # /v2/... is treated as a legacy path that happens not to exist,
-        # not as a future version this server half-understands.
+        # Not a future version this server half-understands.
+        assert "/v1" in json.loads(body)["error"]
 
     def test_submit_via_v1_roundtrip(self, server):
         status, headers, body = _raw(

@@ -39,10 +39,9 @@ from repro.circuit.elements import (
     VoltageSource,
 )
 from repro.circuit.netlist import GROUND_NAMES, Circuit
-from repro.errors import SfgError
-from repro.sfg.graph import SignalFlowGraph
-from repro.symbolic import Poly, RationalFunction, Sym
-from repro.symbolic.ratfunc import as_ratfunc
+from tests.sfg.graph import SfgError, SignalFlowGraph
+from tests.symbolic import Poly, RationalFunction, Sym
+from tests.symbolic.ratfunc import as_ratfunc
 
 
 def _classify_nodes(circuit: Circuit) -> tuple[str | None, set[str]]:
@@ -68,7 +67,7 @@ def build_sfg(circuit: Circuit, name: str | None = None) -> tuple[SignalFlowGrap
     """Build the DPI signal-flow graph of ``circuit``.
 
     Returns ``(graph, input_node)``.  The graph's signal nodes are the net
-    names; use :func:`repro.sfg.mason.mason_gain` with the input node and an
+    names; use :func:`tests.sfg.mason.mason_gain` with the input node and an
     output net to obtain the symbolic transfer function.
     """
     input_net, ac_grounds = _classify_nodes(circuit)

@@ -1,17 +1,20 @@
 """Signal-flow graph container with rational-function branch weights.
 
-The graph and its path and cycle searches are networkx's.  No flow code
-builds a signal-flow graph, so networkx is not a runtime dependency: it is
-imported on first use.
+The graph and its path and cycle searches are networkx's.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 
-from repro.errors import SfgError
-from repro.symbolic import RationalFunction
-from repro.symbolic.ratfunc import as_ratfunc
+import networkx as nx
+
+from tests.symbolic import RationalFunction
+from tests.symbolic.ratfunc import as_ratfunc
+
+
+class SfgError(Exception):
+    """Raised for malformed signal-flow graphs or Mason's-rule failures."""
 
 
 class SignalFlowGraph:
@@ -22,8 +25,6 @@ class SignalFlowGraph:
     """
 
     def __init__(self, name: str = "sfg"):
-        import networkx as nx
-
         self.name = name
         self._graph = nx.DiGraph()
 
@@ -68,14 +69,10 @@ class SignalFlowGraph:
             raise SfgError(f"unknown source node {src!r}")
         if not self.has_node(dst):
             raise SfgError(f"unknown sink node {dst!r}")
-        import networkx as nx
-
         return [list(p) for p in nx.all_simple_paths(self._graph, src, dst)]
 
     def loops(self) -> list[list[str]]:
         """All simple directed cycles (Mason's loops)."""
-        import networkx as nx
-
         return [list(c) for c in nx.simple_cycles(self._graph)]
 
     def path_gain(self, path: list[str]) -> RationalFunction:

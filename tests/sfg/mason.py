@@ -14,9 +14,8 @@ block-level evaluation flow.
 
 from __future__ import annotations
 
-from repro.errors import SfgError
-from repro.sfg.graph import SignalFlowGraph
-from repro.symbolic import RationalFunction
+from tests.sfg.graph import SfgError, SignalFlowGraph
+from tests.symbolic import RationalFunction
 
 #: Guard against combinatorial blow-up on pathological graphs.
 _MAX_LOOPS = 64

@@ -13,9 +13,8 @@ import pytest
 
 from repro.analysis import ac_transfer, linearize, solve_dc
 from repro.circuit.builder import CircuitBuilder
-from repro.errors import SfgError
-from repro.sfg import build_sfg, mason_gain, small_signal_bindings
 from repro.tech import CMOS025
+from tests.sfg import SfgError, build_sfg, mason_gain, small_signal_bindings
 
 
 def cross_validate(ckt, output_net, frequencies, rel=1e-6):

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.errors import SfgError
-from repro.sfg import SignalFlowGraph, mason_gain
-from repro.symbolic import symbols
+from tests.sfg import SfgError, SignalFlowGraph, mason_gain
+from tests.symbolic import symbols
 
 
 def evaluate(h, bindings=None, s=0.0):

@@ -21,9 +21,12 @@ import math
 from collections.abc import Iterable, Mapping
 from typing import Union
 
-from repro.errors import SymbolicError
-
 Number = Union[int, float]
+
+
+class SymbolicError(Exception):
+    """Raised for invalid symbolic-algebra operations."""
+
 
 #: Tolerance below which folded constants are treated as exactly zero.
 _ZERO_TOL = 0.0  # exact: we only fold genuine float arithmetic

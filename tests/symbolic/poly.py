@@ -2,7 +2,7 @@
 
 A :class:`Poly` stores coefficients in ascending powers of ``s``:
 ``Poly([a0, a1, a2])`` represents ``a0 + a1*s + a2*s**2``.  Coefficients are
-:class:`repro.symbolic.expr.Expr` instances, so a polynomial can carry
+:class:`tests.symbolic.expr.Expr` instances, so a polynomial can carry
 small-signal parameters symbolically and be bound to numbers later with
 :meth:`Poly.evaluate_coeffs`.
 """
@@ -13,8 +13,7 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from repro.errors import SymbolicError
-from repro.symbolic.expr import Expr, Number, ZERO, ONE, as_expr
+from tests.symbolic.expr import SymbolicError, Expr, Number, ZERO, ONE, as_expr
 
 
 class Poly:

@@ -1,6 +1,6 @@
 """Rational functions in ``s`` — the shape of every circuit transfer function.
 
-A :class:`RationalFunction` is a pair of :class:`~repro.symbolic.poly.Poly`
+A :class:`RationalFunction` is a pair of :class:`~tests.symbolic.poly.Poly`
 objects.  Mason's rule produces these directly; binding the small-signal
 symbols turns one into a numeric transfer function with poles, zeros, DC
 gain, unity-gain frequency and phase margin.
@@ -13,9 +13,8 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from repro.errors import SymbolicError
-from repro.symbolic.expr import Expr, Number, as_expr
-from repro.symbolic.poly import Poly, _as_poly
+from tests.symbolic.expr import SymbolicError, Expr, Number, as_expr
+from tests.symbolic.poly import Poly, _as_poly
 
 
 class RationalFunction:
@@ -157,7 +156,7 @@ class RationalFunction:
         """Complex response over an array of frequencies in Hz, shape ``(F,)``.
 
         Bindings are scalars; an array binding raises
-        :class:`~repro.errors.SymbolicError`.
+        :class:`~tests.symbolic.expr.SymbolicError`.
         """
         if bindings and any(np.ndim(v) for v in bindings.values()):
             raise SymbolicError("frequency_response takes scalar bindings only")

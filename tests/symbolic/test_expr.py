@@ -4,9 +4,8 @@ import math
 
 import pytest
 
-from repro.errors import SymbolicError
-from repro.symbolic import Const, Sym, symbols
-from repro.symbolic.expr import ONE, ZERO, add, mul, power
+from tests.symbolic import Const, Sym, SymbolicError, symbols
+from tests.symbolic.expr import ONE, ZERO, add, mul, power
 
 
 class TestConstruction:

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import SymbolicError
-from repro.symbolic import Poly, Sym, symbols
+from tests.symbolic import Poly, Sym, SymbolicError, symbols
 
 
 class TestConstruction:

@@ -9,8 +9,8 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.symbolic import Poly, RationalFunction, Sym
-from repro.symbolic.expr import Expr, add, mul
+from tests.symbolic import Poly, RationalFunction, Sym
+from tests.symbolic.expr import Expr, add, mul
 
 SYMBOL_NAMES = ("x", "y", "z")
 
@@ -35,7 +35,7 @@ def exprs(draw, max_depth: int = 3) -> Expr:
 
 
 def _const(draw):
-    from repro.symbolic import Const
+    from tests.symbolic import Const
 
     return Const(draw(st.integers(min_value=-4, max_value=4)))
 

@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.errors import SymbolicError
-from repro.symbolic import Poly, RationalFunction, Sym, symbols
+from tests.symbolic import Poly, RationalFunction, Sym, SymbolicError, symbols
 
 
 def single_pole(gain: float, pole_hz: float) -> RationalFunction:

@@ -1,11 +1,8 @@
 """Unit tests for passive-component models."""
 
-import math
-
 import pytest
 
 from repro.tech import CMOS025, capacitor_mismatch_sigma, switch_on_resistance
-from repro.tech.passives import capacitor_for_mismatch, switch_width_for_settling
 
 
 class TestCapacitorMatching:
@@ -19,20 +16,9 @@ class TestCapacitorMatching:
         sigma = capacitor_mismatch_sigma(CMOS025, 1e-15)
         assert sigma == pytest.approx(CMOS025.cap_matching)
 
-    def test_inverse_consistency(self):
-        target = 0.002
-        c = capacitor_for_mismatch(CMOS025, target)
-        assert capacitor_mismatch_sigma(CMOS025, c) <= target * 1.0001
-
-    def test_inverse_respects_min_cap(self):
-        c = capacitor_for_mismatch(CMOS025, 0.5)  # absurdly loose target
-        assert c >= CMOS025.cap_min
-
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
             capacitor_mismatch_sigma(CMOS025, -1e-15)
-        with pytest.raises(ValueError):
-            capacitor_for_mismatch(CMOS025, 0.0)
 
 
 class TestSwitches:
@@ -50,21 +36,15 @@ class TestSwitches:
         with pytest.raises(ValueError):
             switch_on_resistance(CMOS025, 1e-6, vgs_drive=0.3)
 
-    def test_width_for_settling_meets_time_constant(self):
-        cap = 1e-12
-        t_settle = 10e-9
-        accuracy = 1e-4
-        w = switch_width_for_settling(CMOS025, cap, t_settle, accuracy)
-        r = switch_on_resistance(CMOS025, w)
-        n_tau = t_settle / (r * cap)
-        assert n_tau >= math.log(1 / accuracy) * 0.999
+    def test_halving_overdrive_doubles_resistance(self):
+        vth = CMOS025.nmos.vth0
+        full = switch_on_resistance(CMOS025, 1e-6)
+        half_drive = vth + (CMOS025.vdd - vth) / 2
+        half = switch_on_resistance(CMOS025, 1e-6, vgs_drive=half_drive)
+        assert half == pytest.approx(2 * full)
 
-    def test_width_for_settling_respects_wmin(self):
-        w = switch_width_for_settling(CMOS025, 1e-15, 1e-6, 0.5)
-        assert w >= CMOS025.wmin
-
-    def test_width_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            switch_width_for_settling(CMOS025, 1e-12, -1e-9, 1e-4)
-        with pytest.raises(ValueError):
-            switch_width_for_settling(CMOS025, 1e-12, 1e-9, 1.5)
+    def test_zero_sizes_rejected(self):
+        with pytest.raises(ValueError, match="width"):
+            switch_on_resistance(CMOS025, 0.0)
+        with pytest.raises(ValueError, match="capacitance"):
+            capacitor_mismatch_sigma(CMOS025, 0.0)

@@ -1,7 +1,5 @@
 """Tests for physical constants and unit helpers."""
 
-import math
-
 import pytest
 
 from repro import constants
@@ -42,11 +40,6 @@ class TestHelpers:
             constants.parallel()
         with pytest.raises(ValueError):
             constants.parallel(-1.0)
-
-    def test_settling_time_constants(self):
-        assert constants.settling_time_constants(math.exp(-7)) == pytest.approx(7.0)
-        with pytest.raises(ValueError):
-            constants.settling_time_constants(1.5)
 
     def test_lsb(self):
         assert constants.lsb(2.0, 13) == pytest.approx(2.0 / 8192)

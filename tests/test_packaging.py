@@ -1,16 +1,17 @@
 """``pyproject.toml`` declares what the code imports, and one version.
 
-Every import in ``src/repro/`` and ``tests/`` is read with :mod:`ast`.  A
-module-level import under ``src/`` runs on ``import repro``, so it must be
-the standard library, ``repro`` itself or a runtime dependency.  An import
-inside a function runs only when that function is called, and the tests run
-only under ``pip install .[test]``: those imports may also come from the
-``test`` extra.
+Every import in ``src/repro/`` and ``tests/`` is read with :mod:`ast`, at
+module and function level alike.  ``src/`` may import only the standard
+library, ``repro`` itself and the runtime dependencies (numpy), so every
+module of the package runs where ``pip install .`` put nothing else.  The
+tests run only under ``pip install .[test]``: their imports may also come
+from the ``test`` extra.
 """
 
 import ast
 import re
 import sys
+import textwrap
 import tomllib
 from pathlib import Path
 
@@ -34,41 +35,33 @@ def _import_names(requirements: list[str]) -> set[str]:
     }
 
 
-def _imports(path: Path) -> list[tuple[str, bool, int]]:
-    """``(top-level module, at module level, line)`` of every absolute import."""
+def _imports(path: Path) -> list[tuple[str, int]]:
+    """``(top-level module, line)`` of every absolute import, at any depth."""
     found = []
-
-    def visit(node: ast.AST, module_level: bool) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Import):
-                for alias in child.names:
-                    found.append((alias.name.split(".")[0], module_level, child.lineno))
-            elif isinstance(child, ast.ImportFrom) and child.level == 0:
-                found.append((child.module.split(".")[0], module_level, child.lineno))
-            inside_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            visit(child, module_level and not inside_function)
-
-    visit(ast.parse(path.read_text(), filename=str(path)), True)
-    return found
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found.extend((alias.name.split(".")[0], node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.module.split(".")[0], node.lineno))
+    return sorted(found, key=lambda item: item[1])
 
 
-def _undeclared(root: Path, allowed: set[str], allowed_in_functions: set[str]):
+def _undeclared(root: Path, allowed: set[str]) -> list[str]:
+    """``file:line: module`` of every import under ``root`` not in ``allowed``."""
     return [
-        f"{path.relative_to(ROOT)}:{line}: {name}"
+        f"{path.relative_to(root)}:{line}: {name}"
         for path in sorted(root.rglob("*.py"))
-        for name, module_level, line in _imports(path)
-        if name not in (allowed if module_level else allowed_in_functions)
+        for name, line in _imports(path)
+        if name not in allowed
     ]
 
 
 class TestDeclaredDependencies:
     def test_src_imports_are_declared(self):
-        project = _pyproject()["project"]
         runtime = set(sys.stdlib_module_names) | {"repro"} | _import_names(
-            project["dependencies"]
+            _pyproject()["project"]["dependencies"]
         )
-        test_extra = _import_names(project["optional-dependencies"]["test"])
-        assert _undeclared(SRC, runtime, runtime | test_extra) == []
+        assert _undeclared(SRC, runtime) == []
 
     def test_test_imports_are_declared(self):
         project = _pyproject()["project"]
@@ -78,12 +71,30 @@ class TestDeclaredDependencies:
             | _import_names(project["dependencies"])
             | _import_names(project["optional-dependencies"]["test"])
         )
-        assert _undeclared(TESTS, allowed, allowed) == []
+        assert _undeclared(TESTS, allowed) == []
 
-    def test_the_walk_sees_function_level_imports(self):
-        found = _imports(SRC / "analysis" / "pz.py")
-        assert ("numpy", True) in {(name, level) for name, level, _ in found}
-        assert ("scipy", False) in {(name, level) for name, level, _ in found}
+    def test_the_walk_sees_function_level_imports(self, tmp_path):
+        (tmp_path / "module.py").write_text(
+            textwrap.dedent(
+                """\
+                import numpy
+                from . import sibling
+
+
+                def solve():
+                    import scipy.linalg
+
+
+                class Graph:
+                    def build(self):
+                        from networkx import DiGraph
+                """
+            )
+        )
+        assert _undeclared(tmp_path, {"numpy"}) == [
+            "module.py:6: scipy",
+            "module.py:11: networkx",
+        ]
 
 
 class TestVersion:

@@ -2,9 +2,8 @@
 
 Every ``repro-adc`` command, ``repro-adc serve`` and ``repro-adc worker``
 starts a fresh interpreter and imports the stack before it does any work.
-scipy serves only :func:`repro.analysis.poles` and ``zeros``, which no flow
-code calls, and ``multiprocessing`` serves only a process pool: both load on
-first use, so the runtime needs numpy alone.
+The runtime needs numpy alone: no ``repro`` module imports scipy, and
+``multiprocessing`` serves only a process pool, so it loads on first use.
 """
 
 import json
@@ -46,18 +45,6 @@ from repro.cli import main
 
 main(["campaign", "--bits", "10-11", "--modes", "analytic", "--quiet", "--out", sys.argv[1]])
 assert "scipy" not in sys.modules
-
-from repro.analysis import linearize, poles
-from repro.circuit.builder import CircuitBuilder
-
-rc = CircuitBuilder("rc")
-rc.v("in", "gnd", dc=0.0, ac=1.0)
-rc.r("in", "out", 1e3)
-rc.c("out", "gnd", 1e-9)
-try:
-    poles(linearize(rc.build()))
-except ModuleNotFoundError as exc:
-    print("poles needs", exc.name)
 """
 
 
@@ -91,10 +78,8 @@ def test_stack_import_loads_no_scipy_and_no_process_pool(tmp_path):
 
 
 def test_campaign_without_scipy_writes_the_same_store(tmp_path):
-    visible = _python(_CAMPAIGN, "visible", cwd=tmp_path)
-    hidden = _python(_HIDE_SCIPY + _CAMPAIGN, "hidden", cwd=tmp_path)
-    assert "poles needs" not in visible
-    assert hidden.splitlines()[-1] == "poles needs scipy"
+    _python(_CAMPAIGN, "visible", cwd=tmp_path)
+    _python(_HIDE_SCIPY + _CAMPAIGN, "hidden", cwd=tmp_path)
     for name in ("results.jsonl", "report.txt"):
         assert (tmp_path / "hidden" / name).read_bytes() == (
             tmp_path / "visible" / name
