@@ -114,12 +114,12 @@ def _synthesis_jobs(count: int, budget: int, seed_base: int) -> list:
 
 def _measure_fleet(base_url: str, tasks: int, busy_s: float, workers: int) -> float:
     """Wall seconds for N warm workers to clear ``tasks`` probe tasks."""
-    from repro.engine.broker import BrokerBackend
+    from repro.engine.broker import BrokerBackend, HttpBroker
     from repro.engine.worker import fabric_probe
 
     procs = [_spawn_worker(base_url) for _ in range(workers)]
     try:
-        backend = BrokerBackend(broker_url=base_url, poll_interval=0.02)
+        backend = BrokerBackend(HttpBroker(base_url), poll_interval=0.02)
         # Warm up: one probe per worker (distinct phase tag, so nothing
         # replays into the measurement) so worker process start-up never
         # lands inside the measured window.
@@ -135,13 +135,13 @@ def _measure_fleet(base_url: str, tasks: int, busy_s: float, workers: int) -> fl
 
 def _fleet_identity(base_url: str, jobs: list) -> bool:
     """2 workers run real synthesis jobs; digests must match a local run."""
-    from repro.engine.broker import BrokerBackend
+    from repro.engine.broker import BrokerBackend, HttpBroker
     from repro.engine.persist import sizing_digest
     from repro.engine.scheduler import run_synthesis_job
 
     procs = [_spawn_worker(base_url) for _ in range(2)]
     try:
-        backend = BrokerBackend(broker_url=base_url, poll_interval=0.02)
+        backend = BrokerBackend(HttpBroker(base_url), poll_interval=0.02)
         fleet = backend.map(run_synthesis_job, jobs)
     finally:
         _stop_workers(procs)

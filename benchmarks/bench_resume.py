@@ -8,17 +8,18 @@ Three claims, measured on a synthesis grid:
 * **resume is near-free** — resuming a completed store replays every
   scenario from its checkpoint (no backend dispatch, no synthesis) and
   reproduces the results byte-identically;
-* **queue acks resume mid-scenario work** — with the ``queue`` backend, a
-  rerun of an *unfinished* scenario replays its completed synthesis tasks
-  from ack files instead of re-searching.
+* **broker acks resume mid-scenario work** — with the ``broker`` backend
+  on a directory, a rerun of an *unfinished* scenario replays its
+  completed synthesis tasks from ack files instead of re-searching.
 """
 
 import time
 
 from repro.campaign import CampaignGrid, run_campaign
-from repro.engine.backend import create_backend
+from repro.engine.broker import BrokerBackend
 from repro.engine.config import FlowConfig
 from repro.engine.scheduler import run_synthesis_job
+from tests.conftest import broker_workers
 
 GRID = CampaignGrid(
     resolutions=(9, 10, 11),
@@ -80,7 +81,8 @@ def test_checkpoint_overhead_and_resume(tmp_path, once):
 
 def test_queue_ack_replay_skips_finished_tasks(tmp_path, once):
     # One scenario's synthesis plan, dispatched twice through the same
-    # queue directory: the second dispatch must replay every task.
+    # broker directory, drained by two worker threads: the second dispatch
+    # must replay every task.
     from repro.enumeration.candidates import PipelineCandidate
     from repro.specs import AdcSpec, plan_stages
     from repro.engine.scheduler import SynthesisJob
@@ -98,21 +100,21 @@ def test_queue_ack_replay_skips_finished_tasks(tmp_path, once):
         for mdac in plan.mdacs
     ]
 
-    queue = _config(backend="queue", max_workers=2, queue_dir=str(tmp_path / "queue"))
-    with create_backend("queue", queue) as backend:
+    queue = tmp_path / "queue"
+    with broker_workers(queue) as broker, BrokerBackend(broker) as backend:
         start = time.perf_counter()
         first = backend.map(run_synthesis_job, jobs)
         cold_s = time.perf_counter() - start
         executed = backend.dispatched
 
-    with create_backend("queue", queue) as backend:
+    with broker_workers(queue) as broker, BrokerBackend(broker) as backend:
         start = time.perf_counter()
         second = backend.map(run_synthesis_job, jobs)
         replay_s = time.perf_counter() - start
         replayed = backend.replayed
 
     print()
-    print(f"Queue ack replay — {len(jobs)} synthesis tasks")
+    print(f"Broker ack replay — {len(jobs)} synthesis tasks")
     print(f"  cold:    {cold_s:7.2f} s  ({executed} executed)")
     print(
         f"  replay:  {replay_s:7.3f} s  ({replayed} acks, "
@@ -126,5 +128,5 @@ def test_queue_ack_replay_skips_finished_tasks(tmp_path, once):
     assert [r.final.sizing for r in second] == [r.final.sizing for r in first]
     assert replay_s < 0.2 * cold_s
 
-    with create_backend("queue", queue) as backend:
+    with broker_workers(queue) as broker, BrokerBackend(broker) as backend:
         once(backend.map, run_synthesis_job, jobs)

@@ -318,15 +318,3 @@ def unity_gain_frequency(
             hi = mid
     return math.sqrt(lo * hi)
 
-
-def phase_margin_deg(
-    linear: LinearizedCircuit,
-    output_net: str,
-    negative_net: str | None = None,
-) -> float | None:
-    """Phase margin of the (loop) transfer at its unity crossing, or None."""
-    fu = unity_gain_frequency(linear, output_net, negative_net)
-    if fu is None:
-        return None
-    h = ac_transfer(linear, output_net, np.array([fu]), negative_net)[0]
-    return 180.0 + math.degrees(math.atan2(h.imag, h.real))

@@ -39,7 +39,8 @@ from repro.engine.persist import atomic_write_bytes
 #: Checkpoint subdirectory inside a campaign store.
 CHECKPOINT_DIRNAME = "checkpoints"
 
-#: Queue-backend subdirectory inside a campaign store (leases/acks).
+#: The broker backend's default directory inside a campaign store
+#: (task files, leases, acks).
 QUEUE_DIRNAME = "queue"
 
 #: One ledger-journal entry: (fingerprint, spec_key, scope, result).

@@ -564,8 +564,8 @@ def _write_campaign_metrics(
     * the runner's own live registry, as a delta over ``baseline`` — the
       snapshot taken when the campaign started — so a long-lived process
       (the job service) attributes to each store only what its campaign
-      did (serial or queue execution, in-process broker workers, and
-      everything the campaign layer itself counted);
+      did (serial execution, in-process broker workers, and everything
+      the campaign layer itself counted);
     * spool files under ``<store>/metrics/`` — process-pool workers rewrite
       their cumulative snapshot after every job (the runner's own file is
       excluded: its live registry already covers it);
@@ -668,9 +668,10 @@ def run_campaign(
     stores are fused back into the single-run store by
     :func:`repro.campaign.merge.merge_shards`.
 
-    When the ``'queue'`` backend is selected without an explicit
-    ``queue_dir``, its lease/ack directory is placed inside ``store_dir``
-    so task-level completions also survive a kill.
+    When the ``'broker'`` backend is selected without a ``broker``
+    location, its lease/ack directory is placed inside ``store_dir`` (as
+    ``queue/``), so task-level completions also survive a kill; start
+    ``repro-adc worker --broker <store>/queue`` processes to drain it.
 
     ``cancel`` (a :class:`~repro.engine.cancel.CancelToken`) is polled at
     scenario boundaries: a cancellation raises
@@ -706,17 +707,11 @@ def run_campaign(
             checkpoints.clear()
             shutil.rmtree(store_path / QUEUE_DIRNAME, ignore_errors=True)
         write_manifest(manifest, store_path)
-        if (
-            config.backend in ("queue", "broker")
-            and config.queue_dir is None
-            and config.broker_url is None
-        ):
-            # Default the task directory into the store: queue acks (and a
-            # directory broker's task files) then live and die with the
-            # campaign they belong to.  A broker run pointed at a remote
-            # HTTP broker (broker_url set) manages no local directory.
+        if config.backend == "broker" and config.broker is None:
+            # Default the task directory into the store: its acks and task
+            # files then live and die with the campaign they belong to.
             config = dataclasses.replace(
-                config, queue_dir=str(store_path / QUEUE_DIRNAME)
+                config, broker=str(store_path / QUEUE_DIRNAME)
             )
         if resume:
             completed = checkpoints.completed_prefix(scenarios)

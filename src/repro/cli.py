@@ -73,7 +73,7 @@ DEFAULT_SERVICE_URL = os.environ.get("REPRO_ADC_SERVICE", "http://127.0.0.1:8765
 #: :class:`repro.engine.config.FlowConfig` (see tests/campaign/test_cli.py).
 EPILOG = """\
 execution engine (every flow command):
-  --backend {serial,process,queue,broker} maps the flow's fan-out points
+  --backend {serial,process,broker} maps the flow's fan-out points
   (candidate evaluation, synthesis waves, resolution sweeps) over the
   chosen executor; --workers bounds the pool.  --cache-dir enables the
   content-fingerprinted persistent block and verdict cache (default: the
@@ -97,9 +97,10 @@ campaigns:
   unsharded run.  Synthesis scenarios shard per technology corner (the
   warm-start donor pool is corner-scoped), so a corner sweep splits its
   synthesis grids across machines; N above the grid's unit count is
-  refused up front.  --backend queue executes through a crash-tolerant
-  file-backed work queue (leases/acks under the store, --queue-dir to
-  relocate), so interrupted scenarios also resume at task granularity.
+  refused up front.  --backend broker with no --broker puts its task
+  directory under the store (<store>/queue); drain it with repro-adc
+  worker --broker <store>/queue, and an interrupted scenario also resumes
+  at task granularity.
   --corners sweeps registered technology corners (nom, slow).  A
   'behavioral' entry in --modes verifies each grid point's winning
   topology in the time domain: --behavioral-draws Monte-Carlo mismatch
@@ -123,10 +124,10 @@ distributed fabric:
   instead of a local pool: repro-adc worker processes lease tasks
   (pinned by TTL'd heartbeat leases), execute them, and ack results
   back, so a campaign fans out across processes or machines and a
-  SIGKILLed worker's tasks are reclaimed by the survivors.  Point
-  workers and flows at a serve instance (worker --broker URL, flows
-  --broker-url URL, submit --backend broker) or at a shared directory
-  (--queue-dir).  Results stay byte-identical to a serial run.  See
+  SIGKILLed worker's tasks are reclaimed by the survivors.  --broker
+  LOCATION points flows, workers and status at one broker: an http://
+  URL of a serve instance (or submit --backend broker) or a shared
+  directory.  Results stay byte-identical to a serial run.  See
   docs/engine.md.
 
 observability:
@@ -138,9 +139,9 @@ observability:
   <store>/traces/*.jsonl, replayable with repro-adc trace STORE_DIR.
   Records are byte-identical in every mode — telemetry never enters
   manifests or fingerprints.  --verbose dumps the process's metrics
-  registry to stderr after any command; repro-adc status --broker URL
-  (or --queue-dir DIR) shows a broker's queue depths and live worker
-  fleet.  See docs/observability.md.
+  registry to stderr after any command; repro-adc status --broker
+  LOCATION shows a broker's queue depths and live worker fleet.  See
+  docs/observability.md.
 
 docs: docs/architecture.md (layer map), docs/engine.md (backends, waves,
 fingerprints), docs/service.md (job API), docs/observability.md
@@ -178,26 +179,13 @@ def _engine_parent() -> argparse.ArgumentParser:
         help="skip the transient verification of synthesized blocks",
     )
     group.add_argument(
-        "--queue-dir",
+        "--broker",
         default=None,
-        metavar="DIR",
-        help="lease/ack directory for --backend queue or broker (default: "
-        "inside the campaign --out store, or a temporary directory)",
-    )
-    group.add_argument(
-        "--broker-url",
-        default=None,
-        metavar="URL",
-        help="task-broker endpoint for --backend broker (a repro-adc serve "
-        "instance; tasks execute on attached repro-adc worker processes)",
-    )
-    group.add_argument(
-        "--broker-wait-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="abort --backend broker dispatch after SECONDS without any "
-        "ack, failure, or live worker lease (default 300; 0 waits forever)",
+        metavar="LOCATION",
+        help="task broker for --backend broker: a directory shared with "
+        "repro-adc worker processes, or the http:// URL of a repro-adc "
+        "serve instance (default: <store>/queue inside the campaign --out "
+        "store)",
     )
     group.add_argument(
         "--telemetry",
@@ -251,39 +239,21 @@ def _grid_from_args(args: argparse.Namespace) -> CampaignGrid:
 
 def _flow_config(args: argparse.Namespace) -> FlowConfig:
     """Assemble the FlowConfig from parsed engine flags."""
-    if args.queue_dir is not None and args.backend not in ("queue", "broker"):
-        raise SpecificationError(
-            f"--queue-dir only applies to --backend queue or broker "
-            f"(got --backend {args.backend}; valid backends: "
-            f"{', '.join(sorted(BACKENDS))})"
-        )
-    broker_url = getattr(args, "broker_url", None)
-    if broker_url is not None and args.backend != "broker":
-        raise SpecificationError(
-            f"--broker-url only applies to --backend broker "
-            f"(got --backend {args.backend}; valid backends: "
-            f"{', '.join(sorted(BACKENDS))})"
-        )
-    broker_wait_timeout = getattr(args, "broker_wait_timeout", None)
-    if broker_wait_timeout is not None and args.backend != "broker":
-        raise SpecificationError(
-            f"--broker-wait-timeout only applies to --backend broker "
-            f"(got --backend {args.backend}; valid backends: "
-            f"{', '.join(sorted(BACKENDS))})"
-        )
-    _require_store_dir(args.queue_dir, "--queue-dir")
+    if args.broker is not None:
+        if args.backend != "broker":
+            raise SpecificationError(
+                f"--broker only applies to --backend broker (got --backend "
+                f"{args.backend})"
+            )
+        from repro.engine.broker import open_broker
+
+        open_broker(args.broker)  # refuses a bad location before any work
     _require_store_dir(args.cache_dir, "--cache-dir")
     return FlowConfig(
         backend=args.backend,
         max_workers=args.workers,
+        broker=args.broker,
         cache_dir=args.cache_dir,
-        queue_dir=args.queue_dir,
-        broker_url=broker_url,
-        broker_wait_timeout=(
-            FlowConfig.broker_wait_timeout
-            if broker_wait_timeout is None
-            else broker_wait_timeout
-        ),
         budget=args.budget,
         retarget_budget=args.retarget_budget,
         verify_transient=not args.no_verify,
@@ -465,9 +435,9 @@ def main(argv: list[str] | None = None) -> int:
         "worker",
         help="run a task-executing worker attached to a broker",
         description=(
-            "Pull tasks from a broker (a repro-adc serve instance via "
-            "--broker, or a shared --queue-dir directly), execute them in "
-            "this process, and acknowledge results back.  Start N workers "
+            "Pull tasks from a broker (a repro-adc serve instance, or a "
+            "shared directory), execute them in this process, and "
+            "acknowledge results back.  Start N workers "
             "against one broker to fan a campaign out across processes or "
             "machines; leases + heartbeats make a killed worker's tasks "
             "reclaimable by the survivors."
@@ -475,17 +445,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_worker.add_argument(
         "--broker",
-        default=None,
-        metavar="URL",
-        help="broker endpoint (a repro-adc serve instance, e.g. "
-        f"{DEFAULT_SERVICE_URL})",
-    )
-    p_worker.add_argument(
-        "--queue-dir",
-        default=None,
-        metavar="DIR",
-        help="serve a directory broker in-place instead of an HTTP one "
-        "(shared filesystem deployments)",
+        required=True,
+        metavar="LOCATION",
+        help="the broker: a repro-adc serve instance's http:// URL (e.g. "
+        f"{DEFAULT_SERVICE_URL}) or a shared directory",
     )
     p_worker.add_argument(
         "--worker-id",
@@ -506,7 +469,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="SECONDS",
         help="lease time-to-live assumed for heartbeat pacing, and stamped "
-        "on leases when serving a --queue-dir directly (default 60)",
+        "on leases when --broker is a directory (default 60)",
     )
     p_worker.add_argument(
         "--max-tasks",
@@ -643,8 +606,8 @@ def main(argv: list[str] | None = None) -> int:
         "status",
         help="show a broker's queue depths and worker fleet",
         description=(
-            "Query a task broker (a repro-adc serve instance via --broker, "
-            "or a shared --queue-dir directly) and print its lifecycle "
+            "Query a task broker (a repro-adc serve instance, or a shared "
+            "directory) and print its lifecycle "
             "counters, queue depths, and the live worker census: every "
             "attached worker's identity, current task, completion counts "
             "and last-seen age."
@@ -652,16 +615,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_status.add_argument(
         "--broker",
-        default=None,
-        metavar="URL",
-        help="broker endpoint (a repro-adc serve instance, e.g. "
-        f"{DEFAULT_SERVICE_URL})",
-    )
-    p_status.add_argument(
-        "--queue-dir",
-        default=None,
-        metavar="DIR",
-        help="inspect a directory broker in-place instead of an HTTP one",
+        required=True,
+        metavar="LOCATION",
+        help="the broker: a repro-adc serve instance's http:// URL (e.g. "
+        f"{DEFAULT_SERVICE_URL}) or a shared directory",
     )
     p_status.add_argument(
         "--json",
@@ -688,7 +645,7 @@ def _print_telemetry() -> None:
     :meth:`repro.obs.metrics.MetricsRegistry.lines` (histograms expand to
     ``.count/.total/.min/.max``), so scripts can grep a metric without
     caring which subsystem emitted it.  The registry is per process: under
-    the pool/queue/broker backends the workers keep their own registries,
+    the pool and broker backends the workers keep their own registries,
     which campaign stores aggregate into ``metrics.json``.
     """
     from repro.obs import metrics
@@ -825,26 +782,11 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     import signal
     import threading
 
-    from repro.engine.broker import (
-        DEFAULT_LEASE_TTL,
-        DirectoryBroker,
-        HttpBroker,
-    )
+    from repro.engine.broker import DEFAULT_LEASE_TTL, open_broker
     from repro.engine.worker import WorkerLoop, default_worker_id
 
-    if (args.broker is None) == (args.queue_dir is None):
-        raise SpecificationError(
-            "pick exactly one task source: --broker URL (a repro-adc serve "
-            "instance) or --queue-dir DIR (a shared queue directory)"
-        )
     ttl = DEFAULT_LEASE_TTL if args.ttl is None else args.ttl
-    if args.broker is not None:
-        broker = HttpBroker(args.broker)
-        source = args.broker
-    else:
-        _require_store_dir(args.queue_dir, "--queue-dir")
-        broker = DirectoryBroker(args.queue_dir, lease_ttl=ttl)
-        source = args.queue_dir
+    broker = open_broker(args.broker, lease_ttl=ttl)
     worker_id = args.worker_id or default_worker_id()
     loop = WorkerLoop(
         broker,
@@ -854,7 +796,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         max_tasks=args.max_tasks,
         idle_exit=args.idle_exit,
     )
-    print(f"repro-adc worker {worker_id} on {source}", flush=True)
+    print(f"repro-adc worker {worker_id} on {args.broker}", flush=True)
 
     stop = threading.Event()
 
@@ -892,20 +834,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_status(args: argparse.Namespace) -> int:
     """Show a broker's counters, queue depths and worker fleet."""
-    from repro.engine.broker import DirectoryBroker, HttpBroker
+    from repro.engine.broker import open_broker
 
-    if (args.broker is None) == (args.queue_dir is None):
-        raise SpecificationError(
-            "pick exactly one broker: --broker URL (a repro-adc serve "
-            "instance) or --queue-dir DIR (a shared queue directory)"
-        )
-    if args.broker is not None:
-        broker = HttpBroker(args.broker)
-        source = broker.base_url
-    else:
-        _require_store_dir(args.queue_dir, "--queue-dir")
-        broker = DirectoryBroker(args.queue_dir)
-        source = args.queue_dir
+    broker = open_broker(args.broker)
+    source = getattr(broker, "base_url", args.broker)
     stats = broker.stats()
     if args.json:
         print(json.dumps(stats, indent=2, sort_keys=True))

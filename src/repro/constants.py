@@ -61,11 +61,6 @@ def db_power(value: float) -> float:
     return 10.0 * math.log10(value)
 
 
-def from_db(value_db: float) -> float:
-    """Inverse of :func:`db`: decibels back to a voltage ratio."""
-    return 10.0 ** (value_db / 20.0)
-
-
 def parallel(*impedances: float) -> float:
     """Parallel combination of resistances (or of any impedance magnitudes).
 

@@ -6,8 +6,8 @@ The engine layer is the orchestration spine introduced between the flow
 * :mod:`repro.engine.backend` — the :class:`ExecutionBackend` contract with
   serial and process-pool implementations;
 * :mod:`repro.engine.broker` — the :class:`Broker` task-distribution
-  protocol (directory and HTTP implementations) behind the work queue and
-  the ``repro-adc worker`` fleet;
+  protocol (directory and HTTP implementations) behind the ``broker``
+  backend and the ``repro-adc worker`` fleet;
 * :mod:`repro.engine.scheduler` — deduplicated, wave-ordered synthesis
   scheduling that preserves nearest-donor warm starts under parallelism;
 * :mod:`repro.engine.persist` — content-fingerprinted on-disk persistence

@@ -6,9 +6,9 @@ all of them funnel through one tiny contract: ``map`` an importable function
 over a list of picklable tasks, preserving order.  ``SerialBackend`` runs
 in-process (the default, and the reference for determinism checks);
 ``ProcessPoolBackend`` dispatches to a :class:`concurrent.futures`
-process pool so independent tasks use every core.  The ``queue`` and
-``broker`` entries are one :class:`~repro.engine.broker.BrokerBackend`,
-with and without in-process workers.
+process pool so independent tasks use every core; ``broker`` publishes
+the tasks to a :class:`~repro.engine.broker.BrokerBackend` whose
+``repro-adc worker`` fleet executes them.
 
 Backends are deliberately dumb: all scheduling intelligence (deduplication,
 donor ordering, wave construction) lives in :mod:`repro.engine.scheduler`,
@@ -155,42 +155,21 @@ class ProcessPoolBackend(_PooledBackend):
     name = "process"
 
 
-def _queue_backend(config: Any) -> ExecutionBackend:
-    """``queue``: a directory broker drained by in-process workers.
-
-    The directory is ``config.queue_dir``, or a private temporary one the
-    backend removes on close.  One worker per CPU unless ``max_workers``.
-    """
-    from repro.engine.broker import BrokerBackend
-
-    max_workers = getattr(config, "max_workers", None)
-    if max_workers is not None and max_workers < 1:
-        raise SpecificationError("max_workers must be >= 1")
-    return BrokerBackend(
-        queue_dir=getattr(config, "queue_dir", None),
-        max_workers=max_workers or os.cpu_count() or 1,
-    )
-
-
 def _broker_backend(config: Any) -> ExecutionBackend:
-    """``broker``: publish to a broker that remote workers drain.
+    """``broker``: publish to the broker at ``config.broker``.
 
-    ``broker_wait_timeout`` semantics: unset keeps the backend's finite
-    default (:data:`~repro.engine.broker.DEFAULT_WAIT_TIMEOUT`); zero or
-    negative means wait forever.
+    The location is a directory or an ``http://`` URL (see
+    :func:`~repro.engine.broker.open_broker`); remote workers drain it.
     """
-    from repro.engine.broker import DEFAULT_WAIT_TIMEOUT, BrokerBackend
+    from repro.engine.broker import BrokerBackend, open_broker
 
-    wait_timeout = getattr(config, "broker_wait_timeout", None)
-    if wait_timeout is None:
-        wait_timeout = DEFAULT_WAIT_TIMEOUT
-    elif wait_timeout <= 0:
-        wait_timeout = None
-    return BrokerBackend(
-        broker_url=getattr(config, "broker_url", None),
-        queue_dir=getattr(config, "queue_dir", None),
-        wait_timeout=wait_timeout,
-    )
+    location = getattr(config, "broker", None)
+    if location is None:
+        raise SpecificationError(
+            "the broker backend needs a broker location "
+            "(--broker DIR or --broker http://HOST:PORT)"
+        )
+    return BrokerBackend(open_broker(location))
 
 
 #: Registered backend names -> factories.  Each factory takes the
@@ -200,7 +179,6 @@ def _broker_backend(config: Any) -> ExecutionBackend:
 BACKENDS: dict[str, Callable[[Any], ExecutionBackend]] = {
     "serial": lambda config: SerialBackend(),
     "process": lambda config: ProcessPoolBackend(getattr(config, "max_workers", None)),
-    "queue": _queue_backend,
     "broker": _broker_backend,
 }
 

@@ -1,6 +1,6 @@
 """The execution fabric: brokers, and the backend that uses them.
 
-Every task the ``queue`` and ``broker`` backends run goes through one
+Every task the ``broker`` backend runs goes through one
 content-addressed lease/ack protocol, defined here:
 
 * **key** — each ``(fn, task)`` pair is content-addressed (:func:`task_key`):
@@ -28,12 +28,13 @@ implementations and one backend that dispatches through either:
 * :class:`HttpBroker` — the same protocol spoken over the optimization
   service's versioned ``/v1/broker/*`` routes, so workers on other hosts
   need nothing but a URL.
-* :class:`BrokerBackend` — ``BACKENDS['broker']`` and ``BACKENDS['queue']``:
-  publishes each ``map``'s tasks to a broker and collects their acks.
-  ``broker`` leaves the executing to ``repro-adc worker`` processes;
-  ``queue`` drains its directory on in-process
-  :class:`~repro.engine.worker.WorkerLoop` threads, so local and remote
-  execution share every lease, heartbeat, ack, nack and reclaim.
+* :class:`BrokerBackend` — ``BACKENDS['broker']``: publishes each
+  ``map``'s tasks to a broker and collects their acks, while
+  ``repro-adc worker`` processes execute them.
+
+:func:`open_broker` turns one location — a directory path or an
+``http://`` URL — into the matching broker; the backend factory,
+``repro-adc worker`` and ``repro-adc status`` all open theirs through it.
 
 Leases carry a TTL.  A worker extends its lease by heartbeating; a lease
 whose deadline passed — or whose recorded pid is dead on this host — is
@@ -48,21 +49,16 @@ byte-identical to the serial reference (the fabric tests and the CI
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import os
 import re
-import shutil
 import socket
-import tempfile
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Protocol, TypeVar, runtime_checkable
 
 from repro.engine.persist import atomic_write_bytes, digest
-from repro.engine.threads import pin_blas_threads
 from repro.errors import ServiceError, SpecificationError
 from repro.obs import metrics
 
@@ -105,9 +101,9 @@ MAX_RETRIES = 3
 #: keeping reclaim-after-SIGKILL prompt.
 DEFAULT_LEASE_TTL = 60.0
 
-#: Default :class:`BrokerBackend` no-progress timeout [s].  Finite on
-#: purpose: ``--backend broker`` with zero attached workers must fail with
-#: a diagnostic, not block ``map()`` forever.  A *live* lease counts as
+#: :class:`BrokerBackend` no-progress timeout [s].  Finite on purpose:
+#: ``--backend broker`` with zero attached workers must fail with a
+#: diagnostic, not block ``map()`` forever.  A *live* lease counts as
 #: progress (the holder's heartbeats keep it live), so this only has to
 #: cover queue-drained-but-nobody-attached gaps, not slow tasks.
 DEFAULT_WAIT_TIMEOUT = 300.0
@@ -116,10 +112,6 @@ DEFAULT_WAIT_TIMEOUT = 300.0
 #: Everything the brokers touch on disk or serve over HTTP is validated
 #: against this, so a key can never become a path traversal.
 _KEY_RE = re.compile(r"^[0-9a-f]{8,128}$")
-
-#: Numbers each :class:`BrokerBackend` of this process, so two backends'
-#: in-process worker loops never share a worker id.
-_BACKEND_NONCES = itertools.count()
 
 
 def check_key(key: str) -> str:
@@ -255,14 +247,13 @@ class DirectoryBroker:
         #: checks before release, the reclaim sweep's staleness check before
         #: its unlink) against claim/release in this process.  The HTTP
         #: fabric funnels every lease mutation through the server's one
-        #: DirectoryBroker, and the queue backend's workers share one, so
-        #: in-process is the case that matters; two
+        #: DirectoryBroker, so in-process is the case that matters; two
         #: unrelated processes mutating one directory still have a small
         #: read-to-unlink window, which the ownership checks shrink from
         #: "any ack/nack clobbers any lease" to "a lost-lease race during
         #: the victim's own claim".
         self._mutex = threading.Lock()
-        #: Guards :attr:`counters`: in-process workers bump them at once.
+        #: Guards :attr:`counters`: concurrent callers bump them at once.
         self._counter_lock = threading.Lock()
         self.counters = {
             "submitted": 0,
@@ -898,70 +889,58 @@ class HttpBroker:
         return self._json("GET", "/v1/broker/stats")
 
 
+def open_broker(location: str, lease_ttl: float = DEFAULT_LEASE_TTL) -> Broker:
+    """The broker at ``location``: an ``http://`` URL or a directory.
+
+    A location containing ``://`` is an :class:`HttpBroker` (which refuses
+    any scheme but ``http``); anything else is a :class:`DirectoryBroker`
+    rooted there, created on first use.  A path that exists and is not a
+    directory fails here with one line instead of deep inside a ``map``.
+    ``lease_ttl`` is stamped on a directory broker's leases; an HTTP
+    broker's leases carry the server's.
+    """
+    if "://" in location:
+        return HttpBroker(location)
+    if Path(location).exists() and not Path(location).is_dir():
+        raise SpecificationError(
+            f"broker {location!r} exists and is not a directory "
+            "(pass a directory path or an http:// URL)"
+        )
+    return DirectoryBroker(location, lease_ttl=lease_ttl)
+
+
 class BrokerBackend:
-    """``BACKENDS['broker']`` and ``BACKENDS['queue']``: ``map`` via a broker.
+    """``BACKENDS['broker']``: ``map`` via a broker's attached workers.
 
     Every ``map`` publishes its tasks (content-addressed envelopes via
-    :func:`repro.service.wire.encode_task`) and collects their acks.  Acked
-    results replay, so a resumed or re-sharded campaign only runs the
-    unfinished tail.  Tasks with no stable key (their digest raised) cannot
-    ship and run in-process, preserving the backend contract.
-
-    Who executes is ``max_workers``: that many in-process
-    :class:`~repro.engine.worker.WorkerLoop` threads drain the broker inside
-    each ``map`` (the ``queue`` backend), or, at 0, ``repro-adc worker``
-    processes anywhere that can reach the broker do (the ``broker``
-    backend).  Construct with ``broker_url=`` (an :class:`HttpBroker`) or
-    ``queue_dir=`` (a :class:`DirectoryBroker`); with local workers and
-    neither, the backend runs on a private temporary directory that
-    :meth:`close` removes.
+    :func:`repro.service.wire.encode_task`) and collects their acks, while
+    ``repro-adc worker`` processes anywhere that can reach the broker
+    execute them.  Acked results replay, so a resumed or re-sharded
+    campaign only runs the unfinished tail.  Tasks with no stable key
+    (their digest raised) cannot ship and run in-process, preserving the
+    backend contract.
     """
+
+    name = "broker"
 
     def __init__(
         self,
-        broker: Broker | None = None,
+        broker: Broker,
         *,
-        broker_url: str | None = None,
-        queue_dir: str | Path | None = None,
-        max_workers: int = 0,
         poll_interval: float = 0.05,
-        wait_timeout: float | None = DEFAULT_WAIT_TIMEOUT,
+        wait_timeout: float = DEFAULT_WAIT_TIMEOUT,
     ):
-        #: Registry name: in-process workers are what make it the queue.
-        self.name = "queue" if max_workers else "broker"
-        #: In-process workers that drain the broker inside each ``map``.
-        self.max_workers = max_workers
-        #: The private queue directory this backend made (removed on close).
-        self._owned_dir: Path | None = None
-        if broker is None and broker_url is None and queue_dir is None and max_workers:
-            queue_dir = self._owned_dir = Path(tempfile.mkdtemp(prefix="repro-queue-"))
-        if broker is None:
-            if broker_url is not None:
-                broker = HttpBroker(broker_url)
-            elif queue_dir is not None:
-                broker = DirectoryBroker(queue_dir)
-            else:
-                raise SpecificationError(
-                    "the broker backend needs a broker URL (--broker-url) "
-                    "or a queue directory (--queue-dir)"
-                )
         self.broker = broker
         self.poll_interval = poll_interval
         #: Give up if nothing moves — no ack, no failure, no *live* lease —
-        #: for this many seconds (None: wait forever).  Guards against a
-        #: fleet of zero workers; a leased task under execution counts as
-        #: progress, so slow tasks don't trip it.
+        #: for this many seconds.  Guards against a fleet of zero workers;
+        #: a leased task under execution counts as progress, so slow tasks
+        #: don't trip it.
         self.wait_timeout = wait_timeout
         #: Tasks served from an existing ack instead of dispatching.
         self.replayed = 0
         #: Tasks published to the broker by this backend.
         self.dispatched = 0
-        #: ``<name>-<host>-<pid>-<nonce>``: the nonce tells apart backends
-        #: of one process (a service runs one per job worker), whose loops
-        #: would otherwise label spans, census records and leases alike.
-        host, pid, nonce = socket.gethostname(), os.getpid(), next(_BACKEND_NONCES)
-        self._worker_prefix = f"{self.name}-{host}-{pid}-{nonce}"
-        self._executor: ThreadPoolExecutor | None = None
 
     def _take_result(self, key: str) -> tuple[bool, Any]:
         """(done, value) for one key.
@@ -980,40 +959,6 @@ class BrokerBackend:
         except Exception as exc:
             self.broker.discard(key)
             return False, " ".join(f"{type(exc).__name__}: {exc}".split())
-
-    def _pool(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            # Local workers are threads sharing this process's BLAS pools:
-            # pin them to one solver thread each so concurrent solves don't
-            # oversubscribe the cores (user settings win).
-            pin_blas_threads()
-            self._executor = ThreadPoolExecutor(max_workers=self.max_workers)
-        return self._executor
-
-    def _drain(self, pending: int) -> None:
-        """Run the local workers until the broker has nothing to lease."""
-        from repro.engine.worker import WorkerLoop
-
-        ttl = getattr(self.broker, "lease_ttl", DEFAULT_LEASE_TTL)
-        loops = [
-            WorkerLoop(
-                self.broker,
-                worker_id=f"{self._worker_prefix}-{n}",
-                lease_ttl=ttl,
-                idle_exit=0.0,
-                census=False,
-            )
-            for n in range(min(self.max_workers, pending))
-        ]
-        stop = threading.Event()
-        try:
-            if len(loops) == 1:
-                loops[0].run(stop)
-            else:
-                for future in [self._pool().submit(loop.run, stop) for loop in loops]:
-                    future.result()
-        finally:
-            stop.set()
 
     def map(self, fn: Callable[[T], R], tasks: Iterable[T]) -> list[R]:
         """Publish every task, collect the acks, return results in task order."""
@@ -1063,8 +1008,6 @@ class BrokerBackend:
         last_progress = time.monotonic()
         delay = self.poll_interval
         while outstanding:
-            if self.max_workers:
-                self._drain(len(outstanding))
             # One batched status poll for every outstanding key (a single
             # HTTP round trip on HttpBroker); result *bytes* are fetched
             # only for keys the poll reports acked.
@@ -1102,10 +1045,7 @@ class BrokerBackend:
                 # no-progress timeout — only a genuinely idle queue does.
                 last_progress = time.monotonic()
                 delay = self.poll_interval
-            elif (
-                self.wait_timeout is not None
-                and time.monotonic() - last_progress > self.wait_timeout
-            ):
+            elif time.monotonic() - last_progress > self.wait_timeout:
                 raise RuntimeError(
                     f"no broker progress for {self.wait_timeout:.0f}s with "
                     f"{len(outstanding)} task(s) outstanding — are any "
@@ -1127,12 +1067,8 @@ class BrokerBackend:
         ]
 
     def close(self) -> None:
-        """Stop the local worker threads; remove a private queue directory."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-        if self._owned_dir is not None:
-            shutil.rmtree(self._owned_dir, ignore_errors=True)
+        """No-op: the broker and its workers outlive the backend."""
+        return None
 
     def __enter__(self) -> "BrokerBackend":
         return self
@@ -1157,5 +1093,6 @@ __all__ = [
     "WORKERS_DIRNAME",
     "check_key",
     "lease_heartbeat",
+    "open_broker",
     "task_key",
 ]

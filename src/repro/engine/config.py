@@ -24,30 +24,19 @@ if TYPE_CHECKING:
 class FlowConfig:
     """Execution and synthesis configuration for one flow invocation."""
 
-    #: Execution backend name: 'serial', 'process', 'queue' or 'broker'
-    #: (any key of :data:`repro.engine.backend.BACKENDS`).
+    #: Execution backend name: 'serial', 'process' or 'broker' (any key of
+    #: :data:`repro.engine.backend.BACKENDS`).
     backend: str = "serial"
-    #: Worker count for pooled backends (``None`` = one per CPU).
+    #: Worker count for the 'process' pool (``None`` = one per CPU).
     max_workers: int | None = None
-    #: Directory for the 'queue' backend's lease/ack files; ``None`` lets
-    #: the backend use an ephemeral temporary directory (functional, but
-    #: task acks do not survive the process).  The campaign runner points
-    #: this inside the results store so interrupted runs resume at task
-    #: granularity.  The 'broker' backend accepts it too (a directory
-    #: broker shared with remote workers).  Ignored by the other backends.
-    queue_dir: str | None = None
-    #: Base URL of a running service's HTTP broker (``http://host:port``)
-    #: for the 'broker' backend: tasks are published to ``/v1/broker/*``
-    #: and executed by ``repro-adc worker`` processes.  A pure execution
-    #: knob — like ``backend`` itself it never enters result identity
-    #: (campaign manifests exclude it).  Ignored by the other backends.
-    broker_url: str | None = None
-    #: The 'broker' backend's no-progress timeout [s]: abort a ``map`` when
-    #: no ack, failure, or live worker lease has been seen for this long
-    #: (the diagnostic names the likely cause — no workers attached).  Zero
-    #: or negative waits forever.  A pure execution knob like ``broker_url``;
-    #: never enters result identity.  Ignored by the other backends.
-    broker_wait_timeout: float = 300.0
+    #: Where the 'broker' backend publishes its tasks: a directory shared
+    #: with ``repro-adc worker --broker DIR`` processes, or the
+    #: ``http://host:port`` of a running service, whose ``/v1/broker/*``
+    #: routes its attached workers drain.  ``None`` lets a campaign with a
+    #: store use ``<store>/queue/``, so acks survive a kill and resume at
+    #: task granularity.  A pure execution knob — like ``backend`` itself
+    #: it never enters result identity.  Ignored by the other backends.
+    broker: str | None = None
     #: Directory for the persistent block and verdict cache: synthesized
     #: blocks, and behavioral verdicts under ``verdicts/``.  ``None`` keeps
     #: synthesis results in memory only and caches no verdicts.

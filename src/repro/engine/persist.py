@@ -277,7 +277,7 @@ def atomic_write_bytes(path: str | Path, payload: bytes) -> Path:
 
     The rename is atomic on POSIX, so readers only ever observe the file
     absent or complete — the primitive under every durable artifact here
-    (cache entries, campaign manifests/checkpoints, work-queue acks).
+    (cache entries, campaign manifests/checkpoints, broker acks).
     Parent directories are created as needed.
     """
     path = Path(path)

@@ -81,15 +81,6 @@ class PlanNode:
     #: scenarios of a campaign), ``None`` otherwise.
     donor_pool_index: int | None = None
 
-    @property
-    def is_cold(self) -> bool:
-        """True when the block synthesizes without a warm start."""
-        return (
-            self.donor_index is None
-            and self.donor_existing is None
-            and self.donor_pool_index is None
-        )
-
 
 @dataclass(frozen=True)
 class SynthesisPlan:
@@ -115,11 +106,6 @@ class SynthesisPlan:
         """Largest number of independent syntheses in any wave."""
         return max((len(w) for w in self.waves), default=0)
 
-    @property
-    def pool_donated(self) -> int:
-        """Blocks warm-started from the external donor pool."""
-        return sum(1 for n in self.nodes if n.donor_pool_index is not None)
-
 
 @dataclass(frozen=True)
 class SynthesisJob:
@@ -136,7 +122,7 @@ class SynthesisJob:
     retarget_seed: int = 7
 
     def queue_payload(self) -> dict[str, Any]:
-        """Stable identity for the work-queue/broker ack files.
+        """Stable identity for the broker's ack files.
 
         Delegates to :func:`repro.service.wire.synthesis_task_payload`, the
         one wire module — see its docstring for the byte-stability contract

@@ -7,7 +7,7 @@ Three pillars, all stdlib-only:
 
 * **metrics** (:mod:`repro.obs.metrics`) — a process-global
   :class:`MetricsRegistry` of named counters/gauges/histograms with
-  ``snapshot()`` / ``merge()`` / ``reset()`` semantics, so pool, queue and
+  ``snapshot()`` / ``merge()`` / ``reset()`` semantics, so pool and
   broker workers can each accumulate locally and a campaign can fold every
   snapshot into one aggregated ``metrics.json`` in its results store;
 * **traces** (:mod:`repro.obs.trace`) — a ``span("synth.wave", **attrs)``

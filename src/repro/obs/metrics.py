@@ -16,7 +16,7 @@ Three primitives:
 into the live registry (counters and histogram counts add, gauges keep
 the maximum — the only order-independent choice); ``aggregate_snapshots``
 folds many into a fresh dict.  That is the cross-worker contract: each
-pool/queue/broker worker accumulates locally and ships a snapshot (via
+pool or broker worker accumulates locally and ships a snapshot (via
 the metrics spool directory or its broker census record), and the
 campaign runner folds them all into the store's ``metrics.json``.
 
@@ -113,11 +113,6 @@ class MetricsRegistry:
             self._histograms.clear()
 
     # -- reads -----------------------------------------------------------
-
-    def get_counter(self, name: str, default: float = 0):
-        """Current value of counter ``name`` (``default`` if unset)."""
-        with self._lock:
-            return self._counters.get(name, default)
 
     def snapshot(self) -> dict:
         """Pure-JSON copy of the whole registry."""

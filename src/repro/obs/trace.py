@@ -91,8 +91,7 @@ class Tracer:
 
         Per thread, like the span stack: each ``WorkerLoop`` labels the
         thread it runs on, so loops running side by side in one process
-        (the ``queue`` backend's workers, or two overlapping maps) label
-        only their own spans.
+        label only their own spans.
         """
         return getattr(self._tls, "worker", None)
 

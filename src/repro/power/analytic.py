@@ -56,10 +56,6 @@ class CandidatePower:
         """Sum of sub-ADC powers [W]."""
         return sum(s.sub_adc.total_power for s in self.stages)
 
-    def stage_powers_mw(self) -> list[float]:
-        """Per-stage totals in mW (Fig. 1's y-axis)."""
-        return [s.total_power * 1e3 for s in self.stages]
-
 
 def candidate_power(
     spec: AdcSpec,

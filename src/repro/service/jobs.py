@@ -70,10 +70,10 @@ JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 #: this keeps the *layering* clean, not the interpreter footprint.)
 TERMINAL_STATES = ("done", "failed", "cancelled")
 
-#: FlowConfig fields a request may set.  ``cache_dir`` and ``queue_dir``
-#: are host paths and ``broker_url`` is deployment topology — all three are
-#: server policy, never client input (a ``backend: broker`` job is pointed
-#: at the server's own directory broker by the scheduler).
+#: FlowConfig fields a request may set.  ``cache_dir`` and ``broker`` are
+#: host paths or deployment topology — server policy, never client input
+#: (a ``backend: broker`` job is pointed at the server's own directory
+#: broker by the scheduler).
 CONFIG_FIELDS = (
     "backend",
     "max_workers",

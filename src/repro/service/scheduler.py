@@ -453,12 +453,12 @@ class JobScheduler:
             if self.broker_dir is None:
                 raise SpecificationError(
                     "this server has no task broker; submit with a local "
-                    "backend (serial, process, queue)"
+                    "backend (serial, process)"
                 )
             # Dispatch through the server's own directory broker — the same
             # state the HTTP broker routes serve — so remote workers execute
             # the tasks while this thread assembles results.
-            config = dataclasses.replace(config, queue_dir=self.broker_dir)
+            config = dataclasses.replace(config, broker=self.broker_dir)
         if record.kind == "campaign":
             grid = request.grid()
 

@@ -355,7 +355,7 @@ def parse_lease(text: str) -> dict:
 def synthesis_task_payload(job: Any) -> dict:
     """Stable identity of one :class:`~repro.engine.scheduler.SynthesisJob`.
 
-    The dict whose digest keys the job's queue/broker acks.  **Byte-stability
+    The dict whose digest keys the job's broker acks.  **Byte-stability
     contract**: this must reproduce the PR 4 ``queue_payload`` exactly —
     changing a key or a default orphans every ack already on disk.
     ``"kind"`` doubles as the schema tag.

@@ -178,15 +178,6 @@ class StagePlan:
     mdacs: tuple[MdacSpec, ...]
     sub_adcs: tuple[SubAdcSpec, ...]
 
-    @property
-    def unique_mdac_keys(self) -> tuple[tuple[int, int], ...]:
-        """Distinct (m, input-accuracy) MDAC specs, in stage order."""
-        seen: list[tuple[int, int]] = []
-        for mdac in self.mdacs:
-            if mdac.reuse_key not in seen:
-                seen.append(mdac.reuse_key)
-        return tuple(seen)
-
 
 def _sub_adc_spec(spec: AdcSpec, stage_bits: int, is_first_stage: bool) -> SubAdcSpec:
     comparators = 2**stage_bits - 2

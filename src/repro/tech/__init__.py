@@ -3,8 +3,8 @@
 The paper synthesizes MDACs in a 0.25 um 3.3 V CMOS process using foundry
 BSIM models inside a commercial tool.  We substitute a compact square-law
 model with velocity saturation and channel-length modulation
-(:mod:`repro.tech.mosfet`), plus passive-component matching/parasitic models
-(:mod:`repro.tech.passives`).  Synthesis trends — gm/Id, intrinsic gain,
+(:mod:`repro.tech.mosfet`); the process's passive parameters (capacitor
+density, matching and floor) live on :class:`Technology`.  Synthesis trends — gm/Id, intrinsic gain,
 f_T scaling — drive the paper's result, and those are captured here; BSIM
 minutiae are not needed (see DESIGN.md, substitutions table).
 """
@@ -17,12 +17,7 @@ from repro.tech.process import (
     CMOS025_SLOW,
     resolve_corner,
 )
-from repro.tech.mosfet import MosfetOperatingPoint, dc_current, operating_point
-from repro.tech.passives import (
-    capacitor_mismatch_sigma,
-    min_capacitor,
-    switch_on_resistance,
-)
+from repro.tech.mosfet import MosfetOperatingPoint, dc_current
 
 __all__ = [
     "CORNERS",
@@ -32,9 +27,5 @@ __all__ = [
     "CMOS025_SLOW",
     "MosfetOperatingPoint",
     "dc_current",
-    "operating_point",
-    "capacitor_mismatch_sigma",
-    "min_capacitor",
     "resolve_corner",
-    "switch_on_resistance",
 ]

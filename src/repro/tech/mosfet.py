@@ -318,25 +318,6 @@ def device_current(
     return i_d, gm, gds, gmb
 
 
-def operating_point(
-    params: MosfetParams,
-    w: float,
-    l: float,
-    vgs: float,
-    vds: float,
-    vbs: float = 0.0,
-) -> MosfetOperatingPoint:
-    """Full small-signal operating point (currents, conductances, caps)."""
-    xl = [vds, vgs, vbs, 0.0]
-    detail = []
-    ids, cond = device_currents(
-        [device_constants(params, w, l) + _LONE], xl, detail, nan_forward=True
-    )
-    caps = [capacitance_constants(params, w, l)]
-    (point,) = DeviceArrays([_LONE[1:]], ids, cond, detail, caps).points(xl)
-    return point
-
-
 def thermal_noise_psd(params: MosfetParams, gm: float) -> float:
     """Drain thermal-noise current PSD 4kT*gamma*gm [A^2/Hz]."""
     from repro.constants import KT_ROOM

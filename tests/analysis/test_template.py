@@ -67,7 +67,7 @@ def _system(bound, x, gmin, scale):
 
 def _compiled() -> float:
     """Templates compiled so far, from the metrics registry."""
-    return metrics.REGISTRY.get_counter("template.compiled")
+    return metrics.REGISTRY.snapshot()["counters"].get("template.compiled", 0)
 
 
 def _opamp_bench(seed: int = 0):

@@ -21,7 +21,7 @@ from repro.campaign.manifest import config_digest
 from repro.engine.config import FlowConfig
 from tests.conftest import fleet_for
 
-BACKENDS = ("serial", "process", "queue", "broker")
+BACKENDS = ("serial", "process", "broker")
 
 #: Analytic screen + behavioral verification: no synthesis, fast enough to
 #: sweep every backend.
@@ -106,8 +106,8 @@ class TestBehavioralBackendAndShardByteIdentity:
     @pytest.mark.parametrize("backend", BACKENDS[1:])
     def test_backends_match_serial(self, reference, backend, tmp_path):
         out = tmp_path / backend
-        queue_dir = str(tmp_path / "queue") if backend == "broker" else None
-        config = _config(backend, queue_dir=queue_dir)
+        broker = str(tmp_path / "queue") if backend == "broker" else None
+        config = _config(backend, broker=broker)
         with fleet_for(config):
             run_campaign(GRID, config=config, store_dir=out)
         for name in ("results.jsonl", "report.txt"):
@@ -142,8 +142,8 @@ class TestBehavioralBackendAndShardByteIdentity:
     @pytest.mark.parametrize("backend", ("serial", "process", "broker"))
     def test_cold_then_warm_verdict_cache(self, reference, backend, tmp_path):
         cache_dir = tmp_path / "cache"
-        queue_dir = str(tmp_path / "queue") if backend == "broker" else None
-        config = _config(backend, queue_dir=queue_dir, cache_dir=str(cache_dir))
+        broker = str(tmp_path / "queue") if backend == "broker" else None
+        config = _config(backend, broker=broker, cache_dir=str(cache_dir))
         for leg, counted in (("cold", "misses"), ("warm", "hits")):
             out = tmp_path / leg
             with fleet_for(config):

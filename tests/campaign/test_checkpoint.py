@@ -13,7 +13,7 @@ from repro.engine import scheduler
 from repro.engine.broker import MAX_RETRIES, NACK_SUFFIX
 from repro.engine.config import FlowConfig
 from repro.errors import SpecificationError
-from tests.conftest import fleet_for
+from tests.conftest import broker_workers, fleet_for
 
 
 def _config(**overrides) -> FlowConfig:
@@ -114,41 +114,46 @@ class TestResumeByteIdentity:
     def test_fresh_run_clears_stale_queue_acks(self, tmp_path):
         # Acks key on (spec, budgets, seeds) — not code — so a fresh
         # (non-resume) run must not inherit results a previous run acked.
-        config = _config(backend="queue", max_workers=1)
+        # A broker run with no location keeps its acks in <store>/queue.
+        config = _config(backend="broker")
         store = tmp_path / "store"
-        run_campaign(SYNTH_GRID, config=config, store_dir=store)
-        sentinel = store / "queue" / "stale-marker.ack.pkl"
-        sentinel.write_bytes(b"left over from a previous run")
-        run_campaign(SYNTH_GRID, config=config, store_dir=store)
+        with broker_workers(store / "queue", count=1):
+            run_campaign(SYNTH_GRID, config=config, store_dir=store)
+            sentinel = store / "queue" / "stale-marker.ack.pkl"
+            sentinel.write_bytes(b"left over from a previous run")
+            run_campaign(SYNTH_GRID, config=config, store_dir=store)
         assert not sentinel.exists()
 
     def test_queue_backend_resume_is_byte_identical(self, tmp_path):
-        config = _config(backend="queue", max_workers=2)
+        config = _config(backend="broker")
         ref = tmp_path / "ref"
-        run_campaign(SYNTH_GRID, config=config, store_dir=ref)
+        with broker_workers(ref / "queue"):
+            run_campaign(SYNTH_GRID, config=config, store_dir=ref)
 
         store = tmp_path / "interrupted"
-        with pytest.raises(_Interrupt):
-            run_campaign(
-                SYNTH_GRID,
-                config=config,
-                store_dir=store,
-                progress=_interrupt_after(1),
-            )
-        # The queue's ack files live inside the store and survive the kill.
-        assert any((store / "queue").iterdir())
+        with broker_workers(store / "queue"):
+            with pytest.raises(_Interrupt):
+                run_campaign(
+                    SYNTH_GRID,
+                    config=config,
+                    store_dir=store,
+                    progress=_interrupt_after(1),
+                )
+            # The queue's ack files live inside the store and survive the kill.
+            assert any((store / "queue").iterdir())
 
-        run_campaign(SYNTH_GRID, config=config, store_dir=store, resume=True)
+            run_campaign(SYNTH_GRID, config=config, store_dir=store, resume=True)
         assert _store_bytes(store) == _store_bytes(ref)
 
     def test_resume_retries_a_task_that_failed_before(self, tmp_path, monkeypatch):
         # A synthesis task raised MAX_RETRIES times and left its failure
         # record in the store's queue.  With the fault gone, the resume
         # runs it again and ends with the uninterrupted run's bytes.
-        config = _config(backend="queue", max_workers=1)
+        config = _config(backend="broker")
         grid = CampaignGrid(resolutions=(10,), modes=("synthesis",))
         ref = tmp_path / "ref"
-        run_campaign(grid, config=config, store_dir=ref)
+        with broker_workers(ref / "queue", count=1):
+            run_campaign(grid, config=config, store_dir=ref)
 
         fixed = tmp_path / "fault-fixed"
         synthesize = scheduler.synthesize_mdac
@@ -163,18 +168,19 @@ class TestResumeByteIdentity:
         monkeypatch.setattr(scheduler, "synthesize_mdac", flaky)
         store = tmp_path / "store"
         failed = rf"failed {MAX_RETRIES} time\(s\): OSError: disk went away"
-        with pytest.raises(RuntimeError, match=failed):
-            run_campaign(grid, config=config, store_dir=store)
-        assert list((store / "queue").glob(f"*{NACK_SUFFIX}"))
+        with broker_workers(store / "queue", count=1):
+            with pytest.raises(RuntimeError, match=failed):
+                run_campaign(grid, config=config, store_dir=store)
+            assert list((store / "queue").glob(f"*{NACK_SUFFIX}"))
 
-        # Still failing: the resume gives up after MAX_RETRIES fresh tries.
-        before = len(attempts)
-        with pytest.raises(RuntimeError, match=failed):
+            # Still failing: the resume gives up after MAX_RETRIES fresh tries.
+            before = len(attempts)
+            with pytest.raises(RuntimeError, match=failed):
+                run_campaign(grid, config=config, store_dir=store, resume=True)
+            assert len(attempts) - before >= MAX_RETRIES
+
+            fixed.touch()
             run_campaign(grid, config=config, store_dir=store, resume=True)
-        assert len(attempts) - before >= MAX_RETRIES
-
-        fixed.touch()
-        run_campaign(grid, config=config, store_dir=store, resume=True)
         assert _store_bytes(store) == _store_bytes(ref)
         assert not list((store / "queue").glob(f"*{NACK_SUFFIX}"))
 
@@ -206,7 +212,7 @@ class TestManifestGuards:
         # interrupted under one backend may resume under another.
         store = tmp_path / "store"
         config = FlowConfig(
-            backend="broker", max_workers=2, queue_dir=str(tmp_path / "queue")
+            backend="broker", max_workers=2, broker=str(tmp_path / "queue")
         )
         with fleet_for(config), pytest.raises(_Interrupt):
             run_campaign(

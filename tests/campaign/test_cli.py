@@ -135,28 +135,29 @@ class TestShardMergeCommands:
 
 
 class TestFriendlyErrors:
-    """Bad backend/queue-dir/store-dir combinations fail with one line."""
+    """Bad backend/broker/store-dir combinations fail with one line."""
 
-    def test_queue_dir_without_queue_backend_names_valid_choices(
-        self, tmp_path, capsys
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_broker_without_broker_backend_fails_in_one_line(
+        self, tmp_path, capsys, backend
     ):
-        assert (
-            main(
-                [
-                    "campaign",
-                    "--bits",
-                    "10",
-                    "--quiet",
-                    "--queue-dir",
-                    str(tmp_path / "q"),
-                ]
-            )
-            == 2
-        )
+        argv = ["campaign", "--bits", "10", "--quiet", "--backend", backend]
+        assert main(argv + ["--broker", str(tmp_path / "q")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("repro-adc: error:")
-        assert "--backend queue" in err
-        assert "broker, process, queue, serial" in err
+        assert err == (
+            "repro-adc: error: --broker only applies to --backend broker "
+            f"(got --backend {backend})\n"
+        )
+        assert not (tmp_path / "q").exists()
+
+    def test_broker_path_collision_is_a_friendly_error(self, tmp_path, capsys):
+        collision = tmp_path / "occupied"
+        collision.write_text("a file, not a broker", encoding="utf-8")
+        argv = ["campaign", "--bits", "10", "--quiet", "--backend", "broker"]
+        assert main(argv + ["--broker", str(collision)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-adc: error:") and len(err.splitlines()) == 1
+        assert "not a directory" in err
 
     def test_out_path_collision_is_a_friendly_error(self, tmp_path, capsys):
         collision = tmp_path / "occupied"
@@ -225,6 +226,17 @@ class TestRemovedKernelFlags:
         assert err.splitlines()[-1].startswith(
             f"repro-adc {command}: error: argument --backend: invalid choice: "
             "'thread'"
+        )
+
+    @pytest.mark.parametrize("command", ["campaign", "submit"])
+    def test_queue_backend_fails_with_argparse_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--backend", "queue"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith(
+            f"repro-adc {command}: error: argument --backend: invalid choice: "
+            "'queue'"
         )
 
 
@@ -322,7 +334,6 @@ class TestHelpEpilog:
             "--backend",
             "serial",
             "process",
-            "queue",
             "broker",
             "--cache-dir",
             "REPRO_ADC_CACHE",

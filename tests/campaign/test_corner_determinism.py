@@ -5,7 +5,7 @@ technology corner, which makes each corner's synthesis chain a
 ledger-independent shard unit.  The contract tested here:
 
 * a multi-corner synthesis campaign produces byte-identical records and
-  reports on every backend (serial/process/queue/broker);
+  reports on every backend (serial/process/broker);
 * running it corner-sharded (one shard per corner unit) and merging
   reproduces the unsharded store byte-for-byte — the sharding PR 4 had to
   forbid for synthesis grids;
@@ -27,7 +27,7 @@ from repro.tech import CMOS025
 from repro.tech.process import CMOS025_SLOW
 from tests.conftest import fleet_for
 
-BACKENDS = ("serial", "process", "queue", "broker")
+BACKENDS = ("serial", "process", "broker")
 
 GRID = CampaignGrid(
     resolutions=(10,),
@@ -50,8 +50,8 @@ def _config(backend="serial", **overrides):
 
 def _run(backend, store, **kwargs):
     """One GRID campaign into ``store``; a broker leg gets in-process workers."""
-    queue_dir = f"{store}-queue" if backend == "broker" else None
-    config = _config(backend, queue_dir=queue_dir)
+    broker = f"{store}-queue" if backend == "broker" else None
+    config = _config(backend, broker=broker)
     with fleet_for(config):
         return run_campaign(GRID, config=config, store_dir=store, **kwargs)
 

@@ -2,8 +2,8 @@
 
 The PR 1 guarantee — parallel runs rank candidates identically to serial —
 lifted to whole campaigns: the JSONL results store and the comparison
-report must compare byte-for-byte across the serial, process, work-queue
-and broker backends, for both analytic and synthesis scenarios.
+report must compare byte-for-byte across the serial, process and broker
+backends, for both analytic and synthesis scenarios.
 """
 
 import pytest
@@ -12,14 +12,12 @@ from repro.campaign import CampaignGrid, run_campaign
 from repro.engine.config import FlowConfig
 from tests.conftest import fleet_for
 
-BACKENDS = ("serial", "process", "queue", "broker")
+BACKENDS = ("serial", "process", "broker")
 
 
 def _config(tmp_path, backend, **overrides):
-    queue_dir = str(tmp_path / "broker-queue") if backend == "broker" else None
-    return FlowConfig(
-        backend=backend, max_workers=2, queue_dir=queue_dir, **overrides
-    )
+    broker = str(tmp_path / "broker-queue") if backend == "broker" else None
+    return FlowConfig(backend=backend, max_workers=2, broker=broker, **overrides)
 
 
 def _store_bytes(tmp_path, grid, config):

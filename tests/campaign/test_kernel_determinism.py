@@ -60,7 +60,7 @@ def stores(tmp_path_factory):
             tmp_path,
             "legacy-broker",
             backend="broker",
-            queue_dir=str(tmp_path / "queue"),
+            broker=str(tmp_path / "queue"),
         )
         runs["legacy-pruned"] = rejected_candidates() - before
     # Both legs really synthesized on the oracle, the broker one in its workers.

@@ -154,7 +154,7 @@ class TestFeasibilityEscalation:
         grid = CampaignGrid(resolutions=(10, 13), modes=("synthesis",))
         serial = run_campaign(grid, config=_config(retarget_budget=2))
         config = _config(
-            retarget_budget=2, backend="broker", queue_dir=str(tmp_path / "queue")
+            retarget_budget=2, backend="broker", broker=str(tmp_path / "queue")
         )
         with fleet_for(config):
             brokered = run_campaign(grid, config=config)

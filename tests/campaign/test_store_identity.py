@@ -1,7 +1,7 @@
 """On-disk identities of the default path, and the stores it refuses.
 
 Manifest grid and config digests, block fingerprints, ledger spec keys,
-verdict keys, queue/broker task keys and service job keys address data
+verdict keys, broker task keys and service job keys address data
 that outlives a process: campaign stores, the persistent block and verdict
 cache, completed task acks and service job records.  The task and verdict
 keys were computed before the batched DC kernel and the speculation knob
@@ -374,3 +374,61 @@ class TestRemovedKernelStoresAreRefused:
         assert store.result_ready(key)
         (persisted,) = store.load_all()
         assert persisted.request == parse_request(new_body).body
+
+    def test_service_config_rejects_the_queue_backend(self):
+        with pytest.raises(SpecificationError) as exc:
+            build_config({"backend": "queue"})
+        assert _one_line(exc) == (
+            "unknown execution backend 'queue' (valid: broker, process, serial)"
+        )
+
+    def test_persisted_queue_job_fails_then_reruns_on_serial(self, tmp_path):
+        serial_body = {
+            **LEGACY_REQUESTS["campaign"],
+            "config": {
+                name: value
+                for name, value in LEGACY_SUBMIT_CONFIG.items()
+                if name not in REMOVED_CONFIG_FIELDS
+            },
+        }
+        queue_body = {
+            **serial_body,
+            "config": {**serial_body["config"], "backend": "queue"},
+        }
+        # The backend never entered the job key, so the old record sits
+        # under the key the same grid gets on the serial backend today.
+        key = parse_request(serial_body).key
+        store = JobStore(tmp_path)
+        store.save(
+            JobRecord(
+                key=key,
+                kind="campaign",
+                request=queue_body,
+                state="queued",
+                seq=1,
+                total_scenarios=1,
+            )
+        )
+
+        async def restarted_server():
+            scheduler = JobScheduler(store, job_workers=1)
+            await scheduler.start()
+            recovered = scheduler.jobs[key]
+            on_recovery = (recovered.state, recovered.error)
+            rerun, coalesced = scheduler.submit(serial_body)
+            while scheduler.stats()["queued"] or scheduler.stats()["running"]:
+                await asyncio.sleep(0.01)
+            await scheduler.drain()
+            return on_recovery, rerun, coalesced
+
+        (state_after, error), rerun, coalesced = asyncio.run(
+            asyncio.wait_for(restarted_server(), 60)
+        )
+        assert state_after == "failed"
+        assert error == (
+            "SpecificationError: unknown execution backend 'queue' "
+            "(valid: broker, process, serial)"
+        )
+        assert not coalesced
+        assert rerun.key == key and rerun.state == "done"
+        assert store.result_ready(key)

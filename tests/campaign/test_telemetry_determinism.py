@@ -133,7 +133,7 @@ class TestBackendDeterminism:
         assert payload["sources"]["spooled"] >= 1
         assert payload["metrics"]["counters"]["scheduler.job_executions"] >= 1
 
-    @pytest.mark.parametrize("backend", ("process", "queue", "broker"))
+    @pytest.mark.parametrize("backend", ("process", "broker"))
     def test_work_counters_match_serial(self, tmp_path, backend):
         # Forked pool workers start from an empty registry: their spooled
         # snapshots hold only their own work, never the parent's again; an
@@ -161,15 +161,15 @@ class TestBackendDeterminism:
         assert serial["synth.transient_steps"] > 0
         # The bandwidth bound is the one a settling predictor can starve.
         assert serial["synth.rejected_at_bandwidth"] > 0
-        queue_dir = str(tmp_path / "queue") if backend == "broker" else None
-        with broker_workers(queue_dir) if backend == "broker" else nullcontext():
+        broker = str(tmp_path / "queue") if backend == "broker" else None
+        with broker_workers(broker) if backend == "broker" else nullcontext():
             store = _run(
                 tmp_path, backend, grid, verify_transient=True,
-                backend=backend, max_workers=2, queue_dir=queue_dir,
+                backend=backend, max_workers=2, broker=broker,
             )
         assert work_counters(store) == serial
 
-    @pytest.mark.parametrize("backend", ("process", "queue", "broker"))
+    @pytest.mark.parametrize("backend", ("process", "broker"))
     def test_verdict_counters_match_serial(self, tmp_path, backend):
         # A cold and a warm run against one fresh cache dir per backend.
         # Behavioral scenarios run in the campaign's own process, so the
@@ -195,9 +195,9 @@ class TestBackendDeterminism:
         # (hits, misses): the cold run simulates both verdicts, the warm
         # run loads both.
         assert [tuple(leg.values()) for leg in serial] == [(0, 2), (2, 0)]
-        queue_dir = str(tmp_path / "queue") if backend == "broker" else None
-        with broker_workers(queue_dir) if backend == "broker" else nullcontext():
+        broker = str(tmp_path / "queue") if backend == "broker" else None
+        with broker_workers(broker) if backend == "broker" else nullcontext():
             pooled = verdict_counters(
-                backend, backend=backend, max_workers=2, queue_dir=queue_dir
+                backend, backend=backend, max_workers=2, broker=broker
             )
         assert pooled == serial

@@ -16,7 +16,7 @@ import threading
 
 import pytest
 
-from repro.engine.broker import DirectoryBroker
+from repro.engine.broker import DEFAULT_LEASE_TTL, DirectoryBroker
 from repro.engine.worker import WorkerLoop
 from repro.obs import metrics
 from repro.obs.trace import configure_tracing
@@ -34,19 +34,23 @@ def _reset_telemetry():
 
 
 @contextlib.contextmanager
-def broker_workers(queue_dir, count: int = 2):
+def broker_workers(queue_dir, count: int = 2, lease_ttl: float = DEFAULT_LEASE_TTL):
     """Run ``count`` :class:`WorkerLoop` threads on ``DirectoryBroker(queue_dir)``.
 
-    A ``FlowConfig(backend="broker", queue_dir=queue_dir)`` run inside the
-    block executes its tasks on these threads.  On exit the threads stop
-    and join.
+    A ``FlowConfig(backend="broker", broker=queue_dir)`` run inside the
+    block executes its tasks on these threads.  The block gets the
+    workers' broker, so a ``BrokerBackend`` built on it shares their
+    counters and ``lease_ttl``.  On exit the threads stop and join.
     """
-    broker = DirectoryBroker(queue_dir)
+    broker = DirectoryBroker(queue_dir, lease_ttl=lease_ttl)
     stop = threading.Event()
     threads = [
         threading.Thread(
             target=WorkerLoop(
-                broker, worker_id=f"test-worker-{n}", poll_interval=0.01
+                broker,
+                worker_id=f"test-worker-{n}",
+                poll_interval=0.01,
+                lease_ttl=lease_ttl,
             ).run,
             args=(stop,),
             daemon=True,
@@ -56,7 +60,7 @@ def broker_workers(queue_dir, count: int = 2):
     for thread in threads:
         thread.start()
     try:
-        yield
+        yield broker
     finally:
         stop.set()
         for thread in threads:
@@ -65,14 +69,14 @@ def broker_workers(queue_dir, count: int = 2):
 
 
 def fleet_for(config):
-    """:func:`broker_workers` on ``config.queue_dir`` for a broker config.
+    """:func:`broker_workers` on ``config.broker`` for a broker config.
 
     Any other backend gets no workers, so a backend-parametrized test wraps
     every leg the same way.
     """
     if config.backend != "broker":
         return contextlib.nullcontext()
-    return broker_workers(config.queue_dir)
+    return broker_workers(config.broker)
 
 
 def rejected_candidates() -> int:

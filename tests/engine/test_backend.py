@@ -1,7 +1,6 @@
 """Execution-backend contract tests."""
 
 import dataclasses
-import os
 
 import pytest
 
@@ -12,6 +11,7 @@ from repro.engine.backend import (
     SerialBackend,
     create_backend,
 )
+from repro.engine.broker import DirectoryBroker, HttpBroker
 from repro.engine.config import FlowConfig
 from repro.errors import SpecificationError
 
@@ -64,7 +64,7 @@ class TestProcessPoolBackend:
 
 class TestFactory:
     def test_registry_names(self):
-        assert sorted(BACKENDS) == ["broker", "process", "queue", "serial"]
+        assert sorted(BACKENDS) == ["broker", "process", "serial"]
 
     def test_create_backend(self):
         assert isinstance(create_backend("serial"), SerialBackend)
@@ -77,20 +77,24 @@ class TestFactory:
             create_backend("gpu")
         assert str(excinfo.value) == (
             "unknown execution backend 'gpu' "
-            "(known: broker, process, queue, serial)"
+            "(known: broker, process, serial)"
         )
 
-    def test_in_process_workers_are_the_queue_backends_only(self, tmp_path):
-        config = FlowConfig(max_workers=3, queue_dir=str(tmp_path))
-        for name, workers in (("queue", 3), ("broker", 0)):
-            with create_backend(name, config) as backend:
-                assert backend.max_workers == workers
-        with create_backend("queue") as backend:
-            assert backend.max_workers == (os.cpu_count() or 1)
+    def test_broker_location_picks_the_broker_kind(self, tmp_path):
+        # One location field: a URL opens the HTTP broker, a path the
+        # directory broker there.
+        for location, kind in (
+            ("http://127.0.0.1:1", HttpBroker),
+            (str(tmp_path / "fleet"), DirectoryBroker),
+        ):
+            config = FlowConfig(backend="broker", broker=location)
+            with create_backend("broker", config) as backend:
+                assert type(backend.broker) is kind
+        assert backend.broker.root == tmp_path / "fleet"
 
     @pytest.mark.parametrize("name", sorted(BACKENDS))
     def test_create_backend_builds_every_registered_name(self, name, tmp_path):
-        config = FlowConfig(backend=name, max_workers=2, queue_dir=str(tmp_path))
+        config = FlowConfig(backend=name, max_workers=2, broker=str(tmp_path))
         backend = create_backend(name, config)
         try:
             assert isinstance(backend, ExecutionBackend)
@@ -129,14 +133,14 @@ class TestFlowConfig:
         assert isinstance(persistent, PersistentBlockCache)
 
     def test_knob_set(self):
-        # Fourteen knobs; the DC-kernel, speculation, chunk-size and
-        # evaluation/behavioral kernel knobs are gone for good.
+        # Twelve knobs; the DC-kernel, speculation, chunk-size and
+        # evaluation/behavioral kernel knobs are gone for good, and one
+        # broker location replaced the queue directory, the broker URL and
+        # the broker wait.
         assert [f.name for f in dataclasses.fields(FlowConfig)] == [
             "backend",
             "max_workers",
-            "queue_dir",
-            "broker_url",
-            "broker_wait_timeout",
+            "broker",
             "cache_dir",
             "budget",
             "retarget_budget",

@@ -26,12 +26,17 @@ from repro.engine.broker import (
     HttpBroker,
     LEASE_SUFFIX,
     check_key,
+    open_broker,
     task_key,
 )
+from repro.engine.backend import create_backend
+from repro.engine.config import FlowConfig
 from repro.engine.persist import digest
 from repro.engine.worker import WorkerLoop, default_worker_id, resolve_task_fn
-from repro.errors import SpecificationError
+from repro.errors import ServiceError, SpecificationError
+from repro.obs.trace import TRACER
 from repro.service import wire
+from tests.conftest import broker_workers
 
 
 def _key(n: int = 0) -> str:
@@ -517,6 +522,24 @@ class TestWorkerLoop:
         assert not stolen
         assert wire.decode_result(broker.result(key)) == digest({"n": 1})
 
+    def test_run_hands_the_threads_label_back(self, tmp_path, monkeypatch):
+        # The loop labels its thread's spans with its id while it runs; the
+        # thread's own label comes back when it returns.
+        monkeypatch.setattr(TRACER, "worker", "campaign")
+        broker = DirectoryBroker(tmp_path)
+        _seed(broker)
+        labels = []
+        execute = WorkerLoop._execute
+
+        def recording_execute(loop, key, envelope):
+            labels.append(TRACER.worker)
+            return execute(loop, key, envelope)
+
+        monkeypatch.setattr(WorkerLoop, "_execute", recording_execute)
+        WorkerLoop(broker, worker_id="w-label", max_tasks=1, poll_interval=0.01).run()
+        assert labels == ["w-label"]
+        assert TRACER.worker == "campaign"
+
 
 def _slow_digest(task):
     """A deliberately slow task (module-level: resolvable by workers)."""
@@ -526,11 +549,12 @@ def _slow_digest(task):
 
 class TestBrokerBackend:
     def test_requires_a_broker_source(self):
-        with pytest.raises(SpecificationError):
-            BrokerBackend()
+        for config in (None, FlowConfig(backend="broker")):
+            with pytest.raises(SpecificationError, match="broker location"):
+                create_backend("broker", config)
 
     def test_map_through_a_worker_thread(self, tmp_path):
-        backend = BrokerBackend(queue_dir=tmp_path, poll_interval=0.01)
+        backend = BrokerBackend(DirectoryBroker(tmp_path), poll_interval=0.01)
         worker = WorkerLoop(
             DirectoryBroker(tmp_path),
             worker_id="w1",
@@ -548,7 +572,7 @@ class TestBrokerBackend:
         assert backend.dispatched == 4  # the duplicate shipped once
 
     def test_map_replays_existing_acks_without_workers(self, tmp_path):
-        backend = BrokerBackend(queue_dir=tmp_path, poll_interval=0.01)
+        backend = BrokerBackend(DirectoryBroker(tmp_path), poll_interval=0.01)
         worker = WorkerLoop(
             DirectoryBroker(tmp_path), worker_id="w1", poll_interval=0.01, idle_exit=1.0
         )
@@ -558,12 +582,12 @@ class TestBrokerBackend:
         first = backend.map(digest, tasks)
         thread.join()
         # Second map: every ack replays; nobody needs to execute anything.
-        replay = BrokerBackend(queue_dir=tmp_path)
+        replay = BrokerBackend(DirectoryBroker(tmp_path))
         assert replay.map(digest, tasks) == first
         assert replay.replayed == 3 and replay.dispatched == 0
 
     def test_unkeyed_tasks_run_locally(self, tmp_path):
-        backend = BrokerBackend(queue_dir=tmp_path, wait_timeout=0.1)
+        backend = BrokerBackend(DirectoryBroker(tmp_path), wait_timeout=0.1)
         # Mixed-type dict keys defeat the structural digest, so this task
         # has no stable identity and must execute in-process.
         probe = {1: "a", "b": 2}
@@ -588,7 +612,7 @@ class TestBrokerBackend:
 
     def test_no_workers_times_out_with_a_hint(self, tmp_path):
         backend = BrokerBackend(
-            queue_dir=tmp_path, poll_interval=0.01, wait_timeout=0.05
+            DirectoryBroker(tmp_path), poll_interval=0.01, wait_timeout=0.05
         )
         with pytest.raises(RuntimeError, match="workers attached"):
             backend.map(digest, [{"n": 1}])
@@ -596,8 +620,10 @@ class TestBrokerBackend:
     def test_wait_timeout_defaults_finite(self, tmp_path):
         # --backend broker with zero workers must eventually diagnose, not
         # block map() forever.
-        backend = BrokerBackend(queue_dir=tmp_path)
+        backend = BrokerBackend(DirectoryBroker(tmp_path))
         assert backend.wait_timeout == DEFAULT_WAIT_TIMEOUT
+        config = FlowConfig(backend="broker", broker=str(tmp_path))
+        assert create_backend("broker", config).wait_timeout == DEFAULT_WAIT_TIMEOUT
 
     def test_a_live_lease_counts_as_progress(self, tmp_path):
         # A worker mid-task (holding a live lease) resets the no-progress
@@ -677,14 +703,12 @@ class TestBrokerBackend:
             raise pickle.UnpicklingError("global 'os.system' is forbidden\nhere")
 
         monkeypatch.setattr(wire, "decode_result", refuse)
-        backend = BrokerBackend(queue_dir=tmp_path, max_workers=1, wait_timeout=5)
         start = time.monotonic()
-        try:
+        with broker_workers(tmp_path, count=1) as broker:
+            backend = BrokerBackend(broker, wait_timeout=5)
             with pytest.raises(RuntimeError) as exc:
                 backend.map(digest, [{"n": 1}])
             counters = backend.broker.counters
-        finally:
-            backend.close()
         message = str(exc.value)
         assert time.monotonic() - start < 5
         assert "\n" not in message
@@ -693,8 +717,7 @@ class TestBrokerBackend:
         assert "UnpicklingError: global 'os.system' is forbidden here" in message
         assert counters["acked"] == MAX_RETRIES
 
-    @pytest.mark.parametrize("local", [True, False], ids=["queue", "broker"])
-    def test_a_refused_fresh_ack_reruns_the_task(self, tmp_path, monkeypatch, local):
+    def test_a_refused_fresh_ack_reruns_the_task(self, tmp_path, monkeypatch):
         decode = wire.decode_result
         calls = []
 
@@ -706,19 +729,14 @@ class TestBrokerBackend:
 
         monkeypatch.setattr(wire, "decode_result", refuse_once)
         broker = DirectoryBroker(tmp_path)
-        backend = BrokerBackend(
-            broker, max_workers=1 if local else 0, poll_interval=0.01, wait_timeout=5
-        )
+        backend = BrokerBackend(broker, poll_interval=0.01, wait_timeout=5)
         worker = WorkerLoop(broker, worker_id="w1", poll_interval=0.01, idle_exit=2.0)
         thread = threading.Thread(target=worker.run)
-        if not local:
-            thread.start()
+        thread.start()
         try:
             assert backend.map(digest, [{"n": 2}]) == [digest({"n": 2})]
         finally:
-            if not local:
-                thread.join()
-            backend.close()
+            thread.join()
         assert len(calls) == 2
         assert broker.counters["acked"] == 2
         assert backend.dispatched == 1
@@ -728,6 +746,21 @@ class TestProtocolConformance:
     def test_both_brokers_satisfy_the_protocol(self, tmp_path):
         assert isinstance(DirectoryBroker(tmp_path), Broker)
         assert isinstance(HttpBroker("http://127.0.0.1:1"), Broker)
+
+    def test_a_location_with_a_scheme_opens_an_http_broker(self, tmp_path):
+        assert type(open_broker("http://127.0.0.1:1")) is HttpBroker
+        directory = open_broker(str(tmp_path / "fleet"), lease_ttl=5.0)
+        assert type(directory) is DirectoryBroker
+        assert directory.root == tmp_path / "fleet" and directory.lease_ttl == 5.0
+        # host:port without a scheme is a directory name, never a URL.
+        assert type(open_broker("127.0.0.1:8765")) is DirectoryBroker
+
+    def test_a_location_that_cannot_be_opened_fails_in_one_line(self, tmp_path):
+        (tmp_path / "file").write_text("x")
+        with pytest.raises(SpecificationError, match="is not a directory"):
+            open_broker(str(tmp_path / "file"))
+        with pytest.raises(ServiceError, match="unsupported broker URL scheme"):
+            open_broker("https://127.0.0.1:1")
 
     def test_default_worker_id_is_host_pid(self):
         assert default_worker_id().endswith(f"-{os.getpid()}")
@@ -823,16 +856,3 @@ class TestWorkerCensus:
         assert record["current"] is None  # idle after the task acked
         assert isinstance(record["metrics"], dict)
         assert record["metrics"]["counters"]["worker.executed"] == 1
-
-    def test_a_loop_without_census_is_only_registered(self, tmp_path):
-        # In-process workers skip the per-task records; the broker still
-        # registers them on first contact.
-        broker = DirectoryBroker(tmp_path)
-        _seed(broker)
-        loop = WorkerLoop(
-            broker, worker_id="w-local", max_tasks=1, poll_interval=0.01, census=False
-        )
-        assert loop.run()["executed"] == 1
-        (record,) = broker.workers()
-        assert record["worker"] == "w-local"
-        assert "executed" not in record and "metrics" not in record

@@ -1,12 +1,14 @@
-"""The ``queue`` backend: a directory broker drained by in-process workers.
+"""The broker backend on a directory, drained by in-process worker threads.
 
-Every case builds the backend through ``create_backend("queue", ...)``.
-Task functions are ``repro`` module-level functions, because the workers
-resolve only ``repro.*`` names — as they do for the production task
-functions (``run_synthesis_job``, ``_evaluate_analytic``, ``_sweep_one``).
+Every case runs a :class:`BrokerBackend` on the broker of
+:func:`tests.conftest.broker_workers`, so the backend and its workers
+share one :class:`DirectoryBroker` and its counters.  Task functions are
+``repro`` module-level functions, because the workers resolve only
+``repro.*`` names — as they do for the production task functions
+(``run_synthesis_job``, ``_evaluate_analytic``, ``_sweep_one``).
 """
 
-import json
+import contextlib
 import os
 import subprocess
 import sys
@@ -14,37 +16,33 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
 import repro
-from repro.engine.backend import BACKENDS, create_backend
+from repro.engine.backend import create_backend
 from repro.engine.broker import (
     ACK_SUFFIX,
+    DEFAULT_LEASE_TTL,
     LEASE_SUFFIX,
     MAX_RETRIES,
+    BrokerBackend,
     DirectoryBroker,
     check_key,
     task_key,
 )
-from repro.engine.config import FlowConfig
 from repro.engine.persist import digest
-from repro.engine.worker import WorkerLoop, fabric_probe
-from repro.errors import SpecificationError
-from repro.obs.trace import TRACER, configure_tracing
+from repro.engine.worker import fabric_probe
 from repro.service import wire
+from tests.conftest import broker_workers
 
 
-def _queue(queue_dir=None, max_workers=1):
-    return create_backend(
-        "queue",
-        FlowConfig(
-            backend="queue",
-            max_workers=max_workers,
-            queue_dir=None if queue_dir is None else str(queue_dir),
-        ),
-    )
+@contextlib.contextmanager
+def _queue(queue_dir, max_workers=1, lease_ttl=DEFAULT_LEASE_TTL):
+    """A broker backend on ``queue_dir`` with ``max_workers`` worker threads."""
+    with broker_workers(queue_dir, count=max_workers, lease_ttl=lease_ttl) as broker:
+        with BrokerBackend(broker, poll_interval=0.01) as backend:
+            yield backend
 
 
 def _files(queue_dir, suffix):
@@ -71,11 +69,6 @@ def square(task: SquareTask) -> int:
 
 
 class TestBackendContract:
-    def test_registered_in_backends(self):
-        assert "queue" in BACKENDS
-        with _queue(max_workers=2) as backend:
-            assert backend.name == "queue"
-
     def test_map_preserves_task_order(self, tmp_path):
         tasks = [{"n": v} for v in (5, 3, 9, 1, 7)]
         with _queue(tmp_path, max_workers=2) as backend:
@@ -91,100 +84,11 @@ class TestBackendContract:
         with _queue(tmp_path) as backend:
             assert backend.map(digest, []) == []
 
-    def test_ephemeral_dir_removed_on_close(self):
-        backend = _queue()
-        queue_dir = backend.broker.root
-        backend.map(digest, [{"n": 2}])
-        assert _files(queue_dir, ACK_SUFFIX)
-        backend.close()
-        assert not queue_dir.exists()
-
     def test_explicit_dir_survives_close(self, tmp_path):
-        backend = _queue(tmp_path)
-        backend.map(digest, [{"n": 2}])
-        backend.close()
+        with _queue(tmp_path) as backend:
+            backend.map(digest, [{"n": 2}])
         assert tmp_path.exists()
         assert _files(tmp_path, ACK_SUFFIX)
-
-    def test_invalid_workers_rejected(self):
-        with pytest.raises(SpecificationError):
-            _queue(max_workers=0)
-
-    def test_tracer_worker_survives_a_map(self, tmp_path, monkeypatch):
-        # WorkerLoop.run stamps its id on the process-global tracer; the
-        # backend hands the campaign its own identity back.
-        monkeypatch.setattr(TRACER, "worker", "campaign")
-        with _queue(tmp_path, max_workers=2) as backend:
-            backend.map(digest, [{"n": v} for v in range(4)])
-            assert TRACER.worker == "campaign"
-            backend.map(digest, [{"n": 9}])
-        assert TRACER.worker == "campaign"
-
-    def test_overlapping_maps_label_only_their_own_spans(self, tmp_path):
-        # Two queue maps overlap in one process, as two service job workers
-        # run them: the second starts while the first's task runs and ends
-        # after it.  Each loop labels only its own spans, and no thread is
-        # left with a finished loop's label.
-        configure_tracing(tmp_path / "traces")
-        running = threading.Event()
-        ran_by: dict[str, str] = {}
-        execute = WorkerLoop._execute
-
-        def recording_execute(loop, key, envelope):
-            ran_by[key[:12]] = loop.worker_id
-            running.set()
-            return execute(loop, key, envelope)
-
-        labels_after: dict[str, str | None] = {}
-        prefixes: dict[str, str] = {}
-
-        def campaign(name, busy_s):
-            with _queue(tmp_path / name) as backend:
-                prefixes[name] = backend._worker_prefix
-                backend.map(fabric_probe, [{"busy_s": busy_s, "campaign": name}])
-            labels_after[name] = TRACER.worker
-
-        with mock.patch.object(WorkerLoop, "_execute", recording_execute):
-            first = threading.Thread(target=campaign, args=("a", 0.3), daemon=True)
-            first.start()
-            assert running.wait(timeout=30)
-            second = threading.Thread(target=campaign, args=("b", 0.6), daemon=True)
-            second.start()
-            for thread in (first, second):
-                thread.join(timeout=60)
-                assert not thread.is_alive(), "a map hung"
-        assert labels_after == {"a": None, "b": None}
-        assert TRACER.worker is None
-        spans = [
-            json.loads(line)
-            for path in (tmp_path / "traces").glob("*.jsonl")
-            for line in path.read_text(encoding="utf-8").splitlines()
-        ]
-        tasks = [s for s in spans if s["name"] == "worker.task"]
-        assert sorted(s["worker"] for s in tasks) == sorted(
-            f"{prefix}-0" for prefix in prefixes.values()
-        )
-        assert prefixes["a"] != prefixes["b"]
-        for task in tasks:
-            assert task["worker"] == ran_by[task["attrs"]["key"]]
-
-
-    def test_two_backends_in_one_process_run_distinct_worker_ids(self, tmp_path):
-        # A service with two job workers holds two queue backends at once;
-        # their loops label spans, census records and leases by worker id.
-        ran_by: list[str] = []
-        execute = WorkerLoop._execute
-
-        def recording_execute(loop, key, envelope):
-            ran_by.append(loop.worker_id)
-            return execute(loop, key, envelope)
-
-        with mock.patch.object(WorkerLoop, "_execute", recording_execute):
-            with _queue(tmp_path / "a") as first, _queue(tmp_path / "b") as second:
-                first.map(digest, [{"n": 1}])
-                second.map(digest, [{"n": 2}])
-        assert len(ran_by) == 2
-        assert ran_by[0] != ran_by[1]
 
 
 class TestAckReplay:
@@ -260,8 +164,7 @@ class TestCrashTolerance:
         # counted from the lease file's mtime, can expire it.
         task = {"n": 14}
         self._leftover_lease(tmp_path, b'{"pid": 1}', task)
-        with _queue(tmp_path) as backend:
-            backend.broker.lease_ttl = 0.3
+        with _queue(tmp_path, lease_ttl=0.3) as backend:
             start = time.monotonic()
             mapper, results = _start_map(backend, digest, [task])
             mapper.join(timeout=5 * 0.3)
@@ -342,9 +245,15 @@ class TestCrashTolerance:
         try:
             for rep in range(120):
                 tasks = [{"rep": rep, "n": n} for n in range(4)]
+                publisher = DirectoryBroker(tmp_path / str(rep))
                 for task in tasks:
                     self._leftover_lease(
                         tmp_path / str(rep), str(proc.pid).encode(), task
+                    )
+                    # Pending before the workers start: each sweep races
+                    # the other workers' claims of the tasks it frees.
+                    publisher.submit(
+                        task_key(digest, task), wire.encode_task(digest, task)
                     )
                 with _queue(tmp_path / str(rep), max_workers=4) as backend:
                     results = backend.map(digest, tasks)
@@ -376,8 +285,7 @@ class TestCrashTolerance:
         thief = threading.Thread(target=sweep)
         thief.start()
         try:
-            with _queue(tmp_path) as backend:
-                backend.broker.lease_ttl = 0.3
+            with _queue(tmp_path, lease_ttl=0.3) as backend:
                 assert backend.map(fabric_probe, [task]) == [digest(task)]
                 assert backend.broker.counters["acked"] == 1
         finally:

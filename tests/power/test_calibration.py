@@ -55,7 +55,7 @@ class TestFig1StageOneFlatness:
     def test_first_stage_power_nearly_independent_of_m1(self):
         spec = AdcSpec(resolution_bits=13)
         stage1 = {
-            c.label: candidate_power(spec, c).stage_powers_mw()[0]
+            c.label: candidate_power(spec, c).stages[0].total_power * 1e3
             for c in enumerate_candidates(13)
         }
         # Among the main candidates the spread stays within ~50%.
@@ -67,7 +67,7 @@ class TestFig1StageOneFlatness:
     def test_stage_power_decreases_along_pipeline(self):
         spec = AdcSpec(resolution_bits=13)
         for cand in enumerate_candidates(13):
-            mw = candidate_power(spec, cand).stage_powers_mw()
+            mw = [s.total_power * 1e3 for s in candidate_power(spec, cand).stages]
             assert all(a >= b for a, b in zip(mw, mw[1:])), cand.label
 
 

@@ -115,7 +115,7 @@ class TestCandidatePower:
     def test_stage_powers_mw(self):
         spec = AdcSpec(resolution_bits=13)
         cand = PipelineCandidate((4, 3, 2), 13, 7)
-        mw = candidate_power(spec, cand).stage_powers_mw()
+        mw = [s.total_power * 1e3 for s in candidate_power(spec, cand).stages]
         assert len(mw) == 3
         assert all(0.1 < p < 100 for p in mw)
 

@@ -1,9 +1,15 @@
-"""The ``repro-adc serve`` / ``submit`` / ``jobs`` commands."""
+"""The ``repro-adc serve`` / ``submit`` / ``jobs`` / ``worker`` / ``status``
+commands."""
+
+import signal
 
 import pytest
 
 from repro.campaign import CampaignGrid, run_campaign
 from repro.cli import main
+from repro.engine import broker as broker_module
+from repro.engine.broker import DirectoryBroker, HttpBroker
+from repro.engine.worker import WorkerLoop
 from repro.service import BackgroundServer
 
 
@@ -137,3 +143,48 @@ class TestServeCommand:
         err = capsys.readouterr().err
         assert err.startswith("repro-adc: error:")
         assert "not a directory" in err
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """Every broker the CLI opens through ``open_broker``, in order."""
+    brokers = []
+    real = broker_module.open_broker
+
+    def recording(*args, **kwargs):
+        brokers.append(real(*args, **kwargs))
+        return brokers[-1]
+
+    monkeypatch.setattr(broker_module, "open_broker", recording)
+    return brokers
+
+
+class TestBrokerLocation:
+    """``worker --broker`` and ``status --broker`` open one location kind each."""
+
+    def test_worker_opens_a_url_as_http_and_a_path_as_a_directory(
+        self, tmp_path, monkeypatch, opened, capsys
+    ):
+        # No signal handlers and no polling: the loop returns at once.
+        monkeypatch.setattr(signal, "signal", lambda *args: None)
+        monkeypatch.setattr(WorkerLoop, "run", lambda self, stop=None: {})
+        for location in ("http://127.0.0.1:1", str(tmp_path / "fleet")):
+            assert main(["worker", "--broker", location, "--ttl", "5"]) == 0
+            assert f"on {location}" in capsys.readouterr().out
+        assert [type(broker) for broker in opened] == [HttpBroker, DirectoryBroker]
+        assert opened[1].root == tmp_path / "fleet" and opened[1].lease_ttl == 5.0
+
+    def test_status_opens_a_url_as_http_and_a_path_as_a_directory(
+        self, server, tmp_path, opened, capsys
+    ):
+        for location in (server.base_url, str(tmp_path / "fleet")):
+            assert main(["status", "--broker", location]) == 0
+            assert capsys.readouterr().out.startswith("broker ")
+        assert [type(broker) for broker in opened] == [HttpBroker, DirectoryBroker]
+
+    @pytest.mark.parametrize("command", ["worker", "status"])
+    def test_the_location_flag_is_required(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 2
+        assert "--broker" in capsys.readouterr().err.splitlines()[-1]

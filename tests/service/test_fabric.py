@@ -174,7 +174,7 @@ class TestHttpBrokerProtocol:
 
 class TestBrokerBackendOverHttp:
     def test_map_executes_on_an_http_worker_loop(self, server):
-        backend = BrokerBackend(broker_url=server.base_url, poll_interval=0.02)
+        backend = BrokerBackend(HttpBroker(server.base_url), poll_interval=0.02)
         worker = WorkerLoop(
             HttpBroker(server.base_url),
             worker_id="w1",
@@ -192,7 +192,7 @@ class TestBrokerBackendOverHttp:
         assert backend.dispatched == 5
 
     def test_server_side_broker_shares_state_with_http(self, server, tmp_path):
-        # The in-server dispatch path (scheduler swapping queue_dir to the
+        # The in-server dispatch path (scheduler pointing broker at the
         # service's broker directory) and the HTTP routes must see one
         # queue: publish via HTTP, observe via the directory, and back.
         http = HttpBroker(server.base_url)
@@ -218,9 +218,7 @@ class TestFleetByteIdentity:
         try:
             run_campaign(
                 GRID,
-                config=FlowConfig(
-                    backend="broker", broker_url=server.base_url
-                ),
+                config=FlowConfig(backend="broker", broker=server.base_url),
                 store_dir=fleet,
             )
         finally:

@@ -81,7 +81,7 @@ class TestValidation:
             parse_request({"kind": "simulate"})
 
     def test_unknown_backend_names_valid_choices(self):
-        with pytest.raises(SpecificationError, match="process, queue, serial"):
+        with pytest.raises(SpecificationError, match=r"\(valid: broker, process, serial\)$"):
             parse_request({**CAMPAIGN, "config": {"backend": "gpu"}})
 
     def test_unknown_config_field_names_valid_fields(self):

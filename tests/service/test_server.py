@@ -209,7 +209,7 @@ class TestErrors:
             connection.close()
 
     def test_bad_request_fields_surface_as_service_errors(self, client):
-        with pytest.raises(ServiceError, match="process, queue, serial"):
+        with pytest.raises(ServiceError, match=r"\(valid: broker, process, serial\)$"):
             client.submit({**CAMPAIGN, "config": {"backend": "gpu"}})
         with pytest.raises(ServiceError, match="resolutions"):
             client.submit({"kind": "campaign", "grid": {}})

@@ -14,7 +14,7 @@ from repro.specs import (
     plan_stages,
     size_sampling_capacitor,
 )
-from repro.specs.caps import NOISE_PHASE_FACTOR
+from repro.specs.caps import MATCHING_MARGIN, NOISE_PHASE_FACTOR
 from repro.tech import CMOS025
 
 
@@ -90,7 +90,7 @@ class TestCapSizing:
             full_scale=2.0,
         )
         assert sizing.binding_constraint == "noise"
-        assert sizing.total == pytest.approx(NOISE_PHASE_FACTOR * KT_ROOM / 2e-9)
+        assert sizing.total == pytest.approx(NOISE_PHASE_FACTOR * KT_ROOM / 2e-9, abs=0.0)
 
     def test_floor_binds_at_low_resolution(self):
         sizing = size_sampling_capacitor(
@@ -102,16 +102,47 @@ class TestCapSizing:
             full_scale=2.0,
         )
         assert sizing.binding_constraint == "floor"
-        assert sizing.total == pytest.approx(CMOS025.cpar_floor)
+        assert sizing.total == pytest.approx(CMOS025.cpar_floor, abs=0.0)
 
     def test_cumulative_gain_shrinks_noise_requirement(self):
         small = size_sampling_capacitor(CMOS025, 2, 10, 8.0, 1e-9, 2.0)
         large = size_sampling_capacitor(CMOS025, 2, 10, 1.0, 1e-9, 2.0)
-        assert small.noise_requirement == pytest.approx(large.noise_requirement / 64)
+        assert small.noise_requirement == pytest.approx(
+            large.noise_requirement / 64, abs=0.0
+        )
+
+    @pytest.mark.parametrize("stage_bits", [2, 3, 4])
+    @pytest.mark.parametrize("input_accuracy_bits", [8, 13])
+    def test_matching_requirement_follows_the_pelgrom_law(
+        self, stage_bits, input_accuracy_bits
+    ):
+        # A unit capacitor of the matching requirement mismatches by
+        # sigma_u = A_C / sqrt(area), exactly what the DAC may spend: the
+        # MSB half's error stays within MATCHING_MARGIN of the stage LSB.
+        sizing = size_sampling_capacitor(
+            CMOS025, stage_bits, input_accuracy_bits, 1.0, 1e-9, 2.0
+        )
+        area_um2 = (
+            sizing.matching_requirement / sizing.units / CMOS025.cap_density / 1e-12
+        )
+        assert CMOS025.cap_matching / math.sqrt(area_um2) == pytest.approx(
+            MATCHING_MARGIN
+            * 2.0**-input_accuracy_bits
+            * 2.0
+            * math.sqrt(sizing.units / 2),
+            rel=1e-12,
+        )
+
+    def test_one_more_accuracy_bit_quadruples_the_matching_requirement(self):
+        coarse = size_sampling_capacitor(CMOS025, 3, 12, 1.0, 1e-9, 2.0)
+        fine = size_sampling_capacitor(CMOS025, 3, 13, 1.0, 1e-9, 2.0)
+        assert fine.matching_requirement == pytest.approx(
+            4.0 * coarse.matching_requirement, rel=1e-12, abs=0.0
+        )
 
     def test_unit_cap_times_units_is_total(self):
         sizing = size_sampling_capacitor(CMOS025, 3, 11, 1.0, 1e-8, 2.0)
-        assert sizing.unit * sizing.units == pytest.approx(sizing.total)
+        assert sizing.unit * sizing.units == pytest.approx(sizing.total, abs=0.0)
         assert sizing.units == 4
 
     def test_invalid_inputs(self):
@@ -194,7 +225,8 @@ class TestStagePlan:
     def test_reuse_keys(self):
         spec = AdcSpec(resolution_bits=13)
         plan = plan_stages(spec, candidate())
-        assert plan.unique_mdac_keys == ((4, 13), (3, 10), (2, 8))
+        keys = tuple(dict.fromkeys(m.reuse_key for m in plan.mdacs))
+        assert keys == ((4, 13), (3, 10), (2, 8))
 
     def test_unique_blocks_across_all_13bit_candidates(self):
         # The paper synthesized "eleven MDACs" to cover all seven candidates;
@@ -202,7 +234,7 @@ class TestStagePlan:
         spec = AdcSpec(resolution_bits=13)
         keys = set()
         for cand in enumerate_candidates(13):
-            keys.update(plan_stages(spec, cand).unique_mdac_keys)
+            keys.update(m.reuse_key for m in plan_stages(spec, cand).mdacs)
         assert len(keys) == 12
 
     def test_dc_gain_requirement_grows_with_accuracy(self):

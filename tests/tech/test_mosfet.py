@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tech import CMOS025, dc_current, operating_point
+from repro.tech import CMOS025, dc_current
 from repro.tech.mosfet import flicker_noise_psd, thermal_noise_psd
+from tests.tech.one_device import operating_point
 
 NMOS = CMOS025.nmos
 PMOS = CMOS025.pmos

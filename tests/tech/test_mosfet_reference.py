@@ -19,13 +19,9 @@ from repro.enumeration.candidates import PipelineCandidate
 from repro.specs import AdcSpec, plan_stages
 from repro.synth import two_stage_space
 from repro.tech import CORNERS
-from repro.tech.mosfet import (
-    dc_current,
-    device_constants,
-    device_current,
-    operating_point,
-)
+from repro.tech.mosfet import dc_current, device_constants, device_current
 from tests.tech import mosfet_reference as reference
+from tests.tech.one_device import operating_point
 
 #: Every device of every registered corner.
 DEVICES = [

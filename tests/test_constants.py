@@ -15,7 +15,7 @@ class TestConstants:
 
 class TestHelpers:
     def test_db_roundtrip(self):
-        assert constants.from_db(constants.db(42.0)) == pytest.approx(42.0)
+        assert 10.0 ** (constants.db(42.0) / 20.0) == pytest.approx(42.0)
 
     def test_db_of_unity_is_zero(self):
         assert constants.db(1.0) == 0.0
