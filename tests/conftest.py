@@ -34,13 +34,19 @@ def _reset_telemetry():
 
 
 @contextlib.contextmanager
-def broker_workers(queue_dir, count: int = 2, lease_ttl: float = DEFAULT_LEASE_TTL):
+def broker_workers(
+    queue_dir,
+    count: int = 2,
+    lease_ttl: float = DEFAULT_LEASE_TTL,
+    prefix: str = "test-worker",
+):
     """Run ``count`` :class:`WorkerLoop` threads on ``DirectoryBroker(queue_dir)``.
 
     A ``FlowConfig(backend="broker", broker=queue_dir)`` run inside the
-    block executes its tasks on these threads.  The block gets the
-    workers' broker, so a ``BrokerBackend`` built on it shares their
-    counters and ``lease_ttl``.  On exit the threads stop and join.
+    block executes its tasks on these threads, named ``<prefix>-<n>``.
+    The block gets the workers' broker, so a ``BrokerBackend`` built on it
+    shares their counters and ``lease_ttl``.  On exit the threads stop and
+    join.
     """
     broker = DirectoryBroker(queue_dir, lease_ttl=lease_ttl)
     stop = threading.Event()
@@ -48,7 +54,7 @@ def broker_workers(queue_dir, count: int = 2, lease_ttl: float = DEFAULT_LEASE_T
         threading.Thread(
             target=WorkerLoop(
                 broker,
-                worker_id=f"test-worker-{n}",
+                worker_id=f"{prefix}-{n}",
                 poll_interval=0.01,
                 lease_ttl=lease_ttl,
             ).run,

@@ -9,6 +9,7 @@ share one :class:`DirectoryBroker` and its counters.  Task functions are
 """
 
 import contextlib
+import json
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -32,15 +34,18 @@ from repro.engine.broker import (
     task_key,
 )
 from repro.engine.persist import digest
-from repro.engine.worker import fabric_probe
+from repro.engine.worker import WorkerLoop, fabric_probe
+from repro.obs.trace import TRACER, configure_tracing
 from repro.service import wire
 from tests.conftest import broker_workers
 
 
 @contextlib.contextmanager
-def _queue(queue_dir, max_workers=1, lease_ttl=DEFAULT_LEASE_TTL):
+def _queue(queue_dir, max_workers=1, lease_ttl=DEFAULT_LEASE_TTL, prefix="test-worker"):
     """A broker backend on ``queue_dir`` with ``max_workers`` worker threads."""
-    with broker_workers(queue_dir, count=max_workers, lease_ttl=lease_ttl) as broker:
+    with broker_workers(
+        queue_dir, count=max_workers, lease_ttl=lease_ttl, prefix=prefix
+    ) as broker:
         with BrokerBackend(broker, poll_interval=0.01) as backend:
             yield backend
 
@@ -89,6 +94,59 @@ class TestBackendContract:
             backend.map(digest, [{"n": 2}])
         assert tmp_path.exists()
         assert _files(tmp_path, ACK_SUFFIX)
+
+    def test_tracer_worker_survives_a_map(self, tmp_path, monkeypatch):
+        # WorkerLoop.run labels only the thread it runs on, so the worker
+        # threads leave the campaign thread's own identity alone.
+        monkeypatch.setattr(TRACER, "worker", "campaign")
+        with _queue(tmp_path, max_workers=2) as backend:
+            backend.map(digest, [{"n": v} for v in range(4)])
+            assert TRACER.worker == "campaign"
+            backend.map(digest, [{"n": 9}])
+        assert TRACER.worker == "campaign"
+
+    def test_overlapping_maps_label_only_their_own_spans(self, tmp_path):
+        # Two broker maps overlap in one process, each drained by its own
+        # worker thread: the second starts while the first's task runs and
+        # ends after it.  Each loop labels only its own spans, and no
+        # thread is left with a finished loop's label.
+        configure_tracing(tmp_path / "traces")
+        running = threading.Event()
+        ran_by: dict[str, str] = {}
+        execute = WorkerLoop._execute
+
+        def recording_execute(loop, key, envelope):
+            ran_by[key[:12]] = loop.worker_id
+            running.set()
+            return execute(loop, key, envelope)
+
+        labels_after: dict[str, str | None] = {}
+
+        def campaign(name, busy_s):
+            with _queue(tmp_path / name, prefix=name) as backend:
+                backend.map(fabric_probe, [{"busy_s": busy_s, "campaign": name}])
+            labels_after[name] = TRACER.worker
+
+        with mock.patch.object(WorkerLoop, "_execute", recording_execute):
+            first = threading.Thread(target=campaign, args=("a", 0.3), daemon=True)
+            first.start()
+            assert running.wait(timeout=30)
+            second = threading.Thread(target=campaign, args=("b", 0.6), daemon=True)
+            second.start()
+            for thread in (first, second):
+                thread.join(timeout=60)
+                assert not thread.is_alive(), "a map hung"
+        assert labels_after == {"a": None, "b": None}
+        assert TRACER.worker is None
+        spans = [
+            json.loads(line)
+            for path in (tmp_path / "traces").glob("*.jsonl")
+            for line in path.read_text(encoding="utf-8").splitlines()
+        ]
+        tasks = [s for s in spans if s["name"] == "worker.task"]
+        assert sorted(s["worker"] for s in tasks) == ["a-0", "b-0"]
+        for task in tasks:
+            assert task["worker"] == ran_by[task["attrs"]["key"]]
 
 
 class TestAckReplay:
